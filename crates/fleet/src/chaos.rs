@@ -114,9 +114,13 @@ impl ChaosConfig {
     }
 }
 
-/// Counters of the faults actually injected over one run.
+/// Counters of the faults actually injected over one run, plus the run's
+/// position in the deterministic fault stream.
 #[derive(Debug, Default)]
 pub struct ChaosStats {
+    /// Intercepted solver calls so far, shared by the run's solver wrapper
+    /// and chaos clock.
+    calls: AtomicU64,
     timeouts: AtomicUsize,
     infeasibles: AtomicUsize,
     singulars: AtomicUsize,
@@ -175,7 +179,6 @@ pub struct ChaosSolver<'a, S> {
     config: ChaosConfig,
     /// Calls `0..protected` (the initial batch) are never faulted.
     protected: u64,
-    calls: AtomicU64,
     stats: &'a ChaosStats,
 }
 
@@ -187,28 +190,15 @@ impl<'a, S> ChaosSolver<'a, S> {
             inner,
             config,
             protected: protected as u64,
-            calls: AtomicU64::new(0),
             stats,
         }
-    }
-
-    /// Intercepted calls so far — the position in the deterministic fault
-    /// stream. Checkpointed by [`crate::persist`] so a resumed run draws
-    /// exactly the faults the uninterrupted run would have drawn.
-    pub fn calls(&self) -> u64 {
-        self.calls.load(Ordering::SeqCst)
-    }
-
-    /// Repositions the fault stream (on resume from a checkpoint).
-    pub fn set_calls(&self, calls: u64) {
-        self.calls.store(calls, Ordering::SeqCst);
     }
 
     /// Draws the fault (if any) for the next intercepted call and counts
     /// it. Deterministic for a fixed seed and call order (single-threaded
     /// solves).
     fn draw(&self) -> Option<Fault> {
-        let n = self.calls.fetch_add(1, Ordering::SeqCst);
+        let n = self.stats.calls.fetch_add(1, Ordering::SeqCst);
         if n < self.protected {
             return None;
         }
@@ -250,15 +240,28 @@ impl<'a, S> ChaosSolver<'a, S> {
         }
     }
 
-    /// A copy of `prior` with its proven lower bound inflated — a bound the
-    /// downstream solver must refuse to trust blindly.
-    fn poisoned(&self, prior: Option<&SweepPrior>) -> Option<SweepPrior> {
-        prior.map(|p| SweepPrior {
-            lower_bound: p
-                .lower_bound
-                .map(|b| b * self.config.poison_factor.max(1.0) + 1.0),
-            ..p.clone()
-        })
+    /// Intercepts one solve: draws its fault, then either kills it or runs
+    /// `solve` on the prior — poisoned (its proven lower bound inflated, a
+    /// bound the downstream solver must refuse to trust blindly) when the
+    /// draw says so.
+    fn intercept(
+        &self,
+        prior: Option<&SweepPrior>,
+        solve: impl FnOnce(Option<&SweepPrior>) -> SolveResult<SolverOutcome>,
+    ) -> SolveResult<SolverOutcome> {
+        match self.draw() {
+            Some(Fault::Poison) => {
+                let poisoned = prior.map(|p| SweepPrior {
+                    lower_bound: p
+                        .lower_bound
+                        .map(|b| b * self.config.poison_factor.max(1.0) + 1.0),
+                    ..p.clone()
+                });
+                solve(poisoned.as_ref())
+            }
+            Some(fault) => Err(self.injected_error(&fault)),
+            None => solve(prior),
+        }
     }
 }
 
@@ -281,15 +284,9 @@ impl<S: WarmStartSolver> WarmStartSolver for ChaosSolver<'_, S> {
         target: Throughput,
         prior: Option<&SweepPrior>,
     ) -> SolveResult<SolverOutcome> {
-        match self.draw() {
-            Some(Fault::Poison) => {
-                let poisoned = self.poisoned(prior);
-                self.inner
-                    .solve_with_prior(instance, target, poisoned.as_ref())
-            }
-            Some(fault) => Err(self.injected_error(&fault)),
-            None => self.inner.solve_with_prior(instance, target, prior),
-        }
+        self.intercept(prior, |prior| {
+            self.inner.solve_with_prior(instance, target, prior)
+        })
     }
 
     fn solve_with_prior_budgeted(
@@ -299,17 +296,10 @@ impl<S: WarmStartSolver> WarmStartSolver for ChaosSolver<'_, S> {
         prior: Option<&SweepPrior>,
         budget: &SolveBudget,
     ) -> SolveResult<SolverOutcome> {
-        match self.draw() {
-            Some(Fault::Poison) => {
-                let poisoned = self.poisoned(prior);
-                self.inner
-                    .solve_with_prior_budgeted(instance, target, poisoned.as_ref(), budget)
-            }
-            Some(fault) => Err(self.injected_error(&fault)),
-            None => self
-                .inner
-                .solve_with_prior_budgeted(instance, target, prior, budget),
-        }
+        self.intercept(prior, |prior| {
+            self.inner
+                .solve_with_prior_budgeted(instance, target, prior, budget)
+        })
     }
 }
 
@@ -321,15 +311,9 @@ impl<S: CapacitySolver> CapacitySolver for ChaosSolver<'_, S> {
         caps: &[u64],
         prior: Option<&SweepPrior>,
     ) -> SolveResult<SolverOutcome> {
-        match self.draw() {
-            Some(Fault::Poison) => {
-                let poisoned = self.poisoned(prior);
-                self.inner
-                    .solve_with_caps(instance, target, caps, poisoned.as_ref())
-            }
-            Some(fault) => Err(self.injected_error(&fault)),
-            None => self.inner.solve_with_caps(instance, target, caps, prior),
-        }
+        self.intercept(prior, |prior| {
+            self.inner.solve_with_caps(instance, target, caps, prior)
+        })
     }
 
     fn solve_with_caps_budgeted(
@@ -340,22 +324,10 @@ impl<S: CapacitySolver> CapacitySolver for ChaosSolver<'_, S> {
         prior: Option<&SweepPrior>,
         budget: &SolveBudget,
     ) -> SolveResult<SolverOutcome> {
-        match self.draw() {
-            Some(Fault::Poison) => {
-                let poisoned = self.poisoned(prior);
-                self.inner.solve_with_caps_budgeted(
-                    instance,
-                    target,
-                    caps,
-                    poisoned.as_ref(),
-                    budget,
-                )
-            }
-            Some(fault) => Err(self.injected_error(&fault)),
-            None => self
-                .inner
-                .solve_with_caps_budgeted(instance, target, caps, prior, budget),
-        }
+        self.intercept(prior, |prior| {
+            self.inner
+                .solve_with_caps_budgeted(instance, target, caps, prior, budget)
+        })
     }
 }
 
@@ -368,9 +340,8 @@ pub struct ChaosClock<'a> {
 }
 
 impl<'a> ChaosClock<'a> {
-    /// Builds a clock over the given config and fault counters — used by
-    /// [`FleetController::run_with_chaos`] and the resumable entry points
-    /// of [`crate::persist`].
+    /// Builds a clock over the given config and fault counters — one per
+    /// chaos-wrapped run of the fleet driver.
     pub(crate) fn new(config: ChaosConfig, stats: &'a ChaosStats) -> Self {
         ChaosClock { config, stats }
     }
@@ -388,6 +359,20 @@ impl<'a> ChaosClock<'a> {
                 .fetch_add(1, Ordering::SeqCst);
         }
         delayed
+    }
+
+    /// Intercepted solver calls so far — the run's position in the
+    /// deterministic fault stream. Checkpointed by [`crate::persist`] so a
+    /// resumed run draws exactly the faults the uninterrupted run would have
+    /// drawn.
+    pub(crate) fn calls(&self) -> u64 {
+        self.stats.calls.load(Ordering::SeqCst)
+    }
+
+    /// Repositions the run's solver fault stream (on resume from a
+    /// checkpoint).
+    pub(crate) fn set_calls(&self, calls: u64) {
+        self.stats.calls.store(calls, Ordering::SeqCst);
     }
 }
 
@@ -536,16 +521,7 @@ impl FleetController {
         config: &CapacityConfig,
         chaos: ChaosConfig,
     ) -> SolveResult<(FleetReport, ChaosStats)> {
-        let stats = ChaosStats::default();
-        let report = {
-            let wrapped = ChaosSolver::new(solver, chaos, tenants.len(), &stats);
-            let clock = ChaosClock {
-                config: chaos,
-                stats: &stats,
-            };
-            self.run_core_coupled_chaos(&wrapped, tenants, config, Some(&clock))?
-        };
-        Ok((report, stats))
+        self.serve(solver, tenants, Some(config), Some(chaos))
     }
 }
 

@@ -7,49 +7,30 @@
 //! projected remaining-horizon savings beat the switching cost. See the crate
 //! docs for how this maps onto §I's streaming model.
 //!
-//! # Sharded epoch pipelines
-//!
-//! The per-tenant halves of each epoch — trace advancement, shift detection
-//! and the memoized what-if probes — are embarrassingly parallel, so large
-//! fleets run them as **sharded pipelines** on the shared worker pool (see
-//! [`FleetPolicy::shards`]): tenants partition into contiguous index-range
-//! shards, each shard advances its tenants independently, and all shards
-//! meet at a single deterministic **merge–arbitrate–solve barrier** per
-//! epoch where pool arbitration, the batched solver fan-outs and every
-//! flight-recorder event live. Shard outputs concatenate in shard order —
-//! which *is* tenant-index order — so the controller's decisions, its
-//! [`FleetReport`] and its event sequence are bit-identical (modulo the
-//! [`StageTimes`] family) at every shard count, including one.
+//! This module holds the controller's configuration, its public entry points
+//! and the per-tenant state; every entry point is a thin constructor of the
+//! one shared epoch loop (the crate's `run` module).
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
-use rental_capacity::{
-    coverage_bound, degrade_to_feasible, CapacityConfig, CapacityPool, CappedOutcome, UNLIMITED_CAP,
-};
+use rental_capacity::{CapacityConfig, CapacityPool, UNLIMITED_CAP};
 use rental_core::{
     Instance, PlannedMachine, ProvisioningPlan, RecipeId, Solution, Throughput, TypeId, TypeSummary,
 };
-use rental_obs::{
-    epoch_tree, AlertEngine, AlertPolicy, EpochObservation, EventKind, FanoutObs, NoopSink,
-    SpanTimer, Stage, StageTimes, TelemetrySink,
-};
-use rental_pricing::{HorizonCache, OnDemand, RentalHorizon, SegmentedBilling};
-use rental_solvers::batch::CapsBatchItem;
-use rental_solvers::batch::{
-    solve_caps_batch_budgeted, solve_caps_batch_timed, solve_warm_batch_budgeted,
-    solve_warm_batch_timed, WarmBatchItem,
-};
+use rental_obs::{AlertPolicy, NoopSink, StageTimes, TelemetrySink};
+use rental_pricing::{HorizonCache, OnDemand, SegmentedBilling};
+use rental_solvers::batch::WarmBatchItem;
 use rental_solvers::solver::{
     CapacitySolver, SolveBudget, SolveError, SolveResult, SolverOutcome, SweepPrior,
-    WarmStartSolver,
 };
 use rental_stream::{
     AutoscalePolicy, Autoscaler, FailureTrace, FixedMixScaler, FixedMixState, WorkloadTrace,
 };
 
-use crate::report::{AdoptionRecord, FleetReport, SolverEffort, TenantReport};
+use crate::chaos::{ChaosConfig, ChaosStats};
+use crate::persist::{PersistError, RunOutcome};
+use crate::report::{FleetReport, SolverEffort, TenantReport};
 use crate::tenant::TenantSpec;
 
 /// Parameters of the fleet controller.
@@ -143,41 +124,6 @@ fn next_backoff(current: usize, cap: usize) -> usize {
     }
 }
 
-/// Defers a tenant whose re-solve produced no usable plan: it keeps its
-/// current plan and sits out a capped-exponential backoff window before the
-/// next attempt — deferred, never dropped.
-fn defer(state: &mut TenantState<'_>, epoch: usize, cap: usize) {
-    state.deferred_resolves += 1;
-    state.backoff = next_backoff(state.backoff, cap);
-    state.deferred_until = epoch + 1 + state.backoff;
-}
-
-/// Closes an open backoff window after a successful re-solve: the retry is
-/// counted and the backoff schedule resets.
-fn close_backoff(state: &mut TenantState<'_>) {
-    if state.backoff > 0 {
-        state.resolve_retries += 1;
-        state.backoff = 0;
-        state.deferred_until = 0;
-    }
-}
-
-/// Attributes `seconds` of `stage` work to a tenant *and* to the epoch's
-/// stage row, emitting the span to the sink — the single accounting path for
-/// every timed region of the epoch loop, so per-tenant and per-epoch
-/// breakdowns cannot drift apart.
-fn charge_stage(
-    state: &mut TenantState<'_>,
-    epoch_times: &mut StageTimes,
-    sink: &dyn TelemetrySink,
-    stage: Stage,
-    seconds: f64,
-) {
-    state.timing.add(stage, seconds);
-    epoch_times.add(stage, seconds);
-    sink.span(stage.span_name(), seconds);
-}
-
 impl FleetPolicy {
     /// The per-tenant autoscaling policy implied by the fleet policy — used
     /// both for the tenants' own fixed-mix scaling between re-solves and for
@@ -228,119 +174,17 @@ impl FleetPolicy {
 /// ([`UNLIMITED_CAP`] entries impose nothing) — the one fit test shared by
 /// the failure path's futility check, the pool-aware shift re-solve filter
 /// and the adoption guard, so they cannot drift apart.
-fn fits_caps(counts: &[u64], caps: &[u64]) -> bool {
+pub(crate) fn fits_caps(counts: &[u64], caps: &[u64]) -> bool {
     counts
         .iter()
         .zip(caps)
         .all(|(&count, &cap)| cap == UNLIMITED_CAP || count <= cap)
 }
 
-/// Runs `f` once per tenant, fanned out over `shards` contiguous shards of
-/// the state slice on the shared worker pool, returning the per-tenant
-/// results **in tenant-index order**.
-///
-/// This is the deterministic backbone of the sharded epoch loop. Shards are
-/// contiguous index ranges, so concatenating their outputs in shard order
-/// *is* tenant-index order, and every cross-tenant effect — pool
-/// arbitration, solver fan-outs, flight-recorder events — stays with the
-/// caller at the barrier after this returns. `f` receives a shard-local
-/// [`StageTimes`] accumulator; the accumulators merge into `epoch_times` at
-/// the barrier, and when `shard_span` is given each shard's accumulated
-/// seconds are emitted as one span, plus the merge-barrier wait (fan-out
-/// wall time past the busiest shard) under `fleet.span.merge_wait`.
-/// Counters and spans may be emitted from inside `f` (the sink's registry
-/// merges its thread-local shards on snapshot); flight-recorder events must
-/// not be.
-///
-/// One shard short-circuits to a plain sequential loop over the same
-/// closure, so `FleetPolicy { shards: Some(1) }` runs today's sequential
-/// controller rather than an emulation of it.
-fn for_each_tenant_sharded<'a, R, F>(
-    states: &mut [TenantState<'a>],
-    shards: usize,
-    sink: &dyn TelemetrySink,
-    epoch_times: &mut StageTimes,
-    fanout: &mut FanoutObs,
-    shard_span: Option<&'static str>,
-    f: F,
-) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize, &mut TenantState<'a>, &mut StageTimes) -> R + Sync,
-{
-    let len = states.len();
-    let shards = shards.clamp(1, len.max(1));
-    if shards <= 1 {
-        let mut times = StageTimes::zero();
-        let out = states
-            .iter_mut()
-            .enumerate()
-            .map(|(i, state)| f(i, state, &mut times))
-            .collect();
-        if let Some(name) = shard_span {
-            sink.span(name, times.total());
-            fanout.probe_shards.push(times.total());
-        }
-        epoch_times.merge(&times);
-        return out;
-    }
-    let chunk = len.div_ceil(shards);
-    // Hand each worker exclusive `&mut` access to its own contiguous shard:
-    // the slice splits up front, and the per-shard mutex lets the `Fn + Sync`
-    // closure below reclaim mutable access from a shared reference. Each
-    // mutex is locked exactly once, by the worker that drew its index.
-    let shard_slices: Vec<Mutex<(usize, &mut [TenantState<'a>])>> = states
-        .chunks_mut(chunk)
-        .enumerate()
-        .map(|(s, slice)| Mutex::new((s * chunk, slice)))
-        .collect();
-    let fan_out = Instant::now();
-    let shard_results = rayon::parallel_map_indexed(shard_slices.len(), Some(shards), |s| {
-        let mut guard = shard_slices[s].lock().expect("shard slice poisoned");
-        let (offset, slice) = &mut *guard;
-        let busy = Instant::now();
-        let mut times = StageTimes::zero();
-        let out: Vec<R> = slice
-            .iter_mut()
-            .enumerate()
-            .map(|(k, state)| f(*offset + k, state, &mut times))
-            .collect();
-        (out, times, busy.elapsed().as_secs_f64())
-    });
-    let wall = fan_out.elapsed().as_secs_f64();
-    let mut merged = Vec::with_capacity(len);
-    let mut busiest = 0.0f64;
-    for (out, times, busy) in shard_results {
-        if let Some(name) = shard_span {
-            sink.span(name, times.total());
-            fanout.probe_shards.push(times.total());
-        }
-        epoch_times.merge(&times);
-        busiest = busiest.max(busy);
-        merged.extend(out);
-    }
-    let merge_wait = (wall - busiest).max(0.0);
-    sink.span("fleet.span.merge_wait", merge_wait);
-    fanout.merge_wait += merge_wait;
-    merged
-}
-
-/// One tenant due for a keep-vs-switch decision this epoch, as produced by
-/// the sharded probe pass. `keep: None` marks a forced re-solve (the
-/// current mix cannot carry the demand); `caps` carries the tenant's pool
-/// caps when a finite quota constrains what it may adopt.
-struct DueTenant {
-    tenant: usize,
-    rho: Throughput,
-    keep: Option<f64>,
-    remaining_hours: f64,
-    caps: Option<Vec<u64>>,
-}
-
 /// Quantizes a demand rate into a provisioning target: head-room applied,
 /// rounded up to the instance's throughput granularity (which stabilises
 /// probes and re-solve targets against sub-granularity rate jitter).
-fn quantize_target(rate: f64, headroom: f64, granularity: u64) -> Throughput {
+pub(crate) fn quantize_target(rate: f64, headroom: f64, granularity: u64) -> Throughput {
     let demand = rate * headroom;
     if demand <= 0.0 {
         return 0;
@@ -354,7 +198,7 @@ fn quantize_target(rate: f64, headroom: f64, granularity: u64) -> Throughput {
 /// provisions with availability-adjusted head-room, the plain path with the
 /// policy's own — both quantize through this one function so the two cannot
 /// drift apart.
-fn initial_target_with(
+pub(crate) fn initial_target_with(
     epoch: f64,
     headroom: f64,
     instance: &Instance,
@@ -442,12 +286,12 @@ fn plan_from_fleet(
 /// hour zero). Under linear billing the two parts sum to exactly the whole
 /// fleet's remaining-horizon bill.
 pub(crate) struct ProbeEntry {
-    continued: HorizonCache,
-    fresh: HorizonCache,
+    pub(crate) continued: HorizonCache,
+    pub(crate) fresh: HorizonCache,
 }
 
 impl ProbeEntry {
-    fn new(
+    pub(crate) fn new(
         instance: &Instance,
         scaler: &FixedMixScaler,
         solved_target: Throughput,
@@ -493,21 +337,15 @@ pub(crate) struct KnownPlan {
     pub(crate) cache: HorizonCache,
 }
 
-/// Mutable per-tenant state of a run.
-///
-/// Fields are `pub(crate)` so [`crate::persist`] can checkpoint the
-/// decision-relevant state and rebuild the derived caches on resume.
-pub(crate) struct TenantState<'a> {
-    pub(crate) spec: &'a TenantSpec,
-    pub(crate) peaks: Vec<f64>,
-    pub(crate) granularity: u64,
-    pub(crate) min_unit_cost: f64,
-    /// The recipe mix the tenant started with (the fixed-mix baseline's mix).
-    pub(crate) initial_fractions: Vec<f64>,
-    pub(crate) initial_target: Throughput,
-    /// Current recipe mix and its scaler.
+/// A tenant's decision state: everything besides its running totals and
+/// learned plans that a resumed run cannot re-derive from its configuration.
+/// [`crate::persist`] checkpoints it as is.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct TenantCore {
+    /// The current recipe mix.
     pub(crate) fractions: Vec<f64>,
-    pub(crate) scaler: FixedMixScaler,
+    /// The fleet rented under the current mix, with its scale-down
+    /// hysteresis.
     pub(crate) mix: FixedMixState,
     pub(crate) solved_target: Throughput,
     /// Epoch at which the current mix was adopted (0 for the initial plan):
@@ -516,12 +354,6 @@ pub(crate) struct TenantState<'a> {
     /// current plan has already paid are sunk, not re-billed.
     pub(crate) adopted_epoch: usize,
     pub(crate) prior: Option<SweepPrior>,
-    pub(crate) probe_cache: HashMap<Throughput, ProbeEntry>,
-    pub(crate) known: HashMap<Throughput, KnownPlan>,
-    /// The targets of [`TenantState::known`] in insertion order, so a
-    /// checkpoint serializes the map deterministically and a journal record
-    /// can carry exactly the plans learned since the previous record.
-    pub(crate) known_order: Vec<Throughput>,
     /// The `(target, effective caps)` of the last failure re-solve: while an
     /// outage situation is unchanged, re-solving it again cannot produce a
     /// different answer, so the violated epochs are only counted.
@@ -532,14 +364,18 @@ pub(crate) struct TenantState<'a> {
     /// Current backoff step (epochs); doubles per consecutive exhaustion up
     /// to [`FleetPolicy::backoff_cap`], resets on a successful re-solve.
     pub(crate) backoff: usize,
-    // Accounting.
+}
+
+/// A tenant's running totals: the counters and sums of its
+/// [`TenantReport`] row, baselines aside.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct Tally {
     pub(crate) rental_cost: f64,
     pub(crate) switching_cost: f64,
-    pub(crate) epoch_costs: Vec<f64>,
     pub(crate) probes: usize,
     pub(crate) resolves: usize,
     pub(crate) adoptions: usize,
-    /// Wall-clock seconds attributed to this tenant per stage (probe/solve).
+    /// Wall-clock seconds attributed to this tenant per stage.
     pub(crate) timing: StageTimes,
     /// Deterministic solver-effort counters (solves, nodes, LP iterations).
     pub(crate) effort: SolverEffort,
@@ -552,16 +388,255 @@ pub(crate) struct TenantState<'a> {
     pub(crate) resolve_retries: usize,
 }
 
-impl TenantState<'_> {
-    fn mix_carries_demand(&self) -> bool {
-        self.fractions.iter().any(|&f| f > 0.0)
+/// Machines of `fleet` (per type) that stay up through the whole window
+/// `[start, end)` of an outage trace.
+pub(crate) fn surviving(fleet: &[u64], trace: &FailureTrace, start: f64, end: f64) -> Vec<u64> {
+    fleet
+        .iter()
+        .enumerate()
+        .map(|(q, &count)| {
+            count.saturating_sub(trace.peak_down_among(TypeId(q), count, start, end))
+        })
+        .collect()
+}
+
+/// The baselines a tenant's report compares against, all on the initial
+/// mix: the fixed-mix autoscaler — the frozen controller, advanced epoch by
+/// epoch inside the sharded pass, so its bill is exactly an
+/// [`Autoscaler::run`] — and the static-peak and (under failures)
+/// static-headroom fleets, closed forms of the trace. Derived state: a
+/// resumed run replays the autoscaler from the trace.
+pub(crate) struct Baselines {
+    scaler: FixedMixScaler,
+    mix: FixedMixState,
+    fixed_mix_cost: f64,
+    /// The initial mix provisioned statically for `peak / availability`
+    /// (failure-coupled runs only).
+    headroom_fleet: Vec<u64>,
+}
+
+impl Baselines {
+    fn new(spec: &TenantSpec, initial_fractions: &[f64], env: &RunEnv) -> Self {
+        let scaler = FixedMixScaler::new(&spec.instance, initial_fractions, &env.baseline_scaling);
+        let headroom_fleet = if env.failures_enabled {
+            scaler.required_for(spec.trace.peak_rate() / env.availability)
+        } else {
+            Vec::new()
+        };
+        Baselines {
+            scaler,
+            mix: FixedMixState::new(spec.instance.num_types()),
+            fixed_mix_cost: 0.0,
+            headroom_fleet,
+        }
     }
 
-    /// Records a freshly learned plan at `rho`, keeping the insertion-order
-    /// index in sync with the map.
+    /// Advances the fixed-mix autoscaler through one epoch at demand `rate`.
+    pub(crate) fn advance(&mut self, rate: f64, policy: &AutoscalePolicy) {
+        let fleet = self
+            .mix
+            .step(&self.scaler, rate, policy.scale_down_patience);
+        self.fixed_mix_cost += self.scaler.cost_rate(fleet) * policy.epoch;
+    }
+}
+
+/// Mutable per-tenant state of a run: the persisted decision state and
+/// totals plus the caches derived from them.
+pub(crate) struct TenantState<'a> {
+    pub(crate) spec: &'a TenantSpec,
+    /// The target the initial plan was solved for.
+    pub(crate) initial_target: Throughput,
+    /// The recipe mix the tenant started with (the baselines' mix).
+    pub(crate) initial_fractions: Vec<f64>,
+    pub(crate) peaks: Vec<f64>,
+    pub(crate) granularity: u64,
+    pub(crate) min_unit_cost: f64,
+    /// Scaler of the current mix.
+    pub(crate) scaler: FixedMixScaler,
+    pub(crate) baselines: Baselines,
+    pub(crate) core: TenantCore,
+    pub(crate) tally: Tally,
+    pub(crate) epoch_costs: Vec<f64>,
+    pub(crate) probe_cache: HashMap<Throughput, ProbeEntry>,
+    /// Every plan learned, oldest first. A target re-solved under tighter
+    /// caps is learned again, and the newest plan for a target shadows the
+    /// older ones. Append-only, so a checkpoint serializes it as is and a
+    /// journal record carries exactly the plans learned since the previous
+    /// record — replacements included.
+    pub(crate) plans: Vec<(Throughput, KnownPlan)>,
+}
+
+impl<'a> TenantState<'a> {
+    /// Rebuilds the derived caches around persisted (or freshly initialised)
+    /// state: the initial plan's `(target, recipe mix)`, the decision state,
+    /// the running totals and the plan log.
+    pub(crate) fn new(
+        spec: &'a TenantSpec,
+        env: &RunEnv,
+        (initial_target, initial_fractions): (Throughput, Vec<f64>),
+        core: TenantCore,
+        tally: Tally,
+        epoch_costs: Vec<f64>,
+        plans: Vec<(Throughput, KnownPlan)>,
+    ) -> Self {
+        let instance = &spec.instance;
+        TenantState {
+            spec,
+            initial_target,
+            baselines: Baselines::new(spec, &initial_fractions, env),
+            initial_fractions,
+            peaks: spec.trace.epoch_peaks(env.baseline_scaling.epoch),
+            granularity: instance.throughput_granularity(),
+            min_unit_cost: min_unit_cost(instance),
+            scaler: FixedMixScaler::new(instance, &core.fractions, &env.scaling),
+            core,
+            tally,
+            epoch_costs,
+            probe_cache: HashMap::new(),
+            plans,
+        }
+    }
+
+    pub(crate) fn mix_carries_demand(&self) -> bool {
+        self.core.fractions.iter().any(|&f| f > 0.0)
+    }
+
+    /// The newest plan learned for target `rho`, if any.
+    pub(crate) fn known(&self, rho: Throughput) -> Option<&KnownPlan> {
+        (self.plans.iter().rev())
+            .find(|(target, _)| *target == rho)
+            .map(|(_, plan)| plan)
+    }
+
+    /// Records a freshly learned plan at `rho`, shadowing any older one.
     pub(crate) fn learn(&mut self, rho: Throughput, plan: KnownPlan) {
-        if self.known.insert(rho, plan).is_none() {
-            self.known_order.push(rho);
+        self.plans.push((rho, plan));
+    }
+
+    /// The warm-started solve of this tenant's instance at `target`, under
+    /// `caps` when a quota constrains it.
+    pub(crate) fn item<'s>(
+        &'s self,
+        target: Throughput,
+        caps: Option<&'s [u64]>,
+    ) -> WarmBatchItem<'s> {
+        WarmBatchItem {
+            instance: &self.spec.instance,
+            target,
+            caps,
+            prior: self.core.prior.as_ref(),
+        }
+    }
+
+    /// Bills one epoch of the tenant's rented fleet.
+    pub(crate) fn rent(&mut self, cost: f64) {
+        self.tally.rental_cost += cost;
+        self.epoch_costs.push(cost);
+    }
+
+    /// Folds a successful re-solve into the tenant's accounting and closes
+    /// an open backoff window. A `forced` adoption of an exhausted incumbent
+    /// counts as an anytime adoption right away.
+    pub(crate) fn solved(&mut self, outcome: &SolverOutcome, forced: bool) {
+        self.tally.effort.record(outcome);
+        if outcome.exhausted {
+            self.tally.budget_exhausted_epochs += 1;
+            if forced {
+                self.tally.incumbent_adoptions += 1;
+            }
+        }
+        if self.core.backoff > 0 {
+            self.tally.resolve_retries += 1;
+            self.core.backoff = 0;
+            self.core.deferred_until = 0;
+        }
+    }
+
+    /// Defers a tenant whose re-solve produced no usable plan (exhausted
+    /// without an incumbent, or infeasible): it keeps its current plan and
+    /// sits out a capped-exponential backoff window before the next attempt
+    /// — deferred, never dropped. Any other error is a real failure and
+    /// propagates.
+    pub(crate) fn defer(&mut self, err: SolveError, epoch: usize, cap: usize) -> SolveResult<()> {
+        match err {
+            SolveError::BudgetExhausted { .. } => self.tally.budget_exhausted_epochs += 1,
+            SolveError::NoSolutionFound { .. } => {}
+            err => return Err(err),
+        }
+        self.tally.deferred_resolves += 1;
+        self.core.backoff = next_backoff(self.core.backoff, cap);
+        self.core.deferred_until = epoch + 1 + self.core.backoff;
+        Ok(())
+    }
+
+    /// Switches to `solution`'s recipe mix, solved for `target`, paying
+    /// `charge`; the new mix rents from the next epoch on.
+    pub(crate) fn switch_to(
+        &mut self,
+        solution: &Solution,
+        target: Throughput,
+        charge: f64,
+        epoch: usize,
+        scaling: &AutoscalePolicy,
+    ) {
+        self.tally.adoptions += 1;
+        self.tally.switching_cost += charge;
+        self.core.fractions = Autoscaler::split_fractions(solution);
+        self.scaler = FixedMixScaler::new(&self.spec.instance, &self.core.fractions, scaling);
+        self.core.solved_target = target;
+        self.core.adopted_epoch = epoch + 1;
+        self.probe_cache.clear();
+    }
+
+    /// Epochs in which the static-headroom fleet, suffering the tenant's
+    /// `outages`, cannot carry the demand.
+    pub(crate) fn headroom_violations(&self, outages: &FailureTrace, epoch: f64) -> usize {
+        let b = &self.baselines;
+        (self.peaks.iter().enumerate())
+            .filter(|&(e, &rate)| {
+                let start = e as f64 * epoch;
+                let up = surviving(&b.headroom_fleet, outages, start, start + epoch);
+                b.scaler.violates(rate, &up)
+            })
+            .count()
+    }
+
+    /// The tenant's report row: the fixed-mix total accumulated epoch by
+    /// epoch, the static baselines as closed forms of the initial mix and
+    /// the trace, and the `headroom_violations` of the static-headroom fleet.
+    pub(crate) fn report(self, env: &RunEnv, headroom_violations: usize) -> TenantReport {
+        let (epoch, epochs) = (env.baseline_scaling.epoch, self.peaks.len() as f64);
+        let b = self.baselines;
+        let static_peak_cost =
+            b.scaler.rescale_cost_rate(self.spec.trace.peak_rate()) * epoch * epochs;
+        let static_headroom_cost = if env.failures_enabled {
+            b.scaler.cost_rate(&b.headroom_fleet) * epoch * epochs
+        } else {
+            static_peak_cost
+        };
+        let t = self.tally;
+        TenantReport {
+            name: self.spec.name.clone(),
+            initial_target: self.initial_target,
+            rental_cost: t.rental_cost,
+            switching_cost: t.switching_cost,
+            epoch_costs: self.epoch_costs,
+            probes: t.probes,
+            resolves: t.resolves,
+            adoptions: t.adoptions,
+            timing: t.timing,
+            effort: t.effort,
+            static_peak_cost,
+            fixed_mix_cost: b.fixed_mix_cost,
+            static_headroom_cost,
+            static_headroom_violations: headroom_violations,
+            slo_violation_epochs: t.slo_violations,
+            failure_resolves: t.failure_resolves,
+            degraded_resolves: t.degraded_resolves,
+            deferred_resolves: t.deferred_resolves,
+            budget_exhausted_epochs: t.budget_exhausted_epochs,
+            incumbent_adoptions: t.incumbent_adoptions,
+            resolve_retries: t.resolve_retries,
         }
     }
 }
@@ -570,67 +645,12 @@ impl TenantState<'_> {
 /// checker in `rental_solvers::certify` — debug builds only. A violation is
 /// a controller or solver bug, never a recoverable runtime condition, so it
 /// panics like any failed debug assertion.
-fn debug_certify(instance: &Instance, solution: &Solution, caps: Option<&[u64]>) {
+pub(crate) fn debug_certify(instance: &Instance, solution: &Solution, caps: Option<&[u64]>) {
     if cfg!(debug_assertions) {
         if let Err(err) = rental_solvers::certify_plan(instance, solution, caps) {
             panic!("plan failed independent certification: {err}");
         }
     }
-}
-
-/// The capacity-constrained solving hooks a coupled run needs, type-erased
-/// so the shared controller core stays generic over plain
-/// [`WarmStartSolver`]s (the uncoupled path never touches these).
-pub(crate) trait CapsResolve: Sync {
-    fn caps_batch(
-        &self,
-        items: &[CapsBatchItem<'_>],
-        budget: Option<&SolveBudget>,
-        threads: Option<usize>,
-    ) -> Vec<(SolveResult<SolverOutcome>, Duration)>;
-
-    fn caps_degrade(
-        &self,
-        instance: &Instance,
-        target: Throughput,
-        caps: &[u64],
-        prior: Option<&SweepPrior>,
-    ) -> SolveResult<CappedOutcome>;
-}
-
-impl<S: CapacitySolver + Sync> CapsResolve for S {
-    fn caps_batch(
-        &self,
-        items: &[CapsBatchItem<'_>],
-        budget: Option<&SolveBudget>,
-        threads: Option<usize>,
-    ) -> Vec<(SolveResult<SolverOutcome>, Duration)> {
-        match budget {
-            Some(budget) => solve_caps_batch_budgeted(self, items, budget, threads),
-            None => solve_caps_batch_timed(self, items, threads),
-        }
-    }
-
-    fn caps_degrade(
-        &self,
-        instance: &Instance,
-        target: Throughput,
-        caps: &[u64],
-        prior: Option<&SweepPrior>,
-    ) -> SolveResult<CappedOutcome> {
-        // Not `solve_or_degrade`: every tenant routed here either already
-        // failed the batched full-target solve or was proven infeasible by
-        // the coverage probe, so the full-target attempt would be a
-        // guaranteed duplicate of the most expensive MILP in the path.
-        degrade_to_feasible(self, instance, target, caps, prior)
-    }
-}
-
-/// The capacity/failure coupling of one run: configuration plus the capped
-/// solving hooks.
-struct Coupling<'a> {
-    config: &'a CapacityConfig,
-    solver: &'a dyn CapsResolve,
 }
 
 /// Mutable coupling state over a run: the quota ledger and one outage trace
@@ -698,7 +718,7 @@ fn failure_slots(
 pub struct FleetController {
     /// Controller parameters.
     pub policy: FleetPolicy,
-    billing: Arc<dyn SegmentedBilling + Send + Sync>,
+    pub(crate) billing: Arc<dyn SegmentedBilling + Send + Sync>,
     /// Telemetry receiver for spans, per-epoch metrics and flight-recorder
     /// events. Defaults to [`NoopSink`] (zero-cost); all events are emitted
     /// from the sequential controller sites only, so an instrumented run's
@@ -735,12 +755,12 @@ impl FleetController {
         self
     }
 
-    /// Enables the [`AlertEngine`] with `policy`: burn-rate / streak /
-    /// exhaustion / checkpoint-lag rules evaluated once per epoch at the
-    /// sequential barrier. Alerts are pure telemetry — transitions become
-    /// flight-recorder events and gauges, never controller decisions — so
-    /// an alerted run stays bit-identical to an unalerted one (modulo the
-    /// [`StageTimes`] family). The engine evaluates epoch-indexed
+    /// Enables the [`rental_obs::AlertEngine`] with `policy`: burn-rate /
+    /// streak / exhaustion / checkpoint-lag rules evaluated once per epoch
+    /// at the sequential barrier. Alerts are pure telemetry — transitions
+    /// become flight-recorder events and gauges, never controller decisions
+    /// — so an alerted run stays bit-identical to an unalerted one (modulo
+    /// the [`StageTimes`] family). The engine evaluates epoch-indexed
     /// cumulative totals only (no wall-clock), so a seeded run fires and
     /// resolves the same alerts at the same epochs every time.
     pub fn with_alerts(mut self, policy: AlertPolicy) -> Self {
@@ -754,12 +774,13 @@ impl FleetController {
     ///
     /// Propagates the first solver error (initial solves or re-solves); the
     /// analytical scaling itself cannot fail.
-    pub fn run<S: WarmStartSolver + Sync>(
+    pub fn run<S: CapacitySolver + Sync>(
         &self,
         solver: &S,
         tenants: &[TenantSpec],
     ) -> SolveResult<FleetReport> {
-        self.run_core(solver, tenants, None, None)
+        self.serve(solver, tenants, None, None)
+            .map(|(report, _)| report)
     }
 
     /// Runs the fleet under a shared capacity pool with failure coupling:
@@ -787,75 +808,24 @@ impl FleetController {
         tenants: &[TenantSpec],
         config: &CapacityConfig,
     ) -> SolveResult<FleetReport> {
-        self.run_core(solver, tenants, Some(Coupling { config, solver }), None)
+        self.serve(solver, tenants, Some(config), None)
+            .map(|(report, _)| report)
     }
 
-    /// [`FleetController::run_with_capacity`] with an optional chaos clock
-    /// injecting delayed arbitration decisions — the entry point used by
-    /// [`FleetController::run_with_chaos`](crate::chaos).
-    pub(crate) fn run_core_coupled_chaos<S: CapacitySolver + Sync>(
+    /// The shared driver without a store: such a run neither crashes nor
+    /// touches the disk, so only solver errors can surface.
+    pub(crate) fn serve<S: CapacitySolver + Sync>(
         &self,
         solver: &S,
         tenants: &[TenantSpec],
-        config: &CapacityConfig,
-        chaos: Option<&crate::chaos::ChaosClock<'_>>,
-    ) -> SolveResult<FleetReport> {
-        self.run_core(solver, tenants, Some(Coupling { config, solver }), chaos)
-    }
-
-    fn run_core<S: WarmStartSolver + Sync>(
-        &self,
-        solver: &S,
-        tenants: &[TenantSpec],
-        coupling: Option<Coupling<'_>>,
-        chaos: Option<&crate::chaos::ChaosClock<'_>>,
-    ) -> SolveResult<FleetReport> {
-        let caps_config = coupling.as_ref().map(|c| c.config);
-        let caps_solver = coupling.as_ref().map(|c| c.solver);
-        let env = self.run_env(caps_config);
-        let mut states = self.init_states(solver, tenants, &env)?;
-        let mut coupled = self.init_coupling(tenants, caps_config, &env);
-        let num_epochs = states.iter().map(|s| s.peaks.len()).max().unwrap_or(0);
-        let mut adoptions: Vec<AdoptionRecord> = Vec::new();
-        let mut stale_desired: Option<Vec<Vec<u64>>> = None;
-        let mut epoch_timing: Vec<StageTimes> = Vec::with_capacity(num_epochs);
-        let mut alert_engine = self.alert_engine();
-        for epoch in 0..num_epochs {
-            let mut epoch_times = StageTimes::zero();
-            let mut fanout = FanoutObs::default();
-            let wall = Instant::now();
-            self.epoch_step(
-                solver,
-                caps_solver,
-                epoch,
-                &mut states,
-                coupled.as_mut(),
-                chaos,
-                &env,
-                &mut adoptions,
-                &mut stale_desired,
-                &mut epoch_times,
-                &mut fanout,
-            )?;
-            self.epoch_observe(
-                epoch,
-                wall.elapsed().as_secs_f64(),
-                &states,
-                &epoch_times,
-                &fanout,
-                alert_engine.as_mut(),
-                None,
-            );
-            epoch_timing.push(epoch_times);
+        config: Option<&CapacityConfig>,
+        chaos: Option<ChaosConfig>,
+    ) -> SolveResult<(FleetReport, ChaosStats)> {
+        match self.drive(solver, tenants, config, chaos, None) {
+            Ok((RunOutcome::Completed(report), stats)) => Ok((report, stats)),
+            Err(PersistError::Solve(err)) => Err(err),
+            _ => unreachable!("a run without a store neither crashes nor does I/O"),
         }
-        Ok(self.finish(
-            states,
-            coupled.as_ref(),
-            adoptions,
-            num_epochs,
-            &env,
-            epoch_timing,
-        ))
     }
 
     /// Resolves the serving knobs of a run from the policy and the optional
@@ -865,10 +835,9 @@ impl FleetController {
         let policy = &self.policy;
         // Serving knobs under failure coupling: provision `1/availability`
         // head-room plus N+k redundancy so expected outages do not
-        // immediately violate the demand. Destructured from the config once
-        // instead of re-unwrapping it at every use site; without failures
-        // everything collapses to the plain policy, keeping the
-        // unconstrained path bit-identical.
+        // immediately violate the demand. Without failures everything
+        // collapses to the plain policy, keeping the unconstrained path
+        // bit-identical.
         let (failures_enabled, availability, outage_headroom, failure_redundancy, failure_resolve) =
             match caps_config {
                 Some(config) if !config.failures.is_disabled() => (
@@ -901,83 +870,6 @@ impl FleetController {
         }
     }
 
-    /// Initial plans: one batched cold solve per tenant.
-    pub(crate) fn init_states<'a, S: WarmStartSolver + Sync>(
-        &self,
-        solver: &S,
-        tenants: &'a [TenantSpec],
-        env: &RunEnv,
-    ) -> SolveResult<Vec<TenantState<'a>>> {
-        let policy = &self.policy;
-        let serve_headroom = env.serve_headroom;
-        let initial_targets: Vec<Throughput> = tenants
-            .iter()
-            .map(|t| initial_target_with(policy.epoch, serve_headroom, &t.instance, &t.trace))
-            .collect();
-        let initial_items: Vec<WarmBatchItem<'_>> = tenants
-            .iter()
-            .zip(&initial_targets)
-            .map(|(t, &rho)| WarmBatchItem::new(&t.instance, rho, None))
-            .collect();
-        let initial_results = solve_warm_batch_timed(solver, &initial_items, policy.threads);
-
-        let mut states: Vec<TenantState<'_>> = Vec::with_capacity(tenants.len());
-        for ((spec, &rho), (result, elapsed)) in
-            tenants.iter().zip(&initial_targets).zip(initial_results)
-        {
-            let outcome = result?;
-            debug_certify(&spec.instance, &outcome.solution, None);
-            let fractions = Autoscaler::split_fractions(&outcome.solution);
-            let scaler = FixedMixScaler::new(&spec.instance, &fractions, &env.scaling);
-            let cache = self.plan_cache(&spec.instance, &outcome.solution)?;
-            let mut known = HashMap::new();
-            let prior = Some(SweepPrior::from_outcome(rho, &outcome));
-            let mut effort = SolverEffort::default();
-            effort.record(&outcome);
-            let mut timing = StageTimes::zero();
-            timing.add(Stage::Solve, elapsed.as_secs_f64());
-            self.telemetry
-                .span(Stage::Solve.span_name(), elapsed.as_secs_f64());
-            known.insert(rho, KnownPlan { outcome, cache });
-            states.push(TenantState {
-                peaks: spec.trace.epoch_peaks(policy.epoch),
-                granularity: spec.instance.throughput_granularity(),
-                min_unit_cost: min_unit_cost(&spec.instance),
-                initial_fractions: fractions.clone(),
-                initial_target: rho,
-                mix: FixedMixState::new(spec.instance.num_types()),
-                fractions,
-                scaler,
-                solved_target: rho,
-                adopted_epoch: 0,
-                prior,
-                probe_cache: HashMap::new(),
-                known,
-                known_order: vec![rho],
-                last_failure_solve: None,
-                deferred_until: 0,
-                backoff: 0,
-                rental_cost: 0.0,
-                switching_cost: 0.0,
-                epoch_costs: Vec::new(),
-                probes: 0,
-                resolves: 0,
-                adoptions: 0,
-                timing,
-                effort,
-                slo_violations: 0,
-                failure_resolves: 0,
-                degraded_resolves: 0,
-                deferred_resolves: 0,
-                budget_exhausted_epochs: 0,
-                incumbent_adoptions: 0,
-                resolve_retries: 0,
-                spec,
-            });
-        }
-        Ok(states)
-    }
-
     /// Coupling state: the quota ledger plus one outage trace per tenant,
     /// sub-seeded from the fleet seed so tenant i's outages are stable no
     /// matter how many co-tenants exist. Deterministic for a fixed config —
@@ -989,1027 +881,31 @@ impl FleetController {
         caps_config: Option<&CapacityConfig>,
         env: &RunEnv,
     ) -> Option<CouplingState> {
-        let serve_headroom = env.serve_headroom;
-        match caps_config {
-            Some(config) => {
-                let num_types = tenants.first().map(|t| t.instance.num_types()).unwrap_or(0);
-                assert!(
-                    tenants.iter().all(|t| t.instance.num_types() == num_types),
-                    "capacity-coupled fleets must share one platform type space"
-                );
-                let pool = CapacityPool::new(config.quota_vector(num_types), tenants.len());
-                let traces: Vec<FailureTrace> = tenants
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| {
-                        let slots = failure_slots(
-                            &t.instance,
-                            &t.trace,
-                            serve_headroom,
-                            config.failure_redundancy,
-                        );
-                        config
-                            .tenant_failure_model(i)
-                            .generate(&slots, t.trace.duration())
-                    })
-                    .collect();
-                Some(CouplingState { pool, traces })
-            }
-            None => None,
-        }
-    }
-
-    /// One tick of the shared epoch clock: rent/arbitrate, detect and
-    /// re-solve failures, probe shifts, batch warm re-solves, and take the
-    /// keep-vs-switch decisions. Extracted from the run loop so the
-    /// persistence layer ([`crate::persist`]) can interleave journal writes
-    /// and snapshots between epochs; `stale_desired` is the previous epoch's
-    /// desired fleets, kept only under chaos so the clock can replay them as
-    /// a delayed arbitration decision (the chaos-free path never populates
-    /// it and stays bit-identical).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn epoch_step<S: WarmStartSolver + Sync>(
-        &self,
-        solver: &S,
-        caps_solver: Option<&dyn CapsResolve>,
-        epoch: usize,
-        states: &mut [TenantState<'_>],
-        coupled: Option<&mut CouplingState>,
-        chaos: Option<&crate::chaos::ChaosClock<'_>>,
-        env: &RunEnv,
-        adoptions: &mut Vec<AdoptionRecord>,
-        stale_desired: &mut Option<Vec<Vec<u64>>>,
-        epoch_times: &mut StageTimes,
-        fanout: &mut FanoutObs,
-    ) -> SolveResult<()> {
-        let policy = &self.policy;
-        let (failures_enabled, availability) = (env.failures_enabled, env.availability);
-        let (serve_headroom, failure_resolve) = (env.serve_headroom, env.failure_resolve);
-        let scaling = &env.scaling;
-        let sink = self.telemetry.as_ref();
-        sink.counter("fleet.epochs", 1);
-        let shards = policy.shard_count(states.len());
-        let mut coupled = coupled;
-        // (0) Rent this epoch's fleets under the current mixes. A tenant
-        // whose own trace has ended stops being billed (and counted) —
-        // its per-tenant baselines only cover its own trace, too.
-        //
-        // Coupled runs route the renting through the pool's arbitration
-        // (desired fleets plus outage replacements, granted against the
-        // quotas) and detect throughput-violated epochs; `failure_due`
-        // collects the tenants whose violation warrants a
-        // capacity-constrained re-solve. The per-tenant halves run as
-        // sharded passes around the arbitration barrier — the pool itself
-        // mutates only at the barrier, and events fire only there.
-        let mut failure_due: Vec<(usize, Throughput, Vec<u64>)> = Vec::new();
-        let arbitrate_span = SpanTimer::start(Stage::Arbitrate);
-        match coupled.as_deref_mut() {
-            None => {
-                for_each_tenant_sharded(
-                    states,
-                    shards,
-                    sink,
-                    epoch_times,
-                    fanout,
-                    None,
-                    |_, state, _| {
-                        let Some(&rate) = state.peaks.get(epoch) else {
-                            return;
-                        };
-                        let fleet = state
-                            .mix
-                            .step(&state.scaler, rate, policy.scale_down_patience);
-                        let cost = state.scaler.cost_rate(fleet) * policy.epoch;
-                        state.rental_cost += cost;
-                        state.epoch_costs.push(cost);
-                    },
-                );
-            }
-            Some(cs) => {
-                let window_start = epoch as f64 * policy.epoch;
-                let window_end = window_start + policy.epoch;
-                // Desired fleets: the mix's scale-up/down plus one
-                // replacement per machine known down at the window start
-                // (the "repair" half of fleet-with-repair). Ended
-                // tenants release their holdings.
-                let traces = &cs.traces;
-                let desired: Vec<Vec<u64>> = for_each_tenant_sharded(
-                    states,
-                    shards,
-                    sink,
-                    epoch_times,
-                    fanout,
-                    None,
-                    |i, state, _| {
-                        let num_types = state.spec.instance.num_types();
-                        let Some(&rate) = state.peaks.get(epoch) else {
-                            return vec![0; num_types];
-                        };
-                        let mut fleet = state
-                            .mix
-                            .step(&state.scaler, rate, policy.scale_down_patience)
-                            .to_vec();
-                        if failures_enabled {
-                            for (q, count) in fleet.iter_mut().enumerate() {
-                                *count +=
-                                    traces[i].machines_down_among(TypeId(q), *count, window_start);
-                            }
-                        }
-                        fleet
-                    },
-                );
-                // Under chaos, a delayed decision re-arbitrates on the
-                // previous epoch's desired fleets — tenants then serve
-                // the epoch on stale grants.
-                let delayed = chaos.is_some_and(|clock| clock.delays_epoch(epoch));
-                if delayed {
-                    sink.event(
-                        EventKind::ChaosFault,
-                        epoch,
-                        None,
-                        0.0,
-                        "delayed arbitration: serving on stale grants",
-                    );
-                }
-                let grants = if delayed {
-                    cs.pool
-                        .arbitrate_epoch(stale_desired.as_ref().unwrap_or(&desired))
-                } else {
-                    cs.pool.arbitrate_epoch(&desired)
-                };
-                if chaos.is_some() {
-                    *stale_desired = Some(desired);
-                }
-                if sink.enabled() && !cs.pool.is_unlimited() {
-                    let peak = cs
-                        .pool
-                        .utilization()
-                        .iter()
-                        .fold(0.0, |a: f64, &u| a.max(u));
-                    sink.gauge("fleet.pool.peak_utilization", peak);
-                }
-                // A violated epoch observed by the sharded billing pass:
-                // the rate for the barrier's SloViolation event, plus the
-                // `(ρ', caps)` of a warranted capacity-constrained
-                // re-solve.
-                struct SloEpoch {
-                    rate: f64,
-                    resolve: Option<(Throughput, Vec<u64>)>,
-                }
-                let pool = &cs.pool;
-                let violations: Vec<Option<SloEpoch>> = for_each_tenant_sharded(
-                    states,
-                    shards,
-                    sink,
-                    epoch_times,
-                    fanout,
-                    None,
-                    |i, state, _| {
-                        let &rate = state.peaks.get(epoch)?;
-                        let granted = &grants[i];
-                        let cost = state.scaler.cost_rate(granted) * policy.epoch;
-                        state.rental_cost += cost;
-                        state.epoch_costs.push(cost);
-                        // Surviving capacity: the granted machines minus the
-                        // worst simultaneous outage among them this epoch.
-                        let available: Vec<u64> = granted
-                            .iter()
-                            .enumerate()
-                            .map(|(q, &count)| {
-                                count.saturating_sub(traces[i].peak_down_among(
-                                    TypeId(q),
-                                    count,
-                                    window_start,
-                                    window_end,
-                                ))
-                            })
-                            .collect();
-                        if !state.scaler.violates(rate, &available) {
-                            // A healthy epoch closes the outage episode; the
-                            // next violation is a new situation to solve.
-                            state.last_failure_solve = None;
-                            return None;
-                        }
-                        state.slo_violations += 1;
-                        sink.counter("fleet.slo_violations", 1);
-                        if !(policy.resolve && failure_resolve) {
-                            return Some(SloEpoch {
-                                rate,
-                                resolve: None,
-                            });
-                        }
-                        let rho = quantize_target(rate, serve_headroom, state.granularity);
-                        if rho == 0 {
-                            return Some(SloEpoch {
-                                rate,
-                                resolve: None,
-                            });
-                        }
-                        // A deferred tenant keeps its current plan until its
-                        // backoff window ends; the violation is still
-                        // counted above.
-                        if epoch < state.deferred_until {
-                            state.deferred_resolves += 1;
-                            return Some(SloEpoch {
-                                rate,
-                                resolve: None,
-                            });
-                        }
-                        // Effective caps for the re-solve: holdings plus
-                        // residual quota, minus machines still down at the
-                        // epoch's end (lost capacity for the outage's
-                        // duration).
-                        let caps: Vec<u64> = pool
-                            .caps_for(i)
-                            .iter()
-                            .enumerate()
-                            .map(|(q, &cap)| {
-                                if cap == UNLIMITED_CAP {
-                                    UNLIMITED_CAP
-                                } else {
-                                    cap.saturating_sub(traces[i].machines_down_among(
-                                        TypeId(q),
-                                        granted[q],
-                                        window_end,
-                                    ))
-                                }
-                            })
-                            .collect();
-                        // Re-solving an unchanged outage situation cannot
-                        // produce a new answer; only count the violation.
-                        let unchanged = matches!(
-                            &state.last_failure_solve,
-                            Some((r, c)) if *r == rho && *c == caps
-                        );
-                        Some(SloEpoch {
-                            rate,
-                            resolve: (!unchanged).then_some((rho, caps)),
-                        })
-                    },
-                );
-                // Barrier: flight-recorder events fire here, in
-                // tenant-index order, never from shard workers.
-                for (i, slo) in violations.into_iter().enumerate() {
-                    let Some(slo) = slo else {
-                        continue;
-                    };
-                    if sink.enabled() {
-                        sink.event(
-                            EventKind::SloViolation,
-                            epoch,
-                            Some(i),
-                            slo.rate,
-                            "surviving capacity below demand",
-                        );
-                    }
-                    if let Some((rho, caps)) = slo.resolve {
-                        failure_due.push((i, rho, caps));
-                    }
-                }
-            }
-        }
-        arbitrate_span.stop_into(epoch_times, sink);
-
-        // Failure re-solves: probe (fractional coverage bound) first,
-        // then one batched capacity-constrained fan-out, then the
-        // degraded-mode fallback for what the quota cannot carry. Only
-        // the coupled path populates `failure_due`, so the caps solver
-        // exists whenever the list is non-empty.
-        if let (Some(resolver), false) = (caps_solver, failure_due.is_empty()) {
-            let mut full: Vec<(usize, Throughput, Vec<u64>)> = Vec::new();
-            let mut needs_degrade: Vec<(usize, Throughput, Vec<u64>)> = Vec::new();
-            for (i, rho, caps) in failure_due {
-                if states[i].peaks.len() <= epoch + 1 {
-                    // Last billed epoch: no remaining horizon to serve.
-                    states[i].last_failure_solve = Some((rho, caps));
-                    continue;
-                }
-                // Futility check: when the best-known plan at ρ' already
-                // fits the caps, a capped re-solve cannot beat it. If it
-                // is the very plan being run, the violation is a
-                // transient outage the replacement renting already
-                // handles; otherwise adopt it without re-solving.
-                let fitting_known: Option<Solution> = states[i].known.get(&rho).and_then(|kp| {
-                    fits_caps(kp.outcome.solution.allocation.machine_counts(), &caps)
-                        .then(|| kp.outcome.solution.clone())
-                });
-                if let Some(solution) = fitting_known {
-                    states[i].last_failure_solve = Some((rho, caps));
-                    if states[i].solved_target != rho {
-                        self.adopt_failure_plan(
-                            &mut states[i],
-                            adoptions,
-                            i,
-                            epoch,
-                            rho,
-                            solution,
-                            availability,
-                            scaling,
-                        )?;
-                    }
-                    continue;
-                }
-                let state = &mut states[i];
-                let probe_span = SpanTimer::start(Stage::Probe);
-                state.probes += 1;
-                let bound = coverage_bound(&state.spec.instance, &caps)?;
-                let seconds = probe_span.stop();
-                charge_stage(state, epoch_times, sink, Stage::Probe, seconds);
-                if bound >= rho as f64 - 1e-9 {
-                    full.push((i, rho, caps));
-                } else {
-                    needs_degrade.push((i, rho, caps));
-                }
-            }
-            let items: Vec<CapsBatchItem<'_>> = full
-                .iter()
-                .map(|&(i, rho, ref caps)| {
-                    CapsBatchItem::new(
-                        &states[i].spec.instance,
-                        rho,
-                        caps,
-                        states[i].prior.as_ref(),
-                    )
-                })
-                .collect();
-            let split_budget = policy.epoch_budget.map(|b| b.split(full.len().max(1)));
-            let results = resolver.caps_batch(&items, split_budget.as_ref(), policy.threads);
-            drop(items);
-            for ((i, rho, caps), (result, elapsed)) in full.into_iter().zip(results) {
-                charge_stage(
-                    &mut states[i],
-                    epoch_times,
-                    sink,
-                    Stage::Solve,
-                    elapsed.as_secs_f64(),
-                );
-                match result {
-                    Ok(outcome) => {
-                        {
-                            let state = &mut states[i];
-                            state.effort.record(&outcome);
-                            state.failure_resolves += 1;
-                            state.last_failure_solve = Some((rho, caps));
-                            if outcome.exhausted {
-                                state.budget_exhausted_epochs += 1;
-                                state.incumbent_adoptions += 1;
-                            }
-                            close_backoff(state);
-                        }
-                        self.adopt_failure_plan(
-                            &mut states[i],
-                            adoptions,
-                            i,
-                            epoch,
-                            rho,
-                            outcome.solution,
-                            availability,
-                            scaling,
-                        )?;
-                    }
-                    Err(SolveError::BudgetExhausted { .. }) => {
-                        // Exhausted with no incumbent: inconclusive.
-                        // Keep the current plan, skip the episode memo
-                        // (a retry with more budget can succeed) and
-                        // re-queue with backoff.
-                        let state = &mut states[i];
-                        state.budget_exhausted_epochs += 1;
-                        defer(state, epoch, policy.backoff_cap);
-                    }
-                    Err(SolveError::NoSolutionFound { .. }) => {
-                        // The fractional bound over-estimated what
-                        // integer machine counts can do; degrade.
-                        needs_degrade.push((i, rho, caps));
-                    }
-                    Err(err) => return Err(err),
-                }
-            }
-            for (i, rho, caps) in needs_degrade {
-                let degrade_span = SpanTimer::start(Stage::Solve);
-                let result = resolver.caps_degrade(
-                    &states[i].spec.instance,
-                    rho,
-                    &caps,
-                    states[i].prior.as_ref(),
-                );
-                let seconds = degrade_span.stop();
-                {
-                    let state = &mut states[i];
-                    charge_stage(state, epoch_times, sink, Stage::Solve, seconds);
-                    state.failure_resolves += 1;
-                    state.last_failure_solve = Some((rho, caps));
-                }
-                match result {
-                    Ok(CappedOutcome::Full(outcome)) => {
-                        {
-                            let state = &mut states[i];
-                            state.effort.record(&outcome);
-                            if outcome.exhausted {
-                                state.budget_exhausted_epochs += 1;
-                                state.incumbent_adoptions += 1;
-                            }
-                            close_backoff(state);
-                        }
-                        self.adopt_failure_plan(
-                            &mut states[i],
-                            adoptions,
-                            i,
-                            epoch,
-                            rho,
-                            outcome.solution,
-                            availability,
-                            scaling,
-                        )?;
-                    }
-                    Ok(CappedOutcome::Degraded { target, outcome }) => {
-                        {
-                            let state = &mut states[i];
-                            state.effort.record(&outcome);
-                            state.degraded_resolves += 1;
-                            sink.counter("fleet.degraded_resolves", 1);
-                            if sink.enabled() {
-                                sink.event(
-                                    EventKind::DegradedSolve,
-                                    epoch,
-                                    Some(i),
-                                    target as f64,
-                                    "quota-infeasible target degraded to largest feasible",
-                                );
-                            }
-                            if outcome.exhausted {
-                                state.budget_exhausted_epochs += 1;
-                                state.incumbent_adoptions += 1;
-                            }
-                            close_backoff(state);
-                        }
-                        self.adopt_failure_plan(
-                            &mut states[i],
-                            adoptions,
-                            i,
-                            epoch,
-                            target,
-                            outcome.solution,
-                            availability,
-                            scaling,
-                        )?;
-                    }
-                    // Nothing rentable at all: keep the current fleet
-                    // and keep counting the violations.
-                    Ok(CappedOutcome::Unserved) => {}
-                    Err(
-                        err @ (SolveError::BudgetExhausted { .. }
-                        | SolveError::NoSolutionFound { .. }),
-                    ) => {
-                        // Even the degraded fallback came up empty
-                        // (budget or an injected fault): keep the
-                        // current plan, forget the episode memo and
-                        // re-queue with backoff.
-                        let state = &mut states[i];
-                        state.failure_resolves -= 1;
-                        state.last_failure_solve = None;
-                        if matches!(err, SolveError::BudgetExhausted { .. }) {
-                            state.budget_exhausted_epochs += 1;
-                        }
-                        defer(state, epoch, policy.backoff_cap);
-                    }
-                    Err(err) => return Err(err),
-                }
-            }
-        }
-
-        if !policy.resolve {
-            return Ok(());
-        }
-        // Pool-aware shift re-solves: under a finite quota the ordinary
-        // keep-vs-switch path sees the same holdings-plus-residual caps the
-        // failure path uses, so it can never adopt a plan the pool must
-        // refuse at the next arbitration. An unlimited pool imposes
-        // nothing, keeping `run_with_capacity` with
-        // [`CapacityConfig::unconstrained`] bit-identical to `run`.
-        let pool_caps = coupled
-            .as_deref()
-            .and_then(|cs| (!cs.pool.is_unlimited()).then_some(&cs.pool));
-        // Each tenant projects over *its own* remaining trace — savings
-        // past a tenant's last billed epoch do not exist, so they must
-        // not tip a switching decision.
-        let tenant_remaining = |state: &TenantState<'_>| {
-            state.peaks.len().saturating_sub(epoch + 1) as f64 * policy.epoch
-        };
-        // Keep-side projections: continued machines bill only the margin
-        // past the current plan's elapsed rental time (committed terms
-        // already paid are sunk), scale-up machines bill fresh.
-        let keep_projection = |entry: &ProbeEntry, adopted_epoch: usize, remaining_hours: f64| {
-            let elapsed_hours = (epoch + 1 - adopted_epoch) as f64 * policy.epoch;
-            entry.continued.total_over(
-                RentalHorizon::hours(elapsed_hours),
-                RentalHorizon::hours(elapsed_hours + remaining_hours),
-            ) + entry.fresh.total(RentalHorizon::hours(remaining_hours))
-        };
-
-        // (1) Shift detection + what-if probes — the sharded half of the
-        // epoch. Each shard advances its own tenants and builds their due
-        // entries (`keep: None` marks a forced re-solve: the current mix
-        // cannot carry the demand; each entry carries the tenant's own
-        // remaining horizon in hours); the entries concatenate in
-        // tenant-index order at the barrier.
-        let billing = self.billing.as_ref();
-        let due: Vec<DueTenant> = for_each_tenant_sharded(
-            states,
-            shards,
-            sink,
-            epoch_times,
-            fanout,
-            Some("fleet.span.shard_probe"),
-            |i, state, times| {
-                let rate = state.peaks.get(epoch).copied().unwrap_or(0.0);
-                let rho = quantize_target(rate, serve_headroom, state.granularity);
-                if rho == 0 {
-                    return None;
-                }
-                let remaining_hours = tenant_remaining(state);
-                if remaining_hours <= 0.0 {
-                    return None;
-                }
-                // A deferred tenant sits out its backoff window: it keeps
-                // its current plan, and the suppressed re-solve is counted.
-                if epoch < state.deferred_until {
-                    state.deferred_resolves += 1;
-                    return None;
-                }
-                if !state.mix_carries_demand() {
-                    // A zero mix cannot carry any demand: re-solving is not
-                    // optional, no probe needed.
-                    return Some(DueTenant {
-                        tenant: i,
-                        rho,
-                        keep: None,
-                        remaining_hours,
-                        caps: pool_caps.map(|pool| pool.caps_for(i)),
-                    });
-                }
-                let shift = (rho as f64 - state.solved_target as f64).abs()
-                    > policy.shift_threshold * state.solved_target.max(1) as f64;
-                if !shift {
-                    return None;
-                }
-                let probe_span = SpanTimer::start(Stage::Probe);
-                state.probes += 1;
-                if !state.probe_cache.contains_key(&rho) {
-                    let entry = ProbeEntry::new(
-                        &state.spec.instance,
-                        &state.scaler,
-                        state.solved_target,
-                        rho,
-                        billing,
-                    );
-                    state.probe_cache.insert(rho, entry);
-                }
-                let keep_projected = keep_projection(
-                    &state.probe_cache[&rho],
-                    state.adopted_epoch,
-                    remaining_hours,
-                );
-                let reference_rate = state
-                    .known
-                    .get(&rho)
-                    .map_or(rho as f64 * state.min_unit_cost, |k| {
-                        k.outcome.cost() as f64
-                    });
-                let reference_projected = reference_rate * remaining_hours;
-                let worth_probing = keep_projected
-                    > (1.0 + policy.probe_epsilon) * reference_projected
-                    && keep_projected - reference_projected > policy.switching_cost;
-                let seconds = probe_span.stop();
-                charge_stage(state, times, sink, Stage::Probe, seconds);
-                worth_probing.then(|| DueTenant {
-                    tenant: i,
-                    rho,
-                    keep: Some(keep_projected),
-                    remaining_hours,
-                    caps: pool_caps.map(|pool| pool.caps_for(i)),
-                })
-            },
-        )
-        .into_iter()
-        .flatten()
-        .collect();
-
-        // (2) The solve barrier: one batched warm-started fan-out for every
-        // due tenant whose target has not been solved before, plus — under
-        // a finite pool — one capacity-constrained fan-out for due tenants
-        // whose known plan (if any) does not fit their caps. One epoch
-        // budget splits across the combined pending set.
-        let mut to_solve: Vec<(usize, Throughput)> = Vec::new();
-        let mut capped_solve: Vec<(usize, Throughput, Vec<u64>)> = Vec::new();
-        for d in &due {
-            let known = states[d.tenant].known.get(&d.rho);
-            match &d.caps {
-                None => {
-                    if known.is_none() {
-                        to_solve.push((d.tenant, d.rho));
-                    }
-                }
-                Some(caps) => {
-                    let fits = known
-                        .map(|kp| fits_caps(kp.outcome.solution.allocation.machine_counts(), caps));
-                    if fits != Some(true) {
-                        capped_solve.push((d.tenant, d.rho, caps.clone()));
-                    }
-                }
-            }
-        }
-        let split_budget = policy
-            .epoch_budget
-            .map(|b| b.split((to_solve.len() + capped_solve.len()).max(1)));
-        if !to_solve.is_empty() {
-            let items: Vec<WarmBatchItem<'_>> = to_solve
-                .iter()
-                .map(|&(i, rho)| {
-                    WarmBatchItem::new(&states[i].spec.instance, rho, states[i].prior.as_ref())
-                })
-                .collect();
-            let results = match &split_budget {
-                Some(budget) => solve_warm_batch_budgeted(solver, &items, budget, policy.threads),
-                None => solve_warm_batch_timed(solver, &items, policy.threads),
-            };
-            for (&(i, rho), (result, elapsed)) in to_solve.iter().zip(results) {
-                let state = &mut states[i];
-                charge_stage(
-                    state,
-                    epoch_times,
-                    sink,
-                    Stage::Solve,
-                    elapsed.as_secs_f64(),
-                );
-                match result {
-                    Ok(outcome) => {
-                        state.effort.record(&outcome);
-                        state.resolves += 1;
-                        sink.counter("fleet.resolves", 1);
-                        if outcome.exhausted {
-                            state.budget_exhausted_epochs += 1;
-                        }
-                        close_backoff(state);
-                        state.prior = Some(SweepPrior::from_outcome(rho, &outcome));
-                        debug_certify(&state.spec.instance, &outcome.solution, None);
-                        let cache = self.plan_cache(&state.spec.instance, &outcome.solution)?;
-                        state.learn(rho, KnownPlan { outcome, cache });
-                    }
-                    Err(
-                        err @ (SolveError::BudgetExhausted { .. }
-                        | SolveError::NoSolutionFound { .. }),
-                    ) => {
-                        // No usable plan came back (exhausted with no
-                        // incumbent, or an injected spurious
-                        // infeasibility): keep the current plan and
-                        // re-queue with backoff — deferred, not dropped.
-                        if matches!(err, SolveError::BudgetExhausted { .. }) {
-                            state.budget_exhausted_epochs += 1;
-                        }
-                        defer(state, epoch, policy.backoff_cap);
-                    }
-                    Err(err) => return Err(err),
-                }
-            }
-        }
-
-        // The capped fan-out mirrors the warm one, with two deliberate
-        // differences: the capped optimum's lower bound is *not* adopted as
-        // a warm-start prior (a cap-constrained bound is no floor for later
-        // uncapped targets), and a failed solve defers the tenant — the
-        // failure path owns degraded serving, not the shift path.
-        if let (Some(resolver), false) = (caps_solver, capped_solve.is_empty()) {
-            let items: Vec<CapsBatchItem<'_>> = capped_solve
-                .iter()
-                .map(|&(i, rho, ref caps)| {
-                    CapsBatchItem::new(
-                        &states[i].spec.instance,
-                        rho,
-                        caps,
-                        states[i].prior.as_ref(),
-                    )
-                })
-                .collect();
-            let results = resolver.caps_batch(&items, split_budget.as_ref(), policy.threads);
-            drop(items);
-            for ((i, rho, caps), (result, elapsed)) in capped_solve.into_iter().zip(results) {
-                let state = &mut states[i];
-                charge_stage(
-                    state,
-                    epoch_times,
-                    sink,
-                    Stage::Solve,
-                    elapsed.as_secs_f64(),
-                );
-                match result {
-                    Ok(outcome) => {
-                        state.effort.record(&outcome);
-                        state.resolves += 1;
-                        sink.counter("fleet.resolves", 1);
-                        if outcome.exhausted {
-                            state.budget_exhausted_epochs += 1;
-                        }
-                        close_backoff(state);
-                        debug_certify(&state.spec.instance, &outcome.solution, Some(&caps));
-                        let cache = self.plan_cache(&state.spec.instance, &outcome.solution)?;
-                        state.learn(rho, KnownPlan { outcome, cache });
-                    }
-                    Err(
-                        err @ (SolveError::BudgetExhausted { .. }
-                        | SolveError::NoSolutionFound { .. }),
-                    ) => {
-                        // The quota cannot carry the shifted target right
-                        // now (or the budget ran out): keep the current
-                        // plan and re-queue with backoff.
-                        if matches!(err, SolveError::BudgetExhausted { .. }) {
-                            state.budget_exhausted_epochs += 1;
-                        }
-                        defer(state, epoch, policy.backoff_cap);
-                    }
-                    Err(err) => return Err(err),
-                }
-            }
-        }
-
-        // (3) Keep-vs-switch decisions under the switching-cost
-        // hysteresis, one per due tenant. The charge the candidate must
-        // beat is the flat cost plus the per-machine-delta cost of the
-        // machines that actually change between the kept fleet (current
-        // mix rescaled to ρ') and the candidate's fleet.
-        let adopt_span = SpanTimer::start(Stage::Adopt);
-        for DueTenant {
-            tenant: i,
-            rho,
-            keep: keep_projected,
-            remaining_hours,
-            caps,
-        } in due
-        {
-            let state = &mut states[i];
-            // A deferred re-solve left no plan at ρ': the tenant keeps
-            // its current plan; the backoff schedule re-queues it.
-            let Some(known) = state.known.get(&rho) else {
-                continue;
-            };
-            // Under a finite pool a candidate exceeding the tenant's caps
-            // is not adoptable — the capped re-solve above either replaced
-            // it or deferred the tenant — so it is skipped like a deferral.
-            if caps.as_ref().is_some_and(|caps| {
-                !fits_caps(known.outcome.solution.allocation.machine_counts(), caps)
-            }) {
-                continue;
-            }
-            let switch_projected = known.cache.total(RentalHorizon::hours(remaining_hours));
-            let kept_fleet = state.scaler.required_for_target(rho as f64);
-            let charge = policy.switching_charge(
-                &kept_fleet,
-                known.outcome.solution.allocation.machine_counts(),
-            );
-            let candidate_exhausted = known.outcome.exhausted;
-            // A forced switch (no keep option) bypasses the hysteresis:
-            // the demand must be served.
-            let adopted = keep_projected.is_none_or(|keep| switch_projected + charge < keep);
-            adoptions.push(AdoptionRecord {
-                tenant: i,
-                epoch,
-                target: rho,
-                projected_keep: keep_projected,
-                projected_switch: switch_projected,
-                switching_cost: charge,
-                adopted,
-                failure_triggered: false,
-            });
-            if adopted {
-                let candidate = state.known[&rho].outcome.solution.clone();
-                debug_certify(&state.spec.instance, &candidate, None);
-                state.adoptions += 1;
-                sink.counter("fleet.adoptions", 1);
-                sink.event(
-                    EventKind::Adoption,
-                    epoch,
-                    Some(i),
-                    switch_projected,
-                    "workload-shift adoption",
-                );
-                if candidate_exhausted {
-                    // An anytime incumbent (feasible, not proven
-                    // optimal) is adopted like any plan.
-                    state.incumbent_adoptions += 1;
-                }
-                state.switching_cost += charge;
-                state.fractions = Autoscaler::split_fractions(&candidate);
-                state.scaler = FixedMixScaler::new(&state.spec.instance, &state.fractions, scaling);
-                state.solved_target = rho;
-                // The new plan starts renting from the next epoch.
-                state.adopted_epoch = epoch + 1;
-                state.probe_cache.clear();
-            }
-        }
-        adopt_span.stop_into(epoch_times, sink);
-        Ok(())
-    }
-
-    /// A fresh [`AlertEngine`] when alerts are configured. The engine is
-    /// rebuilt empty on crash-recovery resume — alert state is operational,
-    /// not part of the certified plan.
-    pub(crate) fn alert_engine(&self) -> Option<AlertEngine> {
-        self.alerts.clone().map(AlertEngine::new)
-    }
-
-    /// Per-epoch observability barrier, called once after [`Self::epoch_step`]
-    /// from every sequential epoch loop (plain runs and the persistence
-    /// driver alike). Publishes the epoch watermark, emits the epoch's
-    /// causal trace tree, and evaluates the alert rules. Everything here is
-    /// pure copy-out — no controller state is read back — so runs stay
-    /// bit-identical under any sink.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn epoch_observe(
-        &self,
-        epoch: usize,
-        wall_seconds: f64,
-        states: &[TenantState<'_>],
-        epoch_times: &StageTimes,
-        fanout: &FanoutObs,
-        alerts: Option<&mut AlertEngine>,
-        checkpoint_epoch: Option<usize>,
-    ) {
-        let sink = self.telemetry.as_ref();
-        sink.gauge("fleet.epoch_watermark", epoch as f64);
-        if sink.enabled() {
-            epoch_tree(epoch as u64, wall_seconds, epoch_times, fanout).emit(sink);
-        }
-        if let Some(engine) = alerts {
-            let observation = EpochObservation {
-                epoch,
-                active_tenants: states.iter().filter(|s| s.peaks.len() > epoch).count(),
-                slo_violations: states.iter().map(|s| s.slo_violations as u64).sum(),
-                degraded_resolves: states.iter().map(|s| s.degraded_resolves as u64).sum(),
-                budget_exhausted: states
-                    .iter()
-                    .map(|s| s.budget_exhausted_epochs as u64)
-                    .sum(),
-                checkpoint_epoch,
-            };
-            engine.observe(observation, sink);
-        }
-    }
-
-    /// Baselines and report assembly.
-    pub(crate) fn finish(
-        &self,
-        states: Vec<TenantState<'_>>,
-        coupled: Option<&CouplingState>,
-        adoptions: Vec<AdoptionRecord>,
-        num_epochs: usize,
-        env: &RunEnv,
-        epoch_timing: Vec<StageTimes>,
-    ) -> FleetReport {
-        let policy = &self.policy;
-        let (failures_enabled, availability) = (env.failures_enabled, env.availability);
-        let baseline_scaling = env.baseline_scaling;
-        let autoscaler = Autoscaler::new(baseline_scaling);
-        let tenants_report = states
-            .into_iter()
+        let config = caps_config?;
+        let num_types = tenants.first().map(|t| t.instance.num_types()).unwrap_or(0);
+        assert!(
+            tenants.iter().all(|t| t.instance.num_types() == num_types),
+            "capacity-coupled fleets must share one platform type space"
+        );
+        let traces = tenants
+            .iter()
             .enumerate()
-            .map(|(i, state)| {
-                let baseline = autoscaler.run(
-                    &state.spec.instance,
-                    &state.initial_fractions,
-                    &state.spec.trace,
+            .map(|(i, t)| {
+                let slots = failure_slots(
+                    &t.instance,
+                    &t.trace,
+                    env.serve_headroom,
+                    config.failure_redundancy,
                 );
-                // Static-headroom baseline: the initial mix provisioned
-                // statically for the availability-adjusted peak, suffering
-                // the same outages — the classic answer to failures the
-                // coupled controller must beat.
-                let (static_headroom_cost, static_headroom_violations) = match coupled {
-                    Some(cs) if failures_enabled => {
-                        let scaler = FixedMixScaler::new(
-                            &state.spec.instance,
-                            &state.initial_fractions,
-                            &baseline_scaling,
-                        );
-                        let fleet =
-                            scaler.required_for(state.spec.trace.peak_rate() / availability);
-                        let cost =
-                            scaler.cost_rate(&fleet) * policy.epoch * state.peaks.len() as f64;
-                        let violations = state
-                            .peaks
-                            .iter()
-                            .enumerate()
-                            .filter(|&(epoch, &rate)| {
-                                let start = epoch as f64 * policy.epoch;
-                                let available: Vec<u64> = fleet
-                                    .iter()
-                                    .enumerate()
-                                    .map(|(q, &count)| {
-                                        count.saturating_sub(cs.traces[i].peak_down_among(
-                                            TypeId(q),
-                                            count,
-                                            start,
-                                            start + policy.epoch,
-                                        ))
-                                    })
-                                    .collect();
-                                scaler.violates(rate, &available)
-                            })
-                            .count();
-                        (cost, violations)
-                    }
-                    _ => (baseline.static_peak_cost, 0),
-                };
-                TenantReport {
-                    name: state.spec.name.clone(),
-                    initial_target: state.initial_target,
-                    rental_cost: state.rental_cost,
-                    switching_cost: state.switching_cost,
-                    epoch_costs: state.epoch_costs,
-                    probes: state.probes,
-                    resolves: state.resolves,
-                    adoptions: state.adoptions,
-                    timing: state.timing,
-                    effort: state.effort,
-                    static_peak_cost: baseline.static_peak_cost,
-                    fixed_mix_cost: baseline.total_cost,
-                    static_headroom_cost,
-                    static_headroom_violations,
-                    slo_violation_epochs: state.slo_violations,
-                    failure_resolves: state.failure_resolves,
-                    degraded_resolves: state.degraded_resolves,
-                    deferred_resolves: state.deferred_resolves,
-                    budget_exhausted_epochs: state.budget_exhausted_epochs,
-                    incumbent_adoptions: state.incumbent_adoptions,
-                    resolve_retries: state.resolve_retries,
-                }
+                config
+                    .tenant_failure_model(i)
+                    .generate(&slots, t.trace.duration())
             })
             .collect();
-
-        FleetReport {
-            tenants: tenants_report,
-            adoptions,
-            epochs: num_epochs,
-            epoch_hours: policy.epoch,
-            quota_utilization: coupled
-                .filter(|cs| !cs.pool.is_unlimited())
-                .map(|cs| cs.pool.utilization())
-                .unwrap_or_default(),
-            epoch_timing,
-        }
-    }
-
-    /// Adopts a failure re-solve's plan: forced (the demand is unserved, so
-    /// there is no keep option and no hysteresis), the switching charge is
-    /// still paid, and the adoption is recorded with its outage-derated
-    /// remaining-horizon projection.
-    #[allow(clippy::too_many_arguments)]
-    fn adopt_failure_plan(
-        &self,
-        state: &mut TenantState<'_>,
-        adoptions: &mut Vec<AdoptionRecord>,
-        tenant: usize,
-        epoch: usize,
-        target: Throughput,
-        solution: Solution,
-        availability: f64,
-        scaling: &AutoscalePolicy,
-    ) -> SolveResult<()> {
-        let policy = &self.policy;
-        let remaining_hours = state.peaks.len().saturating_sub(epoch + 1) as f64 * policy.epoch;
-        let kept_fleet = state.scaler.required_for_target(target as f64);
-        let charge = policy.switching_charge(&kept_fleet, solution.allocation.machine_counts());
-        debug_certify(&state.spec.instance, &solution, None);
-        let cache = self.plan_cache(&state.spec.instance, &solution)?;
-        let projected_switch = cache.expected_total_over(
-            RentalHorizon::hours(0.0),
-            RentalHorizon::hours(remaining_hours),
-            availability,
-        );
-        adoptions.push(AdoptionRecord {
-            tenant,
-            epoch,
-            target,
-            projected_keep: None,
-            projected_switch,
-            switching_cost: charge,
-            adopted: true,
-            failure_triggered: true,
-        });
-        state.adoptions += 1;
-        self.telemetry.counter("fleet.adoptions", 1);
-        self.telemetry.event(
-            EventKind::Adoption,
-            epoch,
-            Some(tenant),
-            projected_switch,
-            "forced failure-triggered adoption",
-        );
-        state.switching_cost += charge;
-        state.fractions = Autoscaler::split_fractions(&solution);
-        state.scaler = FixedMixScaler::new(&state.spec.instance, &state.fractions, scaling);
-        state.solved_target = target;
-        // The repaired plan starts renting from the next epoch.
-        state.adopted_epoch = epoch + 1;
-        state.probe_cache.clear();
-        Ok(())
+        Some(CouplingState {
+            pool: CapacityPool::new(config.quota_vector(num_types), tenants.len()),
+            traces,
+        })
     }
 
     /// Builds the horizon cache of a solver plan.
@@ -2027,7 +923,9 @@ impl FleetController {
 mod tests {
     use super::*;
     use rental_core::examples::illustrating_example;
+    use rental_pricing::RentalHorizon;
     use rental_solvers::exact::IlpSolver;
+    use rental_solvers::solver::WarmStartSolver;
     use rental_solvers::MinCostSolver;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -2567,6 +1465,20 @@ mod tests {
         }
     }
 
+    /// Capped solves delegate untouched: these doubles only shape the
+    /// warm-start path, and no test here runs them under a finite pool.
+    impl CapacitySolver for ExhaustingSolver {
+        fn solve_with_caps(
+            &self,
+            instance: &Instance,
+            target: Throughput,
+            caps: &[u64],
+            prior: Option<&SweepPrior>,
+        ) -> SolveResult<SolverOutcome> {
+            self.inner.solve_with_caps(instance, target, caps, prior)
+        }
+    }
+
     #[test]
     fn exhausted_resolves_defer_with_backoff_and_retry() {
         let tenants = vec![diurnal_tenant()];
@@ -2636,6 +1548,20 @@ mod tests {
             outcome.proven_optimal = false;
             outcome.lower_bound = None;
             Ok(outcome)
+        }
+    }
+
+    /// Capped solves delegate untouched: these doubles only shape the
+    /// warm-start path, and no test here runs them under a finite pool.
+    impl CapacitySolver for AnytimeSolver {
+        fn solve_with_caps(
+            &self,
+            instance: &Instance,
+            target: Throughput,
+            caps: &[u64],
+            prior: Option<&SweepPrior>,
+        ) -> SolveResult<SolverOutcome> {
+            self.inner.solve_with_caps(instance, target, caps, prior)
         }
     }
 

@@ -20,8 +20,8 @@
 //!    [`rental_pricing::HorizonCache`] instead of re-billing the plan — one
 //!    `O(log segments)` query per probe.
 //! 2. **Solve** — all tenants whose probes demand a re-solve are batched into
-//!    a single [`rental_solvers::solve_warm_batch_timed`] fan-out on the
-//!    shared worker pool, each unit warm-started from that tenant's previous
+//!    a single [`rental_solvers::solve_warm_batch`] fan-out on the shared
+//!    worker pool, each unit warm-started from that tenant's previous
 //!    incumbent and proven bound ([`rental_solvers::SweepPrior`]).
 //! 3. **Adopt** — a freshly solved plan is adopted only when its projected
 //!    savings over the remaining horizon exceed a configurable
@@ -35,178 +35,95 @@
 //! **fixed-mix autoscaler** of `rental-stream` (which rescales machine counts
 //! but never re-solves the recipe mix).
 //!
+//! ## One driver behind every entry point
+//!
+//! [`FleetController::run`], [`FleetController::run_with_capacity`],
+//! [`FleetController::run_with_chaos`], [`FleetController::run_resumable`]
+//! and [`FleetController::resume_from`] are thin constructors of one epoch
+//! loop: a run owns its tenant states, capacity coupling, adoption ledger
+//! and alert engine, and steps each epoch through the same phases — bill
+//! (and arbitrate), repair failures, probe shifts, one batched re-solve,
+//! adopt — with an optional chaos clock and an optional durability hook.
+//! The fixed-mix baseline advances inside the same sharded per-tenant pass
+//! (it *is* the frozen controller), and the static-peak and static-headroom
+//! baselines are closed forms of the trace, so the report is assembled from
+//! running totals instead of replaying every trace.
+//!
 //! ## Capacity- and failure-coupled serving
 //!
 //! [`FleetController::run_with_capacity`] layers the `rental-capacity`
-//! subsystem underneath the same loop: per-epoch fleets are granted by a
-//! shared [`rental_capacity::CapacityPool`] (per-type quotas, deterministic
+//! subsystem underneath the loop: per-epoch fleets are granted by a shared
+//! [`rental_capacity::CapacityPool`] (per-type quotas, deterministic
 //! proportional arbitration), machine outages sampled per tenant from
 //! [`rental_stream::FailureModel`] erode the granted capacity, and epochs
 //! whose surviving machines cannot carry the demand are counted as **SLO
 //! violations** and trigger **capacity-constrained re-solve-on-failure**: a
-//! cheap fractional coverage probe, then one batched capped MILP fan-out
-//! (`solve_caps_batch_timed`), then a degraded-mode fallback to the largest
-//! quota-feasible target. The report grows quota-utilization, SLO-violation
-//! and failure-re-solve counters plus a **static-headroom** baseline
-//! (provisioning the initial mix for `peak / availability`). With
+//! cheap fractional coverage probe, then one batched capped MILP fan-out,
+//! then a degraded-mode fallback to the largest quota-feasible target. The
+//! report grows quota-utilization, SLO-violation and failure-re-solve
+//! counters plus a **static-headroom** baseline (provisioning the initial
+//! mix for `peak / availability`). With
 //! [`rental_capacity::CapacityConfig::unconstrained`] the coupled path is
 //! bit-identical to [`FleetController::run`].
 //!
 //! ## Sharded epoch pipelines
 //!
-//! At fleet scale (10³–10⁴ tenants) the per-tenant epoch work — trace
-//! advancement, shift detection, memoized what-if probes, grant billing —
-//! dominates the loop, and it is embarrassingly parallel: no tenant reads
-//! another's state. [`FleetPolicy::shards`] partitions the tenants into
-//! contiguous index-order shards that run those stages concurrently on the
-//! shared rayon pool, then meet at a **single deterministic barrier per
-//! epoch** where everything cross-tenant happens sequentially: capacity
-//! arbitration on the shared [`rental_capacity::CapacityPool`], the batched
-//! ILP fan-outs, plan adoption and flight-recorder events. Shard results
-//! merge in tenant-index order and per-shard [`rental_obs::StageTimes`] sum
-//! associatively into the epoch row, so the report at *every* shard count is
-//! bit-identical (modulo the wall-clock timing family) to the sequential
-//! loop — `shards: Some(1)` *is* the sequential loop, not an emulation, and
-//! the `fleet_sharding` property tests pin the equivalence for `run`,
-//! `run_with_capacity`, `run_with_chaos` and a kill-and-resume
-//! `run_resumable` at shard counts {1, 2, 8}. `shards: None` (the default)
-//! auto-sizes: roughly one shard per 64 tenants, clamped to the worker
-//! count, so small fleets keep the zero-overhead sequential path. The
-//! `fleet_scaling` bench sweeps 1k/4k/16k tenants and reports
-//! **tenant-epochs/sec** to `BENCH_fleet_scaling.json`.
+//! The per-tenant epoch work — trace advancement, billing, the baseline,
+//! shift detection, memoized what-if probes — is embarrassingly parallel.
+//! [`FleetPolicy::shards`] partitions the tenants into contiguous shards that
+//! run it concurrently on the shared rayon pool and meet at a **single
+//! deterministic barrier per epoch**, where everything cross-tenant happens
+//! sequentially in tenant order: pool arbitration, the batched ILP fan-outs,
+//! adoption and flight-recorder events. The report at *every* shard count is
+//! therefore bit-identical (modulo the wall-clock timing family) to the
+//! sequential loop — `shards: Some(1)` *is* the sequential loop — which the
+//! `fleet_sharding` property tests pin for every entry point.
 //!
 //! ## Deadlines, anytime incumbents and the degradation ladder
 //!
 //! [`FleetPolicy::epoch_budget`] caps the solving work spent per epoch: the
 //! budget (wall-clock deadline, branch-and-bound node cap, simplex
 //! iteration cap — any subset) is split across the epoch's batched
-//! re-solves. Exhausted solves are **anytime**: when the MILP holds an
-//! incumbent at exhaustion it is returned marked
-//! [`rental_solvers::SolverOutcome::exhausted`] and adopted like any other
-//! candidate (counted in [`TenantReport::incumbent_adoptions`]); without an
-//! incumbent the tenant **keeps its current plan** and the re-solve is
-//! deferred under capped exponential backoff (1, 2, 4, … epochs up to
-//! [`FleetPolicy::backoff_cap`]), counted in
-//! [`TenantReport::deferred_resolves`] and closed by the first successful
-//! retry ([`TenantReport::resolve_retries`]). The full degradation ladder,
-//! from healthiest to last resort:
-//!
-//! 1. **full solve** — proven-optimal plan within budget;
-//! 2. **anytime incumbent** — best feasible plan at exhaustion;
-//! 3. **keep current plan + backoff** — serve on the stale plan, retry
-//!    later;
-//! 4. **fixed-mix rescale** — the autoscaler baseline every tenant can
-//!    always fall back to (and the cost the chaos tests pin as the
-//!    worst-case envelope when the fault rate approaches 1).
-//!
-//! The [`chaos`] module stress-tests exactly this ladder with deterministic
-//! seeded fault injection — injected solve timeouts, spurious
-//! infeasibilities, singular refactorizations, poisoned warm-start priors
-//! and delayed arbitration decisions — via
+//! re-solves. Exhausted solves are **anytime**: an incumbent at exhaustion
+//! is adopted like any other candidate ([`TenantReport::incumbent_adoptions`]);
+//! without one the tenant **keeps its current plan** and the re-solve is
+//! deferred under capped exponential backoff
+//! ([`TenantReport::deferred_resolves`], [`FleetPolicy::backoff_cap`]). The
+//! ladder, from healthiest to last resort: full solve → anytime incumbent →
+//! keep current plan + backoff → the fixed-mix rescale every tenant can
+//! always fall back to. The [`chaos`] module stress-tests exactly this
+//! ladder with deterministic seeded fault injection via
 //! [`FleetController::run_with_chaos`].
 //!
-//! ## Crash safety: checkpoints, the write-ahead journal and the recovery ladder
+//! ## Crash safety
 //!
-//! [`FleetController::run_resumable`] makes the same loop **durable**: every
+//! [`FleetController::run_resumable`] makes the loop **durable**: every
 //! completed epoch appends one CRC-framed record to a write-ahead journal in
-//! a [`rental_persist::Store`], and a full checkpoint of the controller state
-//! (per-tenant plans, backoff state, report counters, the pool ledger, the
-//! outage-trace fingerprints, the chaos fault-stream position) is snapshotted
-//! every [`PersistOptions::snapshot_every`] epochs — atomically, via
-//! temp-file-and-rename. A run killed at *any* point is restarted with
-//! [`FleetController::resume_from`], which climbs a three-rung **recovery
-//! ladder**, healthiest first:
+//! a [`rental_persist::Store`], and a full checkpoint is snapshotted every
+//! [`PersistOptions::snapshot_every`] epochs. [`FleetController::resume_from`]
+//! climbs the recovery ladder documented in [`persist`] — journal replay,
+//! last good snapshot, cold restart — and every rung lands on a report
+//! bit-identical (modulo wall-clock timing, see
+//! [`FleetReport::matches_modulo_timing`]) to the uninterrupted run.
 //!
-//! 1. **journal replay** — restore the newest checksum-valid snapshot and
-//!    re-apply the journal records after it, epoch by epoch; the run then
-//!    continues from the first unexecuted epoch;
-//! 2. **last good snapshot** — when the journal's tail is torn or corrupted
-//!    (bad length, bad CRC, wrong epoch), the invalid suffix is discarded,
-//!    the journal is rewritten to the applied prefix, and the lost epochs
-//!    are simply re-executed from the snapshot — determinism makes
-//!    re-execution and replay indistinguishable;
-//! 3. **cold restart** — with no usable snapshot at all, the store is reset
-//!    and the run starts from epoch 0 exactly as a fresh
-//!    [`FleetController::run_with_capacity`] would.
+//! ## Telemetry and the operational plane
 //!
-//! Because every solve is deterministic under a pinned thread count and a
-//! node-cap budget, all three rungs land on a report **bit-identical**
-//! (modulo wall-clock timing, see [`FleetReport::matches_modulo_timing`]) to
-//! the uninterrupted run — pinned by the `fleet_persist` property tests,
-//! which crash at seeded epochs and journal-write points (including torn
-//! mid-record writes via [`CrashPlan`]), corrupt the journal tail
-//! ([`CorruptionFault`]), and resume under active chaos injection. Restored
-//! plans are re-certified by `rental_solvers::certify_plan` before they are
-//! trusted, and the pool ledger is re-admitted only through the quota
-//! invariants of `rental_capacity::CapacityPool::restore_ledger` — a
-//! corrupted store can cost re-execution time, never an over-grant.
-//!
-//! ## Telemetry: spans, metrics and the flight recorder
-//!
-//! The controller is instrumented through the zero-cost
-//! [`rental_obs::TelemetrySink`] handed to
-//! [`FleetController::with_telemetry`] (default
-//! [`rental_obs::NoopSink`], whose empty inlined methods vanish from
-//! the epoch loop). Every epoch is split into five lexically-scoped
-//! stages — probe / arbitrate / solve / adopt / persist
-//! ([`rental_obs::Stage`]) — timed by [`rental_obs::SpanTimer`]s that
-//! feed both the sink (`fleet.span.*` microsecond histograms) and the
-//! report's own [`rental_obs::StageTimes`] rows
-//! ([`TenantReport::timing`], [`FleetReport::epoch_timing`]): the
-//! **single masked field family** of
-//! [`FleetReport::matches_modulo_timing`]. Deterministic solver
-//! effort ([`TenantReport::effort`], aggregated by
-//! [`FleetReport::effort`]) counts solves, branch-and-bound nodes and
-//! simplex iterations per tenant — it is *not* masked, survives
-//! checkpoint/resume, and ranks tenants via
-//! [`FleetReport::top_effort`]. Fleet counters, the pool-utilization
-//! gauge and structured flight-recorder events (adoptions, SLO
-//! violations, degraded solves, chaos faults, recovery) are emitted
-//! only from sequential controller sites, so a seeded run replays the
-//! exact same event sequence; the LP and solver layers below publish
-//! through the ambient [`rental_obs::install_scoped`] sink instead.
-//! [`FleetReport::telemetry`] renders the report as JSONL, and the
-//! full catalogue lives in `METRICS.md` at the workspace root.
-//!
-//! ## The live operational plane: exporter, trace trees and alerts
-//!
-//! Beyond post-hoc JSONL dumps, a running fleet is **live-observable**:
-//!
-//! * **Scrape endpoints** — attach an [`rental_obs::Exporter`] to the same
-//!   [`rental_obs::Recorder`] handed to
-//!   [`FleetController::with_telemetry`] and it serves, on a plain
-//!   `std::net::TcpListener` (any address, port 0 for ephemeral;
-//!   `repro fleet-obs --serve` defaults to `127.0.0.1:9464`):
-//!   `GET /metrics` (Prometheus text exposition — counters, gauges, and
-//!   the `fleet.span.*` histograms as cumulative `_bucket`/`_sum`/`_count`
-//!   families with `_p50`/`_p95`/`_p99` quantile gauges), `GET /health`
-//!   (liveness, the `fleet.epoch_watermark` last-completed-epoch gauge,
-//!   recovery-ladder state, flight-ring overflow, firing alerts) and
-//!   `GET /events` (the flight-recorder tail as JSONL).
-//! * **Causal trace trees** — each epoch emits one
-//!   [`rental_obs::TraceTree`] (`trace_id` = epoch) from the sequential
-//!   barrier: root `epoch`, one `shard_probe` child per probe shard
-//!   (parallel), then `merge_wait`, `arbitrate`, `solve`, `adopt`,
-//!   `persist`. The critical-path analyzer
-//!   ([`rental_obs::TraceTree::critical_path`]) attributes epoch wall-time
-//!   to its dominant chain and reports the **barrier share** — the
-//!   `merge_wait` fraction — per epoch and aggregated
-//!   ([`rental_obs::TraceSummary`]).
-//! * **Alerts** — [`FleetController::with_alerts`] evaluates an
-//!   [`rental_obs::AlertEngine`] once per epoch at the barrier:
-//!   multi-window SLO burn-rate, degraded-resolve streaks,
-//!   budget-exhaustion rate and checkpoint lag, emitting
-//!   `alert_fired`/`alert_resolved` events and `fleet.alert.*` gauges
-//!   that surface on `/health`.
-//!
-//! **Determinism contract**: the exporter is strictly read-only (each
-//! scrape merges the metric shards into one consistent snapshot and never
-//! touches controller state), trace trees and alert evaluations happen
-//! only at sequential barrier sites on epoch-indexed data, and none of it
-//! feeds a decision — so a run with the exporter attached, traces on and
-//! alerts firing is **bit-identical** (modulo the
-//! [`rental_obs::StageTimes`] family) to an untelemetered run, a property
-//! pinned by the `fleet_obs` bench floors in CI.
+//! The controller reports through the [`rental_obs::TelemetrySink`] handed
+//! to [`FleetController::with_telemetry`] (default [`rental_obs::NoopSink`]).
+//! Every epoch is split into five stages — probe / arbitrate / solve / adopt
+//! / persist ([`rental_obs::Stage`]) — timed into `fleet.span.*` histograms
+//! and the report's [`rental_obs::StageTimes`] rows, the **single masked
+//! field family** of [`FleetReport::matches_modulo_timing`]. Deterministic
+//! solver effort ([`TenantReport::effort`]) is not masked and survives
+//! resume. Counters, gauges, one causal [`rental_obs::TraceTree`] per epoch
+//! and flight-recorder events are emitted only from sequential barrier
+//! sites, and [`FleetController::with_alerts`] evaluates an
+//! [`rental_obs::AlertEngine`] there on epoch-indexed data; an
+//! [`rental_obs::Exporter`] attached to the same [`rental_obs::Recorder`]
+//! serves `/metrics`, `/health` and `/events` while the run goes on. None
+//! of it feeds a decision, so a fully instrumented run is bit-identical
+//! (modulo timing) to an untelemetered one. The metric catalogue lives in
+//! `METRICS.md` at the workspace root.
 //!
 //! Switching charges can also be **per-machine-delta**
 //! ([`FleetPolicy::per_machine_switching_cost`]): on adoption, only the
@@ -235,6 +152,7 @@ pub mod chaos;
 pub mod controller;
 pub mod persist;
 pub mod report;
+mod run;
 pub mod scenario;
 pub mod tenant;
 

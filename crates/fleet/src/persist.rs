@@ -3,11 +3,11 @@
 //!
 //! [`FleetController::run_resumable`] executes the capacity-coupled serving
 //! loop epoch by epoch, writing one **journal record** per completed epoch
-//! (the state delta: scalars, new epoch costs, newly learned plans, new
-//! adoption records, the pool ledger) and a full **checkpoint snapshot**
-//! every [`PersistOptions::snapshot_every`] epochs. Both are framed with
-//! CRC-32 checksums by the [`rental_persist::Store`], so torn writes and
-//! tail corruption are detected, never trusted.
+//! (the state delta: decision state and running totals, new epoch costs,
+//! newly learned plans, new adoption records, the pool ledger) and a full
+//! **checkpoint snapshot** every [`PersistOptions::snapshot_every`] epochs.
+//! Both are framed with CRC-32 checksums by the [`rental_persist::Store`], so
+//! torn writes and tail corruption are detected, never trusted.
 //!
 //! [`FleetController::resume_from`] restores a killed run and continues it —
 //! producing a [`FleetReport`] **bit-identical** (modulo wall-clock timing,
@@ -27,7 +27,7 @@
 //!    Determinism makes even this rung produce the identical report.
 //!
 //! Only **decision state** is persisted. Derived caches — the fixed-mix
-//! scaler, probe memos, plan horizon caches, the outage traces themselves —
+//! scalers, probe memos, plan horizon caches, the outage traces themselves —
 //! are rebuilt from the configs on resume; outage traces are validated
 //! against their checkpointed fingerprints, restored plans are re-certified
 //! by the independent integer checker, and the pool ledger is re-admitted
@@ -35,29 +35,30 @@
 //! invariants. A corrupted store can therefore cost re-execution time, but
 //! never a panic and never an over-grant.
 //!
-//! **Sharding is resume-transparent.** The shard fan-out knob
-//! ([`crate::FleetPolicy::shards`]) lives in the policy, not the store:
-//! resumed runs drive the same sharded `epoch_step` as the original, and
-//! because every shard count produces bit-identical decision state, a run
+//! Persistence is the durability hook of the one fleet driver (the crate's
+//! `run` module): the epoch loop is the same as every other entry
+//! point's, so a durable run cannot drift from a plain one. **Sharding is
+//! resume-transparent** for the same reason: the shard fan-out knob
+//! ([`crate::FleetPolicy::shards`]) lives in the policy, not the store, and
+//! every shard count produces bit-identical decision state, so a run
 //! journaled under one shard count may be resumed under another (or on a
 //! machine with a different core count) without divergence — the
 //! `fleet_sharding` kill-and-resume property test pins exactly this.
 
 use std::io;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rental_capacity::{CapacityConfig, PoolLedger};
-use rental_core::{Allocation, Solution, Throughput, ThroughputSplit};
-use rental_obs::{EventKind, FanoutObs, SpanTimer, Stage, StageTimes};
+use rental_core::{Allocation, Instance, Solution, Throughput, ThroughputSplit};
+use rental_obs::{EventKind, SpanTimer, Stage, StageTimes};
 use rental_persist::{DecodeError, Decoder, Encoder, Store};
 use rental_solvers::solver::{CapacitySolver, SolveError, SolverOutcome, SweepPrior};
-use rental_stream::{FixedMixScaler, FixedMixState};
+use rental_stream::FixedMixState;
 
-use crate::chaos::{ChaosClock, ChaosConfig, ChaosSolver, ChaosStats, CrashPlan, CrashPoint};
-use crate::controller::{
-    min_unit_cost, CouplingState, FleetController, KnownPlan, RunEnv, TenantState,
-};
+use crate::chaos::{ChaosClock, ChaosConfig, CrashPlan, CrashPoint};
+use crate::controller::{FleetController, KnownPlan, RunEnv, Tally, TenantCore, TenantState};
 use crate::report::{AdoptionRecord, FleetReport, SolverEffort};
+use crate::run::FleetRun;
 use crate::tenant::TenantSpec;
 
 /// Magic number of checkpoint snapshots (`"RPSF"`).
@@ -152,29 +153,11 @@ impl RunOutcome {
     }
 }
 
-/// Read/reposition hook over a deterministic fault stream's call counter —
-/// implemented by [`ChaosSolver`] so a resumed chaos run draws exactly the
-/// faults the uninterrupted run would have drawn.
-pub(crate) trait CallCounter {
-    fn calls(&self) -> u64;
-    fn set_calls(&self, calls: u64);
-}
-
-impl<S> CallCounter for ChaosSolver<'_, S> {
-    fn calls(&self) -> u64 {
-        ChaosSolver::calls(self)
-    }
-
-    fn set_calls(&self, calls: u64) {
-        ChaosSolver::set_calls(self, calls)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Persisted shapes
 // ---------------------------------------------------------------------------
 
-/// A learned plan, flattened to integers: the map key ρ plus everything
+/// A learned plan, flattened to integers: its target ρ plus everything
 /// needed to rebuild its [`SolverOutcome`] (the horizon cache is derived).
 #[derive(Debug, Clone, PartialEq)]
 struct PersistedPlan {
@@ -190,57 +173,22 @@ struct PersistedPlan {
     exhausted: bool,
 }
 
-/// A warm-start prior, flattened.
-#[derive(Debug, Clone, PartialEq)]
-struct PersistedPrior {
-    target: Throughput,
-    split: Vec<u64>,
-    lower_bound: Option<f64>,
-}
+/// A tenant's initial plan: its target and recipe mix.
+type InitialPlan = (Throughput, Vec<f64>);
 
-/// The per-tenant decision scalars. Journal records carry them **absolute**
-/// (they are small), so applying a record is idempotent.
-#[derive(Debug, Clone, PartialEq)]
-struct ScalarState {
-    fractions: Vec<f64>,
-    mix_fleet: Vec<u64>,
-    mix_below: Vec<usize>,
-    solved_target: Throughput,
-    adopted_epoch: usize,
-    prior: Option<PersistedPrior>,
-    last_failure_solve: Option<(Throughput, Vec<u64>)>,
-    deferred_until: usize,
-    backoff: usize,
-    rental_cost: f64,
-    switching_cost: f64,
-    /// Per-stage wall-clock seconds, in [`Stage::ALL`] order. Timing is the
-    /// one masked field family of [`FleetReport::matches_modulo_timing`], but
-    /// it is still persisted so a resumed run's totals keep the pre-crash
-    /// portion instead of silently dropping it.
-    stage_seconds: [f64; Stage::COUNT],
-    effort_solves: usize,
-    effort_nodes: usize,
-    effort_lp_iterations: usize,
-    probes: usize,
-    resolves: usize,
-    adoptions: usize,
-    slo_violations: usize,
-    failure_resolves: usize,
-    degraded_resolves: usize,
-    deferred_resolves: usize,
-    budget_exhausted_epochs: usize,
-    incumbent_adoptions: usize,
-    resolve_retries: usize,
-}
-
-/// One tenant's full checkpointed state.
+/// One tenant's persisted state. The decision state and running totals are
+/// small, so they always travel **absolute** (applying a journal record is
+/// idempotent); a checkpoint carries every epoch cost and the whole plan
+/// log, a journal record only the costs and plans accrued since the
+/// previous record. The running totals include the per-stage wall-clock seconds:
+/// timing is the masked field family of
+/// [`FleetReport::matches_modulo_timing`], but persisting it keeps a resumed
+/// run's totals from silently dropping the pre-crash portion.
 #[derive(Debug, Clone, PartialEq)]
 struct TenantSnapshot {
-    initial_fractions: Vec<f64>,
-    initial_target: Throughput,
-    scalars: ScalarState,
+    core: TenantCore,
+    tally: Tally,
     epoch_costs: Vec<f64>,
-    /// Learned plans in insertion order (the `known_order` of the state).
     plans: Vec<PersistedPlan>,
 }
 
@@ -250,7 +198,9 @@ struct TenantSnapshot {
 struct Checkpoint {
     /// The first epoch a resumed run still has to execute.
     epoch_next: u64,
-    tenants: Vec<TenantSnapshot>,
+    /// Every tenant's initial plan — its target and recipe mix, constant
+    /// over a run, so journal records do not repeat them — and state.
+    tenants: Vec<(InitialPlan, TenantSnapshot)>,
     adoptions: Vec<AdoptionRecord>,
     stale_desired: Option<Vec<Vec<u64>>>,
     ledger: Option<PoolLedger>,
@@ -261,20 +211,11 @@ struct Checkpoint {
     chaos_calls: Option<u64>,
 }
 
-/// One tenant's slice of a journal record: absolute scalars plus the epoch
-/// costs and plans accrued since the previous record.
-#[derive(Debug, Clone, PartialEq)]
-struct TenantDelta {
-    scalars: ScalarState,
-    new_epoch_costs: Vec<f64>,
-    new_plans: Vec<PersistedPlan>,
-}
-
 /// The write-ahead record of one executed epoch.
 #[derive(Debug, Clone, PartialEq)]
 struct JournalRecord {
     epoch: u64,
-    tenants: Vec<TenantDelta>,
+    tenants: Vec<TenantSnapshot>,
     new_adoptions: Vec<AdoptionRecord>,
     stale_desired: Option<Vec<Vec<u64>>>,
     ledger: Option<PoolLedger>,
@@ -321,76 +262,92 @@ fn get_plan(dec: &mut Decoder<'_>) -> Result<PersistedPlan, DecodeError> {
     })
 }
 
-fn put_scalars(enc: &mut Encoder, sc: &ScalarState) {
-    enc.put_f64s(&sc.fractions);
-    enc.put_u64s(&sc.mix_fleet);
-    enc.put_usizes(&sc.mix_below);
-    enc.put_u64(sc.solved_target);
-    enc.put_usize(sc.adopted_epoch);
-    enc.put_opt(sc.prior.as_ref(), |e, prior| {
+fn put_core(enc: &mut Encoder, core: &TenantCore) {
+    enc.put_f64s(&core.fractions);
+    enc.put_u64s(core.mix.fleet());
+    enc.put_usizes(core.mix.below_counts());
+    enc.put_u64(core.solved_target);
+    enc.put_usize(core.adopted_epoch);
+    enc.put_opt(core.prior.as_ref(), |e, prior| {
         e.put_u64(prior.target);
-        e.put_u64s(&prior.split);
+        e.put_u64s(prior.split.shares());
         e.put_opt_f64(prior.lower_bound);
     });
-    enc.put_opt(sc.last_failure_solve.as_ref(), |e, (rho, caps)| {
+    enc.put_opt(core.last_failure_solve.as_ref(), |e, (rho, caps)| {
         e.put_u64(*rho);
         e.put_u64s(caps);
     });
-    enc.put_usize(sc.deferred_until);
-    enc.put_usize(sc.backoff);
-    enc.put_f64(sc.rental_cost);
-    enc.put_f64(sc.switching_cost);
-    for seconds in sc.stage_seconds {
-        enc.put_f64(seconds);
-    }
-    for count in [
-        sc.effort_solves,
-        sc.effort_nodes,
-        sc.effort_lp_iterations,
-        sc.probes,
-        sc.resolves,
-        sc.adoptions,
-        sc.slo_violations,
-        sc.failure_resolves,
-        sc.degraded_resolves,
-        sc.deferred_resolves,
-        sc.budget_exhausted_epochs,
-        sc.incumbent_adoptions,
-        sc.resolve_retries,
-    ] {
-        enc.put_usize(count);
-    }
+    enc.put_usize(core.deferred_until);
+    enc.put_usize(core.backoff);
 }
 
-fn get_scalars(dec: &mut Decoder<'_>) -> Result<ScalarState, DecodeError> {
-    Ok(ScalarState {
-        fractions: dec.get_f64s()?,
-        mix_fleet: dec.get_u64s()?,
-        mix_below: dec.get_usizes()?,
+fn get_core(dec: &mut Decoder<'_>) -> Result<TenantCore, DecodeError> {
+    let fractions = dec.get_f64s()?;
+    let (fleet, below) = (dec.get_u64s()?, dec.get_usizes()?);
+    if fleet.len() != below.len() {
+        return Err(DecodeError::BadLength(below.len() as u64));
+    }
+    Ok(TenantCore {
+        fractions,
+        mix: FixedMixState::from_parts(fleet, below),
         solved_target: dec.get_u64()?,
         adopted_epoch: dec.get_usize()?,
         prior: dec.get_opt(|d| {
-            Ok(PersistedPrior {
+            Ok(SweepPrior {
                 target: d.get_u64()?,
-                split: d.get_u64s()?,
+                split: ThroughputSplit::new(d.get_u64s()?),
                 lower_bound: d.get_opt_f64()?,
             })
         })?,
         last_failure_solve: dec.get_opt(|d| Ok((d.get_u64()?, d.get_u64s()?)))?,
         deferred_until: dec.get_usize()?,
         backoff: dec.get_usize()?,
+    })
+}
+
+fn put_tally(enc: &mut Encoder, t: &Tally) {
+    enc.put_f64(t.rental_cost);
+    enc.put_f64(t.switching_cost);
+    for seconds in t.timing.seconds() {
+        enc.put_f64(seconds);
+    }
+    for count in [
+        t.effort.solves,
+        t.effort.nodes,
+        t.effort.lp_iterations,
+        t.probes,
+        t.resolves,
+        t.adoptions,
+        t.slo_violations,
+        t.failure_resolves,
+        t.degraded_resolves,
+        t.deferred_resolves,
+        t.budget_exhausted_epochs,
+        t.incumbent_adoptions,
+        t.resolve_retries,
+    ] {
+        enc.put_usize(count);
+    }
+}
+
+fn get_tally(dec: &mut Decoder<'_>) -> Result<Tally, DecodeError> {
+    // Struct fields evaluate in the order written, which is the encoding
+    // order of `put_tally`.
+    Ok(Tally {
         rental_cost: dec.get_f64()?,
         switching_cost: dec.get_f64()?,
-        stage_seconds: {
+        timing: {
             let mut seconds = [0.0; Stage::COUNT];
             for slot in &mut seconds {
                 *slot = dec.get_f64()?;
             }
-            seconds
+            StageTimes::from_seconds(seconds)
         },
-        effort_solves: dec.get_usize()?,
-        effort_nodes: dec.get_usize()?,
-        effort_lp_iterations: dec.get_usize()?,
+        effort: SolverEffort {
+            solves: dec.get_usize()?,
+            nodes: dec.get_usize()?,
+            lp_iterations: dec.get_usize()?,
+        },
         probes: dec.get_usize()?,
         resolves: dec.get_usize()?,
         adoptions: dec.get_usize()?,
@@ -443,18 +400,16 @@ fn get_ledger(dec: &mut Decoder<'_>) -> Result<PoolLedger, DecodeError> {
 }
 
 fn put_tenant(enc: &mut Encoder, snap: &TenantSnapshot) {
-    enc.put_f64s(&snap.initial_fractions);
-    enc.put_u64(snap.initial_target);
-    put_scalars(enc, &snap.scalars);
+    put_core(enc, &snap.core);
+    put_tally(enc, &snap.tally);
     enc.put_f64s(&snap.epoch_costs);
     enc.put_seq(&snap.plans, put_plan);
 }
 
 fn get_tenant(dec: &mut Decoder<'_>) -> Result<TenantSnapshot, DecodeError> {
     Ok(TenantSnapshot {
-        initial_fractions: dec.get_f64s()?,
-        initial_target: dec.get_u64()?,
-        scalars: get_scalars(dec)?,
+        core: get_core(dec)?,
+        tally: get_tally(dec)?,
         epoch_costs: dec.get_f64s()?,
         plans: dec.get_seq(8, get_plan)?,
     })
@@ -464,10 +419,14 @@ impl Checkpoint {
     fn encode(&self) -> Vec<u8> {
         let mut enc = Encoder::versioned(CHECKPOINT_MAGIC, FORMAT_VERSION);
         enc.put_u64(self.epoch_next);
-        enc.put_seq(&self.tenants, put_tenant);
+        enc.put_seq(&self.tenants, |e, ((target, fractions), snap)| {
+            e.put_f64s(fractions);
+            e.put_u64(*target);
+            put_tenant(e, snap);
+        });
         enc.put_seq(&self.adoptions, put_adoption);
         enc.put_opt(self.stale_desired.as_ref(), |e, fleets| {
-            put_fleets(e, fleets);
+            put_fleets(e, fleets)
         });
         enc.put_opt(self.ledger.as_ref(), put_ledger);
         enc.put_u64s(&self.trace_fingerprints);
@@ -479,7 +438,10 @@ impl Checkpoint {
         let (mut dec, _) = Decoder::versioned(bytes, CHECKPOINT_MAGIC, |v| v == FORMAT_VERSION)?;
         let checkpoint = Checkpoint {
             epoch_next: dec.get_u64()?,
-            tenants: dec.get_seq(8, get_tenant)?,
+            tenants: dec.get_seq(8, |d| {
+                let fractions = d.get_f64s()?;
+                Ok(((d.get_u64()?, fractions), get_tenant(d)?))
+            })?,
             adoptions: dec.get_seq(8, get_adoption)?,
             stale_desired: dec.get_opt(get_fleets)?,
             ledger: dec.get_opt(get_ledger)?,
@@ -497,14 +459,11 @@ impl Checkpoint {
         if record.epoch != self.epoch_next || record.tenants.len() != self.tenants.len() {
             return false;
         }
-        for (snap, delta) in self.tenants.iter_mut().zip(&record.tenants) {
-            snap.scalars = delta.scalars.clone();
-            snap.epoch_costs.extend_from_slice(&delta.new_epoch_costs);
-            for plan in &delta.new_plans {
-                if !snap.plans.iter().any(|existing| existing.rho == plan.rho) {
-                    snap.plans.push(plan.clone());
-                }
-            }
+        for ((_, snap), delta) in self.tenants.iter_mut().zip(&record.tenants) {
+            snap.core = delta.core.clone();
+            snap.tally = delta.tally;
+            snap.epoch_costs.extend_from_slice(&delta.epoch_costs);
+            snap.plans.extend_from_slice(&delta.plans);
         }
         self.adoptions.extend_from_slice(&record.new_adoptions);
         self.stale_desired = record.stale_desired.clone();
@@ -521,14 +480,10 @@ impl JournalRecord {
     fn encode(&self) -> Vec<u8> {
         let mut enc = Encoder::versioned(JOURNAL_MAGIC, FORMAT_VERSION);
         enc.put_u64(self.epoch);
-        enc.put_seq(&self.tenants, |e, delta| {
-            put_scalars(e, &delta.scalars);
-            e.put_f64s(&delta.new_epoch_costs);
-            e.put_seq(&delta.new_plans, put_plan);
-        });
+        enc.put_seq(&self.tenants, put_tenant);
         enc.put_seq(&self.new_adoptions, put_adoption);
         enc.put_opt(self.stale_desired.as_ref(), |e, fleets| {
-            put_fleets(e, fleets);
+            put_fleets(e, fleets)
         });
         enc.put_opt(self.ledger.as_ref(), put_ledger);
         enc.put_opt_u64(self.chaos_calls);
@@ -539,13 +494,7 @@ impl JournalRecord {
         let (mut dec, _) = Decoder::versioned(bytes, JOURNAL_MAGIC, |v| v == FORMAT_VERSION)?;
         let record = JournalRecord {
             epoch: dec.get_u64()?,
-            tenants: dec.get_seq(8, |d| {
-                Ok(TenantDelta {
-                    scalars: get_scalars(d)?,
-                    new_epoch_costs: d.get_f64s()?,
-                    new_plans: d.get_seq(8, get_plan)?,
-                })
-            })?,
+            tenants: dec.get_seq(8, get_tenant)?,
             new_adoptions: dec.get_seq(8, get_adoption)?,
             stale_desired: dec.get_opt(get_fleets)?,
             ledger: dec.get_opt(get_ledger)?,
@@ -557,7 +506,7 @@ impl JournalRecord {
 }
 
 // ---------------------------------------------------------------------------
-// Capture (state → persisted shapes)
+// Capture (state → persisted shapes) and restore (persisted shapes → state)
 // ---------------------------------------------------------------------------
 
 fn capture_plan(rho: Throughput, plan: &KnownPlan) -> PersistedPlan {
@@ -576,291 +525,154 @@ fn capture_plan(rho: Throughput, plan: &KnownPlan) -> PersistedPlan {
     }
 }
 
-fn capture_scalars(state: &TenantState<'_>) -> ScalarState {
-    ScalarState {
-        fractions: state.fractions.clone(),
-        mix_fleet: state.mix.fleet().to_vec(),
-        mix_below: state.mix.below_counts().to_vec(),
-        solved_target: state.solved_target,
-        adopted_epoch: state.adopted_epoch,
-        prior: state.prior.as_ref().map(|prior| PersistedPrior {
-            target: prior.target,
-            split: prior.split.shares().to_vec(),
-            lower_bound: prior.lower_bound,
-        }),
-        last_failure_solve: state.last_failure_solve.clone(),
-        deferred_until: state.deferred_until,
-        backoff: state.backoff,
-        rental_cost: state.rental_cost,
-        switching_cost: state.switching_cost,
-        stage_seconds: state.timing.seconds(),
-        effort_solves: state.effort.solves,
-        effort_nodes: state.effort.nodes,
-        effort_lp_iterations: state.effort.lp_iterations,
-        probes: state.probes,
-        resolves: state.resolves,
-        adoptions: state.adoptions,
-        slo_violations: state.slo_violations,
-        failure_resolves: state.failure_resolves,
-        degraded_resolves: state.degraded_resolves,
-        deferred_resolves: state.deferred_resolves,
-        budget_exhausted_epochs: state.budget_exhausted_epochs,
-        incumbent_adoptions: state.incumbent_adoptions,
-        resolve_retries: state.resolve_retries,
-    }
-}
-
-fn capture_tenant(state: &TenantState<'_>) -> TenantSnapshot {
+/// A tenant's state with its epoch costs and plans from the given ledger
+/// positions on.
+fn capture_tenant(state: &TenantState<'_>, (costs, plans): (usize, usize)) -> TenantSnapshot {
     TenantSnapshot {
-        initial_fractions: state.initial_fractions.clone(),
-        initial_target: state.initial_target,
-        scalars: capture_scalars(state),
-        epoch_costs: state.epoch_costs.clone(),
-        plans: state
-            .known_order
-            .iter()
-            .map(|&rho| capture_plan(rho, &state.known[&rho]))
+        core: state.core.clone(),
+        tally: state.tally,
+        epoch_costs: state.epoch_costs[costs..].to_vec(),
+        plans: (state.plans[plans..].iter())
+            .map(|(rho, plan)| capture_plan(*rho, plan))
             .collect(),
     }
 }
 
-fn capture_checkpoint(
-    epoch_next: u64,
-    states: &[TenantState<'_>],
-    adoptions: &[AdoptionRecord],
-    stale_desired: Option<&Vec<Vec<u64>>>,
-    coupled: Option<&CouplingState>,
-    counter: Option<&dyn CallCounter>,
-) -> Checkpoint {
+fn capture_checkpoint(run: &FleetRun<'_>, epoch_next: usize) -> Checkpoint {
     Checkpoint {
-        epoch_next,
-        tenants: states.iter().map(capture_tenant).collect(),
-        adoptions: adoptions.to_vec(),
-        stale_desired: stale_desired.cloned(),
-        ledger: coupled.map(|cs| cs.pool.ledger()),
-        trace_fingerprints: coupled
-            .map(|cs| cs.traces.iter().map(|t| t.fingerprint()).collect())
-            .unwrap_or_default(),
-        chaos_calls: counter.map(|c| c.calls()),
-    }
-}
-
-fn capture_record(
-    epoch: usize,
-    states: &[TenantState<'_>],
-    marks: &[(usize, usize)],
-    new_adoptions: &[AdoptionRecord],
-    stale_desired: Option<&Vec<Vec<u64>>>,
-    coupled: Option<&CouplingState>,
-    counter: Option<&dyn CallCounter>,
-) -> JournalRecord {
-    JournalRecord {
-        epoch: epoch as u64,
-        tenants: states
-            .iter()
-            .zip(marks)
-            .map(|(state, &(costs_mark, plans_mark))| TenantDelta {
-                scalars: capture_scalars(state),
-                new_epoch_costs: state.epoch_costs[costs_mark..].to_vec(),
-                new_plans: state.known_order[plans_mark..]
-                    .iter()
-                    .map(|&rho| capture_plan(rho, &state.known[&rho]))
-                    .collect(),
+        epoch_next: epoch_next as u64,
+        tenants: (run.states.iter())
+            .map(|s| {
+                let initial = (s.initial_target, s.initial_fractions.clone());
+                (initial, capture_tenant(s, (0, 0)))
             })
             .collect(),
-        new_adoptions: new_adoptions.to_vec(),
-        stale_desired: stale_desired.cloned(),
-        ledger: coupled.map(|cs| cs.pool.ledger()),
-        chaos_calls: counter.map(|c| c.calls()),
+        adoptions: run.adoptions.clone(),
+        stale_desired: run.stale_desired.clone(),
+        ledger: run.coupled.as_ref().map(|cs| cs.pool.ledger()),
+        trace_fingerprints: run
+            .coupled
+            .as_ref()
+            .map(|cs| cs.traces.iter().map(|t| t.fingerprint()).collect())
+            .unwrap_or_default(),
+        chaos_calls: run.chaos.map(|clock| clock.calls()),
     }
 }
 
-// ---------------------------------------------------------------------------
-// Restore (persisted shapes → state)
-// ---------------------------------------------------------------------------
-
-/// A fully rebuilt run position, ready to continue the epoch loop.
-struct Restored<'a> {
-    states: Vec<TenantState<'a>>,
-    coupled: Option<CouplingState>,
-    adoptions: Vec<AdoptionRecord>,
-    stale_desired: Option<Vec<Vec<u64>>>,
-    start_epoch: usize,
+/// Rebuilds one learned plan. `None` when it fails validation — wrong
+/// arity, a timing that is no duration, or independent certification.
+fn restore_plan(
+    ctl: &FleetController,
+    instance: &Instance,
+    plan: &PersistedPlan,
+) -> Option<(Throughput, KnownPlan)> {
+    if plan.shares.len() != instance.num_recipes() || plan.machines.len() != instance.num_types() {
+        return None;
+    }
+    let elapsed = Duration::try_from_secs_f64(plan.elapsed).ok()?;
+    let solution = Solution {
+        target: plan.target,
+        split: ThroughputSplit::new(plan.shares.clone()),
+        allocation: Allocation::from_counts(plan.machines.clone(), instance.platform()).ok()?,
+    };
+    // Disk contents are untrusted: re-certify every restored plan with the
+    // independent integer checker — in release builds too, unlike the debug
+    // assertions at adoption sites.
+    rental_solvers::certify_plan(instance, &solution, None).ok()?;
+    let cache = ctl.plan_cache(instance, &solution).ok()?;
+    let outcome = SolverOutcome {
+        solution,
+        proven_optimal: plan.proven_optimal,
+        lower_bound: plan.lower_bound,
+        elapsed,
+        nodes: plan.nodes.map(|n| n as usize),
+        lp_iterations: plan.lp_iterations.map(|n| n as usize),
+        exhausted: plan.exhausted,
+    };
+    Some((plan.rho, KnownPlan { outcome, cache }))
 }
 
-impl FleetController {
-    /// Rebuilds the per-tenant states from a checkpoint. `None` when the
-    /// persisted state fails any validation — arity mismatches, a plan that
-    /// fails independent certification, non-finite timings — which sends
-    /// the caller down to the cold-restart rung.
-    fn restore_states<'a>(
-        &self,
-        tenants: &'a [TenantSpec],
-        env: &RunEnv,
-        checkpoint: &Checkpoint,
-    ) -> Option<Vec<TenantState<'a>>> {
-        if checkpoint.tenants.len() != tenants.len() {
-            return None;
-        }
-        let mut states = Vec::with_capacity(tenants.len());
-        for (spec, snap) in tenants.iter().zip(&checkpoint.tenants) {
-            let instance = &spec.instance;
-            let num_recipes = instance.num_recipes();
-            let num_types = instance.num_types();
-            let scalars = &snap.scalars;
-            if snap.initial_fractions.len() != num_recipes
-                || scalars.fractions.len() != num_recipes
-                || scalars.mix_fleet.len() != num_types
-                || scalars.mix_below.len() != num_types
-            {
-                return None;
-            }
-            if let Some((_, caps)) = &scalars.last_failure_solve {
-                if caps.len() != num_types {
-                    return None;
-                }
-            }
-            if let Some(prior) = &scalars.prior {
-                if prior.split.len() != num_recipes {
-                    return None;
-                }
-            }
-            if scalars
-                .stage_seconds
-                .iter()
-                .any(|s| !s.is_finite() || *s < 0.0)
-            {
-                return None;
-            }
-            let scaler = FixedMixScaler::new(instance, &scalars.fractions, &env.scaling);
-            let mix =
-                FixedMixState::from_parts(scalars.mix_fleet.clone(), scalars.mix_below.clone());
-            let mut known = std::collections::HashMap::new();
-            let mut known_order = Vec::with_capacity(snap.plans.len());
-            for plan in &snap.plans {
-                if plan.shares.len() != num_recipes
-                    || plan.machines.len() != num_types
-                    || !plan.elapsed.is_finite()
-                    || plan.elapsed < 0.0
-                {
-                    return None;
-                }
-                let solution = Solution {
-                    target: plan.target,
-                    split: ThroughputSplit::new(plan.shares.clone()),
-                    allocation: Allocation::from_counts(plan.machines.clone(), instance.platform())
-                        .ok()?,
-                };
-                // Disk contents are untrusted: re-certify every restored
-                // plan with the independent integer checker — in release
-                // builds too, unlike the debug assertions at adoption sites.
-                rental_solvers::certify_plan(instance, &solution, None).ok()?;
-                let cache = self.plan_cache(instance, &solution).ok()?;
-                let outcome = SolverOutcome {
-                    solution,
-                    proven_optimal: plan.proven_optimal,
-                    lower_bound: plan.lower_bound,
-                    elapsed: Duration::from_secs_f64(plan.elapsed),
-                    nodes: plan.nodes.map(|n| n as usize),
-                    lp_iterations: plan.lp_iterations.map(|n| n as usize),
-                    exhausted: plan.exhausted,
-                };
-                if known
-                    .insert(plan.rho, KnownPlan { outcome, cache })
-                    .is_none()
-                {
-                    known_order.push(plan.rho);
-                }
-            }
-            states.push(TenantState {
-                spec,
-                peaks: spec.trace.epoch_peaks(self.policy.epoch),
-                granularity: instance.throughput_granularity(),
-                min_unit_cost: min_unit_cost(instance),
-                initial_fractions: snap.initial_fractions.clone(),
-                initial_target: snap.initial_target,
-                fractions: scalars.fractions.clone(),
-                scaler,
-                mix,
-                solved_target: scalars.solved_target,
-                adopted_epoch: scalars.adopted_epoch,
-                prior: scalars.prior.as_ref().map(|prior| SweepPrior {
-                    target: prior.target,
-                    split: ThroughputSplit::new(prior.split.clone()),
-                    lower_bound: prior.lower_bound,
-                }),
-                probe_cache: std::collections::HashMap::new(),
-                known,
-                known_order,
-                last_failure_solve: scalars.last_failure_solve.clone(),
-                deferred_until: scalars.deferred_until,
-                backoff: scalars.backoff,
-                rental_cost: scalars.rental_cost,
-                switching_cost: scalars.switching_cost,
-                epoch_costs: snap.epoch_costs.clone(),
-                probes: scalars.probes,
-                resolves: scalars.resolves,
-                adoptions: scalars.adoptions,
-                timing: StageTimes::from_seconds(scalars.stage_seconds),
-                effort: SolverEffort {
-                    solves: scalars.effort_solves,
-                    nodes: scalars.effort_nodes,
-                    lp_iterations: scalars.effort_lp_iterations,
-                },
-                slo_violations: scalars.slo_violations,
-                failure_resolves: scalars.failure_resolves,
-                degraded_resolves: scalars.degraded_resolves,
-                deferred_resolves: scalars.deferred_resolves,
-                budget_exhausted_epochs: scalars.budget_exhausted_epochs,
-                incumbent_adoptions: scalars.incumbent_adoptions,
-                resolve_retries: scalars.resolve_retries,
-            });
-        }
-        Some(states)
+/// Rebuilds one tenant's state around its snapshot. `None` when the
+/// snapshot fails validation, which sends the caller down to the
+/// cold-restart rung.
+fn restore_tenant<'a>(
+    ctl: &FleetController,
+    env: &RunEnv,
+    spec: &'a TenantSpec,
+    (initial, snap): (InitialPlan, TenantSnapshot),
+) -> Option<TenantState<'a>> {
+    let (recipes, types) = (spec.instance.num_recipes(), spec.instance.num_types());
+    let core = &snap.core;
+    let valid = initial.1.len() == recipes
+        && core.fractions.len() == recipes
+        && core.mix.fleet().len() == types
+        && core.prior.as_ref().is_none_or(|p| p.split.len() == recipes)
+        && (core.last_failure_solve.as_ref()).is_none_or(|(_, caps)| caps.len() == types)
+        && (snap.tally.timing.seconds().iter()).all(|s| s.is_finite() && *s >= 0.0);
+    if !valid {
+        return None;
     }
+    let plans = (snap.plans.iter())
+        .map(|plan| restore_plan(ctl, &spec.instance, plan))
+        .collect::<Option<Vec<_>>>()?;
+    Some(TenantState::new(
+        spec,
+        env,
+        initial,
+        snap.core,
+        snap.tally,
+        snap.epoch_costs,
+        plans,
+    ))
+}
 
-    /// Regenerates the coupling (traces from the config, deterministic) and
-    /// re-admits the checkpointed ledger under the pool's quota invariants.
-    /// `None` on fingerprint mismatch or a ledger that would over-grant.
-    fn restore_coupling(
-        &self,
-        tenants: &[TenantSpec],
-        config: &CapacityConfig,
-        env: &RunEnv,
-        checkpoint: &Checkpoint,
-    ) -> Option<Option<CouplingState>> {
-        match (
-            self.init_coupling(tenants, Some(config), env),
-            &checkpoint.ledger,
-        ) {
-            (Some(mut coupling), Some(ledger)) => {
-                let fingerprints: Vec<u64> =
-                    coupling.traces.iter().map(|t| t.fingerprint()).collect();
-                if fingerprints != checkpoint.trace_fingerprints {
-                    return None;
-                }
-                coupling.pool.restore_ledger(ledger.clone()).ok()?;
-                Some(Some(coupling))
-            }
-            (None, None) => Some(None),
-            _ => None,
+/// Per-tenant positions in the epoch-cost and learned-plan ledgers (plus the
+/// adoption ledger's), taken before an epoch executes, so that epoch's
+/// journal record carries exactly what the epoch added.
+pub(crate) struct Marks {
+    tenants: Vec<(usize, usize)>,
+    adoptions: usize,
+}
+
+impl Marks {
+    pub(crate) fn of(run: &FleetRun<'_>) -> Marks {
+        Marks {
+            tenants: (run.states.iter())
+                .map(|s| (s.epoch_costs.len(), s.plans.len()))
+                .collect(),
+            adoptions: run.adoptions.len(),
         }
     }
+}
 
-    /// Attempts the top two rungs of the recovery ladder: newest valid
-    /// snapshot plus consecutive journal replay. Any divergent or
-    /// undecodable journal suffix is dropped and the journal rewritten to
-    /// the applied prefix, so the resumed run appends onto consistent
-    /// ground. `Ok(None)` means nothing restorable — cold restart.
-    fn try_restore<'a>(
+/// The durability hook of the fleet driver: the store a resumable run
+/// journals and snapshots into, and an optional planned crash.
+pub(crate) struct Durability<'a> {
+    store: &'a Store,
+    opts: &'a PersistOptions,
+    crash: Option<&'a CrashPlan>,
+    /// Resume from the store (the recovery ladder) instead of starting
+    /// fresh.
+    resume: bool,
+}
+
+impl Durability<'_> {
+    /// The top two rungs of the recovery ladder: the newest valid snapshot
+    /// plus consecutive journal replay. Any divergent or undecodable journal
+    /// suffix is dropped and the journal rewritten to the applied prefix, so
+    /// the resumed run appends onto consistent ground. `Ok(None)` means
+    /// nothing restorable (or a fresh run) — the caller starts cold.
+    pub(crate) fn restore<'a>(
         &self,
+        ctl: &'a FleetController,
         tenants: &'a [TenantSpec],
-        config: &CapacityConfig,
-        env: &RunEnv,
-        store: &Store,
-        counter: Option<&dyn CallCounter>,
-    ) -> io::Result<Option<Restored<'a>>> {
-        let recovery = store.recover()?;
+        config: Option<&CapacityConfig>,
+        chaos: Option<&'a ChaosClock<'a>>,
+    ) -> io::Result<Option<FleetRun<'a>>> {
+        if !self.resume {
+            return Ok(None);
+        }
+        let recovery = self.store.recover()?;
         let Some(snapshot) = recovery.snapshot else {
             return Ok(None);
         };
@@ -877,233 +689,125 @@ impl FleetController {
             let Ok(record) = JournalRecord::decode(payload) else {
                 break;
             };
-            if record.epoch < checkpoint.epoch_next {
-                kept = index + 1;
-                continue;
-            }
-            if !checkpoint.apply(&record) {
+            if record.epoch >= checkpoint.epoch_next && !checkpoint.apply(&record) {
                 break;
             }
             kept = index + 1;
         }
         if kept < recovery.journal.len() {
-            let path = store.journal_path();
+            let path = self.store.journal_path();
             if path.exists() {
                 std::fs::remove_file(&path)?;
             }
             for payload in &recovery.journal[..kept] {
-                store.append_journal(payload)?;
+                self.store.append_journal(payload)?;
             }
         }
-        let Some(states) = self.restore_states(tenants, env, &checkpoint) else {
+        let env = ctl.run_env(config);
+        if checkpoint.tenants.len() != tenants.len() {
+            return Ok(None);
+        }
+        let states = (tenants.iter().zip(checkpoint.tenants))
+            .map(|(spec, snapshot)| restore_tenant(ctl, &env, spec, snapshot))
+            .collect::<Option<Vec<_>>>();
+        // The coupling is regenerated from the config (traces are
+        // deterministic, validated by fingerprint) and the checkpointed
+        // ledger re-admitted under the pool's quota invariants.
+        let coupled = match (ctl.init_coupling(tenants, config, &env), &checkpoint.ledger) {
+            (Some(mut coupling), Some(ledger)) => {
+                let fingerprints: Vec<u64> =
+                    coupling.traces.iter().map(|t| t.fingerprint()).collect();
+                let admitted = fingerprints == checkpoint.trace_fingerprints
+                    && coupling.pool.restore_ledger(ledger.clone()).is_ok();
+                admitted.then_some(Some(coupling))
+            }
+            (None, None) => Some(None),
+            _ => None,
+        };
+        let (Some(states), Some(coupled)) = (states, coupled) else {
             return Ok(None);
         };
-        let Some(coupled) = self.restore_coupling(tenants, config, env, &checkpoint) else {
-            return Ok(None);
-        };
-        if let (Some(counter), Some(calls)) = (counter, checkpoint.chaos_calls) {
-            counter.set_calls(calls);
+        if let (Some(clock), Some(calls)) = (chaos, checkpoint.chaos_calls) {
+            clock.set_calls(calls);
         }
-        let start_epoch = checkpoint.epoch_next as usize;
-        Ok(Some(Restored {
-            states,
-            coupled,
-            adoptions: checkpoint.adoptions,
-            stale_desired: checkpoint.stale_desired,
-            start_epoch,
-        }))
+        let start = checkpoint.epoch_next as usize;
+        ctl.telemetry.event(
+            EventKind::Recovery,
+            start,
+            None,
+            start as f64,
+            "resumed from checkpoint + journal replay",
+        );
+        // Recovery-ladder state for `/health`: which epoch this process
+        // resumed from (absent on never-recovered runs).
+        ctl.telemetry
+            .gauge("fleet.recovery.resumed_epoch", start as f64);
+        let mut run = FleetRun::new(ctl, env, chaos, states, coupled, start);
+        run.adoptions = checkpoint.adoptions;
+        run.stale_desired = checkpoint.stale_desired;
+        run.checkpoint_epoch = Some(start);
+        Ok(Some(run))
     }
 
-    /// The persistent epoch loop shared by fresh and resumed runs.
-    #[allow(clippy::too_many_arguments)]
-    fn drive_inner<S: CapacitySolver + Sync>(
+    /// Starts a fresh (or cold-restarted) run's store: a clean slate plus
+    /// the initial snapshot.
+    pub(crate) fn begin(&self, run: &mut FleetRun<'_>) -> io::Result<()> {
+        self.store.reset()?;
+        run.checkpoint_epoch = Some(0);
+        self.snapshot(run, 0)
+    }
+
+    fn snapshot(&self, run: &FleetRun<'_>, epoch_next: usize) -> io::Result<()> {
+        let payload = capture_checkpoint(run, epoch_next).encode();
+        self.store.write_snapshot(epoch_next as u64, &payload)
+    }
+
+    /// Journals the epoch `run` just executed (and snapshots on the
+    /// configured cadence). Returns true when a planned crash aborted the
+    /// run at this epoch.
+    pub(crate) fn commit(
         &self,
-        solver: &S,
-        clock: Option<&ChaosClock<'_>>,
-        counter: Option<&dyn CallCounter>,
-        tenants: &[TenantSpec],
-        config: &CapacityConfig,
-        store: &Store,
-        opts: &PersistOptions,
-        crash: Option<&CrashPlan>,
-        resume: bool,
-    ) -> PersistResult<RunOutcome> {
-        let env = self.run_env(Some(config));
-        let restored = if resume {
-            self.try_restore(tenants, config, &env, store, counter)?
-        } else {
-            None
+        run: &mut FleetRun<'_>,
+        epoch: usize,
+        marks: &Marks,
+    ) -> io::Result<bool> {
+        let record = JournalRecord {
+            epoch: epoch as u64,
+            tenants: (run.states.iter().zip(&marks.tenants))
+                .map(|(state, &mark)| capture_tenant(state, mark))
+                .collect(),
+            new_adoptions: run.adoptions[marks.adoptions..].to_vec(),
+            stale_desired: run.stale_desired.clone(),
+            ledger: run.coupled.as_ref().map(|cs| cs.pool.ledger()),
+            chaos_calls: run.chaos.map(|clock| clock.calls()),
         };
-        if let Some(r) = &restored {
-            self.telemetry.event(
-                EventKind::Recovery,
-                r.start_epoch,
-                None,
-                r.start_epoch as f64,
-                "resumed from checkpoint + journal replay",
-            );
-            // Recovery-ladder state for `/health`: which epoch this process
-            // resumed from (absent on never-recovered runs).
-            self.telemetry
-                .gauge("fleet.recovery.resumed_epoch", r.start_epoch as f64);
-        }
-        let (mut states, mut coupled, mut adoptions, mut stale_desired, start_epoch) =
-            match restored {
-                Some(r) => (
-                    r.states,
-                    r.coupled,
-                    r.adoptions,
-                    r.stale_desired,
-                    r.start_epoch,
-                ),
-                None => {
-                    // Fresh start, or the cold-restart rung: clean slate,
-                    // everything re-derived deterministically from configs.
-                    store.reset()?;
-                    let states = self.init_states(solver, tenants, &env)?;
-                    let coupled = self.init_coupling(tenants, Some(config), &env);
-                    let checkpoint =
-                        capture_checkpoint(0, &states, &[], None, coupled.as_ref(), counter);
-                    store.write_snapshot(0, &checkpoint.encode())?;
-                    (states, coupled, Vec::new(), None, 0)
+        let payload = record.encode();
+        if let Some(plan) = self.crash.filter(|c| c.epoch == epoch) {
+            match plan.point {
+                CrashPoint::BeforeJournal => {}
+                CrashPoint::TornJournal { keep } => {
+                    self.store.append_journal_prefix(&payload, keep)?;
                 }
-            };
-        let num_epochs = states.iter().map(|s| s.peaks.len()).max().unwrap_or(0);
-        // Epochs executed before the crash were timed by the killed process;
-        // their rows restore as zero. Timing is the masked field family, so
-        // the resumed report still matches the uninterrupted one.
-        let mut epoch_timing: Vec<StageTimes> = vec![StageTimes::zero(); start_epoch];
-        // The alert engine restarts empty on resume (alert state is
-        // operational, not certified plan state); the checkpoint watermark
-        // feeds the checkpoint-lag rule.
-        let mut alert_engine = self.alert_engine();
-        let mut last_checkpoint_epoch = start_epoch;
-        for epoch in start_epoch..num_epochs {
-            let mut epoch_times = StageTimes::zero();
-            let mut fanout = FanoutObs::default();
-            let epoch_wall = Instant::now();
-            let marks: Vec<(usize, usize)> = states
-                .iter()
-                .map(|s| (s.epoch_costs.len(), s.known_order.len()))
-                .collect();
-            let adoption_mark = adoptions.len();
-            self.epoch_step(
-                solver,
-                Some(solver),
-                epoch,
-                &mut states,
-                coupled.as_mut(),
-                clock,
-                &env,
-                &mut adoptions,
-                &mut stale_desired,
-                &mut epoch_times,
-                &mut fanout,
-            )?;
-            let record = capture_record(
-                epoch,
-                &states,
-                &marks,
-                &adoptions[adoption_mark..],
-                stale_desired.as_ref(),
-                coupled.as_ref(),
-                counter,
-            );
-            let payload = record.encode();
-            if let Some(plan) = crash.filter(|c| c.epoch == epoch) {
-                match plan.point {
-                    CrashPoint::BeforeJournal => {}
-                    CrashPoint::TornJournal { keep } => {
-                        store.append_journal_prefix(&payload, keep)?;
-                    }
-                    CrashPoint::AfterJournal => store.append_journal(&payload)?,
-                    CrashPoint::AfterSnapshot => {
-                        store.append_journal(&payload)?;
-                        let checkpoint = capture_checkpoint(
-                            (epoch + 1) as u64,
-                            &states,
-                            &adoptions,
-                            stale_desired.as_ref(),
-                            coupled.as_ref(),
-                            counter,
-                        );
-                        store.write_snapshot((epoch + 1) as u64, &checkpoint.encode())?;
-                    }
+                CrashPoint::AfterJournal => self.store.append_journal(&payload)?,
+                CrashPoint::AfterSnapshot => {
+                    self.store.append_journal(&payload)?;
+                    self.snapshot(run, epoch + 1)?;
                 }
-                return Ok(RunOutcome::Crashed { epoch });
             }
-            let persist_span = SpanTimer::start(Stage::Persist);
-            store.append_journal(&payload)?;
-            if opts.snapshot_every > 0 && (epoch + 1) % opts.snapshot_every == 0 {
-                let checkpoint = capture_checkpoint(
-                    (epoch + 1) as u64,
-                    &states,
-                    &adoptions,
-                    stale_desired.as_ref(),
-                    coupled.as_ref(),
-                    counter,
-                );
-                store.write_snapshot((epoch + 1) as u64, &checkpoint.encode())?;
-                last_checkpoint_epoch = epoch + 1;
-            }
-            persist_span.stop_into(&mut epoch_times, self.telemetry.as_ref());
-            self.epoch_observe(
-                epoch,
-                epoch_wall.elapsed().as_secs_f64(),
-                &states,
-                &epoch_times,
-                &fanout,
-                alert_engine.as_mut(),
-                Some(last_checkpoint_epoch),
-            );
-            epoch_timing.push(epoch_times);
+            return Ok(true);
         }
-        Ok(RunOutcome::Completed(self.finish(
-            states,
-            coupled.as_ref(),
-            adoptions,
-            num_epochs,
-            &env,
-            epoch_timing,
-        )))
-    }
-
-    /// Dispatches between the chaos-wrapped and plain solver paths.
-    #[allow(clippy::too_many_arguments)]
-    fn drive<S: CapacitySolver + Sync>(
-        &self,
-        solver: &S,
-        tenants: &[TenantSpec],
-        config: &CapacityConfig,
-        chaos: Option<ChaosConfig>,
-        store: &Store,
-        opts: &PersistOptions,
-        crash: Option<&CrashPlan>,
-        resume: bool,
-    ) -> PersistResult<RunOutcome> {
-        match chaos {
-            Some(chaos_config) => {
-                let stats = ChaosStats::default();
-                let wrapped = ChaosSolver::new(solver, chaos_config, tenants.len(), &stats);
-                let clock = ChaosClock::new(chaos_config, &stats);
-                self.drive_inner(
-                    &wrapped,
-                    Some(&clock),
-                    Some(&wrapped),
-                    tenants,
-                    config,
-                    store,
-                    opts,
-                    crash,
-                    resume,
-                )
-            }
-            None => self.drive_inner(
-                solver, None, None, tenants, config, store, opts, crash, resume,
-            ),
+        let span = SpanTimer::start(Stage::Persist);
+        self.store.append_journal(&payload)?;
+        if self.opts.snapshot_every > 0 && (epoch + 1).is_multiple_of(self.opts.snapshot_every) {
+            self.snapshot(run, epoch + 1)?;
+            run.checkpoint_epoch = Some(epoch + 1);
         }
+        span.stop_into(&mut run.obs.times, run.ctl.telemetry.as_ref());
+        Ok(false)
     }
+}
 
+impl FleetController {
     /// [`FleetController::run_with_capacity`] with crash-safe persistence: a
     /// **fresh** run (the store is reset) that journals every epoch and
     /// snapshots every [`PersistOptions::snapshot_every`] epochs. With
@@ -1135,7 +839,15 @@ impl FleetController {
         opts: &PersistOptions,
         crash: Option<&CrashPlan>,
     ) -> PersistResult<RunOutcome> {
-        self.drive(solver, tenants, config, chaos, store, opts, crash, false)
+        let durable = Durability {
+            store,
+            opts,
+            crash,
+            resume: false,
+        };
+        Ok(self
+            .drive(solver, tenants, Some(config), chaos, Some(&durable))?
+            .0)
     }
 
     /// Resumes a killed [`FleetController::run_resumable`] from the store,
@@ -1164,7 +876,15 @@ impl FleetController {
         opts: &PersistOptions,
         crash: Option<&CrashPlan>,
     ) -> PersistResult<RunOutcome> {
-        self.drive(solver, tenants, config, chaos, store, opts, crash, true)
+        let durable = Durability {
+            store,
+            opts,
+            crash,
+            resume: true,
+        };
+        Ok(self
+            .drive(solver, tenants, Some(config), chaos, Some(&durable))?
+            .0)
     }
 }
 
@@ -1172,58 +892,70 @@ impl FleetController {
 mod tests {
     use super::*;
 
+    fn core() -> TenantCore {
+        TenantCore {
+            fractions: vec![0.5, 0.5],
+            mix: FixedMixState::from_parts(vec![3, 0, 2], vec![0, 1, 2]),
+            solved_target: 60,
+            adopted_epoch: 4,
+            prior: Some(SweepPrior {
+                target: 60,
+                split: ThroughputSplit::new(vec![30, 30]),
+                lower_bound: Some(101.5),
+            }),
+            last_failure_solve: Some((50, vec![4, 5, 6])),
+            deferred_until: 9,
+            backoff: 2,
+        }
+    }
+
+    fn tally() -> Tally {
+        Tally {
+            rental_cost: 123.25,
+            switching_cost: 8.0,
+            probes: 11,
+            resolves: 3,
+            adoptions: 2,
+            timing: StageTimes::from_seconds([0.125, 0.0625, 1.5, 0.25, 0.03125]),
+            effort: SolverEffort {
+                solves: 4,
+                nodes: 950,
+                lp_iterations: 188,
+            },
+            slo_violations: 1,
+            failure_resolves: 1,
+            degraded_resolves: 0,
+            deferred_resolves: 4,
+            budget_exhausted_epochs: 1,
+            incumbent_adoptions: 1,
+            resolve_retries: 1,
+        }
+    }
+
     #[test]
     fn checkpoint_round_trips_through_the_codec() {
         let checkpoint = Checkpoint {
             epoch_next: 7,
-            tenants: vec![TenantSnapshot {
-                initial_fractions: vec![0.25, 0.75],
-                initial_target: 40,
-                scalars: ScalarState {
-                    fractions: vec![0.5, 0.5],
-                    mix_fleet: vec![3, 0, 2],
-                    mix_below: vec![0, 1, 2],
-                    solved_target: 60,
-                    adopted_epoch: 4,
-                    prior: Some(PersistedPrior {
+            tenants: vec![(
+                (40, vec![0.25, 0.75]),
+                TenantSnapshot {
+                    core: core(),
+                    tally: tally(),
+                    epoch_costs: vec![10.0, 12.5, -0.0],
+                    plans: vec![PersistedPlan {
+                        rho: 60,
                         target: 60,
-                        split: vec![30, 30],
-                        lower_bound: Some(101.5),
-                    }),
-                    last_failure_solve: Some((50, vec![4, 5, 6])),
-                    deferred_until: 9,
-                    backoff: 2,
-                    rental_cost: 123.25,
-                    switching_cost: 8.0,
-                    stage_seconds: [0.125, 0.0625, 1.5, 0.25, 0.03125],
-                    effort_solves: 4,
-                    effort_nodes: 950,
-                    effort_lp_iterations: 188,
-                    probes: 11,
-                    resolves: 3,
-                    adoptions: 2,
-                    slo_violations: 1,
-                    failure_resolves: 1,
-                    degraded_resolves: 0,
-                    deferred_resolves: 4,
-                    budget_exhausted_epochs: 1,
-                    incumbent_adoptions: 1,
-                    resolve_retries: 1,
+                        shares: vec![30, 30],
+                        machines: vec![2, 1, 1],
+                        proven_optimal: true,
+                        lower_bound: Some(104.0),
+                        elapsed: 0.002,
+                        nodes: Some(17),
+                        lp_iterations: Some(230),
+                        exhausted: false,
+                    }],
                 },
-                epoch_costs: vec![10.0, 12.5, -0.0],
-                plans: vec![PersistedPlan {
-                    rho: 60,
-                    target: 60,
-                    shares: vec![30, 30],
-                    machines: vec![2, 1, 1],
-                    proven_optimal: true,
-                    lower_bound: Some(104.0),
-                    elapsed: 0.002,
-                    nodes: Some(17),
-                    lp_iterations: Some(230),
-                    exhausted: false,
-                }],
-            }],
+            )],
             adoptions: vec![AdoptionRecord {
                 tenant: 0,
                 epoch: 4,
@@ -1246,20 +978,20 @@ mod tests {
         let decoded = Checkpoint::decode(&checkpoint.encode()).expect("round trip");
         assert_eq!(decoded, checkpoint);
         // -0.0 must survive bit-exactly (f64s are stored as raw bits).
-        assert!(decoded.tenants[0].epoch_costs[2].is_sign_negative());
+        assert!(decoded.tenants[0].1.epoch_costs[2].is_sign_negative());
     }
 
     #[test]
     fn journal_record_round_trips_and_applies() {
+        let snapshot = |epoch_costs| TenantSnapshot {
+            core: core(),
+            tally: Tally::default(),
+            epoch_costs,
+            plans: vec![],
+        };
         let mut checkpoint = Checkpoint {
             epoch_next: 3,
-            tenants: vec![TenantSnapshot {
-                initial_fractions: vec![1.0],
-                initial_target: 10,
-                scalars: blank_scalars(),
-                epoch_costs: vec![1.0, 2.0, 3.0],
-                plans: vec![],
-            }],
+            tenants: vec![((10, vec![1.0]), snapshot(vec![1.0, 2.0, 3.0]))],
             adoptions: vec![],
             stale_desired: None,
             ledger: None,
@@ -1268,10 +1000,9 @@ mod tests {
         };
         let record = JournalRecord {
             epoch: 3,
-            tenants: vec![TenantDelta {
-                scalars: blank_scalars(),
-                new_epoch_costs: vec![4.0],
-                new_plans: vec![],
+            tenants: vec![TenantSnapshot {
+                tally: tally(),
+                ..snapshot(vec![4.0])
             }],
             new_adoptions: vec![],
             stale_desired: None,
@@ -1282,7 +1013,12 @@ mod tests {
         assert_eq!(decoded, record);
         assert!(checkpoint.apply(&decoded));
         assert_eq!(checkpoint.epoch_next, 4);
-        assert_eq!(checkpoint.tenants[0].epoch_costs, vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(
+            checkpoint.tenants[0].1.epoch_costs,
+            vec![1.0, 2.0, 3.0, 4.0]
+        );
+        // The running totals travel absolute: applying replaces them.
+        assert_eq!(checkpoint.tenants[0].1.tally, tally());
         // Replaying out of order is rejected.
         assert!(!checkpoint.apply(&decoded));
     }
@@ -1312,35 +1048,5 @@ mod tests {
             JournalRecord::decode(&bytes[..bytes.len() - 1]).is_err(),
             "truncation rejected"
         );
-    }
-
-    fn blank_scalars() -> ScalarState {
-        ScalarState {
-            fractions: vec![1.0],
-            mix_fleet: vec![0],
-            mix_below: vec![0],
-            solved_target: 10,
-            adopted_epoch: 0,
-            prior: None,
-            last_failure_solve: None,
-            deferred_until: 0,
-            backoff: 0,
-            rental_cost: 0.0,
-            switching_cost: 0.0,
-            stage_seconds: [0.0; Stage::COUNT],
-            effort_solves: 0,
-            effort_nodes: 0,
-            effort_lp_iterations: 0,
-            probes: 0,
-            resolves: 0,
-            adoptions: 0,
-            slo_violations: 0,
-            failure_resolves: 0,
-            degraded_resolves: 0,
-            deferred_resolves: 0,
-            budget_exhausted_epochs: 0,
-            incumbent_adoptions: 0,
-            resolve_retries: 0,
-        }
     }
 }

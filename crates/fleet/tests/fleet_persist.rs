@@ -93,6 +93,24 @@ fn uninterrupted_resumable_run_matches_the_plain_run() {
         snapshots.len() > 2,
         "periodic snapshots missing: {snapshots:?}"
     );
+    // Resuming the completed store restores every tenant at the end of its
+    // trace: no epoch re-executes, and the baselines the loop accumulated
+    // are replayed from the traces.
+    let resumed = FleetController::new(policy)
+        .resume_from(
+            &IlpSolver::new(),
+            &tenants,
+            &config,
+            None,
+            &store,
+            &PersistOptions::default(),
+            None,
+        )
+        .unwrap()
+        .completed()
+        .expect("a completed store resumes to its end");
+    assert!(resumed.matches_modulo_timing(reference()));
+    assert!(resumed.static_headroom_violations() > 0);
 }
 
 #[test]
@@ -174,6 +192,56 @@ fn resume_of_a_garbage_store_cold_starts() {
         .completed()
         .expect("garbage store still completes");
     assert!(resumed.matches_modulo_timing(reference()));
+}
+
+/// A target re-solved under tighter caps is learned again. With periodic
+/// snapshots off, a resume replays every journal record from the initial
+/// snapshot, so the replacement plan must travel in the journal — otherwise
+/// the resumed tenant probes against the stale plan and the run diverges.
+#[test]
+fn journal_replay_restores_replaced_plans() {
+    let (scenario, config) = failure_coupled_fleet(2, 2, 48.0, 4.0);
+    let policy = FleetPolicy {
+        threads: Some(1),
+        epoch_budget: Some(SolveBudget::with_node_cap(50_000)),
+        ..scenario.policy
+    };
+    let controller = FleetController::new(policy);
+    let uninterrupted = controller
+        .run_with_capacity(&IlpSolver::new(), &scenario.tenants, &config)
+        .unwrap();
+    let store = scratch_store("replaced");
+    let opts = PersistOptions { snapshot_every: 0 };
+    let crash = CrashPlan {
+        epoch: 40,
+        point: CrashPoint::AfterJournal,
+    };
+    let outcome = controller
+        .run_resumable(
+            &IlpSolver::new(),
+            &scenario.tenants,
+            &config,
+            None,
+            &store,
+            &opts,
+            Some(&crash),
+        )
+        .unwrap();
+    assert!(matches!(outcome, RunOutcome::Crashed { epoch: 40 }));
+    let resumed = controller
+        .resume_from(
+            &IlpSolver::new(),
+            &scenario.tenants,
+            &config,
+            None,
+            &store,
+            &opts,
+            None,
+        )
+        .unwrap()
+        .completed()
+        .expect("resume runs to completion");
+    assert!(resumed.matches_modulo_timing(&uninterrupted));
 }
 
 /// The CI kill-and-resume lane: the 16-tenant acceptance fleet, snapshot at

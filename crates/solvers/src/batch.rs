@@ -174,146 +174,80 @@ pub fn solve_sweep_timed<S: WarmStartSolver>(
 }
 
 /// One unit of **heterogeneous** warm-started batch work: its own instance,
-/// its own target, and optionally the prior of a related earlier solve.
+/// its own target, optionally per-type machine caps, and optionally the prior
+/// of a related earlier solve.
 ///
 /// Where [`solve_sweep_batch_timed`] sweeps the *same* target grid over every
-/// instance, this is the shape of a multi-tenant serving epoch: every tenant
-/// whose workload shifted brings its own `(instance, new target)` pair plus
-/// the incumbent of its *previous* solve, and all due tenants are solved as
-/// one flat fan-out on the shared pool.
+/// instance, this is the shape of a multi-tenant serving epoch: every due
+/// tenant brings its own `(instance, new target)` pair plus the incumbent of
+/// its *previous* solve and — in a capacity-coupled fleet — the caps its
+/// share of the pool allows, and all due tenants are solved as one flat
+/// fan-out on the shared pool.
 #[derive(Debug, Clone, Copy)]
 pub struct WarmBatchItem<'a> {
     /// The MinCost instance to solve.
     pub instance: &'a Instance,
     /// The target throughput ρ.
     pub target: Throughput,
-    /// Prior of a related solve (typically the tenant's previous target).
+    /// Per-type machine caps (`crate::solver::UNLIMITED_CAP` disables one);
+    /// `None` solves uncapped.
+    pub caps: Option<&'a [u64]>,
+    /// Prior of a related solve (typically the tenant's previous target; see
+    /// [`CapacitySolver::solve_with_caps`] for the soundness contract on its
+    /// lower bound under caps).
     pub prior: Option<&'a SweepPrior>,
 }
 
 impl<'a> WarmBatchItem<'a> {
-    /// Creates a warm batch item.
+    /// Creates an uncapped warm batch item.
     pub fn new(instance: &'a Instance, target: Throughput, prior: Option<&'a SweepPrior>) -> Self {
         WarmBatchItem {
             instance,
             target,
+            caps: None,
             prior,
         }
     }
 }
 
-/// Solves heterogeneous `(instance, target, prior)` units in parallel on the
-/// shared pool, reporting per-unit wall time (including failed solves,
-/// mirroring [`solve_batch_timed`]). Results are returned in input order and
-/// match sequential [`WarmStartSolver::solve_with_prior`] calls exactly —
-/// each unit's prior comes with the item, so no cross-unit state is threaded.
-pub fn solve_warm_batch_timed<S: WarmStartSolver + Sync>(
-    solver: &S,
-    items: &[WarmBatchItem<'_>],
-    max_threads: Option<usize>,
-) -> Vec<(SolveResult<SolverOutcome>, Duration)> {
-    rayon::parallel_map_indexed(items.len(), max_threads, |i| {
-        let item = &items[i];
-        let start = Instant::now();
-        let result = solver.solve_with_prior(item.instance, item.target, item.prior);
-        (result, start.elapsed())
-    })
-}
-
-/// [`solve_warm_batch_timed`] under a **per-unit** [`SolveBudget`]: every
-/// unit is solved through [`WarmStartSolver::solve_with_prior_budgeted`] with
-/// the same budget. Callers sharing one epoch budget across the batch split
-/// it *before* the fan-out ([`SolveBudget::split`]) — per-unit budgets keep
-/// the batch deterministic and observationally identical to the sequential
-/// loop, which a dynamically rebalanced budget would not be.
-pub fn solve_warm_batch_budgeted<S: WarmStartSolver + Sync>(
-    solver: &S,
-    items: &[WarmBatchItem<'_>],
-    budget: &SolveBudget,
-    max_threads: Option<usize>,
-) -> Vec<(SolveResult<SolverOutcome>, Duration)> {
-    rayon::parallel_map_indexed(items.len(), max_threads, |i| {
-        let item = &items[i];
-        let start = Instant::now();
-        let result =
-            solver.solve_with_prior_budgeted(item.instance, item.target, item.prior, budget);
-        (result, start.elapsed())
-    })
-}
-
-/// One unit of **capacity-constrained** warm-started batch work: an
-/// `(instance, target, caps, prior)` quadruple.
+/// Solves heterogeneous warm-started units in parallel on the shared pool,
+/// reporting per-unit wall time (including failed solves, mirroring
+/// [`solve_batch_timed`]). Capped items go through
+/// [`CapacitySolver::solve_with_caps`], the rest through
+/// [`WarmStartSolver::solve_with_prior`] — or their `_budgeted` forms when a
+/// `budget` is given. Results are returned in input order and match the
+/// sequential calls exactly: each unit's prior and caps come with the item,
+/// so no cross-unit state is threaded.
 ///
-/// This is the shape of a failure epoch in a capacity-coupled fleet: every
-/// tenant whose surviving machines can no longer carry its demand brings its
-/// own per-type machine caps (its holdings plus the pool's residual quota,
-/// minus the machines currently down) next to the usual warm-start prior.
-#[derive(Debug, Clone, Copy)]
-pub struct CapsBatchItem<'a> {
-    /// The MinCost instance to solve.
-    pub instance: &'a Instance,
-    /// The target throughput ρ.
-    pub target: Throughput,
-    /// Per-type machine caps (`crate::solver::UNLIMITED_CAP` disables one).
-    pub caps: &'a [u64],
-    /// Prior of a related solve (see [`CapacitySolver::solve_with_caps`] for
-    /// the soundness contract on its lower bound).
-    pub prior: Option<&'a SweepPrior>,
-}
-
-impl<'a> CapsBatchItem<'a> {
-    /// Creates a capacity-constrained batch item.
-    pub fn new(
-        instance: &'a Instance,
-        target: Throughput,
-        caps: &'a [u64],
-        prior: Option<&'a SweepPrior>,
-    ) -> Self {
-        CapsBatchItem {
+/// The budget applies **per unit**. Callers sharing one epoch budget across
+/// the batch split it *before* the fan-out ([`SolveBudget::split`]) —
+/// per-unit budgets keep the batch deterministic and observationally
+/// identical to the sequential loop, which a dynamically rebalanced budget
+/// would not be.
+pub fn solve_warm_batch<S: CapacitySolver + Sync>(
+    solver: &S,
+    items: &[WarmBatchItem<'_>],
+    budget: Option<&SolveBudget>,
+    max_threads: Option<usize>,
+) -> Vec<(SolveResult<SolverOutcome>, Duration)> {
+    rayon::parallel_map_indexed(items.len(), max_threads, |i| {
+        let WarmBatchItem {
             instance,
             target,
             caps,
             prior,
-        }
-    }
-}
-
-/// Solves heterogeneous capacity-constrained units in parallel on the shared
-/// pool — the capped sibling of [`solve_warm_batch_timed`], with the same
-/// guarantees: per-unit wall time (failed solves included), results in input
-/// order, observationally identical to sequential
-/// [`CapacitySolver::solve_with_caps`] calls.
-pub fn solve_caps_batch_timed<S: CapacitySolver + Sync>(
-    solver: &S,
-    items: &[CapsBatchItem<'_>],
-    max_threads: Option<usize>,
-) -> Vec<(SolveResult<SolverOutcome>, Duration)> {
-    rayon::parallel_map_indexed(items.len(), max_threads, |i| {
-        let item = &items[i];
+        } = items[i];
         let start = Instant::now();
-        let result = solver.solve_with_caps(item.instance, item.target, item.caps, item.prior);
-        (result, start.elapsed())
-    })
-}
-
-/// [`solve_caps_batch_timed`] under a per-unit [`SolveBudget`] (see
-/// [`solve_warm_batch_budgeted`] for the splitting convention).
-pub fn solve_caps_batch_budgeted<S: CapacitySolver + Sync>(
-    solver: &S,
-    items: &[CapsBatchItem<'_>],
-    budget: &SolveBudget,
-    max_threads: Option<usize>,
-) -> Vec<(SolveResult<SolverOutcome>, Duration)> {
-    rayon::parallel_map_indexed(items.len(), max_threads, |i| {
-        let item = &items[i];
-        let start = Instant::now();
-        let result = solver.solve_with_caps_budgeted(
-            item.instance,
-            item.target,
-            item.caps,
-            item.prior,
-            budget,
-        );
+        let result = match (caps, budget) {
+            (None, None) => solver.solve_with_prior(instance, target, prior),
+            (None, Some(budget)) => {
+                solver.solve_with_prior_budgeted(instance, target, prior, budget)
+            }
+            (Some(caps), None) => solver.solve_with_caps(instance, target, caps, prior),
+            (Some(caps), Some(budget)) => {
+                solver.solve_with_caps_budgeted(instance, target, caps, prior, budget)
+            }
+        };
         (result, start.elapsed())
     })
 }
@@ -467,7 +401,7 @@ mod tests {
             .zip(&priors)
             .map(|(&t, prior)| WarmBatchItem::new(&instance, t, Some(prior)))
             .collect();
-        let batch = solve_warm_batch_timed(&solver, &items, Some(3));
+        let batch = solve_warm_batch(&solver, &items, None, Some(3));
         assert_eq!(batch.len(), items.len());
         for (item, (result, elapsed)) in items.iter().zip(&batch) {
             let outcome = result.as_ref().unwrap();
@@ -489,7 +423,7 @@ mod tests {
     #[test]
     fn empty_warm_batches_are_harmless() {
         let solver = IlpSolver::new();
-        assert!(solve_warm_batch_timed(&solver, &[], None).is_empty());
+        assert!(solve_warm_batch(&solver, &[], None, None).is_empty());
     }
 
     #[test]

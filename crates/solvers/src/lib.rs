@@ -58,10 +58,8 @@ pub mod registry;
 pub mod solver;
 
 pub use batch::{
-    solve_batch, solve_batch_portfolio, solve_batch_timed, solve_batch_with,
-    solve_caps_batch_budgeted, solve_caps_batch_timed, solve_sweep, solve_sweep_batch_timed,
-    solve_sweep_timed, solve_warm_batch_budgeted, solve_warm_batch_timed, BatchItem, CapsBatchItem,
-    WarmBatchItem,
+    solve_batch, solve_batch_portfolio, solve_batch_timed, solve_batch_with, solve_sweep,
+    solve_sweep_batch_timed, solve_sweep_timed, solve_warm_batch, BatchItem, WarmBatchItem,
 };
 pub use certify::{certify_plan, CertifyError};
 pub use multicloud::{CloudRegion, MultiCloudProblem, MultiCloudSolution, RegionAllocation};
