@@ -2,6 +2,7 @@
 //! the same result, together with the pre-aggregated type demand matrix
 //! `n_jq` used by every solver.
 
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
 use crate::cost::PairDiffTable;
@@ -49,6 +50,15 @@ impl PartialEq for TypeDemandMatrix {
 }
 
 impl Eq for TypeDemandMatrix {}
+
+impl Hash for TypeDemandMatrix {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // Consistent with `PartialEq`: the counts only, never the cache.
+        self.num_recipes.hash(state);
+        self.num_types.hash(state);
+        self.counts.hash(state);
+    }
+}
 
 impl TypeDemandMatrix {
     /// Builds the matrix from a list of recipes and the number of platform types.
@@ -162,7 +172,7 @@ impl TypeDemandMatrix {
 
 /// The global application `φ`: `J` alternative recipes computing the same
 /// result, each able to carry a share `ρ_j` of the target throughput.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GlobalApplication {
     recipes: Vec<Recipe>,
     demand: TypeDemandMatrix,

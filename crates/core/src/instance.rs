@@ -13,7 +13,10 @@ use crate::types::{Cost, Throughput};
 
 /// A MinCost problem instance: the alternative recipes of the global
 /// application and the machine catalogue of the cloud.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality and hashing are by value, so clones of one instance (every
+/// fleet tenant owns its own) compare and hash equal.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Instance {
     application: GlobalApplication,
     platform: Platform,
@@ -135,5 +138,32 @@ mod tests {
         let rebuilt =
             Instance::from_parts(instance.application().clone(), instance.platform().clone());
         assert_eq!(rebuilt, instance);
+    }
+
+    #[test]
+    fn equal_instances_hash_equal_and_a_cost_change_breaks_equality() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let hash = |instance: &Instance| {
+            let mut hasher = DefaultHasher::new();
+            instance.hash(&mut hasher);
+            hasher.finish()
+        };
+        let instance = illustrating_example();
+        // Build the pair-diff cache on the original only: derived state must
+        // not take part in equality or hashing.
+        let _ = instance.application().demand().pair_diffs();
+        let rebuilt =
+            Instance::from_parts(instance.application().clone(), instance.platform().clone());
+        assert_eq!(hash(&instance.clone()), hash(&instance));
+        assert_eq!(hash(&rebuilt), hash(&instance));
+
+        let mut machines = instance.platform().machines().to_vec();
+        machines[0].cost += 1;
+        let repriced = Instance::from_parts(
+            instance.application().clone(),
+            Platform::new(machines).unwrap(),
+        );
+        assert_ne!(repriced, instance);
     }
 }

@@ -40,7 +40,7 @@ impl MachineType {
 ///
 /// The platform is indexed by [`TypeId`]; type `q` is both the task type and
 /// the machine type able to process it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Platform {
     machines: Vec<MachineType>,
 }

@@ -11,7 +11,7 @@ use crate::types::{RecipeId, TaskId, TypeId};
 
 /// One task (`ϕ^j_i`) of a recipe. The only attribute that matters to the
 /// cost model is its type; the optional label helps debugging and reporting.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Task {
     /// Type of the task (`t(i, j)` in the paper).
     pub type_id: TypeId,
@@ -48,7 +48,7 @@ pub struct Edge {
 }
 
 /// An application graph (`ϕ^j`): a DAG of typed tasks.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Recipe {
     tasks: Vec<Task>,
     edges: Vec<Edge>,

@@ -377,6 +377,15 @@ pub fn fleet_obs_json(table: &FleetObsTable) -> String {
 mod tests {
     use super::*;
     use rental_obs::EventKind;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Every run of the lane installs the process-global LP/solver sink, and
+    /// a run's guard uninstalls whatever sink is installed when it drops —
+    /// so tests running the lane hold this lock for their whole run.
+    fn exclusive_global_sink() -> MutexGuard<'static, ()> {
+        static GLOBAL_SINK: Mutex<()> = Mutex::new(());
+        GLOBAL_SINK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     fn small_spec() -> FleetObsSpec {
         FleetObsSpec {
@@ -389,6 +398,7 @@ mod tests {
 
     #[test]
     fn obs_lane_captures_stages_effort_metrics_and_events() {
+        let _sink = exclusive_global_sink();
         let table = run_fleet_obs_experiment(&small_spec()).unwrap();
         assert_eq!(table.report.tenants.len(), 3);
         assert!(table.report.stage_seconds().total() > 0.0);
@@ -434,6 +444,7 @@ mod tests {
 
     #[test]
     fn obs_lane_event_sequences_are_deterministic() {
+        let _sink = exclusive_global_sink();
         let a = run_fleet_obs_experiment(&small_spec()).unwrap();
         let b = run_fleet_obs_experiment(&small_spec()).unwrap();
         let key = |events: &[Event]| -> Vec<(u64, usize, EventKind, Option<usize>)> {

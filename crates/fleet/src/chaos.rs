@@ -23,9 +23,14 @@
 //! an epoch whose draw fires re-applies the *previous* epoch's desired
 //! fleets to the capacity pool, so tenants serve on stale grants.
 //!
-//! The first `tenants.len()` calls (the initial batch) are never faulted —
-//! every tenant needs *some* plan before the epoch clock starts, exactly
-//! like the controller's own unbudgeted initial solves. Everything is
+//! The initial batch is never faulted — every tenant needs *some* plan
+//! before the epoch clock starts, exactly like the controller's own
+//! unbudgeted initial solves — so the fleet driver solves it outside the
+//! wrapper and starts the fault stream at position `tenants.len()`: re-solve
+//! `k` of a run draws position `tenants.len() + k`. A request repeated within
+//! one batch is solved, and drawn, once
+//! ([`rental_solvers::solve_warm_batch`]): its repeats share the outcome,
+//! injected fault included, and add 0 s of solve time. Everything is
 //! deterministic for a fixed seed and a single solver thread; the chaos
 //! property tests pin that the controller **never panics**, never grants
 //! above quota, and degrades toward the fixed-mix baseline as the fault
@@ -177,19 +182,16 @@ enum Fault {
 pub struct ChaosSolver<'a, S> {
     inner: &'a S,
     config: ChaosConfig,
-    /// Calls `0..protected` (the initial batch) are never faulted.
-    protected: u64,
     stats: &'a ChaosStats,
 }
 
 impl<'a, S> ChaosSolver<'a, S> {
-    /// Wraps `inner`, protecting the first `protected` calls (one per
-    /// tenant of the run's initial batch).
-    pub fn new(inner: &'a S, config: ChaosConfig, protected: usize, stats: &'a ChaosStats) -> Self {
+    /// Wraps `inner`, drawing faults from the stream position `stats`
+    /// holds.
+    pub fn new(inner: &'a S, config: ChaosConfig, stats: &'a ChaosStats) -> Self {
         ChaosSolver {
             inner,
             config,
-            protected: protected as u64,
             stats,
         }
     }
@@ -199,9 +201,6 @@ impl<'a, S> ChaosSolver<'a, S> {
     /// solves).
     fn draw(&self) -> Option<Fault> {
         let n = self.stats.calls.fetch_add(1, Ordering::SeqCst);
-        if n < self.protected {
-            return None;
-        }
         let u = unit(splitmix64(
             self.config.seed ^ n.wrapping_mul(0xD1B5_4A32_D192_ED03),
         ));
@@ -503,7 +502,7 @@ impl FleetController {
     /// [`FleetController::run_with_capacity`] under deterministic fault
     /// injection: solver faults per [`ChaosConfig`]'s rates, arbitration
     /// delays per [`ChaosConfig::arbitration_delay_rate`]. The initial
-    /// batch (one solve per tenant) is never faulted.
+    /// batch is never faulted.
     ///
     /// With an all-zero config this is behaviourally identical to
     /// [`FleetController::run_with_capacity`].
@@ -580,23 +579,36 @@ mod tests {
 
     #[test]
     fn protected_initial_calls_are_never_faulted() {
-        let stats = ChaosStats::default();
         let chaos = ChaosConfig {
             timeout_rate: 1.0,
             ..ChaosConfig::with_seed(7)
         };
+        // The wrapper itself protects nothing: every call it intercepts dies.
+        let stats = ChaosStats::default();
         let inner = IlpSolver::new();
-        let solver = ChaosSolver::new(&inner, chaos, 2, &stats);
-        let instance = illustrating_example();
-        // The first two calls (the "initial batch") succeed.
-        assert!(solver.solve_with_prior(&instance, 70, None).is_ok());
-        assert!(solver.solve_with_prior(&instance, 70, None).is_ok());
-        // Every later call is killed by the injected timeout.
-        for _ in 0..5 {
-            let err = solver.solve_with_prior(&instance, 70, None).unwrap_err();
-            assert!(matches!(err, SolveError::BudgetExhausted { .. }));
-        }
-        assert_eq!(stats.timeouts(), 5);
+        let solver = ChaosSolver::new(&inner, chaos, &stats);
+        let err = solver
+            .solve_with_prior(&illustrating_example(), 70, None)
+            .unwrap_err();
+        assert!(matches!(err, SolveError::BudgetExhausted { .. }));
+        // The driver solves the initial batch outside it: three identical
+        // tenants get their initial plans, and every re-solve drawn from
+        // stream position 3 on times out.
+        let policy = crate::FleetPolicy {
+            switching_cost: 4.0,
+            threads: Some(1),
+            ..crate::FleetPolicy::default()
+        };
+        let tenants: Vec<TenantSpec> = (0..3).flat_map(|_| tenants()).collect();
+        let (report, stats) = FleetController::new(policy)
+            .run_with_chaos(&inner, &tenants, &CapacityConfig::unconstrained(), chaos)
+            .unwrap();
+        assert!(report.tenants.iter().all(|t| t.effort.solves == 1));
+        assert!(stats.timeouts() > 0);
+        assert_eq!(
+            stats.calls.load(Ordering::SeqCst),
+            3 + stats.timeouts() as u64
+        );
     }
 
     #[test]
@@ -607,7 +619,7 @@ mod tests {
             ..ChaosConfig::with_seed(3)
         };
         let inner = IlpSolver::new();
-        let solver = ChaosSolver::new(&inner, chaos, 0, &stats);
+        let solver = ChaosSolver::new(&inner, chaos, &stats);
         let instance = illustrating_example();
         let honest = inner.solve(&instance, 70).unwrap();
         let prior = SweepPrior::from_outcome(70, &honest);

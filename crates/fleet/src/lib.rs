@@ -22,7 +22,9 @@
 //! 2. **Solve** — all tenants whose probes demand a re-solve are batched into
 //!    a single [`rental_solvers::solve_warm_batch`] fan-out on the shared
 //!    worker pool, each unit warm-started from that tenant's previous
-//!    incumbent and proven bound ([`rental_solvers::SweepPrior`]).
+//!    incumbent and proven bound ([`rental_solvers::SweepPrior`]). Tenants
+//!    asking the same request (equal instance, target, caps and prior) share
+//!    one solve; the initial plans come from the same kind of batch.
 //! 3. **Adopt** — a freshly solved plan is adopted only when its projected
 //!    savings over the remaining horizon exceed a configurable
 //!    switching/migration cost (hysteresis); rejected solves still sharpen

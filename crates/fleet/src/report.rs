@@ -10,6 +10,11 @@ use rental_solvers::solver::SolverOutcome;
 /// how much search work its solves consumed. Unlike [`StageTimes`] these are
 /// **exact counters**, not wall-clock — they survive
 /// [`FleetReport::matches_modulo_timing`] and are persisted across resumes.
+///
+/// A solve shared by several tenants of one batch (the same request, solved
+/// once) counts in full for each of them, so a tenant's effort does not
+/// depend on its co-tenants; a fleet total can therefore exceed the work
+/// the solver did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverEffort {
     /// Solver invocations that produced an outcome (initial solve included).

@@ -234,7 +234,8 @@ impl<'a> FleetRun<'a> {
         }
     }
 
-    /// A fresh run: one batched cold solve per tenant for its initial plan,
+    /// A fresh run: one batched cold solve per distinct initial request
+    /// (instance and target; tenants asking the same share its outcome),
     /// then the coupling state. Initial solves are never budgeted.
     fn start<S: CapacitySolver + Sync>(
         ctl: &'a FleetController,
@@ -972,7 +973,9 @@ impl FleetController {
     /// The one fleet driver behind every entry point: the solver, wrapped
     /// in the deterministic fault injector when `chaos` is given, drives the
     /// shared epoch loop — capacity-coupled under `config`, journaled and
-    /// resumable under `durable`.
+    /// resumable under `durable`. The initial fan-out is never faulted, so
+    /// it bypasses the injector; the fault stream starts at position
+    /// `tenants.len()`, and re-solve `k` draws position `tenants.len() + k`.
     pub(crate) fn drive<S: CapacitySolver + Sync>(
         &self,
         solver: &S,
@@ -984,17 +987,21 @@ impl FleetController {
         let stats = ChaosStats::default();
         let outcome = match chaos {
             Some(chaos) => {
-                let wrapped = ChaosSolver::new(solver, chaos, tenants.len(), &stats);
+                let wrapped = ChaosSolver::new(solver, chaos, &stats);
                 let clock = ChaosClock::new(chaos, &stats);
-                self.drive_loop(&wrapped, Some(&clock), tenants, config, durable)
+                clock.set_calls(tenants.len() as u64);
+                self.drive_loop(solver, &wrapped, Some(&clock), tenants, config, durable)
             }
-            None => self.drive_loop(solver, None, tenants, config, durable),
+            None => self.drive_loop(solver, solver, None, tenants, config, durable),
         }?;
         Ok((outcome, stats))
     }
 
-    fn drive_loop<'a, S: CapacitySolver + Sync>(
+    /// The loop itself: `initial` solves a fresh run's initial fan-out,
+    /// `solver` every re-solve.
+    fn drive_loop<'a, I: CapacitySolver + Sync, S: CapacitySolver + Sync>(
         &'a self,
+        initial: &I,
         solver: &S,
         chaos: Option<&'a ChaosClock<'a>>,
         tenants: &'a [TenantSpec],
@@ -1010,7 +1017,7 @@ impl FleetController {
             None => {
                 // Fresh start, or the cold-restart rung: clean slate,
                 // everything re-derived deterministically from configs.
-                let mut run = FleetRun::start(self, solver, tenants, config, chaos)?;
+                let mut run = FleetRun::start(self, initial, tenants, config, chaos)?;
                 if let Some(durable) = durable {
                     durable.begin(&mut run)?;
                 }

@@ -13,14 +13,23 @@ use rental_solvers::exact::IlpSolver;
 use rental_solvers::SolveBudget;
 use rental_stream::WorkloadTrace;
 
-/// A single diurnal tenant whose demand shifts force re-solves — the
-/// workload the fault injector gets to interfere with.
+/// `copies` identical diurnal tenants whose demand shifts force re-solves —
+/// the workload the fault injector gets to interfere with.
+fn diurnal_copies(copies: usize) -> Vec<TenantSpec> {
+    (0..copies)
+        .map(|_| {
+            TenantSpec::new(
+                "chaotic",
+                illustrating_example(),
+                WorkloadTrace::diurnal(20.0, 160.0, 12.0, 2),
+            )
+        })
+        .collect()
+}
+
+/// A single diurnal tenant.
 fn diurnal_tenants() -> Vec<TenantSpec> {
-    vec![TenantSpec::new(
-        "chaotic",
-        illustrating_example(),
-        WorkloadTrace::diurnal(20.0, 160.0, 12.0, 2),
-    )]
+    diurnal_copies(1)
 }
 
 /// Single-threaded policy: call-counter fault draws are only deterministic
@@ -103,23 +112,29 @@ proptest! {
     /// rides the bottom rungs of the degradation ladder: each tenant keeps
     /// its (protected) initial plan forever, so the bill *is* the fixed-mix
     /// baseline — the worst-case envelope, never a crash or a runaway cost.
+    /// Identical tenants make one request per batch, initial batch
+    /// included, so this must hold however many of them share it.
     #[test]
-    fn total_timeout_rate_degrades_to_the_fixed_mix_baseline(seed in any::<u64>()) {
+    fn total_timeout_rate_degrades_to_the_fixed_mix_baseline(
+        seed in any::<u64>(),
+        copies in 1usize..=4,
+    ) {
         let chaos = ChaosConfig {
             timeout_rate: 1.0,
             ..ChaosConfig::with_seed(seed)
         };
         let config = CapacityConfig::unconstrained();
         let (report, stats) = FleetController::new(single_thread_policy())
-            .run_with_chaos(&IlpSolver::new(), &diurnal_tenants(), &config, chaos)
+            .run_with_chaos(&IlpSolver::new(), &diurnal_copies(copies), &config, chaos)
             .unwrap();
-        let tenant = &report.tenants[0];
         prop_assert!(stats.timeouts() > 0);
-        prop_assert_eq!(tenant.resolves, 0);
-        prop_assert_eq!(tenant.adoptions, 0);
-        prop_assert!(tenant.deferred_resolves > 0);
-        prop_assert!(tenant.budget_exhausted_epochs > 0);
-        prop_assert!((tenant.rental_cost - tenant.fixed_mix_cost).abs() < 1e-9);
+        for tenant in &report.tenants {
+            prop_assert_eq!(tenant.resolves, 0);
+            prop_assert_eq!(tenant.adoptions, 0);
+            prop_assert!(tenant.deferred_resolves > 0);
+            prop_assert!(tenant.budget_exhausted_epochs > 0);
+            prop_assert!((tenant.rental_cost - tenant.fixed_mix_cost).abs() < 1e-9);
+        }
     }
 
     /// Chaos is an *experiment*, not noise: the same seed and config replay

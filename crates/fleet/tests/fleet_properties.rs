@@ -1,12 +1,65 @@
 //! Property tests of the fleet controller's probe / solve / adopt loop.
 
+use std::sync::Mutex;
+
 use proptest::prelude::*;
 
 use rental_core::examples::illustrating_example;
-use rental_fleet::{FleetController, FleetPolicy, TenantSpec};
+use rental_core::{Instance, Throughput};
+use rental_fleet::{
+    initial_target, scaling_fleet, AdoptionRecord, FleetController, FleetPolicy, TenantSpec,
+};
 use rental_solvers::exact::IlpSolver;
-use rental_solvers::MinCostSolver;
+use rental_solvers::{
+    CapacitySolver, MinCostSolver, SolveResult, SolverOutcome, SweepPrior, WarmStartSolver,
+};
 use rental_stream::{AutoscalePolicy, Autoscaler, TraceSegment, WorkloadTrace};
+
+/// `IlpSolver` recording the `(instance, target)` of every solve without a
+/// prior — in `run`, exactly the initial fan-out (every later solve is
+/// warm-started from the tenant's previous plan).
+#[derive(Default)]
+struct InitialCallCounter {
+    inner: IlpSolver,
+    cold: Mutex<Vec<(Instance, Throughput)>>,
+}
+
+impl MinCostSolver for InitialCallCounter {
+    fn name(&self) -> &str {
+        "initial-call-counter"
+    }
+
+    fn solve(&self, instance: &Instance, target: Throughput) -> SolveResult<SolverOutcome> {
+        self.inner.solve(instance, target)
+    }
+}
+
+impl WarmStartSolver for InitialCallCounter {
+    fn solve_with_prior(
+        &self,
+        instance: &Instance,
+        target: Throughput,
+        prior: Option<&SweepPrior>,
+    ) -> SolveResult<SolverOutcome> {
+        if prior.is_none() {
+            let call = (instance.clone(), target);
+            self.cold.lock().unwrap().push(call);
+        }
+        self.inner.solve_with_prior(instance, target, prior)
+    }
+}
+
+impl CapacitySolver for InitialCallCounter {
+    fn solve_with_caps(
+        &self,
+        instance: &Instance,
+        target: Throughput,
+        caps: &[u64],
+        prior: Option<&SweepPrior>,
+    ) -> SolveResult<SolverOutcome> {
+        self.inner.solve_with_caps(instance, target, caps, prior)
+    }
+}
 
 fn arbitrary_trace() -> impl Strategy<Value = WorkloadTrace> {
     proptest::collection::vec((2.0f64..12.0, 0.0f64..180.0), 1..6).prop_map(|segments| {
@@ -106,6 +159,48 @@ proptest! {
         );
         prop_assert_eq!(report.tenants[0].resolves, 0);
         prop_assert_eq!(report.tenants[0].switching_cost, 0.0);
+    }
+
+    /// Independent oracle: in `run` a tenant shares nothing with its
+    /// co-tenants, so each tenant of a 48-tenant scaling fleet — re-solving,
+    /// since switching is free — must report exactly what it reports run
+    /// alone. Tenants sharing an instance and initial target share one
+    /// initial solve: the solver sees each such request once.
+    #[test]
+    fn every_tenant_matches_its_solo_run(seed in any::<u64>()) {
+        let scenario = scaling_fleet(48, seed);
+        let policy = FleetPolicy { switching_cost: 0.0, ..scenario.policy };
+        let controller = FleetController::new(policy);
+        let counter = InitialCallCounter::default();
+        let fleet = controller.run(&counter, &scenario.tenants).unwrap();
+        prop_assert!(fleet.resolved_tenant_epochs() > 0);
+
+        let mut requests: Vec<(Instance, Throughput)> = Vec::new();
+        for t in &scenario.tenants {
+            let request = (t.instance.clone(), initial_target(&policy, &t.instance, &t.trace));
+            if !requests.contains(&request) {
+                requests.push(request);
+            }
+        }
+        // As many calls as requests, and every request among them: each
+        // request was solved exactly once.
+        let cold = counter.cold.into_inner().unwrap();
+        prop_assert_eq!(cold.len(), requests.len());
+        prop_assert!(requests.iter().all(|request| cold.contains(request)));
+
+        for (i, tenant) in scenario.tenants.iter().enumerate() {
+            let solo = controller
+                .run(&IlpSolver::new(), std::slice::from_ref(tenant))
+                .unwrap();
+            prop_assert!(fleet.tenants[i].matches_modulo_timing(&solo.tenants[0]), "tenant {}", i);
+            let own: Vec<_> = fleet
+                .adoptions
+                .iter()
+                .filter(|record| record.tenant == i)
+                .map(|record| AdoptionRecord { tenant: 0, ..record.clone() })
+                .collect();
+            prop_assert_eq!(&own, &solo.adoptions, "tenant {}", i);
+        }
     }
 
     /// Fleet runs are deterministic: identical inputs give identical reports

@@ -14,9 +14,10 @@
 //! batch solve is observationally identical to the sequential double loop —
 //! a property covered by the `batch_matches_sequential` tests.
 
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use rental_core::{Instance, Throughput};
+use rental_core::{Instance, Throughput, ThroughputSplit};
 
 use crate::solver::{
     CapacitySolver, MinCostSolver, SolveBudget, SolveError, SolveResult, SolverOutcome, SweepPrior,
@@ -210,6 +211,30 @@ impl<'a> WarmBatchItem<'a> {
     }
 }
 
+/// A [`WarmBatchItem`] by value — the request [`solve_warm_batch`] solves
+/// once however often it repeats. Instances compare by value (every fleet
+/// tenant owns its own clone) and the prior's lower bound bit for bit.
+#[derive(PartialEq, Eq, Hash)]
+struct RequestKey<'a> {
+    instance: &'a Instance,
+    target: Throughput,
+    caps: Option<&'a [u64]>,
+    prior: Option<(Throughput, &'a ThroughputSplit, Option<u64>)>,
+}
+
+impl<'a> RequestKey<'a> {
+    fn of(item: &WarmBatchItem<'a>) -> Self {
+        RequestKey {
+            instance: item.instance,
+            target: item.target,
+            caps: item.caps,
+            prior: item
+                .prior
+                .map(|p| (p.target, &p.split, p.lower_bound.map(f64::to_bits))),
+        }
+    }
+}
+
 /// Solves heterogeneous warm-started units in parallel on the shared pool,
 /// reporting per-unit wall time (including failed solves, mirroring
 /// [`solve_batch_timed`]). Capped items go through
@@ -218,6 +243,13 @@ impl<'a> WarmBatchItem<'a> {
 /// `budget` is given. Results are returned in input order and match the
 /// sequential calls exactly: each unit's prior and caps come with the item,
 /// so no cross-unit state is threaded.
+///
+/// **Repeated requests are solved once.** Items equal in instance (by
+/// value), target, caps and prior are one request: only its first
+/// occurrence goes to the pool and keeps its measured time; every later
+/// occurrence receives a clone of the same result with [`Duration::ZERO`]
+/// elapsed, so summing the durations counts only the solver work done. A
+/// batch without repeats returns its fan-out as is.
 ///
 /// The budget applies **per unit**. Callers sharing one epoch budget across
 /// the batch split it *before* the fan-out ([`SolveBudget::split`]) —
@@ -230,13 +262,28 @@ pub fn solve_warm_batch<S: CapacitySolver + Sync>(
     budget: Option<&SolveBudget>,
     max_threads: Option<usize>,
 ) -> Vec<(SolveResult<SolverOutcome>, Duration)> {
-    rayon::parallel_map_indexed(items.len(), max_threads, |i| {
+    // `firsts[r]`: the item index of request `r`'s first occurrence;
+    // `request[i]`: the request item `i` asks for. The instance's one
+    // interior-mutable part, its lazy pair-diff cache, takes no part in
+    // `Eq`/`Hash`, so keys cannot change while hashed.
+    #[allow(clippy::mutable_key_type)]
+    let mut seen: HashMap<RequestKey<'_>, usize> = HashMap::with_capacity(items.len());
+    let mut firsts = Vec::new();
+    let request: Vec<usize> = (items.iter().enumerate())
+        .map(|(i, item)| {
+            *seen.entry(RequestKey::of(item)).or_insert_with(|| {
+                firsts.push(i);
+                firsts.len() - 1
+            })
+        })
+        .collect();
+    let solved = rayon::parallel_map_indexed(firsts.len(), max_threads, |r| {
         let WarmBatchItem {
             instance,
             target,
             caps,
             prior,
-        } = items[i];
+        } = items[firsts[r]];
         let start = Instant::now();
         let result = match (caps, budget) {
             (None, None) => solver.solve_with_prior(instance, target, prior),
@@ -249,7 +296,21 @@ pub fn solve_warm_batch<S: CapacitySolver + Sync>(
             }
         };
         (result, start.elapsed())
-    })
+    });
+    if firsts.len() == items.len() {
+        return solved;
+    }
+    (request.iter().enumerate())
+        .map(|(i, &r)| {
+            let (result, elapsed) = &solved[r];
+            let elapsed = if firsts[r] == i {
+                *elapsed
+            } else {
+                Duration::ZERO
+            };
+            (result.clone(), elapsed)
+        })
+        .collect()
 }
 
 /// Sweeps every instance over the same targets, in parallel across instances
