@@ -6,11 +6,12 @@
 //!
 //! * `fleet_deadline/nodes-N` times a full run of the 8-tenant
 //!   diurnal+spike scenario at each budget tier (plus the unlimited tier).
-//! * The harness then runs the same sweep once more as the acceptance
-//!   check and writes `BENCH_fleet_deadline.json`. The floors asserted
-//!   here are the ISSUE-6 acceptance criteria:
+//! * The harness then takes the same sweep from the `fleet_deadline` lane
+//!   (`run_fleet_deadline_experiment`) as the acceptance check and writes
+//!   the lane's rows to `BENCH_fleet_deadline.json` (JSON Lines). The floors
+//!   asserted here are the ISSUE-6 acceptance criteria:
 //!   - the **unlimited** tier is bit-identical to the budget-free
-//!     controller (same bill, same adoption trail);
+//!     controller of the `fleet` lane (same bill, same adoption trail);
 //!   - every budgeted tier stays within **5%** of the proven-optimal
 //!     bill, the mid tier within **3%** — graceful degradation, not
 //!     collapse;
@@ -23,25 +24,27 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use rental_experiments::{run_fleet_deadline_experiment, FleetDeadlineSpec};
-use rental_fleet::{diurnal_spike_fleet, FleetController, ACCEPTANCE_SEED};
+use rental_experiments::{
+    fleet_deadline_json, fleet_deadline_markdown, run_fleet_deadline_experiment,
+    run_fleet_experiment, FleetDeadlineSpec, FleetExperimentSpec,
+};
+use rental_fleet::{diurnal_spike_fleet, FleetController};
 use rental_solvers::exact::IlpSolver;
 use rental_solvers::SolveBudget;
 
-const NUM_TENANTS: usize = 8;
-const NODE_BUDGETS: [Option<usize>; 4] = [Some(8), Some(64), Some(2_000), None];
 /// The mid tier pinned to the tighter 3% floor.
 const MID_TIER: usize = 64;
 /// The tight tier that must visibly exercise the anytime ladder.
 const TIGHT_TIER: usize = 8;
 
 fn bench_fleet_deadline(c: &mut Criterion) {
+    let spec = FleetDeadlineSpec::default();
     let solver = IlpSolver::new();
 
     let mut group = c.benchmark_group("fleet_deadline");
     group.sample_size(10);
-    for &node_budget in &NODE_BUDGETS {
-        let scenario = diurnal_spike_fleet(NUM_TENANTS, ACCEPTANCE_SEED);
+    for &node_budget in &spec.node_budgets {
+        let scenario = diurnal_spike_fleet(spec.num_tenants, spec.seed);
         let mut policy = scenario.policy;
         policy.epoch_budget = node_budget.map(SolveBudget::with_node_cap);
         let controller = FleetController::new(policy);
@@ -61,56 +64,33 @@ fn bench_fleet_deadline(c: &mut Criterion) {
     group.finish();
 
     // ------------------------------------------------------------------
-    // The budget-sweep acceptance check, summarised into
+    // The budget-sweep acceptance check, written to
     // BENCH_fleet_deadline.json.
     // ------------------------------------------------------------------
-    let spec = FleetDeadlineSpec {
-        num_tenants: NUM_TENANTS,
-        seed: ACCEPTANCE_SEED,
-        node_budgets: NODE_BUDGETS.to_vec(),
-        threads: None,
-    };
     let table = run_fleet_deadline_experiment(&spec).expect("the deadline sweep solves");
+    print!("{}", fleet_deadline_markdown(&table));
     let unlimited = table
-        .unlimited_cost()
+        .rows
+        .iter()
+        .find(|row| row.node_budget.is_none())
         .expect("the sweep includes the unlimited tier");
 
     // Floor 1: the unlimited tier is bit-identical to the budget-free run.
-    let plain_scenario = diurnal_spike_fleet(NUM_TENANTS, ACCEPTANCE_SEED);
-    let plain = FleetController::new(plain_scenario.policy)
-        .run(&solver, &plain_scenario.tenants)
-        .expect("the plain scenario solves");
-    assert_eq!(
-        plain.total_cost(),
-        unlimited,
-        "an unlimited epoch budget must not change the bill"
-    );
-    assert_eq!(
-        plain.adoptions.len(),
-        table
-            .rows
-            .iter()
-            .find(|row| row.node_budget.is_none())
-            .map(|row| row.report.adoptions.len())
-            .unwrap(),
-        "an unlimited epoch budget must not change the adoption trail"
+    let plain = run_fleet_experiment(&FleetExperimentSpec {
+        num_tenants: spec.num_tenants,
+        seed: spec.seed,
+        threads: spec.threads,
+    })
+    .expect("the plain scenario solves")
+    .report;
+    assert!(
+        plain.matches_modulo_timing(&unlimited.report),
+        "an unlimited epoch budget must not change the bill or the adoption trail"
     );
 
-    let mut rows = Vec::new();
     for row in &table.rows {
         let report = &row.report;
         let ratio = table.cost_ratio(row);
-        println!(
-            "fleet_deadline summary (nodes {}): fleet {:.0} ({:.3}x unlimited); {} incumbent \
-             adoptions, {} exhausted epochs, {} deferred, {} retries",
-            row.label(),
-            report.total_cost(),
-            ratio,
-            report.incumbent_adoptions(),
-            report.budget_exhausted_epochs(),
-            report.deferred_resolves(),
-            report.resolve_retries(),
-        );
         // Floor 2: graceful degradation — no tier collapses the bill.
         assert!(
             ratio <= 1.05,
@@ -135,27 +115,9 @@ fn bench_fleet_deadline(c: &mut Criterion) {
                 "nodes {TIGHT_TIER}: the tight tier must adopt anytime incumbents"
             );
         }
-        rows.push(format!(
-            "    {{\n      \"node_budget\": {},\n      \"fleet_cost\": {:.2},\n      \
-             \"cost_ratio_vs_unlimited\": {ratio:.4},\n      \"incumbent_adoptions\": {},\n      \
-             \"budget_exhausted_epochs\": {},\n      \"deferred_resolves\": {},\n      \
-             \"resolve_retries\": {}\n    }}",
-            row.node_budget
-                .map_or_else(|| "null".to_string(), |n| n.to_string()),
-            report.total_cost(),
-            report.incumbent_adoptions(),
-            report.budget_exhausted_epochs(),
-            report.deferred_resolves(),
-            report.resolve_retries(),
-        ));
     }
 
-    let json = format!(
-        "{{\n  \"scenario\": \"diurnal-spike-{NUM_TENANTS}-deadline\",\n  \"tenants\": \
-         {NUM_TENANTS},\n  \"unlimited_cost\": {unlimited:.2},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
-    std::fs::write("BENCH_fleet_deadline.json", &json)
+    std::fs::write("BENCH_fleet_deadline.json", fleet_deadline_json(&table))
         .expect("BENCH_fleet_deadline.json is writable");
     println!("wrote BENCH_fleet_deadline.json");
 }

@@ -6,35 +6,36 @@
 //!
 //! * `fleet_failure/mtbf-H` times a full coupled run of the 8-tenant
 //!   diurnal+spike scenario at each MTBF of the sweep.
-//! * The harness then runs the same MTBF sweep once more as the acceptance
-//!   check and writes `BENCH_fleet_failure.json`: per MTBF, the coupled
-//!   fleet's cost and SLO-violation epochs against the **static-headroom**
-//!   baseline (provisioning every tenant's initial mix for
-//!   `peak / availability` over the whole horizon). The conservative floors
-//!   asserted here are the ISSUE-5 acceptance criteria: fleet-with-repair is
-//!   **cheaper** than static headroom while keeping SLO-violation epochs
-//!   **below** the baseline's.
+//! * The harness then takes the same MTBF sweep from the `fleet_failure`
+//!   lane (`run_fleet_failure_experiment`) as the acceptance check and
+//!   writes the lane's rows to `BENCH_fleet_failure.json` (JSON Lines): per
+//!   MTBF, the coupled fleet's cost and SLO-violation epochs against the
+//!   **static-headroom** baseline (provisioning every tenant's initial mix
+//!   for `peak / availability` over the whole horizon). The conservative
+//!   floors asserted here are the ISSUE-5 acceptance criteria:
+//!   fleet-with-repair is **cheaper** than static headroom while keeping
+//!   SLO-violation epochs **below** the baseline's.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use rental_experiments::failure_sweep_solver;
-use rental_fleet::{failure_coupled_fleet, FleetController, ACCEPTANCE_SEED};
-
-const NUM_TENANTS: usize = 8;
-const MTBFS: [f64; 3] = [48.0, 96.0, 192.0];
-const REPAIR_HOURS: f64 = 4.0;
+use rental_experiments::{
+    failure_sweep_solver, fleet_failure_json, fleet_failure_markdown, run_fleet_failure_experiment,
+    FleetFailureSpec,
+};
+use rental_fleet::{failure_coupled_fleet, FleetController};
 
 fn bench_fleet_failure(c: &mut Criterion) {
+    let spec = FleetFailureSpec::default();
     // Node-limited (deterministic) so one pathological branch-and-bound tree
     // cannot stall the sweep — the same solver the experiments lane uses.
     let solver = failure_sweep_solver();
 
     let mut group = c.benchmark_group("fleet_failure");
     group.sample_size(10);
-    for &mtbf in &MTBFS {
+    for &mtbf in &spec.mtbfs {
         let (scenario, config) =
-            failure_coupled_fleet(NUM_TENANTS, ACCEPTANCE_SEED, mtbf, REPAIR_HOURS);
+            failure_coupled_fleet(spec.num_tenants, spec.seed, mtbf, spec.repair_time);
         let controller = FleetController::new(scenario.policy);
         group.bench_with_input(
             BenchmarkId::new("mtbf", mtbf as u64),
@@ -52,34 +53,13 @@ fn bench_fleet_failure(c: &mut Criterion) {
     group.finish();
 
     // ------------------------------------------------------------------
-    // The MTBF-sweep acceptance check, summarised into
-    // BENCH_fleet_failure.json.
+    // The MTBF-sweep acceptance check, written to BENCH_fleet_failure.json.
     // ------------------------------------------------------------------
-    let mut rows = Vec::new();
-    for &mtbf in &MTBFS {
-        let (scenario, config) =
-            failure_coupled_fleet(NUM_TENANTS, ACCEPTANCE_SEED, mtbf, REPAIR_HOURS);
-        let report = FleetController::new(scenario.policy)
-            .run_with_capacity(&solver, &scenario.tenants, &config)
-            .expect("the failure scenario solves");
-        println!(
-            "fleet_failure summary (mtbf {mtbf} h, avail {:.3}): fleet {:.0} vs static-headroom \
-             {:.0} ({:.1}% saved); SLO epochs {} vs {}; {} failure re-solves, {} degraded; peak \
-             quota use {:.2}",
-            config.availability(),
-            report.total_cost(),
-            report.static_headroom_cost(),
-            100.0 * report.savings_vs_static_headroom() / report.static_headroom_cost(),
-            report.slo_violation_epochs(),
-            report.static_headroom_violations(),
-            report.failure_resolves(),
-            report.degraded_resolves(),
-            report
-                .quota_utilization
-                .iter()
-                .copied()
-                .fold(0.0f64, f64::max),
-        );
+    let table = run_fleet_failure_experiment(&spec).expect("the failure scenario solves");
+    print!("{}", fleet_failure_markdown(&table));
+    for row in &table.rows {
+        let report = &row.report;
+        let mtbf = row.mtbf;
         // Conservative acceptance floors: cheaper than the availability-
         // adjusted static baseline, with strictly fewer SLO-violation epochs.
         assert!(
@@ -90,34 +70,9 @@ fn bench_fleet_failure(c: &mut Criterion) {
             report.slo_violation_epochs() < report.static_headroom_violations(),
             "mtbf {mtbf}: coupled serving must violate fewer epochs than the static baseline"
         );
-        rows.push(format!(
-            "    {{\n      \"mtbf_hours\": {mtbf:.1},\n      \"availability\": {:.4},\n      \
-             \"fleet_cost\": {:.2},\n      \"static_headroom_cost\": {:.2},\n      \
-             \"savings_vs_static_headroom\": {:.2},\n      \"fleet_slo_epochs\": {},\n      \
-             \"baseline_slo_epochs\": {},\n      \"failure_resolves\": {},\n      \
-             \"degraded_resolves\": {},\n      \"peak_quota_utilization\": {:.4}\n    }}",
-            config.availability(),
-            report.total_cost(),
-            report.static_headroom_cost(),
-            report.savings_vs_static_headroom(),
-            report.slo_violation_epochs(),
-            report.static_headroom_violations(),
-            report.failure_resolves(),
-            report.degraded_resolves(),
-            report
-                .quota_utilization
-                .iter()
-                .copied()
-                .fold(0.0f64, f64::max),
-        ));
     }
 
-    let json = format!(
-        "{{\n  \"scenario\": \"diurnal-spike-{NUM_TENANTS}-failure\",\n  \"tenants\": \
-         {NUM_TENANTS},\n  \"repair_hours\": {REPAIR_HOURS:.1},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
-    std::fs::write("BENCH_fleet_failure.json", &json)
+    std::fs::write("BENCH_fleet_failure.json", fleet_failure_json(&table))
         .expect("BENCH_fleet_failure.json is writable");
     println!("wrote BENCH_fleet_failure.json");
 }

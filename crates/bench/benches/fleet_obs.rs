@@ -13,8 +13,9 @@
 //! * `recorder` — a live `Recorder` installed both ambiently (LP + solver
 //!   layers) and on the controller (spans, fleet counters, events).
 //!
-//! The harness then writes `BENCH_fleet_obs.json` asserting the ISSUE-8
-//! acceptance floors:
+//! No experiments lane measures these overheads, so the harness runs the
+//! variants itself, asserts the ISSUE-8 acceptance floors and writes one
+//! JSON Lines row to `BENCH_fleet_obs.json`:
 //!
 //! * **decision identity**: both telemetered runs reproduce the baseline
 //!   report bit-for-bit (modulo wall-clock timing, the one masked family);
@@ -45,6 +46,7 @@ use std::time::{Duration, Instant};
 use rental_fleet::{
     failure_coupled_fleet, FleetController, FleetPolicy, FleetReport, ACCEPTANCE_SEED,
 };
+use rental_obs::json::JsonRow;
 use rental_obs::{install_scoped, Exporter, NoopSink, Recorder};
 use rental_solvers::exact::IlpSolver;
 use rental_solvers::SolveBudget;
@@ -135,7 +137,7 @@ fn bench_fleet_obs(c: &mut Criterion) {
     group.finish();
 
     // ------------------------------------------------------------------
-    // The acceptance checks, summarised into BENCH_fleet_obs.json.
+    // The acceptance checks, written to BENCH_fleet_obs.json.
     // ------------------------------------------------------------------
 
     // The three variants are timed **interleaved** (baseline, noop,
@@ -272,19 +274,29 @@ fn bench_fleet_obs(c: &mut Criterion) {
         100.0 * ENABLED_FLOOR,
     );
 
-    let json = format!(
-        "{{\n  \"scenario\": \"failure-coupled-{NUM_TENANTS}-obs\",\n  \"tenants\": \
-         {NUM_TENANTS},\n  \"epochs\": {epochs},\n  \"trials\": {TRIALS},\n  \
-         \"baseline_seconds\": {baseline_seconds:.6},\n  \"noop_seconds\": {noop_seconds:.6},\n  \
-         \"enabled_seconds\": {enabled_seconds:.6},\n  \"noop_overhead_fraction\": \
-         {noop_overhead:.6},\n  \"enabled_overhead_fraction\": {enabled_overhead:.6},\n  \
-         \"noop_floor\": {NOOP_FLOOR},\n  \"enabled_floor\": {ENABLED_FLOOR},\n  \
-         \"noop_identical\": {noop_identical},\n  \"enabled_identical\": {enabled_identical},\n  \
-         \"exported_identical\": {exported_identical},\n  \"live_scrapes\": {live_scrapes},\n  \
-         \"scrape_mean_seconds\": {scrape_mean_seconds:.9},\n  \"scrape_floor\": {SCRAPE_FLOOR},\n  \
-         \"counters_captured\": {},\n  \"events_captured\": {events}\n}}\n",
-        snapshot.counters.len(),
-    );
+    let json = JsonRow::new()
+        .str("record", "fleet_obs")
+        .str("scenario", &format!("failure-coupled-{NUM_TENANTS}-obs"))
+        .usize("tenants", NUM_TENANTS)
+        .usize("epochs", epochs)
+        .usize("trials", TRIALS)
+        .f64("baseline_seconds", baseline_seconds)
+        .f64("noop_seconds", noop_seconds)
+        .f64("enabled_seconds", enabled_seconds)
+        .f64("noop_overhead_fraction", noop_overhead)
+        .f64("enabled_overhead_fraction", enabled_overhead)
+        .f64("noop_floor", NOOP_FLOOR)
+        .f64("enabled_floor", ENABLED_FLOOR)
+        .bool("noop_identical", noop_identical)
+        .bool("enabled_identical", enabled_identical)
+        .bool("exported_identical", exported_identical)
+        .usize("live_scrapes", live_scrapes)
+        .f64("scrape_mean_seconds", scrape_mean_seconds)
+        .f64("scrape_floor", SCRAPE_FLOOR)
+        .usize("counters_captured", snapshot.counters.len())
+        .usize("events_captured", events)
+        .finish()
+        + "\n";
     std::fs::write("BENCH_fleet_obs.json", &json).expect("BENCH_fleet_obs.json is writable");
     println!("wrote BENCH_fleet_obs.json");
 }

@@ -6,15 +6,17 @@
 //! * `fleet_recovery/plain` times the in-memory coupled run;
 //!   `fleet_recovery/durable-N` times the same run with a write-ahead
 //!   journal record per epoch and a full snapshot every N epochs.
-//! * The harness then runs the acceptance checks and writes
-//!   `BENCH_fleet_recovery.json`. The floors asserted here are the ISSUE-7
-//!   acceptance criteria:
-//!   - **snapshot overhead**: at the operating cadence (one snapshot every
-//!     48 epochs) the amortized per-epoch cost of writing a snapshot stays
-//!     under **5%** of the durable run's per-epoch wall-time. The
-//!     per-snapshot cost is measured directly — the minimum over repeated
-//!     same-sized checkpoint writes — because differencing whole runs
-//!     drowns a millisecond of fsync in scheduler noise;
+//! * The harness then takes the acceptance run from the `fleet_recovery`
+//!   lane (`run_fleet_recovery_experiment`: 8 tenants, one snapshot every
+//!   48 epochs, killed after the midpoint epoch) and writes the lane's row
+//!   plus one floors row to `BENCH_fleet_recovery.json` (JSON Lines). The
+//!   floors asserted here are the ISSUE-7 acceptance criteria:
+//!   - **snapshot overhead**: at the operating cadence the amortized
+//!     per-epoch cost of writing a snapshot stays under **5%** of the
+//!     durable run's per-epoch wall-time. The lane measures the
+//!     per-snapshot cost directly — the minimum over repeated same-sized
+//!     snapshot writes — because differencing whole runs drowns a
+//!     millisecond of fsync in scheduler noise;
 //!   - **resume equivalence**: the uninterrupted durable run and a run
 //!     killed right after journalling the midpoint epoch and restarted
 //!     from disk both reproduce the plain run's report bit-for-bit
@@ -26,12 +28,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
-use rental_fleet::{
-    failure_coupled_fleet, CrashPlan, CrashPoint, FleetController, FleetPolicy, FleetReport,
-    PersistOptions, RunOutcome, ACCEPTANCE_SEED,
+use rental_experiments::{
+    fleet_recovery_json, fleet_recovery_markdown, run_fleet_recovery_experiment, FleetRecoverySpec,
 };
+use rental_fleet::{failure_coupled_fleet, FleetController, FleetPolicy, PersistOptions};
+use rental_obs::json::JsonRow;
 use rental_persist::Store;
 use rental_solvers::exact::IlpSolver;
 use rental_solvers::SolveBudget;
@@ -39,62 +41,34 @@ use rental_solvers::SolveBudget;
 const NUM_TENANTS: usize = 8;
 /// The operating snapshot cadence the overhead floor is asserted at.
 const OPERATING_CADENCE: usize = 48;
-/// Snapshot-write repetitions; the minimum is the noise-free cost estimate.
-const SNAPSHOT_TRIALS: usize = 32;
 /// ISSUE-7 floor: amortized snapshot cost per epoch vs epoch wall-time.
 const OVERHEAD_FLOOR: f64 = 0.05;
 
-fn scratch_store(tag: &str) -> Store {
+fn scratch_store() -> Store {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let unique = COUNTER.fetch_add(1, Ordering::SeqCst);
     let dir = std::env::temp_dir().join(format!(
-        "rental-bench-recovery-{}-{tag}-{unique}",
+        "rental-bench-recovery-{}-{unique}",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
     Store::open(dir).expect("scratch store opens")
 }
 
-fn scenario() -> (
-    Vec<rental_fleet::TenantSpec>,
-    rental_fleet::CapacityConfig,
-    FleetController,
-) {
-    let (scenario, config) = failure_coupled_fleet(NUM_TENANTS, ACCEPTANCE_SEED, 96.0, 4.0);
-    let policy = FleetPolicy {
-        threads: Some(1),
+fn bench_fleet_recovery(c: &mut Criterion) {
+    let spec = FleetRecoverySpec {
+        num_tenants: NUM_TENANTS,
+        snapshot_cadences: vec![OPERATING_CADENCE],
+        ..FleetRecoverySpec::default()
+    };
+    let (scenario, config) =
+        failure_coupled_fleet(spec.num_tenants, spec.seed, spec.mtbf, spec.repair_time);
+    let controller = FleetController::new(FleetPolicy {
+        threads: spec.threads,
         epoch_budget: Some(SolveBudget::with_node_cap(50_000)),
         ..scenario.policy
-    };
-    (scenario.tenants, config, FleetController::new(policy))
-}
-
-fn run_durable(
-    controller: &FleetController,
-    tenants: &[rental_fleet::TenantSpec],
-    config: &rental_fleet::CapacityConfig,
-    store: &Store,
-    snapshot_every: usize,
-) -> FleetReport {
-    match controller
-        .run_resumable(
-            &IlpSolver::new(),
-            tenants,
-            config,
-            None,
-            store,
-            &PersistOptions { snapshot_every },
-            None,
-        )
-        .expect("the durable run completes")
-    {
-        RunOutcome::Completed(report) => report,
-        RunOutcome::Crashed { .. } => unreachable!("no crash was planned"),
-    }
-}
-
-fn bench_fleet_recovery(c: &mut Criterion) {
-    let (tenants, config, controller) = scenario();
+    });
+    let tenants = &scenario.tenants;
     let solver = IlpSolver::new();
 
     let mut group = c.benchmark_group("fleet_recovery");
@@ -102,7 +76,7 @@ fn bench_fleet_recovery(c: &mut Criterion) {
     group.bench_function("plain", |b| {
         b.iter(|| {
             controller
-                .run_with_capacity(&solver, black_box(&tenants), &config)
+                .run_with_capacity(&solver, black_box(tenants), &config)
                 .unwrap()
                 .total_cost()
         })
@@ -111,13 +85,25 @@ fn bench_fleet_recovery(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("durable", cadence as u64),
             &cadence,
-            |b, &cadence| {
+            |b, &snapshot_every| {
                 b.iter(|| {
-                    let store = scratch_store("crit");
-                    let cost =
-                        run_durable(&controller, &tenants, &config, &store, cadence).total_cost();
+                    let store = scratch_store();
+                    let outcome = controller
+                        .run_resumable(
+                            &solver,
+                            black_box(tenants),
+                            &config,
+                            None,
+                            &store,
+                            &PersistOptions { snapshot_every },
+                            None,
+                        )
+                        .expect("the durable run completes");
                     let _ = std::fs::remove_dir_all(store.dir());
-                    cost
+                    outcome
+                        .completed()
+                        .expect("no crash was planned")
+                        .total_cost()
                 })
             },
         );
@@ -125,129 +111,52 @@ fn bench_fleet_recovery(c: &mut Criterion) {
     group.finish();
 
     // ------------------------------------------------------------------
-    // The acceptance checks, summarised into BENCH_fleet_recovery.json.
+    // The acceptance checks, written to BENCH_fleet_recovery.json.
     // ------------------------------------------------------------------
-
-    // The plain in-memory reference every durable run is held against.
-    let start = Instant::now();
-    let reference = controller
-        .run_with_capacity(&solver, &tenants, &config)
-        .expect("the plain run solves");
-    let plain_seconds = start.elapsed().as_secs_f64();
-    let epochs = reference.epochs;
-
-    // The uninterrupted durable run at the operating cadence.
-    let store = scratch_store("durable");
-    let start = Instant::now();
-    let durable = run_durable(&controller, &tenants, &config, &store, OPERATING_CADENCE);
-    let durable_seconds = start.elapsed().as_secs_f64();
-    let epoch_seconds = durable_seconds / epochs as f64;
-    let journal_bytes = store.journal_len().unwrap();
-    let snapshot_count = store.snapshot_epochs().unwrap().len().max(1) as u64;
-    let snapshot_bytes = store.snapshots_len().unwrap() / snapshot_count;
+    let table = run_fleet_recovery_experiment(&spec).expect("the recovery run completes");
+    print!("{}", fleet_recovery_markdown(&table));
+    let row = &table.rows[0];
 
     // Floor 1 (resume equivalence, part 1): durability alone must not
     // change a single decision.
     assert!(
-        durable.matches_modulo_timing(&reference),
+        row.uninterrupted_equivalent,
         "the uninterrupted durable run diverged from the plain run"
     );
-    let _ = std::fs::remove_dir_all(store.dir());
-
-    // Per-snapshot write cost, measured directly against a checkpoint-sized
-    // payload: the minimum over the trials is the noise-free estimate.
-    let store = scratch_store("snapwrite");
-    let payload = vec![0xA5u8; snapshot_bytes as usize];
-    let mut snapshot_seconds = f64::INFINITY;
-    for trial in 0..SNAPSHOT_TRIALS {
-        let start = Instant::now();
-        store
-            .write_snapshot(1_000 + trial as u64, &payload)
-            .expect("the snapshot write succeeds");
-        snapshot_seconds = snapshot_seconds.min(start.elapsed().as_secs_f64());
-    }
-    let _ = std::fs::remove_dir_all(store.dir());
 
     // Floor 2: at the operating cadence, snapshotting amortizes to under
     // 5% of the durable run's per-epoch wall-time.
-    let overhead_fraction = (snapshot_seconds / OPERATING_CADENCE as f64) / epoch_seconds;
+    let overhead = table.snapshot_overhead(row);
     println!(
-        "fleet_recovery summary: plain {:.1} ms, durable {:.1} ms ({} epochs, {:.0} us/epoch); \
-         snapshot {:.0} us for {} B, amortized {:.2}% of epoch wall-time at cadence {}",
-        1e3 * plain_seconds,
-        1e3 * durable_seconds,
-        epochs,
-        1e6 * epoch_seconds,
-        1e6 * snapshot_seconds,
-        snapshot_bytes,
-        100.0 * overhead_fraction,
-        OPERATING_CADENCE,
+        "fleet_recovery summary: snapshot {:.0} us, amortized {:.2}% of epoch wall-time at \
+         cadence {OPERATING_CADENCE}",
+        1e6 * row.snapshot_write_seconds,
+        100.0 * overhead,
     );
     assert!(
-        overhead_fraction < OVERHEAD_FLOOR,
+        overhead < OVERHEAD_FLOOR,
         "snapshot overhead {:.2}% exceeds the {:.0}% floor at cadence {OPERATING_CADENCE}",
-        100.0 * overhead_fraction,
+        100.0 * overhead,
         100.0 * OVERHEAD_FLOOR,
     );
 
-    // Floor 3 (resume equivalence, part 2): kill the run right after it
-    // journals the midpoint epoch, restart from disk, demand the plain bill.
-    let store = scratch_store("killed");
-    let crash = CrashPlan {
-        epoch: epochs / 2,
-        point: CrashPoint::AfterJournal,
-    };
-    let outcome = controller
-        .run_resumable(
-            &IlpSolver::new(),
-            &tenants,
-            &config,
-            None,
-            &store,
-            &PersistOptions {
-                snapshot_every: OPERATING_CADENCE,
-            },
-            Some(&crash),
-        )
-        .expect("the killed run persists its prefix");
-    assert!(matches!(outcome, RunOutcome::Crashed { epoch } if epoch == epochs / 2));
-    let start = Instant::now();
-    let resumed = controller
-        .resume_from(
-            &IlpSolver::new(),
-            &tenants,
-            &config,
-            None,
-            &store,
-            &PersistOptions {
-                snapshot_every: OPERATING_CADENCE,
-            },
-            None,
-        )
-        .expect("the resume completes")
-        .completed()
-        .expect("a resume without a crash plan runs to the end");
-    let resume_seconds = start.elapsed().as_secs_f64();
-    let resume_equivalent = resumed.matches_modulo_timing(&reference);
+    // Floor 3 (resume equivalence, part 2): the run killed right after it
+    // journals the midpoint epoch and restarted from disk bills exactly
+    // what the plain run bills.
     assert!(
-        resume_equivalent,
+        row.resume_equivalent,
         "the kill-and-resume run diverged from the plain run"
     );
-    let _ = std::fs::remove_dir_all(store.dir());
 
-    let json = format!(
-        "{{\n  \"scenario\": \"failure-coupled-{NUM_TENANTS}-recovery\",\n  \"tenants\": \
-         {NUM_TENANTS},\n  \"epochs\": {epochs},\n  \"snapshot_cadence\": {OPERATING_CADENCE},\n  \
-         \"plain_seconds\": {plain_seconds:.6},\n  \"durable_seconds\": {durable_seconds:.6},\n  \
-         \"epoch_seconds\": {epoch_seconds:.8},\n  \"snapshot_write_seconds\": \
-         {snapshot_seconds:.8},\n  \"snapshot_bytes\": {snapshot_bytes},\n  \"journal_bytes\": \
-         {journal_bytes},\n  \"snapshot_overhead_fraction\": {overhead_fraction:.6},\n  \
-         \"overhead_floor\": {OVERHEAD_FLOOR},\n  \"crash_epoch\": {},\n  \"resume_seconds\": \
-         {resume_seconds:.6},\n  \"resume_equivalent\": {resume_equivalent}\n}}\n",
-        epochs / 2,
-    );
-    std::fs::write("BENCH_fleet_recovery.json", &json)
-        .expect("BENCH_fleet_recovery.json is writable");
+    let floors = JsonRow::new()
+        .str("record", "floors")
+        .f64("snapshot_overhead_fraction", OVERHEAD_FLOOR)
+        .finish();
+    std::fs::write(
+        "BENCH_fleet_recovery.json",
+        format!("{}{floors}\n", fleet_recovery_json(&table)),
+    )
+    .expect("BENCH_fleet_recovery.json is writable");
     println!("wrote BENCH_fleet_recovery.json");
 }
 

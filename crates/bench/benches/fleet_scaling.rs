@@ -9,39 +9,34 @@
 //!   solves) at 1k, 4k and 16k tenants under the auto shard policy. A tight
 //!   sample/warm-up budget keeps the 16k lane inside CI time; the full
 //!   acceptance scenario is **not** re-run inside `b.iter`.
-//! * The harness then measures **tenant-epochs/sec** — the headline scaling
-//!   metric — for the sequential (`shards: Some(1)`) and sharded
-//!   (`shards: None`, auto) epoch loops at each fleet size, by subtracting
-//!   a one-epoch run's wall time from the full run's (both share the same
-//!   init solve fan-out, so the difference is the epoch loop alone). It
-//!   writes `BENCH_fleet_scaling.json` and enforces the floors: sharded
-//!   reports bit-identical (modulo timing) to sequential at shard counts
-//!   {1, 2, 4, 8}, and sharded ≥ 3× sequential tenant-epochs/sec at 4k
-//!   tenants when the host has ≥ 4 cores.
-//! * Finally the harness runs the 16-tenant **acceptance scenario** (the
-//!   same seed as the `fleet_regression` test) and writes `BENCH_fleet.json`
-//!   with the same headline numbers as before — total cost vs the fixed-mix
-//!   autoscale baseline, resolve fraction, probe-vs-solve time split.
+//! * The harness then takes **tenant-epochs/sec** — the headline scaling
+//!   metric — from the `fleet_scale` lane (`run_fleet_scale_experiment`),
+//!   which times the sequential (`shards: Some(1)`) and sharded
+//!   (`shards: None`, auto) epoch loops directly at each fleet size. It
+//!   enforces the floors: sharded reports bit-identical (modulo timing) to
+//!   sequential at shard counts {1, 2, 4, 8}, and sharded ≥ 3× sequential
+//!   tenant-epochs/sec at 4k tenants when the host has ≥ 4 cores. It writes
+//!   the lane's rows plus one floors row to `BENCH_fleet_scaling.json`
+//!   (JSON Lines).
+//! * Finally the harness takes the 16-tenant **acceptance scenario** from
+//!   the `fleet` lane (`run_fleet_experiment`, the same seed as the
+//!   `fleet_regression` test), asserts that re-solving beats the fixed-mix
+//!   autoscale baseline while re-solving only a minority of tenant-epochs,
+//!   and writes the lane's rows to `BENCH_fleet.json` (JSON Lines).
 //!
 //! Set `FLEET_SCALING_SMOKE=1` to restrict the sweep to the 1k-tenant lane
 //! (the CI smoke configuration); the determinism floor still runs there.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use std::time::Instant;
 
-use rental_fleet::{
-    diurnal_spike_fleet, scaling_fleet, scaling_fleet_one_epoch, FleetController, FleetPolicy,
-    FleetReport, ACCEPTANCE_SEED, SCALING_EPOCHS,
+use rental_experiments::{
+    fleet_json, fleet_markdown, fleet_scale_json, fleet_scale_markdown, run_fleet_experiment,
+    run_fleet_scale_experiment, FleetExperimentSpec, FleetScaleSpec,
 };
+use rental_fleet::{scaling_fleet, FleetController, FleetPolicy};
+use rental_obs::json::JsonRow;
 use rental_solvers::exact::IlpSolver;
-
-/// The seed shared with `crates/fleet/tests/fleet_regression.rs`.
-const SCENARIO_SEED: u64 = ACCEPTANCE_SEED;
-
-/// Seed of the controller-scaling sweep (independent of the acceptance
-/// scenario so the two never constrain each other).
-const SCALING_SEED: u64 = 0x5CA1E5;
 
 /// Shard counts every fleet report must be bit-identical across.
 const DETERMINISM_SHARDS: [usize; 4] = [1, 2, 4, 8];
@@ -55,42 +50,16 @@ fn smoke() -> bool {
     std::env::var("FLEET_SCALING_SMOKE").is_ok_and(|v| v == "1")
 }
 
-fn sweep_sizes() -> &'static [usize] {
-    if smoke() {
-        &[1000]
-    } else {
-        &[1000, 4000, 16000]
-    }
-}
-
-fn run_scaling(
-    solver: &IlpSolver,
-    tenants: &[rental_fleet::TenantSpec],
-    policy: FleetPolicy,
-) -> FleetReport {
-    FleetController::new(policy)
-        .run(solver, tenants)
-        .expect("the scaling fleet solves")
-}
-
-/// Wall seconds of one full run, minimum over `trials`.
-fn time_run(
-    solver: &IlpSolver,
-    tenants: &[rental_fleet::TenantSpec],
-    policy: FleetPolicy,
-    trials: usize,
-) -> f64 {
-    (0..trials.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            black_box(run_scaling(solver, tenants, policy));
-            start.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
 fn bench_fleet_scaling(c: &mut Criterion) {
     let solver = IlpSolver::new();
+    let spec = FleetScaleSpec {
+        sizes: if smoke() {
+            vec![1000]
+        } else {
+            vec![1000, 4000, 16000]
+        },
+        ..FleetScaleSpec::default()
+    };
 
     // ------------------------------------------------------------------
     // Criterion lanes: one full scaling-fleet run per fleet size under the
@@ -103,8 +72,8 @@ fn bench_fleet_scaling(c: &mut Criterion) {
         .sample_size(2)
         .warm_up_time(std::time::Duration::from_millis(1))
         .measurement_time(std::time::Duration::from_secs(2));
-    for &tenants in sweep_sizes() {
-        let scenario = scaling_fleet(tenants, SCALING_SEED);
+    for &tenants in &spec.sizes {
+        let scenario = scaling_fleet(tenants, spec.seed);
         let controller = FleetController::new(scenario.policy);
         group.bench_with_input(
             BenchmarkId::new("run", tenants),
@@ -124,73 +93,40 @@ fn bench_fleet_scaling(c: &mut Criterion) {
     // ------------------------------------------------------------------
     // Tenant-epochs/sec sweep: sequential vs sharded epoch loops.
     // ------------------------------------------------------------------
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut lanes = Vec::new();
-    for &tenants in sweep_sizes() {
-        let full = scaling_fleet(tenants, SCALING_SEED);
-        let one = scaling_fleet_one_epoch(tenants, SCALING_SEED);
-        let seq_policy = FleetPolicy {
-            shards: Some(1),
-            ..full.policy
-        };
-        let sharded_policy = FleetPolicy {
-            shards: None,
-            ..full.policy
-        };
-        let shards_used = sharded_policy.shard_count(tenants);
-        let trials = if tenants >= 16_000 { 1 } else { 2 };
-        let loop_epochs = (SCALING_EPOCHS - 1) as f64;
-        // Subtract the one-epoch run (identical init fan-out, single tick)
-        // so the quotient is the epoch loop alone, not the init solves.
-        let seq_loop = (time_run(&solver, &full.tenants, seq_policy, trials)
-            - time_run(&solver, &one.tenants, seq_policy, trials))
-        .max(1e-9);
-        let sharded_loop = (time_run(&solver, &full.tenants, sharded_policy, trials)
-            - time_run(&solver, &one.tenants, sharded_policy, trials))
-        .max(1e-9);
-        let seq_teps = tenants as f64 * loop_epochs / seq_loop;
-        let sharded_teps = tenants as f64 * loop_epochs / sharded_loop;
-        let speedup = sharded_teps / seq_teps;
-        println!(
-            "fleet_scaling sweep: {tenants} tenants, {shards_used} shard(s) — \
-             sequential {seq_teps:.0} tenant-epochs/s, sharded {sharded_teps:.0} \
-             tenant-epochs/s ({speedup:.2}x)",
+    let table = run_fleet_scale_experiment(&spec).expect("the scaling fleet solves");
+    print!("{}", fleet_scale_markdown(&table));
+    assert!(
+        table.all_deterministic(),
+        "determinism floor: every sharded report must match the sequential one"
+    );
+    let speedup_enforced = table.cores >= MIN_CORES_FOR_FLOOR;
+    for row in table.rows.iter().filter(|row| row.tenants == 4000) {
+        assert!(
+            !speedup_enforced || row.speedup() >= SPEEDUP_FLOOR,
+            "scaling floor: sharded must reach {SPEEDUP_FLOOR}x sequential tenant-epochs/sec \
+             at 4k tenants on >= {MIN_CORES_FOR_FLOOR} cores (got {:.2}x on {} cores)",
+            row.speedup(),
+            table.cores,
         );
-        if tenants == 4000 && cores >= MIN_CORES_FOR_FLOOR {
-            assert!(
-                speedup >= SPEEDUP_FLOOR,
-                "scaling floor: sharded must reach {SPEEDUP_FLOOR}x sequential \
-                 tenant-epochs/sec at 4k tenants on >= {MIN_CORES_FOR_FLOOR} cores \
-                 (got {speedup:.2}x on {cores} cores)"
-            );
-        }
-        lanes.push((tenants, shards_used, seq_teps, sharded_teps, speedup));
     }
 
     // Determinism floor, on the smallest lane (cheap, and the property is
     // size-independent): the report must be bit-identical modulo the
     // timing family at every shard count.
-    let det_tenants = sweep_sizes()[0];
-    let det = scaling_fleet(det_tenants, SCALING_SEED);
-    let reference = run_scaling(
-        &solver,
-        &det.tenants,
-        FleetPolicy {
-            shards: Some(1),
+    let det_tenants = spec.sizes[0];
+    let det = scaling_fleet(det_tenants, spec.seed);
+    let run_sharded = |shards: usize| {
+        FleetController::new(FleetPolicy {
+            shards: Some(shards),
             ..det.policy
-        },
-    );
+        })
+        .run(&solver, &det.tenants)
+        .expect("the scaling fleet solves")
+    };
+    let reference = run_sharded(DETERMINISM_SHARDS[0]);
     for &shards in &DETERMINISM_SHARDS[1..] {
-        let report = run_scaling(
-            &solver,
-            &det.tenants,
-            FleetPolicy {
-                shards: Some(shards),
-                ..det.policy
-            },
-        );
         assert!(
-            reference.matches_modulo_timing(&report),
+            reference.matches_modulo_timing(&run_sharded(shards)),
             "determinism floor: the {shards}-shard report must be bit-identical \
              (modulo timing) to the sequential run at {det_tenants} tenants"
         );
@@ -200,57 +136,29 @@ fn bench_fleet_scaling(c: &mut Criterion) {
          {DETERMINISM_SHARDS:?} at {det_tenants} tenants"
     );
 
-    let lanes_json: Vec<String> = lanes
-        .iter()
-        .map(|&(tenants, shards, seq, sharded, speedup)| {
-            format!(
-                "    {{\"tenants\": {tenants}, \"shards\": {shards}, \
-                 \"seq_tenant_epochs_per_sec\": {seq:.0}, \
-                 \"sharded_tenant_epochs_per_sec\": {sharded:.0}, \
-                 \"speedup\": {speedup:.3}}}"
-            )
-        })
-        .collect();
-    let speedup_enforced = !smoke() && cores >= MIN_CORES_FOR_FLOOR;
-    let json = format!(
-        "{{\n  \"scenario\": \"scaling\",\n  \"epochs\": {},\n  \"cores\": {cores},\n  \
-         \"smoke\": {},\n  \"lanes\": [\n{}\n  ],\n  \
-         \"determinism\": {{\"tenants\": {det_tenants}, \"shard_counts\": [1, 2, 4, 8], \
-         \"bit_identical\": true}},\n  \
-         \"floors\": {{\"speedup_at_4k_min\": {SPEEDUP_FLOOR}, \
-         \"speedup_enforced\": {speedup_enforced}, \"determinism_enforced\": true}}\n}}\n",
-        SCALING_EPOCHS,
-        smoke(),
-        lanes_json.join(",\n"),
-    );
-    std::fs::write("BENCH_fleet_scaling.json", &json)
-        .expect("BENCH_fleet_scaling.json is writable");
+    let floors = JsonRow::new()
+        .str("record", "floors")
+        .bool("smoke", smoke())
+        .f64("speedup_at_4k_min", SPEEDUP_FLOOR)
+        .bool("speedup_enforced", speedup_enforced && !smoke())
+        .usize("determinism_tenants", det_tenants)
+        .raw("determinism_shards", &format!("{DETERMINISM_SHARDS:?}"))
+        .bool("bit_identical", true)
+        .finish();
+    std::fs::write(
+        "BENCH_fleet_scaling.json",
+        format!("{}{floors}\n", fleet_scale_json(&table)),
+    )
+    .expect("BENCH_fleet_scaling.json is writable");
     println!("wrote BENCH_fleet_scaling.json");
 
     // ------------------------------------------------------------------
-    // The acceptance scenario, summarised into BENCH_fleet.json.
+    // The acceptance scenario, written to BENCH_fleet.json.
     // ------------------------------------------------------------------
-    let scenario = diurnal_spike_fleet(16, SCENARIO_SEED);
-    let report = FleetController::new(scenario.policy)
-        .run(&solver, &scenario.tenants)
+    let table = run_fleet_experiment(&FleetExperimentSpec::default())
         .expect("the acceptance scenario solves");
-    let switching: f64 = report.tenants.iter().map(|t| t.switching_cost).sum();
-    println!(
-        "fleet_scaling summary ({}): fleet {:.0} (incl. {:.0} switching) vs fixed-mix {:.0} \
-         ({:.1}% saved) vs static-peak {:.0}; {}/{} tenant-epochs re-solved ({:.1}%); \
-         probe {:.2} ms vs solve {:.1} ms",
-        scenario.name,
-        report.total_cost(),
-        switching,
-        report.fixed_mix_cost(),
-        100.0 * report.savings_vs_fixed_mix() / report.fixed_mix_cost(),
-        report.static_peak_cost(),
-        report.resolved_tenant_epochs(),
-        report.tenant_epochs(),
-        100.0 * report.resolve_fraction(),
-        1e3 * report.probe_seconds(),
-        1e3 * report.solve_seconds(),
-    );
+    print!("{}", fleet_markdown(&table));
+    let report = &table.report;
     assert!(
         report.total_cost() < report.fixed_mix_cost(),
         "acceptance: re-solving must beat the fixed-mix baseline"
@@ -259,28 +167,7 @@ fn bench_fleet_scaling(c: &mut Criterion) {
         report.resolve_fraction() < 0.5,
         "acceptance: only a minority of tenant-epochs may re-solve"
     );
-
-    let json = format!(
-        "{{\n  \"scenario\": \"{}\",\n  \"tenants\": {},\n  \"epochs\": {},\n  \
-         \"fleet_cost\": {:.2},\n  \"switching_cost\": {switching:.2},\n  \
-         \"fixed_mix_cost\": {:.2},\n  \"static_peak_cost\": {:.2},\n  \
-         \"savings_vs_fixed_mix\": {:.2},\n  \"tenant_epochs\": {},\n  \
-         \"resolved_tenant_epochs\": {},\n  \"resolve_fraction\": {:.4},\n  \
-         \"probe_secs\": {:.6},\n  \"solve_secs\": {:.6}\n}}\n",
-        scenario.name,
-        report.tenants.len(),
-        report.epochs,
-        report.total_cost(),
-        report.fixed_mix_cost(),
-        report.static_peak_cost(),
-        report.savings_vs_fixed_mix(),
-        report.tenant_epochs(),
-        report.resolved_tenant_epochs(),
-        report.resolve_fraction(),
-        report.probe_seconds(),
-        report.solve_seconds(),
-    );
-    std::fs::write("BENCH_fleet.json", &json).expect("BENCH_fleet.json is writable");
+    std::fs::write("BENCH_fleet.json", fleet_json(&table)).expect("BENCH_fleet.json is writable");
     println!("wrote BENCH_fleet.json");
 }
 

@@ -12,7 +12,7 @@
 //!   is a ≥ 3× speedup on large instances (J ≥ 32, Q ≥ 16).
 //! * `batch/...` times the many-tenants serving path: one heuristic
 //!   portfolio over a fleet of instances, sequentially vs through
-//!   `solve_batch`.
+//!   `solve_batch_timed`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -24,7 +24,7 @@ use rental_bench::{fixture, many_tenants_instance};
 use rental_core::cost::IncrementalEvaluator;
 use rental_core::{Cost, Instance, RecipeId, Throughput, ThroughputSplit};
 use rental_simgen::GeneratorConfig;
-use rental_solvers::batch::{solve_batch, BatchItem};
+use rental_solvers::batch::{solve_batch_timed, BatchItem};
 use rental_solvers::heuristics::{
     best_graph_split, RandomWalkSolver, SteepestGradientJumpSolver, SteepestGradientSolver,
     StochasticDescentSolver,
@@ -225,10 +225,10 @@ fn bench_batch_solving(c: &mut Criterion) {
     });
     group.bench_function("solve_batch", |b| {
         b.iter(|| {
-            solve_batch(&portfolio, black_box(&items))
+            solve_batch_timed(&portfolio, black_box(&items), None)
                 .into_iter()
                 .flatten()
-                .map(|outcome| outcome.unwrap().cost())
+                .map(|(outcome, _)| outcome.unwrap().cost())
                 .sum::<u64>()
         })
     });

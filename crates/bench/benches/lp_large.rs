@@ -11,18 +11,20 @@
 //! (differing only in `SimplexOptions::dense_lu`). Both engines are asserted
 //! to agree on status and objective before timing.
 //!
-//! Besides the criterion output, the harness writes `BENCH_lp_large.json`
-//! and **fails** when the sparse path drops below a conservative speedup
-//! floor versus the dense-LU baseline recorded in the same run — CI runs
-//! this bench, so a fill-in or hyper-sparsity regression turns the build
-//! red instead of silently eating the speedup.
+//! Besides the criterion output, the harness writes the lane's rows plus one
+//! floors row to `BENCH_lp_large.json` (JSON Lines) and **fails** when the
+//! sparse path drops below a conservative speedup floor versus the dense-LU
+//! baseline recorded in the same run — CI runs this bench, so a fill-in or
+//! hyper-sparsity regression turns the build red instead of silently eating
+//! the speedup.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use rental_experiments::{lp_large_json, lp_large_markdown, run_lp_large, LpLargeSpec};
+use rental_experiments::{lp_large_markdown, lp_large_rows_json, run_lp_large, LpLargeSpec};
 use rental_lp::revised::RevisedLp;
 use rental_lp::simplex::SimplexOptions;
+use rental_obs::json::JsonRow;
 use rental_simgen::{GeneratorConfig, InstanceGenerator};
 use rental_solvers::exact::IlpSolver;
 
@@ -67,7 +69,12 @@ fn bench_lp_large(c: &mut Criterion) {
         );
     }
 
-    let json = lp_large_json(&rows, REFACTOR_SPEEDUP_FLOOR, SOLVE_SPEEDUP_FLOOR);
+    let floors = JsonRow::new()
+        .str("record", "floors")
+        .f64("refactor_speedup", REFACTOR_SPEEDUP_FLOOR)
+        .f64("solve_speedup", SOLVE_SPEEDUP_FLOOR)
+        .finish();
+    let json = format!("{}{floors}\n", lp_large_rows_json(&rows));
     std::fs::write("BENCH_lp_large.json", &json).expect("BENCH_lp_large.json is writable");
     println!("wrote BENCH_lp_large.json");
 

@@ -12,8 +12,9 @@
 //!   fine-grained Table III sweep.
 //!
 //! Besides the criterion output, the harness writes a `BENCH_lp.json`
-//! summary (pivots/sec for both engines, the speedup ratio, and cold vs warm
-//! node counts) for CI logs and regression tracking.
+//! summary in JSON Lines (pivots/sec for both engines and the speedup ratio
+//! per relaxation, then cold vs warm node counts of the sweep) for CI logs
+//! and regression tracking.
 
 use std::time::Instant;
 
@@ -24,6 +25,7 @@ use rental_bench::fixture;
 use rental_core::examples::illustrating_example;
 use rental_lp::model::Model;
 use rental_lp::simplex::{self, dense, SimplexOptions};
+use rental_obs::json::JsonRow;
 use rental_simgen::GeneratorConfig;
 use rental_solvers::batch::solve_sweep;
 use rental_solvers::exact::IlpSolver;
@@ -56,7 +58,7 @@ fn measure(mut solve: impl FnMut() -> usize, rounds: usize) -> (f64, usize) {
 
 fn bench_relaxation_engines(c: &mut Criterion) {
     let options = SimplexOptions::default();
-    let mut json_rows = Vec::new();
+    let mut json = String::new();
 
     let mut group = c.benchmark_group("lp_speedup");
     group.sample_size(10);
@@ -114,11 +116,21 @@ fn bench_relaxation_engines(c: &mut Criterion) {
             dense_secs * 1e3,
             dense_pivots,
         );
-        json_rows.push(format!(
-            "    {{\"rows\": {m}, \"revised_secs\": {revised_secs:.6}, \"revised_pivots_per_sec\": {:.0}, \"dense_secs\": {dense_secs:.6}, \"dense_pivots_per_sec\": {:.0}, \"speedup\": {speedup:.2}}}",
-            revised_pivots as f64 / revised_secs,
-            dense_pivots as f64 / dense_secs,
-        ));
+        json.push_str(
+            &JsonRow::new()
+                .str("record", "relaxation")
+                .usize("rows", m)
+                .f64("revised_secs", revised_secs)
+                .f64(
+                    "revised_pivots_per_sec",
+                    revised_pivots as f64 / revised_secs,
+                )
+                .f64("dense_secs", dense_secs)
+                .f64("dense_pivots_per_sec", dense_pivots as f64 / dense_secs)
+                .f64("speedup", speedup)
+                .finish(),
+        );
+        json.push('\n');
     }
     group.finish();
 
@@ -173,11 +185,17 @@ fn bench_relaxation_engines(c: &mut Criterion) {
     });
     group.finish();
 
-    let json = format!(
-        "{{\n  \"relaxations\": [\n{}\n  ],\n  \"sweep\": {{\"targets\": {}, \"cold_nodes\": {cold_nodes}, \"warm_nodes\": {warm_nodes}, \"cold_secs\": {cold_secs:.6}, \"warm_secs\": {warm_secs:.6}}}\n}}\n",
-        json_rows.join(",\n"),
-        targets.len(),
+    json.push_str(
+        &JsonRow::new()
+            .str("record", "sweep")
+            .usize("targets", targets.len())
+            .usize("cold_nodes", cold_nodes)
+            .usize("warm_nodes", warm_nodes)
+            .f64("cold_secs", cold_secs)
+            .f64("warm_secs", warm_secs)
+            .finish(),
     );
+    json.push('\n');
     std::fs::write("BENCH_lp.json", &json).expect("BENCH_lp.json is writable");
     println!("wrote BENCH_lp.json");
 }

@@ -132,13 +132,24 @@ pub fn fleet_csv(table: &FleetTable) -> String {
     out
 }
 
-/// Renders the fleet lane as JSON lines: one scenario row followed by the
-/// report's own telemetry rows (fleet / epoch / tenant records).
+/// Renders the fleet lane as JSON lines: one scenario row with the
+/// headline numbers, followed by the report's own telemetry rows (fleet /
+/// epoch / tenant records).
 pub fn fleet_json(table: &FleetTable) -> String {
+    let report = &table.report;
     let mut out = rental_obs::json::JsonRow::new()
         .str("record", "scenario")
         .str("lane", "fleet")
         .str("name", &table.scenario)
+        .usize("tenants", report.tenants.len())
+        .f64(
+            "switching_cost",
+            report.tenants.iter().map(|t| t.switching_cost).sum(),
+        )
+        .f64("savings_vs_fixed_mix", report.savings_vs_fixed_mix())
+        .usize("tenant_epochs", report.tenant_epochs())
+        .usize("resolved_tenant_epochs", report.resolved_tenant_epochs())
+        .f64("resolve_fraction", report.resolve_fraction())
         .finish();
     out.push('\n');
     out.push_str(&table.report.telemetry());

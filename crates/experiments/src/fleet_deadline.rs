@@ -183,7 +183,9 @@ pub fn fleet_deadline_json(table: &FleetDeadlineTable) -> String {
         let report = &row.report;
         let mut json = rental_obs::json::JsonRow::new()
             .str("record", "fleet_deadline")
-            .str("scenario", &table.scenario);
+            .str("scenario", &table.scenario)
+            .usize("tenants", report.tenants.len())
+            .f64("unlimited_cost", table.unlimited_cost().unwrap_or(f64::NAN));
         json = match row.node_budget {
             Some(nodes) => json.usize("node_budget", nodes),
             None => json.raw("node_budget", "null"),

@@ -65,11 +65,21 @@ pub struct FleetFailureRow {
     pub report: FleetReport,
 }
 
+impl FleetFailureRow {
+    /// The pool's peak quota utilization over every machine type.
+    pub fn peak_quota_utilization(&self) -> f64 {
+        let quota = &self.report.quota_utilization;
+        quota.iter().copied().fold(0.0, f64::max)
+    }
+}
+
 /// The outcome of the sweep.
 #[derive(Debug, Clone)]
 pub struct FleetFailureTable {
     /// Scenario name.
     pub scenario: String,
+    /// Repair time of every row, in hours.
+    pub repair_time: f64,
     /// One row per MTBF, in spec order.
     pub rows: Vec<FleetFailureRow>,
 }
@@ -101,6 +111,7 @@ pub fn run_fleet_failure_experiment(spec: &FleetFailureSpec) -> SolveResult<Flee
     }
     Ok(FleetFailureTable {
         scenario: scenario_name,
+        repair_time: spec.repair_time,
         rows,
     })
 }
@@ -120,12 +131,7 @@ pub fn fleet_failure_markdown(table: &FleetFailureTable) -> String {
         } else {
             0.0
         };
-        let peak_quota = row
-            .report
-            .quota_utilization
-            .iter()
-            .copied()
-            .fold(0.0f64, f64::max);
+        let peak_quota = row.peak_quota_utilization();
         out.push_str(&format!(
             "| {:.0} | {:.3} | {:.0} | {:.0} | {saved:.1}% | {} | {} | {} | {} | {peak_quota:.2} |\n",
             row.mtbf,
@@ -180,14 +186,21 @@ pub fn fleet_failure_json(table: &FleetFailureTable) -> String {
             &rental_obs::json::JsonRow::new()
                 .str("record", "fleet_failure")
                 .str("scenario", &table.scenario)
+                .usize("tenants", report.tenants.len())
+                .f64("repair_hours", table.repair_time)
                 .f64("mtbf_hours", row.mtbf)
                 .f64("availability", row.availability)
                 .f64("fleet_cost", report.total_cost())
                 .f64("static_headroom_cost", report.static_headroom_cost())
+                .f64(
+                    "savings_vs_static_headroom",
+                    report.savings_vs_static_headroom(),
+                )
                 .usize("fleet_slo_epochs", report.slo_violation_epochs())
                 .usize("baseline_slo_epochs", report.static_headroom_violations())
                 .usize("failure_resolves", report.failure_resolves())
                 .usize("degraded_resolves", report.degraded_resolves())
+                .f64("peak_quota_utilization", row.peak_quota_utilization())
                 .usize("solves", report.effort().solves)
                 .usize("nodes", report.effort().nodes)
                 .usize("lp_iterations", report.effort().lp_iterations)

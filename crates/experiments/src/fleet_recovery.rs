@@ -8,7 +8,10 @@
 //! one snapshot cadence and reports what durability costs — persistence
 //! overhead against the plain in-memory run, bytes of journal and snapshot
 //! state on disk — and whether the kill-and-resume run reproduced the
-//! uninterrupted report bit-for-bit (modulo wall-clock timing).
+//! uninterrupted report bit-for-bit (modulo wall-clock timing). The cost of
+//! one snapshot is measured directly, as the minimum over repeated
+//! same-size snapshot writes, because differencing whole runs drowns a
+//! millisecond of fsync in scheduler noise.
 
 use std::fs;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,6 +24,9 @@ use rental_fleet::{
 use rental_persist::Store;
 use rental_solvers::exact::IlpSolver;
 use rental_solvers::SolveBudget;
+
+/// Same-size snapshot writes per row; the minimum is the noise-free cost.
+const SNAPSHOT_TRIALS: usize = 32;
 
 /// Parameters of the crash-recovery experiment.
 #[derive(Debug, Clone)]
@@ -70,6 +76,9 @@ pub struct FleetRecoveryRow {
     pub snapshot_bytes: u64,
     /// Number of snapshots written (including the initial epoch-0 one).
     pub snapshots: usize,
+    /// Seconds to write one snapshot of this run's mean snapshot size:
+    /// the minimum over [`SNAPSHOT_TRIALS`] writes.
+    pub snapshot_write_seconds: f64,
     /// The uninterrupted durable run matched the plain in-memory run.
     pub uninterrupted_equivalent: bool,
     /// Wall-clock seconds the post-kill restart spent finishing the run.
@@ -102,6 +111,18 @@ impl FleetRecoveryTable {
         } else {
             0.0
         }
+    }
+
+    /// Amortized snapshot cost per epoch over the durable run's wall time
+    /// per epoch: one snapshot write every `snapshot_every` epochs (cadence
+    /// 0: one per run).
+    pub fn snapshot_overhead(&self, row: &FleetRecoveryRow) -> f64 {
+        let epochs = self.reference.epochs.max(1) as f64;
+        let cadence = match row.snapshot_every {
+            0 => epochs,
+            every => every as f64,
+        };
+        (row.snapshot_write_seconds / cadence) / (row.resumable_seconds / epochs)
     }
 }
 
@@ -168,6 +189,13 @@ pub fn run_fleet_recovery_experiment(
         let snapshot_bytes = store.snapshots_len()?;
         let snapshots = store.snapshot_epochs()?.len();
         let uninterrupted_equivalent = report.matches_modulo_timing(&reference);
+        let payload = vec![0xA5u8; (snapshot_bytes / snapshots.max(1) as u64) as usize];
+        let mut snapshot_write_seconds = f64::INFINITY;
+        for trial in 0..SNAPSHOT_TRIALS {
+            let start = Instant::now();
+            store.write_snapshot(1_000_000 + trial as u64, &payload)?;
+            snapshot_write_seconds = snapshot_write_seconds.min(start.elapsed().as_secs_f64());
+        }
         let _ = fs::remove_dir_all(store.dir());
 
         // Kill-and-resume: the same run crashed right after journalling
@@ -209,6 +237,7 @@ pub fn run_fleet_recovery_experiment(
             journal_bytes,
             snapshot_bytes,
             snapshots,
+            snapshot_write_seconds,
             uninterrupted_equivalent,
             resume_seconds,
             resume_equivalent,
@@ -290,13 +319,22 @@ pub fn fleet_recovery_json(table: &FleetRecoveryTable) -> String {
             &rental_obs::json::JsonRow::new()
                 .str("record", "fleet_recovery")
                 .str("scenario", &table.scenario)
+                .usize("tenants", table.reference.tenants.len())
+                .usize("epochs", table.reference.epochs)
                 .usize("snapshot_every", row.snapshot_every)
                 .f64("plain_seconds", table.plain_seconds)
                 .f64("resumable_seconds", row.resumable_seconds)
+                .f64(
+                    "epoch_seconds",
+                    row.resumable_seconds / table.reference.epochs.max(1) as f64,
+                )
                 .f64("overhead_fraction", table.overhead(row))
                 .u64("journal_bytes", row.journal_bytes)
                 .u64("snapshot_bytes", row.snapshot_bytes)
                 .usize("snapshots", row.snapshots)
+                .f64("snapshot_write_seconds", row.snapshot_write_seconds)
+                .f64("snapshot_overhead_fraction", table.snapshot_overhead(row))
+                .usize("crash_epoch", table.crash_epoch)
                 .f64("resume_seconds", row.resume_seconds)
                 .bool("uninterrupted_equivalent", row.uninterrupted_equivalent)
                 .bool("resume_equivalent", row.resume_equivalent)
@@ -331,6 +369,8 @@ mod tests {
             assert!(row.resume_equivalent, "cadence {}", row.snapshot_every);
             assert!(row.journal_bytes > 0);
             assert!(row.snapshots >= 1, "the initial snapshot is always written");
+            assert!(row.snapshot_write_seconds > 0.0);
+            assert!(table.snapshot_overhead(row) > 0.0);
         }
         // Cadence 0 writes only the initial snapshot; cadence 8 writes more.
         assert_eq!(table.rows[0].snapshots, 1);

@@ -6,16 +6,20 @@
 //! re-solves — the epoch loop itself is the workload) at a sweep of fleet
 //! sizes, once with the sequential loop (`shards: Some(1)`) and once with
 //! the sharded pipelines (`FleetPolicy::shards`). The headline metric is
-//! **tenant-epochs/sec**: tenants × epoch-loop epochs over the wall-clock
-//! of the epoch loop alone — the initial solve fan-out is subtracted by
-//! timing a one-epoch twin of the same scenario, whose init work is
-//! identical. Every row also re-checks the determinism contract: the
-//! sharded report must be bit-identical (modulo the wall-clock timing
-//! family) to the sequential one.
+//! **tenant-epochs/sec**: tenants × epochs over the wall-clock of the epoch
+//! loop alone. A disabled telemetry sink times the loop directly, from the
+//! first `fleet.epochs` increment (the first epoch starts) to the last
+//! `fleet.epoch_watermark` gauge (the last epoch ends), so neither the
+//! initial solve fan-out nor the report's baselines count. Every row also
+//! re-checks the determinism contract: the sharded report must be
+//! bit-identical (modulo the wall-clock timing family) to the sequential
+//! one.
 
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use rental_fleet::{scaling_fleet, scaling_fleet_one_epoch, FleetController, FleetPolicy};
+use rental_fleet::{scaling_fleet, FleetController, FleetPolicy, FleetReport, FleetScenario};
+use rental_obs::TelemetrySink;
 use rental_solvers::exact::IlpSolver;
 use rental_solvers::SolveResult;
 
@@ -46,6 +50,25 @@ impl Default for FleetScaleSpec {
     }
 }
 
+/// One timed run: the epoch loop as the stamping sink saw it, and the
+/// whole run around it.
+#[derive(Debug, Clone, Copy)]
+pub struct LoopTiming {
+    /// Epochs the loop served (`fleet.epochs` increments).
+    pub epochs: usize,
+    /// Seconds from the first epoch's start to the last epoch's end.
+    pub loop_secs: f64,
+    /// Wall seconds of the whole run: init fan-out, epoch loop and report.
+    pub run_secs: f64,
+}
+
+impl LoopTiming {
+    /// Tenant-epochs per second of loop time.
+    pub fn teps(&self, tenants: usize) -> f64 {
+        (tenants * self.epochs) as f64 / self.loop_secs.max(1e-9)
+    }
+}
+
 /// One fleet-size row of the sweep.
 #[derive(Debug, Clone)]
 pub struct FleetScaleRow {
@@ -53,35 +76,29 @@ pub struct FleetScaleRow {
     pub tenants: usize,
     /// Shard count the sharded run actually used.
     pub shards_used: usize,
-    /// Epoch-loop seconds of the sequential run (init solves subtracted).
-    pub sequential_secs: f64,
-    /// Epoch-loop seconds of the sharded run (init solves subtracted).
-    pub sharded_secs: f64,
+    /// The sequential run with the fastest loop over the trials.
+    pub sequential: LoopTiming,
+    /// The sharded run with the fastest loop over the trials.
+    pub sharded: LoopTiming,
     /// Whether the sharded report was bit-identical (modulo timing) to the
     /// sequential one.
     pub deterministic: bool,
 }
 
 impl FleetScaleRow {
-    /// Epochs attributed to the epoch loop (the first epoch belongs to the
-    /// one-epoch init twin and is subtracted out).
-    pub fn loop_epochs(&self) -> usize {
-        SCALING_EPOCHS - 1
-    }
-
     /// Sequential tenant-epochs/sec.
     pub fn sequential_teps(&self) -> f64 {
-        (self.tenants * self.loop_epochs()) as f64 / self.sequential_secs.max(1e-9)
+        self.sequential.teps(self.tenants)
     }
 
     /// Sharded tenant-epochs/sec — the headline metric.
     pub fn sharded_teps(&self) -> f64 {
-        (self.tenants * self.loop_epochs()) as f64 / self.sharded_secs.max(1e-9)
+        self.sharded.teps(self.tenants)
     }
 
     /// Sharded-over-sequential speedup.
     pub fn speedup(&self) -> f64 {
-        self.sequential_secs / self.sharded_secs.max(1e-9)
+        self.sharded_teps() / self.sequential_teps()
     }
 }
 
@@ -103,35 +120,58 @@ impl FleetScaleTable {
     }
 }
 
-/// Epoch-loop seconds of one `(scenario, policy)` pair: minimum full-run
-/// wall-time minus minimum one-epoch wall-time, over `trials` trials each.
-fn time_epoch_loop(
-    tenants: usize,
-    seed: u64,
-    policy_of: impl Fn(FleetPolicy) -> FleetPolicy,
-    trials: usize,
-) -> SolveResult<(f64, rental_fleet::FleetReport)> {
-    let solver = IlpSolver::new();
-    let mut best_full = f64::INFINITY;
-    let mut best_one = f64::INFINITY;
-    let mut report = None;
-    for _ in 0..trials.max(1) {
-        let full = scaling_fleet(tenants, seed);
-        let start = Instant::now();
-        let full_report =
-            FleetController::new(policy_of(full.policy)).run(&solver, &full.tenants)?;
-        best_full = best_full.min(start.elapsed().as_secs_f64());
-        report = Some(full_report);
+/// A sink that stays disabled (so the controller skips every
+/// allocation-heavy emission) and stamps the epoch loop: the first
+/// `fleet.epochs` increment opens it, the last `fleet.epoch_watermark` gauge
+/// closes it. Holds (epochs counted, loop start, loop end).
+#[derive(Default)]
+struct LoopClock(Mutex<(usize, Option<Instant>, Option<Instant>)>);
 
-        let one = scaling_fleet_one_epoch(tenants, seed);
-        let start = Instant::now();
-        FleetController::new(policy_of(one.policy)).run(&solver, &one.tenants)?;
-        best_one = best_one.min(start.elapsed().as_secs_f64());
+impl TelemetrySink for LoopClock {
+    fn counter(&self, name: &'static str, delta: u64) {
+        if name == "fleet.epochs" {
+            let mut stamps = self.0.lock().expect("loop clock");
+            stamps.0 += delta as usize;
+            stamps.1.get_or_insert_with(Instant::now);
+        }
     }
-    Ok((
-        (best_full - best_one).max(1e-9),
-        report.expect("trials >= 1"),
-    ))
+
+    fn gauge(&self, name: &'static str, _value: f64) {
+        if name == "fleet.epoch_watermark" {
+            self.0.lock().expect("loop clock").2 = Some(Instant::now());
+        }
+    }
+}
+
+/// The run with the fastest epoch loop over `trials` runs of `scenario`
+/// under `policy`.
+fn fastest_run(
+    scenario: &FleetScenario,
+    policy: FleetPolicy,
+    trials: usize,
+) -> SolveResult<(LoopTiming, FleetReport)> {
+    let mut best: Option<(LoopTiming, FleetReport)> = None;
+    for _ in 0..trials.max(1) {
+        let clock = Arc::new(LoopClock::default());
+        let controller = FleetController::new(policy).with_telemetry(clock.clone());
+        let start = Instant::now();
+        let report = controller.run(&IlpSolver::new(), &scenario.tenants)?;
+        let run_secs = start.elapsed().as_secs_f64();
+        let (epochs, first, last) = *clock.0.lock().expect("loop clock");
+        let loop_secs = match (first, last) {
+            (Some(first), Some(last)) => last.duration_since(first).as_secs_f64(),
+            _ => 0.0,
+        };
+        let timing = LoopTiming {
+            epochs,
+            loop_secs,
+            run_secs,
+        };
+        if best.as_ref().is_none_or(|(b, _)| loop_secs < b.loop_secs) {
+            best = Some((timing, report));
+        }
+    }
+    Ok(best.expect("trials >= 1"))
 }
 
 /// Runs the sequential-vs-sharded scaling sweep.
@@ -143,37 +183,26 @@ pub fn run_fleet_scale_experiment(spec: &FleetScaleSpec) -> SolveResult<FleetSca
     let mut rows = Vec::with_capacity(spec.sizes.len());
     let mut scenario_name = String::new();
     for &tenants in &spec.sizes {
-        scenario_name = scaling_fleet(tenants, spec.seed).name;
-        let (sequential_secs, sequential_report) = time_epoch_loop(
-            tenants,
-            spec.seed,
-            |p| FleetPolicy {
-                shards: Some(1),
-                ..p
-            },
-            spec.trials,
-        )?;
-        let (sharded_secs, sharded_report) = time_epoch_loop(
-            tenants,
-            spec.seed,
-            |p| FleetPolicy {
-                shards: spec.shards,
-                ..p
-            },
-            spec.trials,
-        )?;
-        let shards_used = FleetPolicy {
+        let scenario = scaling_fleet(tenants, spec.seed);
+        let sharded_policy = FleetPolicy {
             shards: spec.shards,
-            ..scaling_fleet(tenants, spec.seed).policy
-        }
-        .shard_count(tenants);
+            ..scenario.policy
+        };
+        let sequential_policy = FleetPolicy {
+            shards: Some(1),
+            ..scenario.policy
+        };
+        let (sequential, sequential_report) =
+            fastest_run(&scenario, sequential_policy, spec.trials)?;
+        let (sharded, sharded_report) = fastest_run(&scenario, sharded_policy, spec.trials)?;
         rows.push(FleetScaleRow {
             tenants,
-            shards_used,
-            sequential_secs,
-            sharded_secs,
+            shards_used: sharded_policy.shard_count(tenants),
+            sequential,
+            sharded,
             deterministic: sequential_report.matches_modulo_timing(&sharded_report),
         });
+        scenario_name = scenario.name;
     }
     Ok(FleetScaleTable {
         scenario: scenario_name,
@@ -186,17 +215,19 @@ pub fn run_fleet_scale_experiment(spec: &FleetScaleSpec) -> SolveResult<FleetSca
 pub fn fleet_scale_markdown(table: &FleetScaleTable) -> String {
     let mut out = String::new();
     out.push_str(
-        "| tenants | shards | sequential s | sharded s | seq teps | sharded teps | speedup | \
-         deterministic |\n",
+        "| tenants | shards | sequential loop s | sharded loop s | sequential run s | sharded run \
+         s | seq teps | sharded teps | speedup | deterministic |\n",
     );
-    out.push_str("|---:|---:|---:|---:|---:|---:|---:|---:|\n");
+    out.push_str("|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n");
     for row in &table.rows {
         out.push_str(&format!(
-            "| {} | {} | {:.3} | {:.3} | {:.0} | {:.0} | {:.2}x | {} |\n",
+            "| {} | {} | {:.3} | {:.3} | {:.3} | {:.3} | {:.0} | {:.0} | {:.2}x | {} |\n",
             row.tenants,
             row.shards_used,
-            row.sequential_secs,
-            row.sharded_secs,
+            row.sequential.loop_secs,
+            row.sharded.loop_secs,
+            row.sequential.run_secs,
+            row.sharded.run_secs,
             row.sequential_teps(),
             row.sharded_teps(),
             row.speedup(),
@@ -204,9 +235,8 @@ pub fn fleet_scale_markdown(table: &FleetScaleTable) -> String {
         ));
     }
     out.push_str(&format!(
-        "\n{} epoch-loop epochs per row on {} worker threads; teps = tenant-epochs/sec with the \
-         initial solve fan-out subtracted\n",
-        SCALING_EPOCHS - 1,
+        "\n{SCALING_EPOCHS} epochs per run on {} worker threads; teps = tenant-epochs/sec of the \
+         epoch loop, timed from the first epoch's start to the last epoch's end\n",
         table.cores,
     ));
     out
@@ -215,16 +245,18 @@ pub fn fleet_scale_markdown(table: &FleetScaleTable) -> String {
 /// Renders the scaling sweep as CSV.
 pub fn fleet_scale_csv(table: &FleetScaleTable) -> String {
     let mut out = String::from(
-        "tenants,shards,sequential_secs,sharded_secs,sequential_teps,sharded_teps,speedup,\
-         deterministic\n",
+        "tenants,shards,sequential_secs,sharded_secs,sequential_run_secs,sharded_run_secs,\
+         sequential_teps,sharded_teps,speedup,deterministic\n",
     );
     for row in &table.rows {
         out.push_str(&format!(
-            "{},{},{:.4},{:.4},{:.1},{:.1},{:.3},{}\n",
+            "{},{},{:.4},{:.4},{:.4},{:.4},{:.1},{:.1},{:.3},{}\n",
             row.tenants,
             row.shards_used,
-            row.sequential_secs,
-            row.sharded_secs,
+            row.sequential.loop_secs,
+            row.sharded.loop_secs,
+            row.sequential.run_secs,
+            row.sharded.run_secs,
             row.sequential_teps(),
             row.sharded_teps(),
             row.speedup(),
@@ -245,9 +277,12 @@ pub fn fleet_scale_json(table: &FleetScaleTable) -> String {
                 .usize("cores", table.cores)
                 .usize("tenants", row.tenants)
                 .usize("shards", row.shards_used)
-                .usize("loop_epochs", row.loop_epochs())
-                .f64("sequential_secs", row.sequential_secs)
-                .f64("sharded_secs", row.sharded_secs)
+                .usize("sequential_epochs", row.sequential.epochs)
+                .usize("sharded_epochs", row.sharded.epochs)
+                .f64("sequential_secs", row.sequential.loop_secs)
+                .f64("sharded_secs", row.sharded.loop_secs)
+                .f64("sequential_run_secs", row.sequential.run_secs)
+                .f64("sharded_run_secs", row.sharded.run_secs)
                 .f64("sequential_teps", row.sequential_teps())
                 .f64("sharded_teps", row.sharded_teps())
                 .f64("speedup", row.speedup())
@@ -277,6 +312,12 @@ mod tests {
         assert_eq!(row.shards_used, 4);
         assert!(row.sequential_teps() > 0.0);
         assert!(row.sharded_teps() > 0.0);
+        // Each timed loop spans every epoch and sits inside its run.
+        for timing in [row.sequential, row.sharded] {
+            assert_eq!(timing.epochs, SCALING_EPOCHS);
+            assert!(timing.loop_secs > 0.0);
+            assert!(timing.loop_secs < timing.run_secs);
+        }
         assert!(table.all_deterministic());
         let markdown = fleet_scale_markdown(&table);
         assert!(markdown.contains("| 96 |"));

@@ -89,11 +89,9 @@ pub use fleet_recovery::{
 };
 pub use fleet_scale::{
     fleet_scale_csv, fleet_scale_json, fleet_scale_markdown, run_fleet_scale_experiment,
-    FleetScaleRow, FleetScaleSpec, FleetScaleTable,
+    FleetScaleRow, FleetScaleSpec, FleetScaleTable, LoopTiming,
 };
-pub use lp_large::{
-    lp_large_json, lp_large_markdown, lp_large_rows_json, run_lp_large, LpLargeRow, LpLargeSpec,
-};
+pub use lp_large::{lp_large_markdown, lp_large_rows_json, run_lp_large, LpLargeRow, LpLargeSpec};
 pub use report::{
     figure_csv, figure_json, figure_markdown, summary_json, table3_csv, table3_json,
     table3_markdown, write_artifact, Metric,

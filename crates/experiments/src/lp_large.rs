@@ -15,7 +15,7 @@
 //!
 //! Both engines are asserted to agree on status and objective before any
 //! timing is recorded, so the table can never report a speedup over a wrong
-//! answer. The `lp_large` bench feeds these rows into `BENCH_lp_large.json`
+//! answer. The `lp_large` bench writes these rows to `BENCH_lp_large.json`
 //! and enforces a conservative speedup floor in CI; `repro lp-large` prints
 //! the same rows as a Markdown table.
 
@@ -214,9 +214,8 @@ pub fn lp_large_markdown(rows: &[LpLargeRow]) -> String {
     out
 }
 
-/// Renders the rows as JSON lines (one object per instance size) — the
-/// `repro lp-large --json` format; [`lp_large_json`] below is the distinct
-/// single-document `BENCH_lp_large.json` body the bench harness writes.
+/// Renders the rows as JSON lines, one object per instance size: the
+/// `repro lp-large --json` output and the rows of `BENCH_lp_large.json`.
 pub fn lp_large_rows_json(rows: &[LpLargeRow]) -> String {
     let mut out = String::new();
     for row in rows {
@@ -242,40 +241,6 @@ pub fn lp_large_rows_json(rows: &[LpLargeRow]) -> String {
     out
 }
 
-/// Renders the rows as the JSON body of `BENCH_lp_large.json`.
-pub fn lp_large_json(rows: &[LpLargeRow], refactor_floor: f64, solve_floor: f64) -> String {
-    let body: Vec<String> = rows
-        .iter()
-        .map(|row| {
-            format!(
-                "    {{\"rows\": {}, \"basis_nnz\": {}, \"fill_nnz\": {}, \
-                 \"refactor_dense_secs\": {:.6}, \"refactor_sparse_secs\": {:.6}, \
-                 \"refactor_speedup\": {:.2}, \"solve_dense_secs\": {:.6}, \
-                 \"solve_sparse_secs\": {:.6}, \"solve_speedup\": {:.2}, \
-                 \"sparse_pivots\": {}, \"dense_pivots\": {}, \
-                 \"hyper_sparse_rate\": {:.3}}}",
-                row.rows,
-                row.basis_nnz,
-                row.fill_nnz,
-                row.dense_refactor_secs,
-                row.sparse_refactor_secs,
-                row.refactor_speedup,
-                row.dense_solve_secs,
-                row.sparse_solve_secs,
-                row.solve_speedup,
-                row.sparse_pivots,
-                row.dense_pivots,
-                row.hyper_sparse_rate,
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"instances\": [\n{}\n  ],\n  \"floors\": {{\"refactor_speedup\": {refactor_floor}, \
-         \"solve_speedup\": {solve_floor}}}\n}}\n",
-        body.join(",\n"),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,8 +261,7 @@ mod tests {
         assert!(row.sparse_refactor_secs > 0.0 && row.dense_refactor_secs > 0.0);
         let markdown = lp_large_markdown(&rows);
         assert!(markdown.contains("| 64 |"));
-        let json = lp_large_json(&rows, 2.0, 1.2);
-        assert!(json.contains("\"rows\": 64"));
-        assert!(json.contains("\"floors\""));
+        let json = lp_large_rows_json(&rows);
+        assert!(json.contains("\"rows\":64"));
     }
 }

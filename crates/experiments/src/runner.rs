@@ -11,7 +11,7 @@
 //!
 //! The experiments are embarrassingly parallel across `(configuration,
 //! target, solver)` triples, so the runner delegates the whole grid to the
-//! batch-solve engine ([`rental_solvers::solve_batch_with`]), which fans the
+//! batch-solve engine ([`rental_solvers::solve_batch_timed`]), which fans the
 //! flattened work list out over a dynamic thread pool.
 
 use rental_core::{Instance, Throughput};

@@ -168,7 +168,6 @@ pub use rental_obs::{AlertPolicy, AlertRule};
 pub use report::{AdoptionRecord, FleetReport, SolverEffort, TenantReport};
 pub use scenario::{
     diurnal_spike_fleet, failure_coupled_fleet, fleet_instance_config, scaling_fleet,
-    scaling_fleet_one_epoch, scaling_instance_config, FleetScenario, ACCEPTANCE_SEED,
-    SCALING_EPOCHS,
+    scaling_instance_config, FleetScenario, ACCEPTANCE_SEED, SCALING_EPOCHS,
 };
 pub use tenant::TenantSpec;

@@ -891,6 +891,7 @@ impl FleetController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn core() -> TenantCore {
         TenantCore {
@@ -932,9 +933,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn checkpoint_round_trips_through_the_codec() {
-        let checkpoint = Checkpoint {
+    /// A checkpoint touching every field of the codec.
+    fn checkpoint() -> Checkpoint {
+        Checkpoint {
             epoch_next: 7,
             tenants: vec![(
                 (40, vec![0.25, 0.75]),
@@ -974,7 +975,33 @@ mod tests {
             }),
             trace_fingerprints: vec![0xDEAD_BEEF_0123_4567],
             chaos_calls: Some(42),
-        };
+        }
+    }
+
+    /// A journal record carrying the same fields as [`checkpoint`].
+    fn journal_record() -> JournalRecord {
+        let checkpoint = checkpoint();
+        JournalRecord {
+            epoch: checkpoint.epoch_next,
+            tenants: checkpoint.tenants.into_iter().map(|(_, s)| s).collect(),
+            new_adoptions: checkpoint.adoptions,
+            stale_desired: checkpoint.stale_desired,
+            ledger: checkpoint.ledger,
+            chaos_calls: checkpoint.chaos_calls,
+        }
+    }
+
+    /// Runs both decoders; a panic fails the calling test.
+    fn decode_both(bytes: &[u8]) -> (bool, bool) {
+        (
+            Checkpoint::decode(bytes).is_ok(),
+            JournalRecord::decode(bytes).is_ok(),
+        )
+    }
+
+    #[test]
+    fn checkpoint_round_trips_through_the_codec() {
+        let checkpoint = checkpoint();
         let decoded = Checkpoint::decode(&checkpoint.encode()).expect("round trip");
         assert_eq!(decoded, checkpoint);
         // -0.0 must survive bit-exactly (f64s are stored as raw bits).
@@ -1048,5 +1075,49 @@ mod tests {
             JournalRecord::decode(&bytes[..bytes.len() - 1]).is_err(),
             "truncation rejected"
         );
+    }
+
+    #[test]
+    fn every_truncation_of_a_valid_encoding_is_rejected() {
+        for bytes in [checkpoint().encode(), journal_record().encode()] {
+            for len in 0..bytes.len() {
+                assert_eq!(decode_both(&bytes[..len]), (false, false), "{len} bytes");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn decoders_are_total_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..4096),
+            headed in any::<bool>(),
+        ) {
+            // Behind a valid header the garbage reaches the field decoders.
+            let magic = if bytes.len() % 2 == 0 { CHECKPOINT_MAGIC } else { JOURNAL_MAGIC };
+            let mut input = Vec::new();
+            if headed {
+                input = Encoder::versioned(magic, FORMAT_VERSION).finish();
+            }
+            input.extend_from_slice(&bytes);
+            decode_both(&input);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn decoders_are_total_on_single_byte_mutations(flip in 1u8..=255) {
+            // Every position of both encodings, each case with its own flip.
+            for valid in [checkpoint().encode(), journal_record().encode()] {
+                for index in 0..valid.len() {
+                    let mut bytes = valid.clone();
+                    bytes[index] ^= flip;
+                    decode_both(&bytes);
+                }
+            }
+        }
     }
 }

@@ -104,7 +104,7 @@ pub fn diurnal_spike_fleet(num_tenants: usize, seed: u64) -> FleetScenario {
     }
 }
 
-/// Epoch count of the [`scaling_fleet`] scenario's full traces.
+/// Epoch count of the [`scaling_fleet`] scenario's traces.
 pub const SCALING_EPOCHS: usize = 24;
 
 /// The instance generator configuration of the controller-scaling fleet:
@@ -123,7 +123,17 @@ pub fn scaling_instance_config() -> GeneratorConfig {
     }
 }
 
-fn scaling_fleet_with_epochs(num_tenants: usize, seed: u64, epochs: usize) -> FleetScenario {
+/// The controller-scaling fleet: `num_tenants` tenants over
+/// [`SCALING_EPOCHS`] one-hour epochs whose demand cycles over three
+/// well-separated plateaus under a prohibitive switching cost. Every tenant
+/// probes every epoch (the cycling always exceeds the shift threshold) but
+/// none ever re-solves or adopts, so a run exercises exactly the sharded
+/// per-tenant pipelines — trace advancement, shift detection, memoized
+/// what-if probes — with the initial solve fan-out as the only solver work.
+/// Instances cycle over a small pool of distinct tiny applications so a
+/// 16k-tenant fleet stays cheap to build; everything is deterministic per
+/// seed.
+pub fn scaling_fleet(num_tenants: usize, seed: u64) -> FleetScenario {
     const DISTINCT_INSTANCES: usize = 32;
     let instances: Vec<_> = (0..DISTINCT_INSTANCES.min(num_tenants.max(1)))
         .map(|k| {
@@ -139,7 +149,7 @@ fn scaling_fleet_with_epochs(num_tenants: usize, seed: u64, epochs: usize) -> Fl
             // epoch shifts the quantized target far beyond the default 5%
             // shift threshold, so every tenant probes every epoch.
             let plateaus = [base, base * 1.5, base * 2.0];
-            let segments: Vec<_> = (0..epochs)
+            let segments: Vec<_> = (0..SCALING_EPOCHS)
                 .map(|h| rental_stream::TraceSegment {
                     duration: 1.0,
                     rate: plateaus[h % plateaus.len()],
@@ -164,29 +174,6 @@ fn scaling_fleet_with_epochs(num_tenants: usize, seed: u64, epochs: usize) -> Fl
             ..FleetPolicy::default()
         },
     }
-}
-
-/// The controller-scaling fleet: `num_tenants` tenants over
-/// [`SCALING_EPOCHS`] one-hour epochs whose demand cycles over three
-/// well-separated plateaus under a prohibitive switching cost. Every tenant
-/// probes every epoch (the cycling always exceeds the shift threshold) but
-/// none ever re-solves or adopts, so a run exercises exactly the sharded
-/// per-tenant pipelines — trace advancement, shift detection, memoized
-/// what-if probes — with the initial solve fan-out as the only solver work.
-/// Instances cycle over a small pool of distinct tiny applications so a
-/// 16k-tenant fleet stays cheap to build; everything is deterministic per
-/// seed.
-pub fn scaling_fleet(num_tenants: usize, seed: u64) -> FleetScenario {
-    scaling_fleet_with_epochs(num_tenants, seed, SCALING_EPOCHS)
-}
-
-/// The same scaling fleet truncated to its **first epoch**: identical
-/// tenants, identical initial solve fan-out, no epoch loop beyond the first
-/// tick. Subtracting its wall time from the full run's isolates pure
-/// epoch-loop throughput — the **tenant-epochs/sec** headline of
-/// `BENCH_fleet_scaling.json` — from the init cost both runs share.
-pub fn scaling_fleet_one_epoch(num_tenants: usize, seed: u64) -> FleetScenario {
-    scaling_fleet_with_epochs(num_tenants, seed, 1)
 }
 
 /// The failure-coupled acceptance scenario: the diurnal+spike fleet plus a
@@ -270,19 +257,10 @@ mod tests {
     }
 
     #[test]
-    fn scaling_fleet_is_deterministic_and_truncates_cleanly() {
+    fn scaling_fleet_is_deterministic_and_cycles_its_plateaus() {
         let a = scaling_fleet(40, 7);
         let b = scaling_fleet(40, 7);
         assert_eq!(a.tenants, b.tenants);
-        // The one-epoch variant shares instances and first-epoch rates with
-        // the full fleet (same initial solve fan-out), with a single tick.
-        let one = scaling_fleet_one_epoch(40, 7);
-        assert_eq!(one.tenants.len(), 40);
-        for (full, first) in a.tenants.iter().zip(&one.tenants) {
-            assert_eq!(full.instance, first.instance);
-            assert_eq!(full.trace.rate_at(0.5), first.trace.rate_at(0.5));
-            assert!((first.trace.duration() - 1.0).abs() < 1e-9);
-        }
         // Instances cycle over the small distinct pool; every epoch's
         // plateau clears the default shift threshold from its neighbours.
         assert_eq!(a.tenants[0].instance, a.tenants[32].instance);

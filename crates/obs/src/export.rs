@@ -31,7 +31,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::json::JsonRow;
 use crate::metrics::{Histogram, MetricsSnapshot};
@@ -40,6 +40,11 @@ use crate::recorder::Recorder;
 /// Largest request head the responder reads before answering 400. Scrape
 /// requests are a handful of lines; anything bigger is not a scraper.
 const MAX_REQUEST_BYTES: usize = 8 * 1024;
+
+/// Time a connection gets to deliver its whole request head. One deadline
+/// per connection, not per read: a client trickling a byte at a time must
+/// not hold the single serving thread for longer than this.
+const HEAD_DEADLINE: Duration = Duration::from_secs(2);
 
 /// A background scrape endpoint over a shared [`Recorder`]. Binds on
 /// construction, serves until dropped.
@@ -102,18 +107,24 @@ fn accept_loop(listener: TcpListener, recorder: Arc<Recorder>, stop: Arc<AtomicB
             break;
         }
         let Ok(stream) = stream else { continue };
-        // Scrapes are tiny; serve inline and bound every socket wait so a
-        // stalled client cannot wedge the exporter.
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
+        // Scrapes are tiny; serve inline. The request head has one
+        // deadline and every write its own timeout, so a stalled or
+        // trickling client cannot wedge the exporter.
         let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
         let _ = serve_connection(stream, &recorder);
     }
 }
 
 fn serve_connection(mut stream: TcpStream, recorder: &Recorder) -> std::io::Result<()> {
+    let deadline = Instant::now() + HEAD_DEADLINE;
     let mut head = Vec::new();
     let mut chunk = [0u8; 1024];
     loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        stream.set_read_timeout(Some(left))?;
         let n = stream.read(&mut chunk)?;
         if n == 0 {
             break;

@@ -3,12 +3,16 @@
 //! scrape-under-load test that hammers `/metrics` and `/health` over real
 //! HTTP while writer threads mutate the shared recorder, checking that
 //! every scrape is a *consistent* snapshot (cumulative buckets monotone,
-//! `+Inf` equals `_count`, counters never run backwards across scrapes).
+//! `+Inf` equals `_count`, counters never run backwards across scrapes),
+//! and a slow-client test showing a trickling connection cannot starve a
+//! scrape queued behind it.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use rental_obs::{
     render_prometheus, Exporter, Histogram, MetricsSnapshot, Recorder, TelemetrySink,
@@ -136,4 +140,52 @@ fn concurrent_scrapes_see_consistent_snapshots() {
     );
 
     exporter.shutdown();
+}
+
+#[test]
+fn a_trickling_client_cannot_starve_a_scrape() {
+    let recorder = Arc::new(Recorder::new());
+    let exporter = Exporter::bind(recorder, "127.0.0.1:0").unwrap();
+    let addr = exporter.local_addr();
+
+    // The trickler connects first and sends its head one byte every 250 ms,
+    // well inside any per-read timeout, and never finishes it.
+    let stop = Arc::new(AtomicBool::new(false));
+    let (connected, trickling) = std::sync::mpsc::channel();
+    let trickler = {
+        let stop = stop.clone();
+        std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            connected.send(()).unwrap();
+            for byte in b"GET /metrics HTTP/1.1\r\nX-Slow: ".iter().cycle().take(40) {
+                if stop.load(Ordering::SeqCst) || stream.write_all(&[*byte]).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(250));
+            }
+        })
+    };
+    trickling.recv().unwrap();
+
+    let start = Instant::now();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream
+        .write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
+        .unwrap();
+    let mut response = String::new();
+    let read = stream.read_to_string(&mut response);
+    let elapsed = start.elapsed();
+    stop.store(true, Ordering::SeqCst);
+    trickler.join().unwrap();
+    exporter.shutdown();
+
+    assert!(read.is_ok(), "the scrape timed out behind the trickler");
+    assert!(
+        response.starts_with("HTTP/1.1 200 OK"),
+        "bad response: {response}"
+    );
+    assert!(elapsed < Duration::from_secs(5), "scrape took {elapsed:?}");
 }

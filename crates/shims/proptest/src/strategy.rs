@@ -79,7 +79,7 @@ macro_rules! impl_arbitrary_standard {
     };
 }
 
-impl_arbitrary_standard!(bool, u32, u64, f64);
+impl_arbitrary_standard!(bool, u8, u32, u64, f64);
 
 /// Strategy producing a fixed (cloned) value.
 #[derive(Debug, Clone)]

@@ -108,6 +108,13 @@ impl StandardUniform for u32 {
     }
 }
 
+impl StandardUniform for u8 {
+    #[inline]
+    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
+        (rng.next_u64() >> 56) as u8
+    }
+}
+
 impl StandardUniform for bool {
     #[inline]
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 use rental_core::{Instance, Throughput, ThroughputSplit};
 
 use crate::solver::{
-    CapacitySolver, MinCostSolver, SolveBudget, SolveError, SolveResult, SolverOutcome, SweepPrior,
+    CapacitySolver, MinCostSolver, SolveBudget, SolveResult, SolverOutcome, SweepPrior,
     WarmStartSolver,
 };
 
@@ -41,33 +41,14 @@ impl<'a> BatchItem<'a> {
     }
 }
 
-/// Solves every item with every solver of the portfolio in parallel.
+/// Solves every item with every solver of the portfolio in parallel, with
+/// an optional cap on the number of worker threads (`None`: one per
+/// available CPU).
 ///
-/// Returns `results[item][solver]`, aligned with the input orders.
-pub fn solve_batch<S: MinCostSolver + Sync>(
-    portfolio: &[S],
-    items: &[BatchItem<'_>],
-) -> Vec<Vec<SolveResult<SolverOutcome>>> {
-    solve_batch_with(portfolio, items, None)
-}
-
-/// [`solve_batch`] with an explicit cap on the number of worker threads
-/// (`None`: one per available CPU).
-pub fn solve_batch_with<S: MinCostSolver + Sync>(
-    portfolio: &[S],
-    items: &[BatchItem<'_>],
-    max_threads: Option<usize>,
-) -> Vec<Vec<SolveResult<SolverOutcome>>> {
-    solve_batch_timed(portfolio, items, max_threads)
-        .into_iter()
-        .map(|row| row.into_iter().map(|(result, _)| result).collect())
-        .collect()
-}
-
-/// [`solve_batch_with`], additionally reporting the wall-clock time of every
-/// unit — including *failed* solves (an ILP hitting its time limit without an
-/// incumbent spends its whole budget; timing-oriented experiments must not
-/// count that as zero).
+/// Returns `results[item][solver]`, aligned with the input orders, each
+/// with the wall-clock time of its unit — including *failed* solves (an ILP
+/// hitting its time limit without an incumbent spends its whole budget;
+/// timing-oriented experiments must not count that as zero).
 pub fn solve_batch_timed<S: MinCostSolver + Sync>(
     portfolio: &[S],
     items: &[BatchItem<'_>],
@@ -88,47 +69,6 @@ pub fn solve_batch_timed<S: MinCostSolver + Sync>(
     items
         .iter()
         .map(|_| flat.by_ref().take(portfolio.len()).collect())
-        .collect()
-}
-
-/// Solves every item with every solver and keeps, per item, the outcome with
-/// the lowest cost (ties broken towards the earliest solver in the
-/// portfolio). An item only yields an error if every solver failed on it (the
-/// first solver's error is returned), or if the portfolio is empty
-/// ([`SolveError::NoSolutionFound`]).
-pub fn solve_batch_portfolio<S: MinCostSolver + Sync>(
-    portfolio: &[S],
-    items: &[BatchItem<'_>],
-    max_threads: Option<usize>,
-) -> Vec<SolveResult<SolverOutcome>> {
-    solve_batch_with(portfolio, items, max_threads)
-        .into_iter()
-        .map(|outcomes| {
-            let mut best: Option<SolverOutcome> = None;
-            let mut first_error: Option<SolveError> = None;
-            for outcome in outcomes {
-                match outcome {
-                    Ok(candidate) => {
-                        if best.as_ref().is_none_or(|b| candidate.cost() < b.cost()) {
-                            best = Some(candidate);
-                        }
-                    }
-                    Err(err) => {
-                        if first_error.is_none() {
-                            first_error = Some(err);
-                        }
-                    }
-                }
-            }
-            match (best, first_error) {
-                (Some(outcome), _) => Ok(outcome),
-                (None, Some(err)) => Err(err),
-                // Empty portfolio: no solver ran, so no error to forward.
-                (None, None) => Err(SolveError::NoSolutionFound {
-                    solver: "portfolio".to_string(),
-                }),
-            }
-        })
         .collect()
 }
 
@@ -154,7 +94,7 @@ pub fn solve_sweep<S: WarmStartSolver>(
 
 /// [`solve_sweep`], additionally reporting the wall-clock time of every unit
 /// (including failed solves, mirroring [`solve_batch_timed`]).
-pub fn solve_sweep_timed<S: WarmStartSolver>(
+fn solve_sweep_timed<S: WarmStartSolver>(
     solver: &S,
     instance: &Instance,
     targets: &[Throughput],
@@ -331,7 +271,6 @@ pub fn solve_sweep_batch_timed<S: WarmStartSolver + Sync>(
 mod tests {
     use super::*;
     use crate::exact::IlpSolver;
-    use crate::heuristics::{BestGraphSolver, SteepestGradientSolver};
     use crate::registry::{standard_suite, SuiteConfig};
     use rental_core::examples::illustrating_example;
 
@@ -343,31 +282,15 @@ mod tests {
             .step_by(10)
             .map(|rho| BatchItem::new(&instance, rho))
             .collect();
-        let batch = solve_batch(&suite, &items);
+        let batch = solve_batch_timed(&suite, &items, None);
         assert_eq!(batch.len(), items.len());
         for (item, row) in items.iter().zip(&batch) {
             assert_eq!(row.len(), suite.len());
-            for (solver, outcome) in suite.iter().zip(row) {
+            for (solver, (outcome, _)) in suite.iter().zip(row) {
                 let sequential = solver.solve(item.instance, item.target).unwrap();
                 assert_eq!(outcome.as_ref().unwrap().solution, sequential.solution);
             }
         }
-    }
-
-    #[test]
-    fn portfolio_keeps_the_cheapest_outcome() {
-        let instance = illustrating_example();
-        let portfolio: Vec<Box<dyn MinCostSolver + Send + Sync>> = vec![
-            Box::new(BestGraphSolver),
-            Box::new(SteepestGradientSolver::default()),
-        ];
-        let items = [BatchItem::new(&instance, 70)];
-        let best = solve_batch_portfolio(&portfolio, &items, None);
-        let h1 = BestGraphSolver.solve(&instance, 70).unwrap();
-        let h32 = SteepestGradientSolver::default()
-            .solve(&instance, 70)
-            .unwrap();
-        assert_eq!(best[0].as_ref().unwrap().cost(), h1.cost().min(h32.cost()));
     }
 
     #[test]
@@ -378,23 +301,11 @@ mod tests {
             .step_by(20)
             .map(|rho| BatchItem::new(&instance, rho))
             .collect();
-        let wide = solve_batch_with(&suite, &items, None);
-        let narrow = solve_batch_with(&suite, &items, Some(1));
-        for (a, b) in wide.iter().flatten().zip(narrow.iter().flatten()) {
+        let wide = solve_batch_timed(&suite, &items, None);
+        let narrow = solve_batch_timed(&suite, &items, Some(1));
+        for ((a, _), (b, _)) in wide.iter().flatten().zip(narrow.iter().flatten()) {
             assert_eq!(a.as_ref().unwrap().solution, b.as_ref().unwrap().solution);
         }
-    }
-
-    #[test]
-    fn empty_portfolio_yields_errors_not_panics() {
-        let instance = illustrating_example();
-        let no_solvers: Vec<Box<dyn MinCostSolver + Send + Sync>> = Vec::new();
-        let best = solve_batch_portfolio(&no_solvers, &[BatchItem::new(&instance, 70)], None);
-        assert_eq!(best.len(), 1);
-        assert!(matches!(
-            best[0].as_ref().unwrap_err(),
-            crate::solver::SolveError::NoSolutionFound { .. }
-        ));
     }
 
     #[test]
@@ -508,10 +419,10 @@ mod tests {
     #[test]
     fn empty_batches_are_harmless() {
         let suite = standard_suite(&SuiteConfig::default());
-        assert!(solve_batch(&suite, &[]).is_empty());
+        assert!(solve_batch_timed(&suite, &[], None).is_empty());
         let instance = illustrating_example();
         let no_solvers: Vec<Box<dyn MinCostSolver + Send + Sync>> = Vec::new();
-        let rows = solve_batch(&no_solvers, &[BatchItem::new(&instance, 10)]);
+        let rows = solve_batch_timed(&no_solvers, &[BatchItem::new(&instance, 10)], None);
         assert_eq!(rows.len(), 1);
         assert!(rows[0].is_empty());
     }

@@ -32,8 +32,8 @@
 //!
 //! The local-search heuristics all run on the sparse delta-evaluation search
 //! kernel of `rental_core::cost` (per-instance pair-diff table, undo tokens,
-//! parallel candidate scans), and [`batch::solve_batch`] fans a whole solver
-//! portfolio across many `(instance, target)` pairs in parallel — the
+//! parallel candidate scans), and [`batch::solve_batch_timed`] fans a whole
+//! solver portfolio across many `(instance, target)` pairs in parallel — the
 //! many-tenants serving path.
 //!
 //! ```
@@ -58,8 +58,8 @@ pub mod registry;
 pub mod solver;
 
 pub use batch::{
-    solve_batch, solve_batch_portfolio, solve_batch_timed, solve_batch_with, solve_sweep,
-    solve_sweep_batch_timed, solve_sweep_timed, solve_warm_batch, BatchItem, WarmBatchItem,
+    solve_batch_timed, solve_sweep, solve_sweep_batch_timed, solve_warm_batch, BatchItem,
+    WarmBatchItem,
 };
 pub use certify::{certify_plan, CertifyError};
 pub use multicloud::{CloudRegion, MultiCloudProblem, MultiCloudSolution, RegionAllocation};

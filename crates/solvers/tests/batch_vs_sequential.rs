@@ -1,7 +1,7 @@
 //! The batch-solve engine must be observationally identical to the
-//! sequential double loop: same solutions, same costs, same per-item
-//! portfolio winners — whatever the thread budget. Warm batches solve each
-//! distinct request once and hand every repeat the same outcome.
+//! sequential double loop: same solutions, same costs — whatever the thread
+//! budget. Warm batches solve each distinct request once and hand every
+//! repeat the same outcome.
 
 use std::sync::Mutex;
 use std::time::Duration;
@@ -12,9 +12,7 @@ use proptest::TestCaseError;
 use rental_core::examples::illustrating_example;
 use rental_core::{Instance, Throughput};
 use rental_simgen::{GeneratorConfig, InstanceGenerator};
-use rental_solvers::batch::{
-    solve_batch_portfolio, solve_batch_with, solve_warm_batch, BatchItem, WarmBatchItem,
-};
+use rental_solvers::batch::{solve_batch_timed, solve_warm_batch, BatchItem, WarmBatchItem};
 use rental_solvers::exact::IlpSolver;
 use rental_solvers::registry::{standard_suite, SuiteConfig};
 use rental_solvers::{
@@ -41,27 +39,16 @@ proptest! {
             .flat_map(|instance| [30u64, 80].map(|target| BatchItem::new(instance, target)))
             .collect();
 
-        let batch = solve_batch_with(&suite, &items, Some(threads));
+        let batch = solve_batch_timed(&suite, &items, Some(threads));
         prop_assert_eq!(batch.len(), items.len());
         for (item, row) in items.iter().zip(&batch) {
             prop_assert_eq!(row.len(), suite.len());
-            for (solver, outcome) in suite.iter().zip(row) {
+            for (solver, (outcome, _)) in suite.iter().zip(row) {
                 let sequential = solver.solve(item.instance, item.target).unwrap();
                 let outcome = outcome.as_ref().unwrap();
                 prop_assert_eq!(&outcome.solution, &sequential.solution);
                 prop_assert_eq!(outcome.proven_optimal, sequential.proven_optimal);
             }
-        }
-
-        // The portfolio reduction picks exactly the sequential minimum.
-        let best = solve_batch_portfolio(&suite, &items, Some(threads));
-        for (item, winner) in items.iter().zip(&best) {
-            let sequential_min = suite
-                .iter()
-                .map(|solver| solver.solve(item.instance, item.target).unwrap().cost())
-                .min()
-                .unwrap();
-            prop_assert_eq!(winner.as_ref().unwrap().cost(), sequential_min);
         }
     }
 }
