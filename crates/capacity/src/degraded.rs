@@ -197,13 +197,31 @@ pub fn degrade_to_feasible<S: CapacitySolver>(
     caps: &[u64],
     prior: Option<&SweepPrior>,
 ) -> SolveResult<CappedOutcome> {
+    degrade_with(instance, target, caps, |degraded| {
+        solver.solve_with_caps(instance, degraded, caps, prior)
+    })
+}
+
+/// [`degrade_to_feasible`] with its one capped solve handed to `solve`,
+/// which receives the degraded target — for callers that record or replay
+/// their solver calls.
+///
+/// # Errors
+///
+/// Propagates solver errors other than infeasibility.
+pub fn degrade_with(
+    instance: &Instance,
+    target: Throughput,
+    caps: &[u64],
+    solve: impl FnOnce(Throughput) -> SolveResult<SolverOutcome>,
+) -> SolveResult<CappedOutcome> {
     // The max-coverage MILP can exceed `target` when the caller fell through
     // a fractional-vs-integer gap; never serve more than was asked for.
     let degraded_target = max_feasible_target(instance, caps)?.min(target);
     if degraded_target == 0 {
         return Ok(CappedOutcome::Unserved);
     }
-    match solver.solve_with_caps(instance, degraded_target, caps, prior) {
+    match solve(degraded_target) {
         Ok(outcome) if degraded_target == target => Ok(CappedOutcome::Full(outcome)),
         Ok(outcome) => Ok(CappedOutcome::Degraded {
             target: degraded_target,

@@ -57,7 +57,8 @@ pub mod pool;
 
 pub use config::CapacityConfig;
 pub use degraded::{
-    coverage_bound, degrade_to_feasible, max_feasible_target, solve_or_degrade, CappedOutcome,
+    coverage_bound, degrade_to_feasible, degrade_with, max_feasible_target, solve_or_degrade,
+    CappedOutcome,
 };
 pub use pool::{CapacityPool, LedgerError, PoolLedger};
 pub use rental_solvers::UNLIMITED_CAP;

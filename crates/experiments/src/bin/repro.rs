@@ -501,9 +501,10 @@ fn emit_fleet_scale(options: &Options) -> Result<(), String> {
     } else if options.csv {
         print!("{csv}");
     } else {
+        let scenarios: Vec<&str> = table.rows.iter().map(|row| row.scenario.as_str()).collect();
         println!(
             "## Fleet scaling — sharded epoch pipelines vs the sequential loop ({})",
-            table.scenario
+            scenarios.join(", ")
         );
         print!("{markdown}");
     }

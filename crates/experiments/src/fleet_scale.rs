@@ -72,6 +72,8 @@ impl LoopTiming {
 /// One fleet-size row of the sweep.
 #[derive(Debug, Clone)]
 pub struct FleetScaleRow {
+    /// Scenario name of this row's fleet.
+    pub scenario: String,
     /// Tenants in this row.
     pub tenants: usize,
     /// Shard count the sharded run actually used.
@@ -105,8 +107,6 @@ impl FleetScaleRow {
 /// The outcome of the sweep.
 #[derive(Debug, Clone)]
 pub struct FleetScaleTable {
-    /// Scenario name (of the largest row).
-    pub scenario: String,
     /// Worker threads rayon reports available.
     pub cores: usize,
     /// One row per fleet size, in spec order.
@@ -181,7 +181,6 @@ fn fastest_run(
 /// Propagates solver failures from the controller.
 pub fn run_fleet_scale_experiment(spec: &FleetScaleSpec) -> SolveResult<FleetScaleTable> {
     let mut rows = Vec::with_capacity(spec.sizes.len());
-    let mut scenario_name = String::new();
     for &tenants in &spec.sizes {
         let scenario = scaling_fleet(tenants, spec.seed);
         let sharded_policy = FleetPolicy {
@@ -196,16 +195,15 @@ pub fn run_fleet_scale_experiment(spec: &FleetScaleSpec) -> SolveResult<FleetSca
             fastest_run(&scenario, sequential_policy, spec.trials)?;
         let (sharded, sharded_report) = fastest_run(&scenario, sharded_policy, spec.trials)?;
         rows.push(FleetScaleRow {
+            scenario: scenario.name,
             tenants,
             shards_used: sharded_policy.shard_count(tenants),
             sequential,
             sharded,
             deterministic: sequential_report.matches_modulo_timing(&sharded_report),
         });
-        scenario_name = scenario.name;
     }
     Ok(FleetScaleTable {
-        scenario: scenario_name,
         cores: rayon::current_num_threads(),
         rows,
     })
@@ -273,7 +271,7 @@ pub fn fleet_scale_json(table: &FleetScaleTable) -> String {
         out.push_str(
             &rental_obs::json::JsonRow::new()
                 .str("record", "fleet_scale")
-                .str("scenario", &table.scenario)
+                .str("scenario", &row.scenario)
                 .usize("cores", table.cores)
                 .usize("tenants", row.tenants)
                 .usize("shards", row.shards_used)
@@ -325,5 +323,20 @@ mod tests {
         assert_eq!(csv.lines().count(), 2);
         let json = fleet_scale_json(&table);
         assert!(json.contains("\"record\":\"fleet_scale\""));
+    }
+
+    #[test]
+    fn every_row_names_its_own_scenario() {
+        let spec = FleetScaleSpec {
+            sizes: vec![8, 16],
+            seed: 7,
+            shards: Some(2),
+            trials: 1,
+        };
+        let json = fleet_scale_json(&run_fleet_scale_experiment(&spec).unwrap());
+        assert_eq!(json.lines().count(), 2);
+        for (line, name) in json.lines().zip(["scaling-8", "scaling-16"]) {
+            assert!(line.contains(&format!("\"scenario\":\"{name}\"")), "{line}");
+        }
     }
 }

@@ -361,15 +361,15 @@ impl<'a> ChaosClock<'a> {
     }
 
     /// Intercepted solver calls so far — the run's position in the
-    /// deterministic fault stream. Checkpointed by [`crate::persist`] so a
-    /// resumed run draws exactly the faults the uninterrupted run would have
-    /// drawn.
+    /// deterministic fault stream. Snapshots and journal records carry it
+    /// ([`crate::persist`]) so a resumed run draws exactly the faults the
+    /// uninterrupted run would have drawn.
     pub(crate) fn calls(&self) -> u64 {
         self.stats.calls.load(Ordering::SeqCst)
     }
 
     /// Repositions the run's solver fault stream (on resume from a
-    /// checkpoint).
+    /// snapshot or a replayed journal record).
     pub(crate) fn set_calls(&self, calls: u64) {
         self.stats.calls.store(calls, Ordering::SeqCst);
     }

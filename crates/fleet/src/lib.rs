@@ -102,10 +102,16 @@
 //! [`FleetController::run_resumable`] makes the loop **durable**: every
 //! completed epoch appends one CRC-framed record to a write-ahead journal in
 //! a [`rental_persist::Store`], and a full checkpoint is snapshotted every
-//! [`PersistOptions::snapshot_every`] epochs. [`FleetController::resume_from`]
-//! climbs the recovery ladder documented in [`persist`] — journal replay,
-//! last good snapshot, cold restart — and every rung lands on a report
-//! bit-identical (modulo wall-clock timing, see
+//! [`PersistOptions::snapshot_every`] epochs. The journal logs decisions, not
+//! state: a record carries the epoch's solver outcomes, the chaos stream
+//! position and a digest of the state the epoch left — everything else an
+//! epoch does is a deterministic function of its inputs.
+//! [`FleetController::resume_from`] climbs the recovery ladder documented in
+//! [`persist`]: replay by re-execution (the newest snapshot, then every
+//! journaled epoch through the same epoch step, its solves served from the
+//! journal, certified and checked against the requests and the digests),
+//! the valid prefix of the journal followed by live epochs, cold restart.
+//! Every rung lands on a report bit-identical (modulo wall-clock timing, see
 //! [`FleetReport::matches_modulo_timing`]) to the uninterrupted run.
 //!
 //! ## Telemetry and the operational plane
@@ -152,6 +158,7 @@
 
 pub mod chaos;
 pub mod controller;
+mod journal;
 pub mod persist;
 pub mod report;
 mod run;

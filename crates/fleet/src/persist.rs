@@ -1,74 +1,85 @@
-//! Crash-safe fleet serving: checkpoint/WAL persistence and deterministic
-//! resume on top of [`rental_persist`].
+//! Crash-safe fleet serving: snapshots, a decision journal and resume by
+//! re-execution on top of [`rental_persist`].
 //!
-//! [`FleetController::run_resumable`] executes the capacity-coupled serving
-//! loop epoch by epoch, writing one **journal record** per completed epoch
-//! (the state delta: decision state and running totals, new epoch costs,
-//! newly learned plans, new adoption records, the pool ledger) and a full
-//! **checkpoint snapshot** every [`PersistOptions::snapshot_every`] epochs.
-//! Both are framed with CRC-32 checksums by the [`rental_persist::Store`], so
-//! torn writes and tail corruption are detected, never trusted.
+//! An epoch of the fleet driver is a deterministic function of the state
+//! before it, the configs and the outcomes of its solver calls — the one
+//! input that wall-clock budgets and chaos faults shape. So the journal
+//! logs decisions, not state: [`FleetController::run_resumable`] appends
+//! one **journal record** per completed epoch carrying that epoch's solver
+//! outcomes in call order (each a plan or an error, with its request's
+//! digest, nodes, LP iterations and elapsed time), the chaos stream position
+//! and a digest of the decision state the epoch left. A full **checkpoint
+//! snapshot** is written every [`PersistOptions::snapshot_every`] epochs.
+//! Both are framed with CRC-32 checksums by the [`rental_persist::Store`],
+//! so torn writes and tail corruption are detected, never trusted.
 //!
 //! [`FleetController::resume_from`] restores a killed run and continues it —
 //! producing a [`FleetReport`] **bit-identical** (modulo wall-clock timing,
 //! see [`FleetReport::matches_modulo_timing`]) to the uninterrupted run. The
 //! recovery ladder, healthiest rung first:
 //!
-//! 1. **journal replay** — decode the newest frame-valid snapshot, then
-//!    apply every consecutive journal record past it;
-//! 2. **last good snapshot** — a torn/corrupt/diverging journal suffix is
-//!    discarded (and the journal rewritten to its applied prefix); the lost
-//!    epochs are deterministically *re-executed*, which reproduces them
-//!    exactly;
-//! 3. **cold restart** — nothing restorable (or the persisted state fails
+//! 1. **replay by re-execution** — decode the newest frame-valid snapshot,
+//!    then re-execute every consecutive journaled epoch past it through the
+//!    driver's own epoch step, its solves served from the journal instead
+//!    of the solver. Every served outcome must answer the request the epoch
+//!    makes (its request digest) and pass the independent plan certificate,
+//!    in release builds too, and the state after each epoch must match the
+//!    journaled digest;
+//! 2. **the valid prefix, then live** — a torn, corrupt or diverging record
+//!    (one that fails any of those checks) ends the valid journal: it is
+//!    truncated there, the snapshot is replayed up to that epoch, and the
+//!    run continues live, re-solving the lost epochs — which reproduces them
+//!    exactly under deterministic budgets;
+//! 3. **cold restart** — nothing restorable (or the snapshot fails
 //!    validation: bad arity, failed plan certification, a quota ledger that
 //!    would over-grant, outage-trace fingerprint mismatch): the store is
 //!    reset and the whole run re-executes from the initial fixed-mix plans.
 //!    Determinism makes even this rung produce the identical report.
 //!
-//! Only **decision state** is persisted. Derived caches — the fixed-mix
-//! scalers, probe memos, plan horizon caches, the outage traces themselves —
-//! are rebuilt from the configs on resume; outage traces are validated
-//! against their checkpointed fingerprints, restored plans are re-certified
-//! by the independent integer checker, and the pool ledger is re-admitted
-//! only through [`rental_capacity::CapacityPool::restore_ledger`]'s quota
-//! invariants. A corrupted store can therefore cost re-execution time, but
-//! never a panic and never an over-grant.
+//! Snapshots persist only **decision state**. Derived caches — the
+//! fixed-mix scalers, probe memos, plan horizon caches, the outage traces
+//! themselves — are rebuilt from the configs on resume; outage traces are
+//! validated against their checkpointed fingerprints, restored plans are
+//! re-certified by the independent integer checker, and the pool ledger is
+//! re-admitted only through [`rental_capacity::CapacityPool::restore_ledger`]'s
+//! quota invariants. A corrupted store can therefore cost re-execution
+//! time, but never a panic and never an over-grant. Replayed epochs emit no
+//! telemetry: the process that ran them did.
 //!
 //! Persistence is the durability hook of the one fleet driver (the crate's
-//! `run` module): the epoch loop is the same as every other entry
-//! point's, so a durable run cannot drift from a plain one. **Sharding is
-//! resume-transparent** for the same reason: the shard fan-out knob
-//! ([`crate::FleetPolicy::shards`]) lives in the policy, not the store, and
-//! every shard count produces bit-identical decision state, so a run
-//! journaled under one shard count may be resumed under another (or on a
-//! machine with a different core count) without divergence — the
-//! `fleet_sharding` kill-and-resume property test pins exactly this.
+//! `run` module): replay *is* the live epoch loop, so a resumed run cannot
+//! drift from a plain one. **Sharding is resume-transparent** for the same
+//! reason: the shard fan-out knob ([`crate::FleetPolicy::shards`]) lives in
+//! the policy, not the store, and every shard count makes the same solver
+//! calls in the same order, so a run journaled under one shard count may be
+//! resumed under another (or on a machine with a different core count)
+//! without divergence — the `fleet_sharding` kill-and-resume property test
+//! pins exactly this.
 
 use std::io;
-use std::time::Duration;
 
 use rental_capacity::{CapacityConfig, PoolLedger};
-use rental_core::{Allocation, Instance, Solution, Throughput, ThroughputSplit};
+use rental_core::{Throughput, ThroughputSplit};
 use rental_obs::{EventKind, SpanTimer, Stage, StageTimes};
-use rental_persist::{DecodeError, Decoder, Encoder, Store};
-use rental_solvers::solver::{CapacitySolver, SolveError, SolverOutcome, SweepPrior};
+use rental_persist::{DecodeError, Decoder, Encoder, JournalAppender, Store};
+use rental_solvers::solver::{CapacitySolver, SolveError, SweepPrior};
 use rental_stream::FixedMixState;
 
 use crate::chaos::{ChaosClock, ChaosConfig, CrashPlan, CrashPoint};
 use crate::controller::{FleetController, KnownPlan, RunEnv, Tally, TenantCore, TenantState};
+use crate::journal::{
+    get_outcome, put_outcome, replay, state_digest, JournalRecord, PersistedOutcome, Solves,
+};
 use crate::report::{AdoptionRecord, FleetReport, SolverEffort};
 use crate::run::FleetRun;
 use crate::tenant::TenantSpec;
 
 /// Magic number of checkpoint snapshots (`"RPSF"`).
 const CHECKPOINT_MAGIC: u32 = 0x5250_5346;
-/// Magic number of journal records (`"RPJL"`).
-const JOURNAL_MAGIC: u32 = 0x5250_4A4C;
-/// Current on-disk format version of both payload kinds. Version 2 replaced
-/// the two probe/solve stopwatch fields with the full five-stage
-/// [`StageTimes`] vector and added the deterministic solver-effort scalars.
-const FORMAT_VERSION: u32 = 2;
+/// Current on-disk format version of both payload kinds. Version 3 replaced
+/// the per-epoch state deltas of the journal with the epoch's solver
+/// outcomes and a state digest; a version-2 store cold-restarts.
+pub(crate) const FORMAT_VERSION: u32 = 3;
 
 /// Why a resumable run failed. Corrupted or missing persisted state is
 /// **not** an error — the recovery ladder absorbs it; only real filesystem
@@ -157,33 +168,22 @@ impl RunOutcome {
 // Persisted shapes
 // ---------------------------------------------------------------------------
 
-/// A learned plan, flattened to integers: its target ρ plus everything
-/// needed to rebuild its [`SolverOutcome`] (the horizon cache is derived).
+/// A learned plan: its target ρ and its outcome (the horizon cache is
+/// derived).
 #[derive(Debug, Clone, PartialEq)]
 struct PersistedPlan {
     rho: Throughput,
-    target: Throughput,
-    shares: Vec<u64>,
-    machines: Vec<u64>,
-    proven_optimal: bool,
-    lower_bound: Option<f64>,
-    elapsed: f64,
-    nodes: Option<u64>,
-    lp_iterations: Option<u64>,
-    exhausted: bool,
+    outcome: PersistedOutcome,
 }
 
 /// A tenant's initial plan: its target and recipe mix.
 type InitialPlan = (Throughput, Vec<f64>);
 
-/// One tenant's persisted state. The decision state and running totals are
-/// small, so they always travel **absolute** (applying a journal record is
-/// idempotent); a checkpoint carries every epoch cost and the whole plan
-/// log, a journal record only the costs and plans accrued since the
-/// previous record. The running totals include the per-stage wall-clock seconds:
-/// timing is the masked field family of
-/// [`FleetReport::matches_modulo_timing`], but persisting it keeps a resumed
-/// run's totals from silently dropping the pre-crash portion.
+/// One tenant's checkpointed state: decision state, running totals (the
+/// per-stage wall-clock seconds included — timing is the masked field family
+/// of [`FleetReport::matches_modulo_timing`], but persisting it keeps a
+/// resumed run's totals from silently dropping the pre-crash portion), every
+/// epoch cost and the whole plan log.
 #[derive(Debug, Clone, PartialEq)]
 struct TenantSnapshot {
     core: TenantCore,
@@ -199,7 +199,7 @@ struct Checkpoint {
     /// The first epoch a resumed run still has to execute.
     epoch_next: u64,
     /// Every tenant's initial plan — its target and recipe mix, constant
-    /// over a run, so journal records do not repeat them — and state.
+    /// over a run — and state.
     tenants: Vec<(InitialPlan, TenantSnapshot)>,
     adoptions: Vec<AdoptionRecord>,
     stale_desired: Option<Vec<Vec<u64>>>,
@@ -208,17 +208,6 @@ struct Checkpoint {
     /// traces from the config and refuses to continue when they diverge.
     trace_fingerprints: Vec<u64>,
     /// Position in the chaos fault stream, when the run is chaos-wrapped.
-    chaos_calls: Option<u64>,
-}
-
-/// The write-ahead record of one executed epoch.
-#[derive(Debug, Clone, PartialEq)]
-struct JournalRecord {
-    epoch: u64,
-    tenants: Vec<TenantSnapshot>,
-    new_adoptions: Vec<AdoptionRecord>,
-    stale_desired: Option<Vec<Vec<u64>>>,
-    ledger: Option<PoolLedger>,
     chaos_calls: Option<u64>,
 }
 
@@ -232,34 +221,6 @@ fn put_fleets(enc: &mut Encoder, fleets: &[Vec<u64>]) {
 
 fn get_fleets(dec: &mut Decoder<'_>) -> Result<Vec<Vec<u64>>, DecodeError> {
     dec.get_seq(8, |d| d.get_u64s())
-}
-
-fn put_plan(enc: &mut Encoder, plan: &PersistedPlan) {
-    enc.put_u64(plan.rho);
-    enc.put_u64(plan.target);
-    enc.put_u64s(&plan.shares);
-    enc.put_u64s(&plan.machines);
-    enc.put_bool(plan.proven_optimal);
-    enc.put_opt_f64(plan.lower_bound);
-    enc.put_f64(plan.elapsed);
-    enc.put_opt_u64(plan.nodes);
-    enc.put_opt_u64(plan.lp_iterations);
-    enc.put_bool(plan.exhausted);
-}
-
-fn get_plan(dec: &mut Decoder<'_>) -> Result<PersistedPlan, DecodeError> {
-    Ok(PersistedPlan {
-        rho: dec.get_u64()?,
-        target: dec.get_u64()?,
-        shares: dec.get_u64s()?,
-        machines: dec.get_u64s()?,
-        proven_optimal: dec.get_bool()?,
-        lower_bound: dec.get_opt_f64()?,
-        elapsed: dec.get_f64()?,
-        nodes: dec.get_opt_u64()?,
-        lp_iterations: dec.get_opt_u64()?,
-        exhausted: dec.get_bool()?,
-    })
 }
 
 fn put_core(enc: &mut Encoder, core: &TenantCore) {
@@ -305,13 +266,9 @@ fn get_core(dec: &mut Decoder<'_>) -> Result<TenantCore, DecodeError> {
     })
 }
 
-fn put_tally(enc: &mut Encoder, t: &Tally) {
-    enc.put_f64(t.rental_cost);
-    enc.put_f64(t.switching_cost);
-    for seconds in t.timing.seconds() {
-        enc.put_f64(seconds);
-    }
-    for count in [
+/// A tally's counters, in encoding order.
+pub(crate) fn tally_counts(t: &Tally) -> [usize; 13] {
+    [
         t.effort.solves,
         t.effort.nodes,
         t.effort.lp_iterations,
@@ -325,7 +282,16 @@ fn put_tally(enc: &mut Encoder, t: &Tally) {
         t.budget_exhausted_epochs,
         t.incumbent_adoptions,
         t.resolve_retries,
-    ] {
+    ]
+}
+
+fn put_tally(enc: &mut Encoder, t: &Tally) {
+    enc.put_f64(t.rental_cost);
+    enc.put_f64(t.switching_cost);
+    for seconds in t.timing.seconds() {
+        enc.put_f64(seconds);
+    }
+    for count in tally_counts(t) {
         enc.put_usize(count);
     }
 }
@@ -403,7 +369,10 @@ fn put_tenant(enc: &mut Encoder, snap: &TenantSnapshot) {
     put_core(enc, &snap.core);
     put_tally(enc, &snap.tally);
     enc.put_f64s(&snap.epoch_costs);
-    enc.put_seq(&snap.plans, put_plan);
+    enc.put_seq(&snap.plans, |e, plan| {
+        e.put_u64(plan.rho);
+        put_outcome(e, &plan.outcome);
+    });
 }
 
 fn get_tenant(dec: &mut Decoder<'_>) -> Result<TenantSnapshot, DecodeError> {
@@ -411,7 +380,12 @@ fn get_tenant(dec: &mut Decoder<'_>) -> Result<TenantSnapshot, DecodeError> {
         core: get_core(dec)?,
         tally: get_tally(dec)?,
         epoch_costs: dec.get_f64s()?,
-        plans: dec.get_seq(8, get_plan)?,
+        plans: dec.get_seq(8, |d| {
+            Ok(PersistedPlan {
+                rho: d.get_u64()?,
+                outcome: get_outcome(d)?,
+            })
+        })?,
     })
 }
 
@@ -451,100 +425,30 @@ impl Checkpoint {
         dec.expect_end()?;
         Ok(checkpoint)
     }
-
-    /// Applies one journal record. Returns false (leaving `self` possibly
-    /// partially advanced — the caller discards it) when the record does not
-    /// continue this checkpoint: wrong epoch or wrong tenant arity.
-    fn apply(&mut self, record: &JournalRecord) -> bool {
-        if record.epoch != self.epoch_next || record.tenants.len() != self.tenants.len() {
-            return false;
-        }
-        for ((_, snap), delta) in self.tenants.iter_mut().zip(&record.tenants) {
-            snap.core = delta.core.clone();
-            snap.tally = delta.tally;
-            snap.epoch_costs.extend_from_slice(&delta.epoch_costs);
-            snap.plans.extend_from_slice(&delta.plans);
-        }
-        self.adoptions.extend_from_slice(&record.new_adoptions);
-        self.stale_desired = record.stale_desired.clone();
-        if record.ledger.is_some() {
-            self.ledger = record.ledger.clone();
-        }
-        self.chaos_calls = record.chaos_calls;
-        self.epoch_next += 1;
-        true
-    }
-}
-
-impl JournalRecord {
-    fn encode(&self) -> Vec<u8> {
-        let mut enc = Encoder::versioned(JOURNAL_MAGIC, FORMAT_VERSION);
-        enc.put_u64(self.epoch);
-        enc.put_seq(&self.tenants, put_tenant);
-        enc.put_seq(&self.new_adoptions, put_adoption);
-        enc.put_opt(self.stale_desired.as_ref(), |e, fleets| {
-            put_fleets(e, fleets)
-        });
-        enc.put_opt(self.ledger.as_ref(), put_ledger);
-        enc.put_opt_u64(self.chaos_calls);
-        enc.finish()
-    }
-
-    fn decode(bytes: &[u8]) -> Result<JournalRecord, DecodeError> {
-        let (mut dec, _) = Decoder::versioned(bytes, JOURNAL_MAGIC, |v| v == FORMAT_VERSION)?;
-        let record = JournalRecord {
-            epoch: dec.get_u64()?,
-            tenants: dec.get_seq(8, get_tenant)?,
-            new_adoptions: dec.get_seq(8, get_adoption)?,
-            stale_desired: dec.get_opt(get_fleets)?,
-            ledger: dec.get_opt(get_ledger)?,
-            chaos_calls: dec.get_opt_u64()?,
-        };
-        dec.expect_end()?;
-        Ok(record)
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Capture (state → persisted shapes) and restore (persisted shapes → state)
 // ---------------------------------------------------------------------------
 
-fn capture_plan(rho: Throughput, plan: &KnownPlan) -> PersistedPlan {
-    let outcome = &plan.outcome;
-    PersistedPlan {
-        rho,
-        target: outcome.solution.target,
-        shares: outcome.solution.split.shares().to_vec(),
-        machines: outcome.solution.allocation.machine_counts().to_vec(),
-        proven_optimal: outcome.proven_optimal,
-        lower_bound: outcome.lower_bound,
-        elapsed: outcome.elapsed.as_secs_f64(),
-        nodes: outcome.nodes.map(|n| n as u64),
-        lp_iterations: outcome.lp_iterations.map(|n| n as u64),
-        exhausted: outcome.exhausted,
-    }
-}
-
-/// A tenant's state with its epoch costs and plans from the given ledger
-/// positions on.
-fn capture_tenant(state: &TenantState<'_>, (costs, plans): (usize, usize)) -> TenantSnapshot {
-    TenantSnapshot {
-        core: state.core.clone(),
-        tally: state.tally,
-        epoch_costs: state.epoch_costs[costs..].to_vec(),
-        plans: (state.plans[plans..].iter())
-            .map(|(rho, plan)| capture_plan(*rho, plan))
-            .collect(),
-    }
-}
-
 fn capture_checkpoint(run: &FleetRun<'_>, epoch_next: usize) -> Checkpoint {
+    let capture_tenant = |s: &TenantState<'_>| TenantSnapshot {
+        core: s.core.clone(),
+        tally: s.tally,
+        epoch_costs: s.epoch_costs.clone(),
+        plans: (s.plans.iter())
+            .map(|(rho, plan)| PersistedPlan {
+                rho: *rho,
+                outcome: PersistedOutcome::capture(&plan.outcome),
+            })
+            .collect(),
+    };
     Checkpoint {
         epoch_next: epoch_next as u64,
         tenants: (run.states.iter())
             .map(|s| {
                 let initial = (s.initial_target, s.initial_fractions.clone());
-                (initial, capture_tenant(s, (0, 0)))
+                (initial, capture_tenant(s))
             })
             .collect(),
         adoptions: run.adoptions.clone(),
@@ -557,39 +461,6 @@ fn capture_checkpoint(run: &FleetRun<'_>, epoch_next: usize) -> Checkpoint {
             .unwrap_or_default(),
         chaos_calls: run.chaos.map(|clock| clock.calls()),
     }
-}
-
-/// Rebuilds one learned plan. `None` when it fails validation — wrong
-/// arity, a timing that is no duration, or independent certification.
-fn restore_plan(
-    ctl: &FleetController,
-    instance: &Instance,
-    plan: &PersistedPlan,
-) -> Option<(Throughput, KnownPlan)> {
-    if plan.shares.len() != instance.num_recipes() || plan.machines.len() != instance.num_types() {
-        return None;
-    }
-    let elapsed = Duration::try_from_secs_f64(plan.elapsed).ok()?;
-    let solution = Solution {
-        target: plan.target,
-        split: ThroughputSplit::new(plan.shares.clone()),
-        allocation: Allocation::from_counts(plan.machines.clone(), instance.platform()).ok()?,
-    };
-    // Disk contents are untrusted: re-certify every restored plan with the
-    // independent integer checker — in release builds too, unlike the debug
-    // assertions at adoption sites.
-    rental_solvers::certify_plan(instance, &solution, None).ok()?;
-    let cache = ctl.plan_cache(instance, &solution).ok()?;
-    let outcome = SolverOutcome {
-        solution,
-        proven_optimal: plan.proven_optimal,
-        lower_bound: plan.lower_bound,
-        elapsed,
-        nodes: plan.nodes.map(|n| n as usize),
-        lp_iterations: plan.lp_iterations.map(|n| n as usize),
-        exhausted: plan.exhausted,
-    };
-    Some((plan.rho, KnownPlan { outcome, cache }))
 }
 
 /// Rebuilds one tenant's state around its snapshot. `None` when the
@@ -613,7 +484,11 @@ fn restore_tenant<'a>(
         return None;
     }
     let plans = (snap.plans.iter())
-        .map(|plan| restore_plan(ctl, &spec.instance, plan))
+        .map(|plan| {
+            let outcome = plan.outcome.restore(&spec.instance, None)?;
+            let cache = ctl.plan_cache(&spec.instance, &outcome.solution).ok()?;
+            Some((plan.rho, KnownPlan { outcome, cache }))
+        })
         .collect::<Option<Vec<_>>>()?;
     Some(TenantState::new(
         spec,
@@ -626,23 +501,56 @@ fn restore_tenant<'a>(
     ))
 }
 
-/// Per-tenant positions in the epoch-cost and learned-plan ledgers (plus the
-/// adoption ledger's), taken before an epoch executes, so that epoch's
-/// journal record carries exactly what the epoch added.
-pub(crate) struct Marks {
-    tenants: Vec<(usize, usize)>,
-    adoptions: usize,
+/// A run positioned at the checkpoint, or `None` when the checkpoint fails
+/// validation.
+fn restore_checkpoint<'a>(
+    ctl: &'a FleetController,
+    tenants: &'a [TenantSpec],
+    config: Option<&CapacityConfig>,
+    chaos: Option<&'a ChaosClock<'a>>,
+    checkpoint: Checkpoint,
+) -> Option<FleetRun<'a>> {
+    let env = ctl.run_env(config);
+    if checkpoint.tenants.len() != tenants.len() {
+        return None;
+    }
+    let states = (tenants.iter().zip(checkpoint.tenants))
+        .map(|(spec, snapshot)| restore_tenant(ctl, &env, spec, snapshot))
+        .collect::<Option<Vec<_>>>()?;
+    // The coupling is regenerated from the config (traces are
+    // deterministic, validated by fingerprint) and the checkpointed ledger
+    // re-admitted under the pool's quota invariants.
+    let coupled = match (ctl.init_coupling(tenants, config, &env), checkpoint.ledger) {
+        (Some(mut coupling), Some(ledger)) => {
+            let fingerprints: Vec<u64> = coupling.traces.iter().map(|t| t.fingerprint()).collect();
+            let admitted = fingerprints == checkpoint.trace_fingerprints
+                && coupling.pool.restore_ledger(ledger).is_ok();
+            admitted.then_some(Some(coupling))?
+        }
+        (None, None) => None,
+        _ => return None,
+    };
+    if let (Some(clock), Some(calls)) = (chaos, checkpoint.chaos_calls) {
+        clock.set_calls(calls);
+    }
+    let start = checkpoint.epoch_next as usize;
+    let mut run = FleetRun::new(ctl, env, chaos, states, coupled, start);
+    run.adoptions = checkpoint.adoptions;
+    run.stale_desired = checkpoint.stale_desired;
+    run.checkpoint_epoch = Some(start);
+    Some(run)
 }
 
-impl Marks {
-    pub(crate) fn of(run: &FleetRun<'_>) -> Marks {
-        Marks {
-            tenants: (run.states.iter())
-                .map(|s| (s.epoch_costs.len(), s.plans.len()))
-                .collect(),
-            adoptions: run.adoptions.len(),
-        }
-    }
+// ---------------------------------------------------------------------------
+// The durability hook
+// ---------------------------------------------------------------------------
+
+/// Writes the checkpoint of `run`, positioned at `epoch_next`.
+fn snapshot(store: &Store, run: &FleetRun<'_>, epoch_next: usize) -> io::Result<()> {
+    store.write_snapshot(
+        epoch_next as u64,
+        &capture_checkpoint(run, epoch_next).encode(),
+    )
 }
 
 /// The durability hook of the fleet driver: the store a resumable run
@@ -654,17 +562,21 @@ pub(crate) struct Durability<'a> {
     /// Resume from the store (the recovery ladder) instead of starting
     /// fresh.
     resume: bool,
+    /// The journal, opened at the first append after the store was reset
+    /// or recovered.
+    journal: Option<JournalAppender>,
 }
 
 impl Durability<'_> {
-    /// The top two rungs of the recovery ladder: the newest valid snapshot
-    /// plus consecutive journal replay. Any divergent or undecodable journal
-    /// suffix is dropped and the journal rewritten to the applied prefix, so
-    /// the resumed run appends onto consistent ground. `Ok(None)` means
-    /// nothing restorable (or a fresh run) — the caller starts cold.
-    pub(crate) fn restore<'a>(
-        &self,
+    /// The top two rungs of the recovery ladder: the newest valid snapshot,
+    /// replayed through every consecutive journaled epoch that passes its
+    /// checks. The journal is cut back to what replayed, so the resumed run
+    /// appends onto consistent ground. `Ok(None)` means nothing restorable
+    /// (or a fresh run) — the caller starts cold.
+    pub(crate) fn restore<'a, S: CapacitySolver + Sync>(
+        &mut self,
         ctl: &'a FleetController,
+        solver: &S,
         tenants: &'a [TenantSpec],
         config: Option<&CapacityConfig>,
         chaos: Option<&'a ChaosClock<'a>>,
@@ -673,64 +585,42 @@ impl Durability<'_> {
             return Ok(None);
         }
         let recovery = self.store.recover()?;
-        let Some(snapshot) = recovery.snapshot else {
+        let checkpoint = (recovery.snapshot.as_ref())
+            .and_then(|s| Some((s.epoch, Checkpoint::decode(&s.payload).ok()?)))
+            .filter(|(epoch, checkpoint)| checkpoint.epoch_next == *epoch);
+        let Some((_, checkpoint)) = checkpoint else {
             return Ok(None);
         };
-        let Ok(mut checkpoint) = Checkpoint::decode(&snapshot.payload) else {
-            return Ok(None);
-        };
-        if checkpoint.epoch_next != snapshot.epoch {
-            return Ok(None);
-        }
-        // Replay: records before the snapshot are history; records from the
-        // snapshot on must be consecutive, correctly-shaped continuations.
-        let mut kept = 0;
-        for (index, payload) in recovery.journal.iter().enumerate() {
+        // Records before the snapshot are history; from the snapshot on
+        // they must continue it epoch by epoch.
+        let (mut history, mut records) = (0, Vec::new());
+        for payload in &recovery.journal {
             let Ok(record) = JournalRecord::decode(payload) else {
                 break;
             };
-            if record.epoch >= checkpoint.epoch_next && !checkpoint.apply(&record) {
-                break;
-            }
-            kept = index + 1;
-        }
-        if kept < recovery.journal.len() {
-            let path = self.store.journal_path();
-            if path.exists() {
-                std::fs::remove_file(&path)?;
-            }
-            for payload in &recovery.journal[..kept] {
-                self.store.append_journal(payload)?;
+            let next = checkpoint.epoch_next + records.len() as u64;
+            match record.epoch {
+                epoch if epoch < checkpoint.epoch_next && records.is_empty() => history += 1,
+                epoch if epoch == next => records.push(record),
+                _ => break,
             }
         }
-        let env = ctl.run_env(config);
-        if checkpoint.tenants.len() != tenants.len() {
-            return Ok(None);
-        }
-        let states = (tenants.iter().zip(checkpoint.tenants))
-            .map(|(spec, snapshot)| restore_tenant(ctl, &env, spec, snapshot))
-            .collect::<Option<Vec<_>>>();
-        // The coupling is regenerated from the config (traces are
-        // deterministic, validated by fingerprint) and the checkpointed
-        // ledger re-admitted under the pool's quota invariants.
-        let coupled = match (ctl.init_coupling(tenants, config, &env), &checkpoint.ledger) {
-            (Some(mut coupling), Some(ledger)) => {
-                let fingerprints: Vec<u64> =
-                    coupling.traces.iter().map(|t| t.fingerprint()).collect();
-                let admitted = fingerprints == checkpoint.trace_fingerprints
-                    && coupling.pool.restore_ledger(ledger.clone()).is_ok();
-                admitted.then_some(Some(coupling))
+        // A failed record ends the valid journal: replay again up to it.
+        let mut run = loop {
+            let Some(mut run) = restore_checkpoint(ctl, tenants, config, chaos, checkpoint.clone())
+            else {
+                return Ok(None);
+            };
+            match replay(&mut run, solver, &records) {
+                Ok(()) => break run,
+                Err(valid) => records.truncate(valid),
             }
-            (None, None) => Some(None),
-            _ => None,
         };
-        let (Some(states), Some(coupled)) = (states, coupled) else {
-            return Ok(None);
-        };
-        if let (Some(clock), Some(calls)) = (chaos, checkpoint.chaos_calls) {
-            clock.set_calls(calls);
+        if history + records.len() < recovery.journal.len() {
+            self.store.truncate_journal(history + records.len())?;
         }
-        let start = checkpoint.epoch_next as usize;
+        run.solves = Solves::Journaled(Vec::new());
+        let start = run.next_epoch;
         ctl.telemetry.event(
             EventKind::Recovery,
             start,
@@ -742,64 +632,55 @@ impl Durability<'_> {
         // resumed from (absent on never-recovered runs).
         ctl.telemetry
             .gauge("fleet.recovery.resumed_epoch", start as f64);
-        let mut run = FleetRun::new(ctl, env, chaos, states, coupled, start);
-        run.adoptions = checkpoint.adoptions;
-        run.stale_desired = checkpoint.stale_desired;
-        run.checkpoint_epoch = Some(start);
         Ok(Some(run))
     }
 
     /// Starts a fresh (or cold-restarted) run's store: a clean slate plus
     /// the initial snapshot.
-    pub(crate) fn begin(&self, run: &mut FleetRun<'_>) -> io::Result<()> {
+    pub(crate) fn begin(&mut self, run: &mut FleetRun<'_>) -> io::Result<()> {
+        self.journal = None;
         self.store.reset()?;
         run.checkpoint_epoch = Some(0);
-        self.snapshot(run, 0)
-    }
-
-    fn snapshot(&self, run: &FleetRun<'_>, epoch_next: usize) -> io::Result<()> {
-        let payload = capture_checkpoint(run, epoch_next).encode();
-        self.store.write_snapshot(epoch_next as u64, &payload)
+        run.solves = Solves::Journaled(Vec::new());
+        snapshot(self.store, run, 0)
     }
 
     /// Journals the epoch `run` just executed (and snapshots on the
     /// configured cadence). Returns true when a planned crash aborted the
     /// run at this epoch.
-    pub(crate) fn commit(
-        &self,
-        run: &mut FleetRun<'_>,
-        epoch: usize,
-        marks: &Marks,
-    ) -> io::Result<bool> {
+    pub(crate) fn commit(&mut self, run: &mut FleetRun<'_>, epoch: usize) -> io::Result<bool> {
+        let span = SpanTimer::start(Stage::Persist);
+        let decisions = match &mut run.solves {
+            Solves::Journaled(log) => std::mem::take(log),
+            _ => Vec::new(),
+        };
         let record = JournalRecord {
             epoch: epoch as u64,
-            tenants: (run.states.iter().zip(&marks.tenants))
-                .map(|(state, &mark)| capture_tenant(state, mark))
-                .collect(),
-            new_adoptions: run.adoptions[marks.adoptions..].to_vec(),
-            stale_desired: run.stale_desired.clone(),
-            ledger: run.coupled.as_ref().map(|cs| cs.pool.ledger()),
+            decisions,
             chaos_calls: run.chaos.map(|clock| clock.calls()),
+            digest: state_digest(run),
         };
         let payload = record.encode();
+        let store = self.store;
+        let journal = match &mut self.journal {
+            Some(journal) => journal,
+            slot => slot.insert(store.journal_appender()?),
+        };
         if let Some(plan) = self.crash.filter(|c| c.epoch == epoch) {
             match plan.point {
                 CrashPoint::BeforeJournal => {}
-                CrashPoint::TornJournal { keep } => {
-                    self.store.append_journal_prefix(&payload, keep)?;
-                }
-                CrashPoint::AfterJournal => self.store.append_journal(&payload)?,
+                CrashPoint::TornJournal { keep } => journal.append_prefix(&payload, keep)?,
+                CrashPoint::AfterJournal => journal.append(&payload)?,
                 CrashPoint::AfterSnapshot => {
-                    self.store.append_journal(&payload)?;
-                    self.snapshot(run, epoch + 1)?;
+                    journal.append(&payload)?;
+                    snapshot(store, run, epoch + 1)?;
                 }
             }
             return Ok(true);
         }
-        let span = SpanTimer::start(Stage::Persist);
-        self.store.append_journal(&payload)?;
+        journal.append(&payload)?;
         if self.opts.snapshot_every > 0 && (epoch + 1).is_multiple_of(self.opts.snapshot_every) {
-            self.snapshot(run, epoch + 1)?;
+            snapshot(store, run, epoch + 1)?;
             run.checkpoint_epoch = Some(epoch + 1);
         }
         span.stop_into(&mut run.obs.times, run.ctl.telemetry.as_ref());
@@ -813,7 +694,7 @@ impl FleetController {
     /// snapshots every [`PersistOptions::snapshot_every`] epochs. With
     /// `chaos`, the solving is wrapped in the deterministic fault injector
     /// exactly as [`FleetController::run_with_chaos`] does — and the fault
-    /// stream position is checkpointed, so a resumed run draws the same
+    /// stream position is journaled, so a resumed run draws the same
     /// faults. With `crash`, the run aborts at the planned epoch and crash
     /// point, returning [`RunOutcome::Crashed`].
     ///
@@ -839,23 +720,25 @@ impl FleetController {
         opts: &PersistOptions,
         crash: Option<&CrashPlan>,
     ) -> PersistResult<RunOutcome> {
-        let durable = Durability {
+        let mut durable = Durability {
             store,
             opts,
             crash,
             resume: false,
+            journal: None,
         };
         Ok(self
-            .drive(solver, tenants, Some(config), chaos, Some(&durable))?
+            .drive(solver, tenants, Some(config), chaos, Some(&mut durable))?
             .0)
     }
 
     /// Resumes a killed [`FleetController::run_resumable`] from the store,
-    /// walking the recovery ladder (journal replay → last good snapshot →
-    /// cold restart) and continuing to completion — or to the next planned
-    /// crash. All non-store arguments must repeat the original run's; the
-    /// combined crashed-then-resumed execution then produces a report
-    /// bit-identical (modulo wall-clock timing) to the uninterrupted run.
+    /// walking the recovery ladder (replay of the journaled epochs → their
+    /// valid prefix, then live → cold restart) and continuing to completion
+    /// — or to the next planned crash. All non-store arguments must repeat
+    /// the original run's; the combined crashed-then-resumed execution then
+    /// produces a report bit-identical (modulo wall-clock timing) to the
+    /// uninterrupted run.
     ///
     /// # Errors
     ///
@@ -876,14 +759,15 @@ impl FleetController {
         opts: &PersistOptions,
         crash: Option<&CrashPlan>,
     ) -> PersistResult<RunOutcome> {
-        let durable = Durability {
+        let mut durable = Durability {
             store,
             opts,
             crash,
             resume: true,
+            journal: None,
         };
         Ok(self
-            .drive(solver, tenants, Some(config), chaos, Some(&durable))?
+            .drive(solver, tenants, Some(config), chaos, Some(&mut durable))?
             .0)
     }
 }
@@ -891,7 +775,13 @@ impl FleetController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::{Decision, Served, JOURNAL_MAGIC};
+    use crate::scenario::failure_coupled_fleet;
+    use crate::FleetPolicy;
     use proptest::prelude::*;
+    use rental_solvers::exact::IlpSolver;
+    use rental_solvers::SolveBudget;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn core() -> TenantCore {
         TenantCore {
@@ -933,6 +823,20 @@ mod tests {
         }
     }
 
+    fn outcome() -> PersistedOutcome {
+        PersistedOutcome {
+            target: 60,
+            shares: vec![30, 30],
+            machines: vec![2, 1, 1],
+            proven_optimal: true,
+            lower_bound: Some(104.0),
+            elapsed: 0.002,
+            nodes: Some(17),
+            lp_iterations: Some(230),
+            exhausted: false,
+        }
+    }
+
     /// A checkpoint touching every field of the codec.
     fn checkpoint() -> Checkpoint {
         Checkpoint {
@@ -945,15 +849,7 @@ mod tests {
                     epoch_costs: vec![10.0, 12.5, -0.0],
                     plans: vec![PersistedPlan {
                         rho: 60,
-                        target: 60,
-                        shares: vec![30, 30],
-                        machines: vec![2, 1, 1],
-                        proven_optimal: true,
-                        lower_bound: Some(104.0),
-                        elapsed: 0.002,
-                        nodes: Some(17),
-                        lp_iterations: Some(230),
-                        exhausted: false,
+                        outcome: outcome(),
                     }],
                 },
             )],
@@ -978,16 +874,22 @@ mod tests {
         }
     }
 
-    /// A journal record carrying the same fields as [`checkpoint`].
+    /// A journal record with a decision of every kind.
     fn journal_record() -> JournalRecord {
-        let checkpoint = checkpoint();
+        let decision = |request, served| Decision {
+            request,
+            served,
+            seconds: 0.0015,
+        };
         JournalRecord {
-            epoch: checkpoint.epoch_next,
-            tenants: checkpoint.tenants.into_iter().map(|(_, s)| s).collect(),
-            new_adoptions: checkpoint.adoptions,
-            stale_desired: checkpoint.stale_desired,
-            ledger: checkpoint.ledger,
-            chaos_calls: checkpoint.chaos_calls,
+            epoch: 7,
+            decisions: vec![
+                decision(0x0123_4567_89AB_CDEF, Served::Plan(outcome())),
+                decision(2, Served::Infeasible("ilp".to_string())),
+                decision(3, Served::Exhausted("chaos".to_string())),
+            ],
+            chaos_calls: Some(42),
+            digest: 0xFEED_F00D_DEAD_BEEF,
         }
     }
 
@@ -1009,58 +911,22 @@ mod tests {
     }
 
     #[test]
-    fn journal_record_round_trips_and_applies() {
-        let snapshot = |epoch_costs| TenantSnapshot {
-            core: core(),
-            tally: Tally::default(),
-            epoch_costs,
-            plans: vec![],
-        };
-        let mut checkpoint = Checkpoint {
-            epoch_next: 3,
-            tenants: vec![((10, vec![1.0]), snapshot(vec![1.0, 2.0, 3.0]))],
-            adoptions: vec![],
-            stale_desired: None,
-            ledger: None,
-            trace_fingerprints: vec![],
-            chaos_calls: None,
-        };
-        let record = JournalRecord {
-            epoch: 3,
-            tenants: vec![TenantSnapshot {
-                tally: tally(),
-                ..snapshot(vec![4.0])
-            }],
-            new_adoptions: vec![],
-            stale_desired: None,
-            ledger: None,
-            chaos_calls: None,
-        };
+    fn journal_record_round_trips_every_decision_kind() {
+        let record = journal_record();
         let decoded = JournalRecord::decode(&record.encode()).expect("round trip");
         assert_eq!(decoded, record);
-        assert!(checkpoint.apply(&decoded));
-        assert_eq!(checkpoint.epoch_next, 4);
-        assert_eq!(
-            checkpoint.tenants[0].1.epoch_costs,
-            vec![1.0, 2.0, 3.0, 4.0]
-        );
-        // The running totals travel absolute: applying replaces them.
-        assert_eq!(checkpoint.tenants[0].1.tally, tally());
-        // Replaying out of order is rejected.
-        assert!(!checkpoint.apply(&decoded));
+        // An unknown decision tag is refused, not misread.
+        let mut bytes = record.encode();
+        // Past the header, the epoch, the decision count and the request.
+        let tag = 8 + 8 + 8 + 8;
+        assert_eq!(bytes[tag], 0, "first decision's tag");
+        bytes[tag] = 3;
+        assert_eq!(JournalRecord::decode(&bytes), Err(DecodeError::BadTag(3)));
     }
 
     #[test]
     fn decode_rejects_foreign_magic_and_trailing_bytes() {
-        let record = JournalRecord {
-            epoch: 0,
-            tenants: vec![],
-            new_adoptions: vec![],
-            stale_desired: None,
-            ledger: None,
-            chaos_calls: None,
-        };
-        let bytes = record.encode();
+        let bytes = journal_record().encode();
         assert!(
             Checkpoint::decode(&bytes).is_err(),
             "journal magic is not a checkpoint"
@@ -1075,6 +941,15 @@ mod tests {
             JournalRecord::decode(&bytes[..bytes.len() - 1]).is_err(),
             "truncation rejected"
         );
+        // A version-2 store is not read: it takes the cold-restart rung.
+        for (magic, payload) in [
+            (CHECKPOINT_MAGIC, checkpoint().encode()),
+            (JOURNAL_MAGIC, bytes),
+        ] {
+            let mut old = Encoder::versioned(magic, 2).finish();
+            old.extend_from_slice(&payload[8..]);
+            assert_eq!(decode_both(&old), (false, false));
+        }
     }
 
     #[test]
@@ -1084,6 +959,135 @@ mod tests {
                 assert_eq!(decode_both(&bytes[..len]), (false, false), "{len} bytes");
             }
         }
+    }
+
+    #[test]
+    fn served_plans_are_certified_against_their_request() {
+        let instance = rental_core::examples::illustrating_example();
+        let solution = instance
+            .solution(70, ThroughputSplit::new(vec![10, 30, 30]))
+            .unwrap();
+        let plan = PersistedOutcome {
+            target: 70,
+            shares: solution.split.shares().to_vec(),
+            machines: solution.allocation.machine_counts().to_vec(),
+            ..outcome()
+        };
+        assert!(plan.restore(&instance, None).is_some());
+        // Caps below the plan's machines, a machine short, a wrong arity.
+        let tight: Vec<u64> = plan.machines.iter().map(|&n| n.saturating_sub(1)).collect();
+        assert!(plan.restore(&instance, Some(&tight)).is_none());
+        let mut short = plan.clone();
+        short.machines[0] -= 1;
+        assert!(short.restore(&instance, None).is_none());
+        let mut arity = plan.clone();
+        arity.shares.push(0);
+        assert!(arity.restore(&instance, None).is_none());
+    }
+
+    fn scratch_store(tag: &str) -> Store {
+        static COUNTER: AtomicU64 = AtomicU64::new(0);
+        let unique = COUNTER.fetch_add(1, Ordering::SeqCst);
+        let dir = std::env::temp_dir().join(format!(
+            "rental-fleet-journal-{}-{tag}-{unique}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        Store::open(dir).unwrap()
+    }
+
+    fn journal(store: &Store) -> Vec<JournalRecord> {
+        (store.recover().unwrap().journal.iter())
+            .map(|payload| JournalRecord::decode(payload).unwrap())
+            .collect()
+    }
+
+    /// A record with its wall-clock fields zeroed.
+    fn without_timing(mut record: JournalRecord) -> JournalRecord {
+        for decision in &mut record.decisions {
+            decision.seconds = 0.0;
+            if let Served::Plan(plan) = &mut decision.served {
+                plan.elapsed = 0.0;
+            }
+        }
+        record
+    }
+
+    /// Resume must not trust a journaled outcome that does not fit the run:
+    /// a decision answering another request, a plan that fails its
+    /// certificate and a state digest that differs each end the valid
+    /// journal at their record. The resume replays up to it, re-solves from
+    /// there and still reproduces the uninterrupted report — and the record
+    /// it journals in place of the tampered one is the original.
+    #[test]
+    fn a_tampered_decision_ends_the_valid_journal() {
+        let (scenario, config) = failure_coupled_fleet(2, 11, 96.0, 4.0);
+        let controller = FleetController::new(FleetPolicy {
+            threads: Some(1),
+            epoch_budget: Some(SolveBudget::with_node_cap(50_000)),
+            ..scenario.policy
+        });
+        let (solver, tenants) = (IlpSolver::new(), &scenario.tenants);
+        let reference = controller
+            .run_with_capacity(&solver, tenants, &config)
+            .unwrap();
+        // Without periodic snapshots, resume replays from epoch 0.
+        let opts = PersistOptions { snapshot_every: 0 };
+        let crash = CrashPlan {
+            epoch: 72,
+            point: CrashPoint::AfterJournal,
+        };
+        let store = scratch_store("tamper");
+        let crashed = controller
+            .run_resumable(&solver, tenants, &config, None, &store, &opts, Some(&crash))
+            .unwrap();
+        assert!(matches!(crashed, RunOutcome::Crashed { epoch: 72 }));
+        let original = journal(&store);
+        let (k, d) = (original.iter().enumerate())
+            .find_map(|(k, record)| {
+                let d =
+                    (record.decisions.iter()).position(|d| matches!(d.served, Served::Plan(_)))?;
+                Some((k, d))
+            })
+            .expect("the run journals a solved plan");
+        let tampers: [fn(&mut JournalRecord, usize); 3] = [
+            |record, d| record.decisions[d].request ^= 1,
+            |record, d| {
+                if let Served::Plan(plan) = &mut record.decisions[d].served {
+                    plan.machines.iter_mut().for_each(|n| *n = 0);
+                }
+            },
+            |record, _| record.digest ^= 1,
+        ];
+        for tamper in tampers {
+            let mut records = original.clone();
+            tamper(&mut records[k], d);
+            store.truncate_journal(0).unwrap();
+            for record in &records {
+                store.append_journal(&record.encode()).unwrap();
+            }
+            let resumed = controller
+                .resume_from(&solver, tenants, &config, None, &store, &opts, None)
+                .unwrap()
+                .completed()
+                .expect("resume completes");
+            assert!(resumed.matches_modulo_timing(&reference));
+            // The journal was cut at the tampered record and re-solved from
+            // there: every record equals the original, timing aside.
+            let untimed: Vec<JournalRecord> = (journal(&store).into_iter())
+                .take(original.len())
+                .map(without_timing)
+                .collect();
+            assert_eq!(
+                untimed,
+                original
+                    .iter()
+                    .cloned()
+                    .map(without_timing)
+                    .collect::<Vec<_>>()
+            );
+        }
+        let _ = std::fs::remove_dir_all(store.dir());
     }
 
     proptest! {

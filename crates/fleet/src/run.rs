@@ -23,11 +23,11 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use rental_capacity::{coverage_bound, degrade_to_feasible, CapacityConfig, CappedOutcome};
+use rental_capacity::{coverage_bound, degrade_with, CapacityConfig, CappedOutcome};
 use rental_core::{Solution, Throughput, TypeId};
 use rental_obs::{
-    epoch_tree, AlertEngine, EpochObservation, EventKind, FanoutObs, SpanTimer, Stage, StageTimes,
-    TelemetrySink,
+    epoch_tree, AlertEngine, EpochObservation, EventKind, FanoutObs, NoopSink, SpanTimer, Stage,
+    StageTimes, TelemetrySink,
 };
 use rental_pricing::RentalHorizon;
 use rental_solvers::batch::{solve_warm_batch, WarmBatchItem};
@@ -39,9 +39,14 @@ use crate::controller::{
     debug_certify, fits_caps, initial_target_with, quantize_target, surviving, CouplingState,
     FleetController, FleetPolicy, KnownPlan, ProbeEntry, RunEnv, Tally, TenantCore, TenantState,
 };
-use crate::persist::{Durability, Marks, PersistResult, RunOutcome};
+use crate::journal::Solves;
+use crate::persist::{Durability, PersistResult, RunOutcome};
 use crate::report::{AdoptionRecord, FleetReport};
 use crate::tenant::TenantSpec;
+
+/// The sink of epochs re-executed from the journal: the process that first
+/// ran them already emitted their telemetry.
+static REPLAY_SINK: NoopSink = NoopSink;
 
 /// What one epoch records besides its decisions: the stage breakdown and the
 /// fan-out observations its trace tree is built from.
@@ -195,6 +200,9 @@ pub(crate) struct FleetRun<'a> {
     alerts: Option<AlertEngine>,
     epoch_timing: Vec<StageTimes>,
     pub(crate) obs: EpochObs,
+    /// Where the re-solves' outcomes come from: the solver, or the journal
+    /// being replayed.
+    pub(crate) solves: Solves,
 }
 
 impl<'a> FleetRun<'a> {
@@ -231,6 +239,7 @@ impl<'a> FleetRun<'a> {
             alerts: ctl.alerts.clone().map(AlertEngine::new),
             epoch_timing: vec![StageTimes::zero(); next_epoch],
             obs: EpochObs::default(),
+            solves: Solves::Live,
         }
     }
 
@@ -299,7 +308,11 @@ impl<'a> FleetRun<'a> {
     }
 
     fn sink(&self) -> &'a dyn TelemetrySink {
-        self.ctl.telemetry.as_ref()
+        if self.solves.replaying() {
+            &REPLAY_SINK
+        } else {
+            self.ctl.telemetry.as_ref()
+        }
     }
 
     /// One tick of the shared epoch clock: rent (and, when coupled,
@@ -553,7 +566,10 @@ impl<'a> FleetRun<'a> {
             .iter()
             .map(|(i, rho, caps)| self.states[*i].item(*rho, Some(caps)))
             .collect();
-        let results = solve_warm_batch(solver, &items, budget.as_ref(), policy.threads);
+        let tenants: Vec<usize> = full.iter().map(|(i, _, _)| *i).collect();
+        let results = self
+            .solves
+            .batch(solver, &items, &tenants, budget.as_ref(), policy.threads);
         drop(items);
         for ((i, rho, caps), (result, elapsed)) in full.into_iter().zip(results) {
             let state = &mut self.states[i];
@@ -586,14 +602,13 @@ impl<'a> FleetRun<'a> {
             // by the coverage probe, so the full-target attempt would be a
             // guaranteed duplicate of the most expensive MILP in the path.
             let span = SpanTimer::start(Stage::Solve);
-            let state = &self.states[i];
-            let result = degrade_to_feasible(
-                solver,
-                &state.spec.instance,
-                rho,
-                &caps,
-                state.core.prior.as_ref(),
-            );
+            let (state, solves) = (&self.states[i], &mut self.solves);
+            let result = degrade_with(&state.spec.instance, rho, &caps, |target| {
+                let item = state.item(target, Some(&caps));
+                solves.one(i, &item, || {
+                    solver.solve_with_caps(item.instance, target, &caps, item.prior)
+                })
+            });
             let state = &mut self.states[i];
             charge_stage(state, &mut self.obs.times, sink, Stage::Solve, span.stop());
             state.tally.failure_resolves += 1;
@@ -816,7 +831,10 @@ impl<'a> FleetRun<'a> {
         let items: Vec<WarmBatchItem<'_>> = (pending.iter())
             .map(|d| self.states[d.tenant].item(d.rho, d.caps.as_deref()))
             .collect();
-        let results = solve_warm_batch(solver, &items, budget.as_ref(), policy.threads);
+        let tenants: Vec<usize> = pending.iter().map(|d| d.tenant).collect();
+        let results = self
+            .solves
+            .batch(solver, &items, &tenants, budget.as_ref(), policy.threads);
         drop(items);
         for (d, (result, elapsed)) in pending.into_iter().zip(results) {
             let state = &mut self.states[d.tenant];
@@ -938,10 +956,17 @@ impl<'a> FleetRun<'a> {
         self.epoch_timing.push(obs.times);
     }
 
+    /// Closes an epoch re-executed from the journal. Like the epochs before
+    /// the snapshot, it gets a zero timing row and is not observed.
+    pub(crate) fn close_replayed_epoch(&mut self) {
+        self.obs = EpochObs::default();
+        self.epoch_timing.push(StageTimes::zero());
+        self.next_epoch += 1;
+    }
+
     /// The report: every tenant's row and the run-level ledgers. Under
     /// failures, each tenant's static-headroom fleet is checked against its
-    /// whole outage trace in one parallel pass — a scan of every outage per
-    /// type and epoch, cheaper here than interleaved with the epoch loop.
+    /// whole outage trace in one parallel pass of indexed outage queries.
     fn finish(self) -> FleetReport {
         let env = &self.env;
         let states = &self.states;
@@ -982,7 +1007,7 @@ impl FleetController {
         tenants: &[TenantSpec],
         config: Option<&CapacityConfig>,
         chaos: Option<ChaosConfig>,
-        durable: Option<&Durability<'_>>,
+        durable: Option<&mut Durability<'_>>,
     ) -> PersistResult<(RunOutcome, ChaosStats)> {
         let stats = ChaosStats::default();
         let outcome = match chaos {
@@ -1006,10 +1031,10 @@ impl FleetController {
         chaos: Option<&'a ChaosClock<'a>>,
         tenants: &'a [TenantSpec],
         config: Option<&CapacityConfig>,
-        durable: Option<&Durability<'_>>,
+        mut durable: Option<&mut Durability<'_>>,
     ) -> PersistResult<RunOutcome> {
-        let restored = match durable {
-            Some(durable) => durable.restore(self, tenants, config, chaos)?,
+        let restored = match durable.as_deref_mut() {
+            Some(durable) => durable.restore(self, solver, tenants, config, chaos)?,
             None => None,
         };
         let mut run = match restored {
@@ -1018,7 +1043,7 @@ impl FleetController {
                 // Fresh start, or the cold-restart rung: clean slate,
                 // everything re-derived deterministically from configs.
                 let mut run = FleetRun::start(self, initial, tenants, config, chaos)?;
-                if let Some(durable) = durable {
+                if let Some(durable) = durable.as_deref_mut() {
                     durable.begin(&mut run)?;
                 }
                 run
@@ -1026,10 +1051,9 @@ impl FleetController {
         };
         for epoch in run.next_epoch..run.num_epochs {
             let wall = Instant::now();
-            let marks = durable.map(|_| Marks::of(&run));
             run.step(solver, epoch)?;
-            if let (Some(durable), Some(marks)) = (durable, marks) {
-                if durable.commit(&mut run, epoch, &marks)? {
+            if let Some(durable) = durable.as_deref_mut() {
+                if durable.commit(&mut run, epoch)? {
                     return Ok(RunOutcome::Crashed { epoch });
                 }
             }

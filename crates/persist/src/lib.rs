@@ -11,8 +11,8 @@
 //!   [`Decoder`] reads them back with explicit [`DecodeError`]s instead of
 //!   panics, so a corrupted payload can never take the process down.
 //! * [`crc`] — the standard CRC-32 (IEEE 802.3, reflected polynomial
-//!   `0xEDB8_8320`), table-driven. Every record frame carries the checksum
-//!   of its payload.
+//!   `0xEDB8_8320`), computed slicing-by-8. Every record frame carries the
+//!   checksum of its payload.
 //! * [`store`] — a [`Store`] over one directory holding epoch-granular
 //!   **snapshot** files plus a single append-only **write-ahead journal**.
 //!   Records are framed as `[len u32][crc32 u32][payload]`; recovery walks
@@ -33,4 +33,4 @@ pub mod store;
 
 pub use codec::{DecodeError, Decoder, Encoder};
 pub use crc::crc32;
-pub use store::{Recovery, Snapshot, Store};
+pub use store::{JournalAppender, Recovery, Snapshot, Store};

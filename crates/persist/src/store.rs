@@ -85,6 +85,39 @@ pub struct Recovery {
     pub corrupt_snapshots: usize,
 }
 
+/// The journal opened once for appending ([`Store::journal_appender`]).
+/// Every record is synced to disk before its append returns.
+#[derive(Debug)]
+pub struct JournalAppender {
+    file: File,
+}
+
+impl JournalAppender {
+    /// Appends one framed record and syncs it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates file-system failures.
+    pub fn append(&self, payload: &[u8]) -> io::Result<()> {
+        self.append_prefix(payload, usize::MAX)
+    }
+
+    /// Appends one record but persists at most `keep` bytes of its frame —
+    /// a **simulated torn write**, as if the process died mid-`write`. With
+    /// `keep >= frame length` this is a normal append. The chaos crash fault
+    /// drives this to prove that recovery discards exactly the torn suffix.
+    ///
+    /// # Errors
+    ///
+    /// Propagates file-system failures.
+    pub fn append_prefix(&self, payload: &[u8], keep: usize) -> io::Result<()> {
+        let framed = frame(payload);
+        let cut = keep.min(framed.len());
+        (&self.file).write_all(&framed[..cut])?;
+        self.file.sync_all()
+    }
+}
+
 /// A snapshot/journal store rooted at one directory.
 #[derive(Debug)]
 pub struct Store {
@@ -179,26 +212,50 @@ impl Store {
     ///
     /// Propagates file-system failures.
     pub fn append_journal(&self, payload: &[u8]) -> io::Result<()> {
-        self.append_journal_prefix(payload, usize::MAX)
+        self.journal_appender()?.append(payload)
     }
 
-    /// Appends one record but persists at most `keep` bytes of the frame — a
-    /// **simulated torn write**, as if the process died mid-`write`. With
-    /// `keep >= frame length` this is a normal append. The chaos crash fault
-    /// drives this to prove that recovery discards exactly the torn suffix.
+    /// Opens the journal (creating it if needed) for a run's appends: one
+    /// open handle for many records. Resets and deletions of the journal
+    /// file do not follow an open appender, so open it after them.
     ///
     /// # Errors
     ///
     /// Propagates file-system failures.
-    pub fn append_journal_prefix(&self, payload: &[u8], keep: usize) -> io::Result<()> {
-        let framed = frame(payload);
-        let cut = keep.min(framed.len());
-        let mut file = OpenOptions::new()
+    pub fn journal_appender(&self) -> io::Result<JournalAppender> {
+        let file = OpenOptions::new()
             .create(true)
             .append(true)
             .open(self.journal_path())?;
-        file.write_all(&framed[..cut])?;
-        file.sync_all()
+        Ok(JournalAppender { file })
+    }
+
+    /// Cuts the journal back to its first `records` valid frames (all of
+    /// them when there are fewer), so that later appends follow them.
+    ///
+    /// # Errors
+    ///
+    /// Propagates file-system failures other than the journal being absent.
+    pub fn truncate_journal(&self, records: usize) -> io::Result<()> {
+        let path = self.journal_path();
+        let bytes = match fs::read(&path) {
+            Ok(bytes) => bytes,
+            Err(err) if err.kind() == io::ErrorKind::NotFound => return Ok(()),
+            Err(err) => return Err(err),
+        };
+        let mut offset = 0;
+        for _ in 0..records {
+            match parse_frame(&bytes, offset) {
+                Some((_, next)) => offset = next,
+                None => break,
+            }
+        }
+        if offset < bytes.len() {
+            let file = OpenOptions::new().write(true).open(&path)?;
+            file.set_len(offset as u64)?;
+            file.sync_all()?;
+        }
+        Ok(())
     }
 
     /// Total bytes currently in the journal (0 when absent).
@@ -315,7 +372,8 @@ mod tests {
         let store = scratch_store("torn");
         store.append_journal(b"whole-record").unwrap();
         // A torn second record: only 5 of its frame bytes hit the disk.
-        store.append_journal_prefix(b"torn-record", 5).unwrap();
+        let journal = store.journal_appender().unwrap();
+        journal.append_prefix(b"torn-record", 5).unwrap();
         let recovery = store.recover().unwrap();
         assert_eq!(recovery.journal, vec![b"whole-record".to_vec()]);
         assert_eq!(recovery.discarded_journal_bytes, 5);
@@ -371,6 +429,29 @@ mod tests {
         let recovery = store.recover().unwrap();
         assert!(recovery.snapshot.is_none());
         assert!(recovery.journal.is_empty());
+        assert_eq!(store.journal_len().unwrap(), 0);
+    }
+
+    #[test]
+    fn one_appender_writes_many_records_and_truncation_keeps_a_prefix() {
+        let store = scratch_store("appender");
+        let journal = store.journal_appender().unwrap();
+        for record in [&b"zero"[..], b"one", b"two", b"three"] {
+            journal.append(record).unwrap();
+        }
+        drop(journal);
+        assert_eq!(store.recover().unwrap().journal.len(), 4);
+        store.truncate_journal(2).unwrap();
+        let expected = vec![b"zero".to_vec(), b"one".to_vec()];
+        assert_eq!(store.recover().unwrap().journal, expected);
+        // Appends follow the kept prefix; asking for more records than
+        // there are keeps them all.
+        store.journal_appender().unwrap().append(b"again").unwrap();
+        store.truncate_journal(10).unwrap();
+        let journal = store.recover().unwrap().journal;
+        assert_eq!(journal.len(), 3);
+        assert_eq!(journal[2], b"again");
+        store.truncate_journal(0).unwrap();
         assert_eq!(store.journal_len().unwrap(), 0);
     }
 

@@ -99,12 +99,7 @@ impl FailureModel {
                 }
             }
         }
-        outages.sort_by(|a, b| {
-            a.start
-                .partial_cmp(&b.start)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        FailureTrace { outages, horizon }
+        FailureTrace::new(outages, horizon)
     }
 }
 
@@ -141,20 +136,76 @@ impl Outage {
     }
 }
 
-/// All outages over a horizon, sorted by start time.
+/// All outages over a horizon, sorted by start time, indexed by type.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FailureTrace {
     outages: Vec<Outage>,
     horizon: SimTime,
+    /// Entry `q`: the index of type `q`'s outages.
+    by_type: Vec<TypeIndex>,
+}
+
+/// One type's outages: their positions in the trace, in start order, and
+/// the running maximum of their ends — the exact form of the longest-outage
+/// bound: no outage before the first whose running end passes `t` can still
+/// be down at `t`, so a query at `t` scans only the outages that started in
+/// the last longest-outage span before it.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct TypeIndex {
+    at: Vec<u32>,
+    reach: Vec<SimTime>,
 }
 
 impl FailureTrace {
+    /// A trace of `outages` over `horizon`. The outages are sorted by start
+    /// time (stably, so equal starts keep their order) and indexed by type.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the trace holds `2^32` outages or more.
+    pub fn new(mut outages: Vec<Outage>, horizon: SimTime) -> Self {
+        outages.sort_by(|a, b| {
+            a.start
+                .partial_cmp(&b.start)
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        let mut by_type: Vec<TypeIndex> = Vec::new();
+        for (position, outage) in outages.iter().enumerate() {
+            let q = outage.type_id.0;
+            if by_type.len() <= q {
+                by_type.resize_with(q + 1, TypeIndex::default);
+            }
+            let index = &mut by_type[q];
+            let reach = (index.reach.last()).map_or(outage.end, |&r| r.max(outage.end));
+            let position = u32::try_from(position).expect("a trace holds fewer than 2^32 outages");
+            index.at.push(position);
+            index.reach.push(reach);
+        }
+        FailureTrace {
+            outages,
+            horizon,
+            by_type,
+        }
+    }
+
+    /// Positions of type `q`'s outages that may be down at `start` or start
+    /// inside `[start, end)`: every outage of the type before them ended by
+    /// `start`, every one after them starts past both.
+    fn window(&self, type_id: TypeId, start: SimTime, end: SimTime) -> &[u32] {
+        let Some(index) = self.by_type.get(type_id.0) else {
+            return &[];
+        };
+        let first = index.reach.partition_point(|&reach| reach <= start);
+        let last = index.at.partition_point(|&i| {
+            let outage = &self.outages[i as usize];
+            outage.start <= start || outage.start < end
+        });
+        index.at.get(first..last).unwrap_or(&[])
+    }
+
     /// A trace with no outages over the given horizon.
     pub fn empty(horizon: SimTime) -> Self {
-        FailureTrace {
-            outages: Vec::new(),
-            horizon,
-        }
+        FailureTrace::new(Vec::new(), horizon)
     }
 
     /// The outages, sorted by start time.
@@ -177,9 +228,9 @@ impl FailureTrace {
     /// pool (machines `0..rented`) use this to see only the outages of the
     /// machines they actually hold.
     pub fn machines_down_among(&self, type_id: TypeId, first_n: u64, t: SimTime) -> u64 {
-        self.outages
-            .iter()
-            .filter(|o| o.type_id == type_id && o.machine < first_n && o.start <= t && t < o.end)
+        (self.window(type_id, t, t).iter())
+            .map(|&i| &self.outages[i as usize])
+            .filter(|o| o.machine < first_n && o.start <= t && t < o.end)
             .count() as u64
     }
 
@@ -198,17 +249,43 @@ impl FailureTrace {
         start: SimTime,
         end: SimTime,
     ) -> u64 {
-        // The count only changes at outage boundaries, so it suffices to
-        // evaluate it at the window start and at every outage start inside
-        // the window.
-        let mut peak = self.machines_down_among(type_id, first_n, start);
-        for outage in &self.outages {
-            if outage.type_id == type_id
-                && outage.machine < first_n
-                && outage.start >= start
-                && outage.start < end
-            {
-                peak = peak.max(self.machines_down_among(type_id, first_n, outage.start));
+        match self.window(type_id, start, end) {
+            [] => 0,
+            window => self.sweep_peak(window, first_n, start, end),
+        }
+    }
+
+    /// The peak of [`Self::peak_down_among`] over the outages at `window`.
+    /// The count only rises at an outage start, so the peak is the count at
+    /// the window start or just after a start inside the window: one sweep
+    /// over the window's events, `(time, is a start)`, finds it.
+    fn sweep_peak(&self, window: &[u32], first_n: u64, start: SimTime, end: SimTime) -> u64 {
+        let mut down = 0u64;
+        let mut events: Vec<(SimTime, bool)> = Vec::new();
+        for &i in window {
+            let outage = &self.outages[i as usize];
+            // Another slot, or never down inside the window.
+            if outage.machine >= first_n || outage.end <= outage.start.max(start) {
+                continue;
+            }
+            if outage.start <= start {
+                down += 1;
+            } else {
+                events.push((outage.start, true));
+            }
+            if outage.end < end {
+                events.push((outage.end, false));
+            }
+        }
+        // Intervals are half-open: at equal times ends apply before starts.
+        events.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut peak = down;
+        for (_, starts) in events {
+            if starts {
+                down += 1;
+                peak = peak.max(down);
+            } else {
+                down -= 1;
             }
         }
         peak
@@ -220,11 +297,9 @@ impl FailureTrace {
         if machine_count == 0 || self.horizon <= 0.0 {
             return 0.0;
         }
-        let lost: f64 = self
-            .outages
-            .iter()
-            .filter(|o| o.type_id == type_id)
-            .map(Outage::duration)
+        let lost: f64 = (self.by_type.get(type_id.0).iter())
+            .flat_map(|index| &index.at)
+            .map(|&i| self.outages[i as usize].duration())
             .sum();
         lost / (machine_count as f64 * self.horizon)
     }
@@ -306,6 +381,16 @@ mod tests {
     }
 
     #[test]
+    fn fingerprints_are_pinned() {
+        // Snapshots store these values: indexing the trace must not move
+        // them.
+        let small = FailureModel::new(50.0, 5.0, 17).generate(&[4, 2], 500.0);
+        assert_eq!(small.fingerprint(), 0x0b77_a0de_86b0_c38b);
+        let large = FailureModel::new(96.0, 4.0, 0xF00D).generate(&[7, 3, 5, 2], 2304.0);
+        assert_eq!(large.fingerprint(), 0xd0c9_96d2_db3f_58bf);
+    }
+
+    #[test]
     fn cursors_walk_the_outage_stream_monotonically() {
         let trace = FailureModel::new(20.0, 4.0, 3).generate(&[3], 300.0);
         assert!(trace.num_outages() > 0);
@@ -367,8 +452,8 @@ mod tests {
 
     #[test]
     fn machines_down_counts_overlapping_outages() {
-        let trace = FailureTrace {
-            outages: vec![
+        let trace = FailureTrace::new(
+            vec![
                 Outage {
                     type_id: TypeId(0),
                     machine: 0,
@@ -388,8 +473,8 @@ mod tests {
                     end: 14.0,
                 },
             ],
-            horizon: 100.0,
-        };
+            100.0,
+        );
         assert_eq!(trace.machines_down(TypeId(0), 5.0), 0);
         assert_eq!(trace.machines_down(TypeId(0), 16.0), 2);
         assert_eq!(trace.machines_down(TypeId(0), 22.0), 1);
@@ -447,8 +532,8 @@ mod tests {
 
     #[test]
     fn prefix_restricted_counts_see_only_held_slots() {
-        let trace = FailureTrace {
-            outages: vec![
+        let trace = FailureTrace::new(
+            vec![
                 Outage {
                     type_id: TypeId(0),
                     machine: 0,
@@ -462,8 +547,8 @@ mod tests {
                     end: 22.0,
                 },
             ],
-            horizon: 50.0,
-        };
+            50.0,
+        );
         assert_eq!(trace.machines_down(TypeId(0), 15.0), 2);
         assert_eq!(trace.machines_down_among(TypeId(0), 3, 15.0), 1);
         assert_eq!(trace.machines_down_among(TypeId(0), 5, 15.0), 2);
