@@ -10,11 +10,17 @@
 //! * `lp_speedup/sweep-*` times warm-started target sweeps (incumbent + bound
 //!   threading via `solve_sweep`) against cold per-target ILP solves on a
 //!   fine-grained Table III sweep.
+//! * The `bb-nodes` record times single-threaded branch and bound on
+//!   fleet-shaped §V-C MILPs (`fleet_instance_config()` instances, three
+//!   targets each, node-capped like fleet re-solves): the node engine that
+//!   dominates the fleet's re-solve workloads. Its node and LP-iteration
+//!   counts must repeat exactly across trials.
 //!
 //! Besides the criterion output, the harness writes a `BENCH_lp.json`
 //! summary in JSON Lines (pivots/sec for both engines and the speedup ratio
-//! per relaxation, then cold vs warm node counts of the sweep) for CI logs
-//! and regression tracking.
+//! per relaxation, cold vs warm node counts of the sweep, then nodes/sec of
+//! branch and bound with the median and quartiles of its trials) for CI
+//! logs and regression tracking.
 
 use std::time::Instant;
 
@@ -23,6 +29,8 @@ use std::hint::black_box;
 
 use rental_bench::fixture;
 use rental_core::examples::illustrating_example;
+use rental_fleet::scenario::fleet_instance_config;
+use rental_lp::mip::{MipSolver, SolveLimits};
 use rental_lp::model::Model;
 use rental_lp::simplex::{self, dense, SimplexOptions};
 use rental_obs::json::JsonRow;
@@ -36,6 +44,77 @@ fn relaxation(num_types: usize, num_recipes: usize, target: u64) -> Model {
     let config = GeneratorConfig::wide_platform(num_types, num_recipes);
     let instance = fixture(config, 0xD1CE);
     IlpSolver::build_model(&instance, target)
+}
+
+/// Fleet-shaped instances of the `bb-nodes` record (seeds `0..BB_INSTANCES`).
+const BB_INSTANCES: u64 = 128;
+/// Targets solved on every `bb-nodes` instance.
+const BB_TARGETS: [u64; 3] = [40, 110, 190];
+/// Node limit per `bb-nodes` solve, as node-capped fleet re-solves run.
+const BB_NODE_LIMIT: usize = 5_000;
+/// Timed trials of the whole `bb-nodes` set.
+const BB_TRIALS: usize = 9;
+
+/// Single-threaded branch and bound over fleet-shaped §V-C MILPs: the
+/// `bb-nodes` record, with the median and quartiles of its trials' seconds.
+fn bb_nodes_record() -> String {
+    let models: Vec<Model> = (0..BB_INSTANCES)
+        .flat_map(|seed| {
+            let instance = fixture(fleet_instance_config(), seed);
+            BB_TARGETS
+                .iter()
+                .map(move |&target| IlpSolver::build_model(&instance, target))
+        })
+        .collect();
+    let solver = MipSolver::with_limits(SolveLimits {
+        node_limit: Some(BB_NODE_LIMIT),
+        ..SolveLimits::default()
+    });
+    let mut counts = None;
+    let mut secs = Vec::with_capacity(BB_TRIALS);
+    for _ in 0..BB_TRIALS {
+        let (mut nodes, mut lp_iterations) = (0, 0);
+        let start = Instant::now();
+        for model in &models {
+            let solution = solver.solve(black_box(model)).unwrap();
+            nodes += solution.nodes;
+            lp_iterations += solution.lp_iterations;
+        }
+        secs.push(start.elapsed().as_secs_f64());
+        let first = *counts.get_or_insert((nodes, lp_iterations));
+        assert_eq!(
+            first,
+            (nodes, lp_iterations),
+            "branch and bound must repeat its node and LP-iteration counts"
+        );
+    }
+    let (nodes, lp_iterations) = counts.expect("at least one trial ran");
+    secs.sort_by(f64::total_cmp);
+    let (q1, median, q3) = (
+        secs[BB_TRIALS / 4],
+        secs[BB_TRIALS / 2],
+        secs[3 * BB_TRIALS / 4],
+    );
+    let nodes_per_sec = nodes as f64 / median;
+    println!(
+        "lp_speedup bb-nodes ({} solves, node limit {BB_NODE_LIMIT}): {nodes} nodes, {lp_iterations} LP iterations, median {:.1}ms [q1 {:.1}, q3 {:.1}] over {BB_TRIALS} trials, {nodes_per_sec:.0} nodes/s",
+        models.len(),
+        median * 1e3,
+        q1 * 1e3,
+        q3 * 1e3,
+    );
+    JsonRow::new()
+        .str("record", "bb-nodes")
+        .usize("solves", models.len())
+        .usize("node_limit", BB_NODE_LIMIT)
+        .usize("nodes", nodes)
+        .usize("lp_iterations", lp_iterations)
+        .usize("trials", BB_TRIALS)
+        .f64("median_secs", median)
+        .f64("q1_secs", q1)
+        .f64("q3_secs", q3)
+        .f64("nodes_per_sec", nodes_per_sec)
+        .finish()
 }
 
 fn median_secs_per_solve(samples: &mut [f64]) -> f64 {
@@ -195,6 +274,8 @@ fn bench_relaxation_engines(c: &mut Criterion) {
             .f64("warm_secs", warm_secs)
             .finish(),
     );
+    json.push('\n');
+    json.push_str(&bb_nodes_record());
     json.push('\n');
     std::fs::write("BENCH_lp.json", &json).expect("BENCH_lp.json is writable");
     println!("wrote BENCH_lp.json");

@@ -23,9 +23,16 @@
 //!
 //! Solves run on [`SparseVector`]s — a dense value array plus an explicit
 //! nonzero index list — so the simplex loops above can iterate only the
-//! touched entries (ratio tests, basic-value updates, eta construction) and
-//! no per-call allocation survives on the hot path: every scratch buffer
-//! lives in the backend and is recycled generation-style between calls.
+//! touched entries (ratio tests, basic-value updates, eta construction).
+//!
+//! A [`Factorization`] outlives the solve that built it: branch and bound
+//! threads one through every node of a tree, resetting only its counters
+//! and eta file. [`SparseLu::factorize`] refills its `L`/`U` row and column
+//! vectors and its active-submatrix columns in place, so a refactorization
+//! allocates only while a tree's first bases grow those buffers; the solve
+//! scratch (`work`, kept all-zero between solves, and the generation-stamped
+//! reachability marks) is recycled the same way. The one allocation left
+//! per pivot is the eta's entry list.
 
 // The factorization kernels are written index-first to mirror the textbook
 // linear algebra (triangular sweeps over `lu[r * m + k]`, permutation
@@ -72,13 +79,12 @@ impl SparseVector {
         }
     }
 
-    /// Grows (never shrinks) the dimension to `m` and clears the support.
+    /// Clears the support and sets the dimension to `m`, keeping the
+    /// allocation, so one vector can serve systems of any size.
     pub fn reset(&mut self, m: usize) {
         self.clear();
-        if self.values.len() < m {
-            self.values.resize(m, 0.0);
-            self.marked.resize(m, false);
-        }
+        self.values.resize(m, 0.0);
+        self.marked.resize(m, false);
     }
 
     /// Clears the support in O(nnz).
@@ -141,7 +147,9 @@ impl SparseVector {
     }
 
     /// Rebuilds the support by scanning the dense values (used after a dense
-    /// backend wrote arbitrary entries). O(m).
+    /// backend wrote arbitrary entries). O(m). A zero the backend computed
+    /// (`-0.0` included) is stored as `+0.0`, so every entry off the support
+    /// is exactly what a fresh vector holds and a reused one solves alike.
     fn rescan_support(&mut self) {
         for &i in &self.nz {
             self.marked[i] = false;
@@ -151,6 +159,8 @@ impl SparseVector {
             if self.values[i] != 0.0 {
                 self.marked[i] = true;
                 self.nz.push(i);
+            } else {
+                self.values[i] = 0.0;
             }
         }
     }
@@ -199,6 +209,7 @@ pub struct SparseLu {
     /// Scatter marker: original row → 1 + index into the column being updated.
     slot_of_row: Vec<u32>,
     // --- solve scratch (recycled between solves) ---
+    /// Dense pivot-order accumulator; every solve leaves it all-zero.
     work: Vec<f64>,
     stamp: Vec<u32>,
     generation: u32,
@@ -393,15 +404,18 @@ impl SparseLu {
         self.row_perm[k] = r;
         self.col_perm[k] = c;
 
-        // L multipliers from the pivot column (removed from the active set).
-        let col = mem::take(&mut self.acol[c]);
+        // L multipliers from the pivot column (removed from the active set;
+        // its emptied buffer goes back for the next factorization). The
+        // `L` column and `U` row are filled in the buffers `reset_workspace`
+        // cleared, so no step allocates once they have grown.
+        let mut col = mem::take(&mut self.acol[c]);
         let pivot = col
             .iter()
             .find(|&&(i, _)| i == r)
             .expect("selected pivot entry exists")
             .1;
         self.u_diag[k] = pivot;
-        let mut lfac: Vec<(usize, f64)> = Vec::with_capacity(col.len() - 1);
+        let mut lfac = mem::take(&mut self.l_cols[k]);
         for &(i, a) in &col {
             if i != r {
                 self.row_count[i] -= 1;
@@ -410,10 +424,12 @@ impl SparseLu {
                 }
             }
         }
+        col.clear();
+        self.acol[c] = col;
 
         // U row from the pivot row's remaining entries (removed column-wise).
         let columns_of_r = mem::take(&mut self.rows_of[r]);
-        let mut urow: Vec<(usize, f64)> = Vec::new();
+        let mut urow = mem::take(&mut self.u_rows[k]);
         for &j in &columns_of_r {
             if self.col_pivoted[j] {
                 continue; // stale: that column was pivoted earlier
@@ -533,10 +549,12 @@ impl SparseLu {
                 if value != 0.0 {
                     v.set(self.col_perm[k], value);
                 }
+                self.work[k] = 0.0;
             }
         } else {
-            for k in 0..m {
-                self.work[k] = v.get(self.row_perm[k]);
+            // `work` is all-zero between solves: scatter the support only.
+            for &r in v.nonzeros() {
+                self.work[self.row_pos[r]] = v.get(r);
             }
             v.clear();
             // Forward L sweep, then backward U sweep, both push-style.
@@ -594,10 +612,11 @@ impl SparseLu {
                 if value != 0.0 {
                     v.set(self.row_perm[k], value);
                 }
+                self.work[k] = 0.0;
             }
         } else {
-            for k in 0..m {
-                self.work[k] = v.get(self.col_perm[k]);
+            for &slot in v.nonzeros() {
+                self.work[self.col_pos[slot]] = v.get(slot);
             }
             v.clear();
             // Forward Uᵀ sweep, then backward Lᵀ sweep, both push-style.
@@ -960,7 +979,7 @@ pub(crate) struct Eta {
 }
 
 /// Counters describing the factorization work of one solve.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FactorStats {
     /// Basis refactorizations performed (eta-file folds).
     pub refactorizations: usize,
@@ -1045,6 +1064,18 @@ impl Factorization {
                 lu.factorize(m, cols, basis)
             }
         }
+    }
+
+    /// Whether this factorization runs on the dense LU backend.
+    pub(crate) fn is_dense(&self) -> bool {
+        matches!(self.backend, Backend::Dense(_))
+    }
+
+    /// Clears the eta file and zeroes the counters, keeping every buffer, so
+    /// a factorization reused for the next solve reports that solve alone.
+    pub(crate) fn reset(&mut self) {
+        self.etas.clear();
+        self.stats = FactorStats::default();
     }
 
     /// Number of eta updates accumulated since the last refactorization.

@@ -20,7 +20,17 @@
 //! models no longer pay dense linear algebra per node. Set
 //! [`SimplexOptions::dense_lu`] in [`MipSolver::simplex_options`] to pin a
 //! whole branch-and-bound run to the dense oracle backend.
+//!
+//! The paper's MILP gives node LPs of a handful of rows, so a node's cost is
+//! set-up, not arithmetic. One solve therefore threads a single node
+//! workspace (bounds, statuses, basis, scratch vectors and factorization —
+//! see [`crate::revised`]) through every node of its tree, the rounding
+//! heuristic works in one scratch point, and a minimization model is
+//! borrowed rather than cloned. A node allocates only what it hands on: its
+//! relaxation's values, the basis snapshot its children share, the
+//! children's bound lists and one eta entry list per pivot.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -28,7 +38,7 @@ use std::time::{Duration, Instant};
 
 use crate::error::LpResult;
 use crate::model::{Model, Sense, VarId};
-use crate::revised::{BasisSnapshot, RevisedLp};
+use crate::revised::{BasisSnapshot, NodeWorkspace, RevisedLp};
 use crate::simplex::{self, SimplexOptions};
 use crate::solution::{LpStatus, MipSolution, MipStatus};
 
@@ -248,9 +258,9 @@ impl MipSolver {
 
         // Internally work on a minimization problem.
         let work_model = if minimize {
-            model.clone()
+            Cow::Borrowed(model)
         } else {
-            negate_objective(model)
+            Cow::Owned(negate_objective(model))
         };
 
         let mut nodes_explored = 0usize;
@@ -287,6 +297,8 @@ impl MipSolver {
             .unwrap_or(f64::NEG_INFINITY);
         // The sparse standard form is shared by every node; only bounds vary.
         let relaxation = RevisedLp::new(&work_model)?;
+        let mut workspace = NodeWorkspace::default();
+        let mut rounded = Vec::new();
         let mut best_bound = floor.max(f64::NEG_INFINITY);
         let mut open = BinaryHeap::new();
         open.push(Node {
@@ -331,7 +343,8 @@ impl MipSolver {
             }
 
             nodes_explored += 1;
-            let lp = relaxation.solve_node(
+            let lp = relaxation.solve_node_in(
+                &mut workspace,
                 &node.bounds,
                 node.warm_basis.as_deref(),
                 &self.simplex_options,
@@ -374,9 +387,11 @@ impl MipSolver {
             // feasible. For covering-style problems (like MinCost) rounding up
             // usually yields a feasible incumbent immediately; running it at
             // every node keeps the incumbent tight and the tree small.
-            if let Some(candidate) = rounded_candidate(&work_model, &integer_vars, &lp.values) {
-                let obj = work_model.objective_value(&candidate);
-                update_incumbent(&mut incumbent, obj, candidate);
+            if round_feasibly(&work_model, &integer_vars, &lp.values, &mut rounded) {
+                let obj = work_model.objective_value(&rounded);
+                if improves(&incumbent, obj) {
+                    incumbent = Some((obj, rounded.clone()));
+                }
             }
             // The rounding may have tightened the incumbent enough to close
             // this node without branching.
@@ -390,15 +405,13 @@ impl MipSolver {
             match most_fractional(&integer_vars, &lp.values, self.limits.integrality_tol) {
                 None => {
                     // Integer feasible: candidate incumbent.
-                    update_incumbent(&mut incumbent, node_bound, lp.values);
+                    if improves(&incumbent, node_bound) {
+                        incumbent = Some((node_bound, lp.values));
+                    }
                 }
                 Some((var, value)) => {
-                    let floor = value.floor();
-                    let ceil = value.ceil();
-                    let mut down_bounds = node.bounds.clone();
-                    down_bounds.push((var, f64::NEG_INFINITY, floor));
-                    let mut up_bounds = node.bounds.clone();
-                    up_bounds.push((var, ceil, f64::INFINITY));
+                    let down_bounds = branch(&node.bounds, (var, f64::NEG_INFINITY, value.floor()));
+                    let up_bounds = branch(&node.bounds, (var, value.ceil(), f64::INFINITY));
                     open.push(Node {
                         bound: node_bound,
                         bounds: down_bounds,
@@ -416,11 +429,7 @@ impl MipSolver {
 
             // Gap-based early stop.
             if let Some((best_obj, _)) = &incumbent {
-                let bound_now = open
-                    .iter()
-                    .map(|n| n.bound)
-                    .fold(dropped_bound, f64::min)
-                    .max(best_bound);
+                let bound_now = open_bound(&open, dropped_bound).max(best_bound);
                 let denom = best_obj.abs().max(1e-9);
                 if (best_obj - bound_now).abs() / denom <= self.limits.gap_tolerance {
                     best_bound = bound_now.min(*best_obj);
@@ -432,7 +441,7 @@ impl MipSolver {
         // The proven bound is the minimum over the remaining open nodes and
         // any dropped inconclusive subtrees (they might still contain better
         // solutions), or the incumbent if the tree was exhausted.
-        let open_bound = open.iter().map(|n| n.bound).fold(dropped_bound, f64::min);
+        let open_bound = open_bound(&open, dropped_bound);
         let elapsed = start.elapsed().as_secs_f64();
 
         if root_unbounded {
@@ -554,32 +563,48 @@ fn most_fractional(integer_vars: &[VarId], values: &[f64], tol: f64) -> Option<(
     best.map(|(var, value, _)| (var, value))
 }
 
-/// Rounds integer variables of an LP point up and down and returns the first
-/// feasible combination found (up-rounding first, which suits covering
-/// constraints).
-fn rounded_candidate(model: &Model, integer_vars: &[VarId], values: &[f64]) -> Option<Vec<f64>> {
-    let mut up = values.to_vec();
-    for &var in integer_vars {
-        up[var.index()] = up[var.index()].ceil();
-    }
-    if model.is_feasible(&up, 1e-6) {
-        return Some(up);
-    }
-    let mut nearest = values.to_vec();
-    for &var in integer_vars {
-        nearest[var.index()] = nearest[var.index()].round();
-    }
-    if model.is_feasible(&nearest, 1e-6) {
-        return Some(nearest);
-    }
-    None
+/// The smallest bound among the open nodes and the dropped subtrees. The
+/// heap is ordered by bound (smallest on top) and bounds are never NaN, so
+/// its top holds the open minimum.
+fn open_bound(open: &BinaryHeap<Node>, dropped_bound: f64) -> f64 {
+    open.peek()
+        .map_or(dropped_bound, |top| dropped_bound.min(top.bound))
 }
 
-fn update_incumbent(incumbent: &mut Option<(f64, Vec<f64>)>, objective: f64, values: Vec<f64>) {
-    match incumbent {
-        Some((best, _)) if objective >= *best - 1e-12 => {}
-        _ => *incumbent = Some((objective, values)),
+/// A child's bound list: the parent's plus one branching bound, allocated
+/// once at its final length.
+fn branch(bounds: &[(VarId, f64, f64)], extra: (VarId, f64, f64)) -> Vec<(VarId, f64, f64)> {
+    let mut child = Vec::with_capacity(bounds.len() + 1);
+    child.extend_from_slice(bounds);
+    child.push(extra);
+    child
+}
+
+/// Rounds the integer variables of an LP point into `point`, up first
+/// (which suits covering constraints) and to nearest second, and reports
+/// whether either rounding is feasible; `point` then holds that one.
+fn round_feasibly(
+    model: &Model,
+    integer_vars: &[VarId],
+    values: &[f64],
+    point: &mut Vec<f64>,
+) -> bool {
+    for rounding in [f64::ceil, f64::round] {
+        point.clear();
+        point.extend_from_slice(values);
+        for &var in integer_vars {
+            point[var.index()] = rounding(point[var.index()]);
+        }
+        if model.is_feasible(point, 1e-6) {
+            return true;
+        }
     }
+    false
+}
+
+/// Whether a point of objective `objective` would replace the incumbent.
+fn improves(incumbent: &Option<(f64, Vec<f64>)>, objective: f64) -> bool {
+    !matches!(incumbent, Some((best, _)) if objective >= *best - 1e-12)
 }
 
 #[cfg(test)]

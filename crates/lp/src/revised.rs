@@ -22,13 +22,11 @@
 //! nonzeros reachable from the input's support (depth-first over the factor
 //! graph), and etas whose pivot is off-support are skipped outright. The
 //! downstream loops — ratio tests, basic-value updates, eta construction —
-//! iterate the support too, so one iteration costs O(entries touched). All
-//! scratch lives in the factorization and the solver state; no per-call
-//! allocation survives on the hot path. Every [`REFACTOR_EVERY`] pivots the
-//! eta file is folded into a fresh LU, bounding per-iteration cost and
-//! floating-point drift. The pre-rewrite dense LU remains available as a
-//! differential oracle via [`SimplexOptions::dense_lu`] (or the `dense-lu`
-//! crate feature).
+//! iterate the support too, so one iteration costs O(entries touched). Every
+//! [`REFACTOR_EVERY`] pivots the eta file is folded into a fresh LU, bounding
+//! per-iteration cost and floating-point drift. The pre-rewrite dense LU
+//! remains available as a differential oracle via [`SimplexOptions::dense_lu`]
+//! (or the `dense-lu` crate feature).
 //!
 //! Pricing is **partial with a rotating candidate section**: each primal
 //! iteration scans a section of the nonbasic columns (Dantzig within the
@@ -53,6 +51,19 @@
 //! rows the bound change made primal infeasible. When the warm path hits
 //! numerical trouble it falls back to a cold primal solve, so warm starts are
 //! purely a performance optimization, never a correctness risk.
+//!
+//! The paper's MILP has `1 + Q` rows, so a node's LP is tiny and its cost is
+//! set-up, not linear algebra. Branch and bound therefore threads one
+//! `NodeWorkspace` through every node of a tree. It holds the node and
+//! working bounds, the column statuses, the basis and `x_B`, the five sparse
+//! scratch vectors and the dual ratio test's lists, and the
+//! [`Factorization`](crate::factor) with its LU buffers and eta file. Each
+//! solve takes the buffers, clears or overwrites them before use, resets
+//! the factorization's counters and returns everything when it ends, so
+//! reuse never changes a bit. A node then allocates only what it hands
+//! back: its `values`, its [`BasisSnapshot`] and one eta entry list per
+//! pivot. [`RevisedLp::solve_node`] runs the same code on an empty
+//! workspace.
 
 // The pivot kernels are written index-first to mirror the textbook linear
 // algebra (parallel walks of `w`/`xb`/`basis`); iterator rewrites obscure the
@@ -373,19 +384,36 @@ impl RevisedLp {
         warm: Option<&BasisSnapshot>,
         options: &SimplexOptions,
     ) -> RevisedOutcome {
-        let outcome = self.solve_node_inner(tighten, warm, options);
+        self.solve_node_in(&mut NodeWorkspace::default(), tighten, warm, options)
+    }
+
+    /// [`Self::solve_node`] on a caller-held workspace, which branch and
+    /// bound passes to every node of a tree so that a node reuses the
+    /// buffers of the nodes before it. Same outcome, bit for bit.
+    pub(crate) fn solve_node_in(
+        &self,
+        ws: &mut NodeWorkspace,
+        tighten: &[(VarId, f64, f64)],
+        warm: Option<&BasisSnapshot>,
+        options: &SimplexOptions,
+    ) -> RevisedOutcome {
+        let outcome = self.solve_node_inner(ws, tighten, warm, options);
         emit_lp_telemetry(&outcome);
         outcome
     }
 
     fn solve_node_inner(
         &self,
+        ws: &mut NodeWorkspace,
         tighten: &[(VarId, f64, f64)],
         warm: Option<&BasisSnapshot>,
         options: &SimplexOptions,
     ) -> RevisedOutcome {
-        let mut lower = self.base_lower.clone();
-        let mut upper = self.base_upper.clone();
+        let (lower, upper) = (&mut ws.node_lower, &mut ws.node_upper);
+        lower.clear();
+        lower.extend_from_slice(&self.base_lower);
+        upper.clear();
+        upper.extend_from_slice(&self.base_upper);
         for &(var, lo, up) in tighten {
             let j = var.index();
             lower[j] = lower[j].max(lo);
@@ -412,20 +440,18 @@ impl RevisedLp {
         }
 
         if let Some(snapshot) = warm {
-            let mut state = SolverState::from_snapshot(self, &lower, &upper, snapshot, options);
-            if let Some(state) = state.as_mut() {
-                let status = state.dual_simplex();
-                match status {
-                    InnerStatus::Optimal => return self.extract(state, LpStatus::Optimal),
-                    InnerStatus::Infeasible => return state.failed(LpStatus::Infeasible),
+            if let Some(mut state) = SolverState::from_snapshot(self, ws, snapshot, options) {
+                match state.dual_simplex() {
+                    InnerStatus::Optimal => return self.extract(state, ws, LpStatus::Optimal),
+                    InnerStatus::Infeasible => return state.failed(ws, LpStatus::Infeasible),
                     // Unbounded cannot arise from a dual-feasible start with
                     // unchanged costs; treat it, limits and instability as a
                     // reason to re-solve cold.
-                    _ => {}
+                    _ => state.release(ws),
                 }
             }
         }
-        self.cold_solve(&lower, &upper, options)
+        self.cold_solve(ws, options)
     }
 
     /// Cold two-phase primal solve under the given working bounds, with a
@@ -444,8 +470,8 @@ impl RevisedLp {
     /// [`LpStatus::IterationLimit`]; numerical failure is an outcome, never a
     /// panic. Each rung is bounded by `options.max_iterations`, so the ladder
     /// multiplies the worst-case pivot count by at most three.
-    fn cold_solve(&self, lower: &[f64], upper: &[f64], options: &SimplexOptions) -> RevisedOutcome {
-        let (outcome, singular) = self.cold_attempt(lower, upper, options);
+    fn cold_solve(&self, ws: &mut NodeWorkspace, options: &SimplexOptions) -> RevisedOutcome {
+        let (outcome, singular) = self.cold_attempt(ws, options);
         if !singular {
             return outcome;
         }
@@ -453,7 +479,7 @@ impl RevisedLp {
             bland_after: 0,
             ..*options
         };
-        let (outcome, singular) = self.cold_attempt(lower, upper, &retry);
+        let (outcome, singular) = self.cold_attempt(ws, &retry);
         if !singular || options.dense_lu {
             return outcome;
         }
@@ -462,7 +488,7 @@ impl RevisedLp {
             dense_lu: true,
             ..*options
         };
-        self.cold_attempt(lower, upper, &dense).0
+        self.cold_attempt(ws, &dense).0
     }
 
     /// One rung of [`cold_solve`](Self::cold_solve): a two-phase primal
@@ -471,45 +497,50 @@ impl RevisedLp {
     /// conclusive outcomes and plain iteration exhaustion return `false`.
     fn cold_attempt(
         &self,
-        lower: &[f64],
-        upper: &[f64],
+        ws: &mut NodeWorkspace,
         options: &SimplexOptions,
     ) -> (RevisedOutcome, bool) {
-        let mut state = SolverState::cold(self, lower, upper, options);
+        let mut state = SolverState::cold(self, ws, options);
         if state.needs_phase1 {
-            let phase1_cost = state.phase1_cost.clone();
-            match state.primal_simplex(&phase1_cost) {
+            let phase1_cost = mem::take(&mut state.phase1_cost);
+            let phase1 = state.primal_simplex(&phase1_cost);
+            let infeasibility = state.phase1_infeasibility(&phase1_cost);
+            state.phase1_cost = phase1_cost;
+            match phase1 {
                 InnerStatus::Optimal => {}
-                InnerStatus::Unstable => return (state.failed(LpStatus::IterationLimit), true),
+                InnerStatus::Unstable => return (state.failed(ws, LpStatus::IterationLimit), true),
                 // Phase 1 minimizes a sum of absolute values, which is
                 // bounded below, so anything else here is an iteration cap;
                 // it surfaces as the recoverable IterationLimit.
-                _ => return (state.failed(LpStatus::IterationLimit), false),
+                _ => return (state.failed(ws, LpStatus::IterationLimit), false),
             }
-            let infeasibility = state.phase1_infeasibility(&phase1_cost);
             if infeasibility > options.tol.max(DRIFT_TOL) {
-                return (state.failed(LpStatus::Infeasible), false);
+                return (state.failed(ws, LpStatus::Infeasible), false);
             }
             if !state.retire_artificials() {
                 // The factorization is unusable (singular refactorization);
                 // abandon the attempt rather than running phase 2 on
                 // corrupted factors.
-                return (state.failed(LpStatus::IterationLimit), true);
+                return (state.failed(ws, LpStatus::IterationLimit), true);
             }
         }
-        let cost = self.cost.clone();
-        match state.primal_simplex(&cost) {
-            InnerStatus::Optimal => (self.extract(&mut state, LpStatus::Optimal), false),
-            InnerStatus::Unbounded => (state.failed(LpStatus::Unbounded), false),
-            InnerStatus::Infeasible => (state.failed(LpStatus::Infeasible), false),
-            InnerStatus::IterationLimit => (state.failed(LpStatus::IterationLimit), false),
-            InnerStatus::Unstable => (state.failed(LpStatus::IterationLimit), true),
+        match state.primal_simplex(&self.cost) {
+            InnerStatus::Optimal => (self.extract(state, ws, LpStatus::Optimal), false),
+            InnerStatus::Unbounded => (state.failed(ws, LpStatus::Unbounded), false),
+            InnerStatus::Infeasible => (state.failed(ws, LpStatus::Infeasible), false),
+            InnerStatus::IterationLimit => (state.failed(ws, LpStatus::IterationLimit), false),
+            InnerStatus::Unstable => (state.failed(ws, LpStatus::IterationLimit), true),
         }
     }
 
     /// Recovers model-space values and the basis snapshot from an optimal
-    /// state.
-    fn extract(&self, state: &mut SolverState<'_>, status: LpStatus) -> RevisedOutcome {
+    /// state, returning its buffers to the workspace.
+    fn extract(
+        &self,
+        mut state: SolverState<'_>,
+        ws: &mut NodeWorkspace,
+        status: LpStatus,
+    ) -> RevisedOutcome {
         // Guard against eta-file drift: check the row residuals `A x − b` in
         // O(nnz) and only pay the refactorization + recompute when the point
         // actually drifted. The differential suite against the dense tableau
@@ -532,7 +563,7 @@ impl RevisedLp {
             basis: state.basis.clone(),
             status: state.status.clone(),
         };
-        RevisedOutcome {
+        let outcome = RevisedOutcome {
             status,
             values,
             iterations: state.iterations,
@@ -541,12 +572,51 @@ impl RevisedLp {
             stall_perturbations: state.stall_perturbations,
             bland_escalations: state.bland_escalations,
             basis: Some(Arc::new(snapshot)),
-        }
+        };
+        state.release(ws);
+        outcome
     }
 }
 
+/// The buffers of a node solve, held between the solves of one
+/// branch-and-bound tree (see the module docs). A [`SolverState`] takes them
+/// for one solve and hands them back when it ends; every buffer is sized by
+/// the solve that uses it, so one workspace serves LPs of any shape.
+#[derive(Debug, Default)]
+pub(crate) struct NodeWorkspace {
+    /// The node's bounds: the model's own, tightened by the branch.
+    node_lower: Vec<f64>,
+    node_upper: Vec<f64>,
+    lower: Vec<f64>,
+    upper: Vec<f64>,
+    status: Vec<ColStatus>,
+    basis: Vec<usize>,
+    xb: Vec<f64>,
+    phase1_cost: Vec<f64>,
+    residual: Vec<f64>,
+    y: SparseVector,
+    w: SparseVector,
+    rho: SparseVector,
+    alpha: SparseVector,
+    aux: SparseVector,
+    lists: RatioLists,
+    factor: Option<Factorization>,
+}
+
+/// The dual ratio test's lists, reused across pivots and solves.
+#[derive(Debug, Default)]
+struct RatioLists {
+    /// Eligible entering columns: `(column, alpha, ratio)`.
+    candidates: Vec<(usize, f64, f64)>,
+    /// The pivot row's support in ascending column order (Bland's rule).
+    bland_order: Vec<usize>,
+    /// Columns flipped to their opposite bound ahead of the pivot.
+    flips: Vec<(usize, f64)>,
+}
+
 /// Mutable state of one solve: working bounds, statuses, basis, factorization
-/// and the hoisted sparse scratch vectors of the pivot loops.
+/// and the hoisted sparse scratch vectors of the pivot loops, all taken from
+/// a [`NodeWorkspace`].
 struct SolverState<'a> {
     lp: &'a RevisedLp,
     options: &'a SimplexOptions,
@@ -567,57 +637,103 @@ struct SolverState<'a> {
     /// Rotating partial-pricing cursor (persists across iterations so
     /// sections take turns).
     price_cursor: usize,
-    // Hoisted scratch (one allocation per solve, reused by every iteration).
+    /// Row residuals of the cold start and the extraction check.
+    residual: Vec<f64>,
+    // Hoisted scratch, reset to its dimension before every use, so a solve
+    // only pays for the buffers its path touches, and only while its
+    // workspace is new.
     y: SparseVector,
     w: SparseVector,
     rho: SparseVector,
     alpha: SparseVector,
     aux: SparseVector,
+    lists: RatioLists,
 }
 
 impl<'a> SolverState<'a> {
-    fn empty(lp: &'a RevisedLp, options: &'a SimplexOptions) -> SolverState<'a> {
-        SolverState {
+    /// Takes the workspace's buffers for one solve: the working bounds are
+    /// copied from the node bounds, `x_B` is zeroed, the statuses, basis and
+    /// phase-1 costs are left empty for the caller to fill, and the
+    /// factorization keeps its buffers but restarts its counters and eta
+    /// file (it is replaced when its backend is not the one asked for).
+    fn new(
+        lp: &'a RevisedLp,
+        ws: &mut NodeWorkspace,
+        options: &'a SimplexOptions,
+    ) -> SolverState<'a> {
+        let factor = match ws.factor.take() {
+            Some(mut factor) if factor.is_dense() == options.dense_lu => {
+                factor.reset();
+                factor
+            }
+            _ => Factorization::new(options.dense_lu),
+        };
+        let mut state = SolverState {
             lp,
             options,
-            lower: Vec::new(),
-            upper: Vec::new(),
-            status: Vec::new(),
-            basis: Vec::new(),
-            xb: vec![0.0; lp.m],
-            factor: Factorization::new(options.dense_lu),
+            lower: mem::take(&mut ws.lower),
+            upper: mem::take(&mut ws.upper),
+            status: mem::take(&mut ws.status),
+            basis: mem::take(&mut ws.basis),
+            xb: mem::take(&mut ws.xb),
+            factor,
             iterations: 0,
             flips: 0,
             stall_perturbations: 0,
             bland_escalations: 0,
             needs_phase1: false,
-            phase1_cost: Vec::new(),
+            phase1_cost: mem::take(&mut ws.phase1_cost),
             price_cursor: 0,
-            // Scratch vectors start empty and grow on first use
-            // (`SparseVector::reset`), so each path of a solve only pays for
-            // the buffers it actually touches.
-            y: SparseVector::default(),
-            w: SparseVector::default(),
-            rho: SparseVector::default(),
-            alpha: SparseVector::default(),
-            aux: SparseVector::default(),
-        }
+            residual: mem::take(&mut ws.residual),
+            y: mem::take(&mut ws.y),
+            w: mem::take(&mut ws.w),
+            rho: mem::take(&mut ws.rho),
+            alpha: mem::take(&mut ws.alpha),
+            aux: mem::take(&mut ws.aux),
+            lists: mem::take(&mut ws.lists),
+        };
+        state.lower.clear();
+        state.lower.extend_from_slice(&ws.node_lower);
+        state.upper.clear();
+        state.upper.extend_from_slice(&ws.node_upper);
+        state.status.clear();
+        state.basis.clear();
+        state.phase1_cost.clear();
+        state.xb.clear();
+        state.xb.resize(lp.m, 0.0);
+        state
     }
 
-    /// Builds the initial all-slack / artificial basis for a cold solve.
+    /// Hands the buffers back to the workspace for the next solve.
+    fn release(self, ws: &mut NodeWorkspace) {
+        ws.lower = self.lower;
+        ws.upper = self.upper;
+        ws.status = self.status;
+        ws.basis = self.basis;
+        ws.xb = self.xb;
+        ws.phase1_cost = self.phase1_cost;
+        ws.residual = self.residual;
+        ws.y = self.y;
+        ws.w = self.w;
+        ws.rho = self.rho;
+        ws.alpha = self.alpha;
+        ws.aux = self.aux;
+        ws.lists = self.lists;
+        ws.factor = Some(self.factor);
+    }
+
+    /// Builds the initial all-slack / artificial basis for a cold solve
+    /// under the workspace's node bounds.
     fn cold(
         lp: &'a RevisedLp,
-        lower: &[f64],
-        upper: &[f64],
+        ws: &mut NodeWorkspace,
         options: &'a SimplexOptions,
     ) -> SolverState<'a> {
         let m = lp.m;
-        let mut state = SolverState::empty(lp, options);
-        state.lower = lower.to_vec();
-        state.upper = upper.to_vec();
-        state.status = vec![ColStatus::AtLower; lp.n_total];
-        state.basis = vec![0; m];
-        state.phase1_cost = vec![0.0; lp.n_total];
+        let mut state = SolverState::new(lp, ws, options);
+        state.status.resize(lp.n_total, ColStatus::AtLower);
+        state.basis.resize(m, 0);
+        state.phase1_cost.resize(lp.n_total, 0.0);
         // Nonbasic structural variables rest on a finite bound (or zero).
         for j in 0..lp.n_total {
             state.status[j] = if state.lower[j].is_finite() {
@@ -629,7 +745,9 @@ impl<'a> SolverState<'a> {
             };
         }
         // Row residuals with every column nonbasic.
-        let mut residual = lp.rhs.clone();
+        let mut residual = mem::take(&mut state.residual);
+        residual.clear();
+        residual.extend_from_slice(&lp.rhs);
         for j in 0..lp.n_struct {
             let value = state.column_value(j);
             if value != 0.0 {
@@ -665,6 +783,7 @@ impl<'a> SolverState<'a> {
                 state.needs_phase1 = true;
             }
         }
+        state.residual = residual;
         // The initial basis is a signed permutation of unit columns, which
         // both backends factorize trivially (zero fill).
         let ok = state.factor.refactorize(m, &lp.cols, &state.basis);
@@ -673,23 +792,22 @@ impl<'a> SolverState<'a> {
     }
 
     /// Restores a snapshot taken on a related solve (same matrix, different
-    /// bounds). Returns `None` when the recorded basis is singular under
-    /// refactorization — the caller then solves cold.
+    /// bounds) under the workspace's node bounds. Returns `None`, with the
+    /// buffers back in the workspace, when the snapshot has another shape or
+    /// its basis is singular under refactorization — the caller then solves
+    /// cold.
     fn from_snapshot(
         lp: &'a RevisedLp,
-        lower: &[f64],
-        upper: &[f64],
+        ws: &mut NodeWorkspace,
         snapshot: &BasisSnapshot,
         options: &'a SimplexOptions,
     ) -> Option<SolverState<'a>> {
         if snapshot.basis.len() != lp.m || snapshot.status.len() != lp.n_total {
             return None;
         }
-        let mut state = SolverState::empty(lp, options);
-        state.lower = lower.to_vec();
-        state.upper = upper.to_vec();
-        state.status = snapshot.status.clone();
-        state.basis = snapshot.basis.clone();
+        let mut state = SolverState::new(lp, ws, options);
+        state.status.extend_from_slice(&snapshot.status);
+        state.basis.extend_from_slice(&snapshot.basis);
         // Re-anchor nonbasic statuses onto the (possibly moved) bounds.
         for j in 0..lp.n_total {
             match state.status[j] {
@@ -712,6 +830,7 @@ impl<'a> SolverState<'a> {
             }
         }
         if !state.factor.refactorize(lp.m, &lp.cols, &state.basis) {
+            state.release(ws);
             return None;
         }
         state.compute_xb();
@@ -719,9 +838,9 @@ impl<'a> SolverState<'a> {
     }
 
     /// A non-optimal outcome carrying the iteration and factorization
-    /// counters of this state.
-    fn failed(&self, status: LpStatus) -> RevisedOutcome {
-        RevisedOutcome {
+    /// counters of this state, whose buffers go back to the workspace.
+    fn failed(self, ws: &mut NodeWorkspace, status: LpStatus) -> RevisedOutcome {
+        let outcome = RevisedOutcome {
             status,
             values: vec![],
             iterations: self.iterations,
@@ -730,7 +849,9 @@ impl<'a> SolverState<'a> {
             stall_perturbations: self.stall_perturbations,
             bland_escalations: self.bland_escalations,
             basis: None,
-        }
+        };
+        self.release(ws);
+        outcome
     }
 
     /// Current value of a column: basic values live in `xb`, nonbasic ones on
@@ -777,8 +898,10 @@ impl<'a> SolverState<'a> {
     }
 
     /// Largest row residual `|A x − b|` of the current point, in O(nnz).
-    fn max_residual(&self) -> f64 {
-        let mut residual: Vec<f64> = self.lp.rhs.iter().map(|&b| -b).collect();
+    fn max_residual(&mut self) -> f64 {
+        let mut residual = mem::take(&mut self.residual);
+        residual.clear();
+        residual.extend(self.lp.rhs.iter().map(|&b| -b));
         for j in 0..self.lp.n_total {
             let value = match self.status[j] {
                 ColStatus::Basic => continue,
@@ -798,7 +921,9 @@ impl<'a> SolverState<'a> {
                 }
             }
         }
-        residual.iter().fold(0.0, |acc, &r| acc.max(r.abs()))
+        let max = residual.iter().fold(0.0_f64, |acc, &r| acc.max(r.abs()));
+        self.residual = residual;
+        max
     }
 
     /// Refactorizes (folding the eta file) and recomputes the basic values.
@@ -1224,13 +1349,13 @@ impl<'a> SolverState<'a> {
         let mut w = mem::take(&mut self.w);
         let mut rho = mem::take(&mut self.rho);
         let mut alpha = mem::take(&mut self.alpha);
-        let mut wf = mem::take(&mut self.aux);
-        let status = self.dual_simplex_inner(&mut y, &mut w, &mut rho, &mut alpha, &mut wf);
+        let mut lists = mem::take(&mut self.lists);
+        let status = self.dual_simplex_inner(&mut y, &mut w, &mut rho, &mut alpha, &mut lists);
         self.y = y;
         self.w = w;
         self.rho = rho;
         self.alpha = alpha;
-        self.aux = wf;
+        self.lists = lists;
         status
     }
 
@@ -1240,14 +1365,16 @@ impl<'a> SolverState<'a> {
         w: &mut SparseVector,
         rho: &mut SparseVector,
         alpha: &mut SparseVector,
-        wf: &mut SparseVector,
+        lists: &mut RatioLists,
     ) -> InnerStatus {
         let m = self.lp.m;
         let tol = self.options.tol;
         let cost = &self.lp.cost;
-        // Scratch for the bound-flipping ratio test, reused across pivots.
-        let mut candidates: Vec<(usize, f64, f64)> = Vec::new(); // (col, alpha, ratio)
-        let mut bland_order: Vec<usize> = Vec::new();
+        let RatioLists {
+            candidates,
+            bland_order,
+            flips,
+        } = lists;
         for local_iter in 0..self.options.max_iterations {
             if self.factor.eta_count() >= REFACTOR_EVERY && !self.refresh_factorization() {
                 return InnerStatus::Unstable;
@@ -1315,7 +1442,7 @@ impl<'a> SolverState<'a> {
                 bland_order.clear();
                 bland_order.extend_from_slice(alpha.nonzeros());
                 bland_order.sort_unstable();
-                &bland_order
+                bland_order
             } else {
                 alpha.nonzeros()
             };
@@ -1392,7 +1519,7 @@ impl<'a> SolverState<'a> {
                 let range = state.upper[j] - state.lower[j];
                 !range.is_finite() || residual.abs() <= range * alpha.abs() + tol
             };
-            let mut flips: Vec<(usize, f64)> = Vec::new();
+            flips.clear();
             let mut q = q;
             if !use_bland && !fits(self, q, alpha_q, residual) {
                 // Non-finite ratios mean the pricing vectors have drifted
@@ -1403,7 +1530,7 @@ impl<'a> SolverState<'a> {
                 }
                 candidates.sort_by(|a, b| a.2.total_cmp(&b.2).then(a.0.cmp(&b.0)));
                 let mut chosen = None;
-                for &(j, alpha_j, _) in &candidates {
+                for &(j, alpha_j, _) in candidates.iter() {
                     if fits(self, j, alpha_j, residual) {
                         chosen = Some(j);
                         break;
@@ -1448,10 +1575,12 @@ impl<'a> SolverState<'a> {
             // Apply the recorded flips: each moves a nonbasic column across
             // its whole range. B⁻¹ is linear, so the combined shift of the
             // basic values is one FTRAN of the accumulated column sum, not
-            // one FTRAN per flipped column.
+            // one FTRAN per flipped column. ρ is spent once α is formed, so
+            // its buffer carries the sum.
             if !flips.is_empty() {
+                let wf = &mut *rho;
                 wf.reset(m);
-                for &(j, flip_delta) in &flips {
+                for &(j, flip_delta) in flips.iter() {
                     for &(i, a) in &self.lp.cols[j] {
                         wf.add(i, a * flip_delta);
                     }
@@ -1813,6 +1942,148 @@ mod tests {
                 "column {j}: perturbation {delta} outside (0, {scale}]"
             );
         }
+    }
+
+    /// Asserts two outcomes are the same bit for bit: status, values,
+    /// every counter and the basis.
+    fn assert_identical(reused: &RevisedOutcome, fresh: &RevisedOutcome, solve: usize) {
+        let bits = |o: &RevisedOutcome| o.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(reused.status, fresh.status, "solve {solve}: status");
+        assert_eq!(bits(reused), bits(fresh), "solve {solve}: values");
+        assert_eq!(reused.iterations, fresh.iterations, "solve {solve}");
+        assert_eq!(reused.bound_flips, fresh.bound_flips, "solve {solve}");
+        assert_eq!(reused.factor_stats, fresh.factor_stats, "solve {solve}");
+        assert_eq!(
+            reused.stall_perturbations, fresh.stall_perturbations,
+            "solve {solve}"
+        );
+        assert_eq!(
+            reused.bland_escalations, fresh.bland_escalations,
+            "solve {solve}"
+        );
+        assert_eq!(
+            reused.basis.as_deref(),
+            fresh.basis.as_deref(),
+            "solve {solve}: basis"
+        );
+    }
+
+    /// A random MILP shaped like the paper's §V-C model: `J` recipe shares
+    /// `ρ_j ∈ [0, target]` and `Q` machine counts `x_q ≥ 0` at cost `c_q`,
+    /// with `Σ ρ_j ≥ target` and `r_q x_q − Σ_j n_jq ρ_j ≥ 0` per type.
+    fn section_vc_model(draw: &mut impl FnMut(u64, u64) -> u64) -> Model {
+        let (recipes, types) = (draw(2, 6) as usize, draw(2, 5) as usize);
+        let target = draw(20, 300) as f64;
+        let mut model = Model::minimize();
+        let rho: Vec<_> = (0..recipes)
+            .map(|j| model.add_int_var(format!("rho{j}"), 0.0, 0.0, target))
+            .collect();
+        let x: Vec<_> = (0..types)
+            .map(|q| model.add_nonneg_int_var(format!("x{q}"), draw(1, 100) as f64))
+            .collect();
+        model.add_constraint(
+            rho.iter().map(|&v| (v, 1.0)).collect(),
+            Relation::GreaterEq,
+            target,
+        );
+        for (q, &x_q) in x.iter().enumerate() {
+            let mut terms = vec![(x_q, draw(10, 100) as f64)];
+            for (j, &rho_j) in rho.iter().enumerate() {
+                // Every recipe needs at least its own type.
+                let tasks = draw(0, 3).max(u64::from(j % types == q));
+                if tasks > 0 {
+                    terms.push((rho_j, -(tasks as f64)));
+                }
+            }
+            model.add_constraint(terms, Relation::GreaterEq, 0.0);
+        }
+        model
+    }
+
+    /// An open branch: its bound tightenings and its parent's basis.
+    type OpenNode = (Vec<(VarId, f64, f64)>, Option<Arc<BasisSnapshot>>);
+
+    #[test]
+    fn a_reused_workspace_matches_fresh_solves_bit_for_bit() {
+        let mut counter = 0;
+        let mut draw = |lo: u64, hi: u64| {
+            counter += 1;
+            lo + (unit_noise(counter) * (hi - lo + 1) as f64) as u64
+        };
+        let base = SimplexOptions::default();
+        let switched = SimplexOptions {
+            dense_lu: !base.dense_lu,
+            ..base
+        };
+        // One workspace for every solve of every model, as branch and bound
+        // would thread it, each outcome held to a fresh `solve_node`.
+        let mut ws = NodeWorkspace::default();
+        let mut solves = 0;
+        let mut check = |lp: &RevisedLp,
+                         ws: &mut NodeWorkspace,
+                         tighten: &[(VarId, f64, f64)],
+                         warm: Option<&BasisSnapshot>,
+                         options: &SimplexOptions| {
+            let reused = lp.solve_node_in(ws, tighten, warm, options);
+            assert_identical(&reused, &lp.solve_node(tighten, warm, options), solves);
+            solves += 1;
+            reused
+        };
+        for _ in 0..8 {
+            let model = section_vc_model(&mut draw);
+            let lp = RevisedLp::new(&model).unwrap();
+            let integer = model.integer_vars();
+            // Depth-first branching on the first fractional variable; every
+            // fifth node runs on the other factorization backend. Children
+            // warm-start from their parent's basis, which is often not the
+            // outcome solved just before.
+            let mut open: Vec<OpenNode> = vec![(Vec::new(), None)];
+            let mut root_basis = None;
+            for explored in 0..12 {
+                let Some((bounds, warm)) = open.pop() else {
+                    break;
+                };
+                let options = if explored % 5 == 4 { &switched } else { &base };
+                let out = check(&lp, &mut ws, &bounds, warm.as_deref(), options);
+                let Some(basis) = out.basis else {
+                    continue;
+                };
+                root_basis.get_or_insert_with(|| Arc::clone(&basis));
+                let Some(&var) = integer
+                    .iter()
+                    .find(|v| out.values[v.index()].fract().abs() > 1e-6)
+                else {
+                    continue;
+                };
+                let value = out.values[var.index()];
+                let mut down = bounds.clone();
+                down.push((var, f64::NEG_INFINITY, value.floor()));
+                let mut up = bounds;
+                up.push((var, value.ceil(), f64::INFINITY));
+                open.push((down, Some(Arc::clone(&basis))));
+                open.push((up, Some(basis)));
+            }
+            let basis = root_basis.expect("the root relaxation is feasible");
+            let rho0 = VarId(0);
+            // Crossed bounds: infeasible, and crossing by less than the
+            // tolerance (collapsed onto the lower bound).
+            let out = check(&lp, &mut ws, &[(rho0, 5.0, 2.0)], Some(&basis), &base);
+            assert_eq!(out.status, LpStatus::Infeasible);
+            let hair = 3.0 - base.tol / 2.0;
+            check(&lp, &mut ws, &[(rho0, 3.0, hair)], Some(&basis), &switched);
+            // A snapshot of the wrong shape and a singular one both fall
+            // back to a cold solve.
+            let short = BasisSnapshot {
+                basis: basis.basis[1..].to_vec(),
+                status: basis.status.clone(),
+            };
+            check(&lp, &mut ws, &[(rho0, 0.0, 1.0)], Some(&short), &base);
+            let mut singular = (*basis).clone();
+            singular.basis[1] = singular.basis[0];
+            check(&lp, &mut ws, &[], Some(&singular), &switched);
+            check(&lp, &mut ws, &[], Some(&singular), &base);
+        }
+        assert!(solves >= 50, "only {solves} node solves");
     }
 
     #[test]
