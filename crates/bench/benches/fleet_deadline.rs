@@ -25,7 +25,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use rental_experiments::{
-    fleet_deadline_json, fleet_deadline_markdown, run_fleet_deadline_experiment,
+    fleet_deadline_rows, rows_jsonl, rows_markdown, run_fleet_deadline_experiment,
     run_fleet_experiment, FleetDeadlineSpec, FleetExperimentSpec,
 };
 use rental_fleet::{diurnal_spike_fleet, FleetController};
@@ -68,7 +68,8 @@ fn bench_fleet_deadline(c: &mut Criterion) {
     // BENCH_fleet_deadline.json.
     // ------------------------------------------------------------------
     let table = run_fleet_deadline_experiment(&spec).expect("the deadline sweep solves");
-    print!("{}", fleet_deadline_markdown(&table));
+    let rows = fleet_deadline_rows(&table);
+    print!("{}", rows_markdown(&rows));
     let unlimited = table
         .rows
         .iter()
@@ -117,7 +118,7 @@ fn bench_fleet_deadline(c: &mut Criterion) {
         }
     }
 
-    std::fs::write("BENCH_fleet_deadline.json", fleet_deadline_json(&table))
+    std::fs::write("BENCH_fleet_deadline.json", rows_jsonl(&rows))
         .expect("BENCH_fleet_deadline.json is writable");
     println!("wrote BENCH_fleet_deadline.json");
 }

@@ -20,8 +20,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use rental_experiments::{
-    failure_sweep_solver, fleet_failure_json, fleet_failure_markdown, run_fleet_failure_experiment,
-    FleetFailureSpec,
+    failure_sweep_solver, fleet_failure_rows, rows_jsonl, rows_markdown,
+    run_fleet_failure_experiment, FleetFailureSpec,
 };
 use rental_fleet::{failure_coupled_fleet, FleetController};
 
@@ -56,7 +56,8 @@ fn bench_fleet_failure(c: &mut Criterion) {
     // The MTBF-sweep acceptance check, written to BENCH_fleet_failure.json.
     // ------------------------------------------------------------------
     let table = run_fleet_failure_experiment(&spec).expect("the failure scenario solves");
-    print!("{}", fleet_failure_markdown(&table));
+    let rows = fleet_failure_rows(&table);
+    print!("{}", rows_markdown(&rows));
     for row in &table.rows {
         let report = &row.report;
         let mtbf = row.mtbf;
@@ -72,7 +73,7 @@ fn bench_fleet_failure(c: &mut Criterion) {
         );
     }
 
-    std::fs::write("BENCH_fleet_failure.json", fleet_failure_json(&table))
+    std::fs::write("BENCH_fleet_failure.json", rows_jsonl(&rows))
         .expect("BENCH_fleet_failure.json is writable");
     println!("wrote BENCH_fleet_failure.json");
 }

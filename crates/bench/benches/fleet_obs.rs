@@ -43,6 +43,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use rental_experiments::{rows_jsonl, rows_markdown};
 use rental_fleet::{
     failure_coupled_fleet, FleetController, FleetPolicy, FleetReport, ACCEPTANCE_SEED,
 };
@@ -246,35 +247,7 @@ fn bench_fleet_obs(c: &mut Criterion) {
 
     let noop_overhead = noop_ratio - 1.0;
     let enabled_overhead = enabled_ratio - 1.0;
-    println!(
-        "fleet_obs summary: baseline {:.1} ms, noop {:.1} ms ({:+.2}%), recorder {:.1} ms \
-         ({:+.2}%) over {} epochs; {} counters, {} events captured; {} live scrapes, \
-         mean scrape {:.3} ms",
-        1e3 * baseline_seconds,
-        1e3 * noop_seconds,
-        100.0 * noop_overhead,
-        1e3 * enabled_seconds,
-        100.0 * enabled_overhead,
-        epochs,
-        snapshot.counters.len(),
-        events,
-        live_scrapes,
-        1e3 * scrape_mean_seconds,
-    );
-    assert!(
-        noop_overhead < NOOP_FLOOR,
-        "NoopSink overhead {:.2}% exceeds the {:.0}% floor",
-        100.0 * noop_overhead,
-        100.0 * NOOP_FLOOR,
-    );
-    assert!(
-        enabled_overhead < ENABLED_FLOOR,
-        "enabled-telemetry overhead {:.2}% exceeds the {:.0}% floor",
-        100.0 * enabled_overhead,
-        100.0 * ENABLED_FLOOR,
-    );
-
-    let json = JsonRow::new()
+    let rows = [JsonRow::new()
         .str("record", "fleet_obs")
         .str("scenario", &format!("failure-coupled-{NUM_TENANTS}-obs"))
         .usize("tenants", NUM_TENANTS)
@@ -294,10 +267,22 @@ fn bench_fleet_obs(c: &mut Criterion) {
         .f64("scrape_mean_seconds", scrape_mean_seconds)
         .f64("scrape_floor", SCRAPE_FLOOR)
         .usize("counters_captured", snapshot.counters.len())
-        .usize("events_captured", events)
-        .finish()
-        + "\n";
-    std::fs::write("BENCH_fleet_obs.json", &json).expect("BENCH_fleet_obs.json is writable");
+        .usize("events_captured", events)];
+    print!("{}", rows_markdown(&rows));
+    assert!(
+        noop_overhead < NOOP_FLOOR,
+        "NoopSink overhead {:.2}% exceeds the {:.0}% floor",
+        100.0 * noop_overhead,
+        100.0 * NOOP_FLOOR,
+    );
+    assert!(
+        enabled_overhead < ENABLED_FLOOR,
+        "enabled-telemetry overhead {:.2}% exceeds the {:.0}% floor",
+        100.0 * enabled_overhead,
+        100.0 * ENABLED_FLOOR,
+    );
+    std::fs::write("BENCH_fleet_obs.json", rows_jsonl(&rows))
+        .expect("BENCH_fleet_obs.json is writable");
     println!("wrote BENCH_fleet_obs.json");
 }
 

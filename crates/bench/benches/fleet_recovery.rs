@@ -30,7 +30,8 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rental_experiments::{
-    fleet_recovery_json, fleet_recovery_markdown, run_fleet_recovery_experiment, FleetRecoverySpec,
+    fleet_recovery_rows, rows_jsonl, rows_markdown, run_fleet_recovery_experiment,
+    FleetRecoverySpec,
 };
 use rental_fleet::{failure_coupled_fleet, FleetController, FleetPolicy, PersistOptions};
 use rental_obs::json::JsonRow;
@@ -114,7 +115,13 @@ fn bench_fleet_recovery(c: &mut Criterion) {
     // The acceptance checks, written to BENCH_fleet_recovery.json.
     // ------------------------------------------------------------------
     let table = run_fleet_recovery_experiment(&spec).expect("the recovery run completes");
-    print!("{}", fleet_recovery_markdown(&table));
+    let mut rows = fleet_recovery_rows(&table);
+    rows.push(
+        JsonRow::new()
+            .str("record", "floors")
+            .f64("snapshot_overhead_fraction", OVERHEAD_FLOOR),
+    );
+    print!("{}", rows_markdown(&rows));
     let row = &table.rows[0];
 
     // Floor 1 (resume equivalence, part 1): durability alone must not
@@ -127,12 +134,6 @@ fn bench_fleet_recovery(c: &mut Criterion) {
     // Floor 2: at the operating cadence, snapshotting amortizes to under
     // 5% of the durable run's per-epoch wall-time.
     let overhead = table.snapshot_overhead(row);
-    println!(
-        "fleet_recovery summary: snapshot {:.0} us, amortized {:.2}% of epoch wall-time at \
-         cadence {OPERATING_CADENCE}",
-        1e6 * row.snapshot_write_seconds,
-        100.0 * overhead,
-    );
     assert!(
         overhead < OVERHEAD_FLOOR,
         "snapshot overhead {:.2}% exceeds the {:.0}% floor at cadence {OPERATING_CADENCE}",
@@ -148,15 +149,8 @@ fn bench_fleet_recovery(c: &mut Criterion) {
         "the kill-and-resume run diverged from the plain run"
     );
 
-    let floors = JsonRow::new()
-        .str("record", "floors")
-        .f64("snapshot_overhead_fraction", OVERHEAD_FLOOR)
-        .finish();
-    std::fs::write(
-        "BENCH_fleet_recovery.json",
-        format!("{}{floors}\n", fleet_recovery_json(&table)),
-    )
-    .expect("BENCH_fleet_recovery.json is writable");
+    std::fs::write("BENCH_fleet_recovery.json", rows_jsonl(&rows))
+        .expect("BENCH_fleet_recovery.json is writable");
     println!("wrote BENCH_fleet_recovery.json");
 }
 

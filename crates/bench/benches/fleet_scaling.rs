@@ -31,7 +31,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use rental_experiments::{
-    fleet_json, fleet_markdown, fleet_scale_json, fleet_scale_markdown, run_fleet_experiment,
+    fleet_rows, fleet_scale_rows, rows_jsonl, rows_markdown, run_fleet_experiment,
     run_fleet_scale_experiment, FleetExperimentSpec, FleetScaleSpec,
 };
 use rental_fleet::{scaling_fleet, FleetController, FleetPolicy};
@@ -94,7 +94,8 @@ fn bench_fleet_scaling(c: &mut Criterion) {
     // Tenant-epochs/sec sweep: sequential vs sharded epoch loops.
     // ------------------------------------------------------------------
     let table = run_fleet_scale_experiment(&spec).expect("the scaling fleet solves");
-    print!("{}", fleet_scale_markdown(&table));
+    let mut rows = fleet_scale_rows(&table);
+    print!("{}", rows_markdown(&rows));
     assert!(
         table.all_deterministic(),
         "determinism floor: every sharded report must match the sequential one"
@@ -136,20 +137,18 @@ fn bench_fleet_scaling(c: &mut Criterion) {
          {DETERMINISM_SHARDS:?} at {det_tenants} tenants"
     );
 
-    let floors = JsonRow::new()
-        .str("record", "floors")
-        .bool("smoke", smoke())
-        .f64("speedup_at_4k_min", SPEEDUP_FLOOR)
-        .bool("speedup_enforced", speedup_enforced && !smoke())
-        .usize("determinism_tenants", det_tenants)
-        .raw("determinism_shards", &format!("{DETERMINISM_SHARDS:?}"))
-        .bool("bit_identical", true)
-        .finish();
-    std::fs::write(
-        "BENCH_fleet_scaling.json",
-        format!("{}{floors}\n", fleet_scale_json(&table)),
-    )
-    .expect("BENCH_fleet_scaling.json is writable");
+    rows.push(
+        JsonRow::new()
+            .str("record", "floors")
+            .bool("smoke", smoke())
+            .f64("speedup_at_4k_min", SPEEDUP_FLOOR)
+            .bool("speedup_enforced", speedup_enforced && !smoke())
+            .usize("determinism_tenants", det_tenants)
+            .raw("determinism_shards", &format!("{DETERMINISM_SHARDS:?}"))
+            .bool("bit_identical", true),
+    );
+    std::fs::write("BENCH_fleet_scaling.json", rows_jsonl(&rows))
+        .expect("BENCH_fleet_scaling.json is writable");
     println!("wrote BENCH_fleet_scaling.json");
 
     // ------------------------------------------------------------------
@@ -157,7 +156,8 @@ fn bench_fleet_scaling(c: &mut Criterion) {
     // ------------------------------------------------------------------
     let table = run_fleet_experiment(&FleetExperimentSpec::default())
         .expect("the acceptance scenario solves");
-    print!("{}", fleet_markdown(&table));
+    let rows = fleet_rows(&table);
+    print!("{}", rows_markdown(&rows));
     let report = &table.report;
     assert!(
         report.total_cost() < report.fixed_mix_cost(),
@@ -167,7 +167,7 @@ fn bench_fleet_scaling(c: &mut Criterion) {
         report.resolve_fraction() < 0.5,
         "acceptance: only a minority of tenant-epochs may re-solve"
     );
-    std::fs::write("BENCH_fleet.json", fleet_json(&table)).expect("BENCH_fleet.json is writable");
+    std::fs::write("BENCH_fleet.json", rows_jsonl(&rows)).expect("BENCH_fleet.json is writable");
     println!("wrote BENCH_fleet.json");
 }
 

@@ -21,7 +21,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use rental_experiments::{lp_large_markdown, lp_large_rows_json, run_lp_large, LpLargeSpec};
+use rental_experiments::{lp_large_rows, rows_jsonl, rows_markdown, run_lp_large, LpLargeSpec};
 use rental_lp::revised::RevisedLp;
 use rental_lp::simplex::SimplexOptions;
 use rental_obs::json::JsonRow;
@@ -52,30 +52,16 @@ fn bench_lp_large(c: &mut Criterion) {
         rounds: 2,
     }));
 
-    print!("{}", lp_large_markdown(&rows));
-    for row in &rows {
-        println!(
-            "lp_large summary m={}: refactor {:.3}ms -> {:.3}ms ({:.1}x), solve {:.1}ms -> {:.1}ms ({:.1}x), fill {}/{} nnz, hyper-sparse {:.0}%",
-            row.rows,
-            row.dense_refactor_secs * 1e3,
-            row.sparse_refactor_secs * 1e3,
-            row.refactor_speedup,
-            row.dense_solve_secs * 1e3,
-            row.sparse_solve_secs * 1e3,
-            row.solve_speedup,
-            row.fill_nnz,
-            row.basis_nnz,
-            row.hyper_sparse_rate * 100.0,
-        );
-    }
-
-    let floors = JsonRow::new()
-        .str("record", "floors")
-        .f64("refactor_speedup", REFACTOR_SPEEDUP_FLOOR)
-        .f64("solve_speedup", SOLVE_SPEEDUP_FLOOR)
-        .finish();
-    let json = format!("{}{floors}\n", lp_large_rows_json(&rows));
-    std::fs::write("BENCH_lp_large.json", &json).expect("BENCH_lp_large.json is writable");
+    let mut json_rows = lp_large_rows(&rows);
+    json_rows.push(
+        JsonRow::new()
+            .str("record", "floors")
+            .f64("refactor_speedup", REFACTOR_SPEEDUP_FLOOR)
+            .f64("solve_speedup", SOLVE_SPEEDUP_FLOOR),
+    );
+    print!("{}", rows_markdown(&json_rows));
+    std::fs::write("BENCH_lp_large.json", rows_jsonl(&json_rows))
+        .expect("BENCH_lp_large.json is writable");
     println!("wrote BENCH_lp_large.json");
 
     // The speedup floors: every m ≥ 512 row must clear them.

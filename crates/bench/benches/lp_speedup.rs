@@ -29,6 +29,7 @@ use std::hint::black_box;
 
 use rental_bench::fixture;
 use rental_core::examples::illustrating_example;
+use rental_experiments::{rows_jsonl, rows_markdown};
 use rental_fleet::scenario::fleet_instance_config;
 use rental_lp::mip::{MipSolver, SolveLimits};
 use rental_lp::model::Model;
@@ -57,7 +58,7 @@ const BB_TRIALS: usize = 9;
 
 /// Single-threaded branch and bound over fleet-shaped §V-C MILPs: the
 /// `bb-nodes` record, with the median and quartiles of its trials' seconds.
-fn bb_nodes_record() -> String {
+fn bb_nodes_record() -> JsonRow {
     let models: Vec<Model> = (0..BB_INSTANCES)
         .flat_map(|seed| {
             let instance = fixture(fleet_instance_config(), seed);
@@ -95,14 +96,6 @@ fn bb_nodes_record() -> String {
         secs[BB_TRIALS / 2],
         secs[3 * BB_TRIALS / 4],
     );
-    let nodes_per_sec = nodes as f64 / median;
-    println!(
-        "lp_speedup bb-nodes ({} solves, node limit {BB_NODE_LIMIT}): {nodes} nodes, {lp_iterations} LP iterations, median {:.1}ms [q1 {:.1}, q3 {:.1}] over {BB_TRIALS} trials, {nodes_per_sec:.0} nodes/s",
-        models.len(),
-        median * 1e3,
-        q1 * 1e3,
-        q3 * 1e3,
-    );
     JsonRow::new()
         .str("record", "bb-nodes")
         .usize("solves", models.len())
@@ -113,8 +106,7 @@ fn bb_nodes_record() -> String {
         .f64("median_secs", median)
         .f64("q1_secs", q1)
         .f64("q3_secs", q3)
-        .f64("nodes_per_sec", nodes_per_sec)
-        .finish()
+        .f64("nodes_per_sec", nodes as f64 / median)
 }
 
 fn median_secs_per_solve(samples: &mut [f64]) -> f64 {
@@ -137,7 +129,7 @@ fn measure(mut solve: impl FnMut() -> usize, rounds: usize) -> (f64, usize) {
 
 fn bench_relaxation_engines(c: &mut Criterion) {
     let options = SimplexOptions::default();
-    let mut json = String::new();
+    let mut rows = Vec::new();
 
     let mut group = c.benchmark_group("lp_speedup");
     group.sample_size(10);
@@ -187,16 +179,8 @@ fn bench_relaxation_engines(c: &mut Criterion) {
             || dense::solve_with(&model, &options).unwrap().iterations,
             15,
         );
-        let speedup = dense_secs / revised_secs;
-        println!(
-            "lp_speedup summary m={m}: revised {:.3}ms ({} pivots), dense {:.3}ms ({} pivots), speedup {speedup:.1}x",
-            revised_secs * 1e3,
-            revised_pivots,
-            dense_secs * 1e3,
-            dense_pivots,
-        );
-        json.push_str(
-            &JsonRow::new()
+        rows.push(
+            JsonRow::new()
                 .str("record", "relaxation")
                 .usize("rows", m)
                 .f64("revised_secs", revised_secs)
@@ -206,10 +190,8 @@ fn bench_relaxation_engines(c: &mut Criterion) {
                 )
                 .f64("dense_secs", dense_secs)
                 .f64("dense_pivots_per_sec", dense_pivots as f64 / dense_secs)
-                .f64("speedup", speedup)
-                .finish(),
+                .f64("speedup", dense_secs / revised_secs),
         );
-        json.push('\n');
     }
     group.finish();
 
@@ -237,12 +219,6 @@ fn bench_relaxation_engines(c: &mut Criterion) {
         .map(|result| result.unwrap().nodes.expect("ILP reports nodes"))
         .sum();
     let warm_secs = warm_start.elapsed().as_secs_f64();
-    println!(
-        "lp_speedup sweep (illustrating, {} targets): cold {cold_nodes} nodes in {:.1}ms, warm {warm_nodes} nodes in {:.1}ms",
-        targets.len(),
-        cold_secs * 1e3,
-        warm_secs * 1e3,
-    );
 
     let mut group = c.benchmark_group("lp_speedup");
     group.sample_size(10);
@@ -264,20 +240,18 @@ fn bench_relaxation_engines(c: &mut Criterion) {
     });
     group.finish();
 
-    json.push_str(
-        &JsonRow::new()
+    rows.push(
+        JsonRow::new()
             .str("record", "sweep")
             .usize("targets", targets.len())
             .usize("cold_nodes", cold_nodes)
             .usize("warm_nodes", warm_nodes)
             .f64("cold_secs", cold_secs)
-            .f64("warm_secs", warm_secs)
-            .finish(),
+            .f64("warm_secs", warm_secs),
     );
-    json.push('\n');
-    json.push_str(&bb_nodes_record());
-    json.push('\n');
-    std::fs::write("BENCH_lp.json", &json).expect("BENCH_lp.json is writable");
+    rows.push(bb_nodes_record());
+    print!("{}", rows_markdown(&rows));
+    std::fs::write("BENCH_lp.json", rows_jsonl(&rows)).expect("BENCH_lp.json is writable");
     println!("wrote BENCH_lp.json");
 }
 

@@ -20,16 +20,12 @@ pub struct CapacityConfig {
     /// so adding tenants never reshuffles existing tenants' outages.
     pub failures: FailureModel,
     /// Extra machines rented per *used* type while failures are enabled
-    /// (N+k redundancy); ignored when `failures` is disabled.
+    /// (N+k redundancy); ignored when `failures` is disabled. While failures
+    /// are enabled, provisioning targets are also derated by the machines'
+    /// steady-state availability (the fleet rents `1/availability`
+    /// head-room), and throughput-violated epochs trigger
+    /// capacity-constrained re-solves.
     pub failure_redundancy: u64,
-    /// When true (the default), provisioning targets are derated by the
-    /// machines' steady-state availability — the fleet rents `1/availability`
-    /// head-room so expected outages do not immediately violate the demand.
-    pub outage_headroom: bool,
-    /// Master switch for capacity-constrained re-solve-on-failure. Disabled,
-    /// throughput-violated epochs are only *counted*, never repaired by a
-    /// re-solve.
-    pub resolve_on_failure: bool,
 }
 
 impl CapacityConfig {
@@ -39,8 +35,6 @@ impl CapacityConfig {
             quotas: None,
             failures: FailureModel::none(),
             failure_redundancy: 0,
-            outage_headroom: true,
-            resolve_on_failure: true,
         }
     }
 

@@ -17,12 +17,13 @@
 //!    multi-recipe split gains over the single best recipe (H1), i.e. when
 //!    the paper's problem is actually interesting.
 //!
-//! Every study returns an [`AblationResults`] table with Markdown and CSV
-//! emitters, mirroring the figure reports in [`crate::report`].
+//! Every study returns an [`AblationResults`] table; [`ablation_rows`] turns
+//! it into rows for the renderers of [`crate::report`].
 
 use std::time::Instant;
 
 use rental_core::{Instance, Throughput};
+use rental_obs::json::JsonRow;
 use rental_simgen::{GeneratorConfig, InstanceGenerator};
 use rental_solvers::heuristics::{
     RandomWalkSolver, SimulatedAnnealingSolver, SteepestGradientJumpSolver, SteepestGradientSolver,
@@ -127,51 +128,23 @@ impl AblationResults {
                 .unwrap_or(std::cmp::Ordering::Equal)
         })
     }
+}
 
-    /// Markdown rendering of the table.
-    pub fn markdown(&self) -> String {
-        let mut out = format!("# Ablation: {}\n\n", self.name);
-        out.push_str("| parameter | solver | mean normalised cost | mean time (s) |\n");
-        out.push_str("|---|---|---|---|\n");
-        for row in &self.rows {
-            out.push_str(&format!(
-                "| {} | {} | {:.4} | {:.6} |\n",
-                row.parameter, row.solver, row.mean_normalised, row.mean_seconds
-            ));
-        }
-        out
-    }
-
-    /// CSV rendering of the table.
-    pub fn csv(&self) -> String {
-        let mut out = String::from("parameter,solver,mean_normalised,mean_seconds\n");
-        for row in &self.rows {
-            out.push_str(&format!(
-                "{},{},{:.6},{:.9}\n",
-                row.parameter, row.solver, row.mean_normalised, row.mean_seconds
-            ));
-        }
-        out
-    }
-
-    /// JSON-lines rendering of the table (one object per row).
-    pub fn json(&self) -> String {
-        let mut out = String::new();
-        for row in &self.rows {
-            out.push_str(
-                &rental_obs::json::JsonRow::new()
-                    .str("record", "ablation")
-                    .str("study", &self.name)
-                    .str("parameter", &row.parameter)
-                    .str("solver", &row.solver)
-                    .f64("mean_normalised", row.mean_normalised)
-                    .f64("mean_seconds", row.mean_seconds)
-                    .finish(),
-            );
-            out.push('\n');
-        }
-        out
-    }
+/// An ablation study's rows: one `ablation` row per (parameter, solver).
+pub fn ablation_rows(results: &AblationResults) -> Vec<JsonRow> {
+    results
+        .rows
+        .iter()
+        .map(|row| {
+            JsonRow::new()
+                .str("record", "ablation")
+                .str("study", &results.name)
+                .str("parameter", &row.parameter)
+                .str("solver", &row.solver)
+                .f64("mean_normalised", row.mean_normalised)
+                .f64("mean_seconds", row.mean_seconds)
+        })
+        .collect()
 }
 
 /// Raw per-(instance, target) cost/time observations for a labelled solver.
@@ -384,6 +357,7 @@ pub fn mutation_sweep(spec: &AblationSpec, percents: &[u8]) -> AblationResults {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{rows_csv, rows_markdown};
 
     #[test]
     fn delta_sweep_produces_one_row_per_solver_and_parameter() {
@@ -439,14 +413,15 @@ mod tests {
     #[test]
     fn renderings_contain_every_row() {
         let results = escape_mechanisms(&AblationSpec::tiny());
-        let markdown = results.markdown();
-        let csv = results.csv();
+        let rows = ablation_rows(&results);
+        let markdown = rows_markdown(&rows);
+        let csv = rows_csv(&rows);
         for row in &results.rows {
             assert!(markdown.contains(&row.solver));
             assert!(csv.contains(&row.solver));
         }
-        assert!(markdown.starts_with("# Ablation"));
-        assert!(csv.starts_with("parameter,solver"));
+        assert!(markdown.starts_with("| record | study | parameter | solver |"));
+        assert!(csv.starts_with("record,study,parameter,solver,"));
     }
 
     #[test]

@@ -25,13 +25,20 @@
 //! repro ablation-mutation              # recipe-similarity sweep (extension)
 //! ```
 //!
+//! Every lane produces JSON Lines rows. The CSV is those rows as one table
+//! (the union of their keys as the header), and the Markdown page is one
+//! table per record kind, except for the three pages that keep a layout of
+//! their own: Table III, the figure pivots and the fleet-obs report.
+//!
 //! Options:
 //! * `--configs N`         number of random configurations (default 10; the paper uses 100)
 //! * `--seed S`            base RNG seed (default 2016)
 //! * `--ilp-time-limit S`  ILP wall-clock limit in seconds for fig8 (default 5, paper uses 100)
-//! * `--csv`               emit CSV instead of Markdown
-//! * `--json`              emit JSON lines instead of Markdown (wins over --csv)
-//! * `--output-dir DIR`    also write every emitted table/series into DIR
+//! * `--csv`               print the rows as CSV instead of the Markdown page
+//!   (lanes with a CSV: all but summary, fleet-obs and lp-large)
+//! * `--json`              print the rows as JSON lines (wins over --csv)
+//! * `--output-dir DIR`    also write every rendering into DIR (`<lane>.jsonl`,
+//!   `<lane>.md` and, where the lane has one, `<lane>.csv`)
 //! * `--threads N`         worker threads (default: all cores)
 //! * `--serve [ADDR]`      (fleet-obs) bind the live scrape exporter on ADDR
 //!   (default `127.0.0.1:9464`) before the run: `/metrics`, `/health` and
@@ -43,18 +50,18 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use rental_experiments::{
-    delta_sweep, escape_mechanisms, figure_csv, figure_json, figure_markdown, fleet_csv,
-    fleet_deadline_csv, fleet_deadline_json, fleet_deadline_markdown, fleet_failure_csv,
-    fleet_failure_json, fleet_failure_markdown, fleet_json, fleet_markdown, fleet_obs_json,
-    fleet_obs_markdown, fleet_recovery_csv, fleet_recovery_json, fleet_recovery_markdown,
-    fleet_scale_csv, fleet_scale_json, fleet_scale_markdown, lp_large_markdown, lp_large_rows_json,
-    mutation_sweep, presets, run_experiment, run_fleet_deadline_experiment, run_fleet_experiment,
-    run_fleet_failure_experiment, run_fleet_obs_experiment, run_fleet_obs_experiment_with,
-    run_fleet_recovery_experiment, run_fleet_scale_experiment, run_lp_large, run_table3,
-    summary_json, table3_csv, table3_json, table3_markdown, table3_targets, write_artifact,
-    AblationResults, AblationSpec, ExperimentResults, FleetDeadlineSpec, FleetExperimentSpec,
-    FleetFailureSpec, FleetObsSpec, FleetRecoverySpec, FleetScaleSpec, LpLargeSpec, Metric,
+    ablation_rows, delta_sweep, escape_mechanisms, figure_markdown, figure_rows,
+    fleet_deadline_rows, fleet_failure_rows, fleet_obs_markdown, fleet_obs_rows,
+    fleet_recovery_rows, fleet_rows, fleet_scale_rows, lp_large_rows, mutation_sweep, presets,
+    rows_csv, rows_jsonl, rows_markdown, run_experiment, run_fleet_deadline_experiment,
+    run_fleet_experiment, run_fleet_failure_experiment, run_fleet_obs_experiment,
+    run_fleet_obs_experiment_with, run_fleet_recovery_experiment, run_fleet_scale_experiment,
+    run_lp_large, run_table3, summary_rows, table3_markdown, table3_rows, table3_targets,
+    write_artifact, AblationResults, AblationSpec, ExperimentResults, FleetDeadlineSpec,
+    FleetExperimentSpec, FleetFailureSpec, FleetObsSpec, FleetRecoverySpec, FleetScaleSpec,
+    LpLargeSpec, Metric,
 };
+use rental_obs::json::JsonRow;
 use rental_solvers::SuiteConfig;
 
 #[derive(Debug, Clone)]
@@ -157,8 +164,63 @@ fn print_usage() {
          fleet-deadline|fleet-recovery|fleet-obs|fleet-scale|lp-large|all|\
          ablation-delta|ablation-escape|ablation-mutation> \
          [--configs N] [--seed S] [--ilp-time-limit SECS] [--csv] [--json] [--output-dir DIR] \
-         [--threads N] [--tenants N] [--serve [ADDR]]"
+         [--threads N] [--tenants N] [--serve [ADDR]]\n\
+         every lane prints its rows as JSON lines (--json), as one CSV table (--csv; not \
+         summary, fleet-obs or lp-large) or as a Markdown page (default)"
     );
+}
+
+/// What one lane hands to [`print_and_persist`]: its rows, and the page
+/// printed without `--json` (or `--csv`, where the lane has a CSV).
+struct Lane {
+    /// Heading printed above the page.
+    title: String,
+    /// Artifact stem: `<stem>.jsonl`, `<stem>.csv`.
+    stem: String,
+    rows: Vec<JsonRow>,
+    /// The page and the artifact it is saved as (`<stem>.md`).
+    page: String,
+    page_file: String,
+    /// Whether `--csv` and `--output-dir` render the rows as CSV.
+    csv: bool,
+}
+
+impl Lane {
+    /// A lane whose page is the Markdown derived from its rows.
+    fn derived(stem: &str, title: String, rows: Vec<JsonRow>) -> Lane {
+        Lane::with_page(stem, title, rows_markdown(&rows), rows)
+    }
+
+    /// A lane whose page keeps a layout of its own.
+    fn with_page(stem: &str, title: String, page: String, rows: Vec<JsonRow>) -> Lane {
+        Lane {
+            title,
+            stem: stem.to_string(),
+            rows,
+            page,
+            page_file: format!("{stem}.md"),
+            csv: true,
+        }
+    }
+}
+
+/// Prints one lane and, with `--output-dir`, persists its renderings.
+fn print_and_persist(options: &Options, lane: Lane) {
+    let json = rows_jsonl(&lane.rows);
+    let csv = lane.csv.then(|| rows_csv(&lane.rows));
+    match &csv {
+        _ if options.json => print!("{json}"),
+        Some(csv) if options.csv => print!("{csv}"),
+        _ => {
+            println!("## {}", lane.title);
+            print!("{}", lane.page);
+        }
+    }
+    if let Some(csv) = &csv {
+        persist(options, &format!("{}.csv", lane.stem), csv);
+    }
+    persist(options, &lane.page_file, &lane.page);
+    persist(options, &format!("{}.jsonl", lane.stem), &json);
 }
 
 fn persist(options: &Options, file_name: &str, content: &str) {
@@ -170,23 +232,55 @@ fn persist(options: &Options, file_name: &str, content: &str) {
     }
 }
 
-fn emit_table3(options: &Options) {
+fn table3(options: &Options) -> Lane {
     let rows = run_table3(&table3_targets(), &SuiteConfig::with_seed(options.seed));
-    let csv = table3_csv(&rows);
-    let markdown = table3_markdown(&rows);
-    let json = table3_json(&rows);
-    if options.json {
-        print!("{json}");
-    } else if options.csv {
-        print!("{csv}");
-    } else {
-        println!("## Table III — illustrating example (ILP vs heuristics)");
-        print!("{markdown}");
-    }
-    persist(options, "table3.csv", &csv);
-    persist(options, "table3.md", &markdown);
-    persist(options, "table3.jsonl", &json);
+    Lane::with_page(
+        "table3",
+        "Table III — illustrating example (ILP vs heuristics)".to_string(),
+        table3_markdown(&rows),
+        table3_rows(&rows),
+    )
 }
+
+/// The figures: command, preset, metric and title.
+const FIGURES: [(&str, &str, Metric, &str); 6] = [
+    (
+        "fig3",
+        "small",
+        Metric::NormalisedCost,
+        "Figure 3 — normalised cost, small graphs",
+    ),
+    (
+        "fig4",
+        "small",
+        Metric::WinCount,
+        "Figure 4 — win counts, small graphs",
+    ),
+    (
+        "fig5",
+        "small",
+        Metric::TimeSeconds,
+        "Figure 5 — computation time, small graphs",
+    ),
+    (
+        "fig6",
+        "medium",
+        Metric::NormalisedCost,
+        "Figure 6 — normalised cost, medium graphs",
+    ),
+    (
+        "fig7",
+        "large",
+        Metric::NormalisedCost,
+        "Figure 7 — normalised cost, large graphs",
+    ),
+    (
+        "fig8",
+        "huge",
+        Metric::TimeSeconds,
+        "Figure 8 — computation time, huge graphs",
+    ),
+];
 
 fn run_preset(options: &Options, which: &str) -> ExperimentResults {
     let mut spec = match which {
@@ -204,18 +298,7 @@ fn run_preset(options: &Options, which: &str) -> ExperimentResults {
     run_experiment(&spec)
 }
 
-fn emit_figure(options: &Options, results: &ExperimentResults, metric: Metric, title: &str) {
-    let csv = figure_csv(results, metric);
-    let markdown = figure_markdown(results, metric);
-    let json = figure_json(results, metric);
-    if options.json {
-        print!("{json}");
-    } else if options.csv {
-        print!("{csv}");
-    } else {
-        println!("## {title}");
-        print!("{markdown}");
-    }
+fn figure(results: &ExperimentResults, metric: Metric, title: &str) -> Lane {
     // "Figure 3 — normalised cost, small graphs" -> "figure_3"
     let stem: String = title
         .split('—')
@@ -224,35 +307,26 @@ fn emit_figure(options: &Options, results: &ExperimentResults, metric: Metric, t
         .trim()
         .to_lowercase()
         .replace(' ', "_");
-    persist(options, &format!("{stem}_{}.csv", metric.label()), &csv);
-    persist(options, &format!("{stem}_{}.md", metric.label()), &markdown);
-    persist(options, &format!("{stem}_{}.jsonl", metric.label()), &json);
+    Lane::with_page(
+        &format!("{stem}_{}", metric.label()),
+        title.to_string(),
+        figure_markdown(results, metric),
+        figure_rows(results, metric),
+    )
 }
 
-fn emit_summary(options: &Options, results: &ExperimentResults) {
+fn summary(results: &ExperimentResults) -> Lane {
     // The qualitative claims of §VIII-F, computed from the measured data.
-    let mut lines = String::new();
+    let mut page = String::new();
     for solver in &results.solvers {
         let normalised = results.mean_normalised(solver).unwrap_or(0.0);
-        lines.push_str(&format!(
+        page.push_str(&format!(
             "  {:<8} mean normalised cost {:.4}  (within {:.1}% of the best known)\n",
             solver,
             normalised,
             100.0 * (1.0 - normalised)
         ));
     }
-    let json = summary_json(results);
-    persist(options, "summary.txt", &lines);
-    persist(options, "summary.jsonl", &json);
-    if options.json {
-        print!("{json}");
-        return;
-    }
-    println!(
-        "## Summary (paper §VIII-F) — {} configurations",
-        results.num_configs
-    );
-    print!("{lines}");
     let h1 = results.mean_normalised("H1").unwrap_or(0.0);
     let best_heuristic = results
         .solvers
@@ -260,13 +334,22 @@ fn emit_summary(options: &Options, results: &ExperimentResults) {
         .filter(|s| *s != "ILP")
         .filter_map(|s| results.mean_normalised(s))
         .fold(0.0f64, f64::max);
-    println!(
-        "  improved heuristics gain {:.1}% over the naive H1 baseline on average",
+    page.push_str(&format!(
+        "  improved heuristics gain {:.1}% over the naive H1 baseline on average\n",
         100.0 * (best_heuristic - h1)
+    ));
+    let title = format!(
+        "Summary (paper §VIII-F) — {} configurations",
+        results.num_configs
     );
+    Lane {
+        page_file: "summary.txt".to_string(),
+        csv: false,
+        ..Lane::with_page("summary", title, page, summary_rows(results))
+    }
 }
 
-fn emit_fleet(options: &Options) -> Result<(), String> {
+fn fleet(options: &Options) -> Result<Lane, String> {
     let spec = FleetExperimentSpec {
         num_tenants: options.tenants,
         seed: options.seed,
@@ -277,27 +360,14 @@ fn emit_fleet(options: &Options) -> Result<(), String> {
         spec.num_tenants, spec.seed
     );
     let table = run_fleet_experiment(&spec).map_err(|err| err.to_string())?;
-    let csv = fleet_csv(&table);
-    let markdown = fleet_markdown(&table);
-    let json = fleet_json(&table);
-    if options.json {
-        print!("{json}");
-    } else if options.csv {
-        print!("{csv}");
-    } else {
-        println!(
-            "## Fleet — multi-tenant streaming re-optimization ({})",
-            table.scenario
-        );
-        print!("{markdown}");
-    }
-    persist(options, "fleet.csv", &csv);
-    persist(options, "fleet.md", &markdown);
-    persist(options, "fleet.jsonl", &json);
-    Ok(())
+    let title = format!(
+        "Fleet — multi-tenant streaming re-optimization ({})",
+        table.scenario
+    );
+    Ok(Lane::derived("fleet", title, fleet_rows(&table)))
 }
 
-fn emit_fleet_failure(options: &Options) -> Result<(), String> {
+fn fleet_failure(options: &Options) -> Result<Lane, String> {
     let spec = FleetFailureSpec {
         num_tenants: options.tenants.min(8),
         seed: options.seed,
@@ -309,27 +379,18 @@ fn emit_fleet_failure(options: &Options) -> Result<(), String> {
         spec.num_tenants, spec.mtbfs, spec.seed
     );
     let table = run_fleet_failure_experiment(&spec).map_err(|err| err.to_string())?;
-    let csv = fleet_failure_csv(&table);
-    let markdown = fleet_failure_markdown(&table);
-    let json = fleet_failure_json(&table);
-    if options.json {
-        print!("{json}");
-    } else if options.csv {
-        print!("{csv}");
-    } else {
-        println!(
-            "## Fleet failure — capacity pool + outage coupling ({})",
-            table.scenario
-        );
-        print!("{markdown}");
-    }
-    persist(options, "fleet_failure.csv", &csv);
-    persist(options, "fleet_failure.md", &markdown);
-    persist(options, "fleet_failure.jsonl", &json);
-    Ok(())
+    let title = format!(
+        "Fleet failure — capacity pool + outage coupling ({})",
+        table.scenario
+    );
+    Ok(Lane::derived(
+        "fleet_failure",
+        title,
+        fleet_failure_rows(&table),
+    ))
 }
 
-fn emit_fleet_deadline(options: &Options) -> Result<(), String> {
+fn fleet_deadline(options: &Options) -> Result<Lane, String> {
     let spec = FleetDeadlineSpec {
         num_tenants: options.tenants.min(8),
         seed: options.seed,
@@ -341,27 +402,18 @@ fn emit_fleet_deadline(options: &Options) -> Result<(), String> {
         spec.num_tenants, spec.node_budgets, spec.seed
     );
     let table = run_fleet_deadline_experiment(&spec).map_err(|err| err.to_string())?;
-    let csv = fleet_deadline_csv(&table);
-    let markdown = fleet_deadline_markdown(&table);
-    let json = fleet_deadline_json(&table);
-    if options.json {
-        print!("{json}");
-    } else if options.csv {
-        print!("{csv}");
-    } else {
-        println!(
-            "## Fleet deadline — anytime solving under per-epoch budgets ({})",
-            table.scenario
-        );
-        print!("{markdown}");
-    }
-    persist(options, "fleet_deadline.csv", &csv);
-    persist(options, "fleet_deadline.md", &markdown);
-    persist(options, "fleet_deadline.jsonl", &json);
-    Ok(())
+    let title = format!(
+        "Fleet deadline — anytime solving under per-epoch budgets ({})",
+        table.scenario
+    );
+    Ok(Lane::derived(
+        "fleet_deadline",
+        title,
+        fleet_deadline_rows(&table),
+    ))
 }
 
-fn emit_fleet_recovery(options: &Options) -> Result<(), String> {
+fn fleet_recovery(options: &Options) -> Result<Lane, String> {
     let spec = FleetRecoverySpec {
         num_tenants: options.tenants.min(8),
         seed: options.seed,
@@ -374,27 +426,18 @@ fn emit_fleet_recovery(options: &Options) -> Result<(), String> {
         spec.num_tenants, spec.snapshot_cadences, spec.seed, spec.crash_epoch
     );
     let table = run_fleet_recovery_experiment(&spec).map_err(|err| err.to_string())?;
-    let csv = fleet_recovery_csv(&table);
-    let markdown = fleet_recovery_markdown(&table);
-    let json = fleet_recovery_json(&table);
-    if options.json {
-        print!("{json}");
-    } else if options.csv {
-        print!("{csv}");
-    } else {
-        println!(
-            "## Fleet recovery — checkpoint/WAL kill-and-resume ({})",
-            table.scenario
-        );
-        print!("{markdown}");
-    }
-    persist(options, "fleet_recovery.csv", &csv);
-    persist(options, "fleet_recovery.md", &markdown);
-    persist(options, "fleet_recovery.jsonl", &json);
-    Ok(())
+    let title = format!(
+        "Fleet recovery — checkpoint/WAL kill-and-resume ({})",
+        table.scenario
+    );
+    Ok(Lane::derived(
+        "fleet_recovery",
+        title,
+        fleet_recovery_rows(&table),
+    ))
 }
 
-fn emit_lp_large(options: &Options) {
+fn lp_large(options: &Options) -> Lane {
     let spec = LpLargeSpec {
         seed: options.seed,
         ..LpLargeSpec::default()
@@ -404,20 +447,20 @@ fn emit_lp_large(options: &Options) {
         spec.sizes.len(),
         spec.seed
     );
-    let rows = run_lp_large(&spec);
-    let markdown = lp_large_markdown(&rows);
-    let json = lp_large_rows_json(&rows);
-    if options.json {
-        print!("{json}");
-    } else {
-        println!("## LP substrate — dense LU vs sparse Markowitz LU");
-        print!("{markdown}");
+    let rows = lp_large_rows(&run_lp_large(&spec));
+    let title = "LP substrate — dense LU vs sparse Markowitz LU".to_string();
+    Lane {
+        csv: false,
+        ..Lane::derived("lp_large", title, rows)
     }
-    persist(options, "lp_large.md", &markdown);
-    persist(options, "lp_large.jsonl", &json);
 }
 
-fn emit_fleet_obs(options: &Options) -> Result<(), String> {
+/// The observability lane, plus the exporter `--serve` bound before the
+/// run: `/metrics`, `/health` and `/events` are scrapeable live while
+/// epochs execute, on the same recorder the controller writes into.
+/// Scrapes are read-only snapshots: the report stays bit-identical either
+/// way.
+fn fleet_obs(options: &Options) -> Result<(Lane, Option<rental_obs::Exporter>), String> {
     let spec = FleetObsSpec {
         num_tenants: options.tenants.min(8),
         seed: options.seed,
@@ -428,11 +471,7 @@ fn emit_fleet_obs(options: &Options) -> Result<(), String> {
         "[repro] running the {}-tenant observed chaotic fleet (seed {}, threads {:?}) ...",
         spec.num_tenants, spec.seed, spec.threads
     );
-    // With --serve, the exporter binds *before* the run on the same
-    // recorder the controller writes into, so `/metrics`, `/health` and
-    // `/events` are scrapeable live while epochs execute. Scrapes are
-    // read-only snapshots: the report stays bit-identical either way.
-    let exporter = match &options.serve {
+    let (table, exporter) = match &options.serve {
         Some(addr) => {
             let recorder = Arc::new(rental_obs::Recorder::new());
             let exporter = rental_obs::Exporter::bind(recorder.clone(), addr.as_str())
@@ -441,41 +480,33 @@ fn emit_fleet_obs(options: &Options) -> Result<(), String> {
                 "[repro] exporter live on http://{} (/metrics /health /events)",
                 exporter.local_addr()
             );
-            Some((exporter, recorder))
+            (
+                run_fleet_obs_experiment_with(&spec, recorder),
+                Some(exporter),
+            )
         }
-        None => None,
+        None => (run_fleet_obs_experiment(&spec), None),
     };
-    let table = match &exporter {
-        Some((_, recorder)) => run_fleet_obs_experiment_with(&spec, recorder.clone()),
-        None => run_fleet_obs_experiment(&spec),
-    }
-    .map_err(|err| err.to_string())?;
-    let markdown = fleet_obs_markdown(&table);
-    let json = fleet_obs_json(&table);
-    if options.json {
-        print!("{json}");
-    } else {
-        println!(
-            "## Fleet observability — telemetry-on chaotic run ({})",
-            table.scenario
-        );
-        print!("{markdown}");
-    }
-    persist(options, "fleet_obs.md", &markdown);
-    persist(options, "fleet_obs.jsonl", &json);
-    if let Some((exporter, _)) = exporter {
-        eprintln!(
-            "[repro] run complete; still serving final state on http://{} — Ctrl-C to exit",
-            exporter.local_addr()
-        );
-        loop {
-            std::thread::park();
-        }
-    }
-    Ok(())
+    let table = table.map_err(|err| err.to_string())?;
+    let title = format!(
+        "Fleet observability — telemetry-on chaotic run ({})",
+        table.scenario
+    );
+    let lane = Lane {
+        csv: false,
+        ..Lane::with_page(
+            "fleet_obs",
+            title,
+            fleet_obs_markdown(&table),
+            fleet_obs_rows(&table),
+        )
+    };
+    Ok((lane, exporter))
 }
 
-fn emit_fleet_scale(options: &Options) -> Result<(), String> {
+/// The scaling lane, and whether every sharded run reproduced the
+/// sequential report.
+fn fleet_scale(options: &Options) -> Result<(Lane, bool), String> {
     // `--tenants` (when raised past the 16-tenant default) sets the largest
     // fleet of the sweep; the default sweep is 1k/4k.
     let largest = if options.tenants > 16 {
@@ -493,54 +524,93 @@ fn emit_fleet_scale(options: &Options) -> Result<(), String> {
         spec.sizes, spec.seed
     );
     let table = run_fleet_scale_experiment(&spec).map_err(|err| err.to_string())?;
-    let csv = fleet_scale_csv(&table);
-    let markdown = fleet_scale_markdown(&table);
-    let json = fleet_scale_json(&table);
-    if options.json {
-        print!("{json}");
-    } else if options.csv {
-        print!("{csv}");
-    } else {
-        let scenarios: Vec<&str> = table.rows.iter().map(|row| row.scenario.as_str()).collect();
-        println!(
-            "## Fleet scaling — sharded epoch pipelines vs the sequential loop ({})",
-            scenarios.join(", ")
-        );
-        print!("{markdown}");
-    }
-    if !table.all_deterministic() {
-        return Err("a sharded run diverged from the sequential report".to_string());
-    }
-    persist(options, "fleet_scale.csv", &csv);
-    persist(options, "fleet_scale.md", &markdown);
-    persist(options, "fleet_scale.jsonl", &json);
-    Ok(())
+    let scenarios: Vec<&str> = table.rows.iter().map(|row| row.scenario.as_str()).collect();
+    let title = format!(
+        "Fleet scaling — sharded epoch pipelines vs the sequential loop ({})",
+        scenarios.join(", ")
+    );
+    let lane = Lane::derived("fleet_scale", title, fleet_scale_rows(&table));
+    Ok((lane, table.all_deterministic()))
 }
 
-fn ablation_spec(options: &Options) -> AblationSpec {
-    AblationSpec {
+fn ablation(results: &AblationResults, title: &str) -> Lane {
+    let stem = results.name.replace('-', "_");
+    Lane::derived(&stem, title.to_string(), ablation_rows(results))
+}
+
+/// Runs the command and emits its lanes as they finish.
+fn run(options: &Options) -> Result<(), String> {
+    let emit = |lane: Lane| print_and_persist(options, lane);
+    let ablation_spec = AblationSpec {
         num_configs: options.configs,
         seed: options.seed,
         ..AblationSpec::default()
+    };
+    match options.command.as_str() {
+        "help" => print_usage(),
+        "table3" => emit(table3(options)),
+        "summary" => emit(summary(&run_preset(options, "small"))),
+        "fleet" => emit(fleet(options)?),
+        "fleet-failure" => emit(fleet_failure(options)?),
+        "fleet-deadline" => emit(fleet_deadline(options)?),
+        "fleet-recovery" => emit(fleet_recovery(options)?),
+        "fleet-obs" => {
+            let (lane, exporter) = fleet_obs(options)?;
+            emit(lane);
+            if let Some(exporter) = exporter {
+                eprintln!(
+                    "[repro] run complete; still serving final state on http://{} — Ctrl-C to exit",
+                    exporter.local_addr()
+                );
+                loop {
+                    std::thread::park();
+                }
+            }
+        }
+        "fleet-scale" => {
+            let (lane, deterministic) = fleet_scale(options)?;
+            emit(lane);
+            if !deterministic {
+                return Err("a sharded run diverged from the sequential report".to_string());
+            }
+        }
+        "lp-large" => emit(lp_large(options)),
+        "ablation-delta" => emit(ablation(
+            &delta_sweep(&ablation_spec, &[1, 5, 10, 20]),
+            "Ablation — δ step of the local-search heuristics",
+        )),
+        "ablation-escape" => emit(ablation(
+            &escape_mechanisms(&ablation_spec),
+            "Ablation — escape mechanisms beyond H32",
+        )),
+        "ablation-mutation" => emit(ablation(
+            &mutation_sweep(&ablation_spec, &[10, 30, 50, 70]),
+            "Ablation — recipe similarity (mutation percentage)",
+        )),
+        "all" => {
+            emit(table3(options));
+            // Consecutive figures share a preset's run; the summary reads
+            // the small graphs'.
+            let mut runs: Vec<(&str, ExperimentResults)> = Vec::new();
+            for (_, preset, metric, title) in FIGURES {
+                if runs.last().is_none_or(|(last, _)| *last != preset) {
+                    runs.push((preset, run_preset(options, preset)));
+                }
+                emit(figure(&runs[runs.len() - 1].1, metric, title));
+            }
+            emit(summary(&runs[0].1));
+        }
+        command => {
+            let Some(&(_, preset, metric, title)) =
+                FIGURES.iter().find(|(name, ..)| *name == command)
+            else {
+                print_usage();
+                return Err(format!("unknown command {command}"));
+            };
+            emit(figure(&run_preset(options, preset), metric, title));
+        }
     }
-}
-
-fn emit_ablation(options: &Options, results: &AblationResults, title: &str) {
-    let csv = results.csv();
-    let markdown = results.markdown();
-    let json = results.json();
-    if options.json {
-        print!("{json}");
-    } else if options.csv {
-        print!("{csv}");
-    } else {
-        println!("## {title}");
-        print!("{markdown}");
-    }
-    let stem = results.name.replace('-', "_");
-    persist(options, &format!("{stem}.csv"), &csv);
-    persist(options, &format!("{stem}.md"), &markdown);
-    persist(options, &format!("{stem}.jsonl"), &json);
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -553,180 +623,13 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-
-    match options.command.as_str() {
-        "help" => print_usage(),
-        "table3" => emit_table3(&options),
-        "fig3" => {
-            let results = run_preset(&options, "small");
-            emit_figure(
-                &options,
-                &results,
-                Metric::NormalisedCost,
-                "Figure 3 — normalised cost, small graphs",
-            );
-        }
-        "fig4" => {
-            let results = run_preset(&options, "small");
-            emit_figure(
-                &options,
-                &results,
-                Metric::WinCount,
-                "Figure 4 — win counts, small graphs",
-            );
-        }
-        "fig5" => {
-            let results = run_preset(&options, "small");
-            emit_figure(
-                &options,
-                &results,
-                Metric::TimeSeconds,
-                "Figure 5 — computation time, small graphs",
-            );
-        }
-        "fig6" => {
-            let results = run_preset(&options, "medium");
-            emit_figure(
-                &options,
-                &results,
-                Metric::NormalisedCost,
-                "Figure 6 — normalised cost, medium graphs",
-            );
-        }
-        "fig7" => {
-            let results = run_preset(&options, "large");
-            emit_figure(
-                &options,
-                &results,
-                Metric::NormalisedCost,
-                "Figure 7 — normalised cost, large graphs",
-            );
-        }
-        "fig8" => {
-            let results = run_preset(&options, "huge");
-            emit_figure(
-                &options,
-                &results,
-                Metric::TimeSeconds,
-                "Figure 8 — computation time, huge graphs",
-            );
-        }
-        "summary" => {
-            let results = run_preset(&options, "small");
-            emit_summary(&options, &results);
-        }
-        "fleet" => {
-            if let Err(message) = emit_fleet(&options) {
-                eprintln!("error: {message}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "fleet-failure" => {
-            if let Err(message) = emit_fleet_failure(&options) {
-                eprintln!("error: {message}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "fleet-deadline" => {
-            if let Err(message) = emit_fleet_deadline(&options) {
-                eprintln!("error: {message}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "fleet-recovery" => {
-            if let Err(message) = emit_fleet_recovery(&options) {
-                eprintln!("error: {message}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "fleet-obs" => {
-            if let Err(message) = emit_fleet_obs(&options) {
-                eprintln!("error: {message}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "fleet-scale" => {
-            if let Err(message) = emit_fleet_scale(&options) {
-                eprintln!("error: {message}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "lp-large" => emit_lp_large(&options),
-        "ablation-delta" => {
-            let results = delta_sweep(&ablation_spec(&options), &[1, 5, 10, 20]);
-            emit_ablation(
-                &options,
-                &results,
-                "Ablation — δ step of the local-search heuristics",
-            );
-        }
-        "ablation-escape" => {
-            let results = escape_mechanisms(&ablation_spec(&options));
-            emit_ablation(
-                &options,
-                &results,
-                "Ablation — escape mechanisms beyond H32",
-            );
-        }
-        "ablation-mutation" => {
-            let results = mutation_sweep(&ablation_spec(&options), &[10, 30, 50, 70]);
-            emit_ablation(
-                &options,
-                &results,
-                "Ablation — recipe similarity (mutation percentage)",
-            );
-        }
-        "all" => {
-            emit_table3(&options);
-            let small = run_preset(&options, "small");
-            emit_figure(
-                &options,
-                &small,
-                Metric::NormalisedCost,
-                "Figure 3 — normalised cost, small graphs",
-            );
-            emit_figure(
-                &options,
-                &small,
-                Metric::WinCount,
-                "Figure 4 — win counts, small graphs",
-            );
-            emit_figure(
-                &options,
-                &small,
-                Metric::TimeSeconds,
-                "Figure 5 — computation time, small graphs",
-            );
-            let medium = run_preset(&options, "medium");
-            emit_figure(
-                &options,
-                &medium,
-                Metric::NormalisedCost,
-                "Figure 6 — normalised cost, medium graphs",
-            );
-            let large = run_preset(&options, "large");
-            emit_figure(
-                &options,
-                &large,
-                Metric::NormalisedCost,
-                "Figure 7 — normalised cost, large graphs",
-            );
-            let huge = run_preset(&options, "huge");
-            emit_figure(
-                &options,
-                &huge,
-                Metric::TimeSeconds,
-                "Figure 8 — computation time, huge graphs",
-            );
-            emit_summary(&options, &small);
-        }
-        other => {
-            eprintln!("error: unknown command {other}");
-            print_usage();
-            return ExitCode::FAILURE;
+    match run(&options) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(message) => {
+            eprintln!("error: {message}");
+            ExitCode::FAILURE
         }
     }
-    ExitCode::SUCCESS
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 //! autoscale baselines tenant by tenant.
 
 use rental_fleet::{diurnal_spike_fleet, FleetController, FleetReport, ACCEPTANCE_SEED};
+use rental_obs::json::JsonRow;
 use rental_solvers::exact::IlpSolver;
 use rental_solvers::SolveResult;
 
@@ -33,7 +34,7 @@ impl Default for FleetExperimentSpec {
 }
 
 /// The outcome of a fleet experiment: the scenario name plus the full
-/// controller report the tables are rendered from.
+/// controller report the rows are taken from.
 #[derive(Debug, Clone)]
 pub struct FleetTable {
     /// Scenario name.
@@ -58,86 +59,12 @@ pub fn run_fleet_experiment(spec: &FleetExperimentSpec) -> SolveResult<FleetTabl
     })
 }
 
-/// Renders the per-tenant fleet table as Markdown.
-pub fn fleet_markdown(table: &FleetTable) -> String {
+/// The fleet lane's rows: one `scenario` row with the headline numbers,
+/// followed by the report's own telemetry rows (fleet / epoch / tenant
+/// records).
+pub fn fleet_rows(table: &FleetTable) -> Vec<JsonRow> {
     let report = &table.report;
-    let mut out = String::new();
-    out.push_str(
-        "| tenant | rho0 | fleet cost | fixed mix | static peak | savings | re-solves | adoptions | probes |\n",
-    );
-    out.push_str("|---|---:|---:|---:|---:|---:|---:|---:|---:|\n");
-    for tenant in &report.tenants {
-        let savings = if tenant.fixed_mix_cost > 0.0 {
-            100.0 * tenant.savings_vs_fixed_mix() / tenant.fixed_mix_cost
-        } else {
-            0.0
-        };
-        out.push_str(&format!(
-            "| {} | {} | {:.0} | {:.0} | {:.0} | {savings:.1}% | {} | {} | {} |\n",
-            tenant.name,
-            tenant.initial_target,
-            tenant.total_cost(),
-            tenant.fixed_mix_cost,
-            tenant.static_peak_cost,
-            tenant.resolves,
-            tenant.adoptions,
-            tenant.probes,
-        ));
-    }
-    let savings = if report.fixed_mix_cost() > 0.0 {
-        100.0 * report.savings_vs_fixed_mix() / report.fixed_mix_cost()
-    } else {
-        0.0
-    };
-    out.push_str(&format!(
-        "| **total** | | **{:.0}** | **{:.0}** | **{:.0}** | **{savings:.1}%** | **{}** | **{}** | **{}** |\n",
-        report.total_cost(),
-        report.fixed_mix_cost(),
-        report.static_peak_cost(),
-        report.resolved_tenant_epochs(),
-        report.adoptions.iter().filter(|a| a.adopted).count(),
-        report.tenants.iter().map(|t| t.probes).sum::<usize>(),
-    ));
-    out.push_str(&format!(
-        "\n{} tenants over {} epochs — {} billed tenant-epochs; {:.1}% re-solved; probe time {:.1} ms vs solve time {:.1} ms\n",
-        report.tenants.len(),
-        report.epochs,
-        report.tenant_epochs(),
-        100.0 * report.resolve_fraction(),
-        1e3 * report.probe_seconds(),
-        1e3 * report.solve_seconds(),
-    ));
-    out
-}
-
-/// Renders the per-tenant fleet table as CSV.
-pub fn fleet_csv(table: &FleetTable) -> String {
-    let report = &table.report;
-    let mut out = String::from(
-        "tenant,initial_target,fleet_cost,fixed_mix_cost,static_peak_cost,resolves,adoptions,probes\n",
-    );
-    for tenant in &report.tenants {
-        out.push_str(&format!(
-            "{},{},{:.2},{:.2},{:.2},{},{},{}\n",
-            tenant.name,
-            tenant.initial_target,
-            tenant.total_cost(),
-            tenant.fixed_mix_cost,
-            tenant.static_peak_cost,
-            tenant.resolves,
-            tenant.adoptions,
-            tenant.probes,
-        ));
-    }
-    out
-}
-
-/// Renders the fleet lane as JSON lines: one scenario row with the
-/// headline numbers, followed by the report's own telemetry rows (fleet /
-/// epoch / tenant records).
-pub fn fleet_json(table: &FleetTable) -> String {
-    let report = &table.report;
-    let mut out = rental_obs::json::JsonRow::new()
+    let mut rows = vec![JsonRow::new()
         .str("record", "scenario")
         .str("lane", "fleet")
         .str("name", &table.scenario)
@@ -149,16 +76,15 @@ pub fn fleet_json(table: &FleetTable) -> String {
         .f64("savings_vs_fixed_mix", report.savings_vs_fixed_mix())
         .usize("tenant_epochs", report.tenant_epochs())
         .usize("resolved_tenant_epochs", report.resolved_tenant_epochs())
-        .f64("resolve_fraction", report.resolve_fraction())
-        .finish();
-    out.push('\n');
-    out.push_str(&table.report.telemetry());
-    out
+        .f64("resolve_fraction", report.resolve_fraction())];
+    rows.extend(report.telemetry());
+    rows
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{rows_csv, rows_markdown};
 
     #[test]
     fn small_fleet_experiment_produces_a_full_table() {
@@ -170,12 +96,15 @@ mod tests {
         let table = run_fleet_experiment(&spec).unwrap();
         assert_eq!(table.report.tenants.len(), 4);
         assert!(table.report.epochs > 0);
-        let markdown = fleet_markdown(&table);
-        assert!(markdown.contains("tenant-0"));
-        assert!(markdown.contains("**total**"));
-        assert!(markdown.contains("tenant-epochs"));
-        let csv = fleet_csv(&table);
-        assert_eq!(csv.lines().count(), 5); // header + one row per tenant
+        let rows = fleet_rows(&table);
+        let markdown = rows_markdown(&rows);
+        assert!(markdown.contains("| tenant | 0 | tenant-0 |"));
+        assert!(markdown.contains("| fleet |"));
+        assert!(markdown.contains("tenant_epochs"));
+        let csv = rows_csv(&rows);
+        // Header, scenario and fleet rows, one row per epoch and per tenant.
+        assert_eq!(csv.lines().count(), 3 + table.report.epochs + 4);
+        assert!(csv.starts_with("record,lane,name,tenants,switching_cost,"));
     }
 
     #[test]
@@ -189,6 +118,6 @@ mod tests {
         let b = run_fleet_experiment(&spec).unwrap();
         assert_eq!(a.report.adoptions, b.report.adoptions);
         assert_eq!(a.report.total_cost(), b.report.total_cost());
-        assert_eq!(fleet_csv(&a), fleet_csv(&b));
+        assert!(a.report.matches_modulo_timing(&b.report));
     }
 }

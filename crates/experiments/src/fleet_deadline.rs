@@ -12,6 +12,7 @@
 //! the sweep (`BENCH_fleet_deadline.json`).
 
 use rental_fleet::{diurnal_spike_fleet, FleetController, FleetReport};
+use rental_obs::json::JsonRow;
 use rental_solvers::exact::IlpSolver;
 use rental_solvers::{SolveBudget, SolveResult};
 
@@ -114,90 +115,26 @@ pub fn run_fleet_deadline_experiment(spec: &FleetDeadlineSpec) -> SolveResult<Fl
     })
 }
 
-/// Renders the node-budget sweep as Markdown.
-pub fn fleet_deadline_markdown(table: &FleetDeadlineTable) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "| epoch node budget | fleet cost | vs unlimited | resolves | adoptions | incumbent \
-         adoptions | exhausted epochs | deferred | retries |\n",
-    );
-    out.push_str("|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n");
-    for row in &table.rows {
-        let report = &row.report;
-        let resolves: usize = report.tenants.iter().map(|t| t.resolves).sum();
-        let adoptions: usize = report.tenants.iter().map(|t| t.adoptions).sum();
-        out.push_str(&format!(
-            "| {} | {:.0} | {:.3} | {} | {} | {} | {} | {} | {} |\n",
-            row.label(),
-            report.total_cost(),
-            table.cost_ratio(row),
-            resolves,
-            adoptions,
-            report.incumbent_adoptions(),
-            report.budget_exhausted_epochs(),
-            report.deferred_resolves(),
-            report.resolve_retries(),
-        ));
-    }
-    if let Some(row) = table.rows.first() {
-        out.push_str(&format!(
-            "\n{} tenants over {} epochs per row; deferred re-solves keep the current plan under \
-             capped exponential backoff\n",
-            row.report.tenants.len(),
-            row.report.epochs,
-        ));
-    }
-    out
-}
-
-/// Renders the node-budget sweep as CSV.
-pub fn fleet_deadline_csv(table: &FleetDeadlineTable) -> String {
-    let mut out = String::from(
-        "node_budget,fleet_cost,cost_ratio_vs_unlimited,resolves,adoptions,incumbent_adoptions,\
-         budget_exhausted_epochs,deferred_resolves,resolve_retries\n",
-    );
-    for row in &table.rows {
-        let report = &row.report;
-        let resolves: usize = report.tenants.iter().map(|t| t.resolves).sum();
-        let adoptions: usize = report.tenants.iter().map(|t| t.adoptions).sum();
-        out.push_str(&format!(
-            "{},{:.2},{:.4},{},{},{},{},{},{}\n",
-            row.label(),
-            report.total_cost(),
-            table.cost_ratio(row),
-            resolves,
-            adoptions,
-            report.incumbent_adoptions(),
-            report.budget_exhausted_epochs(),
-            report.deferred_resolves(),
-            report.resolve_retries(),
-        ));
-    }
-    out
-}
-
-/// Renders the node-budget sweep as JSON lines: one object per budget tier.
-pub fn fleet_deadline_json(table: &FleetDeadlineTable) -> String {
-    let mut out = String::new();
-    for row in &table.rows {
-        let report = &row.report;
-        let mut json = rental_obs::json::JsonRow::new()
-            .str("record", "fleet_deadline")
-            .str("scenario", &table.scenario)
-            .usize("tenants", report.tenants.len())
-            .f64("unlimited_cost", table.unlimited_cost().unwrap_or(f64::NAN));
-        json = match row.node_budget {
-            Some(nodes) => json.usize("node_budget", nodes),
-            None => json.raw("node_budget", "null"),
-        };
-        out.push_str(
-            &json
-                .f64("fleet_cost", report.total_cost())
+/// The node-budget sweep's rows: one `fleet_deadline` row per budget tier
+/// (`node_budget` is `null` on the unlimited tier).
+pub fn fleet_deadline_rows(table: &FleetDeadlineTable) -> Vec<JsonRow> {
+    table
+        .rows
+        .iter()
+        .map(|row| {
+            let report = &row.report;
+            let json = JsonRow::new()
+                .str("record", "fleet_deadline")
+                .str("scenario", &table.scenario)
+                .usize("tenants", report.tenants.len())
+                .f64("unlimited_cost", table.unlimited_cost().unwrap_or(f64::NAN));
+            let json = match row.node_budget {
+                Some(nodes) => json.usize("node_budget", nodes),
+                None => json.raw("node_budget", "null"),
+            };
+            json.f64("fleet_cost", report.total_cost())
                 .f64("cost_ratio_vs_unlimited", table.cost_ratio(row))
-                .usize(
-                    "resolves",
-                    report.tenants.iter().map(|t| t.resolves).sum::<usize>(),
-                )
+                .usize("resolves", report.resolved_tenant_epochs())
                 .usize(
                     "adoptions",
                     report.tenants.iter().map(|t| t.adoptions).sum::<usize>(),
@@ -207,16 +144,14 @@ pub fn fleet_deadline_json(table: &FleetDeadlineTable) -> String {
                 .usize("deferred_resolves", report.deferred_resolves())
                 .usize("resolve_retries", report.resolve_retries())
                 .usize("nodes", report.effort().nodes)
-                .finish(),
-        );
-        out.push('\n');
-    }
-    out
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{rows_csv, rows_markdown};
 
     #[test]
     fn small_deadline_sweep_produces_a_full_table() {
@@ -233,9 +168,11 @@ mod tests {
         for row in &table.rows {
             assert!(table.cost_ratio(row) >= 1.0 - 1e-9);
         }
-        let markdown = fleet_deadline_markdown(&table);
-        assert!(markdown.contains("unlimited"));
-        let csv = fleet_deadline_csv(&table);
+        let rows = fleet_deadline_rows(&table);
+        let markdown = rows_markdown(&rows);
+        assert!(markdown.contains("unlimited_cost"));
+        assert!(markdown.contains("| fleet_deadline | diurnal-spike-3 | 3 |"));
+        let csv = rows_csv(&rows);
         assert_eq!(csv.lines().count(), 3);
     }
 
@@ -249,6 +186,9 @@ mod tests {
         };
         let a = run_fleet_deadline_experiment(&spec).unwrap();
         let b = run_fleet_deadline_experiment(&spec).unwrap();
-        assert_eq!(fleet_deadline_csv(&a), fleet_deadline_csv(&b));
+        assert_eq!(
+            rows_csv(&fleet_deadline_rows(&a)),
+            rows_csv(&fleet_deadline_rows(&b))
+        );
     }
 }

@@ -11,6 +11,7 @@
 
 use rental_fleet::{failure_coupled_fleet, FleetController, FleetReport};
 use rental_lp::SolveLimits;
+use rental_obs::json::JsonRow;
 use rental_solvers::exact::IlpSolver;
 use rental_solvers::SolveResult;
 
@@ -116,74 +117,14 @@ pub fn run_fleet_failure_experiment(spec: &FleetFailureSpec) -> SolveResult<Flee
     })
 }
 
-/// Renders the MTBF sweep as Markdown.
-pub fn fleet_failure_markdown(table: &FleetFailureTable) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "| mtbf (h) | avail | fleet cost | static headroom | saved | fleet SLO | baseline SLO | \
-         failure re-solves | degraded | peak quota use |\n",
-    );
-    out.push_str("|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n");
-    for row in &table.rows {
-        let report = &row.report;
-        let saved = if report.static_headroom_cost() > 0.0 {
-            100.0 * report.savings_vs_static_headroom() / report.static_headroom_cost()
-        } else {
-            0.0
-        };
-        let peak_quota = row.peak_quota_utilization();
-        out.push_str(&format!(
-            "| {:.0} | {:.3} | {:.0} | {:.0} | {saved:.1}% | {} | {} | {} | {} | {peak_quota:.2} |\n",
-            row.mtbf,
-            row.availability,
-            report.total_cost(),
-            report.static_headroom_cost(),
-            report.slo_violation_epochs(),
-            report.static_headroom_violations(),
-            report.failure_resolves(),
-            report.degraded_resolves(),
-        ));
-    }
-    if let Some(row) = table.rows.first() {
-        out.push_str(&format!(
-            "\n{} tenants over {} epochs per row; SLO = epochs whose surviving capacity missed the demand\n",
-            row.report.tenants.len(),
-            row.report.epochs,
-        ));
-    }
-    out
-}
-
-/// Renders the MTBF sweep as CSV.
-pub fn fleet_failure_csv(table: &FleetFailureTable) -> String {
-    let mut out = String::from(
-        "mtbf_hours,availability,fleet_cost,static_headroom_cost,fleet_slo_epochs,\
-         baseline_slo_epochs,failure_resolves,degraded_resolves\n",
-    );
-    for row in &table.rows {
-        let report = &row.report;
-        out.push_str(&format!(
-            "{:.1},{:.4},{:.2},{:.2},{},{},{},{}\n",
-            row.mtbf,
-            row.availability,
-            report.total_cost(),
-            report.static_headroom_cost(),
-            report.slo_violation_epochs(),
-            report.static_headroom_violations(),
-            report.failure_resolves(),
-            report.degraded_resolves(),
-        ));
-    }
-    out
-}
-
-/// Renders the MTBF sweep as JSON lines: one object per MTBF row.
-pub fn fleet_failure_json(table: &FleetFailureTable) -> String {
-    let mut out = String::new();
-    for row in &table.rows {
-        let report = &row.report;
-        out.push_str(
-            &rental_obs::json::JsonRow::new()
+/// The MTBF sweep's rows: one `fleet_failure` row per MTBF.
+pub fn fleet_failure_rows(table: &FleetFailureTable) -> Vec<JsonRow> {
+    table
+        .rows
+        .iter()
+        .map(|row| {
+            let report = &row.report;
+            JsonRow::new()
                 .str("record", "fleet_failure")
                 .str("scenario", &table.scenario)
                 .usize("tenants", report.tenants.len())
@@ -204,16 +145,14 @@ pub fn fleet_failure_json(table: &FleetFailureTable) -> String {
                 .usize("solves", report.effort().solves)
                 .usize("nodes", report.effort().nodes)
                 .usize("lp_iterations", report.effort().lp_iterations)
-                .finish(),
-        );
-        out.push('\n');
-    }
-    out
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{rows_csv, rows_markdown};
 
     #[test]
     fn small_failure_sweep_produces_a_full_table() {
@@ -229,9 +168,10 @@ mod tests {
         let row = &table.rows[0];
         assert!(row.availability < 1.0);
         assert!(row.report.static_headroom_cost() > 0.0);
-        let markdown = fleet_failure_markdown(&table);
-        assert!(markdown.contains("static headroom"));
-        let csv = fleet_failure_csv(&table);
+        let rows = fleet_failure_rows(&table);
+        let markdown = rows_markdown(&rows);
+        assert!(markdown.contains("static_headroom_cost"));
+        let csv = rows_csv(&rows);
         assert_eq!(csv.lines().count(), 2);
     }
 
@@ -247,6 +187,9 @@ mod tests {
         let a = run_fleet_failure_experiment(&spec).unwrap();
         let b = run_fleet_failure_experiment(&spec).unwrap();
         assert_eq!(a.rows[0].report.adoptions, b.rows[0].report.adoptions);
-        assert_eq!(fleet_failure_csv(&a), fleet_failure_csv(&b));
+        assert_eq!(
+            rows_csv(&fleet_failure_rows(&a)),
+            rows_csv(&fleet_failure_rows(&b))
+        );
     }
 }

@@ -10,7 +10,7 @@
 //! repair them, in their exact serving order. `repro fleet-obs` renders the
 //! per-stage epoch breakdown, the top-k tenants by solver effort, the
 //! headline LP/solver counters, and the event tail; `--json` dumps the same
-//! data as JSON lines through the `rental_obs::json` encoder.
+//! data as rows of the `rental_obs::json` encoder.
 //!
 //! The lane pins one worker thread by default: metrics merge commutatively
 //! across threads, but holding the *event sequence* bit-for-bit across runs
@@ -323,59 +323,50 @@ pub fn fleet_obs_markdown(table: &FleetObsTable) -> String {
     out
 }
 
-/// Renders the observability lane as JSON lines: the report's telemetry
-/// rows, one chaos row, every metric, and every retained event.
-pub fn fleet_obs_json(table: &FleetObsTable) -> String {
-    let mut out = table.report.telemetry();
-    out.push_str(
-        &JsonRow::new()
+/// The observability lane's rows: the report's telemetry rows, one chaos
+/// row, every metric, the per-epoch critical paths with their summary, and
+/// every retained event.
+pub fn fleet_obs_rows(table: &FleetObsTable) -> Vec<JsonRow> {
+    let mut rows = table.report.telemetry();
+    rows.push(
+        JsonRow::new()
             .str("record", "chaos")
             .usize("timeouts", table.chaos.timeouts)
             .usize("infeasibles", table.chaos.infeasibles)
             .usize("singulars", table.chaos.singulars)
             .usize("poisoned_priors", table.chaos.poisoned_priors)
-            .usize("delayed_arbitrations", table.chaos.delayed_arbitrations)
-            .finish(),
+            .usize("delayed_arbitrations", table.chaos.delayed_arbitrations),
     );
-    out.push('\n');
-    out.push_str(&table.snapshot.to_jsonl());
-    for tree in &table.traces {
+    rows.extend(table.snapshot.rows());
+    rows.extend(table.traces.iter().map(|tree| {
         let path = tree.critical_path();
-        out.push_str(
-            &JsonRow::new()
-                .str("record", "critical_path")
-                .u64("epoch", path.trace_id)
-                .f64("wall_seconds", path.wall_seconds)
-                .f64("attributed_seconds", path.attributed_seconds)
-                .f64("barrier_seconds", path.barrier_seconds)
-                .f64("barrier_share", path.barrier_share())
-                .str("dominant", path.dominant().map_or("-", |s| s.name))
-                .finish(),
-        );
-        out.push('\n');
-    }
+        JsonRow::new()
+            .str("record", "critical_path")
+            .u64("epoch", path.trace_id)
+            .f64("wall_seconds", path.wall_seconds)
+            .f64("attributed_seconds", path.attributed_seconds)
+            .f64("barrier_seconds", path.barrier_seconds)
+            .f64("barrier_share", path.barrier_share())
+            .str("dominant", path.dominant().map_or("-", |s| s.name))
+    }));
     let summary = TraceSummary::from_trees(&table.traces);
-    out.push_str(
-        &JsonRow::new()
+    rows.push(
+        JsonRow::new()
             .str("record", "trace_summary")
             .usize("epochs", summary.epochs)
             .f64("wall_seconds", summary.wall_seconds)
             .f64("attributed_seconds", summary.attributed_seconds)
             .f64("barrier_seconds", summary.barrier_seconds)
-            .f64("barrier_share", summary.barrier_share())
-            .finish(),
+            .f64("barrier_share", summary.barrier_share()),
     );
-    out.push('\n');
-    for event in &table.events {
-        out.push_str(&event.to_json());
-        out.push('\n');
-    }
-    out
+    rows.extend(table.events.iter().map(Event::row));
+    rows
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::rows_jsonl;
     use rental_obs::EventKind;
     use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -434,7 +425,7 @@ mod tests {
         assert!(markdown.contains("barrier share"));
         assert!(markdown.contains("alerts:"));
         assert!(markdown.contains("flight recorder"));
-        let json = fleet_obs_json(&table);
+        let json = rows_jsonl(&fleet_obs_rows(&table));
         assert!(json.contains("\"record\":\"fleet\""));
         assert!(json.contains("\"record\":\"chaos\""));
         assert!(json.contains("\"record\":\"critical_path\""));

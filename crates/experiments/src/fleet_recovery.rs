@@ -21,6 +21,7 @@ use rental_fleet::{
     failure_coupled_fleet, CrashPlan, CrashPoint, FleetController, FleetPolicy, FleetReport,
     PersistOptions, PersistResult, RunOutcome,
 };
+use rental_obs::json::JsonRow;
 use rental_persist::Store;
 use rental_solvers::exact::IlpSolver;
 use rental_solvers::SolveBudget;
@@ -253,80 +254,24 @@ pub fn run_fleet_recovery_experiment(
     })
 }
 
-/// Renders the cadence sweep as Markdown.
-pub fn fleet_recovery_markdown(table: &FleetRecoveryTable) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "| snapshot every | durable (s) | overhead | journal (KiB) | snapshots (KiB) | snaps | \
-         resume (s) | uninterrupted == plain | resumed == plain |\n",
-    );
-    out.push_str("|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n");
-    for row in &table.rows {
-        out.push_str(&format!(
-            "| {} | {:.2} | {:+.1}% | {:.1} | {:.1} | {} | {:.2} | {} | {} |\n",
-            row.snapshot_every,
-            row.resumable_seconds,
-            100.0 * table.overhead(row),
-            row.journal_bytes as f64 / 1024.0,
-            row.snapshot_bytes as f64 / 1024.0,
-            row.snapshots,
-            row.resume_seconds,
-            row.uninterrupted_equivalent,
-            row.resume_equivalent,
-        ));
-    }
-    out.push_str(&format!(
-        "\n{} tenants over {} epochs; plain in-memory run {:.2} s; kill injected after epoch {} \
-         (journal write survives, process dies); every row restarts from disk and is compared \
-         bit-for-bit against the plain run\n",
-        table.reference.tenants.len(),
-        table.reference.epochs,
-        table.plain_seconds,
-        table.crash_epoch,
-    ));
-    out
-}
-
-/// Renders the cadence sweep as CSV.
-pub fn fleet_recovery_csv(table: &FleetRecoveryTable) -> String {
-    let mut out = String::from(
-        "snapshot_every,plain_seconds,resumable_seconds,overhead_fraction,journal_bytes,\
-         snapshot_bytes,snapshots,resume_seconds,uninterrupted_equivalent,resume_equivalent\n",
-    );
-    for row in &table.rows {
-        out.push_str(&format!(
-            "{},{:.4},{:.4},{:.4},{},{},{},{:.4},{},{}\n",
-            row.snapshot_every,
-            table.plain_seconds,
-            row.resumable_seconds,
-            table.overhead(row),
-            row.journal_bytes,
-            row.snapshot_bytes,
-            row.snapshots,
-            row.resume_seconds,
-            row.uninterrupted_equivalent,
-            row.resume_equivalent,
-        ));
-    }
-    out
-}
-
-/// Renders the cadence sweep as JSON lines: one object per cadence row.
-pub fn fleet_recovery_json(table: &FleetRecoveryTable) -> String {
-    let mut out = String::new();
-    for row in &table.rows {
-        out.push_str(
-            &rental_obs::json::JsonRow::new()
+/// The cadence sweep's rows: one `fleet_recovery` row per cadence.
+pub fn fleet_recovery_rows(table: &FleetRecoveryTable) -> Vec<JsonRow> {
+    let epochs = table.reference.epochs;
+    table
+        .rows
+        .iter()
+        .map(|row| {
+            JsonRow::new()
                 .str("record", "fleet_recovery")
                 .str("scenario", &table.scenario)
                 .usize("tenants", table.reference.tenants.len())
-                .usize("epochs", table.reference.epochs)
+                .usize("epochs", epochs)
                 .usize("snapshot_every", row.snapshot_every)
                 .f64("plain_seconds", table.plain_seconds)
                 .f64("resumable_seconds", row.resumable_seconds)
                 .f64(
                     "epoch_seconds",
-                    row.resumable_seconds / table.reference.epochs.max(1) as f64,
+                    row.resumable_seconds / epochs.max(1) as f64,
                 )
                 .f64("overhead_fraction", table.overhead(row))
                 .u64("journal_bytes", row.journal_bytes)
@@ -338,16 +283,14 @@ pub fn fleet_recovery_json(table: &FleetRecoveryTable) -> String {
                 .f64("resume_seconds", row.resume_seconds)
                 .bool("uninterrupted_equivalent", row.uninterrupted_equivalent)
                 .bool("resume_equivalent", row.resume_equivalent)
-                .finish(),
-        );
-        out.push('\n');
-    }
-    out
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{rows_csv, rows_markdown};
 
     #[test]
     fn small_recovery_sweep_resumes_equivalently() {
@@ -375,9 +318,10 @@ mod tests {
         // Cadence 0 writes only the initial snapshot; cadence 8 writes more.
         assert_eq!(table.rows[0].snapshots, 1);
         assert!(table.rows[1].snapshots > table.rows[0].snapshots);
-        let markdown = fleet_recovery_markdown(&table);
-        assert!(markdown.contains("resumed == plain"));
-        let csv = fleet_recovery_csv(&table);
+        let rows = fleet_recovery_rows(&table);
+        let markdown = rows_markdown(&rows);
+        assert!(markdown.contains("| resume_equivalent |"));
+        let csv = rows_csv(&rows);
         assert_eq!(csv.lines().count(), 3);
     }
 

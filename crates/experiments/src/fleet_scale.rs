@@ -19,6 +19,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use rental_fleet::{scaling_fleet, FleetController, FleetPolicy, FleetReport, FleetScenario};
+use rental_obs::json::JsonRow;
 use rental_obs::TelemetrySink;
 use rental_solvers::exact::IlpSolver;
 use rental_solvers::SolveResult;
@@ -209,67 +210,13 @@ pub fn run_fleet_scale_experiment(spec: &FleetScaleSpec) -> SolveResult<FleetSca
     })
 }
 
-/// Renders the scaling sweep as Markdown.
-pub fn fleet_scale_markdown(table: &FleetScaleTable) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "| tenants | shards | sequential loop s | sharded loop s | sequential run s | sharded run \
-         s | seq teps | sharded teps | speedup | deterministic |\n",
-    );
-    out.push_str("|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n");
-    for row in &table.rows {
-        out.push_str(&format!(
-            "| {} | {} | {:.3} | {:.3} | {:.3} | {:.3} | {:.0} | {:.0} | {:.2}x | {} |\n",
-            row.tenants,
-            row.shards_used,
-            row.sequential.loop_secs,
-            row.sharded.loop_secs,
-            row.sequential.run_secs,
-            row.sharded.run_secs,
-            row.sequential_teps(),
-            row.sharded_teps(),
-            row.speedup(),
-            if row.deterministic { "yes" } else { "NO" },
-        ));
-    }
-    out.push_str(&format!(
-        "\n{SCALING_EPOCHS} epochs per run on {} worker threads; teps = tenant-epochs/sec of the \
-         epoch loop, timed from the first epoch's start to the last epoch's end\n",
-        table.cores,
-    ));
-    out
-}
-
-/// Renders the scaling sweep as CSV.
-pub fn fleet_scale_csv(table: &FleetScaleTable) -> String {
-    let mut out = String::from(
-        "tenants,shards,sequential_secs,sharded_secs,sequential_run_secs,sharded_run_secs,\
-         sequential_teps,sharded_teps,speedup,deterministic\n",
-    );
-    for row in &table.rows {
-        out.push_str(&format!(
-            "{},{},{:.4},{:.4},{:.4},{:.4},{:.1},{:.1},{:.3},{}\n",
-            row.tenants,
-            row.shards_used,
-            row.sequential.loop_secs,
-            row.sharded.loop_secs,
-            row.sequential.run_secs,
-            row.sharded.run_secs,
-            row.sequential_teps(),
-            row.sharded_teps(),
-            row.speedup(),
-            row.deterministic,
-        ));
-    }
-    out
-}
-
-/// Renders the scaling sweep as JSON lines: one object per fleet size.
-pub fn fleet_scale_json(table: &FleetScaleTable) -> String {
-    let mut out = String::new();
-    for row in &table.rows {
-        out.push_str(
-            &rental_obs::json::JsonRow::new()
+/// The scaling sweep's rows: one `fleet_scale` row per fleet size.
+pub fn fleet_scale_rows(table: &FleetScaleTable) -> Vec<JsonRow> {
+    table
+        .rows
+        .iter()
+        .map(|row| {
+            JsonRow::new()
                 .str("record", "fleet_scale")
                 .str("scenario", &row.scenario)
                 .usize("cores", table.cores)
@@ -285,16 +232,14 @@ pub fn fleet_scale_json(table: &FleetScaleTable) -> String {
                 .f64("sharded_teps", row.sharded_teps())
                 .f64("speedup", row.speedup())
                 .bool("deterministic", row.deterministic)
-                .finish(),
-        );
-        out.push('\n');
-    }
-    out
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{rows_csv, rows_jsonl, rows_markdown};
 
     #[test]
     fn small_scale_sweep_measures_and_stays_deterministic() {
@@ -317,11 +262,12 @@ mod tests {
             assert!(timing.loop_secs < timing.run_secs);
         }
         assert!(table.all_deterministic());
-        let markdown = fleet_scale_markdown(&table);
-        assert!(markdown.contains("| 96 |"));
-        let csv = fleet_scale_csv(&table);
+        let rows = fleet_scale_rows(&table);
+        let markdown = rows_markdown(&rows);
+        assert!(markdown.contains("| 96 | 4 |"));
+        let csv = rows_csv(&rows);
         assert_eq!(csv.lines().count(), 2);
-        let json = fleet_scale_json(&table);
+        let json = rows_jsonl(&rows);
         assert!(json.contains("\"record\":\"fleet_scale\""));
     }
 
@@ -333,7 +279,9 @@ mod tests {
             shards: Some(2),
             trials: 1,
         };
-        let json = fleet_scale_json(&run_fleet_scale_experiment(&spec).unwrap());
+        let json = rows_jsonl(&fleet_scale_rows(
+            &run_fleet_scale_experiment(&spec).unwrap(),
+        ));
         assert_eq!(json.lines().count(), 2);
         for (line, name) in json.lines().zip(["scaling-8", "scaling-16"]) {
             assert!(line.contains(&format!("\"scenario\":\"{name}\"")), "{line}");

@@ -11,7 +11,9 @@
 //!   `(application, cloud)` configurations solved by the full suite, with
 //!   normalised-cost (Figures 3, 6, 7), win-count (Figure 4) and timing
 //!   (Figures 5, 8) aggregation, processed in parallel across configurations;
-//! * [`report`] — Markdown / CSV emitters for every table and figure;
+//! * [`report`] — the renderer: every lane's JSON Lines rows are its only
+//!   hand-written output, and CSV and Markdown are derived from them (Table
+//!   III's Markdown and the figure pivots keep the paper's own layouts);
 //! * [`stats`] — the aggregation helpers;
 //! * [`ablation`] — the δ-step, escape-mechanism and recipe-similarity
 //!   ablation studies described in DESIGN.md (extensions beyond the paper);
@@ -66,35 +68,34 @@ pub mod stats;
 pub mod table3;
 
 pub use ablation::{
-    delta_sweep, escape_mechanisms, mutation_sweep, AblationResults, AblationRow, AblationSpec,
+    ablation_rows, delta_sweep, escape_mechanisms, mutation_sweep, AblationResults, AblationRow,
+    AblationSpec,
 };
-pub use fleet::{
-    fleet_csv, fleet_json, fleet_markdown, run_fleet_experiment, FleetExperimentSpec, FleetTable,
-};
+pub use fleet::{fleet_rows, run_fleet_experiment, FleetExperimentSpec, FleetTable};
 pub use fleet_deadline::{
-    fleet_deadline_csv, fleet_deadline_json, fleet_deadline_markdown,
-    run_fleet_deadline_experiment, FleetDeadlineRow, FleetDeadlineSpec, FleetDeadlineTable,
+    fleet_deadline_rows, run_fleet_deadline_experiment, FleetDeadlineRow, FleetDeadlineSpec,
+    FleetDeadlineTable,
 };
 pub use fleet_failure::{
-    failure_sweep_solver, fleet_failure_csv, fleet_failure_json, fleet_failure_markdown,
-    run_fleet_failure_experiment, FleetFailureRow, FleetFailureSpec, FleetFailureTable,
+    failure_sweep_solver, fleet_failure_rows, run_fleet_failure_experiment, FleetFailureRow,
+    FleetFailureSpec, FleetFailureTable,
 };
 pub use fleet_obs::{
-    fleet_obs_json, fleet_obs_markdown, run_fleet_obs_experiment, run_fleet_obs_experiment_with,
+    fleet_obs_markdown, fleet_obs_rows, run_fleet_obs_experiment, run_fleet_obs_experiment_with,
     ChaosSummary, FleetObsSpec, FleetObsTable,
 };
 pub use fleet_recovery::{
-    fleet_recovery_csv, fleet_recovery_json, fleet_recovery_markdown,
-    run_fleet_recovery_experiment, FleetRecoveryRow, FleetRecoverySpec, FleetRecoveryTable,
+    fleet_recovery_rows, run_fleet_recovery_experiment, FleetRecoveryRow, FleetRecoverySpec,
+    FleetRecoveryTable,
 };
 pub use fleet_scale::{
-    fleet_scale_csv, fleet_scale_json, fleet_scale_markdown, run_fleet_scale_experiment,
-    FleetScaleRow, FleetScaleSpec, FleetScaleTable, LoopTiming,
+    fleet_scale_rows, run_fleet_scale_experiment, FleetScaleRow, FleetScaleSpec, FleetScaleTable,
+    LoopTiming,
 };
-pub use lp_large::{lp_large_markdown, lp_large_rows_json, run_lp_large, LpLargeRow, LpLargeSpec};
+pub use lp_large::{lp_large_rows, run_lp_large, LpLargeRow, LpLargeSpec};
 pub use report::{
-    figure_csv, figure_json, figure_markdown, summary_json, table3_csv, table3_json,
-    table3_markdown, write_artifact, Metric,
+    figure_markdown, figure_rows, rows_csv, rows_jsonl, rows_markdown, summary_rows,
+    table3_markdown, table3_rows, write_artifact, Metric, MARKDOWN_ROWS,
 };
 pub use runner::{presets, run_experiment, CellResult, ExperimentResults, ExperimentSpec};
 pub use table3::{run_table3, table3_targets, Table3Row, PAPER_TABLE3_H1, PAPER_TABLE3_OPTIMAL};

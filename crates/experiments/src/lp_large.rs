@@ -17,13 +17,14 @@
 //! timing is recorded, so the table can never report a speedup over a wrong
 //! answer. The `lp_large` bench writes these rows to `BENCH_lp_large.json`
 //! and enforces a conservative speedup floor in CI; `repro lp-large` prints
-//! the same rows as a Markdown table.
+//! the same rows.
 
 use std::time::Instant;
 
 use rental_lp::model::Model;
 use rental_lp::revised::RevisedLp;
 use rental_lp::{DenseLu, LpStatus, SimplexOptions, SparseLu};
+use rental_obs::json::JsonRow;
 use rental_simgen::{GeneratorConfig, InstanceGenerator};
 use rental_solvers::exact::IlpSolver;
 
@@ -185,42 +186,12 @@ pub fn run_lp_large(spec: &LpLargeSpec) -> Vec<LpLargeRow> {
         .collect()
 }
 
-/// Renders the rows as a Markdown table (dense-LU vs sparse-LU timing/fill).
-pub fn lp_large_markdown(rows: &[LpLargeRow]) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "| m | basis nnz | LU fill | refactor dense (ms) | refactor sparse (ms) | refactor speedup \
-         | solve dense (ms) | solve sparse (ms) | solve speedup | hyper-sparse rate |\n",
-    );
-    out.push_str(
-        "|--:|----------:|--------:|--------------------:|---------------------:|-----------------:\
-         |-----------------:|------------------:|--------------:|------------------:|\n",
-    );
-    for row in rows {
-        out.push_str(&format!(
-            "| {} | {} | {} | {:.3} | {:.3} | {:.1}x | {:.2} | {:.2} | {:.1}x | {:.0}% |\n",
-            row.rows,
-            row.basis_nnz,
-            row.fill_nnz,
-            row.dense_refactor_secs * 1e3,
-            row.sparse_refactor_secs * 1e3,
-            row.refactor_speedup,
-            row.dense_solve_secs * 1e3,
-            row.sparse_solve_secs * 1e3,
-            row.solve_speedup,
-            row.hyper_sparse_rate * 100.0,
-        ));
-    }
-    out
-}
-
-/// Renders the rows as JSON lines, one object per instance size: the
-/// `repro lp-large --json` output and the rows of `BENCH_lp_large.json`.
-pub fn lp_large_rows_json(rows: &[LpLargeRow]) -> String {
-    let mut out = String::new();
-    for row in rows {
-        out.push_str(
-            &rental_obs::json::JsonRow::new()
+/// The study's rows, one `lp_large` row per instance size: the
+/// `repro lp-large` output and the rows of `BENCH_lp_large.json`.
+pub fn lp_large_rows(rows: &[LpLargeRow]) -> Vec<JsonRow> {
+    rows.iter()
+        .map(|row| {
+            JsonRow::new()
                 .str("record", "lp_large")
                 .usize("rows", row.rows)
                 .usize("basis_nnz", row.basis_nnz)
@@ -234,16 +205,14 @@ pub fn lp_large_rows_json(rows: &[LpLargeRow]) -> String {
                 .usize("sparse_pivots", row.sparse_pivots)
                 .usize("dense_pivots", row.dense_pivots)
                 .f64("hyper_sparse_rate", row.hyper_sparse_rate)
-                .finish(),
-        );
-        out.push('\n');
-    }
-    out
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{rows_jsonl, rows_markdown};
 
     #[test]
     fn small_wide_platform_rows_are_consistent() {
@@ -259,9 +228,10 @@ mod tests {
         assert_eq!(row.rows, 64);
         assert!(row.basis_nnz > 0 && row.fill_nnz > 0);
         assert!(row.sparse_refactor_secs > 0.0 && row.dense_refactor_secs > 0.0);
-        let markdown = lp_large_markdown(&rows);
-        assert!(markdown.contains("| 64 |"));
-        let json = lp_large_rows_json(&rows);
+        let json_rows = lp_large_rows(&rows);
+        let markdown = rows_markdown(&json_rows);
+        assert!(markdown.contains("| lp_large | 64 |"));
+        let json = rows_jsonl(&json_rows);
         assert!(json.contains("\"rows\":64"));
     }
 }

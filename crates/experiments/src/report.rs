@@ -1,14 +1,116 @@
-//! Plain-text emitters: Markdown tables, CSV series and JSON lines for
-//! every experiment, matching the rows/series of the paper's Table III and
-//! Figures 3–8. The JSON emitters go through [`rental_obs::json::JsonRow`],
-//! the same encoder the telemetry substrate dumps with.
+//! The lanes' outputs. Every lane's only hand-written output is its JSON
+//! Lines rows ([`rental_obs::json::JsonRow`], the encoder the telemetry
+//! substrate dumps with); one renderer turns those rows into CSV
+//! ([`rows_csv`]) and Markdown ([`rows_markdown`]), so a new column is one
+//! builder call and the renderings cannot disagree about what a lane
+//! measured. Three pages are not row dumps and stay hand-written: Table III
+//! ([`table3_markdown`]), the figure pivots ([`figure_markdown`]) — the
+//! paper's own table shapes — and the fleet-obs report
+//! ([`crate::fleet_obs::fleet_obs_markdown`]).
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
+pub use rental_obs::json::lines as rows_jsonl;
 use rental_obs::json::JsonRow;
 
 use crate::runner::ExperimentResults;
 use crate::table3::Table3Row;
+
+/// Rows a Markdown table shows; one line counts the rest.
+pub const MARKDOWN_ROWS: usize = 32;
+
+/// The keys of `rows`, in first-appearance order.
+fn key_union<'a>(rows: impl IntoIterator<Item = &'a JsonRow>) -> Vec<&'a str> {
+    let mut keys = Vec::new();
+    for row in rows {
+        for (key, _) in row.fields() {
+            if !keys.contains(&key) {
+                keys.push(key);
+            }
+        }
+    }
+    keys
+}
+
+/// A CSV cell: the text itself, or quoted per RFC 4180 when it holds a
+/// comma, a double quote, CR or LF.
+fn csv_cell(text: &str) -> Cow<'_, str> {
+    if text.contains([',', '"', '\r', '\n']) {
+        format!("\"{}\"", text.replace('"', "\"\"")).into()
+    } else {
+        text.into()
+    }
+}
+
+/// Renders `rows` as one CSV table. The header is the union of the rows'
+/// keys in first-appearance order; a row leaves empty every key it lacks.
+/// A cell carries its JSON value's text (a string's own characters, any
+/// other value's literal, so a non-finite float reads `null`).
+pub fn rows_csv(rows: &[JsonRow]) -> String {
+    let keys = key_union(rows);
+    let line = |cells: Vec<Cow<'_, str>>| cells.join(",") + "\n";
+    let mut out = line(keys.iter().map(|key| csv_cell(key)).collect());
+    for row in rows {
+        out += &line(
+            keys.iter()
+                .map(|key| csv_cell(row.get(key).unwrap_or("")))
+                .collect(),
+        );
+    }
+    out
+}
+
+/// Renders `rows` as Markdown: one table per record kind (the `record`
+/// key, in first-appearance order) with that kind's keys as columns. A
+/// table shows at most [`MARKDOWN_ROWS`] rows, then one line counting the
+/// rows only the CSV and JSON carry. `|` is escaped and line breaks become
+/// spaces, so every row stays one table line.
+pub fn rows_markdown(rows: &[JsonRow]) -> String {
+    let mut kinds: Vec<&str> = Vec::new();
+    for kind in rows.iter().map(record) {
+        if !kinds.contains(&kind) {
+            kinds.push(kind);
+        }
+    }
+    let line = |cells: Vec<String>| format!("| {} |\n", cells.join(" | "));
+    let mut out = String::new();
+    for kind in kinds {
+        let group: Vec<&JsonRow> = rows.iter().filter(|row| record(row) == kind).collect();
+        let keys = key_union(group.iter().copied());
+        if !out.is_empty() {
+            out.push('\n');
+        }
+        out += &line(keys.iter().map(|key| markdown_cell(key)).collect());
+        out += &line(vec!["---".to_string(); keys.len()]);
+        for row in group.iter().take(MARKDOWN_ROWS) {
+            out += &line(
+                keys.iter()
+                    .map(|key| markdown_cell(row.get(key).unwrap_or("")))
+                    .collect(),
+            );
+        }
+        if group.len() > MARKDOWN_ROWS {
+            let _ = writeln!(
+                out,
+                "\n… {} more `{}` rows in the CSV and JSON output",
+                group.len() - MARKDOWN_ROWS,
+                markdown_cell(kind),
+            );
+        }
+    }
+    out
+}
+
+/// A row's record kind (empty when it has no `record` key).
+fn record(row: &JsonRow) -> &str {
+    row.get("record").unwrap_or("")
+}
+
+/// A Markdown table cell: `|` escaped, CR and LF turned into spaces.
+fn markdown_cell(text: &str) -> String {
+    text.replace('|', "\\|").replace(['\r', '\n'], " ")
+}
 
 /// Renders Table III as a Markdown table (one row per target, one pair of
 /// columns — split and cost — per solver).
@@ -38,50 +140,20 @@ pub fn table3_markdown(rows: &[Table3Row]) -> String {
     out
 }
 
-/// Renders Table III as CSV: `rho,solver,split,cost`.
-pub fn table3_csv(rows: &[Table3Row]) -> String {
-    let mut out = String::from("rho,solver,split,cost\n");
+/// Table III's rows: one `table3` row per `(target, solver)` cell.
+pub fn table3_rows(rows: &[Table3Row]) -> Vec<JsonRow> {
+    let mut out = Vec::new();
     for row in rows {
         for cell in &row.cells {
-            let split = cell
-                .split
-                .shares()
-                .iter()
-                .map(|s| s.to_string())
-                .collect::<Vec<_>>()
-                .join(" ");
-            let _ = writeln!(
-                out,
-                "{},{},{},{}",
-                row.target, cell.solver, split, cell.cost
-            );
-        }
-    }
-    out
-}
-
-/// Renders Table III as JSON lines: one object per `(target, solver)` cell.
-pub fn table3_json(rows: &[Table3Row]) -> String {
-    let mut out = String::new();
-    for row in rows {
-        for cell in &row.cells {
-            let split = cell
-                .split
-                .shares()
-                .iter()
-                .map(|s| s.to_string())
-                .collect::<Vec<_>>()
-                .join(" ");
-            out.push_str(
-                &JsonRow::new()
+            let split: Vec<String> = cell.split.shares().iter().map(u64::to_string).collect();
+            out.push(
+                JsonRow::new()
                     .str("record", "table3")
                     .u64("rho", row.target)
                     .str("solver", &cell.solver)
-                    .str("split", &split)
-                    .u64("cost", cell.cost)
-                    .finish(),
+                    .str("split", &split.join(" "))
+                    .u64("cost", cell.cost),
             );
-            out.push('\n');
         }
     }
     out
@@ -127,53 +199,34 @@ fn metric_value(
     }
 }
 
-/// Renders one metric of an experiment as CSV with one line per
-/// `(target, solver)` pair: `target,solver,value`. This is the format the
-/// paper's figures are plotted from (one series per solver).
-pub fn figure_csv(results: &ExperimentResults, metric: Metric) -> String {
-    let mut out = format!("target,solver,{}\n", metric.label());
+/// One metric of an experiment as rows: one `figure` row per
+/// `(target, solver)` pair, the series the paper's figures are plotted
+/// from (one per solver).
+pub fn figure_rows(results: &ExperimentResults, metric: Metric) -> Vec<JsonRow> {
+    let mut out = Vec::new();
     for (t, &target) in results.targets.iter().enumerate() {
         for (s, solver) in results.solvers.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "{},{},{:.6}",
-                target,
-                solver,
-                metric_value(results, s, t, metric)
-            );
-        }
-    }
-    out
-}
-
-/// Renders one metric of an experiment as JSON lines: one object per
-/// `(target, solver)` pair.
-pub fn figure_json(results: &ExperimentResults, metric: Metric) -> String {
-    let mut out = String::new();
-    for (t, &target) in results.targets.iter().enumerate() {
-        for (s, solver) in results.solvers.iter().enumerate() {
-            out.push_str(
-                &JsonRow::new()
+            out.push(
+                JsonRow::new()
                     .str("record", "figure")
                     .str("experiment", &results.name)
                     .str("metric", metric.label())
                     .u64("target", target)
                     .str("solver", solver)
-                    .f64("value", metric_value(results, s, t, metric))
-                    .finish(),
+                    .f64("value", metric_value(results, s, t, metric)),
             );
-            out.push('\n');
         }
     }
     out
 }
 
-/// Renders the §VIII-F summary as JSON lines: one object per solver.
-pub fn summary_json(results: &ExperimentResults) -> String {
-    let mut out = String::new();
-    for solver in &results.solvers {
-        out.push_str(
-            &JsonRow::new()
+/// The §VIII-F summary as rows: one `summary` row per solver.
+pub fn summary_rows(results: &ExperimentResults) -> Vec<JsonRow> {
+    results
+        .solvers
+        .iter()
+        .map(|solver| {
+            JsonRow::new()
                 .str("record", "summary")
                 .str("experiment", &results.name)
                 .usize("configs", results.num_configs)
@@ -182,11 +235,8 @@ pub fn summary_json(results: &ExperimentResults) -> String {
                     "mean_normalised",
                     results.mean_normalised(solver).unwrap_or(0.0),
                 )
-                .finish(),
-        );
-        out.push('\n');
-    }
-    out
+        })
+        .collect()
 }
 
 /// Renders one metric of an experiment as a Markdown table with targets as
@@ -231,7 +281,7 @@ pub fn figure_markdown(results: &ExperimentResults, metric: Metric) -> String {
     out
 }
 
-/// Writes an artifact (CSV or Markdown) into `dir`, creating the directory if
+/// Writes an artifact (CSV, Markdown or JSON Lines) into `dir`, creating the directory if
 /// needed. Returns the full path of the written file.
 ///
 /// # Errors
@@ -287,18 +337,45 @@ mod tests {
     #[test]
     fn table3_csv_has_one_line_per_cell() {
         let rows = run_table3(&[10, 20], &SuiteConfig::default());
-        let csv = table3_csv(&rows);
+        let csv = rows_csv(&table3_rows(&rows));
         // Header + 2 targets x 6 solvers.
         assert_eq!(csv.lines().count(), 1 + 2 * 6);
-        assert!(csv.starts_with("rho,solver,split,cost"));
+        assert!(csv.starts_with("record,rho,solver,split,cost\n"));
     }
 
     #[test]
     fn figure_csv_lists_every_target_solver_pair() {
         let results = small_results();
-        let csv = figure_csv(&results, Metric::NormalisedCost);
+        let csv = rows_csv(&figure_rows(&results, Metric::NormalisedCost));
         assert_eq!(csv.lines().count(), 1 + 2 * results.solvers.len());
         assert!(csv.contains("H31"));
+    }
+
+    #[test]
+    fn csv_takes_the_key_union_and_quotes_what_needs_it() {
+        let rows = [
+            JsonRow::new().str("record", "a").str("name", "x,\"y\""),
+            JsonRow::new().str("record", "b").f64("value", f64::NAN),
+        ];
+        assert_eq!(
+            rows_csv(&rows),
+            "record,name,value\na,\"x,\"\"y\"\"\",\nb,,null\n"
+        );
+    }
+
+    #[test]
+    fn markdown_has_one_table_per_kind_and_counts_what_it_elides() {
+        let mut rows = vec![JsonRow::new().str("record", "fleet").str("note", "a|b")];
+        rows.extend(
+            (0..MARKDOWN_ROWS + 3).map(|i| JsonRow::new().str("record", "epoch").usize("epoch", i)),
+        );
+        let markdown = rows_markdown(&rows);
+        assert!(markdown.starts_with("| record | note |\n| --- | --- |\n| fleet | a\\|b |\n\n"));
+        assert!(markdown.contains("| record | epoch |\n"));
+        assert!(markdown.contains("| epoch | 31 |\n"));
+        assert!(!markdown.contains("| epoch | 32 |"));
+        assert!(markdown.ends_with("\n… 3 more `epoch` rows in the CSV and JSON output\n"));
+        assert!(rows_markdown(&[]).is_empty());
     }
 
     #[test]

@@ -75,11 +75,6 @@ pub struct FleetPolicy {
     /// path bit-identical. Initial solves are never budgeted — every tenant
     /// needs *some* plan before the epoch clock starts.
     pub epoch_budget: Option<SolveBudget>,
-    /// Cap (in epochs) on the exponential re-queue backoff of a tenant whose
-    /// budgeted re-solve was exhausted without an incumbent: the tenant is
-    /// retried after 1, 2, 4, … epochs, clamped to this cap — deferred,
-    /// never dropped.
-    pub backoff_cap: usize,
     /// Number of per-tenant pipeline shards the epoch loop fans out over.
     /// `Some(1)` **is** the sequential controller (the same code path, not
     /// an emulation); `None` (the default) auto-sizes — one shard per
@@ -104,7 +99,6 @@ impl Default for FleetPolicy {
             resolve: true,
             threads: None,
             epoch_budget: None,
-            backoff_cap: 8,
             shards: None,
         }
     }
@@ -114,13 +108,18 @@ impl Default for FleetPolicy {
 /// shard policy: the per-epoch fan-out costs more than it parallelises.
 const MIN_TENANTS_PER_SHARD: usize = 64;
 
+/// Cap (in epochs) on the exponential re-queue backoff of a tenant whose
+/// budgeted re-solve produced no plan: it is retried after 1, 2, 4, 8, 8, …
+/// epochs — deferred, never dropped.
+const BACKOFF_CAP: usize = 8;
+
 /// The next capped-exponential backoff step (in epochs): 1, 2, 4, …,
-/// clamped to `cap`.
-fn next_backoff(current: usize, cap: usize) -> usize {
+/// clamped to [`BACKOFF_CAP`].
+fn next_backoff(current: usize) -> usize {
     if current == 0 {
         1
     } else {
-        current.saturating_mul(2).min(cap.max(1))
+        current.saturating_mul(2).min(BACKOFF_CAP)
     }
 }
 
@@ -362,7 +361,7 @@ pub(crate) struct TenantCore {
     /// before it keep the current plan (counted as deferred re-solves).
     pub(crate) deferred_until: usize,
     /// Current backoff step (epochs); doubles per consecutive exhaustion up
-    /// to [`FleetPolicy::backoff_cap`], resets on a successful re-solve.
+    /// to [`BACKOFF_CAP`], resets on a successful re-solve.
     pub(crate) backoff: usize,
 }
 
@@ -557,14 +556,14 @@ impl<'a> TenantState<'a> {
     /// sits out a capped-exponential backoff window before the next attempt
     /// — deferred, never dropped. Any other error is a real failure and
     /// propagates.
-    pub(crate) fn defer(&mut self, err: SolveError, epoch: usize, cap: usize) -> SolveResult<()> {
+    pub(crate) fn defer(&mut self, err: SolveError, epoch: usize) -> SolveResult<()> {
         match err {
             SolveError::BudgetExhausted { .. } => self.tally.budget_exhausted_epochs += 1,
             SolveError::NoSolutionFound { .. } => {}
             err => return Err(err),
         }
         self.tally.deferred_resolves += 1;
-        self.core.backoff = next_backoff(self.core.backoff, cap);
+        self.core.backoff = next_backoff(self.core.backoff);
         self.core.deferred_until = epoch + 1 + self.core.backoff;
         Ok(())
     }
@@ -667,7 +666,6 @@ pub(crate) struct RunEnv {
     pub(crate) failures_enabled: bool,
     pub(crate) availability: f64,
     pub(crate) serve_headroom: f64,
-    pub(crate) failure_resolve: bool,
     pub(crate) scaling: AutoscalePolicy,
     pub(crate) baseline_scaling: AutoscalePolicy,
 }
@@ -838,19 +836,13 @@ impl FleetController {
         // immediately violate the demand. Without failures everything
         // collapses to the plain policy, keeping the unconstrained path
         // bit-identical.
-        let (failures_enabled, availability, outage_headroom, failure_redundancy, failure_resolve) =
-            match caps_config {
-                Some(config) if !config.failures.is_disabled() => (
-                    true,
-                    config.availability(),
-                    config.outage_headroom,
-                    config.failure_redundancy,
-                    config.resolve_on_failure,
-                ),
-                Some(config) => (false, 1.0, false, 0, config.resolve_on_failure),
-                None => (false, 1.0, false, 0, false),
-            };
-        let serve_headroom = if failures_enabled && outage_headroom {
+        let (failures_enabled, availability, failure_redundancy) = match caps_config {
+            Some(config) if !config.failures.is_disabled() => {
+                (true, config.availability(), config.failure_redundancy)
+            }
+            _ => (false, 1.0, 0),
+        };
+        let serve_headroom = if failures_enabled {
             policy.headroom / availability
         } else {
             policy.headroom
@@ -864,7 +856,6 @@ impl FleetController {
             failures_enabled,
             availability,
             serve_headroom,
-            failure_resolve,
             scaling,
             baseline_scaling: policy.autoscale_policy(),
         }
@@ -1376,13 +1367,10 @@ mod tests {
 
     #[test]
     fn next_backoff_doubles_and_clamps() {
-        assert_eq!(next_backoff(0, 8), 1);
-        assert_eq!(next_backoff(1, 8), 2);
-        assert_eq!(next_backoff(4, 8), 8);
-        assert_eq!(next_backoff(8, 8), 8);
-        // A zero cap still yields a one-epoch backoff, never a busy loop.
-        assert_eq!(next_backoff(0, 0), 1);
-        assert_eq!(next_backoff(1, 0), 1);
+        assert_eq!(next_backoff(0), 1);
+        assert_eq!(next_backoff(1), 2);
+        assert_eq!(next_backoff(4), 8);
+        assert_eq!(next_backoff(8), 8);
     }
 
     #[test]

@@ -90,7 +90,7 @@
 //! is adopted like any other candidate ([`TenantReport::incumbent_adoptions`]);
 //! without one the tenant **keeps its current plan** and the re-solve is
 //! deferred under capped exponential backoff
-//! ([`TenantReport::deferred_resolves`], [`FleetPolicy::backoff_cap`]). The
+//! (1, 2, 4, then 8 epochs; [`TenantReport::deferred_resolves`]). The
 //! ladder, from healthiest to last resort: full solve → anytime incumbent →
 //! keep current plan + backoff → the fixed-mix rescale every tenant can
 //! always fall back to. The [`chaos`] module stress-tests exactly this

@@ -390,69 +390,61 @@ impl FleetReport {
         order
     }
 
-    /// The run as JSON lines, one self-describing row per record (keyed by
+    /// The run as rows, one self-describing row per record (keyed by
     /// `"record"`): a `fleet` summary, one `epoch` row per epoch with the
     /// stage breakdown and the fleet-wide cost of that epoch, and one
-    /// `tenant` row per tenant with its economics, counters and solver
-    /// effort. Shares the encoder of `rental-obs`, so `repro --json` lanes
-    /// and telemetry dumps speak one format.
-    pub fn telemetry(&self) -> String {
-        let mut out = String::new();
+    /// `tenant` row per tenant with its economics (baselines included),
+    /// counters and solver effort. Rows of the `rental-obs` encoder, so
+    /// `repro` lanes and telemetry dumps speak one format.
+    pub fn telemetry(&self) -> Vec<JsonRow> {
         let effort = self.effort();
-        out.push_str(
-            &JsonRow::new()
-                .str("record", "fleet")
-                .usize("epochs", self.epochs)
-                .f64("epoch_hours", self.epoch_hours)
-                .f64("total_cost", self.total_cost())
-                .f64("fixed_mix_cost", self.fixed_mix_cost())
-                .f64("static_peak_cost", self.static_peak_cost())
-                .usize("slo_violation_epochs", self.slo_violation_epochs())
-                .usize("solves", effort.solves)
-                .usize("nodes", effort.nodes)
-                .usize("lp_iterations", effort.lp_iterations)
-                .f64("probe_seconds", self.probe_seconds())
-                .f64("solve_seconds", self.solve_seconds())
-                .finish(),
-        );
-        out.push('\n');
+        let mut rows = vec![JsonRow::new()
+            .str("record", "fleet")
+            .usize("epochs", self.epochs)
+            .f64("epoch_hours", self.epoch_hours)
+            .f64("total_cost", self.total_cost())
+            .f64("fixed_mix_cost", self.fixed_mix_cost())
+            .f64("static_peak_cost", self.static_peak_cost())
+            .usize("slo_violation_epochs", self.slo_violation_epochs())
+            .usize("solves", effort.solves)
+            .usize("nodes", effort.nodes)
+            .usize("lp_iterations", effort.lp_iterations)
+            .f64("probe_seconds", self.probe_seconds())
+            .f64("solve_seconds", self.solve_seconds())];
         for (epoch, times) in self.epoch_timing.iter().enumerate() {
             let cost: f64 = self
                 .tenants
                 .iter()
                 .filter_map(|t| t.epoch_costs.get(epoch))
                 .sum();
-            let mut row = JsonRow::new();
-            row = row.str("record", "epoch").usize("epoch", epoch);
-            for stage in Stage::ALL {
-                row = row.f64(stage.name(), times.get(stage));
-            }
-            out.push_str(&row.f64("cost", cost).finish());
-            out.push('\n');
+            let row = JsonRow::new().str("record", "epoch").usize("epoch", epoch);
+            let row = Stage::ALL
+                .into_iter()
+                .fold(row, |row, stage| row.f64(stage.name(), times.get(stage)));
+            rows.push(row.f64("cost", cost));
         }
-        for (i, tenant) in self.tenants.iter().enumerate() {
-            out.push_str(
-                &JsonRow::new()
-                    .str("record", "tenant")
-                    .usize("tenant", i)
-                    .str("name", &tenant.name)
-                    .f64("rental_cost", tenant.rental_cost)
-                    .f64("switching_cost", tenant.switching_cost)
-                    .usize("probes", tenant.probes)
-                    .usize("resolves", tenant.resolves)
-                    .usize("adoptions", tenant.adoptions)
-                    .usize("slo_violation_epochs", tenant.slo_violation_epochs)
-                    .usize("degraded_resolves", tenant.degraded_resolves)
-                    .usize("solves", tenant.effort.solves)
-                    .usize("nodes", tenant.effort.nodes)
-                    .usize("lp_iterations", tenant.effort.lp_iterations)
-                    .f64("probe_seconds", tenant.probe_seconds())
-                    .f64("solve_seconds", tenant.solve_seconds())
-                    .finish(),
-            );
-            out.push('\n');
-        }
-        out
+        rows.extend(self.tenants.iter().enumerate().map(|(i, tenant)| {
+            JsonRow::new()
+                .str("record", "tenant")
+                .usize("tenant", i)
+                .str("name", &tenant.name)
+                .u64("initial_target", tenant.initial_target)
+                .f64("rental_cost", tenant.rental_cost)
+                .f64("switching_cost", tenant.switching_cost)
+                .f64("fixed_mix_cost", tenant.fixed_mix_cost)
+                .f64("static_peak_cost", tenant.static_peak_cost)
+                .usize("probes", tenant.probes)
+                .usize("resolves", tenant.resolves)
+                .usize("adoptions", tenant.adoptions)
+                .usize("slo_violation_epochs", tenant.slo_violation_epochs)
+                .usize("degraded_resolves", tenant.degraded_resolves)
+                .usize("solves", tenant.effort.solves)
+                .usize("nodes", tenant.effort.nodes)
+                .usize("lp_iterations", tenant.effort.lp_iterations)
+                .f64("probe_seconds", tenant.probe_seconds())
+                .f64("solve_seconds", tenant.solve_seconds())
+        }));
+        rows
     }
 }
 
@@ -581,14 +573,18 @@ mod tests {
             quota_utilization: vec![],
             epoch_timing: vec![StageTimes::zero(); 3],
         };
-        let jsonl = report.telemetry();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 1 + 3 + 2);
-        assert!(lines[0].starts_with(r#"{"record":"fleet""#));
-        assert!(lines[1].contains(r#""record":"epoch""#));
-        assert!(lines[4].contains(r#""record":"tenant""#));
-        assert!(lines[4].contains(r#""nodes":200"#));
-        for line in lines {
+        let rows = report.telemetry();
+        assert_eq!(rows.len(), 1 + 3 + 2);
+        assert!(rows[0].to_string().starts_with(r#"{"record":"fleet""#));
+        assert_eq!(rows[1].get("record"), Some("epoch"));
+        assert_eq!(rows[4].get("record"), Some("tenant"));
+        assert_eq!(rows[4].get("nodes"), Some("200"));
+        // The tenant rows carry the per-tenant baselines.
+        assert_eq!(rows[4].get("initial_target"), Some("50"));
+        assert_eq!(rows[4].get("fixed_mix_cost"), Some("300"));
+        assert_eq!(rows[4].get("static_peak_cost"), Some("500"));
+        for row in rows {
+            let line = row.finish();
             assert!(line.starts_with('{') && line.ends_with('}'));
         }
     }

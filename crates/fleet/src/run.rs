@@ -445,7 +445,7 @@ impl<'a> FleetRun<'a> {
                         state.tally.slo_violations += 1;
                         sink.counter("fleet.slo_violations", 1);
                         let rho = quantize_target(rate, env.serve_headroom, state.granularity);
-                        if !(policy.resolve && env.failure_resolve) || rho == 0 {
+                        if !policy.resolve || rho == 0 {
                             return Some((rate, None));
                         }
                         // A deferred tenant keeps its current plan until its
@@ -593,7 +593,7 @@ impl<'a> FleetRun<'a> {
                 // Exhausted with no incumbent: inconclusive. Keep the
                 // current plan, skip the episode memo (a retry with more
                 // budget can succeed) and re-queue with backoff.
-                Err(err) => state.defer(err, epoch, policy.backoff_cap)?,
+                Err(err) => state.defer(err, epoch)?,
             }
         }
         for (i, rho, caps) in needs_degrade {
@@ -642,7 +642,7 @@ impl<'a> FleetRun<'a> {
                 Err(err) => {
                     state.tally.failure_resolves -= 1;
                     state.core.last_failure_solve = None;
-                    state.defer(err, epoch, policy.backoff_cap)?;
+                    state.defer(err, epoch)?;
                 }
             }
         }
@@ -860,7 +860,7 @@ impl<'a> FleetRun<'a> {
                 // No usable plan came back (exhausted with no incumbent, an
                 // infeasible quota, or an injected fault): keep the current
                 // plan and re-queue with backoff — deferred, not dropped.
-                Err(err) => state.defer(err, epoch, policy.backoff_cap)?,
+                Err(err) => state.defer(err, epoch)?,
             }
         }
         Ok(())

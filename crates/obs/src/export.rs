@@ -23,11 +23,14 @@
 //!   (`obs.events_dropped`), and the alert plane (counts + firing rules).
 //! * `GET /events` — the flight-recorder tail as JSON lines.
 //!
+//! Any other `GET` gets 404 and any other method 405. A request head longer
+//! than 8 KiB, or whose first line is not `METHOD PATH VERSION`, gets 400.
+//!
 //! The accept loop runs on one background thread; dropping the [`Exporter`]
 //! (or calling [`Exporter::shutdown`]) stops it promptly.
 
-use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, Read, Write as _};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -40,6 +43,9 @@ use crate::recorder::Recorder;
 /// Largest request head the responder reads before answering 400. Scrape
 /// requests are a handful of lines; anything bigger is not a scraper.
 const MAX_REQUEST_BYTES: usize = 8 * 1024;
+
+/// Bytes taken from the connection per read of the request head.
+const READ_CHUNK: usize = 1024;
 
 /// Time a connection gets to deliver its whole request head. One deadline
 /// per connection, not per read: a client trickling a byte at a time must
@@ -115,39 +121,77 @@ fn accept_loop(listener: TcpListener, recorder: Arc<Recorder>, stop: Arc<AtomicB
     }
 }
 
-fn serve_connection(mut stream: TcpStream, recorder: &Recorder) -> std::io::Result<()> {
-    let deadline = Instant::now() + HEAD_DEADLINE;
-    let mut head = Vec::new();
-    let mut chunk = [0u8; 1024];
-    loop {
-        let left = deadline.saturating_duration_since(Instant::now());
+/// A connection's reads under one deadline for the whole request head, so
+/// a client trickling a byte at a time cannot hold the serving thread.
+struct Deadline<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
         if left.is_zero() {
-            return Err(std::io::ErrorKind::TimedOut.into());
+            return Err(io::ErrorKind::TimedOut.into());
         }
-        stream.set_read_timeout(Some(left))?;
-        let n = stream.read(&mut chunk)?;
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
+/// Reads a request head up to its blank line, or to the end of input.
+/// `None` when the head passes [`MAX_REQUEST_BYTES`]: reading stops there,
+/// so the buffer never holds more than the cap plus one [`READ_CHUNK`].
+fn read_head(reader: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+    let mut head = Vec::new();
+    let mut chunk = [0u8; READ_CHUNK];
+    loop {
+        let n = reader.read(&mut chunk)?;
         if n == 0 {
-            break;
+            return Ok(Some(head));
         }
         head.extend_from_slice(&chunk[..n]);
-        if head.windows(4).any(|w| w == b"\r\n\r\n") || head.len() > MAX_REQUEST_BYTES {
-            break;
+        if let Some(end) = head.windows(4).position(|w| w == b"\r\n\r\n") {
+            return Ok((end + 4 <= MAX_REQUEST_BYTES).then_some(head));
+        }
+        if head.len() > MAX_REQUEST_BYTES {
+            return Ok(None);
         }
     }
-    let request = String::from_utf8_lossy(&head);
-    let mut parts = request.lines().next().unwrap_or("").split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    let (status, content_type, body) = match (method, path) {
-        ("GET", "/metrics") => (
+}
+
+/// The method and path of a head whose first line is `METHOD PATH VERSION`.
+fn request_line(head: &[u8]) -> Option<(&str, &str)> {
+    let line = head.split(|&b| b == b'\n').next()?;
+    let line = std::str::from_utf8(line).ok()?.trim_end_matches('\r');
+    let mut parts = line.split(' ');
+    match (parts.next(), parts.next(), parts.next(), parts.next()) {
+        (Some(method), Some(path), Some(version), None)
+            if !method.is_empty() && path.starts_with('/') && version.starts_with("HTTP/") =>
+        {
+            Some((method, path))
+        }
+        _ => None,
+    }
+}
+
+fn serve_connection(stream: TcpStream, recorder: &Recorder) -> io::Result<()> {
+    let mut reader = Deadline {
+        stream: &stream,
+        deadline: Instant::now() + HEAD_DEADLINE,
+    };
+    let head = read_head(&mut reader)?;
+    let (status, content_type, body) = match head.as_deref().and_then(request_line) {
+        None => ("400 Bad Request", "text/plain", "bad request\n".to_string()),
+        Some(("GET", "/metrics")) => (
             "200 OK",
             "text/plain; version=0.0.4",
             render_prometheus(&recorder.snapshot()),
         ),
-        ("GET", "/health") => ("200 OK", "application/json", render_health(recorder)),
-        ("GET", "/events") => ("200 OK", "application/x-ndjson", recorder.events_jsonl()),
-        ("GET", _) => ("404 Not Found", "text/plain", "not found\n".to_string()),
-        _ => (
+        Some(("GET", "/health")) => ("200 OK", "application/json", render_health(recorder)),
+        Some(("GET", "/events")) => ("200 OK", "application/x-ndjson", recorder.events_jsonl()),
+        Some(("GET", _)) => ("404 Not Found", "text/plain", "not found\n".to_string()),
+        Some(_) => (
             "405 Method Not Allowed",
             "text/plain",
             "method not allowed\n".to_string(),
@@ -157,8 +201,16 @@ fn serve_connection(mut stream: TcpStream, recorder: &Recorder) -> std::io::Resu
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len(),
     );
-    stream.write_all(response.as_bytes())?;
-    stream.flush()
+    (&stream).write_all(response.as_bytes())?;
+    (&stream).flush()?;
+    if head.is_none() {
+        // Discard what the client still sends of the over-long head (until
+        // it stops or the deadline passes), so closing does not reset the
+        // connection before the client has read the 400.
+        stream.shutdown(Shutdown::Write)?;
+        io::copy(&mut reader, &mut io::sink())?;
+    }
+    Ok(())
 }
 
 /// A metric name rewritten for the exposition grammar
@@ -294,6 +346,59 @@ mod tests {
         assert!(head.starts_with("HTTP/1.1 404"));
 
         exporter.shutdown();
+    }
+
+    /// Endless request bytes, counting how many were taken.
+    struct Endless {
+        taken: usize,
+    }
+
+    impl Read for Endless {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            buf.fill(b'a');
+            self.taken += buf.len();
+            Ok(buf.len())
+        }
+    }
+
+    #[test]
+    fn an_endless_head_stops_at_the_cap_plus_one_chunk() {
+        let mut endless = Endless { taken: 0 };
+        assert_eq!(read_head(&mut endless).unwrap(), None);
+        assert!(endless.taken > MAX_REQUEST_BYTES);
+        assert!(endless.taken <= MAX_REQUEST_BYTES + READ_CHUNK);
+    }
+
+    #[test]
+    fn heads_are_cut_at_the_blank_line_and_capped() {
+        let padded = |len: usize| {
+            let mut head = b"GET /metrics HTTP/1.1\r\nX-Pad: ".to_vec();
+            head.resize(len - 4, b'a');
+            head.extend_from_slice(b"\r\n\r\n");
+            head
+        };
+        let at_cap = padded(MAX_REQUEST_BYTES);
+        assert_eq!(read_head(&mut &at_cap[..]).unwrap(), Some(at_cap.clone()));
+        assert_eq!(
+            read_head(&mut &padded(MAX_REQUEST_BYTES + 1)[..]).unwrap(),
+            None
+        );
+        // Input that ends before a blank line is the whole head.
+        assert_eq!(
+            read_head(&mut &b"GET /x HTTP/1.1"[..]).unwrap(),
+            Some(b"GET /x HTTP/1.1".to_vec())
+        );
+        assert_eq!(request_line(&at_cap), Some(("GET", "/metrics")));
+        for bad in [
+            &b""[..],
+            b"GET /metrics",
+            b"GET  /metrics HTTP/1.1",
+            b"GET metrics HTTP/1.1",
+            b"GET /metrics HTTP/1.1 x",
+            b"\xff /metrics HTTP/1.1",
+        ] {
+            assert_eq!(request_line(bad), None, "{bad:?}");
+        }
     }
 
     #[test]

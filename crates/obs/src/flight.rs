@@ -67,19 +67,17 @@ pub struct Event {
 }
 
 impl Event {
-    /// Renders the event as one JSON object line.
-    pub fn to_json(&self) -> String {
-        let mut row = JsonRow::new()
+    /// The event as one row.
+    pub fn row(&self) -> JsonRow {
+        let row = JsonRow::new()
             .u64("seq", self.seq)
             .str("kind", self.kind.name())
             .usize("epoch", self.epoch);
-        row = match self.tenant {
+        let row = match self.tenant {
             Some(tenant) => row.usize("tenant", tenant),
             None => row.raw("tenant", "null"),
         };
-        row.f64("value", self.value)
-            .str("detail", &self.detail)
-            .finish()
+        row.f64("value", self.value).str("detail", &self.detail)
     }
 }
 
@@ -175,12 +173,8 @@ impl FlightRecorder {
 
     /// Dumps the retained events as JSON lines, oldest first.
     pub fn dump_jsonl(&self) -> String {
-        let mut out = String::new();
-        for event in self.events() {
-            out.push_str(&event.to_json());
-            out.push('\n');
-        }
-        out
+        let rows: Vec<JsonRow> = self.events().iter().map(Event::row).collect();
+        crate::json::lines(&rows)
     }
 }
 

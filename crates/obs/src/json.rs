@@ -1,7 +1,9 @@
 //! A minimal JSON writer — just enough to render one flat object per line
 //! (JSONL) without pulling a serialization dependency into the offline
-//! workspace. Shared by the metrics/event dumps here and the `--json` mode
-//! of every `repro` lane.
+//! workspace. Shared by the metrics/event dumps here and by every `repro`
+//! lane, whose CSV and Markdown renderings read the same rows.
+
+use std::fmt::{self, Write as _};
 
 /// Escapes a string for inclusion inside JSON double quotes.
 pub fn escape(s: &str) -> String {
@@ -34,45 +36,48 @@ pub fn number(value: f64) -> String {
 
 /// Builder for one flat JSON object, keys in insertion order.
 ///
+/// The row keeps its fields, so the same row that renders as one JSON line
+/// can also become a CSV line or a Markdown table row: [`JsonRow::fields`]
+/// yields each key with its value's text.
+///
 /// ```
 /// use rental_obs::json::JsonRow;
-/// let row = JsonRow::new().str("name", "probe").u64("count", 3).finish();
-/// assert_eq!(row, r#"{"name":"probe","count":3}"#);
+/// let row = JsonRow::new().str("name", "probe").u64("count", 3);
+/// assert_eq!(row.get("name"), Some("probe"));
+/// assert_eq!(row.finish(), r#"{"name":"probe","count":3}"#);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct JsonRow {
-    buf: String,
+    fields: Vec<(String, Value)>,
+}
+
+/// One field's value: a string (quoted and escaped in JSON) or a literal
+/// already in JSON form (number, `true`/`false`, `null`, raw value).
+#[derive(Debug, Clone, PartialEq)]
+enum Value {
+    Str(String),
+    Literal(String),
 }
 
 impl JsonRow {
     /// Starts an empty object.
     pub fn new() -> Self {
-        JsonRow { buf: String::new() }
+        JsonRow { fields: Vec::new() }
     }
 
-    fn key(&mut self, key: &str) {
-        if !self.buf.is_empty() {
-            self.buf.push(',');
-        }
-        self.buf.push('"');
-        self.buf.push_str(&escape(key));
-        self.buf.push_str("\":");
+    fn push(mut self, key: &str, value: Value) -> Self {
+        self.fields.push((key.to_string(), value));
+        self
     }
 
     /// Adds a string field.
-    pub fn str(mut self, key: &str, value: &str) -> Self {
-        self.key(key);
-        self.buf.push('"');
-        self.buf.push_str(&escape(value));
-        self.buf.push('"');
-        self
+    pub fn str(self, key: &str, value: &str) -> Self {
+        self.push(key, Value::Str(value.to_string()))
     }
 
     /// Adds an unsigned integer field.
-    pub fn u64(mut self, key: &str, value: u64) -> Self {
-        self.key(key);
-        self.buf.push_str(&value.to_string());
-        self
+    pub fn u64(self, key: &str, value: u64) -> Self {
+        self.push(key, Value::Literal(value.to_string()))
     }
 
     /// Adds a `usize` field.
@@ -81,30 +86,65 @@ impl JsonRow {
     }
 
     /// Adds a float field (`null` when non-finite).
-    pub fn f64(mut self, key: &str, value: f64) -> Self {
-        self.key(key);
-        self.buf.push_str(&number(value));
-        self
+    pub fn f64(self, key: &str, value: f64) -> Self {
+        self.push(key, Value::Literal(number(value)))
     }
 
     /// Adds a boolean field.
-    pub fn bool(mut self, key: &str, value: bool) -> Self {
-        self.key(key);
-        self.buf.push_str(if value { "true" } else { "false" });
-        self
+    pub fn bool(self, key: &str, value: bool) -> Self {
+        self.push(key, Value::Literal(value.to_string()))
     }
 
     /// Adds a pre-rendered JSON value verbatim (caller guarantees validity).
-    pub fn raw(mut self, key: &str, value: &str) -> Self {
-        self.key(key);
-        self.buf.push_str(value);
-        self
+    pub fn raw(self, key: &str, value: &str) -> Self {
+        self.push(key, Value::Literal(value.to_string()))
+    }
+
+    /// Each key with its value's text: a string field's own characters
+    /// (unescaped), any other field's JSON literal (`3`, `0.5`, `true`,
+    /// `null`, a raw value).
+    pub fn fields(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.fields.iter().map(|(key, value)| match value {
+            Value::Str(text) | Value::Literal(text) => (key.as_str(), text.as_str()),
+        })
+    }
+
+    /// The text of the field named `key`, if the row has one.
+    pub fn get(&self, key: &str) -> Option<&str> {
+        self.fields().find(|&(k, _)| k == key).map(|(_, text)| text)
     }
 
     /// Closes the object and returns it as a single line.
     pub fn finish(self) -> String {
-        format!("{{{}}}", self.buf)
+        self.to_string()
     }
+}
+
+impl fmt::Display for JsonRow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_char('{')?;
+        for (i, (key, value)) in self.fields.iter().enumerate() {
+            if i > 0 {
+                f.write_char(',')?;
+            }
+            write!(f, "\"{}\":", escape(key))?;
+            match value {
+                Value::Str(text) => write!(f, "\"{}\"", escape(text))?,
+                Value::Literal(text) => f.write_str(text)?,
+            }
+        }
+        f.write_char('}')
+    }
+}
+
+/// Renders rows as JSON Lines: one object per line, each line ended by
+/// `\n`.
+pub fn lines(rows: &[JsonRow]) -> String {
+    let mut out = String::new();
+    for row in rows {
+        let _ = writeln!(out, "{row}");
+    }
+    out
 }
 
 #[cfg(test)]
@@ -127,6 +167,19 @@ mod tests {
             .raw("arr", "[1,2]")
             .finish();
         assert_eq!(row, r#"{"s":"x","n":7,"f":0.5,"b":true,"arr":[1,2]}"#);
+    }
+
+    #[test]
+    fn fields_keep_keys_in_order_with_unescaped_text() {
+        let row = JsonRow::new()
+            .str("s", "a,\"b\"")
+            .f64("f", f64::INFINITY)
+            .bool("b", false);
+        let fields: Vec<(&str, &str)> = row.fields().collect();
+        assert_eq!(fields, [("s", "a,\"b\""), ("f", "null"), ("b", "false")]);
+        assert_eq!(row.get("f"), Some("null"));
+        assert_eq!(row.get("missing"), None);
+        assert_eq!(lines(&[row.clone(), row]).lines().count(), 2);
     }
 
     #[test]

@@ -329,49 +329,41 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Renders the snapshot as JSON lines: one `{"metric": ..., ...}`
-    /// object per counter, gauge and histogram, in sorted name order.
+    /// The snapshot as rows: one `{"metric": ..., ...}` object per counter,
+    /// gauge and histogram, in sorted name order.
+    pub fn rows(&self) -> Vec<JsonRow> {
+        let counters = self.counters.iter().map(|(name, &value)| {
+            JsonRow::new()
+                .str("metric", name)
+                .str("type", "counter")
+                .u64("value", value)
+        });
+        let gauges = self.gauges.iter().map(|(name, &value)| {
+            JsonRow::new()
+                .str("metric", name)
+                .str("type", "gauge")
+                .f64("value", value)
+        });
+        let histograms = self.histograms.iter().map(|(name, histogram)| {
+            JsonRow::new()
+                .str("metric", name)
+                .str("type", "histogram")
+                .u64("count", histogram.count())
+                .u64("sum", histogram.sum() as u64)
+                .u64("min", histogram.min())
+                .u64("max", histogram.max())
+                .f64("mean", histogram.mean())
+                .f64("p50", histogram.quantile(0.50))
+                .f64("p95", histogram.quantile(0.95))
+                .f64("p99", histogram.quantile(0.99))
+                .u64("p99_upper", histogram.quantile_upper_bound(0.99))
+        });
+        counters.chain(gauges).chain(histograms).collect()
+    }
+
+    /// Renders the snapshot's [`MetricsSnapshot::rows`] as JSON lines.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for (name, &value) in &self.counters {
-            out.push_str(
-                &JsonRow::new()
-                    .str("metric", name)
-                    .str("type", "counter")
-                    .u64("value", value)
-                    .finish(),
-            );
-            out.push('\n');
-        }
-        for (name, &value) in &self.gauges {
-            out.push_str(
-                &JsonRow::new()
-                    .str("metric", name)
-                    .str("type", "gauge")
-                    .f64("value", value)
-                    .finish(),
-            );
-            out.push('\n');
-        }
-        for (name, histogram) in &self.histograms {
-            out.push_str(
-                &JsonRow::new()
-                    .str("metric", name)
-                    .str("type", "histogram")
-                    .u64("count", histogram.count())
-                    .u64("sum", histogram.sum() as u64)
-                    .u64("min", histogram.min())
-                    .u64("max", histogram.max())
-                    .f64("mean", histogram.mean())
-                    .f64("p50", histogram.quantile(0.50))
-                    .f64("p95", histogram.quantile(0.95))
-                    .f64("p99", histogram.quantile(0.99))
-                    .u64("p99_upper", histogram.quantile_upper_bound(0.99))
-                    .finish(),
-            );
-            out.push('\n');
-        }
-        out
+        crate::json::lines(&self.rows())
     }
 }
 

@@ -4,8 +4,10 @@
 //! HTTP while writer threads mutate the shared recorder, checking that
 //! every scrape is a *consistent* snapshot (cumulative buckets monotone,
 //! `+Inf` equals `_count`, counters never run backwards across scrapes),
-//! and a slow-client test showing a trickling connection cannot starve a
-//! scrape queued behind it.
+//! a slow-client test showing a trickling connection cannot starve a
+//! scrape queued behind it, and hostile-input tests of the request-head
+//! parser: an over-long head gets 400, and arbitrary or mutated heads never
+//! take the serving thread down.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -14,6 +16,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use proptest::prelude::*;
 use rental_obs::{
     render_prometheus, Exporter, Histogram, MetricsSnapshot, Recorder, TelemetrySink,
 };
@@ -188,4 +191,88 @@ fn a_trickling_client_cannot_starve_a_scrape() {
         "bad response: {response}"
     );
     assert!(elapsed < Duration::from_secs(5), "scrape took {elapsed:?}");
+}
+
+/// Sends `bytes` as a whole request, shuts down the write half and returns
+/// what arrives (`None` when the connection fails before any response).
+fn exchange(addr: SocketAddr, bytes: &[u8]) -> Option<Vec<u8>> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream.write_all(bytes).ok()?;
+    stream.shutdown(std::net::Shutdown::Write).ok()?;
+    let mut response = Vec::new();
+    stream.read_to_end(&mut response).ok()?;
+    Some(response)
+}
+
+/// A response that arrived starts with one of the exporter's status lines,
+/// and a normal scrape afterwards still succeeds.
+fn assert_served(addr: SocketAddr, response: Option<Vec<u8>>) {
+    if let Some(response) = response.filter(|r| !r.is_empty()) {
+        let status = [
+            "200 OK",
+            "400 Bad Request",
+            "404 Not Found",
+            "405 Method Not Allowed",
+        ];
+        assert!(
+            status
+                .iter()
+                .any(|s| response.starts_with(format!("HTTP/1.1 {s}\r\n").as_bytes())),
+            "bad status line: {:?}",
+            String::from_utf8_lossy(&response[..response.len().min(64)])
+        );
+    }
+    let (head, _) = scrape(addr, "/metrics");
+    assert!(head.starts_with("HTTP/1.1 200 OK"), "bad head: {head}");
+}
+
+#[test]
+fn a_head_past_the_cap_gets_400() {
+    let exporter = Exporter::bind(Arc::new(Recorder::new()), "127.0.0.1:0").unwrap();
+    let addr = exporter.local_addr();
+    let mut padded = b"GET /metrics HTTP/1.1\r\nX-Pad: ".to_vec();
+    padded.resize(9 * 1024, b'a');
+    let response = exchange(addr, &padded).expect("a response arrives");
+    assert!(
+        response.starts_with(b"HTTP/1.1 400 Bad Request\r\n"),
+        "bad response: {:?}",
+        String::from_utf8_lossy(&response[..response.len().min(64)])
+    );
+    // Garbage whose first line is not `METHOD PATH VERSION` gets 400 too.
+    let response = exchange(addr, b"hello\r\n\r\n").expect("a response arrives");
+    assert!(response.starts_with(b"HTTP/1.1 400 Bad Request\r\n"));
+    assert_served(addr, None);
+    exporter.shutdown();
+}
+
+const VALID_HEAD: &[u8] = b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn arbitrary_heads_never_take_the_exporter_down(
+        bytes in proptest::collection::vec(any::<u8>(), 0..12 * 1024),
+    ) {
+        let exporter = Exporter::bind(Arc::new(Recorder::new()), "127.0.0.1:0").unwrap();
+        let addr = exporter.local_addr();
+        assert_served(addr, exchange(addr, &bytes));
+        exporter.shutdown();
+    }
+
+    #[test]
+    fn mutated_heads_never_take_the_exporter_down(
+        at in 0..VALID_HEAD.len(),
+        byte in any::<u8>(),
+    ) {
+        let exporter = Exporter::bind(Arc::new(Recorder::new()), "127.0.0.1:0").unwrap();
+        let addr = exporter.local_addr();
+        let mut head = VALID_HEAD.to_vec();
+        head[at] = byte;
+        assert_served(addr, exchange(addr, &head));
+        exporter.shutdown();
+    }
 }

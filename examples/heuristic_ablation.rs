@@ -8,7 +8,9 @@
 //! ```
 
 use multi_recipe_cloud::prelude::*;
-use rental_experiments::{delta_sweep, escape_mechanisms, AblationSpec};
+use rental_experiments::{
+    ablation_rows, delta_sweep, escape_mechanisms, rows_markdown, AblationSpec,
+};
 use rental_solvers::registry::extended_suite;
 
 fn main() {
@@ -52,11 +54,11 @@ fn main() {
         ..AblationSpec::default()
     };
     let delta = delta_sweep(&spec, &[1, 5, 10, 20]);
-    println!("\n{}", delta.markdown());
+    println!("\n{}", rows_markdown(&ablation_rows(&delta)));
 
     // 3. The escape-mechanism ablation: random jumps vs annealing vs tabu.
     let escape = escape_mechanisms(&spec);
-    println!("{}", escape.markdown());
+    println!("{}", rows_markdown(&ablation_rows(&escape)));
     if let Some(best) = escape.best_row() {
         println!(
             "Best escape mechanism on this sweep: {} (mean normalised cost {:.4})",

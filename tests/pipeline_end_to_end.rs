@@ -90,8 +90,9 @@ fn no_shared_dp_agrees_with_ilp_on_disjoint_instances() {
 
 #[test]
 fn suite_and_experiment_harness_work_on_generated_medium_instances() {
-    use multi_recipe_cloud::experiments::figure_csv;
-    use multi_recipe_cloud::experiments::{run_experiment, ExperimentSpec, Metric};
+    use multi_recipe_cloud::experiments::{
+        figure_rows, rows_csv, run_experiment, ExperimentSpec, Metric,
+    };
 
     let mut suite = SuiteConfig::with_seed(11);
     // Keep the test bounded even on an unlucky instance: a time-limited ILP
@@ -123,7 +124,7 @@ fn suite_and_experiment_harness_work_on_generated_medium_instances() {
             }
         }
     }
-    let csv = figure_csv(&results, Metric::NormalisedCost);
+    let csv = rows_csv(&figure_rows(&results, Metric::NormalisedCost));
     assert!(csv.lines().count() > 1);
 }
 
