@@ -3,7 +3,7 @@
 //! Benchmark of the telemetry substrate's **zero-cost** claim on the
 //! failure-coupled serving path.
 //!
-//! Three variants of the identical 8-tenant run are compared:
+//! Three variants of the identical failure-coupled run are compared:
 //!
 //! * `baseline` — the untelemetered PR-7 path (the controller's default
 //!   `NoopSink`, nothing installed ambiently);
@@ -31,9 +31,19 @@
 //! * **scrape cost**: the mean `/metrics` round-trip against the fully
 //!   populated recorder stays under [`SCRAPE_FLOOR`].
 //!
-//! Wall-times are the minimum over repeated whole runs — the noise-free
-//! estimate, same idiom as the `fleet_recovery` bench. One worker thread
-//! and a node-cap budget keep every run deterministic.
+//! The overheads are measured on a fleet large enough that one plain run
+//! lasts at least [`MIN_RUN_SECONDS`]: the 8-tenant scenario doubles its
+//! tenants until it does. On a run of a few tens of milliseconds the
+//! scheduler's noise is larger than both floors. Each of [`TRIALS`] trials
+//! runs the three variants back to back, in alternating order (baseline
+//! first, then baseline last), and an overhead is the minimum over the
+//! trials of the variant's wall-time divided by the baseline's of the same
+//! trial. Pairing cancels the host's slow drift, alternating the order
+//! cancels a bias toward the first or last run of a trial, and the minimum
+//! discards trials where contention slowed the variant's run: an overhead
+//! fails its floor only when every trial shows it. Wall-times are the
+//! minimum over the trials. One worker thread and a node-cap budget keep
+//! every run deterministic.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -52,8 +62,13 @@ use rental_obs::{install_scoped, Exporter, NoopSink, Recorder};
 use rental_solvers::exact::IlpSolver;
 use rental_solvers::SolveBudget;
 
+/// Tenants of the criterion groups' fleet, and where the calibration of the
+/// measured fleet starts.
 const NUM_TENANTS: usize = 8;
-/// Whole-run repetitions; the minimum is the noise-free wall-time estimate.
+/// The measured fleet doubles its tenants until one plain run lasts this
+/// long.
+const MIN_RUN_SECONDS: f64 = 1.0;
+/// Paired trials; each runs every variant once.
 const TRIALS: usize = 7;
 /// ISSUE-8 floor: explicit NoopSink within 1% of the untelemetered path.
 const NOOP_FLOOR: f64 = 0.01;
@@ -66,12 +81,14 @@ const SCRAPES: usize = 50;
 /// would make a 1 Hz scraper a tax on the serving host.
 const SCRAPE_FLOOR: f64 = 0.010;
 
-fn scenario() -> (
+fn scenario(
+    tenants: usize,
+) -> (
     Vec<rental_fleet::TenantSpec>,
     rental_fleet::CapacityConfig,
     FleetPolicy,
 ) {
-    let (scenario, config) = failure_coupled_fleet(NUM_TENANTS, ACCEPTANCE_SEED, 96.0, 4.0);
+    let (scenario, config) = failure_coupled_fleet(tenants, ACCEPTANCE_SEED, 96.0, 4.0);
     let policy = FleetPolicy {
         threads: Some(1),
         epoch_budget: Some(SolveBudget::with_node_cap(50_000)),
@@ -113,8 +130,16 @@ fn timed(
     (report, start.elapsed().as_secs_f64())
 }
 
+/// The three measured variants.
+#[derive(Clone, Copy)]
+enum Variant {
+    Baseline,
+    Noop,
+    Enabled,
+}
+
 fn bench_fleet_obs(c: &mut Criterion) {
-    let (tenants, config, policy) = scenario();
+    let (tenants, config, policy) = scenario(NUM_TENANTS);
 
     let baseline_controller = FleetController::new(policy);
     let noop_controller = FleetController::new(policy).with_telemetry(Arc::new(NoopSink));
@@ -141,57 +166,74 @@ fn bench_fleet_obs(c: &mut Criterion) {
     // The acceptance checks, written to BENCH_fleet_obs.json.
     // ------------------------------------------------------------------
 
-    // The three variants are timed **interleaved** (baseline, noop,
-    // recorder, repeat) so slow machine drift — turbo decay, background
-    // load — hits all three equally instead of whichever ran last. The
-    // overhead estimate is the minimum over the trials of the *paired*
-    // per-trial ratio: pairing adjacent runs cancels drift within a trial,
-    // and the minimum discards trials where a scheduler hiccup inflated
-    // one side — a stable lower bound on the true overhead.
-    let mut baseline_seconds = f64::INFINITY;
-    let mut noop_seconds = f64::INFINITY;
-    let mut enabled_seconds = f64::INFINITY;
-    let mut noop_ratio = f64::INFINITY;
-    let mut enabled_ratio = f64::INFINITY;
-    let mut reference = None;
-    let mut noop_report = None;
+    // The measured fleet: double the tenants until a plain run lasts
+    // MIN_RUN_SECONDS.
+    let mut num_tenants = NUM_TENANTS;
+    let (tenants, config, policy) = loop {
+        let (tenants, config, policy) = scenario(num_tenants);
+        let (_, seconds) = timed(&FleetController::new(policy), &tenants, &config);
+        if seconds >= MIN_RUN_SECONDS {
+            break (tenants, config, policy);
+        }
+        num_tenants *= 2;
+    };
+    let baseline_controller = FleetController::new(policy);
+    let noop_controller = FleetController::new(policy).with_telemetry(Arc::new(NoopSink));
+    let mut seconds = [Vec::new(), Vec::new(), Vec::new()];
+    let mut reference: Option<FleetReport> = None;
+    let mut noop_identical = true;
+    let mut enabled_identical = true;
     let mut enabled = None;
-    for _ in 0..TRIALS {
-        let (report, base_secs) = timed(&baseline_controller, &tenants, &config);
-        baseline_seconds = baseline_seconds.min(base_secs);
-        reference = Some(report);
-
-        let (report, seconds) = timed(&noop_controller, &tenants, &config);
-        noop_seconds = noop_seconds.min(seconds);
-        noop_ratio = noop_ratio.min(seconds / base_secs);
-        noop_report = Some(report);
-
-        let recorder = Arc::new(Recorder::new());
-        let enabled_controller = FleetController::new(policy).with_telemetry(recorder.clone());
-        let guard = install_scoped(recorder.clone());
-        let (report, seconds) = timed(&enabled_controller, &tenants, &config);
-        drop(guard);
-        enabled_seconds = enabled_seconds.min(seconds);
-        enabled_ratio = enabled_ratio.min(seconds / base_secs);
-        enabled = Some((report, recorder));
+    for trial in 0..TRIALS {
+        let mut order = [Variant::Baseline, Variant::Noop, Variant::Enabled];
+        if trial % 2 == 1 {
+            order.reverse();
+        }
+        for variant in order {
+            let (report, secs) = match variant {
+                Variant::Baseline => timed(&baseline_controller, &tenants, &config),
+                Variant::Noop => timed(&noop_controller, &tenants, &config),
+                Variant::Enabled => {
+                    let recorder = Arc::new(Recorder::new());
+                    let controller = FleetController::new(policy).with_telemetry(recorder.clone());
+                    let guard = install_scoped(recorder.clone());
+                    let (report, secs) = timed(&controller, &tenants, &config);
+                    drop(guard);
+                    enabled = Some(recorder);
+                    (report, secs)
+                }
+            };
+            seconds[variant as usize].push(secs);
+            let reference = reference.get_or_insert_with(|| report.clone());
+            let identical = report.matches_modulo_timing(reference);
+            match variant {
+                Variant::Baseline => assert!(identical, "the untelemetered runs diverged"),
+                Variant::Noop => noop_identical &= identical,
+                Variant::Enabled => enabled_identical &= identical,
+            }
+        }
     }
     let reference = reference.expect("TRIALS >= 1");
     let epochs = reference.epochs;
+    let paired = |variant: Variant| {
+        (seconds[variant as usize].iter())
+            .zip(&seconds[Variant::Baseline as usize])
+            .map(|(secs, base)| secs / base)
+            .fold(f64::INFINITY, f64::min)
+    };
+    let (noop_ratio, enabled_ratio) = (paired(Variant::Noop), paired(Variant::Enabled));
+    let [baseline_seconds, noop_seconds, enabled_seconds] =
+        seconds.map(|runs| runs.into_iter().fold(f64::INFINITY, f64::min));
 
-    let noop_identical = noop_report
-        .expect("TRIALS >= 1")
-        .matches_modulo_timing(&reference);
     assert!(
         noop_identical,
-        "the NoopSink run diverged from the untelemetered path"
+        "a NoopSink run diverged from the untelemetered path"
     );
-
-    let (enabled_report, recorder) = enabled.expect("TRIALS >= 1");
-    let enabled_identical = enabled_report.matches_modulo_timing(&reference);
     assert!(
         enabled_identical,
-        "the recorded run diverged from the untelemetered path"
+        "a recorded run diverged from the untelemetered path"
     );
+    let recorder = enabled.expect("TRIALS >= 1");
     let snapshot = recorder.snapshot();
     let lp_solves = snapshot.counters.get("lp.solves").copied().unwrap_or(0);
     let events = recorder.flight().events().len();
@@ -249,8 +291,8 @@ fn bench_fleet_obs(c: &mut Criterion) {
     let enabled_overhead = enabled_ratio - 1.0;
     let rows = [JsonRow::new()
         .str("record", "fleet_obs")
-        .str("scenario", &format!("failure-coupled-{NUM_TENANTS}-obs"))
-        .usize("tenants", NUM_TENANTS)
+        .str("scenario", &format!("failure-coupled-{num_tenants}-obs"))
+        .usize("tenants", num_tenants)
         .usize("epochs", epochs)
         .usize("trials", TRIALS)
         .f64("baseline_seconds", baseline_seconds)

@@ -12,7 +12,9 @@
 //! * The harness then takes **tenant-epochs/sec** — the headline scaling
 //!   metric — from the `fleet_scale` lane (`run_fleet_scale_experiment`),
 //!   which times the sequential (`shards: Some(1)`) and sharded
-//!   (`shards: None`, auto) epoch loops directly at each fleet size. It
+//!   (`shards: None`, auto) epoch loops directly at each fleet size,
+//!   repeating each run until its loops add up to 0.2 s and keeping the
+//!   fastest loop, so even the 1k lane gets past the host's noise. It
 //!   enforces the floors: sharded reports bit-identical (modulo timing) to
 //!   sequential at shard counts {1, 2, 4, 8}, and sharded ≥ 3× sequential
 //!   tenant-epochs/sec at 4k tenants when the host has ≥ 4 cores. It writes

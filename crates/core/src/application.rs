@@ -15,7 +15,8 @@ use crate::types::{RecipeId, Throughput, TypeId};
 /// type `q` in recipe `j`.
 ///
 /// Every cost evaluation of the shared-type case reads this matrix, so it is
-/// computed once per instance and stored row-major. The matrix also owns the
+/// computed once per instance and stored row-major. The counts are immutable
+/// and shared: a clone points at the same storage. The matrix also owns the
 /// lazily built, instance-wide [`PairDiffTable`] of the search kernel, so the
 /// `O(J²·Q)` table construction is paid once per instance — not once per
 /// solve — across restarts, jumps and whole solver portfolios.
@@ -23,7 +24,7 @@ use crate::types::{RecipeId, Throughput, TypeId};
 pub struct TypeDemandMatrix {
     num_recipes: usize,
     num_types: usize,
-    counts: Vec<u64>,
+    counts: Arc<[u64]>,
     diffs: OnceLock<Arc<PairDiffTable>>,
 }
 
@@ -32,7 +33,7 @@ impl Clone for TypeDemandMatrix {
         TypeDemandMatrix {
             num_recipes: self.num_recipes,
             num_types: self.num_types,
-            counts: self.counts.clone(),
+            counts: Arc::clone(&self.counts),
             // The cached table is shared, not rebuilt: it depends only on the
             // counts, which are immutable.
             diffs: self.diffs.clone(),
@@ -42,10 +43,11 @@ impl Clone for TypeDemandMatrix {
 
 impl PartialEq for TypeDemandMatrix {
     fn eq(&self, other: &Self) -> bool {
-        // The diff cache is derived state; equality is defined by the counts.
+        // The diff cache is derived state; equality is defined by the counts,
+        // and counts in one storage are equal without a scan.
         self.num_recipes == other.num_recipes
             && self.num_types == other.num_types
-            && self.counts == other.counts
+            && same_or_equal(&self.counts, &other.counts)
     }
 }
 
@@ -53,7 +55,8 @@ impl Eq for TypeDemandMatrix {}
 
 impl Hash for TypeDemandMatrix {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        // Consistent with `PartialEq`: the counts only, never the cache.
+        // Consistent with `PartialEq`: the counts only, never the cache. A
+        // shared slice hashes exactly like the `Vec` it replaced.
         self.num_recipes.hash(state);
         self.num_types.hash(state);
         self.counts.hash(state);
@@ -70,7 +73,7 @@ impl TypeDemandMatrix {
         TypeDemandMatrix {
             num_recipes: recipes.len(),
             num_types,
-            counts,
+            counts: counts.into(),
             diffs: OnceLock::new(),
         }
     }
@@ -88,6 +91,12 @@ impl TypeDemandMatrix {
     #[inline]
     pub fn num_recipes(&self) -> usize {
         self.num_recipes
+    }
+
+    /// The whole matrix, row-major.
+    #[inline]
+    pub(crate) fn counts(&self) -> &[u64] {
+        &self.counts
     }
 
     /// Number of types `Q`.
@@ -170,12 +179,36 @@ impl TypeDemandMatrix {
     }
 }
 
+/// Whether two shared slices are equal: one storage is equal to itself
+/// without a scan, and separate storages compare by value.
+pub(crate) fn same_or_equal<T: PartialEq>(a: &Arc<[T]>, b: &Arc<[T]>) -> bool {
+    Arc::ptr_eq(a, b) || **a == **b
+}
+
 /// The global application `φ`: `J` alternative recipes computing the same
 /// result, each able to carry a share `ρ_j` of the target throughput.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// The recipes are immutable and shared: a clone points at the same storage.
+/// Equality and hashing are by value.
+#[derive(Debug, Clone)]
 pub struct GlobalApplication {
-    recipes: Vec<Recipe>,
+    recipes: Arc<[Recipe]>,
     demand: TypeDemandMatrix,
+}
+
+impl PartialEq for GlobalApplication {
+    fn eq(&self, other: &Self) -> bool {
+        same_or_equal(&self.recipes, &other.recipes) && self.demand == other.demand
+    }
+}
+
+impl Eq for GlobalApplication {}
+
+impl Hash for GlobalApplication {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.recipes.hash(state);
+        self.demand.hash(state);
+    }
 }
 
 impl GlobalApplication {
@@ -194,7 +227,10 @@ impl GlobalApplication {
             recipe.validate_types(RecipeId(j), platform.num_types())?;
         }
         let demand = TypeDemandMatrix::from_recipes(&recipes, platform.num_types());
-        Ok(GlobalApplication { recipes, demand })
+        Ok(GlobalApplication {
+            recipes: recipes.into(),
+            demand,
+        })
     }
 
     /// Number of recipes `J`.

@@ -52,7 +52,7 @@ pub mod types;
 pub use allocation::{Allocation, Solution, ThroughputSplit};
 pub use application::{GlobalApplication, TypeDemandMatrix};
 pub use error::{ModelError, ModelResult};
-pub use instance::Instance;
+pub use instance::{Instance, InstanceClasses};
 pub use plan::{PlannedMachine, ProvisioningPlan, TypeSummary};
 pub use platform::{MachineType, Platform};
 pub use recipe::{Edge, Recipe, Task};

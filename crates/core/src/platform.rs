@@ -5,6 +5,10 @@
 //! of type `q` at throughput `r_q` (data sets per time unit). All machines of
 //! the same type are identical.
 
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
+
+use crate::application::same_or_equal;
 use crate::error::{ModelError, ModelResult};
 use crate::types::{Cost, Throughput, TypeId};
 
@@ -39,10 +43,27 @@ impl MachineType {
 /// The set of machine types available for rent (`P_1 .. P_Q`).
 ///
 /// The platform is indexed by [`TypeId`]; type `q` is both the task type and
-/// the machine type able to process it.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// the machine type able to process it. The machine list is immutable and
+/// shared: a clone points at the same storage. Equality and hashing are by
+/// value.
+#[derive(Debug, Clone)]
 pub struct Platform {
-    machines: Vec<MachineType>,
+    machines: Arc<[MachineType]>,
+}
+
+impl PartialEq for Platform {
+    fn eq(&self, other: &Self) -> bool {
+        same_or_equal(&self.machines, &other.machines)
+    }
+}
+
+impl Eq for Platform {}
+
+impl Hash for Platform {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // A shared slice hashes exactly like the `Vec` it replaced.
+        self.machines.hash(state);
+    }
 }
 
 impl Platform {
@@ -61,7 +82,9 @@ impl Platform {
                 return Err(ModelError::ZeroThroughput { type_id: TypeId(q) });
             }
         }
-        Ok(Platform { machines })
+        Ok(Platform {
+            machines: machines.into(),
+        })
     }
 
     /// Builds a platform from `(throughput, cost)` pairs.

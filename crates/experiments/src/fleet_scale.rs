@@ -10,10 +10,13 @@
 //! loop alone. A disabled telemetry sink times the loop directly, from the
 //! first `fleet.epochs` increment (the first epoch starts) to the last
 //! `fleet.epoch_watermark` gauge (the last epoch ends), so neither the
-//! initial solve fan-out nor the report's baselines count. Every row also
-//! re-checks the determinism contract: the sharded report must be
-//! bit-identical (modulo the wall-clock timing family) to the sequential
-//! one.
+//! initial solve fan-out nor the report's baselines count. A measurement
+//! repeats its run until the loops add up to `MIN_LOOP_SECS` (0.2 s) and keeps
+//! the fastest loop: a 1k-tenant loop lasts a few tens of milliseconds,
+//! shorter than the host's noise, so two runs are not enough to find an
+//! undisturbed one. Every row also re-checks
+//! the determinism contract: the sharded report must be bit-identical
+//! (modulo the wall-clock timing family) to the sequential one.
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -36,9 +39,13 @@ pub struct FleetScaleSpec {
     /// Shard count of the sharded run; `None` auto-sizes from the fleet
     /// and worker count (the production default).
     pub shards: Option<usize>,
-    /// Timed trials per measurement; the minimum is kept.
+    /// Fewest timed runs per measurement.
     pub trials: usize,
 }
+
+/// A measurement repeats its run until the runs' epoch loops add up to at
+/// least this many seconds.
+const MIN_LOOP_SECS: f64 = 0.2;
 
 impl Default for FleetScaleSpec {
     fn default() -> Self {
@@ -51,10 +58,13 @@ impl Default for FleetScaleSpec {
     }
 }
 
-/// One timed run: the epoch loop as the stamping sink saw it, and the
-/// whole run around it.
+/// The timed runs of one measurement: how many there were, and the run
+/// with the fastest epoch loop — its loop as the stamping sink saw it, and
+/// the whole run around it.
 #[derive(Debug, Clone, Copy)]
 pub struct LoopTiming {
+    /// Runs timed.
+    pub runs: usize,
     /// Epochs the loop served (`fleet.epochs` increments).
     pub epochs: usize,
     /// Seconds from the first epoch's start to the last epoch's end.
@@ -79,9 +89,9 @@ pub struct FleetScaleRow {
     pub tenants: usize,
     /// Shard count the sharded run actually used.
     pub shards_used: usize,
-    /// The sequential run with the fastest loop over the trials.
+    /// The sequential runs, by the fastest loop.
     pub sequential: LoopTiming,
-    /// The sharded run with the fastest loop over the trials.
+    /// The sharded runs, by the fastest loop.
     pub sharded: LoopTiming,
     /// Whether the sharded report was bit-identical (modulo timing) to the
     /// sequential one.
@@ -144,35 +154,52 @@ impl TelemetrySink for LoopClock {
     }
 }
 
-/// The run with the fastest epoch loop over `trials` runs of `scenario`
-/// under `policy`.
-fn fastest_run(
+/// Runs `scenario` under `policy` at least `trials` times, and until the
+/// runs' epoch loops add up to [`MIN_LOOP_SECS`]; returns the timing of the
+/// run with the fastest loop and the last run's report. Every run must
+/// report the same.
+fn timed_runs(
     scenario: &FleetScenario,
     policy: FleetPolicy,
     trials: usize,
 ) -> SolveResult<(LoopTiming, FleetReport)> {
-    let mut best: Option<(LoopTiming, FleetReport)> = None;
-    for _ in 0..trials.max(1) {
+    let (mut runs, mut loop_total) = (0, 0.0);
+    let mut fastest: Option<LoopTiming> = None;
+    let mut last: Option<FleetReport> = None;
+    while runs < trials.max(1) || (loop_total < MIN_LOOP_SECS && loop_total > 0.0) {
         let clock = Arc::new(LoopClock::default());
         let controller = FleetController::new(policy).with_telemetry(clock.clone());
         let start = Instant::now();
         let report = controller.run(&IlpSolver::new(), &scenario.tenants)?;
         let run_secs = start.elapsed().as_secs_f64();
-        let (epochs, first, last) = *clock.0.lock().expect("loop clock");
-        let loop_secs = match (first, last) {
-            (Some(first), Some(last)) => last.duration_since(first).as_secs_f64(),
+        let (epochs, first, end) = *clock.0.lock().expect("loop clock");
+        let loop_secs = match (first, end) {
+            (Some(first), Some(end)) => end.duration_since(first).as_secs_f64(),
             _ => 0.0,
         };
-        let timing = LoopTiming {
-            epochs,
-            loop_secs,
-            run_secs,
-        };
-        if best.as_ref().is_none_or(|(b, _)| loop_secs < b.loop_secs) {
-            best = Some((timing, report));
+        if let Some(previous) = &last {
+            assert!(
+                report.matches_modulo_timing(previous),
+                "repeated runs of one scenario diverged"
+            );
+        }
+        last = Some(report);
+        runs += 1;
+        loop_total += loop_secs;
+        if fastest.is_none_or(|f| loop_secs < f.loop_secs) {
+            fastest = Some(LoopTiming {
+                runs,
+                epochs,
+                loop_secs,
+                run_secs,
+            });
         }
     }
-    Ok(best.expect("trials >= 1"))
+    let timing = LoopTiming {
+        runs,
+        ..fastest.expect("at least one run")
+    };
+    Ok((timing, last.expect("at least one run")))
 }
 
 /// Runs the sequential-vs-sharded scaling sweep.
@@ -193,8 +220,8 @@ pub fn run_fleet_scale_experiment(spec: &FleetScaleSpec) -> SolveResult<FleetSca
             ..scenario.policy
         };
         let (sequential, sequential_report) =
-            fastest_run(&scenario, sequential_policy, spec.trials)?;
-        let (sharded, sharded_report) = fastest_run(&scenario, sharded_policy, spec.trials)?;
+            timed_runs(&scenario, sequential_policy, spec.trials)?;
+        let (sharded, sharded_report) = timed_runs(&scenario, sharded_policy, spec.trials)?;
         rows.push(FleetScaleRow {
             scenario: scenario.name,
             tenants,
@@ -222,6 +249,8 @@ pub fn fleet_scale_rows(table: &FleetScaleTable) -> Vec<JsonRow> {
                 .usize("cores", table.cores)
                 .usize("tenants", row.tenants)
                 .usize("shards", row.shards_used)
+                .usize("sequential_runs", row.sequential.runs)
+                .usize("sharded_runs", row.sharded.runs)
                 .usize("sequential_epochs", row.sequential.epochs)
                 .usize("sharded_epochs", row.sharded.epochs)
                 .f64("sequential_secs", row.sequential.loop_secs)

@@ -11,7 +11,6 @@
 //! and the per-tenant state; every entry point is a thin constructor of the
 //! one shared epoch loop (the crate's `run` module).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use rental_capacity::{CapacityConfig, CapacityPool, UNLIMITED_CAP};
@@ -193,24 +192,22 @@ pub(crate) fn quantize_target(rate: f64, headroom: f64, granularity: u64) -> Thr
     rho.div_ceil(g) * g
 }
 
-/// [`initial_target`] with an explicit head-room: the coupled serving path
-/// provisions with availability-adjusted head-room, the plain path with the
-/// policy's own — both quantize through this one function so the two cannot
-/// drift apart.
-pub(crate) fn initial_target_with(
-    epoch: f64,
-    headroom: f64,
-    instance: &Instance,
-    trace: &WorkloadTrace,
-) -> u64 {
-    let first_rate = trace.epoch_peaks(epoch).first().copied().unwrap_or(0.0);
-    quantize_target(first_rate, headroom, instance.throughput_granularity())
+/// [`initial_target`] from a tenant's epoch peaks, under an explicit
+/// head-room and granularity: the coupled serving path provisions with
+/// availability-adjusted head-room, the plain path with the policy's own —
+/// both quantize through this one function so the two cannot drift apart.
+pub(crate) fn first_target(peaks: &[f64], headroom: f64, granularity: u64) -> Throughput {
+    quantize_target(peaks.first().copied().unwrap_or(0.0), headroom, granularity)
 }
 
 /// The provisioning target a tenant's **initial** plan is solved for: its
 /// first epoch's demand (what a cold-started system sees), quantized.
 pub fn initial_target(policy: &FleetPolicy, instance: &Instance, trace: &WorkloadTrace) -> u64 {
-    initial_target_with(policy.epoch, policy.headroom, instance, trace)
+    first_target(
+        &trace.epoch_peaks(policy.epoch),
+        policy.headroom,
+        instance.throughput_granularity(),
+    )
 }
 
 /// The fractional (LP) lower bound on any plan's hourly cost per unit of
@@ -331,9 +328,52 @@ impl ProbeEntry {
 /// A solved target the tenant remembers: the outcome plus the horizon cache
 /// of its plan. Probes use it as a sharp reference and adoption decisions
 /// reuse it without re-solving when the workload revisits the target.
+/// Immutable once learned, so the tenants of one initial request share
+/// their initial plan.
 pub(crate) struct KnownPlan {
     pub(crate) outcome: SolverOutcome,
     pub(crate) cache: HorizonCache,
+}
+
+/// The derived state a tenant's state is built around: the initial plan's
+/// target and recipe mix, the scalers of the current and the initial mix,
+/// and the instance's constants. Pure functions of the instance, the plan
+/// and the run's policy, so a fresh run builds one per distinct initial
+/// request and its tenants share it; a resumed run builds one per tenant
+/// (its current mix may have moved on from the initial one).
+pub(crate) struct Derived {
+    pub(crate) initial_target: Throughput,
+    pub(crate) initial_fractions: Arc<[f64]>,
+    /// Scaler of the current mix under the serving policy.
+    pub(crate) scaler: FixedMixScaler,
+    /// Scaler of the initial mix under the baseline policy.
+    pub(crate) baseline: FixedMixScaler,
+    /// The availability the static-headroom baseline is sized for, under
+    /// failures.
+    pub(crate) headroom_availability: Option<f64>,
+    pub(crate) granularity: u64,
+    pub(crate) min_unit_cost: f64,
+}
+
+impl Derived {
+    /// The derived state of `instance` serving under `env`, started from the
+    /// `initial` plan's `(target, recipe mix)` and now running `current`.
+    pub(crate) fn new(
+        instance: &Instance,
+        env: &RunEnv,
+        (initial_target, initial_fractions): (Throughput, Vec<f64>),
+        current: &[f64],
+    ) -> Self {
+        Derived {
+            initial_target,
+            scaler: FixedMixScaler::new(instance, current, &env.scaling),
+            baseline: FixedMixScaler::new(instance, &initial_fractions, &env.baseline_scaling),
+            initial_fractions: initial_fractions.into(),
+            headroom_availability: env.failures_enabled.then_some(env.availability),
+            granularity: instance.throughput_granularity(),
+            min_unit_cost: min_unit_cost(instance),
+        }
+    }
 }
 
 /// A tenant's decision state: everything besides its running totals and
@@ -415,12 +455,11 @@ pub(crate) struct Baselines {
 }
 
 impl Baselines {
-    fn new(spec: &TenantSpec, initial_fractions: &[f64], env: &RunEnv) -> Self {
-        let scaler = FixedMixScaler::new(&spec.instance, initial_fractions, &env.baseline_scaling);
-        let headroom_fleet = if env.failures_enabled {
-            scaler.required_for(spec.trace.peak_rate() / env.availability)
-        } else {
-            Vec::new()
+    fn new(spec: &TenantSpec, derived: &Derived) -> Self {
+        let scaler = derived.baseline.clone();
+        let headroom_fleet = match derived.headroom_availability {
+            Some(availability) => scaler.required_for(spec.trace.peak_rate() / availability),
+            None => Vec::new(),
         };
         Baselines {
             scaler,
@@ -440,13 +479,16 @@ impl Baselines {
 }
 
 /// Mutable per-tenant state of a run: the persisted decision state and
-/// totals plus the caches derived from them.
+/// totals plus the caches derived from them. What the tenants of one
+/// initial request have in common — the initial mix, the scalers' rates,
+/// the initial plan — is shared, not copied; what each tenant changes is
+/// its own and inline.
 pub(crate) struct TenantState<'a> {
     pub(crate) spec: &'a TenantSpec,
     /// The target the initial plan was solved for.
     pub(crate) initial_target: Throughput,
     /// The recipe mix the tenant started with (the baselines' mix).
-    pub(crate) initial_fractions: Vec<f64>,
+    pub(crate) initial_fractions: Arc<[f64]>,
     pub(crate) peaks: Vec<f64>,
     pub(crate) granularity: u64,
     pub(crate) min_unit_cost: f64,
@@ -456,42 +498,43 @@ pub(crate) struct TenantState<'a> {
     pub(crate) core: TenantCore,
     pub(crate) tally: Tally,
     pub(crate) epoch_costs: Vec<f64>,
-    pub(crate) probe_cache: HashMap<Throughput, ProbeEntry>,
+    /// The probe memo: one keep projection per target probed since the
+    /// current mix was adopted — a handful, so a list beats a hash map.
+    pub(crate) probe_cache: Vec<(Throughput, ProbeEntry)>,
     /// Every plan learned, oldest first. A target re-solved under tighter
     /// caps is learned again, and the newest plan for a target shadows the
     /// older ones. Append-only, so a checkpoint serializes it as is and a
     /// journal record carries exactly the plans learned since the previous
     /// record — replacements included.
-    pub(crate) plans: Vec<(Throughput, KnownPlan)>,
+    pub(crate) plans: Vec<(Throughput, Arc<KnownPlan>)>,
 }
 
 impl<'a> TenantState<'a> {
-    /// Rebuilds the derived caches around persisted (or freshly initialised)
-    /// state: the initial plan's `(target, recipe mix)`, the decision state,
-    /// the running totals and the plan log.
+    /// Builds a tenant's state around its `derived` state, its epoch peaks
+    /// and its persisted (or freshly initialised) decision state, running
+    /// totals and plan log.
     pub(crate) fn new(
         spec: &'a TenantSpec,
-        env: &RunEnv,
-        (initial_target, initial_fractions): (Throughput, Vec<f64>),
+        derived: &Derived,
+        peaks: Vec<f64>,
         core: TenantCore,
         tally: Tally,
         epoch_costs: Vec<f64>,
-        plans: Vec<(Throughput, KnownPlan)>,
+        plans: Vec<(Throughput, Arc<KnownPlan>)>,
     ) -> Self {
-        let instance = &spec.instance;
         TenantState {
             spec,
-            initial_target,
-            baselines: Baselines::new(spec, &initial_fractions, env),
-            initial_fractions,
-            peaks: spec.trace.epoch_peaks(env.baseline_scaling.epoch),
-            granularity: instance.throughput_granularity(),
-            min_unit_cost: min_unit_cost(instance),
-            scaler: FixedMixScaler::new(instance, &core.fractions, &env.scaling),
+            initial_target: derived.initial_target,
+            initial_fractions: Arc::clone(&derived.initial_fractions),
+            peaks,
+            granularity: derived.granularity,
+            min_unit_cost: derived.min_unit_cost,
+            scaler: derived.scaler.clone(),
+            baselines: Baselines::new(spec, derived),
             core,
             tally,
             epoch_costs,
-            probe_cache: HashMap::new(),
+            probe_cache: Vec::new(),
             plans,
         }
     }
@@ -504,12 +547,36 @@ impl<'a> TenantState<'a> {
     pub(crate) fn known(&self, rho: Throughput) -> Option<&KnownPlan> {
         (self.plans.iter().rev())
             .find(|(target, _)| *target == rho)
-            .map(|(_, plan)| plan)
+            .map(|(_, plan)| &**plan)
     }
 
     /// Records a freshly learned plan at `rho`, shadowing any older one.
     pub(crate) fn learn(&mut self, rho: Throughput, plan: KnownPlan) {
-        self.plans.push((rho, plan));
+        self.plans.push((rho, Arc::new(plan)));
+    }
+
+    /// The memoized keep projection of the current mix at target `rho`,
+    /// built on first use.
+    pub(crate) fn probe_entry(
+        &mut self,
+        rho: Throughput,
+        billing: &(dyn SegmentedBilling + Send + Sync),
+    ) -> &ProbeEntry {
+        let k = match self
+            .probe_cache
+            .iter()
+            .position(|(target, _)| *target == rho)
+        {
+            Some(k) => k,
+            None => {
+                let solved = self.core.solved_target;
+                let entry =
+                    ProbeEntry::new(&self.spec.instance, &self.scaler, solved, rho, billing);
+                self.probe_cache.push((rho, entry));
+                self.probe_cache.len() - 1
+            }
+        };
+        &self.probe_cache[k].1
     }
 
     /// The warm-started solve of this tenant's instance at `target`, under

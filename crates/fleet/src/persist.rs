@@ -57,6 +57,7 @@
 //! pins exactly this.
 
 use std::io;
+use std::sync::Arc;
 
 use rental_capacity::{CapacityConfig, PoolLedger};
 use rental_core::{Throughput, ThroughputSplit};
@@ -66,7 +67,9 @@ use rental_solvers::solver::{CapacitySolver, SolveError, SweepPrior};
 use rental_stream::FixedMixState;
 
 use crate::chaos::{ChaosClock, ChaosConfig, CrashPlan, CrashPoint};
-use crate::controller::{FleetController, KnownPlan, RunEnv, Tally, TenantCore, TenantState};
+use crate::controller::{
+    Derived, FleetController, KnownPlan, RunEnv, Tally, TenantCore, TenantState,
+};
 use crate::journal::{
     get_outcome, put_outcome, replay, state_digest, JournalRecord, PersistedOutcome, Solves,
 };
@@ -447,7 +450,7 @@ fn capture_checkpoint(run: &FleetRun<'_>, epoch_next: usize) -> Checkpoint {
         epoch_next: epoch_next as u64,
         tenants: (run.states.iter())
             .map(|s| {
-                let initial = (s.initial_target, s.initial_fractions.clone());
+                let initial = (s.initial_target, s.initial_fractions.to_vec());
                 (initial, capture_tenant(s))
             })
             .collect(),
@@ -487,13 +490,14 @@ fn restore_tenant<'a>(
         .map(|plan| {
             let outcome = plan.outcome.restore(&spec.instance, None)?;
             let cache = ctl.plan_cache(&spec.instance, &outcome.solution).ok()?;
-            Some((plan.rho, KnownPlan { outcome, cache }))
+            Some((plan.rho, Arc::new(KnownPlan { outcome, cache })))
         })
         .collect::<Option<Vec<_>>>()?;
+    let derived = Derived::new(&spec.instance, env, initial, &core.fractions);
     Some(TenantState::new(
         spec,
-        env,
-        initial,
+        &derived,
+        spec.trace.epoch_peaks(env.baseline_scaling.epoch),
         snap.core,
         snap.tally,
         snap.epoch_costs,

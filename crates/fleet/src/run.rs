@@ -20,11 +20,11 @@
 //! count, including one.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use rental_capacity::{coverage_bound, degrade_with, CapacityConfig, CappedOutcome};
-use rental_core::{Solution, Throughput, TypeId};
+use rental_core::{InstanceClasses, Solution, Throughput, TypeId};
 use rental_obs::{
     epoch_tree, AlertEngine, EpochObservation, EventKind, FanoutObs, NoopSink, SpanTimer, Stage,
     StageTimes, TelemetrySink,
@@ -36,8 +36,8 @@ use rental_stream::{Autoscaler, FixedMixState};
 
 use crate::chaos::{ChaosClock, ChaosConfig, ChaosSolver, ChaosStats};
 use crate::controller::{
-    debug_certify, fits_caps, initial_target_with, quantize_target, surviving, CouplingState,
-    FleetController, FleetPolicy, KnownPlan, ProbeEntry, RunEnv, Tally, TenantCore, TenantState,
+    debug_certify, first_target, fits_caps, quantize_target, surviving, CouplingState, Derived,
+    FleetController, FleetPolicy, KnownPlan, RunEnv, Tally, TenantCore, TenantState,
 };
 use crate::journal::Solves;
 use crate::persist::{Durability, PersistResult, RunOutcome};
@@ -160,6 +160,26 @@ where
     merged
 }
 
+/// `f(0), …, f(len - 1)`, fanned out over `shards` contiguous shards on the
+/// shared worker pool, the results in index order — the sharded pass of a
+/// run's start, where the tenant states do not exist yet.
+fn map_sharded<R, F>(len: usize, shards: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let shards = shards.clamp(1, len.max(1));
+    let chunk = len.div_ceil(shards);
+    rayon::parallel_map_indexed(shards, Some(shards), |s| {
+        (s * chunk..((s + 1) * chunk).min(len))
+            .map(&f)
+            .collect::<Vec<R>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
 /// One tenant due for a keep-vs-switch decision this epoch, as produced by
 /// the sharded probe pass. `keep: None` marks a forced re-solve (the
 /// current mix cannot carry the demand); `caps` carries the tenant's pool
@@ -246,6 +266,12 @@ impl<'a> FleetRun<'a> {
     /// A fresh run: one batched cold solve per distinct initial request
     /// (instance and target; tenants asking the same share its outcome),
     /// then the coupling state. Initial solves are never budgeted.
+    ///
+    /// What the tenants of one request have in common is derived once per
+    /// request and shared: the plan and its horizon cache, the recipe mix,
+    /// the scalers' rates and the instance's constants. Each tenant's epoch
+    /// peaks are computed once, and the states are built in one sharded
+    /// pass, in tenant order.
     fn start<S: CapacitySolver + Sync>(
         ctl: &'a FleetController,
         solver: &S,
@@ -254,50 +280,89 @@ impl<'a> FleetRun<'a> {
         chaos: Option<&'a ChaosClock<'a>>,
     ) -> SolveResult<Self> {
         let env = ctl.run_env(config);
-        let epoch = ctl.policy.epoch;
-        let targets: Vec<Throughput> = tenants
-            .iter()
-            .map(|t| initial_target_with(epoch, env.serve_headroom, &t.instance, &t.trace))
+        let shards = ctl.policy.shard_count(tenants.len());
+        let epoch = env.baseline_scaling.epoch;
+        let peaks = map_sharded(tenants.len(), shards, |i| {
+            tenants[i].trace.epoch_peaks(epoch)
+        });
+        // Requests by value: tenants of equal instances (shared storage or
+        // not) and equal targets ask the same.
+        let mut classes = InstanceClasses::new();
+        let mut granularity = Vec::new();
+        let mut requests = HashMap::new();
+        let mut firsts = Vec::new();
+        let request_of: Vec<usize> = (tenants.iter().zip(&peaks))
+            .enumerate()
+            .map(|(i, (t, peaks))| {
+                let class = classes.class_of(&t.instance);
+                if class == granularity.len() {
+                    granularity.push(t.instance.throughput_granularity());
+                }
+                let rho = first_target(peaks, env.serve_headroom, granularity[class]);
+                *requests.entry((class, rho)).or_insert_with(|| {
+                    firsts.push((i, rho));
+                    firsts.len() - 1
+                })
+            })
             .collect();
-        let items: Vec<WarmBatchItem<'_>> = tenants
-            .iter()
-            .zip(&targets)
-            .map(|(t, &rho)| WarmBatchItem::new(&t.instance, rho, None))
+        let items: Vec<WarmBatchItem<'_>> = (firsts.iter())
+            .map(|&(i, rho)| WarmBatchItem::new(&tenants[i].instance, rho, None))
             .collect();
         let results = solve_warm_batch(solver, &items, None, ctl.policy.threads);
-        let mut states = Vec::with_capacity(tenants.len());
-        for ((spec, &rho), (result, elapsed)) in tenants.iter().zip(&targets).zip(results) {
-            let outcome = result?;
-            debug_certify(&spec.instance, &outcome.solution, None);
+        let shared = rayon::parallel_map_indexed(firsts.len(), ctl.policy.threads, |r| {
+            let (i, rho) = firsts[r];
+            let instance = &tenants[i].instance;
+            let outcome = results[r].0.clone()?;
+            debug_certify(instance, &outcome.solution, None);
             let fractions = Autoscaler::split_fractions(&outcome.solution);
-            let num_types = spec.instance.num_types();
+            let derived = Derived::new(instance, &env, (rho, fractions.clone()), &fractions);
+            let cache = ctl.plan_cache(instance, &outcome.solution)?;
+            SolveResult::Ok((derived, Arc::new(KnownPlan { outcome, cache })))
+        });
+        // The first tenant, in tenant order, whose request failed fails the
+        // run.
+        if let Some(err) = request_of.iter().find_map(|&r| shared[r].as_ref().err()) {
+            return Err(err.clone());
+        }
+        let shared: Vec<_> = shared.into_iter().flatten().collect();
+        // The first tenant of a request carries its solve time, the others
+        // none: a shared solve is timed once.
+        let solve_seconds = |i: usize| {
+            let r = request_of[i];
+            if firsts[r].0 == i {
+                results[r].1.as_secs_f64()
+            } else {
+                0.0
+            }
+        };
+        for i in 0..tenants.len() {
+            ctl.telemetry
+                .span(Stage::Solve.span_name(), solve_seconds(i));
+        }
+        let mut states = map_sharded(tenants.len(), shards, |i| {
+            let (derived, plan) = &shared[request_of[i]];
+            let (spec, rho) = (&tenants[i], derived.initial_target);
+            let outcome = &plan.outcome;
             let core = TenantCore {
-                fractions: fractions.clone(),
-                mix: FixedMixState::new(num_types),
+                fractions: derived.initial_fractions.to_vec(),
+                mix: FixedMixState::new(spec.instance.num_types()),
                 solved_target: rho,
                 adopted_epoch: 0,
-                prior: Some(SweepPrior::from_outcome(rho, &outcome)),
+                prior: Some(SweepPrior::from_outcome(rho, outcome)),
                 last_failure_solve: None,
                 deferred_until: 0,
                 backoff: 0,
             };
             let mut tally = Tally::default();
-            tally.effort.record(&outcome);
-            tally.timing.add(Stage::Solve, elapsed.as_secs_f64());
-            ctl.telemetry
-                .span(Stage::Solve.span_name(), elapsed.as_secs_f64());
-            let cache = ctl.plan_cache(&spec.instance, &outcome.solution)?;
-            let plans = vec![(rho, KnownPlan { outcome, cache })];
-            let initial = (rho, fractions);
-            states.push(TenantState::new(
-                spec,
-                &env,
-                initial,
-                core,
-                tally,
-                Vec::new(),
-                plans,
-            ));
+            tally.effort.record(outcome);
+            tally.timing.add(Stage::Solve, solve_seconds(i));
+            let epoch_costs = Vec::with_capacity(peaks[i].len());
+            let plans = vec![(rho, Arc::clone(plan))];
+            TenantState::new(spec, derived, Vec::new(), core, tally, epoch_costs, plans)
+        });
+        // The shards only borrowed the peaks; each tenant's peaks move in now.
+        for (state, peaks) in states.iter_mut().zip(peaks) {
+            state.peaks = peaks;
         }
         let coupled = ctl.init_coupling(tenants, config, &env);
         Ok(FleetRun::new(ctl, env, chaos, states, coupled, 0))
@@ -735,7 +800,7 @@ impl<'a> FleetRun<'a> {
                 if remaining_hours <= 0.0 {
                     // Past its last decision epoch a tenant never probes
                     // again: free its memo here, inside the sharded pass.
-                    state.probe_cache = HashMap::new();
+                    state.probe_cache = Vec::new();
                     return None;
                 }
                 if rho == 0 {
@@ -767,14 +832,12 @@ impl<'a> FleetRun<'a> {
                 }
                 let probe_span = SpanTimer::start(Stage::Probe);
                 state.tally.probes += 1;
-                let entry = state.probe_cache.entry(rho).or_insert_with(|| {
-                    ProbeEntry::new(&state.spec.instance, &state.scaler, solved, rho, billing)
-                });
                 // Keep-side projection: continued machines bill only the
                 // margin past the current plan's elapsed rental time
                 // (committed terms already paid are sunk), scale-up machines
                 // bill fresh.
                 let elapsed_hours = (epoch + 1 - state.core.adopted_epoch) as f64 * policy.epoch;
+                let entry = state.probe_entry(rho, billing);
                 let keep_projected = entry.continued.total_over(
                     RentalHorizon::hours(elapsed_hours),
                     RentalHorizon::hours(elapsed_hours + remaining_hours),

@@ -130,9 +130,9 @@ pub fn scaling_instance_config() -> GeneratorConfig {
 /// none ever re-solves or adopts, so a run exercises exactly the sharded
 /// per-tenant pipelines — trace advancement, shift detection, memoized
 /// what-if probes — with the initial solve fan-out as the only solver work.
-/// Instances cycle over a small pool of distinct tiny applications so a
-/// 16k-tenant fleet stays cheap to build; everything is deterministic per
-/// seed.
+/// Instances cycle over a small pool of distinct tiny applications, and
+/// the tenants of one instance share its storage, so a 16k-tenant fleet
+/// stays cheap to build; everything is deterministic per seed.
 pub fn scaling_fleet(num_tenants: usize, seed: u64) -> FleetScenario {
     const DISTINCT_INSTANCES: usize = 32;
     let instances: Vec<_> = (0..DISTINCT_INSTANCES.min(num_tenants.max(1)))

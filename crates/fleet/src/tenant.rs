@@ -6,6 +6,10 @@ use rental_stream::WorkloadTrace;
 /// One tenant of the fleet: a MinCost instance (its application and the cloud
 /// catalogue it rents from) plus the workload trace it will serve.
 ///
+/// Tenants of one instance hold clones of it, and a clone shares the
+/// instance's storage (see [`Instance`]), so a fleet of many tenants over a
+/// few instances stores each instance once.
+///
 /// The tenant's *current plan* is controller state, not part of the spec —
 /// the controller solves each tenant cold for its first epoch's demand and
 /// re-solves on workload shifts from there.

@@ -1,11 +1,12 @@
 //! Property tests of the fleet controller's probe / solve / adopt loop.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use proptest::prelude::*;
 
 use rental_core::examples::illustrating_example;
-use rental_core::{Instance, Throughput};
+use rental_core::{Instance, Platform, Throughput};
 use rental_fleet::{
     initial_target, scaling_fleet, AdoptionRecord, FleetController, FleetPolicy, TenantSpec,
 };
@@ -57,6 +58,49 @@ impl CapacitySolver for InitialCallCounter {
         caps: &[u64],
         prior: Option<&SweepPrior>,
     ) -> SolveResult<SolverOutcome> {
+        self.inner.solve_with_caps(instance, target, caps, prior)
+    }
+}
+
+/// `IlpSolver` counting every warm and capped solve it serves.
+#[derive(Default)]
+struct CallCounter {
+    inner: IlpSolver,
+    calls: AtomicUsize,
+}
+
+impl MinCostSolver for CallCounter {
+    fn name(&self) -> &str {
+        "call-counter"
+    }
+
+    fn solve(&self, instance: &Instance, target: Throughput) -> SolveResult<SolverOutcome> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.solve(instance, target)
+    }
+}
+
+impl WarmStartSolver for CallCounter {
+    fn solve_with_prior(
+        &self,
+        instance: &Instance,
+        target: Throughput,
+        prior: Option<&SweepPrior>,
+    ) -> SolveResult<SolverOutcome> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.solve_with_prior(instance, target, prior)
+    }
+}
+
+impl CapacitySolver for CallCounter {
+    fn solve_with_caps(
+        &self,
+        instance: &Instance,
+        target: Throughput,
+        caps: &[u64],
+        prior: Option<&SweepPrior>,
+    ) -> SolveResult<SolverOutcome> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
         self.inner.solve_with_caps(instance, target, caps, prior)
     }
 }
@@ -221,5 +265,41 @@ proptest! {
             prop_assert_eq!(ta.resolves, tb.resolves);
             prop_assert_eq!(ta.adoptions, tb.adoptions);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// How an instance is stored changes no decision: a 256-tenant scaling
+    /// fleet whose tenants share 32 instances' storage and the same fleet
+    /// with every tenant's instance rebuilt from its parts in storage of
+    /// its own report the same, and make the same number of solver calls —
+    /// equal requests merge by value, not by storage. Free switching makes
+    /// the epoch loop re-solve too.
+    #[test]
+    fn rebuilt_instances_change_no_decision(seed in any::<u64>()) {
+        let scenario = scaling_fleet(256, seed);
+        let rebuilt: Vec<TenantSpec> = scenario
+            .tenants
+            .iter()
+            .map(|t| {
+                let machines = t.instance.platform().machines().to_vec();
+                let recipes = t.instance.application().recipes().to_vec();
+                let instance = Instance::new(recipes, Platform::new(machines).unwrap()).unwrap();
+                TenantSpec::new(t.name.clone(), instance, t.trace.clone())
+            })
+            .collect();
+        let policy = FleetPolicy { switching_cost: 0.0, ..scenario.policy };
+        let controller = FleetController::new(policy);
+        let (shared_calls, rebuilt_calls) = (CallCounter::default(), CallCounter::default());
+        let shared = controller.run(&shared_calls, &scenario.tenants).unwrap();
+        let separate = controller.run(&rebuilt_calls, &rebuilt).unwrap();
+        prop_assert!(shared.resolved_tenant_epochs() > 0);
+        prop_assert!(separate.matches_modulo_timing(&shared));
+        prop_assert_eq!(
+            rebuilt_calls.calls.into_inner(),
+            shared_calls.calls.into_inner()
+        );
     }
 }

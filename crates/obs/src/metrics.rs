@@ -3,7 +3,10 @@
 //!
 //! Hot-path emissions (counters, histogram samples) land in a per-thread
 //! [`MetricsShard`] — found through a thread-local cache, so the common case
-//! is one uncontended `Mutex` lock on memory only this thread touches.
+//! is one uncontended `Mutex` lock on memory only this thread touches. A
+//! shard keys its metrics by the address of the name's `'static` text,
+//! which is cheaper to hash and compare than the text; the snapshot merges
+//! by name.
 //! Aggregation is **explicit**: [`MetricsRegistry::snapshot`] merges every
 //! shard into one [`MetricsSnapshot`]. Gauges are last-write-wins and
 //! low-frequency, so they live directly on the registry instead of being
@@ -11,8 +14,9 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex};
 
 use crate::json::JsonRow;
 
@@ -183,21 +187,68 @@ impl Histogram {
     }
 }
 
+/// A metric name keyed by the address of its `'static` text. The same text
+/// at two addresses is two keys; [`MetricsRegistry::snapshot`] merges them
+/// by name.
+#[derive(Clone, Copy, Debug)]
+struct Name(&'static str);
+
+impl PartialEq for Name {
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::eq(self.0, other.0)
+    }
+}
+
+impl Eq for Name {}
+
+impl Hash for Name {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.0.as_ptr() as usize);
+    }
+}
+
+/// Fibonacci hashing of a [`Name`]'s address. The keys are the program's
+/// own literals, never outside input, so no collision resistance is needed.
+#[derive(Default)]
+struct AddressHasher(u64);
+
+impl Hasher for AddressHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_usize(&mut self, address: usize) {
+        self.write_u64(address as u64);
+    }
+
+    fn write_u64(&mut self, value: u64) {
+        self.0 = (self.0 ^ value).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+type ByName<V> = HashMap<Name, V, BuildHasherDefault<AddressHasher>>;
+
 /// One thread's private slice of a registry: counters and histograms only
 /// (gauges are registry-global).
 #[derive(Default, Debug)]
 pub struct MetricsShard {
-    counters: HashMap<&'static str, u64>,
-    histograms: HashMap<&'static str, Histogram>,
+    counters: ByName<u64>,
+    histograms: ByName<Histogram>,
 }
 
 impl MetricsShard {
     fn add_counter(&mut self, name: &'static str, delta: u64) {
-        *self.counters.entry(name).or_insert(0) += delta;
+        *self.counters.entry(Name(name)).or_insert(0) += delta;
     }
 
     fn observe(&mut self, name: &'static str, value: u64) {
-        self.histograms.entry(name).or_default().record(value);
+        self.histograms.entry(Name(name)).or_default().record(value);
     }
 }
 
@@ -208,7 +259,10 @@ static NEXT_REGISTRY_ID: AtomicU64 = AtomicU64::new(1);
 thread_local! {
     /// `(registry id, shard)` pairs this thread has written to. Tiny in
     /// practice (one long-lived registry per process), scanned linearly.
-    static LOCAL_SHARDS: RefCell<Vec<(u64, Weak<Mutex<MetricsShard>>)>> =
+    /// The cache holds each shard like its registry does, so a write needs
+    /// no reference count; a shard only the cache still holds belongs to a
+    /// dropped registry and is pruned on the next miss.
+    static LOCAL_SHARDS: RefCell<Vec<(u64, Arc<Mutex<MetricsShard>>)>> =
         const { RefCell::new(Vec::new()) };
 }
 
@@ -236,46 +290,37 @@ impl MetricsRegistry {
         }
     }
 
-    /// This thread's shard of this registry, created and registered on
-    /// first use. Dead cache entries (dropped registries) are pruned on the
-    /// slow path.
-    fn local_shard(&self) -> Arc<Mutex<MetricsShard>> {
+    /// Runs `f` on this thread's shard of this registry, created and
+    /// registered on first use. Cache entries of dropped registries are
+    /// pruned on that slow path.
+    fn with_local_shard(&self, f: impl FnOnce(&mut MetricsShard)) {
         LOCAL_SHARDS.with(|cache| {
             let mut cache = cache.borrow_mut();
-            if let Some(shard) = cache
-                .iter()
-                .find(|(id, _)| *id == self.id)
-                .and_then(|(_, weak)| weak.upgrade())
-            {
-                return shard;
-            }
-            cache.retain(|(_, weak)| weak.strong_count() > 0);
-            let shard = Arc::new(Mutex::new(MetricsShard::default()));
-            self.shards
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(shard.clone());
-            cache.push((self.id, Arc::downgrade(&shard)));
-            shard
-        })
+            let k = match cache.iter().position(|(id, _)| *id == self.id) {
+                Some(k) => k,
+                None => {
+                    cache.retain(|(_, shard)| Arc::strong_count(shard) > 1);
+                    let shard = Arc::new(Mutex::new(MetricsShard::default()));
+                    self.shards
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .push(shard.clone());
+                    cache.push((self.id, shard));
+                    cache.len() - 1
+                }
+            };
+            f(&mut cache[k].1.lock().unwrap_or_else(|e| e.into_inner()));
+        });
     }
 
     /// Adds `delta` to the named counter (thread-local shard, uncontended).
     pub fn add_counter(&self, name: &'static str, delta: u64) {
-        let shard = self.local_shard();
-        shard
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .add_counter(name, delta);
+        self.with_local_shard(|shard| shard.add_counter(name, delta));
     }
 
     /// Records one histogram sample (thread-local shard, uncontended).
     pub fn observe(&self, name: &'static str, value: u64) {
-        let shard = self.local_shard();
-        shard
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .observe(name, value);
+        self.with_local_shard(|shard| shard.observe(name, value));
     }
 
     /// Sets the named gauge (registry-global, last write wins).
@@ -298,13 +343,13 @@ impl MetricsRegistry {
         let mut snapshot = MetricsSnapshot::default();
         for shard in self.shards.lock().unwrap_or_else(|e| e.into_inner()).iter() {
             let shard = shard.lock().unwrap_or_else(|e| e.into_inner());
-            for (&name, &value) in &shard.counters {
-                *snapshot.counters.entry(name.to_string()).or_insert(0) += value;
+            for (name, &value) in &shard.counters {
+                *snapshot.counters.entry(name.0.to_string()).or_insert(0) += value;
             }
-            for (&name, histogram) in &shard.histograms {
+            for (name, histogram) in &shard.histograms {
                 snapshot
                     .histograms
-                    .entry(name.to_string())
+                    .entry(name.0.to_string())
                     .or_default()
                     .merge(histogram);
             }
@@ -444,6 +489,39 @@ mod tests {
         let snapshot = registry.snapshot();
         assert_eq!(snapshot.counters["test.threaded"], 4001);
         assert!(registry.shard_count() >= 2);
+    }
+
+    #[test]
+    fn equal_names_at_different_addresses_merge_by_name() {
+        let registry = MetricsRegistry::new();
+        let copy: &'static str = Box::leak(String::from("lp.solves").into_boxed_str());
+        assert!(!std::ptr::eq(copy, "lp.solves"));
+        registry.add_counter("lp.solves", 2);
+        registry.add_counter(copy, 3);
+        registry.observe("lp.iterations_per_solve", 4);
+        registry.observe(
+            Box::leak(String::from("lp.iterations_per_solve").into_boxed_str()),
+            8,
+        );
+        let snapshot = registry.snapshot();
+        assert_eq!(snapshot.counters.len(), 1);
+        assert_eq!(snapshot.counters["lp.solves"], 5);
+        let histogram = &snapshot.histograms["lp.iterations_per_solve"];
+        assert_eq!((histogram.count(), histogram.sum()), (2, 12));
+    }
+
+    #[test]
+    fn a_new_registry_on_a_thread_starts_from_zero() {
+        for round in 1..=3u64 {
+            let registry = MetricsRegistry::new();
+            registry.add_counter("fleet.epochs", round);
+            assert_eq!(registry.snapshot().counters["fleet.epochs"], round);
+            assert_eq!(registry.shard_count(), 1);
+        }
+        // The cache keeps only the shards of live registries.
+        let live = MetricsRegistry::new();
+        live.add_counter("fleet.epochs", 1);
+        LOCAL_SHARDS.with(|cache| assert_eq!(cache.borrow().len(), 1));
     }
 
     #[test]

@@ -41,7 +41,7 @@ impl UsageWindow {
 /// A pricing mechanism translating a nominal hourly rate into a charge.
 pub trait BillingModel {
     /// Short identifier used in bills and reports.
-    fn name(&self) -> &str;
+    fn name(&self) -> &'static str;
 
     /// Charge for renting one machine with nominal hourly rate `hourly_rate`
     /// over the given usage window.
@@ -215,7 +215,7 @@ impl OnDemand {
 }
 
 impl BillingModel for OnDemand {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "on-demand"
     }
 
@@ -246,7 +246,7 @@ impl Default for PerSecond {
 }
 
 impl BillingModel for PerSecond {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "per-second"
     }
 
@@ -294,7 +294,7 @@ impl Reserved {
 }
 
 impl BillingModel for Reserved {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "reserved"
     }
 
@@ -342,7 +342,7 @@ impl Spot {
 }
 
 impl BillingModel for Spot {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "spot"
     }
 

@@ -125,16 +125,23 @@ pub fn bill_plan(
 #[derive(Debug, Clone, PartialEq)]
 pub struct HorizonCache {
     rounding: HoursRounding,
-    model_name: String,
+    model_name: &'static str,
     /// Total charge at a zero-length horizon (committed terms bill even
     /// without usage; usage-priced models bill nothing).
     at_zero: f64,
-    /// Sorted, deduplicated segment starts; `starts[0] == 0.0`.
-    starts: Vec<f64>,
-    /// Prefix-summed plan charge at each segment start.
-    base: Vec<f64>,
-    /// Prefix-summed plan charge slope within each segment.
-    slope: Vec<f64>,
+    /// The merged segments, sorted by deduplicated start; the first starts
+    /// at `0.0`.
+    segments: Box<[Merged]>,
+}
+
+/// One merged segment of a [`HorizonCache`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Merged {
+    start: f64,
+    /// Prefix-summed plan charge at the segment start.
+    base: f64,
+    /// Prefix-summed plan charge slope within the segment.
+    slope: f64,
 }
 
 impl HorizonCache {
@@ -171,50 +178,50 @@ impl HorizonCache {
         }
         events.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("segment starts are finite"));
 
-        let mut starts = Vec::new();
-        let mut base = Vec::new();
-        let mut slope = Vec::new();
+        let mut segments: Vec<Merged> = Vec::new();
         let mut total_slope = 0.0;
         let mut total_base = 0.0;
         let mut cursor = 0.0;
         for (start, slope_delta, base_jump) in events {
-            if starts.is_empty() || start > cursor {
+            if segments.is_empty() || start > cursor {
                 // Advance the running value to the new breakpoint.
                 total_base += total_slope * (start - cursor);
                 cursor = start;
-                starts.push(start);
-                base.push(total_base);
-                slope.push(total_slope);
+                segments.push(Merged {
+                    start,
+                    base: total_base,
+                    slope: total_slope,
+                });
             }
             total_slope += slope_delta;
             total_base += base_jump;
-            let last = starts.len() - 1;
-            base[last] = total_base;
-            slope[last] = total_slope;
+            let last = segments.len() - 1;
+            segments[last].base = total_base;
+            segments[last].slope = total_slope;
         }
-        if starts.is_empty() {
-            starts.push(0.0);
-            base.push(0.0);
-            slope.push(0.0);
+        if segments.is_empty() {
+            segments.push(Merged {
+                start: 0.0,
+                base: 0.0,
+                slope: 0.0,
+            });
         }
         HorizonCache {
             rounding: model.rounding(),
-            model_name: model.name().to_string(),
+            model_name: model.name(),
             at_zero,
-            starts,
-            base,
-            slope,
+            segments: segments.into_boxed_slice(),
         }
     }
 
     /// Name of the billing model the cache was built for.
     pub fn model_name(&self) -> &str {
-        &self.model_name
+        self.model_name
     }
 
     /// Number of merged billing segments.
     pub fn num_segments(&self) -> usize {
-        self.starts.len()
+        self.segments.len()
     }
 
     /// Total charge of the whole plan over the horizon, in `O(log segments)`.
@@ -227,10 +234,11 @@ impl HorizonCache {
         }
         let hours = self.rounding.apply(horizon.hours);
         let k = self
-            .starts
-            .partition_point(|&start| start <= hours)
+            .segments
+            .partition_point(|s| s.start <= hours)
             .saturating_sub(1);
-        self.base[k] + self.slope[k] * (hours - self.starts[k])
+        let s = &self.segments[k];
+        s.base + s.slope * (hours - s.start)
     }
 
     /// The **marginal** charge of extending the plan's rental from horizon

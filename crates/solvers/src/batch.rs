@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use rental_core::{Instance, Throughput, ThroughputSplit};
+use rental_core::{Instance, InstanceClasses, Throughput, ThroughputSplit};
 
 use crate::solver::{
     CapacitySolver, MinCostSolver, SolveBudget, SolveResult, SolverOutcome, SweepPrior,
@@ -152,20 +152,21 @@ impl<'a> WarmBatchItem<'a> {
 }
 
 /// A [`WarmBatchItem`] by value — the request [`solve_warm_batch`] solves
-/// once however often it repeats. Instances compare by value (every fleet
-/// tenant owns its own clone) and the prior's lower bound bit for bit.
+/// once however often it repeats. The instance enters as its
+/// [`InstanceClasses`] number (equal by value, shared storage or not) and
+/// the prior's lower bound bit for bit.
 #[derive(PartialEq, Eq, Hash)]
 struct RequestKey<'a> {
-    instance: &'a Instance,
+    instance: usize,
     target: Throughput,
     caps: Option<&'a [u64]>,
     prior: Option<(Throughput, &'a ThroughputSplit, Option<u64>)>,
 }
 
 impl<'a> RequestKey<'a> {
-    fn of(item: &WarmBatchItem<'a>) -> Self {
+    fn of(item: &WarmBatchItem<'a>, classes: &mut InstanceClasses<'a>) -> Self {
         RequestKey {
-            instance: item.instance,
+            instance: classes.class_of(item.instance),
             target: item.target,
             caps: item.caps,
             prior: item
@@ -189,7 +190,9 @@ impl<'a> RequestKey<'a> {
 /// occurrence goes to the pool and keeps its measured time; every later
 /// occurrence receives a clone of the same result with [`Duration::ZERO`]
 /// elapsed, so summing the durations counts only the solver work done. A
-/// batch without repeats returns its fan-out as is.
+/// batch without repeats returns its fan-out as is. Instances are grouped
+/// by shared storage first, so a batch over many clones of a few instances
+/// value-hashes one instance per distinct storage.
 ///
 /// The budget applies **per unit**. Callers sharing one epoch budget across
 /// the batch split it *before* the fan-out ([`SolveBudget::split`]) —
@@ -203,18 +206,18 @@ pub fn solve_warm_batch<S: CapacitySolver + Sync>(
     max_threads: Option<usize>,
 ) -> Vec<(SolveResult<SolverOutcome>, Duration)> {
     // `firsts[r]`: the item index of request `r`'s first occurrence;
-    // `request[i]`: the request item `i` asks for. The instance's one
-    // interior-mutable part, its lazy pair-diff cache, takes no part in
-    // `Eq`/`Hash`, so keys cannot change while hashed.
-    #[allow(clippy::mutable_key_type)]
+    // `request[i]`: the request item `i` asks for.
+    let mut classes = InstanceClasses::new();
     let mut seen: HashMap<RequestKey<'_>, usize> = HashMap::with_capacity(items.len());
     let mut firsts = Vec::new();
     let request: Vec<usize> = (items.iter().enumerate())
         .map(|(i, item)| {
-            *seen.entry(RequestKey::of(item)).or_insert_with(|| {
-                firsts.push(i);
-                firsts.len() - 1
-            })
+            *seen
+                .entry(RequestKey::of(item, &mut classes))
+                .or_insert_with(|| {
+                    firsts.push(i);
+                    firsts.len() - 1
+                })
         })
         .collect();
     let solved = rayon::parallel_map_indexed(firsts.len(), max_threads, |r| {

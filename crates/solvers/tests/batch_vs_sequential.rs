@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use proptest::TestCaseError;
 
 use rental_core::examples::illustrating_example;
-use rental_core::{Instance, Throughput};
+use rental_core::{Instance, Platform, Throughput};
 use rental_simgen::{GeneratorConfig, InstanceGenerator};
 use rental_solvers::batch::{solve_batch_timed, solve_warm_batch, BatchItem, WarmBatchItem};
 use rental_solvers::exact::IlpSolver;
@@ -141,8 +141,16 @@ impl CapacitySolver for CountingSolver<'_> {
     }
 }
 
-/// A batch item that owns its instance clone, caps and prior, so equal
-/// requests never share an address.
+/// `instance` rebuilt from its parts in storage of its own: equal by value
+/// to every clone, sharing storage with none.
+fn rebuilt(instance: &Instance) -> Instance {
+    let platform = Platform::new(instance.platform().machines().to_vec()).unwrap();
+    Instance::new(instance.application().recipes().to_vec(), platform).unwrap()
+}
+
+/// A batch item that owns its instance (a clone sharing storage, or one
+/// rebuilt in storage of its own), caps and prior, so equal requests never
+/// share an address.
 struct OwnedItem {
     instance: Instance,
     target: Throughput,
@@ -207,14 +215,19 @@ fn check_deduplicated_batch(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Items drawn from a few instances, each holding its own clone of the
-    /// instance, caps and prior: every outcome equals the sequential solve,
-    /// and the solver sees each distinct request exactly once.
+    /// Items drawn from a few instances, each holding its own copy of the
+    /// instance — a clone sharing the storage, or one rebuilt in storage of
+    /// its own — caps and prior: every outcome equals the sequential solve,
+    /// and the solver sees each distinct request exactly once, however its
+    /// instance is stored.
     #[test]
     fn warm_batches_solve_each_distinct_request_once(
         seed in 0u64..1_000,
         num_instances in 2usize..=3,
-        picks in proptest::collection::vec((0usize..3, 0usize..2, 0usize..3, 0usize..3), 1..16),
+        picks in proptest::collection::vec(
+            (0usize..3, 0usize..2, 0usize..3, 0usize..3, any::<bool>()),
+            1..16,
+        ),
         threads in 1usize..4,
     ) {
         let instances: Vec<Instance> = (0..num_instances)
@@ -241,10 +254,14 @@ proptest! {
             .collect();
         let owned: Vec<OwnedItem> = picks
             .iter()
-            .map(|&(instance, target, caps, prior)| {
+            .map(|&(instance, target, caps, prior, separate)| {
                 let k = instance % num_instances;
                 OwnedItem {
-                    instance: instances[k].clone(),
+                    instance: if separate {
+                        rebuilt(&instances[k])
+                    } else {
+                        instances[k].clone()
+                    },
                     target: [40, 70][target],
                     caps: match caps {
                         0 => None,
@@ -260,7 +277,8 @@ proptest! {
 }
 
 /// Requests differing only in prior (even in its bound alone), caps or
-/// target are never merged; an exact repeat is.
+/// target are never merged; an exact repeat is, whether its instance shares
+/// storage with the first or was rebuilt in storage of its own.
 #[test]
 fn warm_batches_merge_only_equal_requests() {
     let instance = illustrating_example();
@@ -293,6 +311,10 @@ fn warm_batches_merge_only_equal_requests() {
             ..base()
         },
         base(),
+        OwnedItem {
+            instance: rebuilt(&instance),
+            ..base()
+        },
     ];
     check_deduplicated_batch(std::slice::from_ref(&instance), &owned, 2).unwrap();
 }

@@ -16,6 +16,8 @@
 //! multi-week traces cheap to evaluate; the discrete-event simulator remains
 //! the tool for validating a single steady-state epoch in detail.
 
+use std::sync::Arc;
+
 use rental_core::{Instance, RecipeId, Solution, TypeId};
 
 use crate::event::SimTime;
@@ -126,20 +128,29 @@ impl AutoscaleReport {
 /// This is the piece of the [`Autoscaler`] that other controllers reuse — the
 /// fleet controller of `rental-fleet` drives one `FixedMixScaler` per tenant
 /// (rebuilding it whenever a re-solve changes the tenant's recipe mix) and the
-/// fixed-mix baseline of its reports is exactly an [`Autoscaler`] run.
+/// fixed-mix baseline of its reports is exactly an [`Autoscaler`] run. The
+/// per-type rates are immutable and shared: a clone points at the same
+/// storage, so tenants that start from one plan share one scaler's data.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FixedMixScaler {
-    /// Demand per type for one unit of total throughput under the fixed
-    /// recipe mix: `Σ_j n_jq × f_j`.
-    unit_demand: Vec<f64>,
-    /// Per-type machine throughput `r_q`.
-    throughput: Vec<f64>,
-    /// Per-type hourly cost `c_q`.
-    cost: Vec<f64>,
+    /// The rates of each machine type.
+    types: Arc<[TypeRates]>,
     /// Capacity head-room multiplier applied to the demand rate.
     headroom: f64,
     /// Extra machines kept per used type (N+k redundancy).
     redundancy: u64,
+}
+
+/// What a [`FixedMixScaler`] knows about one machine type.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct TypeRates {
+    /// Demand for one unit of total throughput under the fixed recipe mix:
+    /// `Σ_j n_jq × f_j`.
+    unit_demand: f64,
+    /// Machine throughput `r_q`.
+    throughput: f64,
+    /// Hourly cost `c_q`.
+    cost: f64,
 }
 
 impl FixedMixScaler {
@@ -157,22 +168,17 @@ impl FixedMixScaler {
         );
         let platform = instance.platform();
         let demand_matrix = instance.application().demand();
-        let num_types = instance.num_types();
-        let unit_demand: Vec<f64> = (0..num_types)
-            .map(|q| {
-                (0..instance.num_recipes())
+        let types = (0..instance.num_types())
+            .map(|q| TypeRates {
+                unit_demand: (0..instance.num_recipes())
                     .map(|j| demand_matrix.count(RecipeId(j), TypeId(q)) as f64 * fractions[j])
-                    .sum()
+                    .sum(),
+                throughput: platform.throughput(TypeId(q)) as f64,
+                cost: platform.cost(TypeId(q)) as f64,
             })
             .collect();
         FixedMixScaler {
-            unit_demand,
-            throughput: (0..num_types)
-                .map(|q| platform.throughput(TypeId(q)) as f64)
-                .collect(),
-            cost: (0..num_types)
-                .map(|q| platform.cost(TypeId(q)) as f64)
-                .collect(),
+            types,
             headroom: policy.headroom,
             redundancy: policy.redundancy,
         }
@@ -180,27 +186,29 @@ impl FixedMixScaler {
 
     /// Number of machine types the scaler manages.
     pub fn num_types(&self) -> usize {
-        self.unit_demand.len()
+        self.types.len()
     }
 
     /// Demand per type induced by a total rate (before head-room).
     pub fn demand_at(&self, rate: f64) -> Vec<f64> {
-        self.unit_demand.iter().map(|&u| u * rate).collect()
+        self.types.iter().map(|t| t.unit_demand * rate).collect()
+    }
+
+    /// Machines of one type required to carry `rate` (head-room and
+    /// redundancy applied).
+    fn required(&self, t: &TypeRates, rate: f64) -> u64 {
+        let demand = t.unit_demand * rate * self.headroom;
+        if demand <= 0.0 {
+            0
+        } else {
+            (demand / t.throughput).ceil() as u64 + self.redundancy
+        }
     }
 
     /// Machines per type required to carry `rate` (head-room and redundancy
     /// applied).
     pub fn required_for(&self, rate: f64) -> Vec<u64> {
-        (0..self.num_types())
-            .map(|q| {
-                let demand = self.unit_demand[q] * rate * self.headroom;
-                if demand <= 0.0 {
-                    0
-                } else {
-                    (demand / self.throughput[q]).ceil() as u64 + self.redundancy
-                }
-            })
-            .collect()
+        self.types.iter().map(|t| self.required(t, rate)).collect()
     }
 
     /// Machines per type required to carry a **provisioning target** (a
@@ -208,13 +216,14 @@ impl FixedMixScaler {
     /// This is what a what-if probe sizes against: the fixed-mix fleet for a
     /// quantized target ρ', comparable to a solver's plan for the same ρ'.
     pub fn required_for_target(&self, target: f64) -> Vec<u64> {
-        (0..self.num_types())
-            .map(|q| {
-                let demand = self.unit_demand[q] * target;
+        self.types
+            .iter()
+            .map(|t| {
+                let demand = t.unit_demand * target;
                 if demand <= 0.0 {
                     0
                 } else {
-                    (demand / self.throughput[q]).ceil() as u64
+                    (demand / t.throughput).ceil() as u64
                 }
             })
             .collect()
@@ -229,13 +238,13 @@ impl FixedMixScaler {
     pub fn cost_rate(&self, fleet: &[u64]) -> f64 {
         assert_eq!(
             fleet.len(),
-            self.cost.len(),
+            self.types.len(),
             "one fleet entry per machine type is required"
         );
         fleet
             .iter()
-            .zip(&self.cost)
-            .map(|(&x, &c)| x as f64 * c)
+            .zip(self.types.iter())
+            .map(|(&x, t)| x as f64 * t.cost)
             .sum()
     }
 
@@ -249,9 +258,9 @@ impl FixedMixScaler {
     /// the raw demand at `rate` (no head-room applied — violation is about
     /// actual demand, not the provisioning policy).
     pub fn violates(&self, rate: f64, available: &[u64]) -> bool {
-        (0..self.num_types()).any(|q| {
-            let needed = self.unit_demand[q] * rate;
-            let capacity = available[q] as f64 * self.throughput[q];
+        self.types.iter().enumerate().any(|(q, t)| {
+            let needed = t.unit_demand * rate;
+            let capacity = available[q] as f64 * t.throughput;
             needed > 1e-9 && capacity < needed - 1e-9
         })
     }
@@ -326,8 +335,9 @@ impl FixedMixState {
             scaler.num_types(),
             "scaler and state must cover the same machine types"
         );
-        let required = scaler.required_for(rate);
-        for (q, &needed) in required.iter().enumerate() {
+        // One type at a time, so a step allocates nothing.
+        for (q, t) in scaler.types.iter().enumerate() {
+            let needed = scaler.required(t, rate);
             if needed > self.fleet[q] {
                 self.fleet[q] = needed;
                 self.below_count[q] = 0;
