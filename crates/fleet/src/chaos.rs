@@ -30,11 +30,10 @@
 //! `k` of a run draws position `tenants.len() + k`. A request repeated within
 //! one batch is solved, and drawn, once
 //! ([`rental_solvers::solve_warm_batch`]): its repeats share the outcome,
-//! injected fault included, and add 0 s of solve time. Everything is
-//! deterministic for a fixed seed and a single solver thread; the chaos
-//! property tests pin that the controller **never panics**, never grants
-//! above quota, and degrades toward the fixed-mix baseline as the fault
-//! rate approaches 1.
+//! injected fault included. Everything is deterministic for a fixed seed
+//! and a single solver thread; the chaos property tests pin that the
+//! controller **never panics**, never grants above quota, and degrades
+//! toward the fixed-mix baseline as the fault rate approaches 1.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 

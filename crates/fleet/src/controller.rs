@@ -17,7 +17,7 @@ use rental_capacity::{CapacityConfig, CapacityPool, UNLIMITED_CAP};
 use rental_core::{
     Instance, PlannedMachine, ProvisioningPlan, RecipeId, Solution, Throughput, TypeId, TypeSummary,
 };
-use rental_obs::{AlertPolicy, NoopSink, StageTimes, TelemetrySink};
+use rental_obs::{AlertPolicy, NoopSink, TelemetrySink};
 use rental_pricing::{HorizonCache, OnDemand, SegmentedBilling};
 use rental_solvers::batch::WarmBatchItem;
 use rental_solvers::solver::{
@@ -80,8 +80,8 @@ pub struct FleetPolicy {
     /// solver worker once the fleet is large enough to amortise the
     /// fan-out, sequential below that. Shards merge at one deterministic
     /// barrier per epoch in tenant-index order, so the report is
-    /// bit-identical (modulo the [`StageTimes`] timing family) at every
-    /// shard count.
+    /// bit-identical (modulo [`FleetReport::epoch_timing`]) at every shard
+    /// count.
     pub shards: Option<usize>,
 }
 
@@ -414,8 +414,6 @@ pub(crate) struct Tally {
     pub(crate) probes: usize,
     pub(crate) resolves: usize,
     pub(crate) adoptions: usize,
-    /// Wall-clock seconds attributed to this tenant per stage.
-    pub(crate) timing: StageTimes,
     /// Deterministic solver-effort counters (solves, nodes, LP iterations).
     pub(crate) effort: SolverEffort,
     pub(crate) slo_violations: usize,
@@ -690,7 +688,6 @@ impl<'a> TenantState<'a> {
             probes: t.probes,
             resolves: t.resolves,
             adoptions: t.adoptions,
-            timing: t.timing,
             effort: t.effort,
             static_peak_cost,
             fixed_mix_cost: b.fixed_mix_cost,
@@ -825,7 +822,7 @@ impl FleetController {
     /// at the sequential barrier. Alerts are pure telemetry — transitions
     /// become flight-recorder events and gauges, never controller decisions
     /// — so an alerted run stays bit-identical to an unalerted one (modulo
-    /// the [`StageTimes`] family). The engine evaluates epoch-indexed
+    /// [`FleetReport::epoch_timing`]). The engine evaluates epoch-indexed
     /// cumulative totals only (no wall-clock), so a seeded run fires and
     /// resolves the same alerts at the same epochs every time.
     pub fn with_alerts(mut self, policy: AlertPolicy) -> Self {

@@ -4,10 +4,13 @@
 //! An epoch of the driver is a deterministic function of the state before
 //! it, the configs and the outcomes of its solver calls, so a durable run
 //! journals those outcomes, not the state they produce: one
-//! [`JournalRecord`] per epoch holds its [`Decision`]s in call order, the
-//! chaos stream position and a digest of the decision state the epoch left
-//! (command logging; Malviya et al., "Rethinking Main Memory OLTP Recovery",
-//! ICDE 2014).
+//! [`JournalRecord`] per epoch holds its [`Decision`]s in call order — each
+//! the request's digest and what was served: a plan or an absorbed error —
+//! the chaos stream position and a digest of the decision state the epoch
+//! left (command logging; Malviya et al., "Rethinking Main Memory OLTP
+//! Recovery", ICDE 2014). Since format 4 (see [`crate::persist`]) a record
+//! carries no stage timing: an epoch's seconds live only in its timing row,
+//! which a replayed epoch restores as zero.
 //!
 //! Every re-solve of the epoch loop goes through [`Solves`]. A run without a
 //! store solves live and keeps nothing; a durable run also keeps each
@@ -19,7 +22,7 @@
 //! at its first decision that does not (see [`crate::persist`] for the
 //! recovery ladder).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rental_core::{Allocation, Instance, Solution, Throughput, ThroughputSplit};
 use rental_persist::{DecodeError, Decoder, Encoder};
@@ -65,8 +68,6 @@ pub(crate) struct Decision {
     /// Digest of the request it answered ([`request_digest`]).
     pub(crate) request: u64,
     pub(crate) served: Served,
-    /// Wall seconds the solve took, charged to the solve stage on replay.
-    pub(crate) seconds: f64,
 }
 
 /// The journal record of one executed epoch.
@@ -127,7 +128,6 @@ fn put_decision(enc: &mut Encoder, decision: &Decision) {
             enc.put_str(solver);
         }
     }
-    enc.put_f64(decision.seconds);
 }
 
 fn get_decision(dec: &mut Decoder<'_>) -> Result<Decision, DecodeError> {
@@ -138,11 +138,7 @@ fn get_decision(dec: &mut Decoder<'_>) -> Result<Decision, DecodeError> {
         2 => Served::Exhausted(dec.get_str()?),
         tag => return Err(DecodeError::BadTag(tag)),
     };
-    Ok(Decision {
-        request,
-        served,
-        seconds: dec.get_f64()?,
-    })
+    Ok(Decision { request, served })
 }
 
 impl JournalRecord {
@@ -308,7 +304,6 @@ impl Decision {
         tenant: usize,
         item: &WarmBatchItem<'_>,
         result: &SolveResult<SolverOutcome>,
-        elapsed: Duration,
     ) -> Option<Decision> {
         let served = match result {
             Ok(outcome) => Served::Plan(PersistedOutcome::capture(outcome)),
@@ -319,7 +314,6 @@ impl Decision {
         Some(Decision {
             request: request_digest(tenant, item),
             served,
-            seconds: elapsed.as_secs_f64(),
         })
     }
 }
@@ -342,30 +336,22 @@ impl Replay {
         }
     }
 
-    fn serve(
-        &mut self,
-        tenant: usize,
-        item: &WarmBatchItem<'_>,
-    ) -> (SolveResult<SolverOutcome>, Duration) {
+    fn serve(&mut self, tenant: usize, item: &WarmBatchItem<'_>) -> SolveResult<SolverOutcome> {
         let decision = (self.decisions.next())
             .filter(|d| !self.diverged && d.request == request_digest(tenant, item));
         let served = decision.and_then(|d| {
-            let result = match d.served {
+            Some(match d.served {
                 Served::Plan(outcome) => Ok(outcome
                     .restore(item.instance, item.caps)
                     .filter(|o| o.solution.target == item.target)?),
                 Served::Infeasible(solver) => Err(SolveError::NoSolutionFound { solver }),
                 Served::Exhausted(solver) => Err(SolveError::BudgetExhausted { solver }),
-            };
-            Some((
-                result,
-                Duration::try_from_secs_f64(d.seconds).unwrap_or_default(),
-            ))
+            })
         });
         served.unwrap_or_else(|| {
             self.diverged = true;
             let solver = "journal".to_string();
-            (Err(SolveError::NoSolutionFound { solver }), Duration::ZERO)
+            Err(SolveError::NoSolutionFound { solver })
         })
     }
 
@@ -399,7 +385,7 @@ impl Solves {
         tenants: &[usize],
         budget: Option<&SolveBudget>,
         threads: Option<usize>,
-    ) -> Vec<(SolveResult<SolverOutcome>, Duration)> {
+    ) -> Vec<SolveResult<SolverOutcome>> {
         if let Solves::Replayed(replay) = self {
             return (items.iter().zip(tenants))
                 .map(|(item, &tenant)| replay.serve(tenant, item))
@@ -407,8 +393,8 @@ impl Solves {
         }
         let results = solve_warm_batch(solver, items, budget, threads);
         if let Solves::Journaled(log) = self {
-            for ((item, &tenant), (result, elapsed)) in items.iter().zip(tenants).zip(&results) {
-                log.extend(Decision::capture(tenant, item, result, *elapsed));
+            for ((item, &tenant), result) in items.iter().zip(tenants).zip(&results) {
+                log.extend(Decision::capture(tenant, item, result));
             }
         }
         results
@@ -423,12 +409,11 @@ impl Solves {
         solve: impl FnOnce() -> SolveResult<SolverOutcome>,
     ) -> SolveResult<SolverOutcome> {
         if let Solves::Replayed(replay) = self {
-            return replay.serve(tenant, item).0;
+            return replay.serve(tenant, item);
         }
-        let start = Instant::now();
         let result = solve();
         if let Solves::Journaled(log) = self {
-            log.extend(Decision::capture(tenant, item, &result, start.elapsed()));
+            log.extend(Decision::capture(tenant, item, &result));
         }
         result
     }

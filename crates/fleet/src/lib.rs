@@ -32,7 +32,9 @@
 //!    solved twice.
 //!
 //! The run emits a [`FleetReport`]: per-tenant rental and switching cost,
-//! re-solve and adoption counts, the probe-vs-solve time split, and savings
+//! re-solve and adoption counts, per-epoch stage times (the probe-vs-solve
+//! split is [`FleetReport::probe_seconds`] against
+//! [`FleetReport::solve_seconds`], summed over the epochs), and savings
 //! against both the **static peak** provisioning of the paper and the
 //! **fixed-mix autoscaler** of `rental-stream` (which rescales machine counts
 //! but never re-solves the recipe mix).
@@ -137,13 +139,19 @@
 //! The controller reports through the [`rental_obs::TelemetrySink`] handed
 //! to [`FleetController::with_telemetry`] (default [`rental_obs::NoopSink`]).
 //! Every epoch is split into five stages — probe / arbitrate / solve / adopt
-//! / persist ([`rental_obs::Stage`]) — timed into `fleet.span.*` histograms
-//! and the report's [`rental_obs::StageTimes`] rows, the **single masked
-//! field family** of [`FleetReport::matches_modulo_timing`]. Deterministic
-//! solver effort ([`TenantReport::effort`]) is not masked and survives
-//! resume. Counters, gauges, one causal [`rental_obs::TraceTree`] per epoch
-//! and flight-recorder events are emitted only from sequential barrier
-//! sites, and [`FleetController::with_alerts`] evaluates an
+//! / persist ([`rental_obs::Stage`]). One timer per phase (the bill pass,
+//! repair's triage, each probe shard, each re-solve batch and degraded
+//! fallback, adopt, persist) adds its wall seconds to the epoch's
+//! [`rental_obs::StageTimes`] row, and the end-of-epoch barrier emits the
+//! `fleet.span.*` samples from that row, once per epoch. The rows
+//! ([`FleetReport::epoch_timing`]) are the report's only time and the
+//! **single masked field family** of [`FleetReport::matches_modulo_timing`];
+//! no tenant row, checkpoint or journal record carries time, and the initial
+//! solves before epoch 0 are in no row. Deterministic solver effort
+//! ([`TenantReport::effort`]) is not masked and survives resume. Counters,
+//! gauges, one causal [`rental_obs::TraceTree`] per epoch and
+//! flight-recorder events are emitted only from sequential barrier sites,
+//! and [`FleetController::with_alerts`] evaluates an
 //! [`rental_obs::AlertEngine`] there on epoch-indexed data; an
 //! [`rental_obs::Exporter`] attached to the same [`rental_obs::Recorder`]
 //! serves `/metrics`, `/health` and `/events` while the run goes on. None

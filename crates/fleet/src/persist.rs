@@ -6,10 +6,13 @@
 //! input that wall-clock budgets and chaos faults shape. So the journal
 //! logs decisions, not state: [`FleetController::run_resumable`] appends
 //! one **journal record** per completed epoch carrying that epoch's solver
-//! outcomes in call order (each a plan or an error, with its request's
-//! digest, nodes, LP iterations and elapsed time), the chaos stream position
+//! outcomes in call order (each a plan, with its nodes and LP iterations, or
+//! an absorbed error, under its request's digest), the chaos stream position
 //! and a digest of the decision state the epoch left. A full **checkpoint
 //! snapshot** is written every [`PersistOptions::snapshot_every`] epochs.
+//! Neither payload carries stage timing (format 4): wall-clock seconds live
+//! only in the report's epoch rows, and the rows of epochs a resume did not
+//! execute restore as zero.
 //! Both are framed with CRC-32 checksums by the [`rental_persist::Store`],
 //! so torn writes and tail corruption are detected, never trusted.
 //!
@@ -61,7 +64,7 @@ use std::sync::Arc;
 
 use rental_capacity::{CapacityConfig, PoolLedger};
 use rental_core::{Throughput, ThroughputSplit};
-use rental_obs::{EventKind, SpanTimer, Stage, StageTimes};
+use rental_obs::{EventKind, SpanTimer, Stage};
 use rental_persist::{DecodeError, Decoder, Encoder, JournalAppender, Store};
 use rental_solvers::solver::{CapacitySolver, SolveError, SweepPrior};
 use rental_stream::FixedMixState;
@@ -81,8 +84,10 @@ use crate::tenant::TenantSpec;
 const CHECKPOINT_MAGIC: u32 = 0x5250_5346;
 /// Current on-disk format version of both payload kinds. Version 3 replaced
 /// the per-epoch state deltas of the journal with the epoch's solver
-/// outcomes and a state digest; a version-2 store cold-restarts.
-pub(crate) const FORMAT_VERSION: u32 = 3;
+/// outcomes and a state digest; version 4 dropped the per-tenant stage
+/// seconds of the checkpoint and the per-decision seconds of the journal.
+/// A store of an older version cold-restarts.
+pub(crate) const FORMAT_VERSION: u32 = 4;
 
 /// Why a resumable run failed. Corrupted or missing persisted state is
 /// **not** an error — the recovery ladder absorbs it; only real filesystem
@@ -182,10 +187,7 @@ struct PersistedPlan {
 /// A tenant's initial plan: its target and recipe mix.
 type InitialPlan = (Throughput, Vec<f64>);
 
-/// One tenant's checkpointed state: decision state, running totals (the
-/// per-stage wall-clock seconds included — timing is the masked field family
-/// of [`FleetReport::matches_modulo_timing`], but persisting it keeps a
-/// resumed run's totals from silently dropping the pre-crash portion), every
+/// One tenant's checkpointed state: decision state, running totals, every
 /// epoch cost and the whole plan log.
 #[derive(Debug, Clone, PartialEq)]
 struct TenantSnapshot {
@@ -291,9 +293,6 @@ pub(crate) fn tally_counts(t: &Tally) -> [usize; 13] {
 fn put_tally(enc: &mut Encoder, t: &Tally) {
     enc.put_f64(t.rental_cost);
     enc.put_f64(t.switching_cost);
-    for seconds in t.timing.seconds() {
-        enc.put_f64(seconds);
-    }
     for count in tally_counts(t) {
         enc.put_usize(count);
     }
@@ -305,13 +304,6 @@ fn get_tally(dec: &mut Decoder<'_>) -> Result<Tally, DecodeError> {
     Ok(Tally {
         rental_cost: dec.get_f64()?,
         switching_cost: dec.get_f64()?,
-        timing: {
-            let mut seconds = [0.0; Stage::COUNT];
-            for slot in &mut seconds {
-                *slot = dec.get_f64()?;
-            }
-            StageTimes::from_seconds(seconds)
-        },
         effort: SolverEffort {
             solves: dec.get_usize()?,
             nodes: dec.get_usize()?,
@@ -481,8 +473,7 @@ fn restore_tenant<'a>(
         && core.fractions.len() == recipes
         && core.mix.fleet().len() == types
         && core.prior.as_ref().is_none_or(|p| p.split.len() == recipes)
-        && (core.last_failure_solve.as_ref()).is_none_or(|(_, caps)| caps.len() == types)
-        && (snap.tally.timing.seconds().iter()).all(|s| s.is_finite() && *s >= 0.0);
+        && (core.last_failure_solve.as_ref()).is_none_or(|(_, caps)| caps.len() == types);
     if !valid {
         return None;
     }
@@ -687,7 +678,7 @@ impl Durability<'_> {
             snapshot(store, run, epoch + 1)?;
             run.checkpoint_epoch = Some(epoch + 1);
         }
-        span.stop_into(&mut run.obs.times, run.ctl.telemetry.as_ref());
+        span.stop_into(&mut run.obs.times);
         Ok(false)
     }
 }
@@ -811,7 +802,6 @@ mod tests {
             probes: 11,
             resolves: 3,
             adoptions: 2,
-            timing: StageTimes::from_seconds([0.125, 0.0625, 1.5, 0.25, 0.03125]),
             effort: SolverEffort {
                 solves: 4,
                 nodes: 950,
@@ -880,11 +870,7 @@ mod tests {
 
     /// A journal record with a decision of every kind.
     fn journal_record() -> JournalRecord {
-        let decision = |request, served| Decision {
-            request,
-            served,
-            seconds: 0.0015,
-        };
+        let decision = |request, served| Decision { request, served };
         JournalRecord {
             epoch: 7,
             decisions: vec![
@@ -945,15 +931,32 @@ mod tests {
             JournalRecord::decode(&bytes[..bytes.len() - 1]).is_err(),
             "truncation rejected"
         );
-        // A version-2 store is not read: it takes the cold-restart rung.
+        // A store of an older version is not read: it takes the
+        // cold-restart rung.
         for (magic, payload) in [
             (CHECKPOINT_MAGIC, checkpoint().encode()),
             (JOURNAL_MAGIC, bytes),
         ] {
-            let mut old = Encoder::versioned(magic, 2).finish();
-            old.extend_from_slice(&payload[8..]);
-            assert_eq!(decode_both(&old), (false, false));
+            for version in [2, 3] {
+                let mut old = Encoder::versioned(magic, version).finish();
+                old.extend_from_slice(&payload[8..]);
+                assert_eq!(decode_both(&old), (false, false), "version {version}");
+            }
         }
+    }
+
+    /// The encodings of the fixtures are pinned together with the format
+    /// version: a codec change fails here until its author bumps
+    /// [`FORMAT_VERSION`] and re-pins the checksums.
+    #[test]
+    fn the_format_version_is_pinned_with_the_encodings() {
+        let pins = (
+            FORMAT_VERSION,
+            rental_persist::crc32(&checkpoint().encode()),
+            rental_persist::crc32(&journal_record().encode()),
+        );
+        let pinned = (4, 0xC51C_4D69, 0x6ADB_2FA5);
+        assert_eq!(pins, pinned, "a codec change needs a version bump");
     }
 
     #[test]
@@ -1006,10 +1009,9 @@ mod tests {
             .collect()
     }
 
-    /// A record with its wall-clock fields zeroed.
+    /// A record with its plans' solver-reported times zeroed.
     fn without_timing(mut record: JournalRecord) -> JournalRecord {
         for decision in &mut record.decisions {
-            decision.seconds = 0.0;
             if let Served::Plan(plan) = &mut decision.served {
                 plan.elapsed = 0.0;
             }

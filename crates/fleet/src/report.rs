@@ -1,5 +1,5 @@
 //! What a fleet run reports: per-tenant economics, adoption decisions, the
-//! per-stage time breakdown and solver-effort aggregates.
+//! per-epoch stage time breakdown and solver-effort aggregates.
 
 use rental_core::Throughput;
 use rental_obs::json::JsonRow;
@@ -96,7 +96,9 @@ impl AdoptionRecord {
     }
 }
 
-/// Per-tenant outcome of a fleet run.
+/// Per-tenant outcome of a fleet run. It holds no wall-clock time, so `==`
+/// is the resume contract: a killed-and-resumed run's tenants equal the
+/// uninterrupted run's, solver-effort counters included.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantReport {
     /// Tenant name (from the spec).
@@ -115,13 +117,8 @@ pub struct TenantReport {
     pub resolves: usize,
     /// Number of adopted plans (excluding the initial plan).
     pub adoptions: usize,
-    /// Wall-clock seconds attributed to this tenant per controller stage
-    /// (probe and solve; arbitrate/adopt/persist are epoch-level and live in
-    /// [`FleetReport::epoch_timing`]). The **only** machine-dependent field
-    /// of the report — masked by [`TenantReport::matches_modulo_timing`].
-    pub timing: StageTimes,
     /// Deterministic solver-effort counters (solves, branch-and-bound nodes,
-    /// simplex iterations). Not timing: never masked, persisted on resume.
+    /// simplex iterations), persisted on resume.
     pub effort: SolverEffort,
     /// Baseline: provisioning the initial mix for the trace peak over the
     /// whole horizon (the paper's static approach applied to the worst case).
@@ -166,33 +163,6 @@ impl TenantReport {
         self.rental_cost + self.switching_cost
     }
 
-    /// Wall-clock seconds spent probing (accessor over
-    /// [`TenantReport::timing`], kept for callers of the pre-`StageTimes`
-    /// field).
-    pub fn probe_seconds(&self) -> f64 {
-        self.timing.get(Stage::Probe)
-    }
-
-    /// Wall-clock seconds spent solving, initial solve included (accessor
-    /// over [`TenantReport::timing`]).
-    pub fn solve_seconds(&self) -> f64 {
-        self.timing.get(Stage::Solve)
-    }
-
-    /// Bit-exact equality on everything except the one wall-clock timing
-    /// field ([`TenantReport::timing`]), which depends on the machine and on
-    /// how the run was split across restarts. This is the resume contract: a
-    /// killed-and-resumed run must match the uninterrupted run on every
-    /// decision-derived field — solver-effort counters included.
-    pub fn matches_modulo_timing(&self, other: &TenantReport) -> bool {
-        let mask = |report: &TenantReport| {
-            let mut masked = report.clone();
-            masked.timing = StageTimes::zero();
-            masked
-        };
-        mask(self) == mask(other)
-    }
-
     /// Savings against the fixed-mix autoscale baseline.
     pub fn savings_vs_fixed_mix(&self) -> f64 {
         self.fixed_mix_cost - self.total_cost()
@@ -226,9 +196,10 @@ pub struct FleetReport {
     /// run).
     pub quota_utilization: Vec<f64>,
     /// Per-epoch wall-clock stage breakdown of the controller loop (one
-    /// [`StageTimes`] per epoch of the shared clock). Part of the masked
-    /// timing family: a resumed run re-measures only the epochs it actually
-    /// executed, so already-persisted epochs restore as zero rows.
+    /// [`StageTimes`] per epoch of the shared clock) — the report's only
+    /// wall-clock field, masked by [`FleetReport::matches_modulo_timing`]: a
+    /// resumed run re-measures only the epochs it actually executed, so
+    /// already-persisted epochs restore as zero rows.
     pub epoch_timing: Vec<StageTimes>,
 }
 
@@ -240,19 +211,13 @@ impl FleetReport {
         self.tenants.iter().map(|t| t.epoch_costs.len()).sum()
     }
 
-    /// [`TenantReport::matches_modulo_timing`] lifted to the whole report:
-    /// bit-exact equality on every decision-derived field (adoptions, costs,
-    /// counters, solver effort, quota utilization), ignoring only the
-    /// [`StageTimes`]-typed timing family ([`TenantReport::timing`] and
-    /// [`FleetReport::epoch_timing`]). The equality pinned by the
-    /// crash/resume property tests.
+    /// Bit-exact equality on every decision-derived field (tenants,
+    /// adoptions, quota utilization), ignoring only the one wall-clock
+    /// field, [`FleetReport::epoch_timing`], which depends on the machine
+    /// and on how the run was split across restarts. The equality pinned by
+    /// the crash/resume property tests.
     pub fn matches_modulo_timing(&self, other: &FleetReport) -> bool {
-        self.tenants.len() == other.tenants.len()
-            && self
-                .tenants
-                .iter()
-                .zip(&other.tenants)
-                .all(|(a, b)| a.matches_modulo_timing(b))
+        self.tenants == other.tenants
             && self.adoptions == other.adoptions
             && self.epochs == other.epochs
             && self.epoch_hours == other.epoch_hours
@@ -353,14 +318,15 @@ impl FleetReport {
         self.tenants.iter().map(|t| t.resolve_retries).sum()
     }
 
-    /// Total wall-clock seconds spent probing.
+    /// Wall-clock seconds of the probe stage, summed over the epoch rows.
     pub fn probe_seconds(&self) -> f64 {
-        self.tenants.iter().map(TenantReport::probe_seconds).sum()
+        self.stage_seconds().get(Stage::Probe)
     }
 
-    /// Total wall-clock seconds spent solving.
+    /// Wall-clock seconds of the solve stage, summed over the epoch rows
+    /// (the initial solves run before epoch 0 and are not counted).
     pub fn solve_seconds(&self) -> f64 {
-        self.tenants.iter().map(TenantReport::solve_seconds).sum()
+        self.stage_seconds().get(Stage::Solve)
     }
 
     /// The epoch-level stage breakdown summed over the whole run.
@@ -441,8 +407,6 @@ impl FleetReport {
                 .usize("solves", tenant.effort.solves)
                 .usize("nodes", tenant.effort.nodes)
                 .usize("lp_iterations", tenant.effort.lp_iterations)
-                .f64("probe_seconds", tenant.probe_seconds())
-                .f64("solve_seconds", tenant.solve_seconds())
         }));
         rows
     }
@@ -453,9 +417,6 @@ mod tests {
     use super::*;
 
     fn tenant(rental: f64, switching: f64, resolves: usize) -> TenantReport {
-        let mut timing = StageTimes::zero();
-        timing.add(Stage::Probe, 0.001);
-        timing.add(Stage::Solve, 0.01);
         TenantReport {
             name: "t".to_string(),
             initial_target: 50,
@@ -465,7 +426,6 @@ mod tests {
             probes: 4,
             resolves,
             adoptions: 1,
-            timing,
             effort: SolverEffort {
                 solves: resolves + 1,
                 nodes: 100 * resolves,
@@ -488,7 +448,9 @@ mod tests {
     #[test]
     fn report_totals_aggregate_over_tenants() {
         let mut epoch_row = StageTimes::zero();
+        epoch_row.add(Stage::Probe, 0.001);
         epoch_row.add(Stage::Arbitrate, 0.25);
+        epoch_row.add(Stage::Solve, 0.01);
         let report = FleetReport {
             tenants: vec![tenant(200.0, 10.0, 2), tenant(100.0, 0.0, 1)],
             adoptions: vec![],
@@ -514,7 +476,8 @@ mod tests {
         assert_eq!(report.budget_exhausted_epochs(), 2);
         assert_eq!(report.incumbent_adoptions(), 2);
         assert_eq!(report.resolve_retries(), 2);
-        assert!(report.probe_seconds() > 0.0 && report.solve_seconds() > 0.0);
+        assert!((report.probe_seconds() - 0.01).abs() < 1e-12);
+        assert!((report.solve_seconds() - 0.1).abs() < 1e-12);
         // Effort aggregates merge across tenants; the stage rows sum.
         let effort = report.effort();
         assert_eq!(effort.solves, 5);
@@ -553,7 +516,6 @@ mod tests {
         };
         // Different wall-clock, same decisions: matches.
         let mut retimed = base.clone();
-        retimed.tenants[0].timing = StageTimes::zero();
         retimed.epoch_timing.clear();
         assert_ne!(base, retimed);
         assert!(base.matches_modulo_timing(&retimed));
@@ -583,6 +545,8 @@ mod tests {
         assert_eq!(rows[4].get("initial_target"), Some("50"));
         assert_eq!(rows[4].get("fixed_mix_cost"), Some("300"));
         assert_eq!(rows[4].get("static_peak_cost"), Some("500"));
+        // Time is per epoch only: tenant rows carry none.
+        assert_eq!(rows[4].get("probe_seconds"), None);
         for row in rows {
             let line = row.finish();
             assert!(line.starts_with('{') && line.ends_with('}'));

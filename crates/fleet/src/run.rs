@@ -16,8 +16,17 @@
 //! batched solver fan-outs and every flight-recorder event live. Shard
 //! outputs concatenate in shard order — which *is* tenant-index order — so
 //! the controller's decisions, its [`FleetReport`] and its event sequence
-//! are bit-identical (modulo the [`StageTimes`] family) at every shard
+//! are bit-identical (modulo [`FleetReport::epoch_timing`]) at every shard
 //! count, including one.
+//!
+//! # Time
+//!
+//! This module owns the epoch loop's clock. One [`SpanTimer`] times each
+//! phase of an epoch — the bill pass, repair's triage, each shard of the
+//! probe fan-out, each re-solve batch and degraded fallback, adopt — and
+//! the durable hook times persist; each adds its seconds to the epoch's
+//! [`StageTimes`] row only. [`FleetRun::observe`] emits every
+//! `fleet.span.*` sample from that row, once per epoch, at the barrier.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -56,22 +65,6 @@ pub(crate) struct EpochObs {
     fanout: FanoutObs,
 }
 
-/// Attributes `seconds` of `stage` work to a tenant *and* to the epoch's
-/// stage row, emitting the span to the sink — the single accounting path for
-/// every timed region of the epoch loop, so per-tenant and per-epoch
-/// breakdowns cannot drift apart.
-fn charge_stage(
-    state: &mut TenantState<'_>,
-    epoch_times: &mut StageTimes,
-    sink: &dyn TelemetrySink,
-    stage: Stage,
-    seconds: f64,
-) {
-    state.tally.timing.add(stage, seconds);
-    epoch_times.add(stage, seconds);
-    sink.span(stage.span_name(), seconds);
-}
-
 /// Runs `f` once per tenant, fanned out over `shards` contiguous shards of
 /// the state slice on the shared worker pool, returning the per-tenant
 /// results **in tenant-index order**.
@@ -80,12 +73,11 @@ fn charge_stage(
 /// contiguous index ranges, so concatenating their outputs in shard order
 /// *is* tenant-index order, and every cross-tenant effect — pool
 /// arbitration, solver fan-outs, flight-recorder events — stays with the
-/// caller at the barrier after this returns. `f` receives a shard-local
-/// [`StageTimes`] accumulator; the accumulators merge into the epoch's row at
-/// the barrier, and when `shard_span` is given each shard's accumulated
-/// seconds are emitted as one span, plus the merge-barrier wait (fan-out
-/// wall time past the busiest shard) under `fleet.span.merge_wait`.
-/// Counters and spans may be emitted from inside `f` (the sink's registry
+/// caller at the barrier after this returns. With `probe` given — the probe
+/// fan-out, the one whose shards the epoch's trace shows — each shard's busy
+/// seconds join the epoch's probe stage and its fan-out observations, and
+/// the merge-barrier wait (fan-out wall time past the busiest shard) joins
+/// them too. Counters may be emitted from inside `f` (the sink's registry
 /// merges its thread-local shards on snapshot); flight-recorder events must
 /// not be.
 ///
@@ -95,68 +87,57 @@ fn charge_stage(
 fn for_each_tenant_sharded<'a, R, F>(
     states: &mut [TenantState<'a>],
     shards: usize,
-    sink: &dyn TelemetrySink,
-    obs: &mut EpochObs,
-    shard_span: Option<&'static str>,
+    mut probe: Option<&mut EpochObs>,
     f: F,
 ) -> Vec<R>
 where
     R: Send,
-    F: Fn(usize, &mut TenantState<'a>, &mut StageTimes) -> R + Sync,
+    F: Fn(usize, &mut TenantState<'a>) -> R + Sync,
 {
     let len = states.len();
     let shards = shards.clamp(1, len.max(1));
-    let record = |obs: &mut EpochObs, times: &StageTimes| {
-        if let Some(name) = shard_span {
-            sink.span(name, times.total());
-            obs.fanout.probe_shards.push(times.total());
-        }
-        obs.times.merge(times);
-    };
-    if shards <= 1 {
-        let mut times = StageTimes::zero();
-        let out = states
-            .iter_mut()
-            .enumerate()
-            .map(|(i, state)| f(i, state, &mut times))
-            .collect();
-        record(obs, &times);
-        return out;
-    }
-    let chunk = len.div_ceil(shards);
-    // Hand each worker exclusive `&mut` access to its own contiguous shard:
-    // the slice splits up front, and the per-shard mutex lets the `Fn + Sync`
-    // closure below reclaim mutable access from a shared reference. Each
-    // mutex is locked exactly once, by the worker that drew its index.
-    let shard_slices: Vec<Mutex<(usize, &mut [TenantState<'a>])>> = states
-        .chunks_mut(chunk)
-        .enumerate()
-        .map(|(s, slice)| Mutex::new((s * chunk, slice)))
-        .collect();
-    let fan_out = Instant::now();
-    let shard_results = rayon::parallel_map_indexed(shard_slices.len(), Some(shards), |s| {
-        let mut guard = shard_slices[s].lock().expect("shard slice poisoned");
-        let (offset, slice) = &mut *guard;
+    let run_shard = |offset: usize, slice: &mut [TenantState<'a>]| {
         let busy = Instant::now();
-        let mut times = StageTimes::zero();
-        let out: Vec<R> = slice
-            .iter_mut()
-            .enumerate()
-            .map(|(k, state)| f(*offset + k, state, &mut times))
+        let out: Vec<R> = (slice.iter_mut().enumerate())
+            .map(|(k, state)| f(offset + k, state))
             .collect();
-        (out, times, busy.elapsed().as_secs_f64())
-    });
+        (out, busy.elapsed().as_secs_f64())
+    };
+    let fan_out = Instant::now();
+    let shard_results = if shards <= 1 {
+        vec![run_shard(0, states)]
+    } else {
+        let chunk = len.div_ceil(shards);
+        // Hand each worker exclusive `&mut` access to its own contiguous
+        // shard: the slice splits up front, and the per-shard mutex lets the
+        // `Fn + Sync` closure below reclaim mutable access from a shared
+        // reference. Each mutex is locked exactly once, by the worker that
+        // drew its index.
+        let shard_slices: Vec<Mutex<(usize, &mut [TenantState<'a>])>> = states
+            .chunks_mut(chunk)
+            .enumerate()
+            .map(|(s, slice)| Mutex::new((s * chunk, slice)))
+            .collect();
+        rayon::parallel_map_indexed(shard_slices.len(), Some(shards), |s| {
+            let mut guard = shard_slices[s].lock().expect("shard slice poisoned");
+            let (offset, slice) = &mut *guard;
+            run_shard(*offset, slice)
+        })
+    };
     let wall = fan_out.elapsed().as_secs_f64();
     let mut merged = Vec::with_capacity(len);
     let mut busiest = 0.0f64;
-    for (out, times, busy) in shard_results {
-        record(obs, &times);
+    for (out, busy) in shard_results {
+        if let Some(obs) = probe.as_deref_mut() {
+            obs.times.add(Stage::Probe, busy);
+            obs.fanout.probe_shards.push(busy);
+        }
         busiest = busiest.max(busy);
         merged.extend(out);
     }
-    let merge_wait = (wall - busiest).max(0.0);
-    sink.span("fleet.span.merge_wait", merge_wait);
-    obs.fanout.merge_wait += merge_wait;
+    if let Some(obs) = probe {
+        obs.fanout.merge_wait += (wall - busiest).max(0.0);
+    }
     merged
 }
 
@@ -312,7 +293,7 @@ impl<'a> FleetRun<'a> {
         let shared = rayon::parallel_map_indexed(firsts.len(), ctl.policy.threads, |r| {
             let (i, rho) = firsts[r];
             let instance = &tenants[i].instance;
-            let outcome = results[r].0.clone()?;
+            let outcome = results[r].clone()?;
             debug_certify(instance, &outcome.solution, None);
             let fractions = Autoscaler::split_fractions(&outcome.solution);
             let derived = Derived::new(instance, &env, (rho, fractions.clone()), &fractions);
@@ -325,20 +306,6 @@ impl<'a> FleetRun<'a> {
             return Err(err.clone());
         }
         let shared: Vec<_> = shared.into_iter().flatten().collect();
-        // The first tenant of a request carries its solve time, the others
-        // none: a shared solve is timed once.
-        let solve_seconds = |i: usize| {
-            let r = request_of[i];
-            if firsts[r].0 == i {
-                results[r].1.as_secs_f64()
-            } else {
-                0.0
-            }
-        };
-        for i in 0..tenants.len() {
-            ctl.telemetry
-                .span(Stage::Solve.span_name(), solve_seconds(i));
-        }
         let mut states = map_sharded(tenants.len(), shards, |i| {
             let (derived, plan) = &shared[request_of[i]];
             let (spec, rho) = (&tenants[i], derived.initial_target);
@@ -355,7 +322,6 @@ impl<'a> FleetRun<'a> {
             };
             let mut tally = Tally::default();
             tally.effort.record(outcome);
-            tally.timing.add(Stage::Solve, solve_seconds(i));
             let epoch_costs = Vec::with_capacity(peaks[i].len());
             let plans = vec![(rho, Arc::clone(plan))];
             TenantState::new(spec, derived, Vec::new(), core, tally, epoch_costs, plans)
@@ -421,7 +387,6 @@ impl<'a> FleetRun<'a> {
             states,
             coupled,
             stale_desired,
-            obs,
             ..
         } = self;
         let env = &*env;
@@ -429,7 +394,7 @@ impl<'a> FleetRun<'a> {
         let mut repairs = Vec::new();
         match coupled {
             None => {
-                for_each_tenant_sharded(states, shards, sink, obs, None, |_, state, _| {
+                for_each_tenant_sharded(states, shards, None, |_, state| {
                     let Some(&rate) = state.peaks.get(epoch) else {
                         return;
                     };
@@ -448,7 +413,7 @@ impl<'a> FleetRun<'a> {
                 // release their holdings.
                 let traces = &cs.traces;
                 let desired: Vec<Vec<u64>> =
-                    for_each_tenant_sharded(states, shards, sink, obs, None, |i, state, _| {
+                    for_each_tenant_sharded(states, shards, None, |i, state| {
                         let Some(&rate) = state.peaks.get(epoch) else {
                             return vec![0; state.spec.instance.num_types()];
                         };
@@ -493,7 +458,7 @@ impl<'a> FleetRun<'a> {
                 // A violated epoch: the rate for the barrier's SloViolation
                 // event, plus the repair a re-solve should attempt, if any.
                 let violations: Vec<Option<(f64, Option<Repair>)>> =
-                    for_each_tenant_sharded(states, shards, sink, obs, None, |i, state, _| {
+                    for_each_tenant_sharded(states, shards, None, |i, state| {
                         let &rate = state.peaks.get(epoch)?;
                         let granted = &grants[i];
                         state.rent(state.scaler.cost_rate(granted) * policy.epoch);
@@ -567,7 +532,7 @@ impl<'a> FleetRun<'a> {
                 }
             }
         }
-        span.stop_into(&mut self.obs.times, sink);
+        span.stop_into(&mut self.obs.times);
         repairs
     }
 
@@ -586,6 +551,9 @@ impl<'a> FleetRun<'a> {
         let (policy, sink) = (self.policy(), self.sink());
         let mut full = Vec::new();
         let mut needs_degrade = Vec::new();
+        // Triage — the futility check, then the coverage probe — is the
+        // repair's probe phase.
+        let triage = SpanTimer::start(Stage::Probe);
         for (i, rho, caps) in repairs {
             let state = &mut self.states[i];
             if state.peaks.len() <= epoch + 1 {
@@ -610,41 +578,28 @@ impl<'a> FleetRun<'a> {
                 }
                 continue;
             }
-            let probe_span = SpanTimer::start(Stage::Probe);
             state.tally.probes += 1;
-            let bound = coverage_bound(&state.spec.instance, &caps)?;
-            charge_stage(
-                state,
-                &mut self.obs.times,
-                sink,
-                Stage::Probe,
-                probe_span.stop(),
-            );
-            if bound >= rho as f64 - 1e-9 {
+            if coverage_bound(&state.spec.instance, &caps)? >= rho as f64 - 1e-9 {
                 full.push((i, rho, caps));
             } else {
                 needs_degrade.push((i, rho, caps));
             }
         }
+        triage.stop_into(&mut self.obs.times);
         let budget = policy.epoch_budget.map(|b| b.split(full.len().max(1)));
         let items: Vec<WarmBatchItem<'_>> = full
             .iter()
             .map(|(i, rho, caps)| self.states[*i].item(*rho, Some(caps)))
             .collect();
         let tenants: Vec<usize> = full.iter().map(|(i, _, _)| *i).collect();
+        let batch = SpanTimer::start(Stage::Solve);
         let results = self
             .solves
             .batch(solver, &items, &tenants, budget.as_ref(), policy.threads);
+        batch.stop_into(&mut self.obs.times);
         drop(items);
-        for ((i, rho, caps), (result, elapsed)) in full.into_iter().zip(results) {
+        for ((i, rho, caps), result) in full.into_iter().zip(results) {
             let state = &mut self.states[i];
-            charge_stage(
-                state,
-                &mut self.obs.times,
-                sink,
-                Stage::Solve,
-                elapsed.as_secs_f64(),
-            );
             match result {
                 Ok(outcome) => {
                     state.tally.failure_resolves += 1;
@@ -666,7 +621,7 @@ impl<'a> FleetRun<'a> {
             // failed the batched full-target solve or was proven infeasible
             // by the coverage probe, so the full-target attempt would be a
             // guaranteed duplicate of the most expensive MILP in the path.
-            let span = SpanTimer::start(Stage::Solve);
+            let fallback = SpanTimer::start(Stage::Solve);
             let (state, solves) = (&self.states[i], &mut self.solves);
             let result = degrade_with(&state.spec.instance, rho, &caps, |target| {
                 let item = state.item(target, Some(&caps));
@@ -674,8 +629,8 @@ impl<'a> FleetRun<'a> {
                     solver.solve_with_caps(item.instance, target, &caps, item.prior)
                 })
             });
+            fallback.stop_into(&mut self.obs.times);
             let state = &mut self.states[i];
-            charge_stage(state, &mut self.obs.times, sink, Stage::Solve, span.stop());
             state.tally.failure_resolves += 1;
             state.core.last_failure_solve = Some((rho, caps));
             match result {
@@ -767,7 +722,7 @@ impl<'a> FleetRun<'a> {
     /// entries; the entries concatenate in tenant-index order at the
     /// barrier.
     fn probe(&mut self, epoch: usize) -> Vec<DueTenant> {
-        let (ctl, sink) = (self.ctl, self.sink());
+        let ctl = self.ctl;
         let policy = &ctl.policy;
         let shards = policy.shard_count(self.states.len());
         // Pool-aware shift re-solves: under a finite quota the ordinary
@@ -783,78 +738,67 @@ impl<'a> FleetRun<'a> {
             .filter(|pool| !pool.is_unlimited());
         let serve_headroom = self.env.serve_headroom;
         let billing = ctl.billing.as_ref();
-        for_each_tenant_sharded(
-            &mut self.states,
-            shards,
-            sink,
-            &mut self.obs,
-            Some("fleet.span.shard_probe"),
-            |i, state, times| {
-                let rate = state.peaks.get(epoch).copied().unwrap_or(0.0);
-                let rho = quantize_target(rate, serve_headroom, state.granularity);
-                // Each tenant projects over *its own* remaining trace —
-                // savings past a tenant's last billed epoch do not exist, so
-                // they must not tip a switching decision.
-                let remaining_hours =
-                    state.peaks.len().saturating_sub(epoch + 1) as f64 * policy.epoch;
-                if remaining_hours <= 0.0 {
-                    // Past its last decision epoch a tenant never probes
-                    // again: free its memo here, inside the sharded pass.
-                    state.probe_cache = Vec::new();
-                    return None;
-                }
-                if rho == 0 {
-                    return None;
-                }
-                // A deferred tenant sits out its backoff window: it keeps
-                // its current plan, and the suppressed re-solve is counted.
-                if epoch < state.core.deferred_until {
-                    state.tally.deferred_resolves += 1;
-                    return None;
-                }
-                let due = |keep| DueTenant {
-                    tenant: i,
-                    rho,
-                    keep,
-                    remaining_hours,
-                    caps: pool.map(|pool| pool.caps_for(i)),
-                };
-                if !state.mix_carries_demand() {
-                    // A zero mix cannot carry any demand: re-solving is not
-                    // optional, no probe needed.
-                    return Some(due(None));
-                }
-                let solved = state.core.solved_target;
-                let shift = (rho as f64 - solved as f64).abs()
-                    > policy.shift_threshold * solved.max(1) as f64;
-                if !shift {
-                    return None;
-                }
-                let probe_span = SpanTimer::start(Stage::Probe);
-                state.tally.probes += 1;
-                // Keep-side projection: continued machines bill only the
-                // margin past the current plan's elapsed rental time
-                // (committed terms already paid are sunk), scale-up machines
-                // bill fresh.
-                let elapsed_hours = (epoch + 1 - state.core.adopted_epoch) as f64 * policy.epoch;
-                let entry = state.probe_entry(rho, billing);
-                let keep_projected = entry.continued.total_over(
-                    RentalHorizon::hours(elapsed_hours),
-                    RentalHorizon::hours(elapsed_hours + remaining_hours),
-                ) + entry.fresh.total(RentalHorizon::hours(remaining_hours));
-                let reference_rate = state
-                    .known(rho)
-                    .map_or(rho as f64 * state.min_unit_cost, |k| {
-                        k.outcome.cost() as f64
-                    });
-                let reference_projected = reference_rate * remaining_hours;
-                let worth_probing = keep_projected
-                    > (1.0 + policy.probe_epsilon) * reference_projected
-                    && keep_projected - reference_projected > policy.switching_cost;
-                charge_stage(state, times, sink, Stage::Probe, probe_span.stop());
-                worth_probing.then(|| due(Some(keep_projected)))
-            },
-        )
+        for_each_tenant_sharded(&mut self.states, shards, Some(&mut self.obs), |i, state| {
+            let rate = state.peaks.get(epoch).copied().unwrap_or(0.0);
+            let rho = quantize_target(rate, serve_headroom, state.granularity);
+            // Each tenant projects over *its own* remaining trace —
+            // savings past a tenant's last billed epoch do not exist, so
+            // they must not tip a switching decision.
+            let remaining_hours = state.peaks.len().saturating_sub(epoch + 1) as f64 * policy.epoch;
+            if remaining_hours <= 0.0 {
+                // Past its last decision epoch a tenant never probes
+                // again: free its memo here, inside the sharded pass.
+                state.probe_cache = Vec::new();
+                return None;
+            }
+            if rho == 0 {
+                return None;
+            }
+            // A deferred tenant sits out its backoff window: it keeps
+            // its current plan, and the suppressed re-solve is counted.
+            if epoch < state.core.deferred_until {
+                state.tally.deferred_resolves += 1;
+                return None;
+            }
+            let due = |keep| DueTenant {
+                tenant: i,
+                rho,
+                keep,
+                remaining_hours,
+                caps: pool.map(|pool| pool.caps_for(i)),
+            };
+            if !state.mix_carries_demand() {
+                // A zero mix cannot carry any demand: re-solving is not
+                // optional, no probe needed.
+                return Some(due(None));
+            }
+            let solved = state.core.solved_target;
+            let shift =
+                (rho as f64 - solved as f64).abs() > policy.shift_threshold * solved.max(1) as f64;
+            if !shift {
+                return None;
+            }
+            state.tally.probes += 1;
+            // Keep-side projection: continued machines bill only the
+            // margin past the current plan's elapsed rental time
+            // (committed terms already paid are sunk), scale-up machines
+            // bill fresh.
+            let elapsed_hours = (epoch + 1 - state.core.adopted_epoch) as f64 * policy.epoch;
+            let entry = state.probe_entry(rho, billing);
+            let keep_projected = entry.continued.total_over(
+                RentalHorizon::hours(elapsed_hours),
+                RentalHorizon::hours(elapsed_hours + remaining_hours),
+            ) + entry.fresh.total(RentalHorizon::hours(remaining_hours));
+            let reference_rate = state
+                .known(rho)
+                .map_or(rho as f64 * state.min_unit_cost, |k| {
+                    k.outcome.cost() as f64
+                });
+            let reference_projected = reference_rate * remaining_hours;
+            let worth_probing = keep_projected > (1.0 + policy.probe_epsilon) * reference_projected
+                && keep_projected - reference_projected > policy.switching_cost;
+            worth_probing.then(|| due(Some(keep_projected)))
+        })
         .into_iter()
         .flatten()
         .collect()
@@ -895,19 +839,14 @@ impl<'a> FleetRun<'a> {
             .map(|d| self.states[d.tenant].item(d.rho, d.caps.as_deref()))
             .collect();
         let tenants: Vec<usize> = pending.iter().map(|d| d.tenant).collect();
+        let batch = SpanTimer::start(Stage::Solve);
         let results = self
             .solves
             .batch(solver, &items, &tenants, budget.as_ref(), policy.threads);
+        batch.stop_into(&mut self.obs.times);
         drop(items);
-        for (d, (result, elapsed)) in pending.into_iter().zip(results) {
+        for (d, result) in pending.into_iter().zip(results) {
             let state = &mut self.states[d.tenant];
-            charge_stage(
-                state,
-                &mut self.obs.times,
-                sink,
-                Stage::Solve,
-                elapsed.as_secs_f64(),
-            );
             match result {
                 Ok(outcome) => {
                     state.solved(&outcome, false);
@@ -987,18 +926,27 @@ impl<'a> FleetRun<'a> {
                 state.switch_to(&candidate, d.rho, charge, epoch, &self.env.scaling);
             }
         }
-        span.stop_into(&mut self.obs.times, sink);
+        span.stop_into(&mut self.obs.times);
     }
 
     /// The per-epoch observability barrier, after the epoch (and its
     /// persistence) completed: publishes the epoch watermark, emits the
-    /// epoch's causal trace tree, evaluates the alert rules and files the
-    /// epoch's stage row. Everything here is pure copy-out — no controller
-    /// state is read back — so runs stay bit-identical under any sink.
+    /// epoch's `fleet.span.*` samples — one per stage from its row, one per
+    /// probe shard and the probe fan-out's barrier wait — and its causal
+    /// trace tree, evaluates the alert rules and files the epoch's stage
+    /// row. Everything here is pure copy-out — no controller state is read
+    /// back — so runs stay bit-identical under any sink.
     pub(crate) fn observe(&mut self, epoch: usize, wall_seconds: f64) {
         let sink = self.sink();
         sink.gauge("fleet.epoch_watermark", epoch as f64);
         let obs = std::mem::take(&mut self.obs);
+        for stage in Stage::ALL {
+            sink.span(stage.span_name(), obs.times.get(stage));
+        }
+        for &busy in &obs.fanout.probe_shards {
+            sink.span("fleet.span.shard_probe", busy);
+        }
+        sink.span("fleet.span.merge_wait", obs.fanout.merge_wait);
         if sink.enabled() {
             epoch_tree(epoch as u64, wall_seconds, &obs.times, &obs.fanout).emit(sink);
         }

@@ -236,7 +236,7 @@ proptest! {
             let solo = controller
                 .run(&IlpSolver::new(), std::slice::from_ref(tenant))
                 .unwrap();
-            prop_assert!(fleet.tenants[i].matches_modulo_timing(&solo.tenants[0]), "tenant {}", i);
+            prop_assert!(fleet.tenants[i] == solo.tenants[0], "tenant {}", i);
             let own: Vec<_> = fleet
                 .adoptions
                 .iter()

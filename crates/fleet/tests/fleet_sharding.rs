@@ -8,6 +8,7 @@
 //! so parallel execution is observationally identical to sequential.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -15,6 +16,7 @@ use rental_fleet::{
     diurnal_spike_fleet, failure_coupled_fleet, scaling_fleet, ChaosConfig, CrashPlan, CrashPoint,
     FleetController, FleetPolicy, FleetReport, PersistOptions, RunOutcome,
 };
+use rental_obs::{Recorder, Stage};
 use rental_persist::Store;
 use rental_solvers::exact::IlpSolver;
 use rental_solvers::SolveBudget;
@@ -236,4 +238,78 @@ fn scaling_fleet_sharded_matches_sequential() {
     assert!(sharded.tenants.iter().all(|t| t.probes > 0));
     assert!(sharded.tenants.iter().all(|t| t.resolves == 0));
     assert!(sharded.adoptions.is_empty());
+}
+
+/// Time has one owner: every `fleet.span.*` sample comes from the epoch's
+/// stage row, once per epoch, at every shard count. A durable run of the
+/// failure-coupled fleet exercises all five stages. The recorder keeps
+/// whole microseconds per sample, so each stage's histogram sums exactly to
+/// its column of the rows truncated the same way.
+#[test]
+fn stage_spans_are_emitted_once_per_epoch_from_the_rows() {
+    let (scenario, config) = failure_coupled_fleet(4, 7, 48.0, 4.0);
+    let solver = IlpSolver::new();
+    for &shards in &SHARD_COUNTS {
+        let recorder = Arc::new(Recorder::new());
+        let controller = FleetController::new(with_shards(scenario.policy, shards))
+            .with_telemetry(recorder.clone());
+        let store = scratch_store("spans");
+        let report = controller
+            .run_resumable(
+                &solver,
+                &scenario.tenants,
+                &config,
+                None,
+                &store,
+                &PersistOptions::default(),
+                None,
+            )
+            .unwrap()
+            .completed()
+            .expect("no crash planned");
+        let _ = std::fs::remove_dir_all(store.dir());
+        let snapshot = recorder.snapshot();
+        let epochs = report.epoch_timing.len() as u64;
+        assert!(epochs > 0 && report.solve_seconds() > 0.0);
+        for stage in Stage::ALL {
+            let histogram = &snapshot.histograms[stage.span_name()];
+            assert!(
+                histogram.count() <= epochs,
+                "{} has {} samples over {epochs} epochs at {shards} shards",
+                stage.span_name(),
+                histogram.count()
+            );
+            let column: u128 = (report.epoch_timing.iter())
+                .map(|row| (row.get(stage) * 1e6) as u64 as u128)
+                .sum();
+            assert_eq!(
+                histogram.sum(),
+                column,
+                "{} at {shards} shards",
+                stage.span_name()
+            );
+        }
+        let shard_probes = snapshot.histograms["fleet.span.shard_probe"].count();
+        assert!(shard_probes <= shards as u64 * epochs);
+    }
+}
+
+/// Only the probe fan-out reports a merge-barrier wait: the billing
+/// fan-outs' waits are part of the bill pass, timed whole under
+/// `arbitrate`, so a run without probing records none.
+#[test]
+fn billing_fan_outs_record_no_merge_wait() {
+    let scenario = diurnal_spike_fleet(8, 11);
+    let policy = FleetPolicy {
+        resolve: false,
+        ..with_shards(scenario.policy, 2)
+    };
+    let recorder = Arc::new(Recorder::new());
+    FleetController::new(policy)
+        .with_telemetry(recorder.clone())
+        .run(&IlpSolver::new(), &scenario.tenants)
+        .unwrap();
+    let merge_wait = &recorder.snapshot().histograms["fleet.span.merge_wait"];
+    assert!(merge_wait.count() > 0);
+    assert_eq!(merge_wait.sum(), 0);
 }

@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 
 use crate::error::LpResult;
 use crate::model::{Model, Sense, VarId};
-use crate::revised::{BasisSnapshot, NodeWorkspace, RevisedLp};
+use crate::revised::{BasisSnapshot, LpCounters, NodeWorkspace, RevisedLp};
 use crate::simplex::{self, SimplexOptions};
 use crate::solution::{LpStatus, MipSolution, MipStatus};
 
@@ -201,9 +201,12 @@ impl MipSolver {
         warm_start: Option<&[f64]>,
         objective_floor: Option<f64>,
     ) -> LpResult<MipSolution> {
-        let result = self.solve_with_hints_inner(model, warm_start, objective_floor);
+        let mut counters = LpCounters::default();
+        let result = self.solve_with_hints_inner(model, warm_start, objective_floor, &mut counters);
+        // Pure copy-out to the ambient sink; never feeds the search. The
+        // tree's node relaxations report their `lp.*` counters once, summed.
+        counters.emit();
         if let Ok(solution) = &result {
-            // Pure copy-out to the ambient sink; never feeds the search.
             rental_obs::with_sink(|sink| {
                 sink.counter("mip.solves", 1);
                 sink.counter("mip.nodes", solution.nodes as u64);
@@ -219,6 +222,7 @@ impl MipSolver {
         model: &Model,
         warm_start: Option<&[f64]>,
         objective_floor: Option<f64>,
+        counters: &mut LpCounters,
     ) -> LpResult<MipSolution> {
         let start = Instant::now();
         model.validate()?;
@@ -349,6 +353,7 @@ impl MipSolver {
                 node.warm_basis.as_deref(),
                 &self.simplex_options,
             );
+            counters.add(&lp);
             lp_iterations += lp.iterations;
             match lp.status {
                 LpStatus::Infeasible => {

@@ -191,24 +191,59 @@ pub struct RevisedOutcome {
     pub basis: Option<Arc<BasisSnapshot>>,
 }
 
-/// Emits one solve's counters to the ambient telemetry sink (one relaxed
-/// atomic load when no sink is installed — see `rental-obs`). Telemetry is
-/// a pure copy of the outcome; it never feeds back into pivoting.
-fn emit_lp_telemetry(outcome: &RevisedOutcome) {
-    rental_obs::with_sink(|sink| {
+/// The `lp.*` counters, in [`LpCounters`] order.
+const LP_COUNTERS: [&str; 9] = [
+    "lp.solves",
+    "lp.iterations",
+    "lp.bound_flips",
+    "lp.refactorizations",
+    "lp.fill_nnz",
+    "lp.factor_solves",
+    "lp.hyper_sparse_solves",
+    "lp.stall_perturbations",
+    "lp.bland_escalations",
+];
+
+/// The `lp.*` counters of one or more solves, summed, so that they reach
+/// the ambient telemetry sink once per LP call — or once per
+/// branch-and-bound tree, whose nodes [`crate::mip::MipSolver`] adds up.
+/// Telemetry is a pure copy of the outcomes; it never feeds back into
+/// pivoting.
+#[derive(Default)]
+pub(crate) struct LpCounters([u64; 9]);
+
+impl LpCounters {
+    /// Adds one solve's counters.
+    pub(crate) fn add(&mut self, outcome: &RevisedOutcome) {
         let stats = &outcome.factor_stats;
-        sink.counter("lp.solves", 1);
-        sink.counter("lp.iterations", outcome.iterations as u64);
-        sink.counter("lp.bound_flips", outcome.bound_flips as u64);
-        sink.counter("lp.refactorizations", stats.refactorizations as u64);
-        sink.counter("lp.fill_nnz", stats.fill_nnz as u64);
-        sink.counter("lp.factor_solves", stats.solves as u64);
-        sink.counter("lp.hyper_sparse_solves", stats.hyper_sparse_solves as u64);
-        sink.counter("lp.stall_perturbations", outcome.stall_perturbations as u64);
-        sink.counter("lp.bland_escalations", outcome.bland_escalations as u64);
-        sink.gauge("lp.hyper_sparse_rate", stats.hyper_sparse_rate());
-        sink.observe("lp.iterations_per_solve", outcome.iterations as u64);
-    });
+        let solve = [
+            1,
+            outcome.iterations,
+            outcome.bound_flips,
+            stats.refactorizations,
+            stats.fill_nnz,
+            stats.solves,
+            stats.hyper_sparse_solves,
+            outcome.stall_perturbations,
+            outcome.bland_escalations,
+        ];
+        for (sum, n) in self.0.iter_mut().zip(solve) {
+            *sum += n as u64;
+        }
+    }
+
+    /// Emits the sums (nothing when no solve was added; one relaxed atomic
+    /// load when no sink is installed — see `rental-obs`).
+    pub(crate) fn emit(&self) {
+        if self.0[0] == 0 {
+            return;
+        }
+        rental_obs::with_sink(|sink| {
+            for (name, &sum) in LP_COUNTERS.iter().zip(&self.0) {
+                sink.counter(name, sum);
+            }
+        });
+    }
 }
 
 /// The fixed, sparse standard form of one model:
@@ -384,25 +419,18 @@ impl RevisedLp {
         warm: Option<&BasisSnapshot>,
         options: &SimplexOptions,
     ) -> RevisedOutcome {
-        self.solve_node_in(&mut NodeWorkspace::default(), tighten, warm, options)
+        let outcome = self.solve_node_in(&mut NodeWorkspace::default(), tighten, warm, options);
+        let mut counters = LpCounters::default();
+        counters.add(&outcome);
+        counters.emit();
+        outcome
     }
 
     /// [`Self::solve_node`] on a caller-held workspace, which branch and
     /// bound passes to every node of a tree so that a node reuses the
-    /// buffers of the nodes before it. Same outcome, bit for bit.
+    /// buffers of the nodes before it. Same outcome, bit for bit; emits no
+    /// telemetry (the tree emits its nodes' sum).
     pub(crate) fn solve_node_in(
-        &self,
-        ws: &mut NodeWorkspace,
-        tighten: &[(VarId, f64, f64)],
-        warm: Option<&BasisSnapshot>,
-        options: &SimplexOptions,
-    ) -> RevisedOutcome {
-        let outcome = self.solve_node_inner(ws, tighten, warm, options);
-        emit_lp_telemetry(&outcome);
-        outcome
-    }
-
-    fn solve_node_inner(
         &self,
         ws: &mut NodeWorkspace,
         tighten: &[(VarId, f64, f64)],

@@ -3,12 +3,11 @@
 //! Zero-cost observability substrate for the MinCost workspace: a
 //! [`MetricsRegistry`] of named counters, gauges and log-bucketed
 //! ([HDR-style power-of-two](Histogram)) histograms with cheap thread-local
-//! sharding; lexically-scoped [`SpanTimer`]s that nest into the per-epoch
-//! stage breakdown of the fleet controller ([`Stage`]/[`StageTimes`]); and a
-//! fixed-capacity structured event ring buffer — the [`FlightRecorder`] —
-//! that keeps the last N adoption / SLO-violation / degraded-solve /
-//! chaos-fault / recovery events and dumps them as JSON lines on demand or
-//! from a panic hook.
+//! sharding; [`SpanTimer`]s that time the phases of a fleet epoch into its
+//! stage row ([`Stage`]/[`StageTimes`]); and a fixed-capacity structured
+//! event ring buffer — the [`FlightRecorder`] — that keeps the last N
+//! adoption / SLO-violation / degraded-solve / chaos-fault / recovery
+//! events and dumps them as JSON lines on demand or from a panic hook.
 //!
 //! The crate is **dependency-free** (the workspace builds offline) and
 //! designed so that *disabled* telemetry costs nothing measurable:

@@ -498,15 +498,15 @@ mod tests {
         assert!(!std::ptr::eq(copy, "lp.solves"));
         registry.add_counter("lp.solves", 2);
         registry.add_counter(copy, 3);
-        registry.observe("lp.iterations_per_solve", 4);
+        registry.observe("test.samples_per_run", 4);
         registry.observe(
-            Box::leak(String::from("lp.iterations_per_solve").into_boxed_str()),
+            Box::leak(String::from("test.samples_per_run").into_boxed_str()),
             8,
         );
         let snapshot = registry.snapshot();
         assert_eq!(snapshot.counters.len(), 1);
         assert_eq!(snapshot.counters["lp.solves"], 5);
-        let histogram = &snapshot.histograms["lp.iterations_per_solve"];
+        let histogram = &snapshot.histograms["test.samples_per_run"];
         assert_eq!((histogram.count(), histogram.sum()), (2, 12));
     }
 

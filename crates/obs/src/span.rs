@@ -1,21 +1,14 @@
 //! Lexically-scoped span timing and the per-epoch stage breakdown.
 //!
 //! The fleet controller's epoch loop decomposes into five stages — probe,
-//! arbitrate, solve, adopt, persist — and every second of an epoch's
-//! wall-time is attributed to exactly one of them. [`SpanTimer`] measures
-//! one region; [`StageTimes`] accumulates the per-stage totals that end up
-//! in `TenantReport`/`FleetReport` (the single "timing" field family masked
-//! by report equivalence checks).
-//!
-//! Under the controller's **sharded** epoch pipelines each shard worker
-//! accumulates into its own `StageTimes` and the shards
-//! [`merge`](StageTimes::merge) into the epoch's row at the per-epoch
-//! barrier — stage *seconds* sum associatively, so the merged breakdown is
-//! independent of the shard count even though wall-clock overlap is not.
+//! arbitrate, solve, adopt, persist. [`SpanTimer`] times one phase of an
+//! epoch — the bill pass, a shard of the probe fan-out, a re-solve batch —
+//! and adds it to the epoch's [`StageTimes`] row, the one place wall-clock
+//! seconds live (`FleetReport::epoch_timing`, the single "timing" field
+//! family masked by report equivalence checks). The controller emits the
+//! `fleet.span.*` samples from that row, once per epoch, at its barrier.
 
 use std::time::Instant;
-
-use crate::TelemetrySink;
 
 /// A stage of the fleet controller's epoch loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -92,17 +85,6 @@ impl StageTimes {
         StageTimes::default()
     }
 
-    /// Rebuilds from the raw per-stage array (order of [`Stage::ALL`]) —
-    /// the persistence codec round-trips through this.
-    pub fn from_seconds(seconds: [f64; Stage::COUNT]) -> Self {
-        StageTimes { seconds }
-    }
-
-    /// The raw per-stage array, in [`Stage::ALL`] order.
-    pub fn seconds(&self) -> [f64; Stage::COUNT] {
-        self.seconds
-    }
-
     /// Adds `seconds` to `stage`.
     pub fn add(&mut self, stage: Stage, seconds: f64) {
         self.seconds[stage.index()] += seconds;
@@ -131,9 +113,7 @@ impl StageTimes {
     }
 }
 
-/// Times one lexical region and attributes it to a [`Stage`]. Spans nest
-/// naturally: an inner timer's region is simply excluded by starting the
-/// outer one around a different stage boundary.
+/// Times one phase of an epoch and attributes it to a [`Stage`].
 #[derive(Debug)]
 pub struct SpanTimer {
     stage: Stage,
@@ -149,23 +129,17 @@ impl SpanTimer {
         }
     }
 
-    /// The stage this span measures.
-    pub fn stage(&self) -> Stage {
-        self.stage
-    }
-
     /// Stops the span, returning elapsed seconds.
     pub fn stop(self) -> f64 {
         self.start.elapsed().as_secs_f64()
     }
 
-    /// Stops the span, accumulating into `times` and emitting the span to
-    /// `sink`. Returns elapsed seconds.
-    pub fn stop_into(self, times: &mut StageTimes, sink: &dyn TelemetrySink) -> f64 {
+    /// Stops the span, adding its seconds to its stage of `times`. Returns
+    /// elapsed seconds.
+    pub fn stop_into(self, times: &mut StageTimes) -> f64 {
         let stage = self.stage;
         let seconds = self.stop();
         times.add(stage, seconds);
-        sink.span(stage.span_name(), seconds);
         seconds
     }
 }
@@ -173,7 +147,6 @@ impl SpanTimer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NoopSink;
 
     #[test]
     fn stage_times_accumulate_and_merge() {
@@ -193,20 +166,11 @@ mod tests {
     }
 
     #[test]
-    fn stage_times_round_trip_through_raw_seconds() {
-        let mut t = StageTimes::zero();
-        for (i, stage) in Stage::ALL.iter().enumerate() {
-            t.add(*stage, i as f64 + 0.5);
-        }
-        assert_eq!(StageTimes::from_seconds(t.seconds()), t);
-    }
-
-    #[test]
     fn span_timer_attributes_elapsed_time_to_its_stage() {
         let mut times = StageTimes::zero();
         let span = SpanTimer::start(Stage::Adopt);
         std::thread::sleep(std::time::Duration::from_millis(2));
-        let elapsed = span.stop_into(&mut times, &NoopSink);
+        let elapsed = span.stop_into(&mut times);
         assert!(elapsed > 0.0);
         assert_eq!(times.get(Stage::Adopt), elapsed);
         assert_eq!(times.total(), elapsed);
@@ -214,9 +178,8 @@ mod tests {
 
     #[test]
     fn shard_merges_are_shard_count_independent() {
-        // The sharded epoch loop splits one sequence of per-tenant charges
-        // across shard-local accumulators and merges them at the barrier:
-        // any partition of the same charges merges to the same row.
+        // Rows merge into run totals (`FleetReport::stage_seconds`): any
+        // partition of the same charges merges to the same row.
         let charges: Vec<(Stage, f64)> = (0..12)
             .map(|i| (Stage::ALL[i % Stage::COUNT], 0.125 * (i as f64 + 1.0)))
             .collect();

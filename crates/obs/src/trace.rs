@@ -9,7 +9,7 @@
 //! ```text
 //! epoch
 //! ├── shard_probe   (one child per shard of the probe fan-out — parallel)
-//! ├── merge_wait    (barrier wait summed over the epoch's fan-outs)
+//! ├── merge_wait    (barrier wait of the probe fan-out)
 //! ├── arbitrate
 //! ├── solve
 //! ├── adopt
@@ -254,15 +254,14 @@ impl CriticalPath {
 
 /// Fan-out observations one epoch of the sharded controller loop
 /// accumulates for its trace tree: the probe fan-out's per-shard busy
-/// seconds and the merge-barrier wait summed over every fan-out of the
-/// epoch.
+/// seconds and its merge-barrier wait.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FanoutObs {
     /// Busy seconds of each shard of the probe fan-out, in shard (= tenant)
     /// order. Empty when the epoch ran no probe fan-out.
     pub probe_shards: Vec<f64>,
-    /// Merge-barrier wait (fan-out wall past the busiest shard), summed
-    /// over every sharded fan-out of the epoch.
+    /// Merge-barrier wait of the probe fan-out (its wall time past the
+    /// busiest shard).
     pub merge_wait: f64,
 }
 

@@ -176,23 +176,22 @@ impl<'a> RequestKey<'a> {
     }
 }
 
-/// Solves heterogeneous warm-started units in parallel on the shared pool,
-/// reporting per-unit wall time (including failed solves, mirroring
-/// [`solve_batch_timed`]). Capped items go through
-/// [`CapacitySolver::solve_with_caps`], the rest through
-/// [`WarmStartSolver::solve_with_prior`] — or their `_budgeted` forms when a
-/// `budget` is given. Results are returned in input order and match the
-/// sequential calls exactly: each unit's prior and caps come with the item,
-/// so no cross-unit state is threaded.
+/// Solves heterogeneous warm-started units in parallel on the shared pool.
+/// Capped items go through [`CapacitySolver::solve_with_caps`], the rest
+/// through [`WarmStartSolver::solve_with_prior`] — or their `_budgeted`
+/// forms when a `budget` is given. Results are returned in input order and
+/// match the sequential calls exactly: each unit's prior and caps come with
+/// the item, so no cross-unit state is threaded. Callers that want the
+/// batch's wall time time the call; the figure lanes' per-unit times come
+/// from [`solve_batch_timed`] and [`solve_sweep_batch_timed`].
 ///
 /// **Repeated requests are solved once.** Items equal in instance (by
 /// value), target, caps and prior are one request: only its first
-/// occurrence goes to the pool and keeps its measured time; every later
-/// occurrence receives a clone of the same result with [`Duration::ZERO`]
-/// elapsed, so summing the durations counts only the solver work done. A
-/// batch without repeats returns its fan-out as is. Instances are grouped
-/// by shared storage first, so a batch over many clones of a few instances
-/// value-hashes one instance per distinct storage.
+/// occurrence goes to the pool, and every occurrence receives a clone of
+/// its result. A batch without repeats returns its fan-out as is.
+/// Instances are grouped by shared storage first, so a batch over many
+/// clones of a few instances value-hashes one instance per distinct
+/// storage.
 ///
 /// The budget applies **per unit**. Callers sharing one epoch budget across
 /// the batch split it *before* the fan-out ([`SolveBudget::split`]) —
@@ -204,7 +203,7 @@ pub fn solve_warm_batch<S: CapacitySolver + Sync>(
     items: &[WarmBatchItem<'_>],
     budget: Option<&SolveBudget>,
     max_threads: Option<usize>,
-) -> Vec<(SolveResult<SolverOutcome>, Duration)> {
+) -> Vec<SolveResult<SolverOutcome>> {
     // `firsts[r]`: the item index of request `r`'s first occurrence;
     // `request[i]`: the request item `i` asks for.
     let mut classes = InstanceClasses::new();
@@ -227,8 +226,7 @@ pub fn solve_warm_batch<S: CapacitySolver + Sync>(
             caps,
             prior,
         } = items[firsts[r]];
-        let start = Instant::now();
-        let result = match (caps, budget) {
+        match (caps, budget) {
             (None, None) => solver.solve_with_prior(instance, target, prior),
             (None, Some(budget)) => {
                 solver.solve_with_prior_budgeted(instance, target, prior, budget)
@@ -237,23 +235,12 @@ pub fn solve_warm_batch<S: CapacitySolver + Sync>(
             (Some(caps), Some(budget)) => {
                 solver.solve_with_caps_budgeted(instance, target, caps, prior, budget)
             }
-        };
-        (result, start.elapsed())
+        }
     });
     if firsts.len() == items.len() {
         return solved;
     }
-    (request.iter().enumerate())
-        .map(|(i, &r)| {
-            let (result, elapsed) = &solved[r];
-            let elapsed = if firsts[r] == i {
-                *elapsed
-            } else {
-                Duration::ZERO
-            };
-            (result.clone(), elapsed)
-        })
-        .collect()
+    request.iter().map(|&r| solved[r].clone()).collect()
 }
 
 /// Sweeps every instance over the same targets, in parallel across instances
@@ -378,7 +365,7 @@ mod tests {
             .collect();
         let batch = solve_warm_batch(&solver, &items, None, Some(3));
         assert_eq!(batch.len(), items.len());
-        for (item, (result, elapsed)) in items.iter().zip(&batch) {
+        for (item, result) in items.iter().zip(&batch) {
             let outcome = result.as_ref().unwrap();
             let sequential = solver
                 .solve_with_prior(item.instance, item.target, item.prior)
@@ -386,10 +373,9 @@ mod tests {
             assert_eq!(outcome.cost(), sequential.cost(), "rho = {}", item.target);
             assert!(outcome.proven_optimal);
             assert!(outcome.solution.split.covers(item.target));
-            assert!(*elapsed > Duration::ZERO);
         }
         // Warm costs equal cold optima (the prior is never a constraint).
-        for (&t, (result, _)) in second_targets.iter().zip(&batch) {
+        for (&t, result) in second_targets.iter().zip(&batch) {
             let cold = solver.solve(&instance, t).unwrap();
             assert_eq!(result.as_ref().unwrap().cost(), cold.cost());
         }

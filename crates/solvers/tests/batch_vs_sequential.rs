@@ -180,7 +180,7 @@ fn untimed(result: &SolveResult<SolverOutcome>) -> SolveResult<SolverOutcome> {
 
 /// Solves `owned` as one warm batch and checks it against the sequential
 /// calls: equal outcomes item by item, one solver call per distinct request
-/// (and none for a repeat), zero elapsed on every repeat.
+/// (and none for a repeat).
 fn check_deduplicated_batch(
     instances: &[Instance],
     owned: &[OwnedItem],
@@ -191,7 +191,7 @@ fn check_deduplicated_batch(
     let batch = solve_warm_batch(&solver, &items, None, Some(threads));
     prop_assert_eq!(batch.len(), items.len());
     let mut distinct: Vec<Request> = Vec::new();
-    for (item, (result, elapsed)) in items.iter().zip(&batch) {
+    for (item, result) in items.iter().zip(&batch) {
         let ilp = &solver.inner;
         let sequential = match item.caps {
             None => ilp.solve_with_prior(item.instance, item.target, item.prior),
@@ -199,9 +199,7 @@ fn check_deduplicated_batch(
         };
         prop_assert_eq!(untimed(result), untimed(&sequential));
         let key = request(instances, item.instance, item.target, item.caps, item.prior);
-        if distinct.contains(&key) {
-            prop_assert_eq!(*elapsed, Duration::ZERO);
-        } else {
+        if !distinct.contains(&key) {
             distinct.push(key);
         }
     }
