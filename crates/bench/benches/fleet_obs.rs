@@ -31,9 +31,9 @@
 //! * **scrape cost**: the mean `/metrics` round-trip against the fully
 //!   populated recorder stays under [`SCRAPE_FLOOR`].
 //!
-//! The overheads are measured on a fleet large enough that one plain run
-//! lasts at least [`MIN_RUN_SECONDS`]: the 8-tenant scenario doubles its
-//! tenants until it does. On a run of a few tens of milliseconds the
+//! The overheads are measured on one fixed scenario, the failure-coupled
+//! fleet of [`MEASURED_TENANTS`] tenants, whose plain run lasts over a
+//! second on a 2-vCPU host. On a run of a few tens of milliseconds the
 //! scheduler's noise is larger than both floors. Each of [`TRIALS`] trials
 //! runs the three variants back to back, in alternating order (baseline
 //! first, then baseline last), and an overhead is the minimum over the
@@ -62,12 +62,10 @@ use rental_obs::{install_scoped, Exporter, NoopSink, Recorder};
 use rental_solvers::exact::IlpSolver;
 use rental_solvers::SolveBudget;
 
-/// Tenants of the criterion groups' fleet, and where the calibration of the
-/// measured fleet starts.
+/// Tenants of the criterion groups' fleet.
 const NUM_TENANTS: usize = 8;
-/// The measured fleet doubles its tenants until one plain run lasts this
-/// long.
-const MIN_RUN_SECONDS: f64 = 1.0;
+/// Tenants of the measured fleet: one scenario, whatever the host's speed.
+const MEASURED_TENANTS: usize = 1024;
 /// Paired trials; each runs every variant once.
 const TRIALS: usize = 7;
 /// ISSUE-8 floor: explicit NoopSink within 1% of the untelemetered path.
@@ -166,17 +164,7 @@ fn bench_fleet_obs(c: &mut Criterion) {
     // The acceptance checks, written to BENCH_fleet_obs.json.
     // ------------------------------------------------------------------
 
-    // The measured fleet: double the tenants until a plain run lasts
-    // MIN_RUN_SECONDS.
-    let mut num_tenants = NUM_TENANTS;
-    let (tenants, config, policy) = loop {
-        let (tenants, config, policy) = scenario(num_tenants);
-        let (_, seconds) = timed(&FleetController::new(policy), &tenants, &config);
-        if seconds >= MIN_RUN_SECONDS {
-            break (tenants, config, policy);
-        }
-        num_tenants *= 2;
-    };
+    let (tenants, config, policy) = scenario(MEASURED_TENANTS);
     let baseline_controller = FleetController::new(policy);
     let noop_controller = FleetController::new(policy).with_telemetry(Arc::new(NoopSink));
     let mut seconds = [Vec::new(), Vec::new(), Vec::new()];
@@ -291,8 +279,11 @@ fn bench_fleet_obs(c: &mut Criterion) {
     let enabled_overhead = enabled_ratio - 1.0;
     let rows = [JsonRow::new()
         .str("record", "fleet_obs")
-        .str("scenario", &format!("failure-coupled-{num_tenants}-obs"))
-        .usize("tenants", num_tenants)
+        .str(
+            "scenario",
+            &format!("failure-coupled-{MEASURED_TENANTS}-obs"),
+        )
+        .usize("tenants", MEASURED_TENANTS)
         .usize("epochs", epochs)
         .usize("trials", TRIALS)
         .f64("baseline_seconds", baseline_seconds)

@@ -110,16 +110,6 @@ pub fn cost_from_type_counts(
     Ok(total)
 }
 
-/// Machine counts needed to support a throughput `rho` with a single recipe.
-pub fn machines_for_single_recipe(
-    recipe: &Recipe,
-    platform: &Platform,
-    rho: Throughput,
-) -> ModelResult<Vec<u64>> {
-    let counts = recipe.type_counts(platform.num_types());
-    machines_from_demand(&demand_from_counts(&counts, rho)?, platform)
-}
-
 /// Cost of several **independent** applications with prescribed throughputs
 /// (§IV-B): `C(ρ_1..ρ_J) = Σ_q ⌈(Σ_j n_jq ρ_j) / r_q⌉ · c_q`.
 ///
@@ -180,15 +170,6 @@ pub fn solution_for_split(
         split,
         allocation,
     })
-}
-
-/// Per-type demand `n_q · ρ` induced by running a single recipe (described by
-/// its type counts) at throughput `rho`.
-fn demand_from_counts(counts: &[u64], rho: Throughput) -> ModelResult<Vec<u64>> {
-    counts
-        .iter()
-        .map(|&n_q| n_q.checked_mul(rho).ok_or(ModelError::CostOverflow))
-        .collect()
 }
 
 /// Machine counts `x_q = ⌈demand_q / r_q⌉` for a per-type demand vector.

@@ -4,8 +4,8 @@
 //! A [`rental_obs::Recorder`] is installed both as the ambient global sink
 //! (so the LP simplex and branch-and-bound emit their counters) and as the
 //! controller's explicit sink (so spans and flight-recorder events are
-//! captured deterministically). The run is chaos-wrapped with a seeded
-//! fault stream, so the flight recorder has something operational to show:
+//! captured deterministically). The run draws seeded chaos faults, so the
+//! flight recorder has something operational to show:
 //! injected faults, SLO violations, degraded solves and the adoptions that
 //! repair them, in their exact serving order. `repro fleet-obs` renders the
 //! per-stage epoch breakdown, the top-k tenants by solver effort, the
@@ -33,7 +33,7 @@ use crate::fleet_failure::failure_sweep_solver;
 pub struct FleetObsSpec {
     /// Number of tenants in the failure-coupled scenario.
     pub num_tenants: usize,
-    /// Scenario and chaos seed (instances, spikes, outages, fault stream).
+    /// Scenario and chaos seed (instances, spikes, outages, faults).
     pub seed: u64,
     /// Mean time between machine failures, in hours.
     pub mtbf: f64,

@@ -1,11 +1,13 @@
 //! Deterministic seeded fault injection for the fleet controller — chaos
 //! engineering for the probe / solve / adopt loop.
 //!
-//! [`ChaosSolver`] wraps any [`CapacitySolver`] and, on every intercepted
-//! re-solve, draws a fault from a [SplitMix64](https://prng.di.unimi.it/)
-//! stream keyed by [`ChaosConfig::seed`] and the call index:
+//! Every re-solve request of a chaos run draws its fault from a
+//! [SplitMix64](https://prng.di.unimi.it/) hash of [`ChaosConfig::seed`],
+//! the epoch and the request's digest — the tenant asking, its target, caps
+//! and warm-start prior, the key the decision journal files its outcome
+//! under:
 //!
-//! * **timeout** — the solve is cut short with
+//! * **timeout** — the request is answered with
 //!   [`SolveError::BudgetExhausted`] before any incumbent exists;
 //! * **spurious infeasible** — [`SolveError::NoSolutionFound`] even though
 //!   the instance is perfectly feasible;
@@ -16,33 +18,31 @@
 //!   [`SolveError::BudgetExhausted`]: inconclusive and retryable, never a
 //!   panic;
 //! * **poisoned prior** — the warm-start prior's proven lower bound is
-//!   inflated before delegation, exercising the prior-soundness guards of
+//!   inflated before the solve, exercising the prior-soundness guards of
 //!   the ILP solver (a poisoned floor must be dropped, not trusted).
 //!
-//! [`ChaosClock`] additionally injects **delayed arbitration decisions**:
-//! an epoch whose draw fires re-applies the *previous* epoch's desired
-//! fleets to the capacity pool, so tenants serve on stale grants.
+//! The run's one outcome source draws the faults before its batch reaches
+//! the solver: a killed request never reaches it, a poisoned one is solved
+//! on its inflated prior, and a durable run journals what was served under
+//! the request as it was asked. [`ChaosClock`] additionally injects
+//! **delayed arbitration decisions**: an epoch whose draw fires re-applies
+//! the *previous* epoch's desired fleets to the capacity pool, so tenants
+//! serve on stale grants.
 //!
-//! The initial batch is never faulted — every tenant needs *some* plan
-//! before the epoch clock starts, exactly like the controller's own
-//! unbudgeted initial solves — so the fleet driver solves it outside the
-//! wrapper and starts the fault stream at position `tenants.len()`: re-solve
-//! `k` of a run draws position `tenants.len() + k`. A request repeated within
-//! one batch is solved, and drawn, once
-//! ([`rental_solvers::solve_warm_batch`]): its repeats share the outcome,
-//! injected fault included. Everything is deterministic for a fixed seed
-//! and a single solver thread; the chaos property tests pin that the
-//! controller **never panics**, never grants above quota, and degrades
-//! toward the fixed-mix baseline as the fault rate approaches 1.
+//! A draw depends on its key alone, never on how many draws came before, so
+//! a run's faults are the same at every thread and shard count and in any
+//! call order, and a resumed run keeps no chaos state: its journaled epochs
+//! replay their recorded outcomes, and its live epochs draw what the
+//! uninterrupted run drew. The initial batch is never faulted — every
+//! tenant needs *some* plan before the epoch clock starts, exactly like the
+//! controller's own unbudgeted initial solves. The chaos property tests pin
+//! that the controller **never panics**, never grants above quota, and
+//! degrades toward the fixed-mix baseline as the fault rate approaches 1.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rental_capacity::CapacityConfig;
-use rental_core::{Instance, Throughput};
-use rental_solvers::solver::{
-    CapacitySolver, MinCostSolver, SolveBudget, SolveError, SolveResult, SolverOutcome, SweepPrior,
-    WarmStartSolver,
-};
+use rental_solvers::solver::{CapacitySolver, SolveError, SolveResult, SweepPrior};
 
 use crate::controller::FleetController;
 use crate::report::FleetReport;
@@ -63,11 +63,11 @@ fn unit(hash: u64) -> f64 {
 }
 
 /// Parameters of the fault injector. All rates are probabilities in
-/// `[0, 1]`; the default is all-zero (chaos disabled — every call delegates
-/// untouched).
+/// `[0, 1]`; the default is all-zero (chaos disabled — every request is
+/// solved untouched).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosConfig {
-    /// Seed of the deterministic fault stream.
+    /// Seed of the deterministic fault draws.
     pub seed: u64,
     /// Probability of an injected solve timeout
     /// ([`SolveError::BudgetExhausted`] with no incumbent).
@@ -118,13 +118,9 @@ impl ChaosConfig {
     }
 }
 
-/// Counters of the faults actually injected over one run, plus the run's
-/// position in the deterministic fault stream.
+/// Counters of the faults actually injected over one run.
 #[derive(Debug, Default)]
 pub struct ChaosStats {
-    /// Intercepted solver calls so far, shared by the run's solver wrapper
-    /// and chaos clock.
-    calls: AtomicU64,
     timeouts: AtomicUsize,
     infeasibles: AtomicUsize,
     singulars: AtomicUsize,
@@ -148,7 +144,7 @@ impl ChaosStats {
         self.singulars.load(Ordering::SeqCst)
     }
 
-    /// Priors whose lower bound was poisoned before delegation.
+    /// Requests solved on a poisoned prior.
     pub fn poisoned_priors(&self) -> usize {
         self.poisoned_priors.load(Ordering::SeqCst)
     }
@@ -168,170 +164,21 @@ impl ChaosStats {
     }
 }
 
-/// The fault kind drawn for one intercepted call.
-enum Fault {
-    Timeout,
-    Infeasible,
-    Singular,
-    Poison,
+/// What an injected fault does to one re-solve request.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Fault {
+    /// The request is answered with this error and never reaches the
+    /// solver.
+    Kill(SolveError),
+    /// The request is solved on this prior: the one it asked with, its
+    /// proven lower bound inflated — a bound the solver must refuse to
+    /// trust blindly.
+    Poison(Option<SweepPrior>),
 }
 
-/// A [`CapacitySolver`] wrapper that injects deterministic faults; see the
-/// module docs for the fault catalogue.
-pub struct ChaosSolver<'a, S> {
-    inner: &'a S,
-    config: ChaosConfig,
-    stats: &'a ChaosStats,
-}
-
-impl<'a, S> ChaosSolver<'a, S> {
-    /// Wraps `inner`, drawing faults from the stream position `stats`
-    /// holds.
-    pub fn new(inner: &'a S, config: ChaosConfig, stats: &'a ChaosStats) -> Self {
-        ChaosSolver {
-            inner,
-            config,
-            stats,
-        }
-    }
-
-    /// Draws the fault (if any) for the next intercepted call and counts
-    /// it. Deterministic for a fixed seed and call order (single-threaded
-    /// solves).
-    fn draw(&self) -> Option<Fault> {
-        let n = self.stats.calls.fetch_add(1, Ordering::SeqCst);
-        let u = unit(splitmix64(
-            self.config.seed ^ n.wrapping_mul(0xD1B5_4A32_D192_ED03),
-        ));
-        let c = &self.config;
-        let fault = if u < c.timeout_rate {
-            Fault::Timeout
-        } else if u < c.timeout_rate + c.infeasible_rate {
-            Fault::Infeasible
-        } else if u < c.failure_rate() {
-            Fault::Singular
-        } else if u < c.failure_rate() + c.poison_prior_rate {
-            Fault::Poison
-        } else {
-            return None;
-        };
-        match fault {
-            Fault::Timeout => self.stats.timeouts.fetch_add(1, Ordering::SeqCst),
-            Fault::Infeasible => self.stats.infeasibles.fetch_add(1, Ordering::SeqCst),
-            Fault::Singular => self.stats.singulars.fetch_add(1, Ordering::SeqCst),
-            Fault::Poison => self.stats.poisoned_priors.fetch_add(1, Ordering::SeqCst),
-        };
-        Some(fault)
-    }
-
-    /// The injected error of a killed solve.
-    fn injected_error(&self, fault: &Fault) -> SolveError {
-        match fault {
-            Fault::Infeasible => SolveError::NoSolutionFound {
-                solver: "chaos".to_string(),
-            },
-            // Timeouts and singular refactorizations are both inconclusive
-            // and retryable at this boundary.
-            _ => SolveError::BudgetExhausted {
-                solver: "chaos".to_string(),
-            },
-        }
-    }
-
-    /// Intercepts one solve: draws its fault, then either kills it or runs
-    /// `solve` on the prior — poisoned (its proven lower bound inflated, a
-    /// bound the downstream solver must refuse to trust blindly) when the
-    /// draw says so.
-    fn intercept(
-        &self,
-        prior: Option<&SweepPrior>,
-        solve: impl FnOnce(Option<&SweepPrior>) -> SolveResult<SolverOutcome>,
-    ) -> SolveResult<SolverOutcome> {
-        match self.draw() {
-            Some(Fault::Poison) => {
-                let poisoned = prior.map(|p| SweepPrior {
-                    lower_bound: p
-                        .lower_bound
-                        .map(|b| b * self.config.poison_factor.max(1.0) + 1.0),
-                    ..p.clone()
-                });
-                solve(poisoned.as_ref())
-            }
-            Some(fault) => Err(self.injected_error(&fault)),
-            None => solve(prior),
-        }
-    }
-}
-
-impl<S: MinCostSolver> MinCostSolver for ChaosSolver<'_, S> {
-    fn name(&self) -> &str {
-        "chaos"
-    }
-
-    /// Plain solves are not faulted (the controller's serving loop never
-    /// issues them; baselines must stay honest).
-    fn solve(&self, instance: &Instance, target: Throughput) -> SolveResult<SolverOutcome> {
-        self.inner.solve(instance, target)
-    }
-}
-
-impl<S: WarmStartSolver> WarmStartSolver for ChaosSolver<'_, S> {
-    fn solve_with_prior(
-        &self,
-        instance: &Instance,
-        target: Throughput,
-        prior: Option<&SweepPrior>,
-    ) -> SolveResult<SolverOutcome> {
-        self.intercept(prior, |prior| {
-            self.inner.solve_with_prior(instance, target, prior)
-        })
-    }
-
-    fn solve_with_prior_budgeted(
-        &self,
-        instance: &Instance,
-        target: Throughput,
-        prior: Option<&SweepPrior>,
-        budget: &SolveBudget,
-    ) -> SolveResult<SolverOutcome> {
-        self.intercept(prior, |prior| {
-            self.inner
-                .solve_with_prior_budgeted(instance, target, prior, budget)
-        })
-    }
-}
-
-impl<S: CapacitySolver> CapacitySolver for ChaosSolver<'_, S> {
-    fn solve_with_caps(
-        &self,
-        instance: &Instance,
-        target: Throughput,
-        caps: &[u64],
-        prior: Option<&SweepPrior>,
-    ) -> SolveResult<SolverOutcome> {
-        self.intercept(prior, |prior| {
-            self.inner.solve_with_caps(instance, target, caps, prior)
-        })
-    }
-
-    fn solve_with_caps_budgeted(
-        &self,
-        instance: &Instance,
-        target: Throughput,
-        caps: &[u64],
-        prior: Option<&SweepPrior>,
-        budget: &SolveBudget,
-    ) -> SolveResult<SolverOutcome> {
-        self.intercept(prior, |prior| {
-            self.inner
-                .solve_with_caps_budgeted(instance, target, caps, prior, budget)
-        })
-    }
-}
-
-/// Per-epoch arbitration chaos: decides which epochs act on stale desired
-/// fleets. Keyed independently of the solver fault stream so the two do not
-/// correlate.
+/// A chaos run's fault source: the fault of each re-solve request and the
+/// delay of each epoch's arbitration, drawn from independent keys so the
+/// two do not correlate.
 pub struct ChaosClock<'a> {
     config: ChaosConfig,
     stats: &'a ChaosStats,
@@ -339,13 +186,13 @@ pub struct ChaosClock<'a> {
 
 impl<'a> ChaosClock<'a> {
     /// Builds a clock over the given config and fault counters — one per
-    /// chaos-wrapped run of the fleet driver.
+    /// chaos run of the fleet driver.
     pub(crate) fn new(config: ChaosConfig, stats: &'a ChaosStats) -> Self {
         ChaosClock { config, stats }
     }
 
     /// Whether this epoch's arbitration decision is delayed (counted when
-    /// it is). Thread-independent: keyed on the epoch index alone.
+    /// it is). Keyed on the epoch index alone.
     pub(crate) fn delays_epoch(&self, epoch: usize) -> bool {
         let u = unit(splitmix64(
             self.config.seed ^ (epoch as u64).wrapping_mul(0xA24B_AED4_963E_E407),
@@ -359,18 +206,43 @@ impl<'a> ChaosClock<'a> {
         delayed
     }
 
-    /// Intercepted solver calls so far — the run's position in the
-    /// deterministic fault stream. Snapshots and journal records carry it
-    /// ([`crate::persist`]) so a resumed run draws exactly the faults the
-    /// uninterrupted run would have drawn.
-    pub(crate) fn calls(&self) -> u64 {
-        self.stats.calls.load(Ordering::SeqCst)
-    }
-
-    /// Repositions the run's solver fault stream (on resume from a
-    /// snapshot or a replayed journal record).
-    pub(crate) fn set_calls(&self, calls: u64) {
-        self.stats.calls.store(calls, Ordering::SeqCst);
+    /// The fault injected into the request with digest `request`, asked at
+    /// `epoch` on `prior`, if any (counted when drawn). Keyed on the epoch
+    /// and the digest alone, so the same key draws the same fault in any
+    /// order.
+    pub(crate) fn fault(
+        &self,
+        epoch: usize,
+        request: u64,
+        prior: Option<&SweepPrior>,
+    ) -> Option<Fault> {
+        let c = &self.config;
+        let epoch_key = splitmix64(c.seed ^ (epoch as u64).wrapping_mul(0xD1B5_4A32_D192_ED03));
+        let u = unit(splitmix64(epoch_key ^ request));
+        // Timeouts and singular refactorizations are both inconclusive and
+        // retryable at this boundary.
+        let exhausted = || SolveError::BudgetExhausted {
+            solver: "chaos".to_string(),
+        };
+        let (count, fault) = if u < c.timeout_rate {
+            (&self.stats.timeouts, Fault::Kill(exhausted()))
+        } else if u < c.timeout_rate + c.infeasible_rate {
+            let solver = "chaos".to_string();
+            let infeasible = SolveError::NoSolutionFound { solver };
+            (&self.stats.infeasibles, Fault::Kill(infeasible))
+        } else if u < c.failure_rate() {
+            (&self.stats.singulars, Fault::Kill(exhausted()))
+        } else if u < c.failure_rate() + c.poison_prior_rate {
+            let poisoned = prior.map(|p| SweepPrior {
+                lower_bound: p.lower_bound.map(|b| b * c.poison_factor.max(1.0) + 1.0),
+                ..p.clone()
+            });
+            (&self.stats.poisoned_priors, Fault::Poison(poisoned))
+        } else {
+            return None;
+        };
+        count.fetch_add(1, Ordering::SeqCst);
+        Some(fault)
     }
 }
 
@@ -526,8 +398,11 @@ impl FleetController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::Solves;
     use rental_core::examples::illustrating_example;
+    use rental_solvers::batch::WarmBatchItem;
     use rental_solvers::exact::IlpSolver;
+    use rental_solvers::solver::MinCostSolver;
     use rental_stream::WorkloadTrace;
 
     fn tenants() -> Vec<TenantSpec> {
@@ -576,23 +451,65 @@ mod tests {
         }
     }
 
+    /// A draw is keyed on its (epoch, request) pair alone: the same keys
+    /// drawn in reverse order inject the same faults and count the same.
+    #[test]
+    fn fault_draws_do_not_depend_on_call_order() {
+        let chaos = ChaosConfig {
+            timeout_rate: 0.2,
+            infeasible_rate: 0.2,
+            singular_rate: 0.2,
+            poison_prior_rate: 0.2,
+            ..ChaosConfig::with_seed(5)
+        };
+        let prior = SweepPrior::from_outcome(
+            70,
+            &IlpSolver::new().solve(&illustrating_example(), 70).unwrap(),
+        );
+        let keys: Vec<(usize, u64)> = (0..32)
+            .flat_map(|epoch| (0..16).map(move |r| (epoch, splitmix64(r))))
+            .collect();
+        let draw = |keys: &mut dyn Iterator<Item = &(usize, u64)>| {
+            let stats = ChaosStats::default();
+            let clock = ChaosClock::new(chaos, &stats);
+            let faults: Vec<Option<Fault>> = keys
+                .map(|&(epoch, request)| clock.fault(epoch, request, Some(&prior)))
+                .collect();
+            let counts = [
+                stats.timeouts(),
+                stats.infeasibles(),
+                stats.singulars(),
+                stats.poisoned_priors(),
+            ];
+            (faults, counts)
+        };
+        let (forward, counts) = draw(&mut keys.iter());
+        let (mut backward, reverse_counts) = draw(&mut keys.iter().rev());
+        backward.reverse();
+        assert_eq!(forward, backward);
+        assert_eq!(counts, reverse_counts);
+        assert!(
+            counts.iter().all(|&n| n > 0),
+            "every kind fires: {counts:?}"
+        );
+    }
+
     #[test]
     fn protected_initial_calls_are_never_faulted() {
         let chaos = ChaosConfig {
             timeout_rate: 1.0,
             ..ChaosConfig::with_seed(7)
         };
-        // The wrapper itself protects nothing: every call it intercepts dies.
+        // The draw itself protects nothing: every request it keys dies.
         let stats = ChaosStats::default();
-        let inner = IlpSolver::new();
-        let solver = ChaosSolver::new(&inner, chaos, &stats);
-        let err = solver
-            .solve_with_prior(&illustrating_example(), 70, None)
-            .unwrap_err();
-        assert!(matches!(err, SolveError::BudgetExhausted { .. }));
-        // The driver solves the initial batch outside it: three identical
-        // tenants get their initial plans, and every re-solve drawn from
-        // stream position 3 on times out.
+        let fault = ChaosClock::new(chaos, &stats).fault(0, 0, None);
+        assert!(matches!(
+            fault,
+            Some(Fault::Kill(SolveError::BudgetExhausted { .. }))
+        ));
+        // The driver solves the initial batch without drawing: three
+        // identical tenants get their initial plans, and every re-solve
+        // times out.
         let policy = crate::FleetPolicy {
             switching_cost: 4.0,
             threads: Some(1),
@@ -600,14 +517,15 @@ mod tests {
         };
         let tenants: Vec<TenantSpec> = (0..3).flat_map(|_| tenants()).collect();
         let (report, stats) = FleetController::new(policy)
-            .run_with_chaos(&inner, &tenants, &CapacityConfig::unconstrained(), chaos)
+            .run_with_chaos(
+                &IlpSolver::new(),
+                &tenants,
+                &CapacityConfig::unconstrained(),
+                chaos,
+            )
             .unwrap();
         assert!(report.tenants.iter().all(|t| t.effort.solves == 1));
         assert!(stats.timeouts() > 0);
-        assert_eq!(
-            stats.calls.load(Ordering::SeqCst),
-            3 + stats.timeouts() as u64
-        );
     }
 
     #[test]
@@ -617,13 +535,18 @@ mod tests {
             poison_prior_rate: 1.0,
             ..ChaosConfig::with_seed(3)
         };
-        let inner = IlpSolver::new();
-        let solver = ChaosSolver::new(&inner, chaos, &stats);
+        let clock = ChaosClock::new(chaos, &stats);
+        let solver = IlpSolver::new();
         let instance = illustrating_example();
-        let honest = inner.solve(&instance, 70).unwrap();
+        let honest = solver.solve(&instance, 70).unwrap();
         let prior = SweepPrior::from_outcome(70, &honest);
-        let outcome = solver
-            .solve_with_prior(&instance, 70, Some(&prior))
+        // The request goes through the run's outcome source, which solves
+        // it on the poisoned prior.
+        let request = (0, WarmBatchItem::new(&instance, 70, Some(&prior)));
+        let outcome = Solves::Live
+            .batch(&solver, Some(&clock), 0, &[request], None, Some(1))
+            .pop()
+            .unwrap()
             .unwrap();
         // The poisoned floor (10× the optimum) must not inflate the cost,
         // and any surviving bound must stay below the returned cost.

@@ -6,16 +6,19 @@
 //! journals those outcomes, not the state they produce: one
 //! [`JournalRecord`] per epoch holds its [`Decision`]s in call order — each
 //! the request's digest and what was served: a plan or an absorbed error —
-//! the chaos stream position and a digest of the decision state the epoch
-//! left (command logging; Malviya et al., "Rethinking Main Memory OLTP
-//! Recovery", ICDE 2014). Since format 4 (see [`crate::persist`]) a record
-//! carries no stage timing: an epoch's seconds live only in its timing row,
-//! which a replayed epoch restores as zero.
+//! and a digest of the decision state the epoch left (command logging;
+//! Malviya et al., "Rethinking Main Memory OLTP Recovery", ICDE 2014). A
+//! record carries no stage timing (format 4) and no chaos state (format 5,
+//! see [`crate::persist`]): an epoch's seconds live only in its timing row,
+//! which a replayed epoch restores as zero, and an injected fault is just
+//! the outcome it served.
 //!
-//! Every re-solve of the epoch loop goes through [`Solves`]. A run without a
-//! store solves live and keeps nothing; a durable run also keeps each
-//! outcome for the epoch's record; a resume re-executes the journaled
-//! epochs ([`replay`]) with [`Solves::Replayed`], which serves the
+//! Every re-solve of the epoch loop goes through [`Solves::batch`], chaos
+//! faults included: under [`crate::chaos`] each live request draws its
+//! fault from the epoch and its digest before the batch reaches the solver.
+//! A run without a store solves live and keeps nothing; a durable run also
+//! keeps each outcome for the epoch's record; a resume re-executes the
+//! journaled epochs ([`replay`]) with [`Solves::Replayed`], which serves the
 //! decisions instead of calling the solver and checks each against the
 //! request the epoch makes and the independent plan certificate — in
 //! release builds too — so a journal that no longer fits the run is caught
@@ -29,6 +32,7 @@ use rental_persist::{DecodeError, Decoder, Encoder};
 use rental_solvers::batch::{solve_warm_batch, WarmBatchItem};
 use rental_solvers::solver::{CapacitySolver, SolveBudget, SolveError, SolveResult, SolverOutcome};
 
+use crate::chaos::{ChaosClock, Fault};
 use crate::persist::{tally_counts, FORMAT_VERSION};
 use crate::run::FleetRun;
 
@@ -76,8 +80,6 @@ pub(crate) struct JournalRecord {
     pub(crate) epoch: u64,
     /// The epoch's solver outcomes, in call order.
     pub(crate) decisions: Vec<Decision>,
-    /// Position in the chaos fault stream after the epoch.
-    pub(crate) chaos_calls: Option<u64>,
     /// [`state_digest`] after the epoch.
     pub(crate) digest: u64,
 }
@@ -146,7 +148,6 @@ impl JournalRecord {
         let mut enc = Encoder::versioned(JOURNAL_MAGIC, FORMAT_VERSION);
         enc.put_u64(self.epoch);
         enc.put_seq(&self.decisions, put_decision);
-        enc.put_opt_u64(self.chaos_calls);
         enc.put_u64(self.digest);
         enc.finish()
     }
@@ -156,7 +157,6 @@ impl JournalRecord {
         let record = JournalRecord {
             epoch: dec.get_u64()?,
             decisions: dec.get_seq(8, get_decision)?,
-            chaos_calls: dec.get_opt_u64()?,
             digest: dec.get_u64()?,
         };
         dec.expect_end()?;
@@ -298,23 +298,17 @@ pub(crate) fn state_digest(run: &FleetRun<'_>) -> u64 {
 // ---------------------------------------------------------------------------
 
 impl Decision {
-    /// The journal entry of one live solve. `None` for an error the epoch
-    /// does not absorb: the run ends before the epoch commits.
-    fn capture(
-        tenant: usize,
-        item: &WarmBatchItem<'_>,
-        result: &SolveResult<SolverOutcome>,
-    ) -> Option<Decision> {
+    /// The journal entry of one live solve of the request with digest
+    /// `request`. `None` for an error the epoch does not absorb: the run
+    /// ends before the epoch commits.
+    fn capture(request: u64, result: &SolveResult<SolverOutcome>) -> Option<Decision> {
         let served = match result {
             Ok(outcome) => Served::Plan(PersistedOutcome::capture(outcome)),
             Err(SolveError::NoSolutionFound { solver }) => Served::Infeasible(solver.clone()),
             Err(SolveError::BudgetExhausted { solver }) => Served::Exhausted(solver.clone()),
             Err(_) => return None,
         };
-        Some(Decision {
-            request: request_digest(tenant, item),
-            served,
-        })
+        Some(Decision { request, served })
     }
 }
 
@@ -336,9 +330,9 @@ impl Replay {
         }
     }
 
-    fn serve(&mut self, tenant: usize, item: &WarmBatchItem<'_>) -> SolveResult<SolverOutcome> {
-        let decision = (self.decisions.next())
-            .filter(|d| !self.diverged && d.request == request_digest(tenant, item));
+    /// Serves the next decision to the request with digest `request`.
+    fn serve(&mut self, request: u64, item: &WarmBatchItem<'_>) -> SolveResult<SolverOutcome> {
+        let decision = (self.decisions.next()).filter(|d| !self.diverged && d.request == request);
         let served = decision.and_then(|d| {
             Some(match d.served {
                 Served::Plan(outcome) => Ok(outcome
@@ -376,46 +370,54 @@ impl Solves {
         matches!(self, Solves::Replayed(_))
     }
 
-    /// Solves a batch through [`solve_warm_batch`] — `tenants[k]` asks
-    /// `items[k]` — or serves it from the journal.
+    /// Solves a batch of requests — tenant `requests[k].0` asks
+    /// `requests[k].1` — through [`solve_warm_batch`], or serves it from the
+    /// journal. Under `chaos`, each live request first draws its fault from
+    /// `epoch` and its digest: a killed request gets the injected error
+    /// without reaching the solver, a poisoned one is solved on its
+    /// inflated prior, and either is journaled under the request as asked.
     pub(crate) fn batch<S: CapacitySolver + Sync>(
         &mut self,
         solver: &S,
-        items: &[WarmBatchItem<'_>],
-        tenants: &[usize],
+        chaos: Option<&ChaosClock<'_>>,
+        epoch: usize,
+        requests: &[(usize, WarmBatchItem<'_>)],
         budget: Option<&SolveBudget>,
         threads: Option<usize>,
     ) -> Vec<SolveResult<SolverOutcome>> {
+        let digests: Vec<u64> = (requests.iter())
+            .map(|(tenant, item)| request_digest(*tenant, item))
+            .collect();
         if let Solves::Replayed(replay) = self {
-            return (items.iter().zip(tenants))
-                .map(|(item, &tenant)| replay.serve(tenant, item))
+            return (digests.iter().zip(requests))
+                .map(|(&digest, (_, item))| replay.serve(digest, item))
                 .collect();
         }
-        let results = solve_warm_batch(solver, items, budget, threads);
+        let faults: Vec<Option<Fault>> = (digests.iter().zip(requests))
+            .map(|(&digest, (_, item))| chaos?.fault(epoch, digest, item.prior))
+            .collect();
+        let asked: Vec<WarmBatchItem<'_>> = (requests.iter().zip(&faults))
+            .filter_map(|((_, item), fault)| match fault {
+                Some(Fault::Kill(_)) => None,
+                Some(Fault::Poison(prior)) => Some(WarmBatchItem {
+                    prior: prior.as_ref(),
+                    ..*item
+                }),
+                None => Some(*item),
+            })
+            .collect();
+        let mut solved = solve_warm_batch(solver, &asked, budget, threads).into_iter();
+        let results: Vec<SolveResult<SolverOutcome>> = (faults.into_iter())
+            .map(|fault| match fault {
+                Some(Fault::Kill(err)) => Err(err),
+                _ => solved.next().expect("every request not killed is solved"),
+            })
+            .collect();
         if let Solves::Journaled(log) = self {
-            for ((item, &tenant), result) in items.iter().zip(tenants).zip(&results) {
-                log.extend(Decision::capture(tenant, item, result));
-            }
+            let decisions = digests.into_iter().zip(&results);
+            log.extend(decisions.filter_map(|(digest, result)| Decision::capture(digest, result)));
         }
         results
-    }
-
-    /// One solve outside a batch: `solve` answers `item` for `tenant`, or
-    /// the journal does.
-    pub(crate) fn one(
-        &mut self,
-        tenant: usize,
-        item: &WarmBatchItem<'_>,
-        solve: impl FnOnce() -> SolveResult<SolverOutcome>,
-    ) -> SolveResult<SolverOutcome> {
-        if let Solves::Replayed(replay) = self {
-            return replay.serve(tenant, item);
-        }
-        let result = solve();
-        if let Solves::Journaled(log) = self {
-            log.extend(Decision::capture(tenant, item, &result));
-        }
-        result
     }
 }
 
@@ -438,9 +440,6 @@ pub(crate) fn replay<S: CapacitySolver + Sync>(
             return Err(k);
         }
         run.close_replayed_epoch();
-        if let (Some(clock), Some(calls)) = (run.chaos, record.chaos_calls) {
-            clock.set_calls(calls);
-        }
     }
     Ok(())
 }

@@ -123,9 +123,9 @@
 //! completed epoch appends one CRC-framed record to a write-ahead journal in
 //! a [`rental_persist::Store`], and a full checkpoint is snapshotted every
 //! [`PersistOptions::snapshot_every`] epochs. The journal logs decisions, not
-//! state: a record carries the epoch's solver outcomes, the chaos stream
-//! position and a digest of the state the epoch left — everything else an
-//! epoch does is a deterministic function of its inputs.
+//! state: a record carries the epoch's solver outcomes (injected faults
+//! among them) and a digest of the state the epoch left — everything else
+//! an epoch does is a deterministic function of its inputs.
 //! [`FleetController::resume_from`] climbs the recovery ladder documented in
 //! [`persist`]: replay by re-execution (the newest snapshot, then every
 //! journaled epoch through the same epoch step, its solves served from the
@@ -141,9 +141,10 @@
 //! Every epoch is split into five stages — probe / arbitrate / solve / adopt
 //! / persist ([`rental_obs::Stage`]). One timer per phase (the bill pass,
 //! repair's triage, each probe shard, each re-solve batch and degraded
-//! fallback, adopt, persist) adds its wall seconds to the epoch's
-//! [`rental_obs::StageTimes`] row, and the end-of-epoch barrier emits the
-//! `fleet.span.*` samples from that row, once per epoch. The rows
+//! fallback, each forced repair adoption, adopt, persist) adds its wall
+//! seconds to the epoch's [`rental_obs::StageTimes`] row, and the
+//! end-of-epoch barrier emits the `fleet.span.*` samples from that row,
+//! once per epoch. The rows
 //! ([`FleetReport::epoch_timing`]) are the report's only time and the
 //! **single masked field family** of [`FleetReport::matches_modulo_timing`];
 //! no tenant row, checkpoint or journal record carries time, and the initial
@@ -191,9 +192,7 @@ mod run;
 pub mod scenario;
 pub mod tenant;
 
-pub use chaos::{
-    ChaosConfig, ChaosSolver, ChaosStats, CorruptionFault, CorruptionKind, CrashPlan, CrashPoint,
-};
+pub use chaos::{ChaosConfig, ChaosStats, CorruptionFault, CorruptionKind, CrashPlan, CrashPoint};
 pub use controller::{initial_target, FleetController, FleetPolicy};
 pub use persist::{PersistError, PersistOptions, PersistResult, RunOutcome};
 pub use rental_capacity::CapacityConfig;

@@ -7,12 +7,13 @@
 //! logs decisions, not state: [`FleetController::run_resumable`] appends
 //! one **journal record** per completed epoch carrying that epoch's solver
 //! outcomes in call order (each a plan, with its nodes and LP iterations, or
-//! an absorbed error, under its request's digest), the chaos stream position
-//! and a digest of the decision state the epoch left. A full **checkpoint
-//! snapshot** is written every [`PersistOptions::snapshot_every`] epochs.
-//! Neither payload carries stage timing (format 4): wall-clock seconds live
-//! only in the report's epoch rows, and the rows of epochs a resume did not
-//! execute restore as zero.
+//! an absorbed error — an injected fault included — under its request's
+//! digest) and a digest of the decision state the epoch left. A full
+//! **checkpoint snapshot** is written every [`PersistOptions::snapshot_every`]
+//! epochs. Neither payload carries stage timing (format 4) or chaos state
+//! (format 5): wall-clock seconds live only in the report's epoch rows, the
+//! rows of epochs a resume did not execute restore as zero, and a chaos
+//! fault is drawn from its epoch and request alone ([`crate::chaos`]).
 //! Both are framed with CRC-32 checksums by the [`rental_persist::Store`],
 //! so torn writes and tail corruption are detected, never trusted.
 //!
@@ -85,9 +86,10 @@ const CHECKPOINT_MAGIC: u32 = 0x5250_5346;
 /// Current on-disk format version of both payload kinds. Version 3 replaced
 /// the per-epoch state deltas of the journal with the epoch's solver
 /// outcomes and a state digest; version 4 dropped the per-tenant stage
-/// seconds of the checkpoint and the per-decision seconds of the journal.
-/// A store of an older version cold-restarts.
-pub(crate) const FORMAT_VERSION: u32 = 4;
+/// seconds of the checkpoint and the per-decision seconds of the journal;
+/// version 5 dropped the chaos fault-stream position of both. A store of an
+/// older version cold-restarts.
+pub(crate) const FORMAT_VERSION: u32 = 5;
 
 /// Why a resumable run failed. Corrupted or missing persisted state is
 /// **not** an error — the recovery ladder absorbs it; only real filesystem
@@ -212,8 +214,6 @@ struct Checkpoint {
     /// Fingerprints of the per-tenant outage traces — resume regenerates the
     /// traces from the config and refuses to continue when they diverge.
     trace_fingerprints: Vec<u64>,
-    /// Position in the chaos fault stream, when the run is chaos-wrapped.
-    chaos_calls: Option<u64>,
 }
 
 // ---------------------------------------------------------------------------
@@ -399,7 +399,6 @@ impl Checkpoint {
         });
         enc.put_opt(self.ledger.as_ref(), put_ledger);
         enc.put_u64s(&self.trace_fingerprints);
-        enc.put_opt_u64(self.chaos_calls);
         enc.finish()
     }
 
@@ -415,7 +414,6 @@ impl Checkpoint {
             stale_desired: dec.get_opt(get_fleets)?,
             ledger: dec.get_opt(get_ledger)?,
             trace_fingerprints: dec.get_u64s()?,
-            chaos_calls: dec.get_opt_u64()?,
         };
         dec.expect_end()?;
         Ok(checkpoint)
@@ -454,7 +452,6 @@ fn capture_checkpoint(run: &FleetRun<'_>, epoch_next: usize) -> Checkpoint {
             .as_ref()
             .map(|cs| cs.traces.iter().map(|t| t.fingerprint()).collect())
             .unwrap_or_default(),
-        chaos_calls: run.chaos.map(|clock| clock.calls()),
     }
 }
 
@@ -525,9 +522,6 @@ fn restore_checkpoint<'a>(
         (None, None) => None,
         _ => return None,
     };
-    if let (Some(clock), Some(calls)) = (chaos, checkpoint.chaos_calls) {
-        clock.set_calls(calls);
-    }
     let start = checkpoint.epoch_next as usize;
     let mut run = FleetRun::new(ctl, env, chaos, states, coupled, start);
     run.adoptions = checkpoint.adoptions;
@@ -652,7 +646,6 @@ impl Durability<'_> {
         let record = JournalRecord {
             epoch: epoch as u64,
             decisions,
-            chaos_calls: run.chaos.map(|clock| clock.calls()),
             digest: state_digest(run),
         };
         let payload = record.encode();
@@ -687,11 +680,11 @@ impl FleetController {
     /// [`FleetController::run_with_capacity`] with crash-safe persistence: a
     /// **fresh** run (the store is reset) that journals every epoch and
     /// snapshots every [`PersistOptions::snapshot_every`] epochs. With
-    /// `chaos`, the solving is wrapped in the deterministic fault injector
-    /// exactly as [`FleetController::run_with_chaos`] does — and the fault
-    /// stream position is journaled, so a resumed run draws the same
-    /// faults. With `crash`, the run aborts at the planned epoch and crash
-    /// point, returning [`RunOutcome::Crashed`].
+    /// `chaos`, the re-solves draw deterministic faults exactly as
+    /// [`FleetController::run_with_chaos`] does; a journaled fault is the
+    /// outcome it served, and a resumed run's live epochs draw the faults
+    /// the uninterrupted run drew. With `crash`, the run aborts at the
+    /// planned epoch and crash point, returning [`RunOutcome::Crashed`].
     ///
     /// A completed resumable run's report equals the corresponding
     /// non-persistent run's report exactly, timing fields aside.
@@ -864,7 +857,6 @@ mod tests {
                 peak_in_use: vec![4, 1, 2],
             }),
             trace_fingerprints: vec![0xDEAD_BEEF_0123_4567],
-            chaos_calls: Some(42),
         }
     }
 
@@ -878,7 +870,6 @@ mod tests {
                 decision(2, Served::Infeasible("ilp".to_string())),
                 decision(3, Served::Exhausted("chaos".to_string())),
             ],
-            chaos_calls: Some(42),
             digest: 0xFEED_F00D_DEAD_BEEF,
         }
     }
@@ -937,7 +928,7 @@ mod tests {
             (CHECKPOINT_MAGIC, checkpoint().encode()),
             (JOURNAL_MAGIC, bytes),
         ] {
-            for version in [2, 3] {
+            for version in [2, 3, 4] {
                 let mut old = Encoder::versioned(magic, version).finish();
                 old.extend_from_slice(&payload[8..]);
                 assert_eq!(decode_both(&old), (false, false), "version {version}");
@@ -955,7 +946,7 @@ mod tests {
             rental_persist::crc32(&checkpoint().encode()),
             rental_persist::crc32(&journal_record().encode()),
         );
-        let pinned = (4, 0xC51C_4D69, 0x6ADB_2FA5);
+        let pinned = (5, 0x357F_3914, 0x7654_D432);
         assert_eq!(pins, pinned, "a codec change needs a version bump");
     }
 

@@ -23,7 +23,8 @@
 //!
 //! This module owns the epoch loop's clock. One [`SpanTimer`] times each
 //! phase of an epoch — the bill pass, repair's triage, each shard of the
-//! probe fan-out, each re-solve batch and degraded fallback, adopt — and
+//! probe fan-out, each re-solve batch and degraded fallback, each forced
+//! repair adoption, adopt — and
 //! the durable hook times persist; each adds its seconds to the epoch's
 //! [`StageTimes`] row only. [`FleetRun::observe`] emits every
 //! `fleet.span.*` sample from that row, once per epoch, at the barrier.
@@ -43,7 +44,7 @@ use rental_solvers::batch::{solve_warm_batch, WarmBatchItem};
 use rental_solvers::solver::{CapacitySolver, SolveError, SolveResult, SweepPrior};
 use rental_stream::{Autoscaler, FixedMixState};
 
-use crate::chaos::{ChaosClock, ChaosConfig, ChaosSolver, ChaosStats};
+use crate::chaos::{ChaosClock, ChaosConfig, ChaosStats};
 use crate::controller::{
     debug_certify, first_target, fits_caps, quantize_target, surviving, CouplingState, Derived,
     FleetController, FleetPolicy, KnownPlan, RunEnv, Tally, TenantCore, TenantState,
@@ -551,8 +552,9 @@ impl<'a> FleetRun<'a> {
         let (policy, sink) = (self.policy(), self.sink());
         let mut full = Vec::new();
         let mut needs_degrade = Vec::new();
+        let mut fitting = Vec::new();
         // Triage — the futility check, then the coverage probe — is the
-        // repair's probe phase.
+        // repair's probe phase; the adoptions it finds run after it.
         let triage = SpanTimer::start(Stage::Probe);
         for (i, rho, caps) in repairs {
             let state = &mut self.states[i];
@@ -571,11 +573,10 @@ impl<'a> FleetRun<'a> {
                     .then(|| kp.outcome.solution.clone())
             });
             if let Some(solution) = fitting_known {
-                let running = state.core.solved_target == rho;
-                state.core.last_failure_solve = Some((rho, caps));
-                if !running {
-                    self.adopt_repair(i, epoch, rho, solution)?;
+                if state.core.solved_target != rho {
+                    fitting.push((i, rho, solution));
                 }
+                state.core.last_failure_solve = Some((rho, caps));
                 continue;
             }
             state.tally.probes += 1;
@@ -586,18 +587,23 @@ impl<'a> FleetRun<'a> {
             }
         }
         triage.stop_into(&mut self.obs.times);
+        for (i, rho, solution) in fitting {
+            self.adopt_repair(i, epoch, rho, solution)?;
+        }
         let budget = policy.epoch_budget.map(|b| b.split(full.len().max(1)));
-        let items: Vec<WarmBatchItem<'_>> = full
-            .iter()
-            .map(|(i, rho, caps)| self.states[*i].item(*rho, Some(caps)))
+        let requests: Vec<(usize, WarmBatchItem<'_>)> = (full.iter())
+            .map(|(i, rho, caps)| (*i, self.states[*i].item(*rho, Some(caps))))
             .collect();
-        let tenants: Vec<usize> = full.iter().map(|(i, _, _)| *i).collect();
         let batch = SpanTimer::start(Stage::Solve);
-        let results = self
-            .solves
-            .batch(solver, &items, &tenants, budget.as_ref(), policy.threads);
+        let results = self.solves.batch(
+            solver,
+            self.chaos,
+            epoch,
+            &requests,
+            budget.as_ref(),
+            policy.threads,
+        );
         batch.stop_into(&mut self.obs.times);
-        drop(items);
         for ((i, rho, caps), result) in full.into_iter().zip(results) {
             let state = &mut self.states[i];
             match result {
@@ -622,12 +628,12 @@ impl<'a> FleetRun<'a> {
             // by the coverage probe, so the full-target attempt would be a
             // guaranteed duplicate of the most expensive MILP in the path.
             let fallback = SpanTimer::start(Stage::Solve);
-            let (state, solves) = (&self.states[i], &mut self.solves);
+            let (state, solves, chaos) = (&self.states[i], &mut self.solves, self.chaos);
             let result = degrade_with(&state.spec.instance, rho, &caps, |target| {
-                let item = state.item(target, Some(&caps));
-                solves.one(i, &item, || {
-                    solver.solve_with_caps(item.instance, target, &caps, item.prior)
-                })
+                let request = (i, state.item(target, Some(&caps)));
+                let mut results =
+                    solves.batch(solver, chaos, epoch, &[request], None, policy.threads);
+                results.pop().expect("one result per request")
             });
             fallback.stop_into(&mut self.obs.times);
             let state = &mut self.states[i];
@@ -681,6 +687,7 @@ impl<'a> FleetRun<'a> {
         solution: Solution,
     ) -> SolveResult<()> {
         let (ctl, sink) = (self.ctl, self.sink());
+        let span = SpanTimer::start(Stage::Adopt);
         let state = &mut self.states[tenant];
         let remaining_hours = state.peaks.len().saturating_sub(epoch + 1) as f64 * ctl.policy.epoch;
         let charge = ctl.policy.switching_charge(
@@ -714,6 +721,7 @@ impl<'a> FleetRun<'a> {
             "forced failure-triggered adoption",
         );
         state.switch_to(&solution, target, charge, epoch, &self.env.scaling);
+        span.stop_into(&mut self.obs.times);
         Ok(())
     }
 
@@ -835,16 +843,24 @@ impl<'a> FleetRun<'a> {
             return Ok(());
         }
         let budget = policy.epoch_budget.map(|b| b.split(pending.len()));
-        let items: Vec<WarmBatchItem<'_>> = (pending.iter())
-            .map(|d| self.states[d.tenant].item(d.rho, d.caps.as_deref()))
+        let requests: Vec<(usize, WarmBatchItem<'_>)> = (pending.iter())
+            .map(|d| {
+                (
+                    d.tenant,
+                    self.states[d.tenant].item(d.rho, d.caps.as_deref()),
+                )
+            })
             .collect();
-        let tenants: Vec<usize> = pending.iter().map(|d| d.tenant).collect();
         let batch = SpanTimer::start(Stage::Solve);
-        let results = self
-            .solves
-            .batch(solver, &items, &tenants, budget.as_ref(), policy.threads);
+        let results = self.solves.batch(
+            solver,
+            self.chaos,
+            epoch,
+            &requests,
+            budget.as_ref(),
+            policy.threads,
+        );
         batch.stop_into(&mut self.obs.times);
-        drop(items);
         for (d, result) in pending.into_iter().zip(results) {
             let state = &mut self.states[d.tenant];
             match result {
@@ -1006,44 +1022,21 @@ impl<'a> FleetRun<'a> {
 }
 
 impl FleetController {
-    /// The one fleet driver behind every entry point: the solver, wrapped
-    /// in the deterministic fault injector when `chaos` is given, drives the
-    /// shared epoch loop — capacity-coupled under `config`, journaled and
-    /// resumable under `durable`. The initial fan-out is never faulted, so
-    /// it bypasses the injector; the fault stream starts at position
-    /// `tenants.len()`, and re-solve `k` draws position `tenants.len() + k`.
+    /// The one fleet driver behind every entry point: the solver drives the
+    /// shared epoch loop — under the deterministic fault injector when
+    /// `chaos` is given, capacity-coupled under `config`, journaled and
+    /// resumable under `durable`. The initial fan-out is never faulted.
     pub(crate) fn drive<S: CapacitySolver + Sync>(
         &self,
         solver: &S,
         tenants: &[TenantSpec],
         config: Option<&CapacityConfig>,
         chaos: Option<ChaosConfig>,
-        durable: Option<&mut Durability<'_>>,
+        mut durable: Option<&mut Durability<'_>>,
     ) -> PersistResult<(RunOutcome, ChaosStats)> {
         let stats = ChaosStats::default();
-        let outcome = match chaos {
-            Some(chaos) => {
-                let wrapped = ChaosSolver::new(solver, chaos, &stats);
-                let clock = ChaosClock::new(chaos, &stats);
-                clock.set_calls(tenants.len() as u64);
-                self.drive_loop(solver, &wrapped, Some(&clock), tenants, config, durable)
-            }
-            None => self.drive_loop(solver, solver, None, tenants, config, durable),
-        }?;
-        Ok((outcome, stats))
-    }
-
-    /// The loop itself: `initial` solves a fresh run's initial fan-out,
-    /// `solver` every re-solve.
-    fn drive_loop<'a, I: CapacitySolver + Sync, S: CapacitySolver + Sync>(
-        &'a self,
-        initial: &I,
-        solver: &S,
-        chaos: Option<&'a ChaosClock<'a>>,
-        tenants: &'a [TenantSpec],
-        config: Option<&CapacityConfig>,
-        mut durable: Option<&mut Durability<'_>>,
-    ) -> PersistResult<RunOutcome> {
+        let clock = chaos.map(|chaos| ChaosClock::new(chaos, &stats));
+        let chaos = clock.as_ref();
         let restored = match durable.as_deref_mut() {
             Some(durable) => durable.restore(self, solver, tenants, config, chaos)?,
             None => None,
@@ -1053,7 +1046,7 @@ impl FleetController {
             None => {
                 // Fresh start, or the cold-restart rung: clean slate,
                 // everything re-derived deterministically from configs.
-                let mut run = FleetRun::start(self, initial, tenants, config, chaos)?;
+                let mut run = FleetRun::start(self, solver, tenants, config, chaos)?;
                 if let Some(durable) = durable.as_deref_mut() {
                     durable.begin(&mut run)?;
                 }
@@ -1065,11 +1058,12 @@ impl FleetController {
             run.step(solver, epoch)?;
             if let Some(durable) = durable.as_deref_mut() {
                 if durable.commit(&mut run, epoch)? {
-                    return Ok(RunOutcome::Crashed { epoch });
+                    return Ok((RunOutcome::Crashed { epoch }, stats));
                 }
             }
             run.observe(epoch, wall.elapsed().as_secs_f64());
         }
-        Ok(RunOutcome::Completed(run.finish()))
+        let report = run.finish();
+        Ok((RunOutcome::Completed(report), stats))
     }
 }

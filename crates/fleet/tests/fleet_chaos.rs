@@ -32,8 +32,22 @@ fn diurnal_tenants() -> Vec<TenantSpec> {
     diurnal_copies(1)
 }
 
-/// Single-threaded policy: call-counter fault draws are only deterministic
-/// when the solve fan-out does not race.
+/// Three diurnal tenants of different amplitudes: their requests differ, so
+/// a batch of them fans out over every solver thread.
+fn diurnal_mix() -> Vec<TenantSpec> {
+    [(20.0, 160.0), (35.0, 120.0), (15.0, 190.0)]
+        .into_iter()
+        .map(|(low, high)| {
+            TenantSpec::new(
+                "chaotic",
+                illustrating_example(),
+                WorkloadTrace::diurnal(low, high, 12.0, 2),
+            )
+        })
+        .collect()
+}
+
+/// Single-threaded policy, the reference the multi-threaded runs must match.
 fn single_thread_policy() -> FleetPolicy {
     FleetPolicy {
         switching_cost: 4.0,
@@ -139,16 +153,29 @@ proptest! {
 
     /// Chaos is an *experiment*, not noise: the same seed and config replay
     /// the exact same faults and produce the exact same report, down to the
-    /// per-epoch bills and the fault ledger.
+    /// per-epoch bills and the fault ledger — on two solver threads too,
+    /// since a fault is keyed by its epoch and request, not by call order.
     #[test]
     fn chaos_runs_are_deterministic_for_a_fixed_seed(chaos in arbitrary_chaos()) {
         let config = CapacityConfig::unconstrained();
         let (first, first_stats) = FleetController::new(single_thread_policy())
-            .run_with_chaos(&IlpSolver::new(), &diurnal_tenants(), &config, chaos)
+            .run_with_chaos(&IlpSolver::new(), &diurnal_mix(), &config, chaos)
             .unwrap();
         let (second, second_stats) = FleetController::new(single_thread_policy())
-            .run_with_chaos(&IlpSolver::new(), &diurnal_tenants(), &config, chaos)
+            .run_with_chaos(&IlpSolver::new(), &diurnal_mix(), &config, chaos)
             .unwrap();
+        let two_threads = FleetPolicy {
+            threads: Some(2),
+            ..single_thread_policy()
+        };
+        let (third, third_stats) = FleetController::new(two_threads)
+            .run_with_chaos(&IlpSolver::new(), &diurnal_mix(), &config, chaos)
+            .unwrap();
+        prop_assert!(
+            third.matches_modulo_timing(&first),
+            "the two-thread chaos run diverged from the one-thread run"
+        );
+        prop_assert_eq!(third_stats.total_faults(), first_stats.total_faults());
         prop_assert_eq!(first.adoptions.len(), second.adoptions.len());
         for (a, b) in first.tenants.iter().zip(&second.tenants) {
             prop_assert_eq!(&a.epoch_costs, &b.epoch_costs);

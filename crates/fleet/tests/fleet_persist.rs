@@ -367,10 +367,11 @@ proptest! {
         }
     }
 
-    /// Crash + corruption under active chaos: the fault-stream position is
-    /// checkpointed, so the resumed run draws exactly the faults the
-    /// uninterrupted chaos run draws — the combined execution reproduces
-    /// the uninterrupted chaos report.
+    /// Crash + corruption under active chaos: a fault is drawn from its
+    /// epoch and request alone, and a journaled epoch replays the outcomes
+    /// its faults served, so the resumed run meets exactly the faults the
+    /// uninterrupted chaos run met — the combined execution reproduces the
+    /// uninterrupted chaos report.
     #[test]
     fn chaos_runs_survive_crash_and_corruption_bit_identically(
         seed in any::<u64>(),

@@ -103,10 +103,10 @@ proptest! {
         assert_all_match(&reports[0].1, &reports[1..]);
     }
 
-    /// `run_with_chaos`: injected solver faults and delayed arbitration
-    /// draw from call-order-dependent fault streams, which only stay
-    /// aligned because every solver call happens at the sequential barrier
-    /// — the fault statistics must match exactly, too.
+    /// `run_with_chaos`: injected solver faults are keyed by epoch and
+    /// request and arbitration delays by epoch, and every request is drawn
+    /// at the sequential barrier, so the shards cannot move a fault — the
+    /// fault statistics must match exactly, too.
     #[test]
     fn run_with_chaos_is_bit_identical_across_shard_counts(
         seed in 0u64..1000,
@@ -138,7 +138,7 @@ proptest! {
         assert_all_match(&reports[0].1, &reports[1..]);
         prop_assert!(
             faults.iter().all(|&f| f == faults[0]),
-            "the injected fault stream shifted across shard counts: {faults:?}"
+            "the injected faults shifted across shard counts: {faults:?}"
         );
     }
 

@@ -138,14 +138,6 @@ impl SparseVector {
         self.values[i] += delta;
     }
 
-    /// Replaces the contents with the given sparse column.
-    pub fn set_from_entries(&mut self, entries: &[(usize, f64)]) {
-        self.clear();
-        for &(i, v) in entries {
-            self.set(i, v);
-        }
-    }
-
     /// Rebuilds the support by scanning the dense values (used after a dense
     /// backend wrote arbitrary entries). O(m). A zero the backend computed
     /// (`-0.0` included) is stored as `+0.0`, so every entry off the support

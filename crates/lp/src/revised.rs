@@ -270,7 +270,6 @@ pub struct RevisedLp {
     base_lower: Vec<f64>,
     base_upper: Vec<f64>,
     rhs: Vec<f64>,
-    minimize: bool,
 }
 
 /// Which bound a leaving variable lands on.
@@ -371,19 +370,12 @@ impl RevisedLp {
             base_lower,
             base_upper,
             rhs,
-            minimize,
         })
     }
 
     /// Number of constraint rows of the standard form.
     pub fn num_rows(&self) -> usize {
         self.m
-    }
-
-    /// Number of standard-form columns (model variables, slacks,
-    /// artificials).
-    pub fn num_cols(&self) -> usize {
-        self.n_total
     }
 
     /// The sparse standard-form columns, `[model vars | slacks |
@@ -393,11 +385,6 @@ impl RevisedLp {
     /// [`crate::factor::SparseLu`] / [`crate::factor::DenseLu`] directly.
     pub fn standard_form_columns(&self) -> &[Vec<(usize, f64)>] {
         &self.cols
-    }
-
-    /// Whether the underlying model minimizes.
-    pub fn is_minimize(&self) -> bool {
-        self.minimize
     }
 
     /// Solves the LP with the model's own bounds (a cold, two-phase primal

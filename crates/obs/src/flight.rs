@@ -88,7 +88,7 @@ struct Ring {
 
 /// Fixed-capacity ring buffer of [`Event`]s; recording past capacity
 /// evicts the oldest. All methods are `&self` (internally locked) so the
-/// recorder can sit behind an `Arc` shared with a panic hook.
+/// recorder can sit behind an `Arc` shared with an exporter.
 pub struct FlightRecorder {
     capacity: usize,
     ring: Mutex<Ring>,

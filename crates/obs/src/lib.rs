@@ -7,7 +7,7 @@
 //! stage row ([`Stage`]/[`StageTimes`]); and a fixed-capacity structured
 //! event ring buffer — the [`FlightRecorder`] — that keeps the last N
 //! adoption / SLO-violation / degraded-solve / chaos-fault / recovery
-//! events and dumps them as JSON lines on demand or from a panic hook.
+//! events and dumps them as JSON lines on demand.
 //!
 //! The crate is **dependency-free** (the workspace builds offline) and
 //! designed so that *disabled* telemetry costs nothing measurable:

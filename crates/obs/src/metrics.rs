@@ -405,11 +405,6 @@ impl MetricsSnapshot {
         });
         counters.chain(gauges).chain(histograms).collect()
     }
-
-    /// Renders the snapshot's [`MetricsSnapshot::rows`] as JSON lines.
-    pub fn to_jsonl(&self) -> String {
-        crate::json::lines(&self.rows())
-    }
 }
 
 #[cfg(test)]
@@ -539,7 +534,7 @@ mod tests {
         registry.add_counter("a.counter", 1);
         registry.set_gauge("g.gauge", 0.5);
         registry.observe("h.hist", 100);
-        let jsonl = registry.snapshot().to_jsonl();
+        let jsonl = crate::json::lines(&registry.snapshot().rows());
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 4);
         assert!(lines[0].starts_with("{\"metric\":\"a.counter\""));

@@ -1,9 +1,8 @@
 //! The default enabled [`TelemetrySink`]: a [`MetricsRegistry`] plus a
-//! [`FlightRecorder`], with a panic hook that dumps the event history.
+//! [`FlightRecorder`].
 
 use std::collections::VecDeque;
-use std::io::Write;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use crate::flight::{Event, EventKind, FlightRecorder};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
@@ -22,7 +21,7 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 256;
 /// [`MetricsRegistry`], spans into microsecond histograms, events into a
 /// [`FlightRecorder`], trace spans into per-`trace_id` [`TraceTree`]s.
 /// Share it as an `Arc` between the global sink, a `FleetController` and
-/// (optionally) the panic hook.
+/// (optionally) an exporter.
 pub struct Recorder {
     registry: MetricsRegistry,
     flight: FlightRecorder,
@@ -84,33 +83,9 @@ impl Recorder {
         snapshot
     }
 
-    /// The metrics snapshot rendered as JSON lines.
-    pub fn metrics_jsonl(&self) -> String {
-        self.snapshot().to_jsonl()
-    }
-
     /// The retained events rendered as JSON lines, oldest first.
     pub fn events_jsonl(&self) -> String {
         self.flight.dump_jsonl()
-    }
-
-    /// Installs a panic hook that dumps `recorder`'s flight history to
-    /// stderr (as JSONL, after the previous hook runs) — the black box a
-    /// crashed serving process leaves behind.
-    pub fn install_panic_hook(recorder: Arc<Recorder>) {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            previous(info);
-            let dump = recorder.events_jsonl();
-            let mut stderr = std::io::stderr().lock();
-            let _ = writeln!(
-                stderr,
-                "--- flight recorder ({} of {} events retained) ---",
-                recorder.flight.len(),
-                recorder.flight.total_recorded(),
-            );
-            let _ = stderr.write_all(dump.as_bytes());
-        }));
     }
 }
 

@@ -202,14 +202,6 @@ impl SolveBudget {
         SolveBudget::default()
     }
 
-    /// A budget with only a wall-clock deadline.
-    pub fn with_deadline(deadline: Duration) -> Self {
-        SolveBudget {
-            deadline: Some(deadline),
-            ..SolveBudget::default()
-        }
-    }
-
     /// A budget with only a node cap.
     pub fn with_node_cap(nodes: usize) -> Self {
         SolveBudget {
