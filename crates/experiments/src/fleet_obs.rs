@@ -8,7 +8,8 @@
 //! flight recorder has something operational to show:
 //! injected faults, SLO violations, degraded solves and the adoptions that
 //! repair them, in their exact serving order. `repro fleet-obs` renders the
-//! per-stage epoch breakdown, the top-k tenants by solver effort, the
+//! per-stage epoch breakdown and the per-epoch critical paths, both read off
+//! the report's trace trees, the top-k tenants by solver effort, the
 //! headline LP/solver counters, and the event tail; `--json` dumps the same
 //! data as rows of the `rental_obs::json` encoder.
 //!
@@ -22,7 +23,6 @@ use rental_fleet::{failure_coupled_fleet, ChaosConfig, FleetController, FleetRep
 use rental_obs::json::JsonRow;
 use rental_obs::{
     install_scoped, AlertPolicy, AlertRule, Event, MetricsSnapshot, Recorder, Stage, TraceSummary,
-    TraceTree,
 };
 use rental_solvers::SolveResult;
 
@@ -80,7 +80,8 @@ pub struct ChaosSummary {
 pub struct FleetObsTable {
     /// Scenario name.
     pub scenario: String,
-    /// The controller's report (stage timing and solver effort included).
+    /// The controller's report (one trace tree per epoch and solver effort
+    /// included).
     pub report: FleetReport,
     /// What the chaos layer injected.
     pub chaos: ChaosSummary,
@@ -88,8 +89,6 @@ pub struct FleetObsTable {
     pub snapshot: MetricsSnapshot,
     /// The flight recorder's retained events, oldest first.
     pub events: Vec<Event>,
-    /// Per-epoch causal trace trees, oldest first.
-    pub traces: Vec<TraceTree>,
     /// Leaderboard size requested by the spec.
     pub top_k: usize,
 }
@@ -162,7 +161,6 @@ pub fn run_fleet_obs_experiment_with(
         },
         snapshot: recorder.snapshot(),
         events: recorder.flight().events(),
-        traces: recorder.traces(),
         top_k: spec.top_k,
     })
 }
@@ -187,13 +185,12 @@ pub fn fleet_obs_markdown(table: &FleetObsTable) -> String {
     let mut out = String::new();
 
     // Per-stage epoch breakdown.
-    let stages = report.stage_seconds();
-    let total = stages.total().max(f64::MIN_POSITIVE);
+    let stages = Stage::ALL.map(|stage| (stage, report.stage_seconds(stage)));
+    let total = (stages.iter().map(|(_, s)| s).sum::<f64>()).max(f64::MIN_POSITIVE);
     let epochs = report.epochs.max(1) as f64;
     out.push_str("| stage | total (ms) | share | mean per epoch (µs) |\n");
     out.push_str("|---|---:|---:|---:|\n");
-    for stage in Stage::ALL {
-        let seconds = stages.get(stage);
+    for (stage, seconds) in stages {
         out.push_str(&format!(
             "| {} | {:.2} | {:.1}% | {:.1} |\n",
             stage.name(),
@@ -207,7 +204,8 @@ pub fn fleet_obs_markdown(table: &FleetObsTable) -> String {
     // much of it was the merge barrier (the ROADMAP's `merge_wait`
     // question, answered with a number).
     const MAX_PATH_ROWS: usize = 32;
-    let skipped = table.traces.len().saturating_sub(MAX_PATH_ROWS);
+    let trees = &report.epoch_timing;
+    let skipped = trees.len().saturating_sub(MAX_PATH_ROWS);
     out.push_str("\ncritical path per epoch");
     if skipped > 0 {
         out.push_str(&format!(" (first {skipped} epochs elided)"));
@@ -215,7 +213,7 @@ pub fn fleet_obs_markdown(table: &FleetObsTable) -> String {
     out.push_str(":\n");
     out.push_str("| epoch | wall (µs) | attributed (µs) | dominant | probe shards | barrier (µs) | barrier share |\n");
     out.push_str("|---:|---:|---:|---|---:|---:|---:|\n");
-    for tree in table.traces.iter().skip(skipped) {
+    for tree in trees.iter().skip(skipped) {
         let path = tree.critical_path();
         let dominant = path.dominant().map_or("-", |s| s.name);
         let shards = path
@@ -234,7 +232,7 @@ pub fn fleet_obs_markdown(table: &FleetObsTable) -> String {
             100.0 * path.barrier_share(),
         ));
     }
-    let summary = TraceSummary::from_trees(&table.traces);
+    let summary = TraceSummary::from_trees(trees);
     out.push_str(&format!(
         "\naggregated over {} epochs: attributed {:.2} ms of {:.2} ms wall, \
          barrier share {:.1}%; per step:",
@@ -338,7 +336,8 @@ pub fn fleet_obs_rows(table: &FleetObsTable) -> Vec<JsonRow> {
             .usize("delayed_arbitrations", table.chaos.delayed_arbitrations),
     );
     rows.extend(table.snapshot.rows());
-    rows.extend(table.traces.iter().map(|tree| {
+    let trees = &table.report.epoch_timing;
+    rows.extend(trees.iter().map(|tree| {
         let path = tree.critical_path();
         JsonRow::new()
             .str("record", "critical_path")
@@ -349,7 +348,7 @@ pub fn fleet_obs_rows(table: &FleetObsTable) -> Vec<JsonRow> {
             .f64("barrier_share", path.barrier_share())
             .str("dominant", path.dominant().map_or("-", |s| s.name))
     }));
-    let summary = TraceSummary::from_trees(&table.traces);
+    let summary = TraceSummary::from_trees(trees);
     rows.push(
         JsonRow::new()
             .str("record", "trace_summary")
@@ -392,7 +391,11 @@ mod tests {
         let _sink = exclusive_global_sink();
         let table = run_fleet_obs_experiment(&small_spec()).unwrap();
         assert_eq!(table.report.tenants.len(), 3);
-        assert!(table.report.stage_seconds().total() > 0.0);
+        let stages: f64 = Stage::ALL
+            .map(|s| table.report.stage_seconds(s))
+            .iter()
+            .sum();
+        assert!(stages > 0.0);
         assert!(table.report.effort().solves > 0);
         assert!(
             table
@@ -413,11 +416,13 @@ mod tests {
                 > 0
         );
         assert!(!table.events.is_empty(), "a chaotic run records events");
-        assert!(!table.traces.is_empty(), "every epoch emits a trace tree");
-        assert!(table
-            .traces
-            .iter()
-            .all(|t| t.root().is_some_and(|r| r.name == "epoch")));
+        // The report keeps exactly one trace tree per epoch, in order.
+        let trees = &table.report.epoch_timing;
+        assert_eq!(trees.len(), table.report.epochs);
+        for (epoch, tree) in trees.iter().enumerate() {
+            assert_eq!(tree.trace_id, epoch as u64);
+            assert_eq!(tree.root().name, "epoch");
+        }
         let markdown = fleet_obs_markdown(&table);
         assert!(markdown.contains("| probe |"));
         assert!(markdown.contains("| persist |"));
@@ -450,9 +455,8 @@ mod tests {
         // Trace-tree *structure* is deterministic (span names, parents and
         // ids); only the measured seconds differ between runs.
         type SpanShape = (u32, Option<u32>, &'static str);
-        let shape = |trees: &[TraceTree]| -> Vec<(u64, Vec<SpanShape>)> {
-            trees
-                .iter()
+        let shape = |report: &FleetReport| -> Vec<(u64, Vec<SpanShape>)> {
+            (report.epoch_timing.iter())
                 .map(|t| {
                     (
                         t.trace_id,
@@ -461,6 +465,7 @@ mod tests {
                 })
                 .collect()
         };
-        assert_eq!(shape(&a.traces), shape(&b.traces));
+        assert_eq!(a.report.epoch_timing.len(), a.report.epochs);
+        assert_eq!(shape(&a.report), shape(&b.report));
     }
 }

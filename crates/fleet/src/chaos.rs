@@ -3,9 +3,11 @@
 //!
 //! Every re-solve request of a chaos run draws its fault from a
 //! [SplitMix64](https://prng.di.unimi.it/) hash of [`ChaosConfig::seed`],
-//! the epoch and the request's digest — the tenant asking, its target, caps
+//! the epoch, the request's digest — the tenant asking, its target, caps
 //! and warm-start prior, the key the decision journal files its outcome
-//! under:
+//! under — and how many times the epoch already asked that request, so a
+//! re-ask (a failure repair's degraded fallback asking its full target
+//! again) draws afresh instead of repeating the first ask's fault:
 //!
 //! * **timeout** — the request is answered with
 //!   [`SolveError::BudgetExhausted`] before any incumbent exists;
@@ -29,17 +31,21 @@
 //! the *previous* epoch's desired fleets to the capacity pool, so tenants
 //! serve on stale grants.
 //!
-//! A draw depends on its key alone, never on how many draws came before, so
-//! a run's faults are the same at every thread and shard count and in any
-//! call order, and a resumed run keeps no chaos state: its journaled epochs
-//! replay their recorded outcomes, and its live epochs draw what the
-//! uninterrupted run drew. The initial batch is never faulted — every
-//! tenant needs *some* plan before the epoch clock starts, exactly like the
-//! controller's own unbudgeted initial solves. The chaos property tests pin
+//! A draw depends on its key alone, never on how many other draws came
+//! before, so a run's faults are the same at every thread and shard count
+//! and in any order of distinct requests. An epoch asks its requests from
+//! the sequential barrier, so the ask counts are deterministic too, and a
+//! resumed run keeps no chaos state: its journaled epochs replay their
+//! recorded outcomes, and its live epochs, counting asks from zero, draw
+//! what the uninterrupted run drew. The initial batch is never faulted —
+//! every tenant needs *some* plan before the epoch clock starts, exactly
+//! like the controller's own unbudgeted initial solves. The chaos property tests pin
 //! that the controller **never panics**, never grants above quota, and
 //! degrades toward the fixed-mix baseline as the fault rate approaches 1.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use rental_capacity::CapacityConfig;
 use rental_solvers::solver::{CapacitySolver, SolveError, SolveResult, SweepPrior};
@@ -182,13 +188,20 @@ pub(crate) enum Fault {
 pub struct ChaosClock<'a> {
     config: ChaosConfig,
     stats: &'a ChaosStats,
+    /// The epoch being asked and how many times it asked each request
+    /// digest so far (epochs are asked in order).
+    asks: Mutex<(usize, HashMap<u64, u64>)>,
 }
 
 impl<'a> ChaosClock<'a> {
     /// Builds a clock over the given config and fault counters — one per
     /// chaos run of the fleet driver.
     pub(crate) fn new(config: ChaosConfig, stats: &'a ChaosStats) -> Self {
-        ChaosClock { config, stats }
+        ChaosClock {
+            config,
+            stats,
+            asks: Mutex::new((0, HashMap::new())),
+        }
     }
 
     /// Whether this epoch's arbitration decision is delayed (counted when
@@ -207,18 +220,32 @@ impl<'a> ChaosClock<'a> {
     }
 
     /// The fault injected into the request with digest `request`, asked at
-    /// `epoch` on `prior`, if any (counted when drawn). Keyed on the epoch
-    /// and the digest alone, so the same key draws the same fault in any
-    /// order.
+    /// `epoch` on `prior`, if any (counted when drawn). Keyed on the epoch,
+    /// the digest and how many times this epoch already asked it: the first
+    /// ask of a key draws the same fault in any order, and each re-ask draws
+    /// its own.
     pub(crate) fn fault(
         &self,
         epoch: usize,
         request: u64,
         prior: Option<&SweepPrior>,
     ) -> Option<Fault> {
+        let asked = {
+            let mut asks = self.asks.lock().unwrap_or_else(PoisonError::into_inner);
+            if asks.0 != epoch {
+                *asks = (epoch, HashMap::new());
+            }
+            let count = asks.1.entry(request).or_insert(0);
+            *count += 1;
+            *count - 1
+        };
         let c = &self.config;
         let epoch_key = splitmix64(c.seed ^ (epoch as u64).wrapping_mul(0xD1B5_4A32_D192_ED03));
-        let u = unit(splitmix64(epoch_key ^ request));
+        let ask_key = match asked {
+            0 => request,
+            n => splitmix64(request ^ n.wrapping_mul(0x8CB9_2BA7_2F3D_8DD7)),
+        };
+        let u = unit(splitmix64(epoch_key ^ ask_key));
         // Timeouts and singular refactorizations are both inconclusive and
         // retryable at this boundary.
         let exhausted = || SolveError::BudgetExhausted {
@@ -492,6 +519,49 @@ mod tests {
             counts.iter().all(|&n| n > 0),
             "every kind fires: {counts:?}"
         );
+    }
+
+    /// A request asked again in the same epoch — a failure repair's
+    /// degraded fallback re-asking its full target — draws its own fault
+    /// instead of repeating the first ask's, and a later epoch counts asks
+    /// from zero again.
+    #[test]
+    fn a_re_asked_request_draws_its_own_fault() {
+        let chaos = ChaosConfig {
+            infeasible_rate: 0.5,
+            ..ChaosConfig::with_seed(9)
+        };
+        let (solver, instance) = (IlpSolver::new(), illustrating_example());
+        let requests: Vec<(usize, WarmBatchItem<'_>)> = (1..=33)
+            .map(|k| (0, WarmBatchItem::new(&instance, 10 * k, None)))
+            .collect();
+        let killed = |clock: &ChaosClock<'_>, epoch| -> Vec<bool> {
+            (Solves::Live.batch(&solver, Some(clock), epoch, &requests, None, Some(1)))
+                .iter()
+                .map(|r| matches!(r, Err(SolveError::NoSolutionFound { .. })))
+                .collect()
+        };
+        let stats = ChaosStats::default();
+        let clock = ChaosClock::new(chaos, &stats);
+        let first = killed(&clock, 4);
+        let again = killed(&clock, 4);
+        let killed_first = first.iter().filter(|&&k| k).count();
+        let killed_again = (first.iter().zip(&again))
+            .filter(|&(&a, &b)| a && b)
+            .count();
+        assert!(killed_first > 0);
+        assert!(
+            killed_again < killed_first,
+            "{killed_again} of {killed_first} killed first asks were killed again"
+        );
+        // Each killed ask is one fault.
+        let killed_total = killed_first + again.iter().filter(|&&k| k).count();
+        assert_eq!(stats.infeasibles(), killed_total);
+        // The next epoch asks afresh: a clock that never saw epoch 4 draws
+        // the same faults there.
+        let fresh_stats = ChaosStats::default();
+        let fresh = ChaosClock::new(chaos, &fresh_stats);
+        assert_eq!(killed(&clock, 5), killed(&fresh, 5));
     }
 
     #[test]

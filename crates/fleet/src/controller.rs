@@ -14,9 +14,7 @@
 use std::sync::Arc;
 
 use rental_capacity::{CapacityConfig, CapacityPool, UNLIMITED_CAP};
-use rental_core::{
-    Instance, PlannedMachine, ProvisioningPlan, RecipeId, Solution, Throughput, TypeId, TypeSummary,
-};
+use rental_core::{Instance, ProvisioningPlan, RecipeId, Solution, Throughput, TypeId};
 use rental_obs::{AlertPolicy, NoopSink, TelemetrySink};
 use rental_pricing::{HorizonCache, OnDemand, SegmentedBilling};
 use rental_solvers::batch::WarmBatchItem;
@@ -53,12 +51,6 @@ pub struct FleetPolicy {
     /// cost units. Candidate plans must project savings above this over the
     /// remaining horizon (hysteresis).
     pub switching_cost: f64,
-    /// Per-machine-delta switching charge: on adoption, every machine that
-    /// actually changes between the kept fleet (the current mix rescaled to
-    /// the new target) and the adopted plan's fleet — added *or* removed,
-    /// per type — costs this much on top of the flat charge. `0.0` (the
-    /// default) recovers the flat-cost-only behaviour exactly.
-    pub per_machine_switching_cost: f64,
     /// Master switch for the probe/solve/adopt loop. Disabled, the controller
     /// degrades to one fixed-mix autoscaler per tenant.
     pub resolve: bool,
@@ -94,7 +86,6 @@ impl Default for FleetPolicy {
             probe_epsilon: 0.02,
             shift_threshold: 0.05,
             switching_cost: 0.0,
-            per_machine_switching_cost: 0.0,
             resolve: true,
             threads: None,
             epoch_budget: None,
@@ -133,20 +124,6 @@ impl FleetPolicy {
             scale_down_patience: self.scale_down_patience,
             redundancy: 0,
         }
-    }
-
-    /// The switching charge of replacing the `kept` fleet with the `adopted`
-    /// one (machines per type): the flat charge plus the per-machine-delta
-    /// charge on every machine added or removed. With the default
-    /// `per_machine_switching_cost = 0` this is the flat charge regardless
-    /// of the fleets.
-    pub fn switching_charge(&self, kept: &[u64], adopted: &[u64]) -> f64 {
-        let delta: u64 = kept
-            .iter()
-            .zip(adopted)
-            .map(|(&old, &new)| old.abs_diff(new))
-            .sum();
-        self.switching_cost + self.per_machine_switching_cost * delta as f64
     }
 
     /// Resolves the shard count of the per-tenant epoch pipelines for a
@@ -229,48 +206,22 @@ pub(crate) fn min_unit_cost(instance: &Instance) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Builds a provisioning plan from explicit per-type machine counts (with
-/// `load_each[q]` assigned load per machine), so fixed-mix fleets can be
-/// projected over the remaining horizon through a [`HorizonCache`] like any
-/// solver plan.
-fn plan_from_fleet(
-    instance: &Instance,
-    fleet: &[u64],
-    load_each: &[f64],
-    target: Throughput,
-) -> ProvisioningPlan {
+/// The machines of a fleet given by per-type counts, as the `(hourly cost,
+/// utilisation)` pairs a [`HorizonCache`] is built from: type by type,
+/// `fleet[q]` machines of cost `c_q`, each carrying `load_each[q]` of its
+/// throughput `r_q`. Fixed-mix fleets are projected over the remaining
+/// horizon from these like any solver plan.
+fn fleet_machines<'a>(
+    instance: &'a Instance,
+    fleet: &'a [u64],
+    load_each: &'a [f64],
+) -> impl Iterator<Item = (u64, f64)> + 'a {
     let platform = instance.platform();
-    let mut machines = Vec::new();
-    let mut per_type = Vec::with_capacity(fleet.len());
-    let mut hourly_cost = 0u64;
-    for (q, &count) in fleet.iter().enumerate() {
+    fleet.iter().enumerate().flat_map(move |(q, &count)| {
         let type_id = TypeId(q);
-        let capacity_each = platform.throughput(type_id);
-        let cost_each = platform.cost(type_id);
-        for _ in 0..count {
-            machines.push(PlannedMachine {
-                type_id,
-                hourly_cost: cost_each,
-                capacity: capacity_each,
-                assigned_load: load_each[q],
-            });
-        }
-        hourly_cost += count * cost_each;
-        per_type.push(TypeSummary {
-            type_id,
-            machines: count,
-            demand: (load_each[q] * count as f64).round() as u64,
-            capacity: count * capacity_each,
-            hourly_cost: count * cost_each,
-        });
-    }
-    ProvisioningPlan {
-        target,
-        split: vec![],
-        machines,
-        per_type,
-        hourly_cost,
-    }
+        let utilisation = load_each[q] / platform.throughput(type_id) as f64;
+        std::iter::repeat_n((platform.cost(type_id), utilisation), count as usize)
+    })
 }
 
 /// A memoized "keep" projection: the fixed-mix rescale of the tenant's
@@ -312,15 +263,12 @@ impl ProbeEntry {
             .zip(&continued)
             .map(|(&tgt, &kept)| tgt - kept)
             .collect();
+        let cache = |fleet: &[u64]| {
+            HorizonCache::from_machines(fleet_machines(instance, fleet, &load_each), billing)
+        };
         ProbeEntry {
-            continued: HorizonCache::new(
-                &plan_from_fleet(instance, &continued, &load_each, target),
-                billing,
-            ),
-            fresh: HorizonCache::new(
-                &plan_from_fleet(instance, &fresh, &load_each, target),
-                billing,
-            ),
+            continued: cache(&continued),
+            fresh: cache(&fresh),
         }
     }
 }
@@ -1032,9 +980,16 @@ mod tests {
             .zip(&demand)
             .map(|(&n, &d)| if n == 0 { 0.0 } else { d / n as f64 })
             .collect();
-        let plan = plan_from_fleet(&instance, &fleet, &load_each, 70);
-        assert_eq!(plan.hourly_cost, 124);
-        assert_eq!(plan.total_machines(), 7);
+        let mut costs: Vec<u64> = (fleet_machines(&instance, &fleet, &load_each))
+            .map(|(cost, _)| cost)
+            .collect();
+        costs.sort_unstable();
+        let plan = ProvisioningPlan::build(&instance, &solution).unwrap();
+        let mut plan_costs: Vec<u64> = plan.machines.iter().map(|m| m.hourly_cost).collect();
+        plan_costs.sort_unstable();
+        assert_eq!(costs, plan_costs);
+        assert_eq!(costs.len(), 7);
+        assert_eq!(costs.iter().sum::<u64>(), 124);
     }
 
     #[test]
@@ -1243,56 +1198,6 @@ mod tests {
             .run_with_capacity(&IlpSolver::new(), &[], &CapacityConfig::unconstrained())
             .unwrap();
         assert_eq!(coupled, report);
-    }
-
-    #[test]
-    fn per_machine_delta_switching_charges_only_changed_machines() {
-        // Identical fleets cost nothing beyond the flat charge; disjoint
-        // fleets charge every machine on both sides.
-        let flat = FleetPolicy {
-            switching_cost: 5.0,
-            ..FleetPolicy::default()
-        };
-        assert_eq!(flat.switching_charge(&[3, 2], &[1, 4]), 5.0);
-        let delta = FleetPolicy {
-            switching_cost: 5.0,
-            per_machine_switching_cost: 2.0,
-            ..FleetPolicy::default()
-        };
-        assert_eq!(delta.switching_charge(&[3, 2], &[3, 2]), 5.0);
-        assert_eq!(delta.switching_charge(&[3, 2], &[1, 4]), 5.0 + 2.0 * 4.0);
-        assert_eq!(delta.switching_charge(&[0, 0], &[2, 1]), 5.0 + 2.0 * 3.0);
-    }
-
-    #[test]
-    fn per_machine_delta_cost_tightens_the_hysteresis() {
-        // The diurnal swing forces large fleet changes on adoption, so a
-        // steep per-machine charge must suppress adoptions that the flat
-        // charge alone would accept — and every recorded decision must be
-        // consistent with the actual charge it faced.
-        let tenants = vec![diurnal_tenant()];
-        let flat = FleetController::new(FleetPolicy {
-            switching_cost: 5.0,
-            ..FleetPolicy::default()
-        })
-        .run(&IlpSolver::new(), &tenants)
-        .unwrap();
-        let steep = FleetController::new(FleetPolicy {
-            switching_cost: 5.0,
-            per_machine_switching_cost: 1e6,
-            ..FleetPolicy::default()
-        })
-        .run(&IlpSolver::new(), &tenants)
-        .unwrap();
-        assert!(flat.tenants[0].adoptions >= 1);
-        assert_eq!(steep.tenants[0].adoptions, 0);
-        for record in &steep.adoptions {
-            assert!(record.switching_cost > 1e6);
-            assert_eq!(
-                record.adopted,
-                record.projected_switch + record.switching_cost < record.projected_keep.unwrap()
-            );
-        }
     }
 
     #[test]

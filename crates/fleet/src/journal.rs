@@ -9,13 +9,14 @@
 //! and a digest of the decision state the epoch left (command logging;
 //! Malviya et al., "Rethinking Main Memory OLTP Recovery", ICDE 2014). A
 //! record carries no stage timing (format 4) and no chaos state (format 5,
-//! see [`crate::persist`]): an epoch's seconds live only in its timing row,
-//! which a replayed epoch restores as zero, and an injected fault is just
-//! the outcome it served.
+//! see [`crate::persist`]): an epoch's seconds live only in its trace
+//! tree, which a replayed epoch keeps untimed, and an injected fault is
+//! just the outcome it served.
 //!
 //! Every re-solve of the epoch loop goes through [`Solves::batch`], chaos
 //! faults included: under [`crate::chaos`] each live request draws its
-//! fault from the epoch and its digest before the batch reaches the solver.
+//! fault from the epoch, its digest and how often the epoch already asked
+//! it, before the batch reaches the solver.
 //! A run without a store solves live and keeps nothing; a durable run also
 //! keeps each outcome for the epoch's record; a resume re-executes the
 //! journaled epochs ([`replay`]) with [`Solves::Replayed`], which serves the
@@ -373,7 +374,8 @@ impl Solves {
     /// Solves a batch of requests — tenant `requests[k].0` asks
     /// `requests[k].1` — through [`solve_warm_batch`], or serves it from the
     /// journal. Under `chaos`, each live request first draws its fault from
-    /// `epoch` and its digest: a killed request gets the injected error
+    /// `epoch`, its digest and its ask count ([`ChaosClock`]): a killed
+    /// request gets the injected error
     /// without reaching the solver, a poisoned one is solved on its
     /// inflated prior, and either is journaled under the request as asked.
     pub(crate) fn batch<S: CapacitySolver + Sync>(

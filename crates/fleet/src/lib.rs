@@ -32,8 +32,8 @@
 //!    solved twice.
 //!
 //! The run emits a [`FleetReport`]: per-tenant rental and switching cost,
-//! re-solve and adoption counts, per-epoch stage times (the probe-vs-solve
-//! split is [`FleetReport::probe_seconds`] against
+//! re-solve and adoption counts, one trace tree of stage times per epoch
+//! (the probe-vs-solve split is [`FleetReport::probe_seconds`] against
 //! [`FleetReport::solve_seconds`], summed over the epochs), and savings
 //! against both the **static peak** provisioning of the paper and the
 //! **fixed-mix autoscaler** of `rental-stream` (which rescales machine counts
@@ -139,19 +139,21 @@
 //! The controller reports through the [`rental_obs::TelemetrySink`] handed
 //! to [`FleetController::with_telemetry`] (default [`rental_obs::NoopSink`]).
 //! Every epoch is split into five stages — probe / arbitrate / solve / adopt
-//! / persist ([`rental_obs::Stage`]). One timer per phase (the bill pass,
-//! repair's triage, each probe shard, each re-solve batch and degraded
+//! / persist ([`rental_obs::Stage`]) — and its one record of time is a
+//! causal [`rental_obs::TraceTree`], built where the work happens: one
+//! timer per phase (the bill pass, each re-solve batch and degraded
 //! fallback, each forced repair adoption, adopt, persist) adds its wall
-//! seconds to the epoch's [`rental_obs::StageTimes`] row, and the
-//! end-of-epoch barrier emits the `fleet.span.*` samples from that row,
-//! once per epoch. The rows
-//! ([`FleetReport::epoch_timing`]) are the report's only time and the
-//! **single masked field family** of [`FleetReport::matches_modulo_timing`];
-//! no tenant row, checkpoint or journal record carries time, and the initial
-//! solves before epoch 0 are in no row. Deterministic solver effort
-//! ([`TenantReport::effort`]) is not masked and survives resume. Counters,
-//! gauges, one causal [`rental_obs::TraceTree`] per epoch and
-//! flight-recorder events are emitted only from sequential barrier sites,
+//! seconds into its stage's span under the epoch's root, and repair's
+//! triage and the probe fan-out (one span per shard and its barrier wait)
+//! go under `probe`, so the five stages sum to at most the epoch's wall.
+//! The end-of-epoch barrier emits the `fleet.span.*` samples from the tree,
+//! once per epoch, and files it in [`FleetReport::epoch_timing`]. The trees
+//! are the report's only time and the **single masked field family** of
+//! [`FleetReport::matches_modulo_timing`]; no tenant row, checkpoint or
+//! journal record carries time, and the initial solves before epoch 0 are
+//! in no tree. Deterministic solver effort ([`TenantReport::effort`]) is not
+//! masked and survives resume. Counters, gauges and flight-recorder events
+//! are emitted only from sequential barrier sites,
 //! and [`FleetController::with_alerts`] evaluates an
 //! [`rental_obs::AlertEngine`] there on epoch-indexed data; an
 //! [`rental_obs::Exporter`] attached to the same [`rental_obs::Recorder`]
@@ -159,12 +161,6 @@
 //! of it feeds a decision, so a fully instrumented run is bit-identical
 //! (modulo timing) to an untelemetered one. The metric catalogue lives in
 //! `METRICS.md` at the workspace root.
-//!
-//! Switching charges can also be **per-machine-delta**
-//! ([`FleetPolicy::per_machine_switching_cost`]): on adoption, only the
-//! machines that actually change between the kept and adopted fleets are
-//! charged, with the flat [`FleetPolicy::switching_cost`] as the
-//! default-compatible special case.
 //!
 //! ```
 //! use rental_fleet::{FleetController, FleetPolicy, TenantSpec};

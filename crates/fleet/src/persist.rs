@@ -671,7 +671,7 @@ impl Durability<'_> {
             snapshot(store, run, epoch + 1)?;
             run.checkpoint_epoch = Some(epoch + 1);
         }
-        span.stop_into(&mut run.obs.times);
+        span.stop_into(&mut run.tree);
         Ok(false)
     }
 }

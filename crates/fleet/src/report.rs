@@ -1,14 +1,14 @@
 //! What a fleet run reports: per-tenant economics, adoption decisions, the
-//! per-epoch stage time breakdown and solver-effort aggregates.
+//! per-epoch trace trees and solver-effort aggregates.
 
 use rental_core::Throughput;
 use rental_obs::json::JsonRow;
-use rental_obs::{Stage, StageTimes};
+use rental_obs::{Stage, TraceTree};
 use rental_solvers::solver::SolverOutcome;
 
 /// Deterministic solver-effort aggregate of one tenant (or a whole fleet):
-/// how much search work its solves consumed. Unlike [`StageTimes`] these are
-/// **exact counters**, not wall-clock — they survive
+/// how much search work its solves consumed. Unlike the epochs' trace trees
+/// these are **exact counters**, not wall-clock — they survive
 /// [`FleetReport::matches_modulo_timing`] and are persisted across resumes.
 ///
 /// A solve shared by several tenants of one batch (the same request, solved
@@ -195,12 +195,13 @@ pub struct FleetReport {
     /// Empty when the run had no finite quotas (including every uncoupled
     /// run).
     pub quota_utilization: Vec<f64>,
-    /// Per-epoch wall-clock stage breakdown of the controller loop (one
-    /// [`StageTimes`] per epoch of the shared clock) — the report's only
-    /// wall-clock field, masked by [`FleetReport::matches_modulo_timing`]: a
-    /// resumed run re-measures only the epochs it actually executed, so
-    /// already-persisted epochs restore as zero rows.
-    pub epoch_timing: Vec<StageTimes>,
+    /// Where each epoch's wall-clock time went: one causal [`TraceTree`]
+    /// per epoch of the shared clock, its root the epoch's wall and its
+    /// root's children the stages. The report's only wall-clock field,
+    /// masked by [`FleetReport::matches_modulo_timing`]: a resumed run
+    /// re-measures only the epochs it actually executed, so
+    /// already-persisted epochs restore as untimed trees.
+    pub epoch_timing: Vec<TraceTree>,
 }
 
 impl FleetReport {
@@ -318,24 +319,23 @@ impl FleetReport {
         self.tenants.iter().map(|t| t.resolve_retries).sum()
     }
 
-    /// Wall-clock seconds of the probe stage, summed over the epoch rows.
+    /// Wall-clock seconds of the probe stage, summed over the epochs.
     pub fn probe_seconds(&self) -> f64 {
-        self.stage_seconds().get(Stage::Probe)
+        self.stage_seconds(Stage::Probe)
     }
 
-    /// Wall-clock seconds of the solve stage, summed over the epoch rows
-    /// (the initial solves run before epoch 0 and are not counted).
+    /// Wall-clock seconds of the solve stage, summed over the epochs (the
+    /// initial solves run before epoch 0 and are not counted).
     pub fn solve_seconds(&self) -> f64 {
-        self.stage_seconds().get(Stage::Solve)
+        self.stage_seconds(Stage::Solve)
     }
 
-    /// The epoch-level stage breakdown summed over the whole run.
-    pub fn stage_seconds(&self) -> StageTimes {
-        let mut total = StageTimes::zero();
-        for row in &self.epoch_timing {
-            total.merge(row);
-        }
-        total
+    /// Wall-clock seconds of `stage`, read off each epoch's trace tree
+    /// ([`TraceTree::seconds`]) and summed over the run.
+    pub fn stage_seconds(&self, stage: Stage) -> f64 {
+        (self.epoch_timing.iter())
+            .map(|tree| tree.seconds(stage.name()))
+            .sum()
     }
 
     /// Fleet-wide solver effort: the per-tenant aggregates merged.
@@ -377,16 +377,16 @@ impl FleetReport {
             .usize("lp_iterations", effort.lp_iterations)
             .f64("probe_seconds", self.probe_seconds())
             .f64("solve_seconds", self.solve_seconds())];
-        for (epoch, times) in self.epoch_timing.iter().enumerate() {
+        for (epoch, tree) in self.epoch_timing.iter().enumerate() {
             let cost: f64 = self
                 .tenants
                 .iter()
                 .filter_map(|t| t.epoch_costs.get(epoch))
                 .sum();
             let row = JsonRow::new().str("record", "epoch").usize("epoch", epoch);
-            let row = Stage::ALL
-                .into_iter()
-                .fold(row, |row, stage| row.f64(stage.name(), times.get(stage)));
+            let row = Stage::ALL.into_iter().fold(row, |row, stage| {
+                row.f64(stage.name(), tree.seconds(stage.name()))
+            });
             rows.push(row.f64("cost", cost));
         }
         rows.extend(self.tenants.iter().enumerate().map(|(i, tenant)| {
@@ -415,6 +415,7 @@ impl FleetReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rental_obs::trace::ROOT;
 
     fn tenant(rental: f64, switching: f64, resolves: usize) -> TenantReport {
         TenantReport {
@@ -447,17 +448,17 @@ mod tests {
 
     #[test]
     fn report_totals_aggregate_over_tenants() {
-        let mut epoch_row = StageTimes::zero();
-        epoch_row.add(Stage::Probe, 0.001);
-        epoch_row.add(Stage::Arbitrate, 0.25);
-        epoch_row.add(Stage::Solve, 0.01);
+        let mut tree = TraceTree::new(0, "epoch");
+        tree.add(ROOT, "probe", 0.001);
+        tree.add(ROOT, "arbitrate", 0.25);
+        tree.add(ROOT, "solve", 0.01);
         let report = FleetReport {
             tenants: vec![tenant(200.0, 10.0, 2), tenant(100.0, 0.0, 1)],
             adoptions: vec![],
             epochs: 10,
             epoch_hours: 1.0,
             quota_utilization: vec![0.5, 1.0],
-            epoch_timing: vec![epoch_row; 10],
+            epoch_timing: vec![tree; 10],
         };
         assert_eq!(report.tenant_epochs(), 20);
         assert_eq!(report.resolved_tenant_epochs(), 3);
@@ -478,14 +479,14 @@ mod tests {
         assert_eq!(report.resolve_retries(), 2);
         assert!((report.probe_seconds() - 0.01).abs() < 1e-12);
         assert!((report.solve_seconds() - 0.1).abs() < 1e-12);
-        // Effort aggregates merge across tenants; the stage rows sum.
+        // Effort aggregates merge across tenants; the stage spans sum.
         let effort = report.effort();
         assert_eq!(effort.solves, 5);
         assert_eq!(effort.nodes, 300);
         assert_eq!(effort.lp_iterations, 30);
         assert_eq!(effort.work(), 330);
         assert_eq!(report.top_effort(1), vec![0]);
-        assert!((report.stage_seconds().get(Stage::Arbitrate) - 2.5).abs() < 1e-12);
+        assert!((report.stage_seconds(Stage::Arbitrate) - 2.5).abs() < 1e-12);
     }
 
     #[test]
@@ -512,7 +513,7 @@ mod tests {
             epochs: 10,
             epoch_hours: 1.0,
             quota_utilization: vec![],
-            epoch_timing: vec![StageTimes::zero(); 10],
+            epoch_timing: (0..10).map(|e| TraceTree::new(e, "epoch")).collect(),
         };
         // Different wall-clock, same decisions: matches.
         let mut retimed = base.clone();
@@ -533,7 +534,7 @@ mod tests {
             epochs: 3,
             epoch_hours: 1.0,
             quota_utilization: vec![],
-            epoch_timing: vec![StageTimes::zero(); 3],
+            epoch_timing: (0..3).map(|e| TraceTree::new(e, "epoch")).collect(),
         };
         let rows = report.telemetry();
         assert_eq!(rows.len(), 1 + 3 + 2);

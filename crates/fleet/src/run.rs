@@ -21,13 +21,18 @@
 //!
 //! # Time
 //!
-//! This module owns the epoch loop's clock. One [`SpanTimer`] times each
-//! phase of an epoch — the bill pass, repair's triage, each shard of the
-//! probe fan-out, each re-solve batch and degraded fallback, each forced
-//! repair adoption, adopt — and
-//! the durable hook times persist; each adds its seconds to the epoch's
-//! [`StageTimes`] row only. [`FleetRun::observe`] emits every
-//! `fleet.span.*` sample from that row, once per epoch, at the barrier.
+//! This module owns the epoch loop's clock, and each epoch's [`TraceTree`]
+//! is the one record of its time, built where the work happens. One
+//! [`SpanTimer`] times each phase — the bill pass, each re-solve batch and
+//! degraded fallback, each forced repair adoption, adopt — and the durable
+//! hook times persist; each adds its seconds into its stage's span under
+//! the epoch's root, so phases of one stage accumulate. Repair's triage
+//! and the probe fan-out go under `probe`: the triage as one span, the
+//! fan-out as one `shard_probe` span per shard plus its `merge_wait`, so the
+//! probe stage is the fan-out's wall time, not its summed busy time.
+//! [`FleetRun::observe`] sets the root to the epoch's wall, emits every
+//! `fleet.span.*` sample from the tree, once per epoch, at the barrier, and
+//! files the tree in the report.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -35,9 +40,9 @@ use std::time::Instant;
 
 use rental_capacity::{coverage_bound, degrade_with, CapacityConfig, CappedOutcome};
 use rental_core::{InstanceClasses, Solution, Throughput, TypeId};
+use rental_obs::trace::{BARRIER_SPAN, ROOT};
 use rental_obs::{
-    epoch_tree, AlertEngine, EpochObservation, EventKind, FanoutObs, NoopSink, SpanTimer, Stage,
-    StageTimes, TelemetrySink,
+    AlertEngine, EpochObservation, EventKind, NoopSink, SpanTimer, Stage, TelemetrySink, TraceTree,
 };
 use rental_pricing::RentalHorizon;
 use rental_solvers::batch::{solve_warm_batch, WarmBatchItem};
@@ -58,12 +63,10 @@ use crate::tenant::TenantSpec;
 /// ran them already emitted their telemetry.
 static REPLAY_SINK: NoopSink = NoopSink;
 
-/// What one epoch records besides its decisions: the stage breakdown and the
-/// fan-out observations its trace tree is built from.
-#[derive(Default)]
-pub(crate) struct EpochObs {
-    pub(crate) times: StageTimes,
-    fanout: FanoutObs,
+/// An epoch's trace tree before any of its phases ran: the root alone, at
+/// zero seconds. Epochs a run did not time itself keep it.
+fn untimed(epoch: usize) -> TraceTree {
+    TraceTree::new(epoch as u64, "epoch")
 }
 
 /// Runs `f` once per tenant, fanned out over `shards` contiguous shards of
@@ -75,10 +78,10 @@ pub(crate) struct EpochObs {
 /// *is* tenant-index order, and every cross-tenant effect — pool
 /// arbitration, solver fan-outs, flight-recorder events — stays with the
 /// caller at the barrier after this returns. With `probe` given — the probe
-/// fan-out, the one whose shards the epoch's trace shows — each shard's busy
-/// seconds join the epoch's probe stage and its fan-out observations, and
-/// the merge-barrier wait (fan-out wall time past the busiest shard) joins
-/// them too. Counters may be emitted from inside `f` (the sink's registry
+/// fan-out, the one whose shards the epoch's trace shows — the epoch's
+/// `probe` span gets one `shard_probe` span per shard, its busy seconds, and
+/// one `merge_wait`, the fan-out's wall time past the busiest shard.
+/// Counters may be emitted from inside `f` (the sink's registry
 /// merges its thread-local shards on snapshot); flight-recorder events must
 /// not be.
 ///
@@ -88,7 +91,7 @@ pub(crate) struct EpochObs {
 fn for_each_tenant_sharded<'a, R, F>(
     states: &mut [TenantState<'a>],
     shards: usize,
-    mut probe: Option<&mut EpochObs>,
+    probe: Option<&mut TraceTree>,
     f: F,
 ) -> Vec<R>
 where
@@ -126,18 +129,18 @@ where
         })
     };
     let wall = fan_out.elapsed().as_secs_f64();
-    let mut merged = Vec::with_capacity(len);
-    let mut busiest = 0.0f64;
-    for (out, busy) in shard_results {
-        if let Some(obs) = probe.as_deref_mut() {
-            obs.times.add(Stage::Probe, busy);
-            obs.fanout.probe_shards.push(busy);
+    if let Some(tree) = probe {
+        let stage = tree.add(ROOT, Stage::Probe.name(), 0.0);
+        let mut busiest = 0.0f64;
+        for &(_, busy) in &shard_results {
+            tree.push(stage, "shard_probe", busy);
+            busiest = busiest.max(busy);
         }
-        busiest = busiest.max(busy);
-        merged.extend(out);
+        tree.add(stage, BARRIER_SPAN, (wall - busiest).max(0.0));
     }
-    if let Some(obs) = probe {
-        obs.fanout.merge_wait += (wall - busiest).max(0.0);
+    let mut merged = Vec::with_capacity(len);
+    for (out, _) in shard_results {
+        merged.extend(out);
     }
     merged
 }
@@ -181,7 +184,7 @@ type Repair = (usize, Throughput, Vec<u64>);
 /// One fleet run in progress: the per-tenant states and everything
 /// cross-tenant — the capacity coupling, the adoption ledger, the stale
 /// desired fleets a chaos clock replays, the alert engine and the per-epoch
-/// timing rows. [`FleetRun::step`] advances it one epoch, phase by phase.
+/// trace trees. [`FleetRun::step`] advances it one epoch, phase by phase.
 pub(crate) struct FleetRun<'a> {
     pub(crate) ctl: &'a FleetController,
     pub(crate) env: RunEnv,
@@ -200,8 +203,9 @@ pub(crate) struct FleetRun<'a> {
     /// checkpoint-lag alert rule).
     pub(crate) checkpoint_epoch: Option<usize>,
     alerts: Option<AlertEngine>,
-    epoch_timing: Vec<StageTimes>,
-    pub(crate) obs: EpochObs,
+    epoch_timing: Vec<TraceTree>,
+    /// The trace tree of the epoch in progress.
+    pub(crate) tree: TraceTree,
     /// Where the re-solves' outcomes come from: the solver, or the journal
     /// being replayed.
     pub(crate) solves: Solves,
@@ -210,10 +214,11 @@ pub(crate) struct FleetRun<'a> {
 impl<'a> FleetRun<'a> {
     /// A run positioned at `next_epoch`. The epochs before it were run by
     /// an earlier (killed) process: the tenants' fixed-mix baselines —
-    /// derived state — are replayed through them, and their timing rows restore as zero
-    /// (timing is the masked field family, so a resumed report still matches
-    /// the uninterrupted one). The alert engine always starts empty — alert
-    /// state is operational, not part of the certified plan.
+    /// derived state — are replayed through them, and their trace trees
+    /// restore untimed (timing is the masked field family, so a resumed
+    /// report still matches the uninterrupted one). The alert engine always
+    /// starts empty — alert state is operational, not part of the certified
+    /// plan.
     pub(crate) fn new(
         ctl: &'a FleetController,
         env: RunEnv,
@@ -239,8 +244,8 @@ impl<'a> FleetRun<'a> {
             next_epoch,
             checkpoint_epoch: None,
             alerts: ctl.alerts.clone().map(AlertEngine::new),
-            epoch_timing: vec![StageTimes::zero(); next_epoch],
-            obs: EpochObs::default(),
+            epoch_timing: (0..next_epoch).map(untimed).collect(),
+            tree: untimed(next_epoch),
             solves: Solves::Live,
         }
     }
@@ -533,7 +538,7 @@ impl<'a> FleetRun<'a> {
                 }
             }
         }
-        span.stop_into(&mut self.obs.times);
+        span.stop_into(&mut self.tree);
         repairs
     }
 
@@ -554,7 +559,8 @@ impl<'a> FleetRun<'a> {
         let mut needs_degrade = Vec::new();
         let mut fitting = Vec::new();
         // Triage — the futility check, then the coverage probe — is the
-        // repair's probe phase; the adoptions it finds run after it.
+        // repair's part of the probe stage; the adoptions it finds run after
+        // it.
         let triage = SpanTimer::start(Stage::Probe);
         for (i, rho, caps) in repairs {
             let state = &mut self.states[i];
@@ -586,7 +592,9 @@ impl<'a> FleetRun<'a> {
                 needs_degrade.push((i, rho, caps));
             }
         }
-        triage.stop_into(&mut self.obs.times);
+        let seconds = triage.stop();
+        let probe = self.tree.add(ROOT, Stage::Probe.name(), 0.0);
+        self.tree.add(probe, "triage", seconds);
         for (i, rho, solution) in fitting {
             self.adopt_repair(i, epoch, rho, solution)?;
         }
@@ -603,7 +611,7 @@ impl<'a> FleetRun<'a> {
             budget.as_ref(),
             policy.threads,
         );
-        batch.stop_into(&mut self.obs.times);
+        batch.stop_into(&mut self.tree);
         for ((i, rho, caps), result) in full.into_iter().zip(results) {
             let state = &mut self.states[i];
             match result {
@@ -635,7 +643,7 @@ impl<'a> FleetRun<'a> {
                     solves.batch(solver, chaos, epoch, &[request], None, policy.threads);
                 results.pop().expect("one result per request")
             });
-            fallback.stop_into(&mut self.obs.times);
+            fallback.stop_into(&mut self.tree);
             let state = &mut self.states[i];
             state.tally.failure_resolves += 1;
             state.core.last_failure_solve = Some((rho, caps));
@@ -676,7 +684,7 @@ impl<'a> FleetRun<'a> {
     }
 
     /// Adopts a failure re-solve's plan: forced (the demand is unserved, so
-    /// there is no keep option and no hysteresis), the switching charge is
+    /// there is no keep option and no hysteresis), the switching cost is
     /// still paid, and the adoption is recorded with its outage-derated
     /// remaining-horizon projection.
     fn adopt_repair(
@@ -690,10 +698,7 @@ impl<'a> FleetRun<'a> {
         let span = SpanTimer::start(Stage::Adopt);
         let state = &mut self.states[tenant];
         let remaining_hours = state.peaks.len().saturating_sub(epoch + 1) as f64 * ctl.policy.epoch;
-        let charge = ctl.policy.switching_charge(
-            &state.scaler.required_for_target(target as f64),
-            solution.allocation.machine_counts(),
-        );
+        let charge = ctl.policy.switching_cost;
         debug_certify(&state.spec.instance, &solution, None);
         let projected_switch = ctl
             .plan_cache(&state.spec.instance, &solution)?
@@ -721,7 +726,7 @@ impl<'a> FleetRun<'a> {
             "forced failure-triggered adoption",
         );
         state.switch_to(&solution, target, charge, epoch, &self.env.scaling);
-        span.stop_into(&mut self.obs.times);
+        span.stop_into(&mut self.tree);
         Ok(())
     }
 
@@ -746,7 +751,8 @@ impl<'a> FleetRun<'a> {
             .filter(|pool| !pool.is_unlimited());
         let serve_headroom = self.env.serve_headroom;
         let billing = ctl.billing.as_ref();
-        for_each_tenant_sharded(&mut self.states, shards, Some(&mut self.obs), |i, state| {
+        let tree = Some(&mut self.tree);
+        for_each_tenant_sharded(&mut self.states, shards, tree, |i, state| {
             let rate = state.peaks.get(epoch).copied().unwrap_or(0.0);
             let rho = quantize_target(rate, serve_headroom, state.granularity);
             // Each tenant projects over *its own* remaining trace —
@@ -860,7 +866,7 @@ impl<'a> FleetRun<'a> {
             budget.as_ref(),
             policy.threads,
         );
-        batch.stop_into(&mut self.obs.times);
+        batch.stop_into(&mut self.tree);
         for (d, result) in pending.into_iter().zip(results) {
             let state = &mut self.states[d.tenant];
             match result {
@@ -885,10 +891,8 @@ impl<'a> FleetRun<'a> {
     }
 
     /// Phase 5 — keep-vs-switch decisions under the switching-cost
-    /// hysteresis, one per due tenant. The charge the candidate must beat is
-    /// the flat cost plus the per-machine-delta cost of the machines that
-    /// actually change between the kept fleet (current mix rescaled to ρ')
-    /// and the candidate's fleet.
+    /// hysteresis, one per due tenant: the candidate's projection plus the
+    /// switching cost must beat keeping the current mix rescaled to ρ'.
     fn adopt(&mut self, epoch: usize, due: Vec<DueTenant>) {
         let (policy, sink) = (self.policy(), self.sink());
         let span = SpanTimer::start(Stage::Adopt);
@@ -907,8 +911,7 @@ impl<'a> FleetRun<'a> {
                 continue;
             }
             let switch_projected = known.cache.total(RentalHorizon::hours(d.remaining_hours));
-            let charge =
-                policy.switching_charge(&state.scaler.required_for_target(d.rho as f64), counts);
+            let charge = policy.switching_cost;
             // A forced switch (no keep option) bypasses the hysteresis: the
             // demand must be served.
             let adopted = d.keep.is_none_or(|keep| switch_projected + charge < keep);
@@ -942,30 +945,32 @@ impl<'a> FleetRun<'a> {
                 state.switch_to(&candidate, d.rho, charge, epoch, &self.env.scaling);
             }
         }
-        span.stop_into(&mut self.obs.times);
+        span.stop_into(&mut self.tree);
     }
 
     /// The per-epoch observability barrier, after the epoch (and its
-    /// persistence) completed: publishes the epoch watermark, emits the
-    /// epoch's `fleet.span.*` samples — one per stage from its row, one per
-    /// probe shard and the probe fan-out's barrier wait — and its causal
-    /// trace tree, evaluates the alert rules and files the epoch's stage
-    /// row. Everything here is pure copy-out — no controller state is read
-    /// back — so runs stay bit-identical under any sink.
+    /// persistence) completed: publishes the epoch watermark, closes the
+    /// epoch's trace tree at its wall time, emits the epoch's `fleet.span.*`
+    /// samples from it — one per stage, one per probe shard and the probe
+    /// fan-out's barrier wait — evaluates the alert rules and files the tree.
+    /// Everything here is pure copy-out — no controller state is read back —
+    /// so runs stay bit-identical under any sink.
     pub(crate) fn observe(&mut self, epoch: usize, wall_seconds: f64) {
         let sink = self.sink();
         sink.gauge("fleet.epoch_watermark", epoch as f64);
-        let obs = std::mem::take(&mut self.obs);
+        let mut tree = std::mem::replace(&mut self.tree, untimed(epoch + 1));
+        tree.set_wall(wall_seconds);
         for stage in Stage::ALL {
-            sink.span(stage.span_name(), obs.times.get(stage));
+            sink.span(stage.span_name(), tree.seconds(stage.name()));
         }
-        for &busy in &obs.fanout.probe_shards {
-            sink.span("fleet.span.shard_probe", busy);
+        let named = |name| (tree.spans.iter()).filter(move |s| s.name == name);
+        for shard in named("shard_probe") {
+            sink.span("fleet.span.shard_probe", shard.seconds);
         }
-        sink.span("fleet.span.merge_wait", obs.fanout.merge_wait);
-        if sink.enabled() {
-            epoch_tree(epoch as u64, wall_seconds, &obs.times, &obs.fanout).emit(sink);
-        }
+        sink.span(
+            "fleet.span.merge_wait",
+            named(BARRIER_SPAN).map(|s| s.seconds).sum(),
+        );
         if let Some(engine) = &mut self.alerts {
             let total = |count: fn(&Tally) -> usize| {
                 self.states.iter().map(|s| count(&s.tally) as u64).sum()
@@ -980,14 +985,15 @@ impl<'a> FleetRun<'a> {
             };
             engine.observe(observation, sink);
         }
-        self.epoch_timing.push(obs.times);
+        self.epoch_timing.push(tree);
     }
 
     /// Closes an epoch re-executed from the journal. Like the epochs before
-    /// the snapshot, it gets a zero timing row and is not observed.
+    /// the snapshot, it keeps an untimed tree and is not observed.
     pub(crate) fn close_replayed_epoch(&mut self) {
-        self.obs = EpochObs::default();
-        self.epoch_timing.push(StageTimes::zero());
+        let epoch = self.next_epoch;
+        self.epoch_timing.push(untimed(epoch));
+        self.tree = untimed(epoch + 1);
         self.next_epoch += 1;
     }
 

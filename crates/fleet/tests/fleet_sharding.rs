@@ -241,10 +241,12 @@ fn scaling_fleet_sharded_matches_sequential() {
 }
 
 /// Time has one owner: every `fleet.span.*` sample comes from the epoch's
-/// stage row, once per epoch, at every shard count. A durable run of the
+/// trace tree, once per epoch, at every shard count. A durable run of the
 /// failure-coupled fleet exercises all five stages. The recorder keeps
 /// whole microseconds per sample, so each stage's histogram sums exactly to
-/// its column of the rows truncated the same way.
+/// its column of the trees truncated the same way. The stages partition
+/// time: every epoch's five stage seconds sum to at most its root's, the
+/// epoch's wall (up to float rounding).
 #[test]
 fn stage_spans_are_emitted_once_per_epoch_from_the_rows() {
     let (scenario, config) = failure_coupled_fleet(4, 7, 48.0, 4.0);
@@ -280,13 +282,22 @@ fn stage_spans_are_emitted_once_per_epoch_from_the_rows() {
                 histogram.count()
             );
             let column: u128 = (report.epoch_timing.iter())
-                .map(|row| (row.get(stage) * 1e6) as u64 as u128)
+                .map(|tree| (tree.seconds(stage.name()) * 1e6) as u64 as u128)
                 .sum();
             assert_eq!(
                 histogram.sum(),
                 column,
                 "{} at {shards} shards",
                 stage.span_name()
+            );
+        }
+        for tree in &report.epoch_timing {
+            let stages: f64 = Stage::ALL.map(|s| tree.seconds(s.name())).iter().sum();
+            let wall = tree.root().seconds;
+            assert!(
+                stages <= wall * (1.0 + 1e-12),
+                "epoch {}: stages {stages} s exceed the wall {wall} s at {shards} shards",
+                tree.trace_id
             );
         }
         let shard_probes = snapshot.histograms["fleet.span.shard_probe"].count();

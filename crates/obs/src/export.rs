@@ -7,7 +7,7 @@
 //! consistent [`MetricsSnapshot`] (merging the thread-local metric shards
 //! once per scrape) or one flight-recorder copy, and never touches
 //! controller state — so attaching it cannot perturb a run: exporter-on
-//! reports stay bit-identical (modulo the StageTimes family) to
+//! reports stay bit-identical (modulo the per-epoch trace trees) to
 //! untelemetered ones, a property pinned by the `fleet_obs` bench.
 //!
 //! Endpoints:

@@ -3,11 +3,12 @@
 //! Zero-cost observability substrate for the MinCost workspace: a
 //! [`MetricsRegistry`] of named counters, gauges and log-bucketed
 //! ([HDR-style power-of-two](Histogram)) histograms with cheap thread-local
-//! sharding; [`SpanTimer`]s that time the phases of a fleet epoch into its
-//! stage row ([`Stage`]/[`StageTimes`]); and a fixed-capacity structured
-//! event ring buffer — the [`FlightRecorder`] — that keeps the last N
-//! adoption / SLO-violation / degraded-solve / chaos-fault / recovery
-//! events and dumps them as JSON lines on demand.
+//! sharding; [`SpanTimer`]s that time the phases of a fleet epoch into the
+//! [`Stage`] spans of the epoch's causal [`TraceTree`], the one record of
+//! the epoch's time, which the fleet keeps in its report; and a
+//! fixed-capacity structured event ring buffer — the [`FlightRecorder`] —
+//! that keeps the last N adoption / SLO-violation / degraded-solve /
+//! chaos-fault / recovery events and dumps them as JSON lines on demand.
 //!
 //! The crate is **dependency-free** (the workspace builds offline) and
 //! designed so that *disabled* telemetry costs nothing measurable:
@@ -20,9 +21,9 @@
 //!   cannot thread a sink parameter through their public traits without
 //!   churning every caller) costs one `Relaxed` atomic load per emission
 //!   site when nothing is installed — see [`with_sink`];
-//! * timing that feeds *reports* (the controller's probe/solve split) is
-//!   measured unconditionally exactly as before; telemetry only ever
-//!   *copies* values out, never feeds a decision, so a `NoopSink` run is
+//! * timing that feeds *reports* (the epochs' trace trees) is measured
+//!   unconditionally, whatever the sink; telemetry only ever *copies*
+//!   values out, never feeds a decision, so a `NoopSink` run is
 //!   bit-identical to an instrumented one.
 //!
 //! The full catalogue of metric, span and event names lives in the
@@ -45,8 +46,8 @@ pub use export::{render_health, render_prometheus, Exporter};
 pub use flight::{Event, EventKind, FlightRecorder};
 pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
 pub use recorder::Recorder;
-pub use span::{SpanTimer, Stage, StageTimes};
-pub use trace::{epoch_tree, CriticalPath, FanoutObs, TraceSummary, TraceTree};
+pub use span::{SpanTimer, Stage};
+pub use trace::{CriticalPath, TraceSummary, TraceTree};
 
 /// Receiver of telemetry emissions. Every method has an empty default body,
 /// so an implementation overrides only what it cares about and [`NoopSink`]
@@ -90,21 +91,6 @@ pub trait TelemetrySink: Send + Sync {
         _tenant: Option<usize>,
         _value: f64,
         _detail: &str,
-    ) {
-    }
-
-    /// Records one span of a causal trace tree: `trace_id` groups the
-    /// spans of one tree (the fleet uses the epoch index), `span_id` is
-    /// unique within the tree, `parent` is `None` for the root. Emitted at
-    /// sequential barrier sites only; allocation-free.
-    #[inline]
-    fn trace_span(
-        &self,
-        _trace_id: u64,
-        _span_id: u32,
-        _parent: Option<u32>,
-        _name: &'static str,
-        _seconds: f64,
     ) {
     }
 }

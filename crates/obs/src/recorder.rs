@@ -1,32 +1,22 @@
 //! The default enabled [`TelemetrySink`]: a [`MetricsRegistry`] plus a
 //! [`FlightRecorder`].
 
-use std::collections::VecDeque;
-use std::sync::Mutex;
-
 use crate::flight::{Event, EventKind, FlightRecorder};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
-use crate::trace::{SpanRecord, TraceTree};
 use crate::TelemetrySink;
 
 /// Default flight-recorder capacity: enough to hold the tail of a degraded
 /// episode across a few hundred epochs without unbounded memory.
 pub const DEFAULT_EVENT_CAPACITY: usize = 512;
 
-/// Default trace-tree retention: one tree per epoch, so this covers the
-/// last few hundred epochs of a run.
-pub const DEFAULT_TRACE_CAPACITY: usize = 256;
-
 /// A recording [`TelemetrySink`]: counters/gauges/histograms into a
 /// [`MetricsRegistry`], spans into microsecond histograms, events into a
-/// [`FlightRecorder`], trace spans into per-`trace_id` [`TraceTree`]s.
+/// [`FlightRecorder`].
 /// Share it as an `Arc` between the global sink, a `FleetController` and
 /// (optionally) an exporter.
 pub struct Recorder {
     registry: MetricsRegistry,
     flight: FlightRecorder,
-    traces: Mutex<VecDeque<TraceTree>>,
-    trace_capacity: usize,
 }
 
 impl Default for Recorder {
@@ -46,8 +36,6 @@ impl Recorder {
         Recorder {
             registry: MetricsRegistry::new(),
             flight: FlightRecorder::new(capacity),
-            traces: Mutex::new(VecDeque::with_capacity(DEFAULT_TRACE_CAPACITY)),
-            trace_capacity: DEFAULT_TRACE_CAPACITY,
         }
     }
 
@@ -59,17 +47,6 @@ impl Recorder {
     /// The underlying flight recorder.
     pub fn flight(&self) -> &FlightRecorder {
         &self.flight
-    }
-
-    /// The retained trace trees, oldest first (at most
-    /// [`DEFAULT_TRACE_CAPACITY`]).
-    pub fn traces(&self) -> Vec<TraceTree> {
-        self.traces
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .cloned()
-            .collect()
     }
 
     /// Merged snapshot of every metric shard, with the flight recorder's
@@ -130,33 +107,6 @@ impl TelemetrySink for Recorder {
             detail: detail.to_string(),
         });
     }
-
-    fn trace_span(
-        &self,
-        trace_id: u64,
-        span_id: u32,
-        parent: Option<u32>,
-        name: &'static str,
-        seconds: f64,
-    ) {
-        let mut traces = self.traces.lock().unwrap_or_else(|e| e.into_inner());
-        let tree = match traces.back_mut() {
-            Some(tree) if tree.trace_id == trace_id => tree,
-            _ => {
-                if traces.len() == self.trace_capacity {
-                    traces.pop_front();
-                }
-                traces.push_back(TraceTree::new(trace_id));
-                traces.back_mut().expect("just pushed")
-            }
-        };
-        tree.insert(SpanRecord {
-            id: span_id,
-            parent,
-            name,
-            seconds,
-        });
-    }
 }
 
 #[cfg(test)]
@@ -194,19 +144,5 @@ mod tests {
         }
         assert_eq!(recorder.snapshot().counters["obs.events_dropped"], 3);
         assert_eq!(recorder.flight().dropped(), 3);
-    }
-
-    #[test]
-    fn trace_spans_rebuild_per_epoch_trees() {
-        let recorder = Recorder::new();
-        for trace_id in 0..3u64 {
-            recorder.trace_span(trace_id, 0, None, "epoch", 1.0);
-            recorder.trace_span(trace_id, 1, Some(0), "solve", 0.5);
-        }
-        let traces = recorder.traces();
-        assert_eq!(traces.len(), 3);
-        assert_eq!(traces[2].trace_id, 2);
-        assert_eq!(traces[2].spans.len(), 2);
-        assert_eq!(traces[2].root().unwrap().name, "epoch");
     }
 }

@@ -1,149 +1,146 @@
 //! Causal per-epoch trace trees and the critical-path analyzer.
 //!
-//! Flat [`SpanTimer`](crate::SpanTimer)s answer "how much time did stage X
-//! take, summed"; they cannot answer "which chain of work *bounded* this
-//! epoch's wall-clock". A [`TraceTree`] upgrades the per-epoch spans into a
-//! causal tree — every span carries `(trace_id = epoch, parent_span)` — so
-//! one epoch of the fleet controller renders as
+//! A [`TraceTree`] is the one record of an epoch's time. The fleet
+//! controller builds it while the epoch runs, at the sites that time the
+//! work: each [`SpanTimer`](crate::SpanTimer) adds its phase into its
+//! stage's span under the root, and the probe fan-out puts one span per
+//! shard and its barrier wait under `probe`. The finished tree is kept in
+//! the run's report (`FleetReport::epoch_timing`), and everything else that
+//! speaks of the epoch's time — the report's stage totals, its telemetry
+//! rows, the `fleet.span.*` samples, the critical paths — is read off it.
+//! One epoch renders as
 //!
 //! ```text
-//! epoch
-//! ├── shard_probe   (one child per shard of the probe fan-out — parallel)
-//! ├── merge_wait    (barrier wait of the probe fan-out)
-//! ├── arbitrate
+//! epoch                (the epoch's measured wall)
+//! ├── arbitrate        (the bill pass)
+//! ├── probe
+//! │   ├── triage       (repair's futility check and coverage probes)
+//! │   ├── shard_probe  (one span per shard of the probe fan-out — parallel)
+//! │   └── merge_wait   (barrier wait of the probe fan-out)
 //! ├── solve
 //! ├── adopt
 //! └── persist
 //! ```
 //!
-//! and the [`CriticalPath`] analyzer attributes the epoch's wall-time to its
+//! with each span appearing when its first phase runs. Phases of one stage
+//! that run one after another add into one span, so they never read as a
+//! fan-out.
+//!
+//! The [`CriticalPath`] analyzer attributes the epoch's wall-time to its
 //! dominant chain. The attribution rule is structural: **same-named
 //! siblings are parallel branches of one fan-out** (only the longest counts
 //! towards the path), **distinct-named siblings are sequential phases**
-//! (they all count). The barrier share — the `merge_wait` fraction of the
-//! attributed path — answers the ROADMAP's open question ("does the
-//! merge–arbitrate–solve barrier dominate?") with a number, per epoch and
+//! (they all count). [`TraceTree::seconds`] reads a stage by the same rule,
+//! so `probe` is the triage plus the fan-out's wall time (its busiest shard
+//! plus its barrier wait), not the shards' summed busy time, and the five
+//! stages of an epoch sum to at most its wall. The barrier share — the
+//! `merge_wait` fraction of the attributed path — answers "does the
+//! merge–arbitrate–solve barrier dominate?" with a number, per epoch and
 //! aggregated over a run ([`TraceSummary`]).
 //!
-//! Trees are emitted at **sequential barrier sites only** (one tree per
-//! epoch, spans in a fixed order), so the span *sequence* of a seeded run is
+//! Spans are added only at the epoch loop's sequential sites, in the order
+//! its decisions take, so the tree *shapes* of a seeded run are
 //! deterministic even though the measured seconds are wall-clock.
 
-use crate::span::{Stage, StageTimes};
-use crate::TelemetrySink;
-
-/// Root spans have no parent.
-pub const NO_PARENT: Option<u32> = None;
+/// Id of every tree's root span: [`TraceTree::new`] creates it first.
+pub const ROOT: u32 = 0;
 
 /// One span of a [`TraceTree`]: a named region of wall-clock seconds with a
 /// causal parent inside its trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpanRecord {
-    /// Span id, unique within the trace (the root is 0 by convention).
+    /// Span id: its index in [`TraceTree::spans`] (the root is [`ROOT`]).
     pub id: u32,
     /// Parent span id; `None` marks the root.
     pub parent: Option<u32>,
     /// Static span name (same-named siblings are parallel branches).
     pub name: &'static str,
-    /// Measured wall-clock seconds of the region.
+    /// Measured wall-clock seconds of the region (an inner span's own
+    /// seconds are ignored: its children account for its time).
     pub seconds: f64,
 }
 
 /// A causal tree of spans sharing one `trace_id` (the fleet uses the epoch
-/// index). Spans are stored in emission order; ids are assigned by
-/// [`TraceTree::push`] (builder side) or carried verbatim by
-/// [`TraceTree::insert`] (recorder side).
+/// index). Spans are stored in creation order, the root first.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceTree {
     /// Identifier shared by every span of the tree (epoch index).
     pub trace_id: u64,
-    /// Spans in emission order; the root (parent `None`) comes first.
+    /// Spans in creation order; the root comes first.
     pub spans: Vec<SpanRecord>,
 }
 
 impl TraceTree {
-    /// An empty tree for `trace_id`.
-    pub fn new(trace_id: u64) -> Self {
+    /// A tree for `trace_id` holding only its root span, `root`, at zero
+    /// seconds.
+    pub fn new(trace_id: u64, root: &'static str) -> Self {
+        let root = SpanRecord {
+            id: ROOT,
+            parent: None,
+            name: root,
+            seconds: 0.0,
+        };
         TraceTree {
             trace_id,
-            spans: Vec::new(),
+            spans: vec![root],
         }
     }
 
-    /// Appends a span under `parent`, assigning the next id (root = 0).
-    pub fn push(&mut self, parent: Option<u32>, name: &'static str, seconds: f64) -> u32 {
+    /// Appends a span under `parent`, assigning the next id. Same-named
+    /// siblings are parallel branches of one fan-out.
+    pub fn push(&mut self, parent: u32, name: &'static str, seconds: f64) -> u32 {
         let id = self.spans.len() as u32;
         self.spans.push(SpanRecord {
             id,
-            parent,
+            parent: Some(parent),
             name,
             seconds,
         });
         id
     }
 
-    /// Inserts a span with an externally assigned id (the recorder rebuilds
-    /// trees from `trace_span` emissions through this).
-    pub fn insert(&mut self, record: SpanRecord) {
-        self.spans.push(record);
+    /// Adds `seconds` into the first child of `parent` named `name`,
+    /// appending that child when there is none, and returns its id: phases
+    /// that run one after another accumulate in one span.
+    pub fn add(&mut self, parent: u32, name: &'static str, seconds: f64) -> u32 {
+        let existing = self.children(parent).find(|s| s.name == name);
+        match existing.map(|s| s.id) {
+            Some(id) => {
+                self.spans[id as usize].seconds += seconds;
+                id
+            }
+            None => self.push(parent, name, seconds),
+        }
     }
 
-    /// The root span (parent `None`), if the tree has one.
-    pub fn root(&self) -> Option<&SpanRecord> {
-        self.spans.iter().find(|s| s.parent.is_none())
+    /// Sets the root's seconds: the measured wall of the whole trace.
+    pub fn set_wall(&mut self, seconds: f64) {
+        self.spans[ROOT as usize].seconds = seconds;
     }
 
-    /// Children of `id`, in emission order.
+    /// The root span.
+    pub fn root(&self) -> &SpanRecord {
+        &self.spans[ROOT as usize]
+    }
+
+    /// Children of `id`, in creation order.
     pub fn children(&self, id: u32) -> impl Iterator<Item = &SpanRecord> {
         self.spans.iter().filter(move |s| s.parent == Some(id))
     }
 
-    /// Emits every span through `sink` (used by the fleet controller at the
-    /// epoch barrier; a `NoopSink` absorbs the whole tree for free).
-    pub fn emit(&self, sink: &dyn TelemetrySink) {
-        for span in &self.spans {
-            sink.trace_span(self.trace_id, span.id, span.parent, span.name, span.seconds);
-        }
-    }
-
-    /// Total subtree seconds under the critical-path rule: a leaf
-    /// contributes its own seconds; an inner node contributes, per
-    /// same-named child group, the largest child subtree (parallel), summed
-    /// across groups (sequential).
-    fn subtree_seconds(&self, id: u32) -> f64 {
-        let mut groups: Vec<(&'static str, f64)> = Vec::new();
-        let mut has_children = false;
-        for child in self.children(id) {
-            has_children = true;
-            let sub = self.subtree_seconds(child.id);
-            match groups.iter_mut().find(|(name, _)| *name == child.name) {
-                Some((_, best)) => *best = best.max(sub),
-                None => groups.push((child.name, sub)),
-            }
-        }
-        if !has_children {
-            return self
-                .spans
-                .iter()
-                .find(|s| s.id == id)
-                .map_or(0.0, |s| s.seconds);
-        }
-        groups.iter().map(|(_, s)| s).sum()
+    /// Seconds of the root's first child named `name` under the
+    /// critical-path rule, 0 when the root has none: the time of one stage
+    /// of a fleet epoch.
+    pub fn seconds(&self, name: &str) -> f64 {
+        self.children(ROOT)
+            .find(|s| s.name == name)
+            .map_or(0.0, |s| self.walk(s.id, &mut Vec::new()))
     }
 
     /// Attributes the tree's wall-time to its dominant chain.
     pub fn critical_path(&self) -> CriticalPath {
-        let Some(root) = self.root() else {
-            return CriticalPath {
-                trace_id: self.trace_id,
-                wall_seconds: 0.0,
-                attributed_seconds: 0.0,
-                barrier_seconds: 0.0,
-                steps: Vec::new(),
-            };
-        };
         let mut steps = Vec::new();
-        let attributed = self.walk(root.id, &mut steps);
+        let attributed = self.walk(ROOT, &mut steps);
         let barrier = steps
             .iter()
             .filter(|s| s.name == BARRIER_SPAN)
@@ -151,16 +148,19 @@ impl TraceTree {
             .sum();
         CriticalPath {
             trace_id: self.trace_id,
-            wall_seconds: root.seconds,
+            wall_seconds: self.root().seconds,
             attributed_seconds: attributed,
             barrier_seconds: barrier,
             steps,
         }
     }
 
+    /// Seconds of the subtree at `id` under the critical-path rule, pushing
+    /// the path's steps onto `steps`: a leaf contributes its own seconds; an
+    /// inner span contributes, per same-named child group in
+    /// first-appearance order, its largest member (parallel), summed across
+    /// groups (sequential).
     fn walk(&self, id: u32, steps: &mut Vec<PathStep>) -> f64 {
-        // Same-named child groups in first-appearance order; each group's
-        // winner (largest subtree) joins the path, groups sum sequentially.
         let mut order: Vec<&'static str> = Vec::new();
         for child in self.children(id) {
             if !order.contains(&child.name) {
@@ -168,33 +168,24 @@ impl TraceTree {
             }
         }
         if order.is_empty() {
-            return self
-                .spans
-                .iter()
-                .find(|s| s.id == id)
-                .map_or(0.0, |s| s.seconds);
+            return self.spans[id as usize].seconds;
         }
         let mut total = 0.0;
         for name in order {
-            let group: Vec<&SpanRecord> = self.children(id).filter(|s| s.name == name).collect();
-            let winner = group
-                .iter()
-                .copied()
-                .max_by(|a, b| {
-                    self.subtree_seconds(a.id)
-                        .partial_cmp(&self.subtree_seconds(b.id))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
+            let group: Vec<(u32, f64)> = (self.children(id))
+                .filter(|s| s.name == name)
+                .map(|s| (s.id, self.walk(s.id, &mut Vec::new())))
+                .collect();
+            let &(winner, seconds) = (group.iter())
+                .max_by(|a, b| a.1.total_cmp(&b.1))
                 .expect("group is non-empty");
-            let mut sub_steps = Vec::new();
-            let winner_seconds = self.walk(winner.id, &mut sub_steps);
             steps.push(PathStep {
                 name,
-                seconds: winner_seconds,
+                seconds,
                 fanout: group.len(),
             });
-            steps.extend(sub_steps);
-            total += winner_seconds;
+            self.walk(winner, steps);
+            total += seconds;
         }
         total
     }
@@ -252,47 +243,6 @@ impl CriticalPath {
     }
 }
 
-/// Fan-out observations one epoch of the sharded controller loop
-/// accumulates for its trace tree: the probe fan-out's per-shard busy
-/// seconds and its merge-barrier wait.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FanoutObs {
-    /// Busy seconds of each shard of the probe fan-out, in shard (= tenant)
-    /// order. Empty when the epoch ran no probe fan-out.
-    pub probe_shards: Vec<f64>,
-    /// Merge-barrier wait of the probe fan-out (its wall time past the
-    /// busiest shard).
-    pub merge_wait: f64,
-}
-
-/// Builds the fleet's per-epoch trace tree from the stage breakdown and the
-/// epoch's fan-out observations. `wall_seconds` is the measured wall-clock
-/// of the whole epoch (the root span).
-pub fn epoch_tree(
-    epoch: u64,
-    wall_seconds: f64,
-    stages: &StageTimes,
-    fanout: &FanoutObs,
-) -> TraceTree {
-    let mut tree = TraceTree::new(epoch);
-    let root = tree.push(NO_PARENT, "epoch", wall_seconds);
-    if fanout.probe_shards.is_empty() {
-        // No probe fan-out ran (e.g. `resolve: false`): represent the probe
-        // stage as a single-shard branch so the path still covers it.
-        tree.push(Some(root), "shard_probe", stages.get(Stage::Probe));
-    } else {
-        for &busy in &fanout.probe_shards {
-            tree.push(Some(root), "shard_probe", busy);
-        }
-    }
-    tree.push(Some(root), BARRIER_SPAN, fanout.merge_wait);
-    tree.push(Some(root), "arbitrate", stages.get(Stage::Arbitrate));
-    tree.push(Some(root), "solve", stages.get(Stage::Solve));
-    tree.push(Some(root), "adopt", stages.get(Stage::Adopt));
-    tree.push(Some(root), "persist", stages.get(Stage::Persist));
-    tree
-}
-
 /// Critical-path attribution aggregated over a run's trace trees.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceSummary {
@@ -342,53 +292,64 @@ impl TraceSummary {
 mod tests {
     use super::*;
 
+    /// An epoch's tree built the way the fleet builds it: the bill, repair's
+    /// triage, a three-shard probe fan-out with its barrier wait, two
+    /// re-solve batches and the adoptions.
+    fn fleet_tree(epoch: u64) -> TraceTree {
+        let mut tree = TraceTree::new(epoch, "epoch");
+        tree.add(ROOT, "arbitrate", 0.2);
+        let probe = tree.add(ROOT, "probe", 0.0);
+        tree.add(probe, "triage", 0.02);
+        tree.add(ROOT, "solve", 0.2);
+        for busy in [0.3, 0.4, 0.1] {
+            tree.push(probe, "shard_probe", busy);
+        }
+        tree.add(probe, BARRIER_SPAN, 0.05);
+        tree.add(ROOT, "solve", 0.3);
+        tree.add(ROOT, "adopt", 0.1);
+        tree.set_wall(1.3);
+        tree
+    }
+
     #[test]
     fn epoch_tree_has_the_documented_shape() {
-        let mut stages = StageTimes::zero();
-        stages.add(Stage::Arbitrate, 0.2);
-        stages.add(Stage::Solve, 0.5);
-        stages.add(Stage::Adopt, 0.1);
-        let fanout = FanoutObs {
-            probe_shards: vec![0.3, 0.4],
-            merge_wait: 0.05,
-        };
-        let tree = epoch_tree(7, 1.3, &stages, &fanout);
+        let tree = fleet_tree(7);
         assert_eq!(tree.trace_id, 7);
-        let root = tree.root().unwrap();
-        assert_eq!(root.name, "epoch");
-        assert_eq!(root.seconds, 1.3);
-        let children: Vec<&str> = tree.children(root.id).map(|s| s.name).collect();
+        let root = tree.root();
+        assert_eq!((root.id, root.name, root.seconds), (ROOT, "epoch", 1.3));
+        let names = |id| tree.children(id).map(|s| s.name).collect::<Vec<_>>();
+        assert_eq!(names(ROOT), ["arbitrate", "probe", "solve", "adopt"]);
+        let probe = tree.children(ROOT).find(|s| s.name == "probe").unwrap();
         assert_eq!(
-            children,
+            names(probe.id),
             [
+                "triage",
                 "shard_probe",
                 "shard_probe",
-                "merge_wait",
-                "arbitrate",
-                "solve",
-                "adopt",
-                "persist"
+                "shard_probe",
+                "merge_wait"
             ]
         );
+        // Sequential phases of one stage accumulate in one span.
+        assert_eq!(tree.seconds("solve"), 0.2 + 0.3);
+        assert_eq!(tree.seconds("persist"), 0.0);
     }
 
     #[test]
     fn critical_path_takes_the_longest_parallel_branch_and_sums_phases() {
-        let mut stages = StageTimes::zero();
-        stages.add(Stage::Arbitrate, 0.2);
-        stages.add(Stage::Solve, 0.5);
-        let fanout = FanoutObs {
-            probe_shards: vec![0.3, 0.4, 0.1],
-            merge_wait: 0.05,
-        };
-        let path = epoch_tree(0, 1.3, &stages, &fanout).critical_path();
-        // max shard (0.4) + merge_wait + arbitrate + solve + adopt + persist
-        assert!((path.attributed_seconds - (0.4 + 0.05 + 0.2 + 0.5)).abs() < 1e-12);
+        let tree = fleet_tree(0);
+        // The probe stage is its triage, the busiest shard and the barrier
+        // wait: the fan-out's wall, not the shards' summed busy time.
+        let probe = 0.02 + 0.4 + 0.05;
+        assert!((tree.seconds("probe") - probe).abs() < 1e-12);
+        let path = tree.critical_path();
+        assert!((path.attributed_seconds - (0.2 + probe + 0.5 + 0.1)).abs() < 1e-12);
+        assert!(path.attributed_seconds <= path.wall_seconds);
         assert!((path.barrier_seconds - 0.05).abs() < 1e-12);
-        assert!((path.barrier_share() - 0.05 / 1.15).abs() < 1e-12);
-        let probe = path.steps.iter().find(|s| s.name == "shard_probe").unwrap();
-        assert_eq!(probe.fanout, 3);
-        assert!((probe.seconds - 0.4).abs() < 1e-12);
+        assert!((path.barrier_share() - 0.05 / path.attributed_seconds).abs() < 1e-12);
+        let shards = path.steps.iter().find(|s| s.name == "shard_probe").unwrap();
+        assert_eq!(shards.fanout, 3);
+        assert!((shards.seconds - 0.4).abs() < 1e-12);
         assert_eq!(path.dominant().unwrap().name, "solve");
         assert_eq!(path.wall_seconds, 1.3);
     }
@@ -397,12 +358,11 @@ mod tests {
     fn nested_parallel_groups_recurse() {
         // root -> a (x2 parallel); the longer `a` has sequential children
         // b + c; the path is max(a) decomposed into b + c.
-        let mut tree = TraceTree::new(1);
-        let root = tree.push(NO_PARENT, "root", 1.0);
-        let _short = tree.push(Some(root), "a", 0.2);
-        let long = tree.push(Some(root), "a", 0.0); // inner: seconds from children
-        tree.push(Some(long), "b", 0.3);
-        tree.push(Some(long), "c", 0.4);
+        let mut tree = TraceTree::new(1, "root");
+        let _short = tree.push(ROOT, "a", 0.2);
+        let long = tree.push(ROOT, "a", 0.0); // inner: seconds from children
+        tree.push(long, "b", 0.3);
+        tree.push(long, "c", 0.4);
         let path = tree.critical_path();
         assert!((path.attributed_seconds - 0.7).abs() < 1e-12);
         let names: Vec<&str> = path.steps.iter().map(|s| s.name).collect();
@@ -411,32 +371,24 @@ mod tests {
 
     #[test]
     fn summary_aggregates_paths_across_epochs() {
-        let stages = StageTimes::zero();
-        let trees: Vec<TraceTree> = (0..4)
-            .map(|epoch| {
-                let fanout = FanoutObs {
-                    probe_shards: vec![0.1],
-                    merge_wait: 0.1,
-                };
-                epoch_tree(epoch, 0.5, &stages, &fanout)
-            })
-            .collect();
+        let trees: Vec<TraceTree> = (0..4).map(fleet_tree).collect();
         let summary = TraceSummary::from_trees(&trees);
         assert_eq!(summary.epochs, 4);
-        assert!((summary.wall_seconds - 2.0).abs() < 1e-12);
-        assert!((summary.barrier_seconds - 0.4).abs() < 1e-12);
-        assert!((summary.barrier_share() - 0.4 / 0.8).abs() < 1e-12);
-        let probe = summary
+        assert!((summary.wall_seconds - 5.2).abs() < 1e-12);
+        assert!((summary.attributed_seconds - 4.0 * 1.27).abs() < 1e-12);
+        assert!((summary.barrier_seconds - 0.2).abs() < 1e-12);
+        assert!((summary.barrier_share() - 0.05 / 1.27).abs() < 1e-12);
+        let shards = summary
             .steps
             .iter()
             .find(|(n, _)| *n == "shard_probe")
             .unwrap();
-        assert!((probe.1 - 0.4).abs() < 1e-12);
+        assert!((shards.1 - 1.6).abs() < 1e-12);
     }
 
     #[test]
     fn empty_tree_yields_a_zero_path() {
-        let path = TraceTree::new(0).critical_path();
+        let path = TraceTree::new(0, "epoch").critical_path();
         assert_eq!(path.attributed_seconds, 0.0);
         assert_eq!(path.barrier_share(), 0.0);
         assert!(path.steps.is_empty());

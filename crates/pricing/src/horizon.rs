@@ -147,17 +147,29 @@ struct Merged {
 impl HorizonCache {
     /// Builds the cache for one plan under one billing model.
     pub fn new(plan: &ProvisioningPlan, model: &(impl SegmentedBilling + ?Sized)) -> Self {
+        let machines = (plan.machines.iter()).map(|m| (m.hourly_cost, m.utilisation()));
+        HorizonCache::from_machines(machines, model)
+    }
+
+    /// Builds the cache for machines given as `(hourly cost, utilisation)`
+    /// pairs, in plan order, under one billing model: what
+    /// [`HorizonCache::new`] reads off a plan's machines, for fleets that
+    /// are known only by their machine counts.
+    pub fn from_machines(
+        machines: impl IntoIterator<Item = (u64, f64)>,
+        model: &(impl SegmentedBilling + ?Sized),
+    ) -> Self {
         // Gather every machine's segments, then sweep the merged breakpoints
         // accumulating total base and slope. `(slope_delta, jump)` events at
         // each start express both kinks and discontinuities.
         let mut events: Vec<(f64, f64, f64)> = Vec::new(); // (start, slope_delta, base_jump)
         let mut at_zero = 0.0;
-        for machine in &plan.machines {
-            at_zero += model.charge(machine.hourly_cost, &UsageWindow::full(0.0));
+        for (hourly_cost, utilisation) in machines {
+            at_zero += model.charge(hourly_cost, &UsageWindow::full(0.0));
             // Clamp as bill_plan does (UsageWindow::with_utilisation), so the
             // cache==bill_plan equivalence holds even for overloaded plans.
-            let utilisation = machine.utilisation().clamp(0.0, 1.0);
-            let segments = model.segments(machine.hourly_cost, utilisation);
+            let utilisation = utilisation.clamp(0.0, 1.0);
+            let segments = model.segments(hourly_cost, utilisation);
             debug_assert!(!segments.is_empty(), "profiles are non-empty");
             let mut previous: Option<crate::billing::BillingSegment> = None;
             for segment in segments {
