@@ -1,22 +1,24 @@
 //! The capacity-pool ledger: per-type quotas, per-tenant holdings, and
 //! deterministic arbitration when demand exceeds quota.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use rental_solvers::UNLIMITED_CAP;
 
 /// A serialisable export of the pool's mutable ledger — everything a resumed
 /// run needs to reconstruct the pool exactly, without trusting replay order.
-/// Produced by [`CapacityPool::ledger`], consumed (with invariant checks) by
-/// [`CapacityPool::restore_ledger`].
+/// Produced by [`CapacityPool::ledger`], which borrows the pool's vectors,
+/// consumed (with invariant checks) by [`CapacityPool::restore_ledger`];
+/// a decoded ledger owns its vectors.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PoolLedger {
+pub struct PoolLedger<'a> {
     /// `holdings[tenant][q]`: machines of type `q` held per tenant.
-    pub holdings: Vec<Vec<u64>>,
+    pub holdings: Cow<'a, [Vec<u64>]>,
     /// Machines of each type currently handed out (Σ over tenants).
-    pub in_use: Vec<u64>,
+    pub in_use: Cow<'a, [u64]>,
     /// Peak of `in_use` over the pool's lifetime.
-    pub peak_in_use: Vec<u64>,
+    pub peak_in_use: Cow<'a, [u64]>,
 }
 
 /// Why a [`PoolLedger`] was rejected by [`CapacityPool::restore_ledger`].
@@ -188,87 +190,90 @@ impl CapacityPool {
     /// The per-type machine caps a re-solve for `tenant` must respect: its
     /// own holdings (which it may re-shape freely) plus the pool's residual.
     pub fn caps_for(&self, tenant: usize) -> Vec<u64> {
-        (0..self.num_types())
-            .map(|q| {
-                let residual = self.residual(q);
-                if residual == UNLIMITED_CAP {
-                    UNLIMITED_CAP
-                } else {
-                    self.holdings[tenant][q].saturating_add(residual)
-                }
-            })
-            .collect()
+        (0..self.num_types()).map(|q| self.cap(tenant, q)).collect()
+    }
+
+    /// Entry `q` of [`CapacityPool::caps_for`].
+    pub fn cap(&self, tenant: usize, q: usize) -> u64 {
+        let residual = self.residual(q);
+        if residual == UNLIMITED_CAP {
+            UNLIMITED_CAP
+        } else {
+            self.holdings[tenant][q].saturating_add(residual)
+        }
     }
 
     /// Grants every tenant's desired fleet for the coming epoch, releasing
     /// all previous holdings first (epoch-granular re-acquisition). Types
     /// whose combined demand fits their quota are granted in full; the rest
     /// are arbitrated proportionally (largest-remainder, ties toward the
-    /// lower tenant index). Returns the granted fleets, aligned with
-    /// `desired`; grants never exceed what was asked for.
+    /// lower tenant index). The grants become the tenants' holdings, which
+    /// it returns, one fleet per tenant; grants never exceed what was asked
+    /// for. Arbitration writes into the holdings in place, so an epoch's
+    /// arbitration allocates nothing per tenant.
     ///
     /// # Panics
     ///
     /// Panics when `desired` does not have one fleet per tenant, or a fleet
     /// does not have one entry per type.
-    pub fn arbitrate_epoch(&mut self, desired: &[Vec<u64>]) -> Vec<Vec<u64>> {
+    pub fn arbitrate_epoch<I>(&mut self, desired: I) -> &[Vec<u64>]
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+        I::Item: AsRef<[u64]>,
+    {
+        let desired = desired.into_iter();
         assert_eq!(
             desired.len(),
             self.holdings.len(),
             "one desired fleet per tenant is required"
         );
-        for fleet in desired {
+        let num_types = self.num_types();
+        for (holding, fleet) in self.holdings.iter_mut().zip(desired) {
+            let fleet = fleet.as_ref();
             assert_eq!(
                 fleet.len(),
-                self.num_types(),
+                num_types,
                 "one fleet entry per machine type is required"
             );
+            holding.copy_from_slice(fleet);
         }
-        let mut grants = desired.to_vec();
-        for q in 0..self.num_types() {
+        for q in 0..num_types {
             let quota = self.quotas[q];
-            if quota == UNLIMITED_CAP {
-                continue;
-            }
-            let total: u64 = desired.iter().map(|fleet| fleet[q]).sum();
-            if total <= quota {
-                continue;
-            }
-            // Proportional largest-remainder split of the quota. Everything
-            // is exact integer arithmetic on u128 products, so the grant is
-            // a pure function of (demands, quota).
-            let mut assigned = 0u64;
-            let mut remainders: Vec<(u128, usize)> = Vec::with_capacity(desired.len());
-            for (tenant, fleet) in desired.iter().enumerate() {
-                let share = (fleet[q] as u128 * quota as u128) / total as u128;
-                let remainder = (fleet[q] as u128 * quota as u128) % total as u128;
-                grants[tenant][q] = share as u64;
-                assigned += share as u64;
-                remainders.push((remainder, tenant));
-            }
-            // Hand the leftover machines to the largest remainders; ties go
-            // to the lower tenant index (sort is by descending remainder,
-            // then ascending tenant).
-            remainders.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            let mut leftover = quota - assigned;
-            for &(_, tenant) in &remainders {
-                if leftover == 0 {
-                    break;
+            let total: u64 = self.holdings.iter().map(|fleet| fleet[q]).sum();
+            if quota != UNLIMITED_CAP && total > quota {
+                // Proportional largest-remainder split of the quota. Everything
+                // is exact integer arithmetic on u128 products, so the grant is
+                // a pure function of (demands, quota).
+                let mut assigned = 0u64;
+                let mut remainders: Vec<(u128, usize, u64)> =
+                    Vec::with_capacity(self.holdings.len());
+                for (tenant, fleet) in self.holdings.iter_mut().enumerate() {
+                    let wanted = fleet[q];
+                    let product = wanted as u128 * quota as u128;
+                    fleet[q] = (product / total as u128) as u64;
+                    assigned += fleet[q];
+                    remainders.push((product % total as u128, tenant, wanted));
                 }
-                if grants[tenant][q] < desired[tenant][q] {
-                    grants[tenant][q] += 1;
-                    leftover -= 1;
+                // Hand the leftover machines to the largest remainders; ties go
+                // to the lower tenant index (sort is by descending remainder,
+                // then ascending tenant).
+                remainders.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+                let mut leftover = quota - assigned;
+                for &(_, tenant, wanted) in &remainders {
+                    if leftover == 0 {
+                        break;
+                    }
+                    if self.holdings[tenant][q] < wanted {
+                        self.holdings[tenant][q] += 1;
+                        leftover -= 1;
+                    }
                 }
             }
-        }
-        for (tenant, grant) in grants.iter().enumerate() {
-            self.holdings[tenant].copy_from_slice(grant);
-        }
-        for q in 0..self.num_types() {
-            self.in_use[q] = grants.iter().map(|fleet| fleet[q]).sum();
+            self.in_use[q] = self.holdings.iter().map(|fleet| fleet[q]).sum();
             self.peak_in_use[q] = self.peak_in_use[q].max(self.in_use[q]);
         }
-        grants
+        &self.holdings
     }
 
     /// Grants one tenant as much of `desired` as its caps allow (its own
@@ -308,16 +313,16 @@ impl CapacityPool {
         }
     }
 
-    /// Exports the pool's mutable ledger for persistence: holdings, in-use
-    /// counters and the utilisation high-water mark. The quotas themselves
-    /// are configuration, not state — a resumed run rebuilds them from its
-    /// [`crate::CapacityConfig`] and validates the ledger against them via
-    /// [`CapacityPool::restore_ledger`].
-    pub fn ledger(&self) -> PoolLedger {
+    /// Exports the pool's mutable ledger for persistence, borrowed in place:
+    /// holdings, in-use counters and the utilisation high-water mark. The
+    /// quotas themselves are configuration, not state — a resumed run
+    /// rebuilds them from its [`crate::CapacityConfig`] and validates the
+    /// ledger against them via [`CapacityPool::restore_ledger`].
+    pub fn ledger(&self) -> PoolLedger<'_> {
         PoolLedger {
-            holdings: self.holdings.clone(),
-            in_use: self.in_use.clone(),
-            peak_in_use: self.peak_in_use.clone(),
+            holdings: Cow::Borrowed(&self.holdings),
+            in_use: Cow::Borrowed(&self.in_use),
+            peak_in_use: Cow::Borrowed(&self.peak_in_use),
         }
     }
 
@@ -332,7 +337,7 @@ impl CapacityPool {
     ///
     /// Returns the first violated invariant as a [`LedgerError`]; the pool
     /// is left **unchanged** on error.
-    pub fn restore_ledger(&mut self, ledger: PoolLedger) -> Result<(), LedgerError> {
+    pub fn restore_ledger(&mut self, ledger: PoolLedger<'_>) -> Result<(), LedgerError> {
         let expected = (self.num_tenants(), self.num_types());
         let got = (
             ledger.holdings.len(),
@@ -365,9 +370,9 @@ impl CapacityPool {
                 return Err(LedgerError::PeakBelowInUse { type_index: q });
             }
         }
-        self.holdings = ledger.holdings;
-        self.in_use = ledger.in_use;
-        self.peak_in_use = ledger.peak_in_use;
+        self.holdings = ledger.holdings.into_owned();
+        self.in_use = ledger.in_use.into_owned();
+        self.peak_in_use = ledger.peak_in_use.into_owned();
         Ok(())
     }
 
@@ -435,7 +440,7 @@ mod tests {
     fn arbitration_is_deterministic_and_tie_breaks_by_tenant_index() {
         // Equal demands, odd quota: the spare machine goes to tenant 0.
         let mut pool = CapacityPool::new(vec![7], 2);
-        let grants = pool.arbitrate_epoch(&[vec![5], vec![5]]);
+        let grants = pool.arbitrate_epoch(&[vec![5], vec![5]]).to_vec();
         assert_eq!(grants, vec![vec![4], vec![3]]);
         // Re-running the same epoch yields the same grants.
         let again = pool.arbitrate_epoch(&[vec![5], vec![5]]);
@@ -496,9 +501,9 @@ mod tests {
         let mut pool = CapacityPool::new(vec![5], 2);
         let err = pool
             .restore_ledger(PoolLedger {
-                holdings: vec![vec![4], vec![3]],
-                in_use: vec![7],
-                peak_in_use: vec![7],
+                holdings: vec![vec![4], vec![3]].into(),
+                in_use: vec![7].into(),
+                peak_in_use: vec![7].into(),
             })
             .unwrap_err();
         assert!(matches!(
@@ -518,25 +523,25 @@ mod tests {
         let mut pool = CapacityPool::new(vec![10], 2);
         let err = pool
             .restore_ledger(PoolLedger {
-                holdings: vec![vec![2], vec![1]],
-                in_use: vec![4],
-                peak_in_use: vec![4],
+                holdings: vec![vec![2], vec![1]].into(),
+                in_use: vec![4].into(),
+                peak_in_use: vec![4].into(),
             })
             .unwrap_err();
         assert!(matches!(err, LedgerError::InUseMismatch { .. }));
         let err = pool
             .restore_ledger(PoolLedger {
-                holdings: vec![vec![2], vec![1]],
-                in_use: vec![3],
-                peak_in_use: vec![2],
+                holdings: vec![vec![2], vec![1]].into(),
+                in_use: vec![3].into(),
+                peak_in_use: vec![2].into(),
             })
             .unwrap_err();
         assert!(matches!(err, LedgerError::PeakBelowInUse { .. }));
         let err = pool
             .restore_ledger(PoolLedger {
-                holdings: vec![vec![2]],
-                in_use: vec![2],
-                peak_in_use: vec![2],
+                holdings: vec![vec![2]].into(),
+                in_use: vec![2].into(),
+                peak_in_use: vec![2].into(),
             })
             .unwrap_err();
         assert!(matches!(err, LedgerError::ArityMismatch { .. }));

@@ -1,7 +1,7 @@
 //! A problem instance bundles the global application and the cloud platform.
 //!
 //! Solvers consume an [`Instance`] plus a target throughput `ρ` and produce a
-//! [`Solution`](crate::allocation::Solution).
+//! [`Solution`].
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;

@@ -22,7 +22,8 @@ use std::sync::Arc;
 use rental_fleet::{failure_coupled_fleet, ChaosConfig, FleetController, FleetReport};
 use rental_obs::json::JsonRow;
 use rental_obs::{
-    install_scoped, AlertPolicy, AlertRule, Event, MetricsSnapshot, Recorder, Stage, TraceSummary,
+    install_scoped, AlertPolicy, AlertRule, Event, MetricsSnapshot, Recorder, Stage, StepTotal,
+    TraceSummary,
 };
 use rental_solvers::SolveResult;
 
@@ -241,8 +242,8 @@ pub fn fleet_obs_markdown(table: &FleetObsTable) -> String {
         1e3 * summary.wall_seconds,
         100.0 * summary.barrier_share(),
     ));
-    for (name, seconds) in &summary.steps {
-        out.push_str(&format!(" {name} {:.2} ms,", 1e3 * seconds));
+    for step in &summary.steps {
+        out.push_str(&format!(" {},", render_step(step)));
     }
     out.pop();
     out.push('\n');
@@ -317,6 +318,16 @@ pub fn fleet_obs_markdown(table: &FleetObsTable) -> String {
             event.value,
             event.detail,
         ));
+    }
+    out
+}
+
+/// A summary step as `name seconds`, its sub-steps in parentheses.
+fn render_step(step: &StepTotal) -> String {
+    let mut out = format!("{} {:.2} ms", step.name, 1e3 * step.seconds);
+    if !step.children.is_empty() {
+        let inner: Vec<String> = step.children.iter().map(render_step).collect();
+        out.push_str(&format!(" ({})", inner.join(", ")));
     }
     out
 }

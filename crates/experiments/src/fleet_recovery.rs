@@ -40,7 +40,7 @@ pub struct FleetRecoverySpec {
     pub mtbf: f64,
     /// Repair time, in hours.
     pub repair_time: f64,
-    /// Snapshot cadences to sweep: a full checkpoint every this many epochs
+    /// Snapshot cadences to sweep: a snapshot link every this many epochs
     /// (`0` journals everything from the initial snapshot).
     pub snapshot_cadences: Vec<usize>,
     /// Epoch after which the injected kill strikes.
@@ -67,7 +67,7 @@ impl Default for FleetRecoverySpec {
 /// One snapshot-cadence row of the sweep.
 #[derive(Debug, Clone)]
 pub struct FleetRecoveryRow {
-    /// Epochs between full snapshots (`0`: initial snapshot + journal only).
+    /// Epochs between snapshots (`0`: the root link + journal only).
     pub snapshot_every: usize,
     /// Wall-clock seconds of the durable (checkpoint/WAL) run.
     pub resumable_seconds: f64,
@@ -78,7 +78,7 @@ pub struct FleetRecoveryRow {
     /// Number of snapshots written (including the initial epoch-0 one).
     pub snapshots: usize,
     /// Seconds to write one snapshot of this run's mean snapshot size:
-    /// the minimum over [`SNAPSHOT_TRIALS`] writes.
+    /// the minimum over `SNAPSHOT_TRIALS` (32) writes.
     pub snapshot_write_seconds: f64,
     /// The uninterrupted durable run matched the plain in-memory run.
     pub uninterrupted_equivalent: bool,

@@ -22,7 +22,8 @@ use rental_solvers::solver::{
     CapacitySolver, SolveBudget, SolveError, SolveResult, SolverOutcome, SweepPrior,
 };
 use rental_stream::{
-    AutoscalePolicy, Autoscaler, FailureTrace, FixedMixScaler, FixedMixState, WorkloadTrace,
+    AutoscalePolicy, Autoscaler, FailureTrace, FixedMixScaler, FixedMixState, OutageCursor,
+    WorkloadTrace,
 };
 
 use crate::chaos::{ChaosConfig, ChaosStats};
@@ -129,7 +130,7 @@ impl FleetPolicy {
     /// Resolves the shard count of the per-tenant epoch pipelines for a
     /// fleet of `tenants`: an explicit [`FleetPolicy::shards`] clamped to
     /// the fleet size, or (auto) one shard per solver worker once every
-    /// shard has at least [`MIN_TENANTS_PER_SHARD`] tenants to advance.
+    /// shard has at least `MIN_TENANTS_PER_SHARD` (64) tenants to advance.
     pub fn shard_count(&self, tenants: usize) -> usize {
         let cap = tenants.max(1);
         match self.shards {
@@ -373,18 +374,6 @@ pub(crate) struct Tally {
     pub(crate) resolve_retries: usize,
 }
 
-/// Machines of `fleet` (per type) that stay up through the whole window
-/// `[start, end)` of an outage trace.
-pub(crate) fn surviving(fleet: &[u64], trace: &FailureTrace, start: f64, end: f64) -> Vec<u64> {
-    fleet
-        .iter()
-        .enumerate()
-        .map(|(q, &count)| {
-            count.saturating_sub(trace.peak_down_among(TypeId(q), count, start, end))
-        })
-        .collect()
-}
-
 /// The baselines a tenant's report compares against, all on the initial
 /// mix: the fixed-mix autoscaler — the frozen controller, advanced epoch by
 /// epoch inside the sharded pass, so its bill is exactly an
@@ -601,14 +590,14 @@ impl<'a> TenantState<'a> {
     }
 
     /// Epochs in which the static-headroom fleet, suffering the tenant's
-    /// `outages`, cannot carry the demand.
-    pub(crate) fn headroom_violations(&self, outages: &FailureTrace, epoch: f64) -> usize {
+    /// outages, cannot carry the demand: one walk of its trace's cursor.
+    pub(crate) fn headroom_violations(&self, outages: &mut TenantCoupling, epoch: f64) -> usize {
         let b = &self.baselines;
         (self.peaks.iter().enumerate())
             .filter(|&(e, &rate)| {
                 let start = e as f64 * epoch;
-                let up = surviving(&b.headroom_fleet, outages, start, start + epoch);
-                b.scaler.violates(rate, &up)
+                let up = outages.surviving(&b.headroom_fleet, start, start + epoch);
+                b.scaler.violates(rate, up)
             })
             .count()
     }
@@ -664,11 +653,55 @@ pub(crate) fn debug_certify(instance: &Instance, solution: &Solution, caps: Opti
     }
 }
 
-/// Mutable coupling state over a run: the quota ledger and one outage trace
-/// per tenant.
+/// Mutable coupling state over a run: the quota ledger and each tenant's
+/// side of the coupling, sharded alongside the tenant states.
 pub(crate) struct CouplingState {
     pub(crate) pool: CapacityPool,
-    pub(crate) traces: Vec<FailureTrace>,
+    pub(crate) tenants: Vec<TenantCoupling>,
+}
+
+/// One tenant's side of the capacity coupling: its outage trace, with the
+/// trace's fingerprint (taken once per run) and the cursor the epoch clock
+/// walks it with, and the buffers the bill fills every epoch, allocated
+/// once per run.
+pub(crate) struct TenantCoupling {
+    trace: FailureTrace,
+    pub(crate) fingerprint: u64,
+    cursor: OutageCursor,
+    /// The fleet the tenant asks the pool for this epoch.
+    pub(crate) desired: Vec<u64>,
+    /// The granted machines that stay up through this epoch.
+    surviving: Vec<u64>,
+    /// The caps a failure re-solve of this epoch would respect.
+    pub(crate) caps: Vec<u64>,
+}
+
+impl TenantCoupling {
+    pub(crate) fn new(trace: FailureTrace, num_types: usize) -> Self {
+        TenantCoupling {
+            fingerprint: trace.fingerprint(),
+            cursor: OutageCursor::default(),
+            trace,
+            desired: vec![0; num_types],
+            surviving: vec![0; num_types],
+            caps: vec![0; num_types],
+        }
+    }
+
+    /// Machines of type `q` among the first `first_n` down at `t`.
+    pub(crate) fn down_at(&mut self, q: usize, first_n: u64, t: f64) -> u64 {
+        (self.cursor).machines_down_among(&self.trace, TypeId(q), first_n, t)
+    }
+
+    /// Machines of `fleet` (per type) that stay up through the whole window
+    /// `[start, end)`.
+    pub(crate) fn surviving(&mut self, fleet: &[u64], start: f64, end: f64) -> &[u64] {
+        for (q, (up, &count)) in self.surviving.iter_mut().zip(fleet).enumerate() {
+            let down = (self.cursor).peak_down_among(&self.trace, TypeId(q), count, start, end);
+            *up = count.saturating_sub(down);
+        }
+        &self.surviving
+    }
 }
 
 /// The serving knobs of one run, resolved once from the policy and the
@@ -875,9 +908,10 @@ impl FleetController {
 
     /// Coupling state: the quota ledger plus one outage trace per tenant,
     /// sub-seeded from the fleet seed so tenant i's outages are stable no
-    /// matter how many co-tenants exist. Deterministic for a fixed config —
-    /// a resumed run regenerates the same traces (validated by fingerprint)
-    /// and restores only the pool ledger from the checkpoint.
+    /// matter how many co-tenants exist, generated and fingerprinted in one
+    /// parallel pass. Deterministic for a fixed config — a resumed run
+    /// regenerates the same traces (validated by fingerprint) and restores
+    /// only the pool ledger from the checkpoint.
     pub(crate) fn init_coupling(
         &self,
         tenants: &[TenantSpec],
@@ -890,24 +924,20 @@ impl FleetController {
             tenants.iter().all(|t| t.instance.num_types() == num_types),
             "capacity-coupled fleets must share one platform type space"
         );
-        let traces = tenants
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let slots = failure_slots(
-                    &t.instance,
-                    &t.trace,
-                    env.serve_headroom,
-                    config.failure_redundancy,
-                );
-                config
-                    .tenant_failure_model(i)
-                    .generate(&slots, t.trace.duration())
-            })
-            .collect();
+        let coupled = rayon::parallel_map_indexed(tenants.len(), self.policy.threads, |i| {
+            let t = &tenants[i];
+            let slots = failure_slots(
+                &t.instance,
+                &t.trace,
+                env.serve_headroom,
+                config.failure_redundancy,
+            );
+            let trace = (config.tenant_failure_model(i)).generate(&slots, t.trace.duration());
+            TenantCoupling::new(trace, num_types)
+        });
         Some(CouplingState {
             pool: CapacityPool::new(config.quota_vector(num_types), tenants.len()),
-            traces,
+            tenants: coupled,
         })
     }
 

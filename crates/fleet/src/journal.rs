@@ -8,10 +8,10 @@
 //! the request's digest and what was served: a plan or an absorbed error —
 //! and a digest of the decision state the epoch left (command logging;
 //! Malviya et al., "Rethinking Main Memory OLTP Recovery", ICDE 2014). A
-//! record carries no stage timing (format 4) and no chaos state (format 5,
-//! see [`crate::persist`]): an epoch's seconds live only in its trace
-//! tree, which a replayed epoch keeps untimed, and an injected fault is
-//! just the outcome it served.
+//! record carries no stage timing (format 4), no chaos state (format 5)
+//! and no solver seconds (format 6, see [`crate::persist`]): an epoch's
+//! seconds live only in its trace tree, which a replayed epoch keeps
+//! untimed, and an injected fault is just the outcome it served.
 //!
 //! Every re-solve of the epoch loop goes through [`Solves::batch`], chaos
 //! faults included: under [`crate::chaos`] each live request draws its
@@ -26,6 +26,7 @@
 //! at its first decision that does not (see [`crate::persist`] for the
 //! recovery ladder).
 
+use std::borrow::Cow;
 use std::time::Duration;
 
 use rental_core::{Allocation, Instance, Solution, Throughput, ThroughputSplit};
@@ -45,14 +46,15 @@ pub(crate) const JOURNAL_MAGIC: u32 = 0x5250_4A4C;
 // ---------------------------------------------------------------------------
 
 /// A solver outcome flattened to integers; its instance rebuilds the rest.
+/// Its vectors borrow from a live outcome being encoded
+/// ([`PersistedOutcome::of`]) and are owned when captured or decoded.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct PersistedOutcome {
+pub(crate) struct PersistedOutcome<'a> {
     pub(crate) target: Throughput,
-    pub(crate) shares: Vec<u64>,
-    pub(crate) machines: Vec<u64>,
+    pub(crate) shares: Cow<'a, [u64]>,
+    pub(crate) machines: Cow<'a, [u64]>,
     pub(crate) proven_optimal: bool,
     pub(crate) lower_bound: Option<f64>,
-    pub(crate) elapsed: f64,
     pub(crate) nodes: Option<u64>,
     pub(crate) lp_iterations: Option<u64>,
     pub(crate) exhausted: bool,
@@ -62,7 +64,7 @@ pub(crate) struct PersistedOutcome {
 /// epoch absorbs. Any other error ends the run before its epoch commits.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Served {
-    Plan(PersistedOutcome),
+    Plan(PersistedOutcome<'static>),
     Infeasible(String),
     Exhausted(String),
 }
@@ -89,26 +91,24 @@ pub(crate) struct JournalRecord {
 // Codec
 // ---------------------------------------------------------------------------
 
-pub(crate) fn put_outcome(enc: &mut Encoder, outcome: &PersistedOutcome) {
+pub(crate) fn put_outcome(enc: &mut Encoder, outcome: &PersistedOutcome<'_>) {
     enc.put_u64(outcome.target);
     enc.put_u64s(&outcome.shares);
     enc.put_u64s(&outcome.machines);
     enc.put_bool(outcome.proven_optimal);
     enc.put_opt_f64(outcome.lower_bound);
-    enc.put_f64(outcome.elapsed);
     enc.put_opt_u64(outcome.nodes);
     enc.put_opt_u64(outcome.lp_iterations);
     enc.put_bool(outcome.exhausted);
 }
 
-pub(crate) fn get_outcome(dec: &mut Decoder<'_>) -> Result<PersistedOutcome, DecodeError> {
+pub(crate) fn get_outcome(dec: &mut Decoder<'_>) -> Result<PersistedOutcome<'static>, DecodeError> {
     Ok(PersistedOutcome {
         target: dec.get_u64()?,
-        shares: dec.get_u64s()?,
-        machines: dec.get_u64s()?,
+        shares: dec.get_u64s()?.into(),
+        machines: dec.get_u64s()?.into(),
         proven_optimal: dec.get_bool()?,
         lower_bound: dec.get_opt_f64()?,
-        elapsed: dec.get_f64()?,
         nodes: dec.get_opt_u64()?,
         lp_iterations: dec.get_opt_u64()?,
         exhausted: dec.get_bool()?,
@@ -165,26 +165,35 @@ impl JournalRecord {
     }
 }
 
-impl PersistedOutcome {
-    pub(crate) fn capture(outcome: &SolverOutcome) -> Self {
+impl PersistedOutcome<'_> {
+    /// The persisted form of `outcome`, borrowing its vectors.
+    pub(crate) fn of(outcome: &SolverOutcome) -> PersistedOutcome<'_> {
         PersistedOutcome {
             target: outcome.solution.target,
-            shares: outcome.solution.split.shares().to_vec(),
-            machines: outcome.solution.allocation.machine_counts().to_vec(),
+            shares: outcome.solution.split.shares().into(),
+            machines: outcome.solution.allocation.machine_counts().into(),
             proven_optimal: outcome.proven_optimal,
             lower_bound: outcome.lower_bound,
-            elapsed: outcome.elapsed.as_secs_f64(),
             nodes: outcome.nodes.map(|n| n as u64),
             lp_iterations: outcome.lp_iterations.map(|n| n as u64),
             exhausted: outcome.exhausted,
         }
     }
 
-    /// Rebuilds the outcome for `instance`. `None` when it fails validation
-    /// — wrong arity, a timing that is no duration — or independent
-    /// certification under `caps`: disk contents are untrusted, so every
-    /// restored plan is re-certified, in release builds too, unlike the
-    /// debug assertions at adoption sites.
+    /// The outcome with owned vectors.
+    pub(crate) fn into_owned(self) -> PersistedOutcome<'static> {
+        PersistedOutcome {
+            shares: self.shares.into_owned().into(),
+            machines: self.machines.into_owned().into(),
+            ..self
+        }
+    }
+
+    /// Rebuilds the outcome for `instance`, with no solver seconds (the
+    /// store keeps none). `None` when it fails validation — wrong arity —
+    /// or independent certification under `caps`: disk contents are
+    /// untrusted, so every restored plan is re-certified, in release builds
+    /// too, unlike the debug assertions at adoption sites.
     pub(crate) fn restore(
         &self,
         instance: &Instance,
@@ -197,15 +206,16 @@ impl PersistedOutcome {
         }
         let solution = Solution {
             target: self.target,
-            split: ThroughputSplit::new(self.shares.clone()),
-            allocation: Allocation::from_counts(self.machines.clone(), instance.platform()).ok()?,
+            split: ThroughputSplit::new(self.shares.to_vec()),
+            allocation: Allocation::from_counts(self.machines.to_vec(), instance.platform())
+                .ok()?,
         };
         rental_solvers::certify_plan(instance, &solution, caps).ok()?;
         Some(SolverOutcome {
             solution,
             proven_optimal: self.proven_optimal,
             lower_bound: self.lower_bound,
-            elapsed: Duration::try_from_secs_f64(self.elapsed).ok()?,
+            elapsed: Duration::ZERO,
             nodes: self.nodes.map(|n| n as usize),
             lp_iterations: self.lp_iterations.map(|n| n as usize),
             exhausted: self.exhausted,
@@ -304,7 +314,7 @@ impl Decision {
     /// ends before the epoch commits.
     fn capture(request: u64, result: &SolveResult<SolverOutcome>) -> Option<Decision> {
         let served = match result {
-            Ok(outcome) => Served::Plan(PersistedOutcome::capture(outcome)),
+            Ok(outcome) => Served::Plan(PersistedOutcome::of(outcome).into_owned()),
             Err(SolveError::NoSolutionFound { solver }) => Served::Infeasible(solver.clone()),
             Err(SolveError::BudgetExhausted { solver }) => Served::Exhausted(solver.clone()),
             Err(_) => return None,

@@ -121,16 +121,22 @@
 //!
 //! [`FleetController::run_resumable`] makes the loop **durable**: every
 //! completed epoch appends one CRC-framed record to a write-ahead journal in
-//! a [`rental_persist::Store`], and a full checkpoint is snapshotted every
-//! [`PersistOptions::snapshot_every`] epochs. The journal logs decisions, not
-//! state: a record carries the epoch's solver outcomes (injected faults
-//! among them) and a digest of the state the epoch left — everything else
-//! an epoch does is a deterministic function of its inputs.
+//! a [`rental_persist::Store`], and every [`PersistOptions::snapshot_every`]
+//! epochs a snapshot is written. The journal logs decisions, not state: a
+//! record carries the epoch's solver outcomes (injected faults among them)
+//! and a digest of the state the epoch left — everything else an epoch does
+//! is a deterministic function of its inputs. The snapshots form a chain
+//! (format 6): each is a link carrying the history appended since the link
+//! before it — epoch costs, learned plans, adoption records — plus the
+//! mutable decision state, encoded straight from the running state, so
+//! history is written once. No wall-clock value reaches the store, solver
+//! seconds included, so two runs of one seed write byte-identical files.
 //! [`FleetController::resume_from`] climbs the recovery ladder documented in
-//! [`persist`]: replay by re-execution (the newest snapshot, then every
-//! journaled epoch through the same epoch step, its solves served from the
-//! journal, certified and checked against the requests and the digests),
-//! the valid prefix of the journal followed by live epochs, cold restart.
+//! [`persist`]: replay by re-execution (the newest complete chain, then
+//! every journaled epoch through the same epoch step, its solves served from
+//! the journal, certified and checked against the requests and the
+//! digests), the valid prefix of the journal followed by live epochs, cold
+//! restart. A broken link falls back to an older complete chain first.
 //! Every rung lands on a report bit-identical (modulo wall-clock timing, see
 //! [`FleetReport::matches_modulo_timing`]) to the uninterrupted run.
 //!
@@ -146,6 +152,10 @@
 //! seconds into its stage's span under the epoch's root, and repair's
 //! triage and the probe fan-out (one span per shard and its barrier wait)
 //! go under `probe`, so the five stages sum to at most the epoch's wall.
+//! Two stages are split into back-to-back parts that partition them: a
+//! coupled bill into `desired`, `grant` and `violations` under
+//! `arbitrate`, and a durable commit into `digest`, `encode`, `append` and,
+//! on snapshot epochs, `snapshot` under `persist`.
 //! The end-of-epoch barrier emits the `fleet.span.*` samples from the tree,
 //! once per epoch, and files it in [`FleetReport::epoch_timing`]. The trees
 //! are the report's only time and the **single masked field family** of

@@ -29,7 +29,10 @@
 //! the epoch's root, so phases of one stage accumulate. Repair's triage
 //! and the probe fan-out go under `probe`: the triage as one span, the
 //! fan-out as one `shard_probe` span per shard plus its `merge_wait`, so the
-//! probe stage is the fan-out's wall time, not its summed busy time.
+//! probe stage is the fan-out's wall time, not its summed busy time. A
+//! coupled bill is timed in three back-to-back laps, one clock read per
+//! boundary, that partition `arbitrate`: `desired`, `grant` and
+//! `violations` (the durable hook splits `persist` the same way).
 //! [`FleetRun::observe`] sets the root to the epoch's wall, emits every
 //! `fleet.span.*` sample from the tree, once per epoch, at the barrier, and
 //! files the tree in the report.
@@ -39,7 +42,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use rental_capacity::{coverage_bound, degrade_with, CapacityConfig, CappedOutcome};
-use rental_core::{InstanceClasses, Solution, Throughput, TypeId};
+use rental_core::{InstanceClasses, Solution, Throughput};
 use rental_obs::trace::{BARRIER_SPAN, ROOT};
 use rental_obs::{
     AlertEngine, EpochObservation, EventKind, NoopSink, SpanTimer, Stage, TelemetrySink, TraceTree,
@@ -51,7 +54,7 @@ use rental_stream::{Autoscaler, FixedMixState};
 
 use crate::chaos::{ChaosClock, ChaosConfig, ChaosStats};
 use crate::controller::{
-    debug_certify, first_target, fits_caps, quantize_target, surviving, CouplingState, Derived,
+    debug_certify, first_target, fits_caps, quantize_target, CouplingState, Derived,
     FleetController, FleetPolicy, KnownPlan, RunEnv, Tally, TenantCore, TenantState,
 };
 use crate::journal::Solves;
@@ -69,9 +72,15 @@ fn untimed(epoch: usize) -> TraceTree {
     TraceTree::new(epoch as u64, "epoch")
 }
 
+/// One shard of a sharded pass: its first tenant's index, and its tenants'
+/// states and lanes.
+type Shard<'s, 'a, L> = (usize, &'s mut [TenantState<'a>], &'s mut [L]);
+
 /// Runs `f` once per tenant, fanned out over `shards` contiguous shards of
 /// the state slice on the shared worker pool, returning the per-tenant
-/// results **in tenant-index order**.
+/// results **in tenant-index order**. Each call of `f` also gets the
+/// tenant's entry of `lanes` — per-tenant data that lives outside the
+/// tenant states, sharded alongside them.
 ///
 /// This is the deterministic backbone of the sharded epoch loop. Shards are
 /// contiguous index ranges, so concatenating their outputs in shard order
@@ -88,44 +97,48 @@ fn untimed(epoch: usize) -> TraceTree {
 /// One shard short-circuits to a plain sequential loop over the same
 /// closure, so `FleetPolicy { shards: Some(1) }` runs the sequential
 /// controller rather than an emulation of it.
-fn for_each_tenant_sharded<'a, R, F>(
+fn for_each_tenant_sharded<'a, L, R, F>(
     states: &mut [TenantState<'a>],
+    lanes: &mut [L],
     shards: usize,
     probe: Option<&mut TraceTree>,
     f: F,
 ) -> Vec<R>
 where
+    L: Send,
     R: Send,
-    F: Fn(usize, &mut TenantState<'a>) -> R + Sync,
+    F: Fn(usize, &mut TenantState<'a>, &mut L) -> R + Sync,
 {
     let len = states.len();
+    assert_eq!(lanes.len(), len, "one lane per tenant");
     let shards = shards.clamp(1, len.max(1));
-    let run_shard = |offset: usize, slice: &mut [TenantState<'a>]| {
+    let run_shard = |offset: usize, slice: &mut [TenantState<'a>], lanes: &mut [L]| {
         let busy = Instant::now();
-        let out: Vec<R> = (slice.iter_mut().enumerate())
-            .map(|(k, state)| f(offset + k, state))
+        let out: Vec<R> = (slice.iter_mut().zip(lanes).enumerate())
+            .map(|(k, (state, lane))| f(offset + k, state, lane))
             .collect();
         (out, busy.elapsed().as_secs_f64())
     };
     let fan_out = Instant::now();
     let shard_results = if shards <= 1 {
-        vec![run_shard(0, states)]
+        vec![run_shard(0, states, lanes)]
     } else {
         let chunk = len.div_ceil(shards);
         // Hand each worker exclusive `&mut` access to its own contiguous
-        // shard: the slice splits up front, and the per-shard mutex lets the
+        // shard: the slices split up front, and the per-shard mutex lets the
         // `Fn + Sync` closure below reclaim mutable access from a shared
         // reference. Each mutex is locked exactly once, by the worker that
         // drew its index.
-        let shard_slices: Vec<Mutex<(usize, &mut [TenantState<'a>])>> = states
+        let shard_slices: Vec<Mutex<Shard<'_, 'a, L>>> = states
             .chunks_mut(chunk)
+            .zip(lanes.chunks_mut(chunk))
             .enumerate()
-            .map(|(s, slice)| Mutex::new((s * chunk, slice)))
+            .map(|(s, (slice, lanes))| Mutex::new((s * chunk, slice, lanes)))
             .collect();
         rayon::parallel_map_indexed(shard_slices.len(), Some(shards), |s| {
             let mut guard = shard_slices[s].lock().expect("shard slice poisoned");
-            let (offset, slice) = &mut *guard;
-            run_shard(*offset, slice)
+            let (offset, slice, lanes) = &mut *guard;
+            run_shard(*offset, slice, lanes)
         })
     };
     let wall = fan_out.elapsed().as_secs_f64();
@@ -143,6 +156,12 @@ where
         merged.extend(out);
     }
     merged
+}
+
+/// The lanes of a sharded pass that needs none: one unit per tenant, which
+/// occupies no memory.
+fn no_lanes(len: usize) -> Vec<()> {
+    vec![(); len]
 }
 
 /// `f(0), …, f(len - 1)`, fanned out over `shards` contiguous shards on the
@@ -386,159 +405,153 @@ impl<'a> FleetRun<'a> {
     fn bill(&mut self, epoch: usize) -> Vec<Repair> {
         let (policy, sink) = (self.policy(), self.sink());
         let shards = policy.shard_count(self.states.len());
-        let span = SpanTimer::start(Stage::Arbitrate);
+        let mut span = SpanTimer::start(Stage::Arbitrate);
         let FleetRun {
             env,
             chaos,
             states,
             coupled,
             stale_desired,
+            tree,
             ..
         } = self;
         let env = &*env;
         let patience = policy.scale_down_patience;
         let mut repairs = Vec::new();
-        match coupled {
-            None => {
-                for_each_tenant_sharded(states, shards, None, |_, state| {
-                    let Some(&rate) = state.peaks.get(epoch) else {
-                        return;
-                    };
-                    let fleet = state.core.mix.step(&state.scaler, rate, patience);
-                    let cost = state.scaler.cost_rate(fleet) * policy.epoch;
-                    state.rent(cost);
-                    state.baselines.advance(rate, &env.baseline_scaling);
-                });
-            }
-            Some(cs) => {
-                let window_start = epoch as f64 * policy.epoch;
-                let window_end = window_start + policy.epoch;
-                // Desired fleets: the mix's scale-up/down plus one
-                // replacement per machine known down at the window start
-                // (the "repair" half of fleet-with-repair). Ended tenants
-                // release their holdings.
-                let traces = &cs.traces;
-                let desired: Vec<Vec<u64>> =
-                    for_each_tenant_sharded(states, shards, None, |i, state| {
-                        let Some(&rate) = state.peaks.get(epoch) else {
-                            return vec![0; state.spec.instance.num_types()];
-                        };
-                        let mut fleet = state.core.mix.step(&state.scaler, rate, patience).to_vec();
-                        if env.failures_enabled {
-                            for (q, count) in fleet.iter_mut().enumerate() {
-                                *count +=
-                                    traces[i].machines_down_among(TypeId(q), *count, window_start);
-                            }
-                        }
-                        fleet
-                    });
-                // Under chaos, a delayed decision re-arbitrates on the
-                // previous epoch's desired fleets — tenants then serve the
-                // epoch on stale grants.
-                let delayed = chaos.is_some_and(|clock| clock.delays_epoch(epoch));
-                let grants = if delayed {
-                    sink.event(
-                        EventKind::ChaosFault,
-                        epoch,
-                        None,
-                        0.0,
-                        "delayed arbitration: serving on stale grants",
-                    );
-                    cs.pool
-                        .arbitrate_epoch(stale_desired.as_ref().unwrap_or(&desired))
-                } else {
-                    cs.pool.arbitrate_epoch(&desired)
+        let Some(CouplingState { pool, tenants }) = coupled else {
+            let mut lanes = no_lanes(states.len());
+            for_each_tenant_sharded(states, &mut lanes, shards, None, |_, state, _| {
+                let Some(&rate) = state.peaks.get(epoch) else {
+                    return;
                 };
-                if chaos.is_some() {
-                    *stale_desired = Some(desired);
+                let fleet = state.core.mix.step(&state.scaler, rate, patience);
+                let cost = state.scaler.cost_rate(fleet) * policy.epoch;
+                state.rent(cost);
+                state.baselines.advance(rate, &env.baseline_scaling);
+            });
+            span.stop_into(tree);
+            return repairs;
+        };
+        // The coupled bill runs in three back-to-back parts, each a child
+        // of the stage's span: the desired fleets, the grants and the
+        // violations.
+        let window_start = epoch as f64 * policy.epoch;
+        let window_end = window_start + policy.epoch;
+        // Desired fleets: the mix's scale-up/down plus one replacement per
+        // machine known down at the window start (the "repair" half of
+        // fleet-with-repair), written into each tenant's buffer. Ended
+        // tenants release their holdings.
+        for_each_tenant_sharded(states, tenants, shards, None, |_, state, coupling| {
+            let Some(&rate) = state.peaks.get(epoch) else {
+                coupling.desired.fill(0);
+                return;
+            };
+            let fleet = state.core.mix.step(&state.scaler, rate, patience);
+            coupling.desired.copy_from_slice(fleet);
+            if env.failures_enabled {
+                for q in 0..coupling.desired.len() {
+                    let count = coupling.desired[q];
+                    coupling.desired[q] += coupling.down_at(q, count, window_start);
                 }
-                if sink.enabled() && !cs.pool.is_unlimited() {
-                    let peak = cs
-                        .pool
-                        .utilization()
-                        .iter()
-                        .fold(0.0, |a: f64, &u| a.max(u));
-                    sink.gauge("fleet.pool.peak_utilization", peak);
-                }
-                let pool = &cs.pool;
-                // A violated epoch: the rate for the barrier's SloViolation
-                // event, plus the repair a re-solve should attempt, if any.
-                let violations: Vec<Option<(f64, Option<Repair>)>> =
-                    for_each_tenant_sharded(states, shards, None, |i, state| {
-                        let &rate = state.peaks.get(epoch)?;
-                        let granted = &grants[i];
-                        state.rent(state.scaler.cost_rate(granted) * policy.epoch);
-                        state.baselines.advance(rate, &env.baseline_scaling);
-                        // Surviving capacity: the granted machines minus the
-                        // worst simultaneous outage among them this epoch.
-                        let available = surviving(granted, &traces[i], window_start, window_end);
-                        if !state.scaler.violates(rate, &available) {
-                            // A healthy epoch closes the outage episode; the
-                            // next violation is a new situation to solve.
-                            state.core.last_failure_solve = None;
-                            return None;
-                        }
-                        state.tally.slo_violations += 1;
-                        sink.counter("fleet.slo_violations", 1);
-                        let rho = quantize_target(rate, env.serve_headroom, state.granularity);
-                        if !policy.resolve || rho == 0 {
-                            return Some((rate, None));
-                        }
-                        // A deferred tenant keeps its current plan until its
-                        // backoff window ends; the violation is still
-                        // counted above.
-                        if epoch < state.core.deferred_until {
-                            state.tally.deferred_resolves += 1;
-                            return Some((rate, None));
-                        }
-                        // Effective caps for the re-solve: holdings plus
-                        // residual quota, minus machines still down at the
-                        // epoch's end (lost capacity for the outage's
-                        // duration).
-                        let caps: Vec<u64> = pool
-                            .caps_for(i)
-                            .iter()
-                            .enumerate()
-                            .map(|(q, &cap)| {
-                                if cap == rental_capacity::UNLIMITED_CAP {
-                                    cap
-                                } else {
-                                    cap.saturating_sub(traces[i].machines_down_among(
-                                        TypeId(q),
-                                        granted[q],
-                                        window_end,
-                                    ))
-                                }
-                            })
-                            .collect();
-                        // Re-solving an unchanged outage situation cannot
-                        // produce a new answer; only count the violation.
-                        let unchanged = matches!(
-                            &state.core.last_failure_solve,
-                            Some((r, c)) if *r == rho && *c == caps
-                        );
-                        Some((rate, (!unchanged).then_some((i, rho, caps))))
-                    });
-                // Barrier: flight-recorder events fire here, in tenant-index
-                // order, never from shard workers.
-                for (i, violation) in violations.into_iter().enumerate() {
-                    let Some((rate, repair)) = violation else {
-                        continue;
-                    };
-                    if sink.enabled() {
-                        sink.event(
-                            EventKind::SloViolation,
-                            epoch,
-                            Some(i),
-                            rate,
-                            "surviving capacity below demand",
-                        );
-                    }
-                    repairs.extend(repair);
-                }
+            }
+        });
+        span.lap_into(tree, "desired");
+        // Under chaos, a delayed decision re-arbitrates on the previous
+        // epoch's desired fleets — tenants then serve the epoch on stale
+        // grants.
+        let delayed = chaos.is_some_and(|clock| clock.delays_epoch(epoch));
+        if delayed {
+            sink.event(
+                EventKind::ChaosFault,
+                epoch,
+                None,
+                0.0,
+                "delayed arbitration: serving on stale grants",
+            );
+        }
+        match stale_desired.as_ref().filter(|_| delayed) {
+            Some(stale) => pool.arbitrate_epoch(stale),
+            None => pool.arbitrate_epoch(tenants.iter().map(|t| &t.desired)),
+        };
+        if chaos.is_some() {
+            let stale = stale_desired.get_or_insert_with(Vec::new);
+            stale.resize_with(tenants.len(), Vec::new);
+            for (fleet, coupling) in stale.iter_mut().zip(tenants.iter()) {
+                fleet.clone_from(&coupling.desired);
             }
         }
-        span.stop_into(&mut self.tree);
+        if sink.enabled() && !pool.is_unlimited() {
+            let peak = (pool.utilization().iter()).fold(0.0, |a: f64, &u| a.max(u));
+            sink.gauge("fleet.pool.peak_utilization", peak);
+        }
+        span.lap_into(tree, "grant");
+        let pool = &*pool;
+        // A violated epoch: the rate for the barrier's SloViolation event,
+        // plus the repair a re-solve should attempt, if any.
+        let violations: Vec<Option<(f64, Option<Repair>)>> =
+            for_each_tenant_sharded(states, tenants, shards, None, |i, state, coupling| {
+                let &rate = state.peaks.get(epoch)?;
+                let granted = pool.holdings(i);
+                state.rent(state.scaler.cost_rate(granted) * policy.epoch);
+                state.baselines.advance(rate, &env.baseline_scaling);
+                // Surviving capacity: the granted machines minus the worst
+                // simultaneous outage among them this epoch.
+                let available = coupling.surviving(granted, window_start, window_end);
+                if !state.scaler.violates(rate, available) {
+                    // A healthy epoch closes the outage episode; the next
+                    // violation is a new situation to solve.
+                    state.core.last_failure_solve = None;
+                    return None;
+                }
+                state.tally.slo_violations += 1;
+                sink.counter("fleet.slo_violations", 1);
+                let rho = quantize_target(rate, env.serve_headroom, state.granularity);
+                if !policy.resolve || rho == 0 {
+                    return Some((rate, None));
+                }
+                // A deferred tenant keeps its current plan until its backoff
+                // window ends; the violation is still counted above.
+                if epoch < state.core.deferred_until {
+                    state.tally.deferred_resolves += 1;
+                    return Some((rate, None));
+                }
+                // Effective caps for the re-solve: holdings plus residual
+                // quota, minus machines still down at the epoch's end (lost
+                // capacity for the outage's duration).
+                for (q, &held) in granted.iter().enumerate() {
+                    let cap = pool.cap(i, q);
+                    coupling.caps[q] = if cap == rental_capacity::UNLIMITED_CAP {
+                        cap
+                    } else {
+                        cap.saturating_sub(coupling.down_at(q, held, window_end))
+                    };
+                }
+                // Re-solving an unchanged outage situation cannot produce a
+                // new answer; only count the violation.
+                let unchanged = matches!(
+                    &state.core.last_failure_solve,
+                    Some((r, c)) if *r == rho && *c == coupling.caps
+                );
+                Some((rate, (!unchanged).then(|| (i, rho, coupling.caps.clone()))))
+            });
+        // Barrier: flight-recorder events fire here, in tenant-index order,
+        // never from shard workers.
+        for (i, violation) in violations.into_iter().enumerate() {
+            let Some((rate, repair)) = violation else {
+                continue;
+            };
+            if sink.enabled() {
+                sink.event(
+                    EventKind::SloViolation,
+                    epoch,
+                    Some(i),
+                    rate,
+                    "surviving capacity below demand",
+                );
+            }
+            repairs.extend(repair);
+        }
+        span.lap_into(tree, "violations");
         repairs
     }
 
@@ -752,7 +765,8 @@ impl<'a> FleetRun<'a> {
         let serve_headroom = self.env.serve_headroom;
         let billing = ctl.billing.as_ref();
         let tree = Some(&mut self.tree);
-        for_each_tenant_sharded(&mut self.states, shards, tree, |i, state| {
+        let mut lanes = no_lanes(self.states.len());
+        for_each_tenant_sharded(&mut self.states, &mut lanes, shards, tree, |i, state, _| {
             let rate = state.peaks.get(epoch).copied().unwrap_or(0.0);
             let rho = quantize_target(rate, serve_headroom, state.granularity);
             // Each tenant projects over *its own* remaining trace —
@@ -999,15 +1013,20 @@ impl<'a> FleetRun<'a> {
 
     /// The report: every tenant's row and the run-level ledgers. Under
     /// failures, each tenant's static-headroom fleet is checked against its
-    /// whole outage trace in one parallel pass of indexed outage queries.
-    fn finish(self) -> FleetReport {
+    /// whole outage trace in one sharded pass, each trace walked once by
+    /// its cursor.
+    fn finish(mut self) -> FleetReport {
         let env = &self.env;
-        let states = &self.states;
-        let headroom_violations = match self.coupled.as_ref().filter(|_| env.failures_enabled) {
-            Some(cs) => rayon::parallel_map_indexed(states.len(), self.ctl.policy.threads, |i| {
-                states[i].headroom_violations(&cs.traces[i], env.baseline_scaling.epoch)
-            }),
-            None => vec![0; states.len()],
+        let shards = self.ctl.policy.shard_count(self.states.len());
+        let epoch = env.baseline_scaling.epoch;
+        let headroom_violations = match self.coupled.as_mut().filter(|_| env.failures_enabled) {
+            Some(cs) => {
+                let tenants = &mut cs.tenants;
+                for_each_tenant_sharded(&mut self.states, tenants, shards, None, |_, s, c| {
+                    s.headroom_violations(c, epoch)
+                })
+            }
+            None => vec![0; self.states.len()],
         };
         FleetReport {
             epochs: self.num_epochs,

@@ -5,7 +5,7 @@
 //! and must never panic or over-grant the quota while recovering.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
@@ -15,6 +15,7 @@ use rental_fleet::{
     CrashPoint, FleetController, FleetPolicy, FleetReport, PersistOptions, RunOutcome,
     ACCEPTANCE_SEED,
 };
+use rental_obs::Recorder;
 use rental_persist::Store;
 use rental_solvers::exact::IlpSolver;
 use rental_solvers::SolveBudget;
@@ -192,6 +193,123 @@ fn resume_of_a_garbage_store_cold_starts() {
         .completed()
         .expect("garbage store still completes");
     assert!(resumed.matches_modulo_timing(reference()));
+}
+
+/// Every file of a store, by name, sorted.
+fn store_files(store: &Store) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(store.dir())
+        .unwrap()
+        .map(|entry| {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// The store holds no wall-clock value: two runs of one failure-coupled
+/// seed leave byte-identical journal and snapshot files.
+#[test]
+fn two_runs_of_one_seed_leave_identical_stores() {
+    let (tenants, config, policy) = scenario();
+    let run = |tag: &str| {
+        let store = scratch_store(tag);
+        FleetController::new(policy)
+            .run_resumable(
+                &IlpSolver::new(),
+                &tenants,
+                &config,
+                None,
+                &store,
+                &PersistOptions::default(),
+                None,
+            )
+            .unwrap()
+            .completed()
+            .expect("no crash was planned");
+        let files = store_files(&store);
+        let _ = std::fs::remove_dir_all(store.dir());
+        files
+    };
+    let (first, second) = (run("twin-a"), run("twin-b"));
+    let names: Vec<&str> = first.iter().map(|(name, _)| name.as_str()).collect();
+    assert!(
+        names.contains(&"journal.rpj") && names.len() > 2,
+        "{names:?}"
+    );
+    for ((name, a), (_, b)) in first.iter().zip(&second) {
+        assert!(a == b, "{name} differs between two runs of one seed");
+    }
+    assert_eq!(first.len(), second.len());
+}
+
+/// Each snapshot is a link that carries the history appended since the
+/// link before it. A missing or corrupt link breaks every chain through
+/// it: resume falls back to the newest chain that is whole, replays the
+/// journal from there and still lands on the uninterrupted report.
+#[test]
+fn a_broken_link_falls_back_to_an_older_chain() {
+    let (tenants, config, policy) = scenario();
+    let controller = FleetController::new(policy);
+    let crash = CrashPlan {
+        epoch: 61,
+        point: CrashPoint::AfterJournal,
+    };
+    let resume = |controller: &FleetController, store: &Store| {
+        controller
+            .resume_from(
+                &IlpSolver::new(),
+                &tenants,
+                &config,
+                None,
+                store,
+                &PersistOptions::default(),
+                None,
+            )
+            .unwrap()
+            .completed()
+            .expect("resume completes")
+    };
+    let damages: [fn(&Store); 2] = [
+        |store| std::fs::remove_file(store.dir().join("snap-0000000040.rps")).unwrap(),
+        |store| {
+            let path = store.dir().join("snap-0000000048.rps");
+            let mut bytes = std::fs::read(&path).unwrap();
+            let middle = bytes.len() / 2;
+            bytes[middle] ^= 0x10;
+            std::fs::write(&path, bytes).unwrap();
+        },
+    ];
+    for damage in damages {
+        let store = scratch_store("broken-link");
+        let outcome = controller
+            .run_resumable(
+                &IlpSolver::new(),
+                &tenants,
+                &config,
+                None,
+                &store,
+                &PersistOptions::default(),
+                Some(&crash),
+            )
+            .unwrap();
+        assert!(matches!(outcome, RunOutcome::Crashed { epoch: 61 }));
+        assert!(store.snapshot_epochs().unwrap().contains(&56));
+        damage(&store);
+        // Not a cold restart: the run resumed past the crashed epoch, from
+        // an older chain and the journal after it.
+        let recorder = Arc::new(Recorder::new());
+        let observed = FleetController::new(policy).with_telemetry(recorder.clone());
+        assert!(resume(&observed, &store).matches_modulo_timing(reference()));
+        let resumed_at = recorder.snapshot().gauges["fleet.recovery.resumed_epoch"];
+        assert_eq!(resumed_at, 62.0);
+        // The resumed run extended the chain it restored: resuming its
+        // completed store reads the whole chain back.
+        assert!(resume(&controller, &store).matches_modulo_timing(reference()));
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
 }
 
 /// A target re-solved under tighter caps is learned again. With periodic

@@ -4,7 +4,7 @@
 //! solves per pivot — `FTRAN` (`B x = v`) and `BTRAN` (`Bᵀ y = v`) — against a
 //! factorization of the basis matrix taken at the last refactorization, plus
 //! the product-form **eta file** accumulated since. This module provides two
-//! interchangeable backends behind the [`Factorization`] wrapper:
+//! interchangeable backends behind one crate-private `Factorization` wrapper:
 //!
 //! * [`SparseLu`] (the default): a **sparse Markowitz LU**. Pivots are chosen
 //!   by minimum fill-in (`(nnz(col) − 1) · (nnz(row) − 1)`) subject to a
@@ -25,7 +25,7 @@
 //! nonzero index list — so the simplex loops above can iterate only the
 //! touched entries (ratio tests, basic-value updates, eta construction).
 //!
-//! A [`Factorization`] outlives the solve that built it: branch and bound
+//! A `Factorization` outlives the solve that built it: branch and bound
 //! threads one through every node of a tree, resetting only its counters
 //! and eta file. [`SparseLu::factorize`] refills its `L`/`U` row and column
 //! vectors and its active-submatrix columns in place, so a refactorization

@@ -23,7 +23,7 @@
 //! graph), and etas whose pivot is off-support are skipped outright. The
 //! downstream loops — ratio tests, basic-value updates, eta construction —
 //! iterate the support too, so one iteration costs O(entries touched). Every
-//! [`REFACTOR_EVERY`] pivots the eta file is folded into a fresh LU, bounding
+//! `REFACTOR_EVERY` (48) pivots the eta file is folded into a fresh LU, bounding
 //! per-iteration cost and floating-point drift. The pre-rewrite dense LU
 //! remains available as a differential oracle via [`SimplexOptions::dense_lu`]
 //! (or the `dense-lu` crate feature).

@@ -47,7 +47,7 @@ pub use flight::{Event, EventKind, FlightRecorder};
 pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
 pub use recorder::Recorder;
 pub use span::{SpanTimer, Stage};
-pub use trace::{CriticalPath, TraceSummary, TraceTree};
+pub use trace::{CriticalPath, StepTotal, TraceSummary, TraceTree};
 
 /// Receiver of telemetry emissions. Every method has an empty default body,
 /// so an implementation overrides only what it cares about and [`NoopSink`]

@@ -82,6 +82,20 @@ impl SpanTimer {
         self.start.elapsed().as_secs_f64()
     }
 
+    /// Ends one lap of the span — the seconds since it started or since its
+    /// previous lap — as the child `name` of its stage's span under the
+    /// root of `tree`, and starts the next lap. Laps run back to back, one
+    /// clock read per boundary, so they partition the stage's span (whose
+    /// own seconds the tree then ignores). Returns the lap's seconds.
+    pub fn lap_into(&mut self, tree: &mut TraceTree, name: &'static str) -> f64 {
+        let now = Instant::now();
+        let seconds = now.duration_since(self.start).as_secs_f64();
+        self.start = now;
+        let stage = tree.add(ROOT, self.stage.name(), 0.0);
+        tree.add(stage, name, seconds);
+        seconds
+    }
+
     /// Stops the span, adding its seconds into its stage's span under the
     /// root of `tree`. Returns elapsed seconds.
     pub fn stop_into(self, tree: &mut TraceTree) -> f64 {
@@ -108,6 +122,20 @@ mod tests {
         let second = SpanTimer::start(Stage::Adopt).stop_into(&mut tree);
         assert_eq!(tree.seconds("adopt"), first + second);
         assert_eq!(tree.children(ROOT).count(), 1);
+    }
+
+    #[test]
+    fn laps_partition_their_stage() {
+        let mut tree = TraceTree::new(0, "epoch");
+        let mut span = SpanTimer::start(Stage::Persist);
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        let digest = span.lap_into(&mut tree, "digest");
+        let append = span.lap_into(&mut tree, "append");
+        assert!(digest > 0.0 && append >= 0.0);
+        let stage = tree.children(ROOT).find(|s| s.name == "persist").unwrap();
+        let laps: Vec<_> = tree.children(stage.id).map(|s| s.name).collect();
+        assert_eq!(laps, ["digest", "append"]);
+        assert_eq!(tree.seconds("persist"), digest + append);
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //! ```text
 //! epoch                (the epoch's measured wall)
 //! ├── arbitrate        (the bill pass)
+//! │   ├── desired      (coupled runs: the desired fleets)
+//! │   ├── grant        (coupled runs: the pool's arbitration)
+//! │   └── violations   (coupled runs: rent and violation checks)
 //! ├── probe
 //! │   ├── triage       (repair's futility check and coverage probes)
 //! │   ├── shard_probe  (one span per shard of the probe fan-out — parallel)
@@ -20,11 +23,17 @@
 //! ├── solve
 //! ├── adopt
 //! └── persist
+//!     ├── digest       (the state digest)
+//!     ├── encode       (the journal record)
+//!     ├── append       (the journal append)
+//!     └── snapshot     (snapshot epochs only)
 //! ```
 //!
 //! with each span appearing when its first phase runs. Phases of one stage
 //! that run one after another add into one span, so they never read as a
-//! fan-out.
+//! fan-out. The children of a coupled `arbitrate` and of `persist` are laps
+//! of one timer ([`SpanTimer::lap_into`](crate::SpanTimer::lap_into)), back
+//! to back, so they partition their stage.
 //!
 //! The [`CriticalPath`] analyzer attributes the epoch's wall-time to its
 //! dominant chain. The attribution rule is structural: **same-named
@@ -36,7 +45,8 @@
 //! stages of an epoch sum to at most its wall. The barrier share — the
 //! `merge_wait` fraction of the attributed path — answers "does the
 //! merge–arbitrate–solve barrier dominate?" with a number, per epoch and
-//! aggregated over a run ([`TraceSummary`]).
+//! aggregated over a run ([`TraceSummary`], which keeps each step under its
+//! own parent).
 //!
 //! Spans are added only at the epoch loop's sequential sites, in the order
 //! its decisions take, so the tree *shapes* of a seeded run are
@@ -134,13 +144,13 @@ impl TraceTree {
     pub fn seconds(&self, name: &str) -> f64 {
         self.children(ROOT)
             .find(|s| s.name == name)
-            .map_or(0.0, |s| self.walk(s.id, &mut Vec::new()))
+            .map_or(0.0, |s| self.walk(s.id, 0, &mut Vec::new()))
     }
 
     /// Attributes the tree's wall-time to its dominant chain.
     pub fn critical_path(&self) -> CriticalPath {
         let mut steps = Vec::new();
-        let attributed = self.walk(ROOT, &mut steps);
+        let attributed = self.walk(ROOT, 0, &mut steps);
         let barrier = steps
             .iter()
             .filter(|s| s.name == BARRIER_SPAN)
@@ -156,11 +166,11 @@ impl TraceTree {
     }
 
     /// Seconds of the subtree at `id` under the critical-path rule, pushing
-    /// the path's steps onto `steps`: a leaf contributes its own seconds; an
-    /// inner span contributes, per same-named child group in
-    /// first-appearance order, its largest member (parallel), summed across
-    /// groups (sequential).
-    fn walk(&self, id: u32, steps: &mut Vec<PathStep>) -> f64 {
+    /// the path's steps, `depth` levels below the root's children, onto
+    /// `steps`: a leaf contributes its own seconds; an inner span
+    /// contributes, per same-named child group in first-appearance order,
+    /// its largest member (parallel), summed across groups (sequential).
+    fn walk(&self, id: u32, depth: usize, steps: &mut Vec<PathStep>) -> f64 {
         let mut order: Vec<&'static str> = Vec::new();
         for child in self.children(id) {
             if !order.contains(&child.name) {
@@ -174,7 +184,7 @@ impl TraceTree {
         for name in order {
             let group: Vec<(u32, f64)> = (self.children(id))
                 .filter(|s| s.name == name)
-                .map(|s| (s.id, self.walk(s.id, &mut Vec::new())))
+                .map(|s| (s.id, self.walk(s.id, depth + 1, &mut Vec::new())))
                 .collect();
             let &(winner, seconds) = (group.iter())
                 .max_by(|a, b| a.1.total_cmp(&b.1))
@@ -183,8 +193,9 @@ impl TraceTree {
                 name,
                 seconds,
                 fanout: group.len(),
+                depth,
             });
-            self.walk(winner, steps);
+            self.walk(winner, depth + 1, steps);
             total += seconds;
         }
         total
@@ -203,6 +214,10 @@ pub struct PathStep {
     pub seconds: f64,
     /// Size of the sibling group (> 1 means a parallel fan-out).
     pub fanout: usize,
+    /// Nesting level: 0 for a child of the root, 1 for its children, …
+    /// A step's sub-steps follow it on the path, one level deeper, and sum
+    /// to its seconds.
+    pub depth: usize,
 }
 
 /// The dominant chain of one [`TraceTree`], with barrier attribution.
@@ -218,7 +233,7 @@ pub struct CriticalPath {
     pub attributed_seconds: f64,
     /// Seconds of [`BARRIER_SPAN`] steps on the path.
     pub barrier_seconds: f64,
-    /// The path steps, in causal order.
+    /// The path steps, in causal order, each followed by its sub-steps.
     pub steps: Vec<PathStep>,
 }
 
@@ -254,8 +269,23 @@ pub struct TraceSummary {
     pub attributed_seconds: f64,
     /// Barrier (`merge_wait`) seconds summed over all trees.
     pub barrier_seconds: f64,
-    /// Per-step-name attributed seconds, in first-appearance order.
-    pub steps: Vec<(&'static str, f64)>,
+    /// Attributed seconds per step of the paths, aggregated by the step's
+    /// place in its tree: the root's children in first-appearance order,
+    /// each with its own sub-steps. The top level sums to
+    /// [`TraceSummary::attributed_seconds`].
+    pub steps: Vec<StepTotal>,
+}
+
+/// Attributed seconds of one step of a run's critical paths, with its
+/// sub-steps.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StepTotal {
+    /// Step name (a span name).
+    pub name: &'static str,
+    /// Seconds summed over the paths that take the step.
+    pub seconds: f64,
+    /// The steps under it, in first-appearance order.
+    pub children: Vec<StepTotal>,
 }
 
 impl TraceSummary {
@@ -268,11 +298,27 @@ impl TraceSummary {
             summary.wall_seconds += path.wall_seconds;
             summary.attributed_seconds += path.attributed_seconds;
             summary.barrier_seconds += path.barrier_seconds;
+            // The open step at each level above the current one.
+            let mut open: Vec<usize> = Vec::new();
             for step in &path.steps {
-                match summary.steps.iter_mut().find(|(n, _)| *n == step.name) {
-                    Some((_, total)) => *total += step.seconds,
-                    None => summary.steps.push((step.name, step.seconds)),
+                open.truncate(step.depth);
+                let mut level = &mut summary.steps;
+                for &k in &open {
+                    level = &mut level[k].children;
                 }
+                let k = match level.iter().position(|total| total.name == step.name) {
+                    Some(k) => k,
+                    None => {
+                        level.push(StepTotal {
+                            name: step.name,
+                            seconds: 0.0,
+                            children: Vec::new(),
+                        });
+                        level.len() - 1
+                    }
+                };
+                level[k].seconds += step.seconds;
+                open.push(k);
             }
         }
         summary
@@ -378,12 +424,38 @@ mod tests {
         assert!((summary.attributed_seconds - 4.0 * 1.27).abs() < 1e-12);
         assert!((summary.barrier_seconds - 0.2).abs() < 1e-12);
         assert!((summary.barrier_share() - 0.05 / 1.27).abs() < 1e-12);
-        let shards = summary
-            .steps
-            .iter()
-            .find(|(n, _)| *n == "shard_probe")
+        let probe = summary.steps.iter().find(|s| s.name == "probe").unwrap();
+        let shards = (probe.children.iter())
+            .find(|s| s.name == "shard_probe")
             .unwrap();
-        assert!((shards.1 - 1.6).abs() < 1e-12);
+        assert!((shards.seconds - 1.6).abs() < 1e-12);
+    }
+
+    #[test]
+    fn summary_steps_nest_and_the_top_level_sums_to_the_attributed_seconds() {
+        // Epochs of different shapes: a sub-step first seen in a later
+        // epoch still lands under its own parent.
+        let mut trees: Vec<TraceTree> = (0..3).map(fleet_tree).collect();
+        let mut late = TraceTree::new(3, "epoch");
+        let persist = late.add(ROOT, "persist", 0.0);
+        late.add(persist, "digest", 0.01);
+        late.add(persist, "append", 0.03);
+        late.set_wall(0.05);
+        trees.push(late);
+        let summary = TraceSummary::from_trees(&trees);
+        let top: f64 = summary.steps.iter().map(|s| s.seconds).sum();
+        assert!((top - summary.attributed_seconds).abs() < 1e-12);
+        let names: Vec<_> = summary.steps.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["arbitrate", "probe", "solve", "adopt", "persist"]);
+        for step in &summary.steps {
+            if !step.children.is_empty() {
+                let inner: f64 = step.children.iter().map(|s| s.seconds).sum();
+                assert!((inner - step.seconds).abs() < 1e-12, "{}", step.name);
+            }
+        }
+        let persist = &summary.steps[4];
+        let parts: Vec<_> = persist.children.iter().map(|s| s.name).collect();
+        assert_eq!(parts, ["digest", "append"]);
     }
 
     #[test]

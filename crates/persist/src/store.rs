@@ -206,6 +206,24 @@ impl Store {
         fs::rename(&tmp, self.snapshot_path(epoch))
     }
 
+    /// The payload of the snapshot of `epoch`: `None` when the file is
+    /// absent or its frame is short, corrupt or followed by stray bytes.
+    ///
+    /// # Errors
+    ///
+    /// Propagates file-system failures other than the file being absent.
+    pub fn read_snapshot(&self, epoch: u64) -> io::Result<Option<Vec<u8>>> {
+        let bytes = match fs::read(self.snapshot_path(epoch)) {
+            Ok(bytes) => bytes,
+            Err(err) if err.kind() == io::ErrorKind::NotFound => return Ok(None),
+            Err(err) => return Err(err),
+        };
+        Ok(match parse_frame(&bytes, 0) {
+            Some((payload, end)) if end == bytes.len() => Some(payload.to_vec()),
+            _ => None,
+        })
+    }
+
     /// Appends one record to the journal.
     ///
     /// # Errors
@@ -297,17 +315,12 @@ impl Store {
         let mut recovery = Recovery::default();
 
         for epoch in self.snapshot_epochs()?.into_iter().rev() {
-            let mut bytes = Vec::new();
-            File::open(self.snapshot_path(epoch))?.read_to_end(&mut bytes)?;
-            match parse_frame(&bytes, 0) {
-                Some((payload, end)) if end == bytes.len() => {
-                    recovery.snapshot = Some(Snapshot {
-                        epoch,
-                        payload: payload.to_vec(),
-                    });
+            match self.read_snapshot(epoch)? {
+                Some(payload) => {
+                    recovery.snapshot = Some(Snapshot { epoch, payload });
                     break;
                 }
-                _ => recovery.corrupt_snapshots += 1,
+                None => recovery.corrupt_snapshots += 1,
             }
         }
 

@@ -18,7 +18,7 @@
 //! parallel execution is observationally identical to the sequential loop —
 //! a property the experiment-reproducibility tests rely on.
 //!
-//! All fan-outs run on **one shared worker pool** (see [`pool`]): the calling
+//! All fan-outs run on **one shared worker pool** (the private `pool` module): the calling
 //! thread always participates in its own job, and idle pool workers join in.
 //! Nested fan-outs — the batch engine solving many instances while each
 //! solve's candidate scan fans out rows — therefore *share* the machine's

@@ -156,6 +156,103 @@ struct TypeIndex {
     reach: Vec<SimTime>,
 }
 
+/// Bounds of one type's query window in its [`TypeIndex`]: the window is
+/// `at[first..last]`.
+type Bounds = (usize, usize);
+
+/// `items.partition_point(pred)` for a predicate that holds on a prefix of
+/// `items`, searched from `hint`: by bisection below `hint` when the prefix
+/// ends before it, else by galloping forward from it, so the search costs
+/// O(1) when the prefix grew by little since the hint was taken and
+/// O(log n) from any hint.
+fn seek<T>(items: &[T], hint: usize, pred: impl Fn(&T) -> bool) -> usize {
+    let hint = hint.min(items.len());
+    if hint > 0 && !pred(&items[hint - 1]) {
+        return items[..hint].partition_point(pred);
+    }
+    let (mut lo, mut step) = (hint, 1);
+    while lo < items.len() {
+        let hi = (lo + step).min(items.len());
+        if !pred(&items[hi - 1]) {
+            return lo + items[lo..hi - 1].partition_point(pred);
+        }
+        lo = hi;
+        step *= 2;
+    }
+    lo
+}
+
+/// A reader of one [`FailureTrace`] that walks forward with the clock.
+///
+/// It answers the trace's own outage queries exactly, but each type's window
+/// is found from where that type's previous query left it: queries whose
+/// times never go back — a controller's epoch clock asking at a window's
+/// start, over the window, then at its end — cost O(1) per window bound
+/// instead of two binary searches. A query earlier than the cursor re-seeks
+/// by bisection, so any sequence of queries is answered exactly. A new
+/// cursor (`OutageCursor::default()`) is at the start of any trace. The
+/// cursor also keeps the event list of its peak sweeps, so a walk through
+/// the trace allocates only while that list grows to its largest window
+/// and its bounds to the types it is asked about.
+#[derive(Debug, Clone, Default)]
+pub struct OutageCursor {
+    /// Per type: the bounds of its previous query's window (a type not yet
+    /// asked about is at the start).
+    bounds: Vec<Bounds>,
+    events: Vec<(SimTime, bool)>,
+}
+
+impl OutageCursor {
+    /// [`FailureTrace::machines_down_among`] of `trace`, read at the
+    /// cursor.
+    pub fn machines_down_among(
+        &mut self,
+        trace: &FailureTrace,
+        type_id: TypeId,
+        first_n: u64,
+        t: SimTime,
+    ) -> u64 {
+        // No slot held, nothing down: the cursor stays where it is.
+        if first_n == 0 {
+            return 0;
+        }
+        let window = self.window(trace, type_id, t, t);
+        trace.down_among(window, first_n, t)
+    }
+
+    /// [`FailureTrace::peak_down_among`] of `trace`, read at the cursor.
+    pub fn peak_down_among(
+        &mut self,
+        trace: &FailureTrace,
+        type_id: TypeId,
+        first_n: u64,
+        start: SimTime,
+        end: SimTime,
+    ) -> u64 {
+        if first_n == 0 {
+            return 0;
+        }
+        let window = self.window(trace, type_id, start, end);
+        trace.sweep_peak(window, first_n, start, end, &mut self.events)
+    }
+
+    fn window<'t>(
+        &mut self,
+        trace: &'t FailureTrace,
+        type_id: TypeId,
+        start: SimTime,
+        end: SimTime,
+    ) -> &'t [u32] {
+        if self.bounds.len() <= type_id.0 {
+            self.bounds.resize(type_id.0 + 1, (0, 0));
+        }
+        let bounds = &mut self.bounds[type_id.0];
+        let (window, found) = trace.window_from(type_id, start, end, *bounds);
+        *bounds = found;
+        window
+    }
+}
+
 impl FailureTrace {
     /// A trace of `outages` over `horizon`. The outages are sorted by start
     /// time (stably, so equal starts keep their order) and indexed by type.
@@ -169,13 +266,23 @@ impl FailureTrace {
                 .partial_cmp(&b.start)
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        let mut by_type: Vec<TypeIndex> = Vec::new();
-        for (position, outage) in outages.iter().enumerate() {
+        // Each type's index is allocated at its exact size.
+        let mut counts: Vec<usize> = Vec::new();
+        for outage in &outages {
             let q = outage.type_id.0;
-            if by_type.len() <= q {
-                by_type.resize_with(q + 1, TypeIndex::default);
+            if counts.len() <= q {
+                counts.resize(q + 1, 0);
             }
-            let index = &mut by_type[q];
+            counts[q] += 1;
+        }
+        let mut by_type: Vec<TypeIndex> = (counts.into_iter())
+            .map(|count| TypeIndex {
+                at: Vec::with_capacity(count),
+                reach: Vec::with_capacity(count),
+            })
+            .collect();
+        for (position, outage) in outages.iter().enumerate() {
+            let index = &mut by_type[outage.type_id.0];
             let reach = (index.reach.last()).map_or(outage.end, |&r| r.max(outage.end));
             let position = u32::try_from(position).expect("a trace holds fewer than 2^32 outages");
             index.at.push(position);
@@ -192,15 +299,27 @@ impl FailureTrace {
     /// inside `[start, end)`: every outage of the type before them ended by
     /// `start`, every one after them starts past both.
     fn window(&self, type_id: TypeId, start: SimTime, end: SimTime) -> &[u32] {
+        self.window_from(type_id, start, end, (0, 0)).0
+    }
+
+    /// [`Self::window`], searched from the bounds of an earlier window of
+    /// the type; returns the window and its bounds.
+    fn window_from(
+        &self,
+        type_id: TypeId,
+        start: SimTime,
+        end: SimTime,
+        (first, last): Bounds,
+    ) -> (&[u32], Bounds) {
         let Some(index) = self.by_type.get(type_id.0) else {
-            return &[];
+            return (&[], (first, last));
         };
-        let first = index.reach.partition_point(|&reach| reach <= start);
-        let last = index.at.partition_point(|&i| {
+        let first = seek(&index.reach, first, |&reach| reach <= start);
+        let last = seek(&index.at, last, |&i| {
             let outage = &self.outages[i as usize];
             outage.start <= start || outage.start < end
         });
-        index.at.get(first..last).unwrap_or(&[])
+        (index.at.get(first..last).unwrap_or(&[]), (first, last))
     }
 
     /// A trace with no outages over the given horizon.
@@ -228,7 +347,13 @@ impl FailureTrace {
     /// pool (machines `0..rented`) use this to see only the outages of the
     /// machines they actually hold.
     pub fn machines_down_among(&self, type_id: TypeId, first_n: u64, t: SimTime) -> u64 {
-        (self.window(type_id, t, t).iter())
+        self.down_among(self.window(type_id, t, t), first_n, t)
+    }
+
+    /// The count of [`Self::machines_down_among`] over the outages at
+    /// `window`.
+    fn down_among(&self, window: &[u32], first_n: u64, t: SimTime) -> u64 {
+        (window.iter())
             .map(|&i| &self.outages[i as usize])
             .filter(|o| o.machine < first_n && o.start <= t && t < o.end)
             .count() as u64
@@ -249,19 +374,25 @@ impl FailureTrace {
         start: SimTime,
         end: SimTime,
     ) -> u64 {
-        match self.window(type_id, start, end) {
-            [] => 0,
-            window => self.sweep_peak(window, first_n, start, end),
-        }
+        let window = self.window(type_id, start, end);
+        self.sweep_peak(window, first_n, start, end, &mut Vec::new())
     }
 
     /// The peak of [`Self::peak_down_among`] over the outages at `window`.
     /// The count only rises at an outage start, so the peak is the count at
     /// the window start or just after a start inside the window: one sweep
-    /// over the window's events, `(time, is a start)`, finds it.
-    fn sweep_peak(&self, window: &[u32], first_n: u64, start: SimTime, end: SimTime) -> u64 {
+    /// over the window's events, `(time, is a start)`, kept in the caller's
+    /// `events`, finds it.
+    fn sweep_peak(
+        &self,
+        window: &[u32],
+        first_n: u64,
+        start: SimTime,
+        end: SimTime,
+        events: &mut Vec<(SimTime, bool)>,
+    ) -> u64 {
         let mut down = 0u64;
-        let mut events: Vec<(SimTime, bool)> = Vec::new();
+        events.clear();
         for &i in window {
             let outage = &self.outages[i as usize];
             // Another slot, or never down inside the window.
@@ -280,7 +411,7 @@ impl FailureTrace {
         // Intervals are half-open: at equal times ends apply before starts.
         events.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let mut peak = down;
-        for (_, starts) in events {
+        for &(_, starts) in events.iter() {
             if starts {
                 down += 1;
                 peak = peak.max(down);
@@ -309,11 +440,8 @@ impl FailureTrace {
         self.outages.len()
     }
 
-    /// The trace's **cursor position** at time `t`: the number of outages
-    /// that have already started. Queries are stateless (they take absolute
-    /// times), so a resumed controller does not *need* a cursor to continue
-    /// — but a checkpoint records it so the restored epoch's position in the
-    /// outage stream is observable and cross-checkable.
+    /// The trace's position at time `t` in its start-ordered outage list:
+    /// the number of outages that have already started.
     pub fn cursor_at(&self, t: SimTime) -> usize {
         // Outages are sorted by start time: binary search for the first
         // outage starting after `t`.

@@ -43,7 +43,7 @@ pub use autoscale::{
     AutoscalePolicy, AutoscaleReport, Autoscaler, EpochRecord, FixedMixScaler, FixedMixState,
 };
 pub use event::{Event, EventKind, EventQueue, SimTime};
-pub use failure::{FailureModel, FailureTrace, Outage};
+pub use failure::{FailureModel, FailureTrace, Outage, OutageCursor};
 pub use machine::{MachinePool, WorkItem};
 pub use reorder::ReorderBuffer;
 pub use simulator::{SimulationConfig, SimulationReport, StreamSimulator};

@@ -1,9 +1,10 @@
-//! The indexed outage queries of `FailureTrace` against the linear scans
-//! they replaced, which this file keeps as the oracle.
+//! The indexed outage queries of `FailureTrace`, and the `OutageCursor`
+//! that walks a trace forward with the clock, against the linear scans they
+//! replaced, which this file keeps as the oracle.
 
 use proptest::prelude::*;
 use rental_core::TypeId;
-use rental_stream::{FailureModel, FailureTrace, Outage};
+use rental_stream::{FailureModel, FailureTrace, Outage, OutageCursor};
 
 const HORIZON: f64 = 20.0;
 const TYPES: usize = 3;
@@ -84,8 +85,116 @@ fn check(trace: &FailureTrace, times: &[f64]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// One query of a cursor: machines down at a time, or the peak over a
+/// window.
+#[derive(Debug, Clone, Copy)]
+enum Query {
+    At(f64),
+    Over(f64, f64),
+}
+
+/// A fleet controller's bill over `epochs` epochs of length `epoch`: per
+/// epoch, at the window's start, over the window, at its end — query times
+/// that never go back.
+fn bill_pattern(epochs: usize, epoch: f64) -> Vec<Query> {
+    (0..epochs)
+        .flat_map(|e| {
+            let (start, end) = (e as f64 * epoch, (e + 1) as f64 * epoch);
+            [Query::At(start), Query::Over(start, end), Query::At(end)]
+        })
+        .collect()
+}
+
+/// The static-headroom check at the end of a run: over each epoch's window.
+fn finish_pattern(epochs: usize, epoch: f64) -> Vec<Query> {
+    (0..epochs)
+        .map(|e| Query::Over(e as f64 * epoch, (e + 1) as f64 * epoch))
+        .collect()
+}
+
+/// Walks one new cursor per slot prefix through `queries`, every type at
+/// every query, and checks each answer against the oracle.
+fn check_cursor(trace: &FailureTrace, queries: &[Query]) -> Result<(), TestCaseError> {
+    for &first_n in &FIRST_N {
+        let mut cursor = OutageCursor::default();
+        for &query in queries {
+            for q in 0..=TYPES {
+                let q = TypeId(q);
+                match query {
+                    Query::At(t) => prop_assert_eq!(
+                        cursor.machines_down_among(trace, q, first_n, t),
+                        down_oracle(trace, q, first_n, t),
+                        "down {:?} first {} at {} in {:?}",
+                        q,
+                        first_n,
+                        t,
+                        queries
+                    ),
+                    Query::Over(start, end) => prop_assert_eq!(
+                        cursor.peak_down_among(trace, q, first_n, start, end),
+                        peak_oracle(trace, q, first_n, start, end),
+                        "peak {:?} first {} over [{}, {}) in {:?}",
+                        q,
+                        first_n,
+                        start,
+                        end,
+                        queries
+                    ),
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+fn query() -> impl Strategy<Value = Query> {
+    (any::<bool>(), grid_time(), 0i32..12).prop_map(|(point, start, length)| {
+        if point {
+            Query::At(start)
+        } else {
+            Query::Over(start, start + f64::from(length) * 0.5)
+        }
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn cursors_match_the_linear_scan_on_the_bill_and_finish_patterns(
+        outages in grid_outages(),
+        half_hours in 1u32..6,
+    ) {
+        let trace = FailureTrace::new(outages, HORIZON);
+        let epoch = f64::from(half_hours) * 0.5;
+        let epochs = (HORIZON / epoch).ceil() as usize + 1;
+        check_cursor(&trace, &bill_pattern(epochs, epoch))?;
+        check_cursor(&trace, &finish_pattern(epochs, epoch))?;
+    }
+
+    #[test]
+    fn cursors_match_the_linear_scan_when_queries_jump_back(
+        outages in grid_outages(),
+        queries in proptest::collection::vec(query(), 1..24),
+    ) {
+        let trace = FailureTrace::new(outages, HORIZON);
+        check_cursor(&trace, &queries)?;
+    }
+
+    #[test]
+    fn cursors_match_the_linear_scan_on_generated_traces(
+        seed in any::<u64>(),
+        mtbf in 2.0f64..30.0,
+        repair in 0.0f64..6.0,
+    ) {
+        // The bill's walk, then a resumed walk from the middle, then the
+        // end-of-run check from the start: two jumps back.
+        let trace = FailureModel::new(mtbf, repair, seed).generate(&[4, 2, 3], 40.0);
+        let mut queries = bill_pattern(40, 1.0);
+        queries.extend(bill_pattern(40, 1.0).split_off(60));
+        queries.extend(finish_pattern(40, 1.0));
+        check_cursor(&trace, &queries)?;
+    }
 
     #[test]
     fn indexed_queries_match_the_linear_scan_on_grid_traces(

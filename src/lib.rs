@@ -13,27 +13,27 @@
 //!
 //! This facade crate re-exports the whole workspace:
 //!
-//! * [`core`](rental_core) — the application/platform model and exact cost
+//! * [`core`] — the application/platform model and exact cost
 //!   functions (§III–IV of the paper);
-//! * [`lp`](rental_lp) — a self-contained simplex + branch-and-bound MILP
+//! * [`lp`] — a self-contained simplex + branch-and-bound MILP
 //!   solver standing in for Gurobi;
-//! * [`solvers`](rental_solvers) — the exact algorithms (§IV–V) and the six
+//! * [`solvers`] — the exact algorithms (§IV–V) and the six
 //!   heuristics H0–H32Jump (§VI);
-//! * [`simgen`](rental_simgen) — the random workload generator of §VIII-A;
-//! * [`stream`](rental_stream) — a discrete-event streaming simulator that
+//! * [`simgen`] — the random workload generator of §VIII-A;
+//! * [`stream`] — a discrete-event streaming simulator that
 //!   validates allocations end to end;
-//! * [`pricing`](rental_pricing) — billing models (on-demand, per-second,
+//! * [`pricing`] — billing models (on-demand, per-second,
 //!   reserved, spot), rental-horizon projection and billing-plan optimisation
 //!   layered on top of MinCost solutions (extension beyond the paper);
-//! * [`capacity`](rental_capacity) — the shared capacity pool: per-type
+//! * [`capacity`] — the shared capacity pool: per-type
 //!   machine quotas arbitrated across tenants, capacity-constrained re-solves
 //!   with degraded-mode fallback, failure-coupling configuration (extension
 //!   beyond the paper);
-//! * [`fleet`](rental_fleet) — the multi-tenant streaming re-optimization
+//! * [`fleet`] — the multi-tenant streaming re-optimization
 //!   controller: probe / batch re-solve / adopt over a shared epoch clock,
 //!   with switching-cost hysteresis and failure-coupled capacity-constrained
 //!   serving (extension beyond the paper);
-//! * [`experiments`](rental_experiments) — the harness regenerating Table III
+//! * [`experiments`] — the harness regenerating Table III
 //!   and Figures 3–8.
 //!
 //! ## Quickstart
