@@ -51,9 +51,9 @@ fn build_coverage_model(instance: &Instance, caps: &[u64], integer: bool) -> Opt
     let rho_vars: Vec<_> = (0..num_recipes)
         .map(|j| {
             if integer {
-                model.add_int_var(format!("rho{j}"), 1.0, 0.0, bounds[j].floor())
+                model.add_int_var(String::new(), 1.0, 0.0, bounds[j].floor())
             } else {
-                model.add_var(format!("rho{j}"), 1.0, 0.0, bounds[j])
+                model.add_var(String::new(), 1.0, 0.0, bounds[j])
             }
         })
         .collect();
@@ -65,9 +65,9 @@ fn build_coverage_model(instance: &Instance, caps: &[u64], integer: bool) -> Opt
                 caps[q] as f64
             };
             if integer {
-                model.add_int_var(format!("x{q}"), 0.0, 0.0, upper)
+                model.add_int_var(String::new(), 0.0, 0.0, upper)
             } else {
-                model.add_var(format!("x{q}"), 0.0, 0.0, upper)
+                model.add_var(String::new(), 0.0, 0.0, upper)
             }
         })
         .collect();

@@ -1,4 +1,5 @@
-//! A steady-state failure-coupled epoch allocates nothing per tenant.
+//! A steady-state epoch allocates nothing per tenant, failure-coupled or
+//! not.
 //!
 //! Every epoch, the coupled bill asks the shared pool for each tenant's
 //! desired fleet, grants it and checks the tenant's surviving capacity
@@ -7,9 +8,11 @@
 //! fleets, the grants and the surviving capacity live in buffers the run
 //! allocates once, and each trace is read through a cursor that keeps its
 //! own sweep buffer, so an epoch allocates only per epoch — its trace tree,
-//! the barrier's result vectors — never per tenant.
+//! the barrier's result vectors — never per tenant. An uncoupled run's
+//! epoch (trace advancement, shift detection, what-if probes, the bill)
+//! does not allocate per tenant either.
 //!
-//! A counting global allocator holds the run to at most [`BUDGET`]
+//! A counting global allocator holds each run to at most [`BUDGET`]
 //! allocations per steady-state tenant-epoch: two runs that differ only in
 //! their traces' length are counted, and their difference is divided by the
 //! tenant-epochs the longer one adds, so the fleet's set-up, the initial
@@ -17,15 +20,19 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use rental_capacity::CapacityConfig;
 use rental_core::examples::illustrating_example;
-use rental_fleet::{FleetController, FleetPolicy, TenantSpec};
+use rental_fleet::scenario::scaling_instance_config;
+use rental_fleet::{FleetController, FleetPolicy, FleetReport, TenantSpec};
+use rental_simgen::InstanceGenerator;
 use rental_solvers::exact::IlpSolver;
-use rental_stream::{FailureModel, WorkloadTrace};
+use rental_stream::{FailureModel, TraceSegment, WorkloadTrace};
 
-/// The system allocator, counting every allocation of the process. This
-/// file holds a single test, so nothing else allocates while it counts.
+/// The system allocator, counting every allocation of the process. The
+/// tests take [`COUNTING`] for their runs, so nothing else of theirs
+/// allocates while one counts.
 struct Counting;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -54,8 +61,31 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// Held by a test while it counts: the counter is process-wide. It guards
+/// no data, so a test that panicked holding it leaves nothing to repair.
+static COUNTING: Mutex<()> = Mutex::new(());
+
 /// Allocations allowed per steady-state tenant-epoch.
 const BUDGET: f64 = 0.1;
+
+/// The allocations of one run and its report.
+fn counted(run: impl FnOnce() -> FleetReport) -> (u64, FleetReport) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let report = run();
+    (ALLOCATIONS.load(Ordering::Relaxed) - before, report)
+}
+
+/// Asserts the budget on a short and a long run's allocations and
+/// tenant-epochs.
+fn assert_within_budget((short, short_epochs): (u64, usize), (long, long_epochs): (u64, usize)) {
+    let added = (long_epochs - short_epochs) as f64;
+    let per_tenant_epoch = long.saturating_sub(short) as f64 / added;
+    assert!(
+        per_tenant_epoch <= BUDGET,
+        "{per_tenant_epoch:.3} allocations per steady-state tenant-epoch \
+         ({short} over {short_epochs} tenant-epochs, {long} over {long_epochs})"
+    );
+}
 
 const TENANTS: usize = 256;
 
@@ -85,11 +115,11 @@ fn counted_run(cycles: usize) -> (u64, usize) {
         threads: Some(1),
         ..FleetPolicy::default()
     });
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let report = controller
-        .run_with_capacity(&IlpSolver::new(), &tenants, &config)
-        .unwrap();
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let (allocations, report) = counted(|| {
+        controller
+            .run_with_capacity(&IlpSolver::new(), &tenants, &config)
+            .unwrap()
+    });
     assert!(report.slo_violation_epochs() > 0, "outages must violate");
     assert!(
         report.quota_utilization.iter().any(|&u| u >= 1.0 - 1e-9),
@@ -100,13 +130,54 @@ fn counted_run(cycles: usize) -> (u64, usize) {
 
 #[test]
 fn a_steady_state_coupled_epoch_allocates_nothing_per_tenant() {
-    let (short, short_epochs) = counted_run(CYCLES[0]);
-    let (long, long_epochs) = counted_run(CYCLES[1]);
-    let added = (long_epochs - short_epochs) as f64;
-    let per_tenant_epoch = long.saturating_sub(short) as f64 / added;
+    let _counting = COUNTING.lock().unwrap_or_else(PoisonError::into_inner);
+    assert_within_budget(counted_run(CYCLES[0]), counted_run(CYCLES[1]));
+}
+
+/// Epochs of the short and the long uncoupled run.
+const EPOCHS: [usize; 2] = [24, 384];
+
+/// Allocations of one plain run of a scaling-style fleet — tiny instances,
+/// demand cycling over three plateaus every epoch under a prohibitive
+/// switching cost, so every tenant probes every epoch and never re-solves —
+/// whose traces last `epochs` one-hour epochs, and the run's tenant-epochs.
+fn counted_plain_run(epochs: usize) -> (u64, usize) {
+    let instances: Vec<_> = (0..8u64)
+        .map(|k| InstanceGenerator::new(scaling_instance_config(), 0x5CA1E ^ k).generate_instance())
+        .collect();
+    let tenants: Vec<TenantSpec> = (0..TENANTS)
+        .map(|i| {
+            let base = 40.0 + (i % 40) as f64;
+            let plateaus = [base, base * 1.5, base * 2.0];
+            let segments = (0..epochs)
+                .map(|h| TraceSegment {
+                    duration: 1.0,
+                    rate: plateaus[h % plateaus.len()],
+                })
+                .collect();
+            TenantSpec::new(
+                format!("scale-{i}"),
+                instances[i % instances.len()].clone(),
+                WorkloadTrace::new(segments),
+            )
+        })
+        .collect();
+    let controller = FleetController::new(FleetPolicy {
+        epoch: 1.0,
+        switching_cost: 1e12,
+        threads: Some(1),
+        ..FleetPolicy::default()
+    });
+    let (allocations, report) = counted(|| controller.run(&IlpSolver::new(), &tenants).unwrap());
     assert!(
-        per_tenant_epoch <= BUDGET,
-        "{per_tenant_epoch:.3} allocations per steady-state tenant-epoch \
-         ({short} over {short_epochs} tenant-epochs, {long} over {long_epochs})"
+        report.tenants.iter().all(|t| t.adoptions == 0),
+        "the switching cost must keep every plan"
     );
+    (allocations, report.tenant_epochs())
+}
+
+#[test]
+fn a_steady_state_uncoupled_epoch_allocates_nothing_per_tenant() {
+    let _counting = COUNTING.lock().unwrap_or_else(PoisonError::into_inner);
+    assert_within_budget(counted_plain_run(EPOCHS[0]), counted_plain_run(EPOCHS[1]));
 }

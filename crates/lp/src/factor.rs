@@ -26,13 +26,22 @@
 //! touched entries (ratio tests, basic-value updates, eta construction).
 //!
 //! A `Factorization` outlives the solve that built it: branch and bound
-//! threads one through every node of a tree, resetting only its counters
-//! and eta file. [`SparseLu::factorize`] refills its `L`/`U` row and column
-//! vectors and its active-submatrix columns in place, so a refactorization
-//! allocates only while a tree's first bases grow those buffers; the solve
-//! scratch (`work`, kept all-zero between solves, and the generation-stamped
-//! reachability marks) is recycled the same way. The one allocation left
-//! per pivot is the eta's entry list.
+//! keeps one per worker thread, from node to node and tree to tree,
+//! resetting only its counters and eta file. [`SparseLu::factorize`] and
+//! [`DenseLu::factorize`] refill their factors and elimination buffers in
+//! place, so a refactorization allocates only while the first bases grow
+//! those buffers; the solve scratch (`work`, kept all-zero between solves,
+//! and the generation-stamped reachability marks) is recycled the same way,
+//! and every eta's entries go to one pooled list, so a pivot allocates
+//! nothing either.
+//!
+//! The wrapper also records the basis its LU factors. A node whose warm
+//! basis is exactly that basis — the second child of a parent, popped right
+//! after its sibling — keeps the LU and drops only the eta file, which is
+//! what refactorizing the same basis would rebuild bit for bit. The record
+//! is the LU's own, so every event that changes the factors (a periodic or
+//! recovery refactorization, a cold start, a singular basis, a switch of
+//! backend, a new model) also changes or clears it.
 
 // The factorization kernels are written index-first to mirror the textbook
 // linear algebra (triangular sweeps over `lu[r * m + k]`, permutation
@@ -136,6 +145,14 @@ impl SparseVector {
             self.nz.push(i);
         }
         self.values[i] += delta;
+    }
+
+    /// Makes this vector a copy of `other`, support order included, reusing
+    /// the buffers.
+    pub(crate) fn copy_from(&mut self, other: &SparseVector) {
+        self.values.clone_from(&other.values);
+        self.nz.clone_from(&other.nz);
+        self.marked.clone_from(&other.marked);
     }
 
     /// Rebuilds the support by scanning the dense values (used after a dense
@@ -753,13 +770,20 @@ enum Adjacency {
 pub struct DenseLu {
     m: usize,
     /// Combined `L` (unit diagonal, strictly below) and `U` (on/above),
-    /// row-major in pivot order. Empty when `diag` is active.
+    /// row-major in pivot order. Empty when `unit` is set.
     lu: Vec<f64>,
-    /// Diagonal fast path: a basis of unit columns is a signed permutation.
-    diag: Option<Vec<f64>>,
+    /// Diagonal fast path: a basis of unit columns is a signed permutation,
+    /// factored to the unit entries in `diag`.
+    unit: bool,
+    diag: Vec<f64>,
     /// `row_perm[k]` is the original row index selected as the `k`-th pivot.
     row_perm: Vec<usize>,
     scratch: Vec<f64>,
+    // --- factorization workspace (recycled between refactorizations) ---
+    /// The factors in original row order, before they are stored permuted.
+    unpermuted: Vec<f64>,
+    /// Rows already claimed by a unit column.
+    claimed: Vec<bool>,
 }
 
 impl DenseLu {
@@ -768,7 +792,7 @@ impl DenseLu {
     pub fn factorize(&mut self, m: usize, cols: &[Vec<(usize, f64)>], basis: &[usize]) -> bool {
         self.m = m;
         self.scratch.resize(m, 0.0);
-        self.diag = None;
+        self.unit = false;
         if m == 0 {
             self.lu.clear();
             self.row_perm.clear();
@@ -777,20 +801,48 @@ impl DenseLu {
         if self.try_unit_factorization(m, cols, basis) {
             return true;
         }
-        self.lu.clear();
-        self.lu.resize(m * m, 0.0);
-        let mut perm: Vec<usize> = (0..m).collect();
-        for (k, &col) in basis.iter().enumerate() {
-            for &(row, value) in &cols[col] {
-                self.lu[row * m + k] = value;
+        // Eliminate in `unpermuted`, then store the rows in pivot order in
+        // `lu`; the two buffers trade places every refactorization.
+        let mut lu = mem::take(&mut self.unpermuted);
+        lu.clear();
+        lu.resize(m * m, 0.0);
+        let mut perm = mem::take(&mut self.row_perm);
+        perm.clear();
+        perm.extend(0..m);
+        let ok = Self::eliminate(m, cols, basis, &mut lu, &mut perm);
+        if ok {
+            // Store the factors physically in pivot order so the hot solves
+            // are contiguous; only the RHS needs permuting from here on.
+            self.lu.clear();
+            for &row in &perm {
+                self.lu.extend_from_slice(&lu[row * m..(row + 1) * m]);
             }
         }
-        // Plain dense LU with partial pivoting.
+        self.unpermuted = lu;
+        self.row_perm = perm;
+        ok
+    }
+
+    /// Plain dense LU with partial pivoting of the basis into `lu` (rows in
+    /// original order, `perm` the pivot sequence). Returns `false` when the
+    /// basis is numerically singular.
+    fn eliminate(
+        m: usize,
+        cols: &[Vec<(usize, f64)>],
+        basis: &[usize],
+        lu: &mut [f64],
+        perm: &mut [usize],
+    ) -> bool {
+        for (k, &col) in basis.iter().enumerate() {
+            for &(row, value) in &cols[col] {
+                lu[row * m + k] = value;
+            }
+        }
         for k in 0..m {
             let mut best_row = k;
-            let mut best_mag = self.lu[perm[k] * m + k].abs();
+            let mut best_mag = lu[perm[k] * m + k].abs();
             for r in k + 1..m {
-                let mag = self.lu[perm[r] * m + k].abs();
+                let mag = lu[perm[r] * m + k].abs();
                 if mag > best_mag {
                     best_mag = mag;
                     best_row = r;
@@ -801,56 +853,53 @@ impl DenseLu {
             }
             perm.swap(k, best_row);
             let pivot_row = perm[k];
-            let pivot = self.lu[pivot_row * m + k];
+            let pivot = lu[pivot_row * m + k];
             for r in k + 1..m {
                 let row = perm[r];
-                let factor = self.lu[row * m + k] / pivot;
+                let factor = lu[row * m + k] / pivot;
                 if factor != 0.0 {
-                    self.lu[row * m + k] = factor;
+                    lu[row * m + k] = factor;
                     for c in k + 1..m {
-                        self.lu[row * m + c] -= factor * self.lu[pivot_row * m + c];
+                        lu[row * m + c] -= factor * lu[pivot_row * m + c];
                     }
                 } else {
-                    self.lu[row * m + k] = 0.0;
+                    lu[row * m + k] = 0.0;
                 }
             }
         }
-        // Store the factors physically in pivot order so the hot solves are
-        // contiguous; only the RHS needs permuting from here on.
-        let mut permuted = vec![0.0; m * m];
-        for (k, &row) in perm.iter().enumerate() {
-            permuted[k * m..(k + 1) * m].copy_from_slice(&self.lu[row * m..(row + 1) * m]);
-        }
-        self.lu = permuted;
-        self.row_perm = perm;
         true
     }
 
     /// Detects a basis made purely of unit columns and fills the trivial
-    /// diagonal factorization directly.
+    /// diagonal factorization directly. Returns `false` when the basis is
+    /// general; the partly written permutation is then rebuilt by the full
+    /// path.
     fn try_unit_factorization(
         &mut self,
         m: usize,
         cols: &[Vec<(usize, f64)>],
         basis: &[usize],
     ) -> bool {
-        let mut perm = vec![usize::MAX; m]; // pivot order -> original row
-        let mut diag = vec![0.0; m];
-        let mut claimed = vec![false; m];
+        // Pivot order -> original row.
+        self.row_perm.clear();
+        self.row_perm.resize(m, usize::MAX);
+        self.diag.clear();
+        self.diag.resize(m, 0.0);
+        self.claimed.clear();
+        self.claimed.resize(m, false);
         for (k, &col) in basis.iter().enumerate() {
             let [(row, value)] = cols[col][..] else {
                 return false;
             };
-            if claimed[row] || value.abs() < MIN_PIVOT {
+            if self.claimed[row] || value.abs() < MIN_PIVOT {
                 return false;
             }
-            claimed[row] = true;
-            perm[k] = row;
-            diag[k] = value;
+            self.claimed[row] = true;
+            self.row_perm[k] = row;
+            self.diag[k] = value;
         }
         self.lu.clear();
-        self.diag = Some(diag);
-        self.row_perm = perm;
+        self.unit = true;
         true
     }
 
@@ -861,9 +910,9 @@ impl DenseLu {
             return;
         }
         let w = &mut self.scratch;
-        if let Some(diag) = &self.diag {
+        if self.unit {
             for k in 0..m {
-                w[k] = v[self.row_perm[k]] / diag[k];
+                w[k] = v[self.row_perm[k]] / self.diag[k];
             }
         } else {
             for k in 0..m {
@@ -901,9 +950,9 @@ impl DenseLu {
             return;
         }
         let z = &mut self.scratch;
-        if let Some(diag) = &self.diag {
+        if self.unit {
             for k in 0..m {
-                z[k] = v[k] / diag[k];
+                z[k] = v[k] / self.diag[k];
             }
         } else {
             // Forward solve Uᵀ z = v (Uᵀ is lower triangular).
@@ -966,8 +1015,9 @@ impl DenseLu {
 pub(crate) struct Eta {
     pivot: usize,
     pivot_value: f64,
-    /// Sparse off-pivot entries of `w`.
-    entries: Vec<(usize, f64)>,
+    /// The sparse off-pivot entries of `w`: this range of the
+    /// factorization's pooled entry list.
+    entries: std::ops::Range<usize>,
 }
 
 /// Counters describing the factorization work of one solve.
@@ -975,15 +1025,23 @@ pub(crate) struct Eta {
 pub struct FactorStats {
     /// Basis refactorizations performed (eta-file folds).
     pub refactorizations: usize,
-    /// Nonzeros of `L + U` at the most recent refactorization (0 on the
-    /// dense backend, which does not track fill).
+    /// Nonzeros of `L + U` of the most recent factorization, refactorized
+    /// or kept (0 on the dense backend, which does not track fill).
     pub fill_nnz: usize,
-    /// Nonzeros of the basis matrix at the most recent refactorization.
+    /// Nonzeros of the basis matrix of the most recent factorization.
     pub basis_nnz: usize,
     /// FTRAN/BTRAN solves performed.
     pub solves: usize,
     /// Solves that took the hyper-sparse reachability path.
     pub hyper_sparse_solves: usize,
+    /// Warm starts that kept the LU already factored for their basis
+    /// instead of refactorizing it (each one a refactorization not done).
+    pub lu_reuses: usize,
+    /// FTRAN/BTRAN results kept from an earlier solve on the same LU
+    /// instead of recomputed: a restore's basic values when the statuses and
+    /// nonbasic bounds are unchanged (one FTRAN), and the first dual pivot's
+    /// `ρ` and `y` when the leaving row is too (two BTRANs).
+    pub solve_reuses: usize,
 }
 
 impl FactorStats {
@@ -997,38 +1055,30 @@ impl FactorStats {
     }
 }
 
-/// Backend of one [`Factorization`].
-#[derive(Debug, Clone)]
-enum Backend {
-    Sparse(Box<SparseLu>),
-    Dense(Box<DenseLu>),
-}
-
 /// LU factors of the basis at the last refactorization, the eta file
 /// accumulated since, and the solve/fill counters — the only interface the
-/// simplex loops talk to.
-#[derive(Debug, Clone)]
+/// simplex loops talk to. Both backends are held, so a solve that asks for
+/// the other one switches without allocating; each refactorization rebuilds
+/// its factors from the basis alone.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Factorization {
-    backend: Backend,
-    pub(crate) etas: Vec<Eta>,
+    sparse: SparseLu,
+    dense: DenseLu,
+    /// Whether the dense backend is the one in use.
+    dense_lu: bool,
+    etas: Vec<Eta>,
+    /// Every eta's off-pivot entries, in eta order.
+    eta_entries: Vec<(usize, f64)>,
     pub(crate) stats: FactorStats,
+    /// The basis the LU factors; meaningful only while `holds_basis`.
+    basis: Vec<usize>,
+    holds_basis: bool,
+    /// Bumped whenever the LU changes or is forgotten, so values computed
+    /// on one LU can be told apart from values computed on another.
+    generation: u64,
 }
 
 impl Factorization {
-    /// A factorization using the sparse Markowitz backend, or the dense LU
-    /// when `dense_lu` is set.
-    pub(crate) fn new(dense_lu: bool) -> Self {
-        Factorization {
-            backend: if dense_lu {
-                Backend::Dense(Box::default())
-            } else {
-                Backend::Sparse(Box::default())
-            },
-            etas: Vec::new(),
-            stats: FactorStats::default(),
-        }
-    }
-
     /// Factorizes the basis, clearing the eta file. Returns `false` when the
     /// basis is numerically singular.
     pub(crate) fn refactorize(
@@ -1037,37 +1087,78 @@ impl Factorization {
         cols: &[Vec<(usize, f64)>],
         basis: &[usize],
     ) -> bool {
-        self.etas.clear();
+        self.clear_etas();
         self.stats.refactorizations += 1;
-        match &mut self.backend {
-            Backend::Sparse(lu) => {
-                if !lu.factorize(m, cols, basis) {
-                    return false;
-                }
-                self.stats.fill_nnz = lu.fill_nnz();
-                self.stats.basis_nnz = lu.basis_nnz();
-                true
-            }
-            Backend::Dense(lu) => {
-                // The dense backend does not track fill; zero the counters so
-                // stale sparse numbers cannot leak into its outcomes.
-                self.stats.fill_nnz = 0;
-                self.stats.basis_nnz = 0;
-                lu.factorize(m, cols, basis)
-            }
+        self.generation += 1;
+        let ok = if self.dense_lu {
+            self.dense.factorize(m, cols, basis)
+        } else {
+            self.sparse.factorize(m, cols, basis)
+        };
+        self.holds_basis = ok;
+        if ok {
+            self.basis.clear();
+            self.basis.extend_from_slice(basis);
+            self.count_fill();
+        } else if self.dense_lu {
+            // The dense backend does not track fill; zero the counters so
+            // stale sparse numbers cannot leak into its outcomes.
+            self.count_fill();
         }
+        ok
     }
 
-    /// Whether this factorization runs on the dense LU backend.
-    pub(crate) fn is_dense(&self) -> bool {
-        matches!(self.backend, Backend::Dense(_))
+    /// Keeps the LU when it factors exactly `basis` — no refactorization
+    /// or loss of the factors since it did — dropping only the eta file.
+    /// The factors are then what refactorizing `basis` would rebuild, bit
+    /// for bit. Returns `false` when `basis` must be refactorized.
+    pub(crate) fn keep_for(&mut self, basis: &[usize]) -> bool {
+        if !self.holds_basis || self.basis != basis {
+            return false;
+        }
+        self.clear_etas();
+        self.stats.lu_reuses += 1;
+        self.count_fill();
+        true
     }
 
-    /// Clears the eta file and zeroes the counters, keeping every buffer, so
-    /// a factorization reused for the next solve reports that solve alone.
-    pub(crate) fn reset(&mut self) {
-        self.etas.clear();
+    /// The fill counters of the factorization in use.
+    fn count_fill(&mut self) {
+        (self.stats.fill_nnz, self.stats.basis_nnz) = if self.dense_lu {
+            (0, 0)
+        } else {
+            (self.sparse.fill_nnz(), self.sparse.basis_nnz())
+        };
+    }
+
+    /// The LU's generation: equal generations mean the same factors.
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// Forgets which basis the LU factors, for a workspace that moves on to
+    /// another model: the same basis indices name other columns there.
+    pub(crate) fn forget(&mut self) {
+        self.holds_basis = false;
+        self.generation += 1;
+    }
+
+    /// Prepares the factorization for the next solve: clears the eta file
+    /// and zeroes the counters, keeping every buffer and the LU, so the
+    /// solve reports its own work alone. A solve that asks for the other
+    /// backend switches to it, and the LU is forgotten.
+    pub(crate) fn reset(&mut self, dense_lu: bool) {
+        if self.dense_lu != dense_lu {
+            self.dense_lu = dense_lu;
+            self.forget();
+        }
+        self.clear_etas();
         self.stats = FactorStats::default();
+    }
+
+    fn clear_etas(&mut self) {
+        self.etas.clear();
+        self.eta_entries.clear();
     }
 
     /// Number of eta updates accumulated since the last refactorization.
@@ -1079,13 +1170,10 @@ impl Factorization {
     /// first). Etas whose pivot is off-support are skipped entirely.
     pub(crate) fn ftran(&mut self, v: &mut SparseVector) {
         self.stats.solves += 1;
-        match &mut self.backend {
-            Backend::Sparse(lu) => {
-                if lu.ftran(v) {
-                    self.stats.hyper_sparse_solves += 1;
-                }
-            }
-            Backend::Dense(lu) => lu.ftran(v),
+        if self.dense_lu {
+            self.dense.ftran(v);
+        } else if self.sparse.ftran(v) {
+            self.stats.hyper_sparse_solves += 1;
         }
         for eta in &self.etas {
             if !v.contains(eta.pivot) {
@@ -1094,7 +1182,7 @@ impl Factorization {
             let t = v.get(eta.pivot) / eta.pivot_value;
             v.set(eta.pivot, t);
             if t != 0.0 {
-                for &(row, value) in &eta.entries {
+                for &(row, value) in &self.eta_entries[eta.entries.clone()] {
                     v.add(row, -value * t);
                 }
             }
@@ -1108,7 +1196,7 @@ impl Factorization {
         for eta in self.etas.iter().rev() {
             let mut s = v.get(eta.pivot);
             let mut touched = v.contains(eta.pivot);
-            for &(row, value) in &eta.entries {
+            for &(row, value) in &self.eta_entries[eta.entries.clone()] {
                 let x = v.get(row);
                 if x != 0.0 {
                     s -= value * x;
@@ -1119,30 +1207,27 @@ impl Factorization {
                 v.set(eta.pivot, s / eta.pivot_value);
             }
         }
-        match &mut self.backend {
-            Backend::Sparse(lu) => {
-                if lu.btran(v) {
-                    self.stats.hyper_sparse_solves += 1;
-                }
-            }
-            Backend::Dense(lu) => lu.btran(v),
+        if self.dense_lu {
+            self.dense.btran(v);
+        } else if self.sparse.btran(v) {
+            self.stats.hyper_sparse_solves += 1;
         }
     }
 
     /// Appends the product-form update for a pivot on `row` with FTRAN image
-    /// `w` of the entering column. O(nnz(w)).
+    /// `w` of the entering column, its entries to the pooled list. O(nnz(w)).
     pub(crate) fn push_eta(&mut self, row: usize, w: &SparseVector) {
-        let mut entries: Vec<(usize, f64)> = Vec::with_capacity(w.nonzeros().len());
+        let start = self.eta_entries.len();
         for &i in w.nonzeros() {
             let value = w.get(i);
             if i != row && value.abs() > ZERO_TOL {
-                entries.push((i, value));
+                self.eta_entries.push((i, value));
             }
         }
         self.etas.push(Eta {
             pivot: row,
             pivot_value: w.get(row),
-            entries,
+            entries: start..self.eta_entries.len(),
         });
     }
 }

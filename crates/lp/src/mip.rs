@@ -17,23 +17,34 @@
 //! restoring a parent basis is one sparse refactorization
 //! ([`crate::factor::SparseLu`], O(nnz + fill) instead of O(m³)) and the
 //! dual pivots run on hyper-sparse FTRAN/BTRAN, so deep dives on wide
-//! models no longer pay dense linear algebra per node. Set
-//! [`SimplexOptions::dense_lu`] in [`MipSolver::simplex_options`] to pin a
-//! whole branch-and-bound run to the dense oracle backend.
+//! models no longer pay dense linear algebra per node. The second child of
+//! a parent, popped right after its sibling, does not even pay that: the
+//! workspace still holds the parent basis's LU, `x_B` and first pricing
+//! vectors, and keeps them. Set [`SimplexOptions::dense_lu`] in
+//! [`MipSolver::simplex_options`] to pin a whole branch-and-bound run to the
+//! dense oracle backend.
 //!
 //! The paper's MILP gives node LPs of a handful of rows, so a node's cost is
-//! set-up, not arithmetic. One solve therefore threads a single node
-//! workspace (bounds, statuses, basis, scratch vectors and factorization —
-//! see [`crate::revised`]) through every node of its tree, the rounding
-//! heuristic works in one scratch point, and a minimization model is
-//! borrowed rather than cloned. A node allocates only what it hands on: its
-//! relaxation's values, the basis snapshot its children share, the
-//! children's bound lists and one eta entry list per pivot.
+//! set-up, not arithmetic, and the fleet solves thousands of such trees per
+//! run. Each thread therefore keeps one scratch from tree to tree: the
+//! standard form (rebuilt into the same buffers), the node workspace
+//! (bounds, statuses, basis, values, scratch vectors and factorization —
+//! see [`crate::revised`]), the rounding point and the incumbent, the open
+//! heap and an arena of slots. A branching node writes its bounds on the
+//! model variables and its optimal basis once, into a slot that both
+//! children name by index and that is freed when both have been popped; a
+//! child's bounds are that slot's bounds with its own branching bound
+//! applied, the root-to-leaf fold of every branching bound above it,
+//! operation for operation. Every buffer only grows, so once a thread has
+//! solved a tree of a given size a node allocates nothing, and a solve
+//! allocates only the values it returns. A minimization model is read in
+//! place; a maximization model is read with its objective negated on the
+//! fly, never copied.
 
-use std::borrow::Cow;
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
+use std::mem;
 use std::time::{Duration, Instant};
 
 use crate::error::LpResult;
@@ -94,18 +105,25 @@ pub struct MipSolver {
     pub simplex_options: SimplexOptions,
 }
 
+/// No parent slot: the root solves cold under the model's own bounds.
+const ROOT: usize = usize::MAX;
+
 /// An open node of the search tree.
 struct Node {
     /// LP bound of the parent (used for best-first ordering before the node's
     /// own relaxation is solved).
     bound: f64,
-    /// Additional bounds accumulated along the branch: `(var, lower, upper)`.
-    bounds: Vec<(VarId, f64, f64)>,
     /// Depth in the tree, used to favour diving on ties.
     depth: usize,
-    /// The parent's optimal basis: the dual-simplex warm start for this
-    /// node's relaxation (both children share it through the [`Arc`]).
-    warm_basis: Option<Arc<BasisSnapshot>>,
+    /// The slot in [`TreeScratch::slots`] holding the parent's bounds and
+    /// optimal basis, the dual-simplex warm start for this node's
+    /// relaxation ([`ROOT`] at the root).
+    parent: usize,
+    /// The branching bound `lower ≤ var ≤ upper` this node adds to its
+    /// parent's bounds.
+    var: VarId,
+    lower: f64,
+    upper: f64,
 }
 
 impl PartialEq for Node {
@@ -128,6 +146,137 @@ impl Ord for Node {
             .partial_cmp(&self.bound)
             .unwrap_or(Ordering::Equal)
             .then_with(|| self.depth.cmp(&other.depth))
+    }
+}
+
+/// What a branching node hands its two children: its bounds on the model
+/// variables, its optimal basis, and how many of the children are still
+/// open.
+#[derive(Default)]
+struct Slot {
+    lower: Vec<f64>,
+    upper: Vec<f64>,
+    snapshot: BasisSnapshot,
+    open_children: usize,
+}
+
+/// What branch and bound keeps from tree to tree on one thread (see the
+/// module docs). Every field is cleared or overwritten before use.
+#[derive(Default)]
+struct TreeScratch {
+    relaxation: RevisedLp,
+    workspace: NodeWorkspace,
+    integer_vars: Vec<VarId>,
+    rounded: Vec<f64>,
+    /// The incumbent's point.
+    incumbent: Vec<f64>,
+    open: BinaryHeap<Node>,
+    /// The popped node's bounds on the model variables, before the node
+    /// solve reconciles a pair crossed by a hair: what its children tighten.
+    lower: Vec<f64>,
+    upper: Vec<f64>,
+    slots: Vec<Slot>,
+    free_slots: Vec<usize>,
+}
+
+thread_local! {
+    static SCRATCH: Cell<TreeScratch> = Cell::new(TreeScratch::default());
+}
+
+impl TreeScratch {
+    /// Runs `f` on this thread's scratch. A solve nested inside `f` would
+    /// find the cell empty and grow a scratch of its own.
+    fn with<T>(f: impl FnOnce(&mut TreeScratch) -> T) -> T {
+        let mut scratch = SCRATCH.try_with(Cell::take).unwrap_or_default();
+        let result = f(&mut scratch);
+        let _ = SCRATCH.try_with(|cell| cell.set(scratch));
+        result
+    }
+
+    /// Starts a tree on `model`: its standard form replaces the last tree's,
+    /// whose LU and basic values the workspace forgets, and the heap and
+    /// slots empty.
+    fn start(&mut self, model: &Model) -> LpResult<()> {
+        self.relaxation.rebuild(model)?;
+        self.workspace.forget();
+        self.lower.clear();
+        self.lower.resize(model.num_vars(), 0.0);
+        self.upper.clear();
+        self.upper.resize(model.num_vars(), 0.0);
+        self.integer_vars.clear();
+        self.integer_vars.extend(
+            model
+                .variables()
+                .iter()
+                .enumerate()
+                .filter(|(_, var)| var.integer)
+                .map(|(j, _)| VarId(j)),
+        );
+        self.open.clear();
+        self.free_slots.clear();
+        self.free_slots.extend(0..self.slots.len());
+        Ok(())
+    }
+
+    /// Sets the workspace's node bounds for `node`: its parent's bounds on
+    /// the model variables with the node's branching bound applied, which
+    /// is the root-to-leaf fold of every branching bound above it, operation
+    /// for operation. The result is kept for the node's children.
+    fn node_bounds(&mut self, node: &Node) {
+        let (lower, upper) = self.relaxation.reset_node_bounds(&mut self.workspace);
+        let vars = self.lower.len();
+        if node.parent != ROOT {
+            let parent = &self.slots[node.parent];
+            lower[..vars].copy_from_slice(&parent.lower);
+            upper[..vars].copy_from_slice(&parent.upper);
+            let j = node.var.index();
+            lower[j] = lower[j].max(node.lower);
+            upper[j] = upper[j].min(node.upper);
+        }
+        self.lower.copy_from_slice(&lower[..vars]);
+        self.upper.copy_from_slice(&upper[..vars]);
+    }
+
+    /// Drops a popped node's claim on its parent's slot (solved or pruned
+    /// alike); the last child frees the slot.
+    fn release(&mut self, slot: usize) {
+        if slot == ROOT {
+            return;
+        }
+        let open_children = &mut self.slots[slot].open_children;
+        *open_children -= 1;
+        if *open_children == 0 {
+            self.free_slots.push(slot);
+        }
+    }
+
+    /// Opens the two children of `node`, whose relaxation (bound `bound`)
+    /// put `var` at the fractional `value`: down first, then up. The node's
+    /// bounds and its optimal basis, still in the workspace, go to one slot
+    /// both read.
+    fn branch(&mut self, node: &Node, bound: f64, var: VarId, value: f64) {
+        let index = self.free_slots.pop().unwrap_or_else(|| {
+            self.slots.push(Slot::default());
+            self.slots.len() - 1
+        });
+        let slot = &mut self.slots[index];
+        slot.lower.clone_from(&self.lower);
+        slot.upper.clone_from(&self.upper);
+        self.workspace.snapshot_into(&mut slot.snapshot);
+        slot.open_children = 2;
+        for (lower, upper) in [
+            (f64::NEG_INFINITY, value.floor()),
+            (value.ceil(), f64::INFINITY),
+        ] {
+            self.open.push(Node {
+                bound,
+                depth: node.depth + 1,
+                parent: index,
+                var,
+                lower,
+                upper,
+            });
+        }
     }
 }
 
@@ -227,10 +376,9 @@ impl MipSolver {
         let start = Instant::now();
         model.validate()?;
         let minimize = model.sense() == Sense::Minimize;
-        let integer_vars = model.integer_vars();
 
         // Plain LP: just solve the relaxation.
-        if integer_vars.is_empty() {
+        if !model.has_integer_vars() {
             let lp = simplex::solve_with(model, &self.simplex_options)?;
             return Ok(match lp.status {
                 LpStatus::Optimal => MipSolution {
@@ -260,35 +408,49 @@ impl MipSolver {
             });
         }
 
-        // Internally work on a minimization problem.
-        let work_model = if minimize {
-            Cow::Borrowed(model)
-        } else {
-            Cow::Owned(negate_objective(model))
-        };
+        TreeScratch::with(|scratch| {
+            self.branch_and_bound(model, warm_start, objective_floor, counters, start, scratch)
+        })
+    }
+
+    /// The search proper, in minimize space, on this thread's scratch.
+    fn branch_and_bound(
+        &self,
+        model: &Model,
+        warm_start: Option<&[f64]>,
+        objective_floor: Option<f64>,
+        counters: &mut LpCounters,
+        start: Instant,
+        scratch: &mut TreeScratch,
+    ) -> LpResult<MipSolution> {
+        let minimize = model.sense() == Sense::Minimize;
+        // The sparse standard form is shared by every node; only bounds vary.
+        scratch.start(model)?;
 
         let mut nodes_explored = 0usize;
         let mut lp_iterations = 0usize;
-        let mut incumbent: Option<(f64, Vec<f64>)> = None;
+        // The incumbent's objective; its point is `scratch.incumbent`.
+        let mut incumbent: Option<f64> = None;
         // Warm start: adopt the caller-provided point if it is integral and feasible.
         if let Some(point) = warm_start {
-            let integral = integer_vars.iter().all(|&v| {
+            let integral = scratch.integer_vars.iter().all(|&v| {
                 point
                     .get(v.index())
                     .is_some_and(|x| (x - x.round()).abs() < 1e-6)
             });
-            if integral && work_model.is_feasible(point, 1e-6) {
-                let obj = work_model.objective_value(point);
-                incumbent = Some((obj, point.to_vec()));
+            if integral && model.is_feasible(point, 1e-6) {
+                incumbent = Some(objective(model, minimize, point));
+                scratch.incumbent.clear();
+                scratch.incumbent.extend_from_slice(point);
             }
         }
         // When every integer-feasible point has an integral objective (integer
         // costs on integer variables, zero cost on continuous ones), a node can
         // only improve on the incumbent by at least 1; prune accordingly.
-        let improvement_step = if work_model
+        let improvement_step = if model
             .variables()
             .iter()
-            .zip(work_model.objective())
+            .zip(model.objective())
             .all(|(var, &c)| c.fract() == 0.0 && (var.integer || c == 0.0))
         {
             1.0 - 1e-6
@@ -299,17 +461,14 @@ impl MipSolver {
         let floor = objective_floor
             .map(|f| if minimize { f } else { -f })
             .unwrap_or(f64::NEG_INFINITY);
-        // The sparse standard form is shared by every node; only bounds vary.
-        let relaxation = RevisedLp::new(&work_model)?;
-        let mut workspace = NodeWorkspace::default();
-        let mut rounded = Vec::new();
         let mut best_bound = floor.max(f64::NEG_INFINITY);
-        let mut open = BinaryHeap::new();
-        open.push(Node {
+        scratch.open.push(Node {
             bound: f64::NEG_INFINITY,
-            bounds: Vec::new(),
             depth: 0,
-            warm_basis: None,
+            parent: ROOT,
+            var: VarId(0),
+            lower: f64::NEG_INFINITY,
+            upper: f64::INFINITY,
         });
         let mut hit_limit = false;
         let mut root_infeasible = false;
@@ -320,7 +479,7 @@ impl MipSolver {
         // `best_bound` — and any sweep floor derived from it — sound.
         let mut dropped_bound = f64::INFINITY;
 
-        while let Some(node) = open.pop() {
+        while let Some(node) = scratch.open.pop() {
             if let Some(limit) = self.limits.time_limit {
                 if start.elapsed() >= limit {
                     hit_limit = true;
@@ -340,19 +499,22 @@ impl MipSolver {
                 }
             }
             // Bound-based pruning against the incumbent.
-            if let Some((best_obj, _)) = &incumbent {
-                if node.bound > *best_obj - improvement_step {
+            if let Some(best_obj) = incumbent {
+                if node.bound > best_obj - improvement_step {
+                    scratch.release(node.parent);
                     continue;
                 }
             }
 
             nodes_explored += 1;
-            let lp = relaxation.solve_node_in(
-                &mut workspace,
-                &node.bounds,
-                node.warm_basis.as_deref(),
+            scratch.node_bounds(&node);
+            let warm = (node.parent != ROOT).then(|| &scratch.slots[node.parent].snapshot);
+            let lp = scratch.relaxation.solve_bounded(
+                &mut scratch.workspace,
+                warm,
                 &self.simplex_options,
             );
+            scratch.release(node.parent);
             counters.add(&lp);
             lp_iterations += lp.iterations;
             match lp.status {
@@ -378,12 +540,13 @@ impl MipSolver {
             }
             // Every subtree's integer points are feasible for the whole
             // problem, so the external floor is a valid subtree bound too.
-            let node_bound = work_model.objective_value(&lp.values).max(floor);
+            let values = scratch.workspace.values();
+            let node_bound = objective(model, minimize, values).max(floor);
             if node.depth == 0 {
                 best_bound = node_bound;
             }
-            if let Some((best_obj, _)) = &incumbent {
-                if node_bound > *best_obj - improvement_step {
+            if let Some(best_obj) = incumbent {
+                if node_bound > best_obj - improvement_step {
                     continue;
                 }
             }
@@ -392,52 +555,40 @@ impl MipSolver {
             // feasible. For covering-style problems (like MinCost) rounding up
             // usually yields a feasible incumbent immediately; running it at
             // every node keeps the incumbent tight and the tree small.
-            if round_feasibly(&work_model, &integer_vars, &lp.values, &mut rounded) {
-                let obj = work_model.objective_value(&rounded);
-                if improves(&incumbent, obj) {
-                    incumbent = Some((obj, rounded.clone()));
+            if round_feasibly(model, &scratch.integer_vars, values, &mut scratch.rounded) {
+                let obj = objective(model, minimize, &scratch.rounded);
+                if improves(incumbent, obj) {
+                    incumbent = Some(obj);
+                    mem::swap(&mut scratch.incumbent, &mut scratch.rounded);
                 }
             }
             // The rounding may have tightened the incumbent enough to close
             // this node without branching.
-            if let Some((best_obj, _)) = &incumbent {
-                if node_bound > *best_obj - improvement_step {
+            if let Some(best_obj) = incumbent {
+                if node_bound > best_obj - improvement_step {
                     continue;
                 }
             }
 
             // Branching: pick the integer variable whose value is most fractional.
-            match most_fractional(&integer_vars, &lp.values, self.limits.integrality_tol) {
+            match most_fractional(&scratch.integer_vars, values, self.limits.integrality_tol) {
                 None => {
                     // Integer feasible: candidate incumbent.
-                    if improves(&incumbent, node_bound) {
-                        incumbent = Some((node_bound, lp.values));
+                    if improves(incumbent, node_bound) {
+                        incumbent = Some(node_bound);
+                        scratch.incumbent.clear();
+                        scratch.incumbent.extend_from_slice(values);
                     }
                 }
-                Some((var, value)) => {
-                    let down_bounds = branch(&node.bounds, (var, f64::NEG_INFINITY, value.floor()));
-                    let up_bounds = branch(&node.bounds, (var, value.ceil(), f64::INFINITY));
-                    open.push(Node {
-                        bound: node_bound,
-                        bounds: down_bounds,
-                        depth: node.depth + 1,
-                        warm_basis: lp.basis.clone(),
-                    });
-                    open.push(Node {
-                        bound: node_bound,
-                        bounds: up_bounds,
-                        depth: node.depth + 1,
-                        warm_basis: lp.basis,
-                    });
-                }
+                Some((var, value)) => scratch.branch(&node, node_bound, var, value),
             }
 
             // Gap-based early stop.
-            if let Some((best_obj, _)) = &incumbent {
-                let bound_now = open_bound(&open, dropped_bound).max(best_bound);
+            if let Some(best_obj) = incumbent {
+                let bound_now = open_bound(&scratch.open, dropped_bound).max(best_bound);
                 let denom = best_obj.abs().max(1e-9);
                 if (best_obj - bound_now).abs() / denom <= self.limits.gap_tolerance {
-                    best_bound = bound_now.min(*best_obj);
+                    best_bound = bound_now.min(best_obj);
                     break;
                 }
             }
@@ -446,7 +597,7 @@ impl MipSolver {
         // The proven bound is the minimum over the remaining open nodes and
         // any dropped inconclusive subtrees (they might still contain better
         // solutions), or the incumbent if the tree was exhausted.
-        let open_bound = open_bound(&open, dropped_bound);
+        let open_bound = open_bound(&scratch.open, dropped_bound);
         let elapsed = start.elapsed().as_secs_f64();
 
         if root_unbounded {
@@ -466,8 +617,8 @@ impl MipSolver {
         }
 
         let solution = match incumbent {
-            Some((obj, values)) => {
-                let exhausted = open.is_empty() && !hit_limit;
+            Some(obj) => {
+                let exhausted = scratch.open.is_empty() && !hit_limit;
                 let proven_bound = if exhausted {
                     obj
                 } else {
@@ -489,14 +640,14 @@ impl MipSolver {
                     status,
                     objective,
                     best_bound: bound,
-                    values,
+                    values: scratch.incumbent.clone(),
                     nodes: nodes_explored,
                     lp_iterations,
                     elapsed_seconds: elapsed,
                 }
             }
             None => {
-                if root_infeasible || (open.is_empty() && !hit_limit) {
+                if root_infeasible || (scratch.open.is_empty() && !hit_limit) {
                     infeasible_solution(start, nodes_explored, lp_iterations)
                 } else {
                     limit_solution(start, nodes_explored, lp_iterations)
@@ -531,22 +682,15 @@ fn limit_solution(start: Instant, nodes: usize, lp_iterations: usize) -> MipSolu
     }
 }
 
-fn negate_objective(model: &Model) -> Model {
-    let mut negated = Model::minimize();
-    for (var, &cost) in model.variables().iter().zip(model.objective()) {
-        let id = negated.add_var(var.name.clone(), -cost, var.lower, var.upper);
-        if var.integer {
-            negated.mark_integer(id);
-        }
+/// The objective at `x` in minimize space. A maximization model's terms
+/// are negated one by one, which is exactly how the model with negated costs
+/// would evaluate them, so the search runs on the model as given.
+fn objective(model: &Model, minimize: bool, x: &[f64]) -> f64 {
+    if minimize {
+        model.objective_value(x)
+    } else {
+        model.objective().iter().zip(x).map(|(c, v)| -c * v).sum()
     }
-    for constraint in model.constraints() {
-        negated.add_constraint(
-            constraint.terms.clone(),
-            constraint.relation,
-            constraint.rhs,
-        );
-    }
-    negated
 }
 
 fn most_fractional(integer_vars: &[VarId], values: &[f64], tol: f64) -> Option<(VarId, f64)> {
@@ -576,15 +720,6 @@ fn open_bound(open: &BinaryHeap<Node>, dropped_bound: f64) -> f64 {
         .map_or(dropped_bound, |top| dropped_bound.min(top.bound))
 }
 
-/// A child's bound list: the parent's plus one branching bound, allocated
-/// once at its final length.
-fn branch(bounds: &[(VarId, f64, f64)], extra: (VarId, f64, f64)) -> Vec<(VarId, f64, f64)> {
-    let mut child = Vec::with_capacity(bounds.len() + 1);
-    child.extend_from_slice(bounds);
-    child.push(extra);
-    child
-}
-
 /// Rounds the integer variables of an LP point into `point`, up first
 /// (which suits covering constraints) and to nearest second, and reports
 /// whether either rounding is feasible; `point` then holds that one.
@@ -608,8 +743,8 @@ fn round_feasibly(
 }
 
 /// Whether a point of objective `objective` would replace the incumbent.
-fn improves(incumbent: &Option<(f64, Vec<f64>)>, objective: f64) -> bool {
-    !matches!(incumbent, Some((best, _)) if objective >= *best - 1e-12)
+fn improves(incumbent: Option<f64>, objective: f64) -> bool {
+    !matches!(incumbent, Some(best) if objective >= best - 1e-12)
 }
 
 #[cfg(test)]

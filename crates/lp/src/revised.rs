@@ -53,17 +53,39 @@
 //! purely a performance optimization, never a correctness risk.
 //!
 //! The paper's MILP has `1 + Q` rows, so a node's LP is tiny and its cost is
-//! set-up, not linear algebra. Branch and bound therefore threads one
-//! `NodeWorkspace` through every node of a tree. It holds the node and
-//! working bounds, the column statuses, the basis and `x_B`, the five sparse
-//! scratch vectors and the dual ratio test's lists, and the
-//! [`Factorization`](crate::factor) with its LU buffers and eta file. Each
-//! solve takes the buffers, clears or overwrites them before use, resets
-//! the factorization's counters and returns everything when it ends, so
-//! reuse never changes a bit. A node then allocates only what it hands
-//! back: its `values`, its [`BasisSnapshot`] and one eta entry list per
-//! pivot. [`RevisedLp::solve_node`] runs the same code on an empty
-//! workspace.
+//! set-up, not linear algebra. Branch and bound therefore keeps one
+//! `NodeWorkspace` per worker thread, from node to node and tree to tree
+//! (see [`crate::mip`]), and rebuilds each tree's standard form into the
+//! same buffers (`RevisedLp::rebuild`). The workspace holds the node and
+//! working bounds, the column statuses, the basis and `x_B`, the five
+//! sparse scratch vectors and the dual ratio test's lists, the
+//! [`Factorization`](crate::factor) with both LU backends and its pooled
+//! eta file, and the node's extracted values. A solve works in those
+//! buffers in place, clearing or overwriting each before use and resetting
+//! the factorization's counters, so reuse never changes a bit, and a node
+//! allocates nothing: its values and final basis stay in the workspace for
+//! the caller to read.
+//!
+//! A warm start restores its basis in one of three ways, each giving the
+//! same factors and `x_B` bit for bit:
+//!
+//! * when the workspace's LU already factors exactly that basis (the second
+//!   child of a parent, popped right after its sibling), it keeps the LU and
+//!   drops the eta file;
+//! * when, in addition, the statuses and every nonbasic column's bounds
+//!   equal those of the last restore on that LU (the siblings differ only in
+//!   the branched variable, which is basic), it copies that restore's `x_B`
+//!   instead of recomputing it;
+//! * otherwise it refactorizes and recomputes `x_B`.
+//!
+//! The same holds one step further: while the eta file is empty, the first
+//! dual pivot's `ρ` (a row of `B⁻¹`), `y = B⁻ᵀ c_B` and pivot row `α` depend
+//! only on the LU and the leaving row, and the siblings' leaving row is the
+//! branched variable's, so the second sibling takes its twin's. The kept LU
+//! counts as `lu_reuses`, not a refactorization, and each kept FTRAN or
+//! BTRAN result as a `solve_reuses`, not a solve ([`FactorStats`]).
+//! [`RevisedLp::solve_node`] runs the same code on an empty workspace and
+//! copies the values and basis out.
 
 // The pivot kernels are written index-first to mirror the textbook linear
 // algebra (parallel walks of `w`/`xb`/`basis`); iterator rewrites obscure the
@@ -134,6 +156,15 @@ fn perturbed_costs(cost: &[f64]) -> Vec<f64> {
         .collect()
 }
 
+/// Empties `len` sparse lists for refilling, keeping each list's buffer.
+fn clear_lists(lists: &mut Vec<Vec<(usize, f64)>>, len: usize) {
+    lists.truncate(len);
+    for list in lists.iter_mut() {
+        list.clear();
+    }
+    lists.resize_with(len, Vec::new);
+}
+
 /// Nonbasic / basic status of one column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColStatus {
@@ -149,9 +180,10 @@ pub enum ColStatus {
 
 /// A snapshot of a simplex basis, sufficient to warm-start a related solve.
 ///
-/// Cheap to clone and share ([`Arc`] in the branch-and-bound tree): it stores
-/// only the basic column per row and the status of every column.
-#[derive(Debug, Clone, PartialEq)]
+/// It stores only the basic column per row and the status of every column;
+/// branch and bound keeps one per branching node in a reused slot that both
+/// children read.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BasisSnapshot {
     basis: Vec<usize>,
     status: Vec<ColStatus>,
@@ -191,8 +223,44 @@ pub struct RevisedOutcome {
     pub basis: Option<Arc<BasisSnapshot>>,
 }
 
+/// What one solve on a [`NodeWorkspace`] reports: the counters of a
+/// [`RevisedOutcome`]. An optimal solve leaves its values and final basis
+/// in the workspace ([`NodeWorkspace::values`],
+/// [`NodeWorkspace::snapshot_into`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct NodeOutcome {
+    pub(crate) status: LpStatus,
+    pub(crate) iterations: usize,
+    pub(crate) bound_flips: usize,
+    pub(crate) factor_stats: FactorStats,
+    pub(crate) stall_perturbations: usize,
+    pub(crate) bland_escalations: usize,
+}
+
+impl NodeOutcome {
+    /// The public outcome: these counters plus, when optimal, copies of the
+    /// values and basis the solve left in `ws`.
+    fn into_outcome(self, ws: &NodeWorkspace) -> RevisedOutcome {
+        let optimal = self.status == LpStatus::Optimal;
+        RevisedOutcome {
+            status: self.status,
+            values: if optimal { ws.values.clone() } else { vec![] },
+            iterations: self.iterations,
+            bound_flips: self.bound_flips,
+            factor_stats: self.factor_stats,
+            stall_perturbations: self.stall_perturbations,
+            bland_escalations: self.bland_escalations,
+            basis: optimal.then(|| {
+                let mut snapshot = BasisSnapshot::default();
+                ws.snapshot_into(&mut snapshot);
+                Arc::new(snapshot)
+            }),
+        }
+    }
+}
+
 /// The `lp.*` counters, in [`LpCounters`] order.
-const LP_COUNTERS: [&str; 9] = [
+const LP_COUNTERS: [&str; 11] = [
     "lp.solves",
     "lp.iterations",
     "lp.bound_flips",
@@ -202,6 +270,8 @@ const LP_COUNTERS: [&str; 9] = [
     "lp.hyper_sparse_solves",
     "lp.stall_perturbations",
     "lp.bland_escalations",
+    "lp.lu_reuses",
+    "lp.solve_reuses",
 ];
 
 /// The `lp.*` counters of one or more solves, summed, so that they reach
@@ -210,11 +280,11 @@ const LP_COUNTERS: [&str; 9] = [
 /// Telemetry is a pure copy of the outcomes; it never feeds back into
 /// pivoting.
 #[derive(Default)]
-pub(crate) struct LpCounters([u64; 9]);
+pub(crate) struct LpCounters([u64; 11]);
 
 impl LpCounters {
     /// Adds one solve's counters.
-    pub(crate) fn add(&mut self, outcome: &RevisedOutcome) {
+    pub(crate) fn add(&mut self, outcome: &NodeOutcome) {
         let stats = &outcome.factor_stats;
         let solve = [
             1,
@@ -226,6 +296,8 @@ impl LpCounters {
             stats.hyper_sparse_solves,
             outcome.stall_perturbations,
             outcome.bland_escalations,
+            stats.lu_reuses,
+            stats.solve_reuses,
         ];
         for (sum, n) in self.0.iter_mut().zip(solve) {
             *sum += n as u64;
@@ -254,7 +326,7 @@ impl LpCounters {
 /// variable mapping is needed to recover a solution. Only *bounds* vary
 /// between branch-and-bound nodes — the matrix, costs and right-hand side are
 /// shared by every solve on the same model.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RevisedLp {
     m: usize,
     n_struct: usize,
@@ -296,15 +368,36 @@ impl RevisedLp {
     ///
     /// Returns a model-validation error if the model is structurally invalid.
     pub fn new(model: &Model) -> LpResult<Self> {
+        let mut lp = RevisedLp::default();
+        lp.rebuild(model)?;
+        Ok(lp)
+    }
+
+    /// Rebuilds the standard form of another model into this one's buffers,
+    /// which then allocate only to grow: what [`Self::new`] builds, bit for
+    /// bit.
+    pub(crate) fn rebuild(&mut self, model: &Model) -> LpResult<()> {
         model.validate()?;
         let m = model.num_constraints();
         let n_struct = model.num_vars();
         let n_total = n_struct + 2 * m;
         let minimize = model.sense() == Sense::Minimize;
+        self.m = m;
+        self.n_struct = n_struct;
+        self.n_total = n_total;
+        let RevisedLp {
+            cols,
+            rows,
+            cost,
+            base_lower,
+            base_upper,
+            rhs,
+            ..
+        } = self;
 
-        let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n_total];
+        clear_lists(cols, n_total);
         // Structural columns in one pass over the constraint terms; duplicate
-        // (row, var) terms are merged after a per-column sort.
+        // (row, var) terms are merged in place after a per-column sort.
         for (r, constraint) in model.constraints().iter().enumerate() {
             for &(var, coeff) in &constraint.terms {
                 cols[var.index()].push((r, coeff));
@@ -312,28 +405,35 @@ impl RevisedLp {
         }
         for col in cols.iter_mut().take(n_struct) {
             col.sort_unstable_by_key(|&(row, _)| row);
-            let mut merged: Vec<(usize, f64)> = Vec::with_capacity(col.len());
-            for &(row, coeff) in col.iter() {
-                match merged.last_mut() {
-                    Some((last_row, sum)) if *last_row == row => *sum += coeff,
-                    _ => merged.push((row, coeff)),
+            let mut merged = 0;
+            for read in 0..col.len() {
+                let (row, coeff) = col[read];
+                if merged > 0 && col[merged - 1].0 == row {
+                    col[merged - 1].1 += coeff;
+                } else {
+                    col[merged] = (row, coeff);
+                    merged += 1;
                 }
             }
-            merged.retain(|&(_, coeff)| coeff.abs() > COEFF_EPS);
-            *col = merged;
+            col.truncate(merged);
+            col.retain(|&(_, coeff)| coeff.abs() > COEFF_EPS);
         }
 
-        let mut cost = vec![0.0; n_total];
+        cost.clear();
+        cost.resize(n_total, 0.0);
         for (j, &c) in model.objective().iter().enumerate() {
             cost[j] = if minimize { c } else { -c };
         }
-        let mut base_lower = vec![0.0; n_total];
-        let mut base_upper = vec![0.0; n_total];
+        base_lower.clear();
+        base_lower.resize(n_total, 0.0);
+        base_upper.clear();
+        base_upper.resize(n_total, 0.0);
         for (j, var) in model.variables().iter().enumerate() {
             base_lower[j] = var.lower;
             base_upper[j] = var.upper;
         }
-        let mut rhs = vec![0.0; m];
+        rhs.clear();
+        rhs.resize(m, 0.0);
         for (r, constraint) in model.constraints().iter().enumerate() {
             rhs[r] = constraint.rhs;
             // Slack column: A x + s = b with bounds encoding the relation.
@@ -353,24 +453,13 @@ impl RevisedLp {
             base_upper[art] = 0.0;
         }
 
-        let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
+        clear_lists(rows, m);
         for (j, col) in cols.iter().enumerate() {
             for &(r, a) in col {
                 rows[r].push((j, a));
             }
         }
-
-        Ok(RevisedLp {
-            m,
-            n_struct,
-            n_total,
-            cols,
-            rows,
-            cost,
-            base_lower,
-            base_upper,
-            rhs,
-        })
+        Ok(())
     }
 
     /// Number of constraint rows of the standard form.
@@ -406,45 +495,72 @@ impl RevisedLp {
         warm: Option<&BasisSnapshot>,
         options: &SimplexOptions,
     ) -> RevisedOutcome {
-        let outcome = self.solve_node_in(&mut NodeWorkspace::default(), tighten, warm, options);
+        let mut ws = NodeWorkspace::default();
+        let outcome = self.solve_node_in(&mut ws, tighten, warm, options);
         let mut counters = LpCounters::default();
         counters.add(&outcome);
         counters.emit();
-        outcome
+        outcome.into_outcome(&ws)
     }
 
     /// [`Self::solve_node`] on a caller-held workspace, which branch and
-    /// bound passes to every node of a tree so that a node reuses the
-    /// buffers of the nodes before it. Same outcome, bit for bit; emits no
-    /// telemetry (the tree emits its nodes' sum).
+    /// bound keeps from node to node and tree to tree, so that a node reuses
+    /// the buffers — and, when it can, the LU, `x_B` and first pricing
+    /// vectors — of the nodes before it. Same outcome, bit for bit, except
+    /// that the work a kept LU or solve result saves shows as
+    /// `lu_reuses`/`solve_reuses` instead of a refactorization or a solve;
+    /// an optimal solve leaves its values and basis in `ws`. The workspace must have been told of every change of
+    /// model ([`NodeWorkspace::forget`]). Emits no telemetry (the tree emits
+    /// its nodes' sum).
     pub(crate) fn solve_node_in(
         &self,
         ws: &mut NodeWorkspace,
         tighten: &[(VarId, f64, f64)],
         warm: Option<&BasisSnapshot>,
         options: &SimplexOptions,
-    ) -> RevisedOutcome {
-        let (lower, upper) = (&mut ws.node_lower, &mut ws.node_upper);
-        lower.clear();
-        lower.extend_from_slice(&self.base_lower);
-        upper.clear();
-        upper.extend_from_slice(&self.base_upper);
+    ) -> NodeOutcome {
+        let (lower, upper) = self.reset_node_bounds(ws);
         for &(var, lo, up) in tighten {
             let j = var.index();
             lower[j] = lower[j].max(lo);
             upper[j] = upper[j].min(up);
         }
+        self.solve_bounded(ws, warm, options)
+    }
+
+    /// Sets the workspace's node bounds to the model's own and returns them
+    /// (`[model vars | slacks | artificials]`) for the caller to tighten
+    /// before [`Self::solve_bounded`].
+    pub(crate) fn reset_node_bounds<'w>(
+        &self,
+        ws: &'w mut NodeWorkspace,
+    ) -> (&'w mut [f64], &'w mut [f64]) {
+        let (lower, upper) = (&mut ws.node_lower, &mut ws.node_upper);
+        lower.clear();
+        lower.extend_from_slice(&self.base_lower);
+        upper.clear();
+        upper.extend_from_slice(&self.base_upper);
+        (lower, upper)
+    }
+
+    /// [`Self::solve_node_in`] under the node bounds the caller left in the
+    /// workspace ([`Self::reset_node_bounds`]).
+    pub(crate) fn solve_bounded(
+        &self,
+        ws: &mut NodeWorkspace,
+        warm: Option<&BasisSnapshot>,
+        options: &SimplexOptions,
+    ) -> NodeOutcome {
+        let (lower, upper) = (&ws.node_lower, &mut ws.node_upper);
         for j in 0..self.n_struct {
             if lower[j] > upper[j] + options.tol {
-                return RevisedOutcome {
+                return NodeOutcome {
                     status: LpStatus::Infeasible,
-                    values: vec![],
                     iterations: 0,
                     bound_flips: 0,
                     factor_stats: FactorStats::default(),
                     stall_perturbations: 0,
                     bland_escalations: 0,
-                    basis: None,
                 };
             }
             // A tightened pair may cross by a hair (floor/ceil of an almost
@@ -457,12 +573,12 @@ impl RevisedLp {
         if let Some(snapshot) = warm {
             if let Some(mut state) = SolverState::from_snapshot(self, ws, snapshot, options) {
                 match state.dual_simplex() {
-                    InnerStatus::Optimal => return self.extract(state, ws, LpStatus::Optimal),
-                    InnerStatus::Infeasible => return state.failed(ws, LpStatus::Infeasible),
+                    InnerStatus::Optimal => return self.extract(state, LpStatus::Optimal),
+                    InnerStatus::Infeasible => return state.finish(LpStatus::Infeasible),
                     // Unbounded cannot arise from a dual-feasible start with
                     // unchanged costs; treat it, limits and instability as a
                     // reason to re-solve cold.
-                    _ => state.release(ws),
+                    _ => {}
                 }
             }
         }
@@ -485,7 +601,7 @@ impl RevisedLp {
     /// [`LpStatus::IterationLimit`]; numerical failure is an outcome, never a
     /// panic. Each rung is bounded by `options.max_iterations`, so the ladder
     /// multiplies the worst-case pivot count by at most three.
-    fn cold_solve(&self, ws: &mut NodeWorkspace, options: &SimplexOptions) -> RevisedOutcome {
+    fn cold_solve(&self, ws: &mut NodeWorkspace, options: &SimplexOptions) -> NodeOutcome {
         let (outcome, singular) = self.cold_attempt(ws, options);
         if !singular {
             return outcome;
@@ -514,94 +630,91 @@ impl RevisedLp {
         &self,
         ws: &mut NodeWorkspace,
         options: &SimplexOptions,
-    ) -> (RevisedOutcome, bool) {
+    ) -> (NodeOutcome, bool) {
         let mut state = SolverState::cold(self, ws, options);
         if state.needs_phase1 {
-            let phase1_cost = mem::take(&mut state.phase1_cost);
+            let phase1_cost = mem::take(&mut state.ws.phase1_cost);
             let phase1 = state.primal_simplex(&phase1_cost);
             let infeasibility = state.phase1_infeasibility(&phase1_cost);
-            state.phase1_cost = phase1_cost;
+            state.ws.phase1_cost = phase1_cost;
             match phase1 {
                 InnerStatus::Optimal => {}
-                InnerStatus::Unstable => return (state.failed(ws, LpStatus::IterationLimit), true),
+                InnerStatus::Unstable => return (state.finish(LpStatus::IterationLimit), true),
                 // Phase 1 minimizes a sum of absolute values, which is
                 // bounded below, so anything else here is an iteration cap;
                 // it surfaces as the recoverable IterationLimit.
-                _ => return (state.failed(ws, LpStatus::IterationLimit), false),
+                _ => return (state.finish(LpStatus::IterationLimit), false),
             }
             if infeasibility > options.tol.max(DRIFT_TOL) {
-                return (state.failed(ws, LpStatus::Infeasible), false);
+                return (state.finish(LpStatus::Infeasible), false);
             }
             if !state.retire_artificials() {
                 // The factorization is unusable (singular refactorization);
                 // abandon the attempt rather than running phase 2 on
                 // corrupted factors.
-                return (state.failed(ws, LpStatus::IterationLimit), true);
+                return (state.finish(LpStatus::IterationLimit), true);
             }
         }
         match state.primal_simplex(&self.cost) {
-            InnerStatus::Optimal => (self.extract(state, ws, LpStatus::Optimal), false),
-            InnerStatus::Unbounded => (state.failed(ws, LpStatus::Unbounded), false),
-            InnerStatus::Infeasible => (state.failed(ws, LpStatus::Infeasible), false),
-            InnerStatus::IterationLimit => (state.failed(ws, LpStatus::IterationLimit), false),
-            InnerStatus::Unstable => (state.failed(ws, LpStatus::IterationLimit), true),
+            InnerStatus::Optimal => (self.extract(state, LpStatus::Optimal), false),
+            InnerStatus::Unbounded => (state.finish(LpStatus::Unbounded), false),
+            InnerStatus::Infeasible => (state.finish(LpStatus::Infeasible), false),
+            InnerStatus::IterationLimit => (state.finish(LpStatus::IterationLimit), false),
+            InnerStatus::Unstable => (state.finish(LpStatus::IterationLimit), true),
         }
     }
 
-    /// Recovers model-space values and the basis snapshot from an optimal
-    /// state, returning its buffers to the workspace.
-    fn extract(
-        &self,
-        mut state: SolverState<'_>,
-        ws: &mut NodeWorkspace,
-        status: LpStatus,
-    ) -> RevisedOutcome {
+    /// Recovers the model-space values of an optimal state into the
+    /// workspace, where its final basis and statuses also stay for a
+    /// snapshot.
+    fn extract(&self, mut state: SolverState<'_>, status: LpStatus) -> NodeOutcome {
         // Guard against eta-file drift: check the row residuals `A x − b` in
         // O(nnz) and only pay the refactorization + recompute when the point
         // actually drifted. The differential suite against the dense tableau
         // pins the resulting tolerance.
         if state.max_residual() > DRIFT_TOL
-            && state.factor.refactorize(self.m, &self.cols, &state.basis)
+            && state
+                .ws
+                .factor
+                .refactorize(self.m, &self.cols, &state.ws.basis)
         {
             state.compute_xb();
         }
-        let mut values = vec![0.0; self.n_struct];
-        for (j, value) in values.iter_mut().enumerate() {
-            *value = state.column_value(j);
+        let ws = &mut *state.ws;
+        ws.values.clear();
+        for j in 0..self.n_struct {
+            let value = ws.column_value(j);
+            ws.values.push(value);
         }
-        for (r, &col) in state.basis.iter().enumerate() {
+        for (r, &col) in ws.basis.iter().enumerate() {
             if col < self.n_struct {
-                values[col] = state.xb[r];
+                ws.values[col] = ws.xb[r];
             }
         }
-        let snapshot = BasisSnapshot {
-            basis: state.basis.clone(),
-            status: state.status.clone(),
-        };
-        let outcome = RevisedOutcome {
-            status,
-            values,
-            iterations: state.iterations,
-            bound_flips: state.flips,
-            factor_stats: state.factor.stats,
-            stall_perturbations: state.stall_perturbations,
-            bland_escalations: state.bland_escalations,
-            basis: Some(Arc::new(snapshot)),
-        };
-        state.release(ws);
-        outcome
+        state.finish(status)
     }
 }
 
-/// The buffers of a node solve, held between the solves of one
-/// branch-and-bound tree (see the module docs). A [`SolverState`] takes them
-/// for one solve and hands them back when it ends; every buffer is sized by
-/// the solve that uses it, so one workspace serves LPs of any shape.
+/// The buffers of a node solve, held between solves (see the module docs).
+/// A [`SolverState`] works in them for one solve and leaves them behind;
+/// every buffer is sized by the solve that uses it, so one workspace serves
+/// LPs of any shape, as long as it is told when the model changes
+/// ([`Self::forget`]).
 #[derive(Debug, Default)]
 pub(crate) struct NodeWorkspace {
     /// The node's bounds: the model's own, tightened by the branch.
     node_lower: Vec<f64>,
     node_upper: Vec<f64>,
+    /// The model-space values of the last optimal solve.
+    values: Vec<f64>,
+    /// The inputs and result of the last restore's `x_B` computation.
+    restored: Restore,
+    /// The last pure-LU dual pivot's pricing vectors.
+    pricing: Pricing,
+    // The solve's working state: bounds (the node's, relaxed by phase 1),
+    // statuses, basis, `x_B`, phase-1 costs and row residuals, the hoisted
+    // sparse scratch of the pivot loops (reset to its dimension before every
+    // use), the ratio test's lists and the factorization.
     lower: Vec<f64>,
     upper: Vec<f64>,
     status: Vec<ColStatus>,
@@ -615,7 +728,106 @@ pub(crate) struct NodeWorkspace {
     alpha: SparseVector,
     aux: SparseVector,
     lists: RatioLists,
-    factor: Option<Factorization>,
+    factor: Factorization,
+}
+
+impl NodeWorkspace {
+    /// Starts a new model: the LU and the basic values and pricing vectors
+    /// computed on it belong to the previous one, whose basis indices name
+    /// other columns.
+    pub(crate) fn forget(&mut self) {
+        self.factor.forget();
+        self.restored.generation = None;
+        self.pricing.key = None;
+    }
+
+    /// The model-space values of the last optimal solve.
+    pub(crate) fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// Current value of a column: basic values live in `xb`, nonbasic ones on
+    /// their bound.
+    fn column_value(&self, j: usize) -> f64 {
+        match self.status[j] {
+            // Callers that need basic values look them up through `xb`
+            // directly; this path is only used for nonbasic columns and the
+            // final extraction, where basic columns are overwritten.
+            ColStatus::Basic | ColStatus::Free => 0.0,
+            ColStatus::AtLower => self.lower[j],
+            ColStatus::AtUpper => self.upper[j],
+        }
+    }
+
+    /// Writes the last optimal solve's basis into `snapshot`, reusing its
+    /// buffers.
+    pub(crate) fn snapshot_into(&self, snapshot: &mut BasisSnapshot) {
+        snapshot.basis.clone_from(&self.basis);
+        snapshot.status.clone_from(&self.status);
+    }
+}
+
+/// What the last restore computed `x_B` from, and the result. A restore on
+/// the same LU (same generation) whose statuses and nonbasic bounds match
+/// would compute the same `x_B` bit for bit, so it copies `xb` instead.
+#[derive(Debug, Default)]
+struct Restore {
+    /// The LU generation `xb` was computed on; `None` when there is none.
+    generation: Option<u64>,
+    status: Vec<ColStatus>,
+    lower: Vec<f64>,
+    upper: Vec<f64>,
+    xb: Vec<f64>,
+}
+
+impl Restore {
+    /// Whether `x_B` computed on LU `generation` under these statuses and
+    /// bounds is `self.xb`: `x_B = B⁻¹ (b − N x_N)` reads the basic columns
+    /// and each nonbasic column's value, which its status picks from its
+    /// bounds.
+    fn matches(&self, generation: u64, status: &[ColStatus], lower: &[f64], upper: &[f64]) -> bool {
+        self.generation == Some(generation)
+            && self.status == status
+            && status.iter().enumerate().all(|(j, &s)| {
+                s == ColStatus::Basic
+                    || (lower[j].to_bits() == self.lower[j].to_bits()
+                        && upper[j].to_bits() == self.upper[j].to_bits())
+            })
+    }
+
+    /// Records a restore computed on LU `generation`.
+    fn record(
+        &mut self,
+        generation: u64,
+        status: &[ColStatus],
+        lower: &[f64],
+        upper: &[f64],
+        xb: &[f64],
+    ) {
+        self.generation = Some(generation);
+        self.status.clear();
+        self.status.extend_from_slice(status);
+        self.lower.clear();
+        self.lower.extend_from_slice(lower);
+        self.upper.clear();
+        self.upper.extend_from_slice(upper);
+        self.xb.clear();
+        self.xb.extend_from_slice(xb);
+    }
+}
+
+/// The pricing vectors of the last dual pivot taken on an LU with an empty
+/// eta file: `ρ` (row `row` of `B⁻¹`), `y = B⁻ᵀ c_B` and the pivot row `α`.
+/// They depend on nothing but that LU (its generation), its basis — the one
+/// the LU factors, since no eta changed it — and the row, so a pivot on the
+/// same generation and row copies them.
+#[derive(Debug, Default)]
+struct Pricing {
+    /// `(generation, row)` the vectors were computed for.
+    key: Option<(u64, usize)>,
+    rho: SparseVector,
+    y: SparseVector,
+    alpha: SparseVector,
 }
 
 /// The dual ratio test's lists, reused across pivots and solves.
@@ -629,18 +841,13 @@ struct RatioLists {
     flips: Vec<(usize, f64)>,
 }
 
-/// Mutable state of one solve: working bounds, statuses, basis, factorization
-/// and the hoisted sparse scratch vectors of the pivot loops, all taken from
-/// a [`NodeWorkspace`].
+/// One solve in a [`NodeWorkspace`]: the workspace's buffers hold its
+/// working bounds, statuses, basis, `x_B`, factorization and scratch, and
+/// the state adds the solve's counters.
 struct SolverState<'a> {
     lp: &'a RevisedLp,
     options: &'a SimplexOptions,
-    lower: Vec<f64>,
-    upper: Vec<f64>,
-    status: Vec<ColStatus>,
-    basis: Vec<usize>,
-    xb: Vec<f64>,
-    factor: Factorization,
+    ws: &'a mut NodeWorkspace,
     iterations: usize,
     flips: usize,
     /// Anti-stall perturbations applied (see the primal loop's ladder).
@@ -648,119 +855,68 @@ struct SolverState<'a> {
     /// Escalations to Bland's rule after the perturbation rung was spent.
     bland_escalations: usize,
     needs_phase1: bool,
-    phase1_cost: Vec<f64>,
     /// Rotating partial-pricing cursor (persists across iterations so
     /// sections take turns).
     price_cursor: usize,
-    /// Row residuals of the cold start and the extraction check.
-    residual: Vec<f64>,
-    // Hoisted scratch, reset to its dimension before every use, so a solve
-    // only pays for the buffers its path touches, and only while its
-    // workspace is new.
-    y: SparseVector,
-    w: SparseVector,
-    rho: SparseVector,
-    alpha: SparseVector,
-    aux: SparseVector,
-    lists: RatioLists,
 }
 
 impl<'a> SolverState<'a> {
-    /// Takes the workspace's buffers for one solve: the working bounds are
-    /// copied from the node bounds, `x_B` is zeroed, the statuses, basis and
-    /// phase-1 costs are left empty for the caller to fill, and the
-    /// factorization keeps its buffers but restarts its counters and eta
-    /// file (it is replaced when its backend is not the one asked for).
+    /// Starts a solve in the workspace: the working bounds are copied from
+    /// the node bounds, `x_B` is zeroed, the statuses, basis and phase-1
+    /// costs are left empty for the caller to fill, and the factorization
+    /// keeps its buffers and LU but restarts its counters and eta file (it
+    /// switches backend, forgetting the LU, when the solve asks for the
+    /// other one).
     fn new(
         lp: &'a RevisedLp,
-        ws: &mut NodeWorkspace,
+        ws: &'a mut NodeWorkspace,
         options: &'a SimplexOptions,
     ) -> SolverState<'a> {
-        let factor = match ws.factor.take() {
-            Some(mut factor) if factor.is_dense() == options.dense_lu => {
-                factor.reset();
-                factor
-            }
-            _ => Factorization::new(options.dense_lu),
-        };
-        let mut state = SolverState {
+        ws.factor.reset(options.dense_lu);
+        ws.lower.clone_from(&ws.node_lower);
+        ws.upper.clone_from(&ws.node_upper);
+        ws.status.clear();
+        ws.basis.clear();
+        ws.phase1_cost.clear();
+        ws.xb.clear();
+        ws.xb.resize(lp.m, 0.0);
+        SolverState {
             lp,
             options,
-            lower: mem::take(&mut ws.lower),
-            upper: mem::take(&mut ws.upper),
-            status: mem::take(&mut ws.status),
-            basis: mem::take(&mut ws.basis),
-            xb: mem::take(&mut ws.xb),
-            factor,
+            ws,
             iterations: 0,
             flips: 0,
             stall_perturbations: 0,
             bland_escalations: 0,
             needs_phase1: false,
-            phase1_cost: mem::take(&mut ws.phase1_cost),
             price_cursor: 0,
-            residual: mem::take(&mut ws.residual),
-            y: mem::take(&mut ws.y),
-            w: mem::take(&mut ws.w),
-            rho: mem::take(&mut ws.rho),
-            alpha: mem::take(&mut ws.alpha),
-            aux: mem::take(&mut ws.aux),
-            lists: mem::take(&mut ws.lists),
-        };
-        state.lower.clear();
-        state.lower.extend_from_slice(&ws.node_lower);
-        state.upper.clear();
-        state.upper.extend_from_slice(&ws.node_upper);
-        state.status.clear();
-        state.basis.clear();
-        state.phase1_cost.clear();
-        state.xb.clear();
-        state.xb.resize(lp.m, 0.0);
-        state
-    }
-
-    /// Hands the buffers back to the workspace for the next solve.
-    fn release(self, ws: &mut NodeWorkspace) {
-        ws.lower = self.lower;
-        ws.upper = self.upper;
-        ws.status = self.status;
-        ws.basis = self.basis;
-        ws.xb = self.xb;
-        ws.phase1_cost = self.phase1_cost;
-        ws.residual = self.residual;
-        ws.y = self.y;
-        ws.w = self.w;
-        ws.rho = self.rho;
-        ws.alpha = self.alpha;
-        ws.aux = self.aux;
-        ws.lists = self.lists;
-        ws.factor = Some(self.factor);
+        }
     }
 
     /// Builds the initial all-slack / artificial basis for a cold solve
     /// under the workspace's node bounds.
     fn cold(
         lp: &'a RevisedLp,
-        ws: &mut NodeWorkspace,
+        ws: &'a mut NodeWorkspace,
         options: &'a SimplexOptions,
     ) -> SolverState<'a> {
         let m = lp.m;
         let mut state = SolverState::new(lp, ws, options);
-        state.status.resize(lp.n_total, ColStatus::AtLower);
-        state.basis.resize(m, 0);
-        state.phase1_cost.resize(lp.n_total, 0.0);
+        state.ws.status.resize(lp.n_total, ColStatus::AtLower);
+        state.ws.basis.resize(m, 0);
+        state.ws.phase1_cost.resize(lp.n_total, 0.0);
         // Nonbasic structural variables rest on a finite bound (or zero).
         for j in 0..lp.n_total {
-            state.status[j] = if state.lower[j].is_finite() {
+            state.ws.status[j] = if state.ws.lower[j].is_finite() {
                 ColStatus::AtLower
-            } else if state.upper[j].is_finite() {
+            } else if state.ws.upper[j].is_finite() {
                 ColStatus::AtUpper
             } else {
                 ColStatus::Free
             };
         }
         // Row residuals with every column nonbasic.
-        let mut residual = mem::take(&mut state.residual);
+        let mut residual = mem::take(&mut state.ws.residual);
         residual.clear();
         residual.extend_from_slice(&lp.rhs);
         for j in 0..lp.n_struct {
@@ -774,46 +930,47 @@ impl<'a> SolverState<'a> {
         for r in 0..m {
             let slack = lp.n_struct + r;
             let art = lp.n_struct + m + r;
-            let (sl, su) = (state.lower[slack], state.upper[slack]);
+            let (sl, su) = (state.ws.lower[slack], state.ws.upper[slack]);
             if residual[r] >= sl - options.tol && residual[r] <= su + options.tol {
-                state.basis[r] = slack;
-                state.status[slack] = ColStatus::Basic;
-                state.xb[r] = residual[r];
+                state.ws.basis[r] = slack;
+                state.ws.status[slack] = ColStatus::Basic;
+                state.ws.xb[r] = residual[r];
             } else {
                 // Park the slack on its nearest bound and let the artificial
                 // absorb what is left; phase 1 will drive it back to zero.
                 let parked = if residual[r] > su { su } else { sl };
-                state.status[slack] = if parked == su {
+                state.ws.status[slack] = if parked == su {
                     ColStatus::AtUpper
                 } else {
                     ColStatus::AtLower
                 };
                 let leftover = residual[r] - parked;
-                state.lower[art] = leftover.min(0.0);
-                state.upper[art] = leftover.max(0.0);
-                state.phase1_cost[art] = if leftover >= 0.0 { 1.0 } else { -1.0 };
-                state.basis[r] = art;
-                state.status[art] = ColStatus::Basic;
-                state.xb[r] = leftover;
+                state.ws.lower[art] = leftover.min(0.0);
+                state.ws.upper[art] = leftover.max(0.0);
+                state.ws.phase1_cost[art] = if leftover >= 0.0 { 1.0 } else { -1.0 };
+                state.ws.basis[r] = art;
+                state.ws.status[art] = ColStatus::Basic;
+                state.ws.xb[r] = leftover;
                 state.needs_phase1 = true;
             }
         }
-        state.residual = residual;
+        state.ws.residual = residual;
         // The initial basis is a signed permutation of unit columns, which
         // both backends factorize trivially (zero fill).
-        let ok = state.factor.refactorize(m, &lp.cols, &state.basis);
+        let ok = state.ws.factor.refactorize(m, &lp.cols, &state.ws.basis);
         debug_assert!(ok, "unit-column start basis cannot be singular");
         state
     }
 
     /// Restores a snapshot taken on a related solve (same matrix, different
-    /// bounds) under the workspace's node bounds. Returns `None`, with the
-    /// buffers back in the workspace, when the snapshot has another shape or
-    /// its basis is singular under refactorization — the caller then solves
-    /// cold.
+    /// bounds) under the workspace's node bounds, keeping the workspace's LU
+    /// and last `x_B` when they are what the restore would recompute (see
+    /// the module docs). Returns `None` when the snapshot has another shape
+    /// or its basis is singular under refactorization — the caller then
+    /// solves cold.
     fn from_snapshot(
         lp: &'a RevisedLp,
-        ws: &mut NodeWorkspace,
+        ws: &'a mut NodeWorkspace,
         snapshot: &BasisSnapshot,
         options: &'a SimplexOptions,
     ) -> Option<SolverState<'a>> {
@@ -821,21 +978,21 @@ impl<'a> SolverState<'a> {
             return None;
         }
         let mut state = SolverState::new(lp, ws, options);
-        state.status.extend_from_slice(&snapshot.status);
-        state.basis.extend_from_slice(&snapshot.basis);
+        state.ws.status.extend_from_slice(&snapshot.status);
+        state.ws.basis.extend_from_slice(&snapshot.basis);
         // Re-anchor nonbasic statuses onto the (possibly moved) bounds.
         for j in 0..lp.n_total {
-            match state.status[j] {
+            match state.ws.status[j] {
                 ColStatus::Basic => {}
-                ColStatus::AtLower if !state.lower[j].is_finite() => {
-                    state.status[j] = if state.upper[j].is_finite() {
+                ColStatus::AtLower if !state.ws.lower[j].is_finite() => {
+                    state.ws.status[j] = if state.ws.upper[j].is_finite() {
                         ColStatus::AtUpper
                     } else {
                         ColStatus::Free
                     };
                 }
-                ColStatus::AtUpper if !state.upper[j].is_finite() => {
-                    state.status[j] = if state.lower[j].is_finite() {
+                ColStatus::AtUpper if !state.ws.upper[j].is_finite() => {
+                    state.ws.status[j] = if state.ws.lower[j].is_finite() {
                         ColStatus::AtLower
                     } else {
                         ColStatus::Free
@@ -844,50 +1001,50 @@ impl<'a> SolverState<'a> {
                 _ => {}
             }
         }
-        if !state.factor.refactorize(lp.m, &lp.cols, &state.basis) {
-            state.release(ws);
+        let ws = &mut *state.ws;
+        let kept = ws.factor.keep_for(&ws.basis);
+        if !kept && !ws.factor.refactorize(lp.m, &lp.cols, &ws.basis) {
             return None;
         }
-        state.compute_xb();
+        let generation = ws.factor.generation();
+        if kept
+            && ws
+                .restored
+                .matches(generation, &ws.status, &ws.lower, &ws.upper)
+        {
+            ws.xb.copy_from_slice(&ws.restored.xb);
+            ws.factor.stats.solve_reuses += 1;
+        } else {
+            state.compute_xb();
+            let ws = &mut *state.ws;
+            ws.restored
+                .record(generation, &ws.status, &ws.lower, &ws.upper, &ws.xb);
+        }
         Some(state)
     }
 
-    /// A non-optimal outcome carrying the iteration and factorization
-    /// counters of this state, whose buffers go back to the workspace.
-    fn failed(self, ws: &mut NodeWorkspace, status: LpStatus) -> RevisedOutcome {
-        let outcome = RevisedOutcome {
+    /// The outcome of this state's solve, carrying its iteration and
+    /// factorization counters.
+    fn finish(self, status: LpStatus) -> NodeOutcome {
+        NodeOutcome {
             status,
-            values: vec![],
             iterations: self.iterations,
             bound_flips: self.flips,
-            factor_stats: self.factor.stats,
+            factor_stats: self.ws.factor.stats,
             stall_perturbations: self.stall_perturbations,
             bland_escalations: self.bland_escalations,
-            basis: None,
-        };
-        self.release(ws);
-        outcome
+        }
     }
 
     /// Current value of a column: basic values live in `xb`, nonbasic ones on
     /// their bound.
     fn column_value(&self, j: usize) -> f64 {
-        match self.status[j] {
-            ColStatus::Basic => {
-                // Callers that need basic values look them up through `xb`
-                // directly; this path is only used for nonbasic columns and
-                // the final extraction, where basic columns are overwritten.
-                0.0
-            }
-            ColStatus::AtLower => self.lower[j],
-            ColStatus::AtUpper => self.upper[j],
-            ColStatus::Free => 0.0,
-        }
+        self.ws.column_value(j)
     }
 
     /// Recomputes the basic values `x_B = B⁻¹ (b − N x_N)` from scratch.
     fn compute_xb(&mut self) {
-        let mut v = mem::take(&mut self.aux);
+        let mut v = mem::take(&mut self.ws.aux);
         v.reset(self.lp.m);
         for (r, &b) in self.lp.rhs.iter().enumerate() {
             if b != 0.0 {
@@ -895,7 +1052,7 @@ impl<'a> SolverState<'a> {
             }
         }
         for j in 0..self.lp.n_total {
-            if self.status[j] == ColStatus::Basic {
+            if self.ws.status[j] == ColStatus::Basic {
                 continue;
             }
             let value = self.column_value(j);
@@ -905,20 +1062,20 @@ impl<'a> SolverState<'a> {
                 }
             }
         }
-        self.factor.ftran(&mut v);
+        self.ws.factor.ftran(&mut v);
         for i in 0..self.lp.m {
-            self.xb[i] = v.get(i);
+            self.ws.xb[i] = v.get(i);
         }
-        self.aux = v;
+        self.ws.aux = v;
     }
 
     /// Largest row residual `|A x − b|` of the current point, in O(nnz).
     fn max_residual(&mut self) -> f64 {
-        let mut residual = mem::take(&mut self.residual);
+        let mut residual = mem::take(&mut self.ws.residual);
         residual.clear();
         residual.extend(self.lp.rhs.iter().map(|&b| -b));
         for j in 0..self.lp.n_total {
-            let value = match self.status[j] {
+            let value = match self.ws.status[j] {
                 ColStatus::Basic => continue,
                 _ => self.column_value(j),
             };
@@ -928,8 +1085,8 @@ impl<'a> SolverState<'a> {
                 }
             }
         }
-        for (r, &col) in self.basis.iter().enumerate() {
-            let value = self.xb[r];
+        for (r, &col) in self.ws.basis.iter().enumerate() {
+            let value = self.ws.xb[r];
             if value != 0.0 {
                 for &(row, a) in &self.lp.cols[col] {
                     residual[row] += a * value;
@@ -937,17 +1094,15 @@ impl<'a> SolverState<'a> {
             }
         }
         let max = residual.iter().fold(0.0_f64, |acc, &r| acc.max(r.abs()));
-        self.residual = residual;
+        self.ws.residual = residual;
         max
     }
 
     /// Refactorizes (folding the eta file) and recomputes the basic values.
     /// Returns `false` on a singular basis.
     fn refresh_factorization(&mut self) -> bool {
-        if !self
-            .factor
-            .refactorize(self.lp.m, &self.lp.cols, &self.basis)
-        {
+        let ws = &mut *self.ws;
+        if !ws.factor.refactorize(self.lp.m, &self.lp.cols, &ws.basis) {
             return false;
         }
         self.compute_xb();
@@ -966,11 +1121,11 @@ impl<'a> SolverState<'a> {
     /// Phase-1 objective value (total residual infeasibility).
     fn phase1_infeasibility(&self, phase1_cost: &[f64]) -> f64 {
         let mut total = 0.0;
-        for (r, &col) in self.basis.iter().enumerate() {
-            total += phase1_cost[col] * self.xb[r];
+        for (r, &col) in self.ws.basis.iter().enumerate() {
+            total += phase1_cost[col] * self.ws.xb[r];
         }
         for j in 0..self.lp.n_total {
-            if self.status[j] != ColStatus::Basic && phase1_cost[j] != 0.0 {
+            if self.ws.status[j] != ColStatus::Basic && phase1_cost[j] != 0.0 {
                 total += phase1_cost[j] * self.column_value(j);
             }
         }
@@ -982,13 +1137,13 @@ impl<'a> SolverState<'a> {
     /// Returns `false` when a refactorization found the basis singular — the
     /// factorization is then unusable and the caller must abandon the solve.
     fn retire_artificials(&mut self) -> bool {
-        let mut rho = mem::take(&mut self.rho);
-        let mut w = mem::take(&mut self.w);
-        let mut alpha = mem::take(&mut self.alpha);
+        let mut rho = mem::take(&mut self.ws.rho);
+        let mut w = mem::take(&mut self.ws.w);
+        let mut alpha = mem::take(&mut self.ws.alpha);
         let ok = self.retire_artificials_inner(&mut rho, &mut w, &mut alpha);
-        self.rho = rho;
-        self.w = w;
-        self.alpha = alpha;
+        self.ws.rho = rho;
+        self.ws.w = w;
+        self.ws.alpha = alpha;
         ok
     }
 
@@ -1000,14 +1155,14 @@ impl<'a> SolverState<'a> {
     ) -> bool {
         let art_start = self.lp.n_struct + self.lp.m;
         for j in art_start..self.lp.n_total {
-            self.lower[j] = 0.0;
-            self.upper[j] = 0.0;
-            if self.status[j] != ColStatus::Basic {
-                self.status[j] = ColStatus::AtLower;
+            self.ws.lower[j] = 0.0;
+            self.ws.upper[j] = 0.0;
+            if self.ws.status[j] != ColStatus::Basic {
+                self.ws.status[j] = ColStatus::AtLower;
             }
         }
         for r in 0..self.lp.m {
-            if self.basis[r] < art_start {
+            if self.ws.basis[r] < art_start {
                 continue;
             }
             // Row r of B⁻¹, then α_j = ρᵀ a_j accumulated row-wise over ρ's
@@ -1016,7 +1171,7 @@ impl<'a> SolverState<'a> {
             // artificial.
             rho.reset(self.lp.m);
             rho.set(r, 1.0);
-            self.factor.btran(rho);
+            self.ws.factor.btran(rho);
             alpha.reset(self.lp.n_total);
             for &row in rho.nonzeros() {
                 let x = rho.get(row);
@@ -1031,7 +1186,7 @@ impl<'a> SolverState<'a> {
             }
             let mut replacement: Option<usize> = None;
             for &j in alpha.nonzeros() {
-                if self.status[j] == ColStatus::Basic {
+                if self.ws.status[j] == ColStatus::Basic {
                     continue;
                 }
                 if alpha.get(j).abs() > ARTIFICIAL_PIVOT_TOL
@@ -1048,20 +1203,20 @@ impl<'a> SolverState<'a> {
             for &(i, a) in &self.lp.cols[q] {
                 w.set(i, a);
             }
-            self.factor.ftran(w);
+            self.ws.factor.ftran(w);
             if w.get(r).abs() < MIN_PIVOT {
                 continue;
             }
             // Degenerate swap: the artificial sits exactly at zero, so the
             // entering column keeps its bound value.
-            let art = self.basis[r];
+            let art = self.ws.basis[r];
             let entering_value = self.column_value(q);
-            self.status[art] = ColStatus::AtLower;
-            self.basis[r] = q;
-            self.status[q] = ColStatus::Basic;
-            self.xb[r] = entering_value;
-            self.factor.push_eta(r, w);
-            if self.factor.eta_count() >= REFACTOR_EVERY && !self.refresh_factorization() {
+            self.ws.status[art] = ColStatus::AtLower;
+            self.ws.basis[r] = q;
+            self.ws.status[q] = ColStatus::Basic;
+            self.ws.xb[r] = entering_value;
+            self.ws.factor.push_eta(r, w);
+            if self.ws.factor.eta_count() >= REFACTOR_EVERY && !self.refresh_factorization() {
                 return false;
             }
         }
@@ -1081,10 +1236,10 @@ impl<'a> SolverState<'a> {
         j: usize,
         tol: f64,
     ) -> Option<(usize, f64, bool)> {
-        let eligible_dir = match self.status[j] {
+        let eligible_dir = match self.ws.status[j] {
             ColStatus::Basic => return None,
             // Fixed columns can never move.
-            _ if self.lower[j] == self.upper[j] && self.status[j] != ColStatus::Free => {
+            _ if self.ws.lower[j] == self.ws.upper[j] && self.ws.status[j] != ColStatus::Free => {
                 return None
             }
             ColStatus::AtLower => Some(true),
@@ -1161,11 +1316,11 @@ impl<'a> SolverState<'a> {
     // Primal simplex (bounded variables).
     // ------------------------------------------------------------------
     fn primal_simplex(&mut self, cost: &[f64]) -> InnerStatus {
-        let mut y = mem::take(&mut self.y);
-        let mut w = mem::take(&mut self.w);
+        let mut y = mem::take(&mut self.ws.y);
+        let mut w = mem::take(&mut self.ws.w);
         let status = self.primal_simplex_inner(cost, &mut y, &mut w);
-        self.y = y;
-        self.w = w;
+        self.ws.y = y;
+        self.ws.w = w;
         status
     }
 
@@ -1190,7 +1345,7 @@ impl<'a> SolverState<'a> {
         let mut perturbation_spent = false;
         let mut force_bland = false;
         for local_iter in 0..self.options.max_iterations {
-            if self.factor.eta_count() >= REFACTOR_EVERY && !self.refresh_factorization() {
+            if self.ws.factor.eta_count() >= REFACTOR_EVERY && !self.refresh_factorization() {
                 return InnerStatus::Unstable;
             }
             if degenerate_streak >= self.options.stall_after.max(1) {
@@ -1210,13 +1365,13 @@ impl<'a> SolverState<'a> {
 
             // Pricing: y = B⁻ᵀ c_B, then reduced costs of nonbasic columns.
             y.reset(m);
-            for (r, &col) in self.basis.iter().enumerate() {
+            for (r, &col) in self.ws.basis.iter().enumerate() {
                 let c = active_cost[col];
                 if c != 0.0 {
                     y.set(r, c);
                 }
             }
-            self.factor.btran(y);
+            self.ws.factor.btran(y);
 
             let tol = self.options.tol;
             let Some((q, _, increase)) = self.price_entering(active_cost, y, use_bland) else {
@@ -1237,11 +1392,11 @@ impl<'a> SolverState<'a> {
             for &(r, a) in &self.lp.cols[q] {
                 w.set(r, a);
             }
-            self.factor.ftran(w);
+            self.ws.factor.ftran(w);
 
             // Ratio test: the entering column moves by t ≥ 0 in direction
             // `dir`; basic values change by −dir · w · t.
-            let range = self.upper[q] - self.lower[q]; // may be +inf
+            let range = self.ws.upper[q] - self.ws.lower[q]; // may be +inf
             let mut best_t = if range.is_finite() {
                 range
             } else {
@@ -1253,18 +1408,18 @@ impl<'a> SolverState<'a> {
                 if g.abs() <= tol {
                     continue;
                 }
-                let col = self.basis[i];
+                let col = self.ws.basis[i];
                 let (limit, to) = if g > 0.0 {
                     // Basic value decreases towards its lower bound.
-                    if !self.lower[col].is_finite() {
+                    if !self.ws.lower[col].is_finite() {
                         continue;
                     }
-                    ((self.xb[i] - self.lower[col]) / g, LeaveTo::Lower)
+                    ((self.ws.xb[i] - self.ws.lower[col]) / g, LeaveTo::Lower)
                 } else {
-                    if !self.upper[col].is_finite() {
+                    if !self.ws.upper[col].is_finite() {
                         continue;
                     }
-                    ((self.xb[i] - self.upper[col]) / g, LeaveTo::Upper)
+                    ((self.ws.xb[i] - self.ws.upper[col]) / g, LeaveTo::Upper)
                 };
                 let limit = limit.max(0.0);
                 let take = match leaving {
@@ -1276,7 +1431,7 @@ impl<'a> SolverState<'a> {
                     Some((current, _)) => {
                         limit < best_t - tol
                             || ((limit - best_t).abs() <= tol
-                                && self.basis[i] < self.basis[current])
+                                && self.ws.basis[i] < self.ws.basis[current])
                     }
                 };
                 if take {
@@ -1303,10 +1458,10 @@ impl<'a> SolverState<'a> {
                     for &i in w.nonzeros() {
                         let g = dir * w.get(i);
                         if g != 0.0 {
-                            self.xb[i] -= g * t;
+                            self.ws.xb[i] -= g * t;
                         }
                     }
-                    self.status[q] = if increase {
+                    self.ws.status[q] = if increase {
                         ColStatus::AtUpper
                     } else {
                         ColStatus::AtLower
@@ -1332,18 +1487,18 @@ impl<'a> SolverState<'a> {
                     for &i in w.nonzeros() {
                         let g = dir * w.get(i);
                         if g != 0.0 {
-                            self.xb[i] -= g * t;
+                            self.ws.xb[i] -= g * t;
                         }
                     }
-                    let leaving_col = self.basis[r];
-                    self.status[leaving_col] = match to {
+                    let leaving_col = self.ws.basis[r];
+                    self.ws.status[leaving_col] = match to {
                         LeaveTo::Lower => ColStatus::AtLower,
                         LeaveTo::Upper => ColStatus::AtUpper,
                     };
-                    self.basis[r] = q;
-                    self.status[q] = ColStatus::Basic;
-                    self.xb[r] = entering_value;
-                    self.factor.push_eta(r, w);
+                    self.ws.basis[r] = q;
+                    self.ws.status[q] = ColStatus::Basic;
+                    self.ws.xb[r] = entering_value;
+                    self.ws.factor.push_eta(r, w);
                     self.iterations += 1;
                     if t <= tol {
                         degenerate_streak += 1;
@@ -1360,18 +1515,54 @@ impl<'a> SolverState<'a> {
     // Dual simplex (warm re-solve after a bound change).
     // ------------------------------------------------------------------
     fn dual_simplex(&mut self) -> InnerStatus {
-        let mut y = mem::take(&mut self.y);
-        let mut w = mem::take(&mut self.w);
-        let mut rho = mem::take(&mut self.rho);
-        let mut alpha = mem::take(&mut self.alpha);
-        let mut lists = mem::take(&mut self.lists);
+        let mut y = mem::take(&mut self.ws.y);
+        let mut w = mem::take(&mut self.ws.w);
+        let mut rho = mem::take(&mut self.ws.rho);
+        let mut alpha = mem::take(&mut self.ws.alpha);
+        let mut lists = mem::take(&mut self.ws.lists);
         let status = self.dual_simplex_inner(&mut y, &mut w, &mut rho, &mut alpha, &mut lists);
-        self.y = y;
-        self.w = w;
-        self.rho = rho;
-        self.alpha = alpha;
-        self.lists = lists;
+        self.ws.y = y;
+        self.ws.w = w;
+        self.ws.rho = rho;
+        self.ws.alpha = alpha;
+        self.ws.lists = lists;
         status
+    }
+
+    /// The dual pivot's pricing vectors for leaving row `r`: `ρ`, row `r` of
+    /// `B⁻¹` (a hyper-sparse BTRAN of a unit vector), the reduced-cost prices
+    /// `y = B⁻ᵀ c_B`, and the pivot-row coefficients `α_j = ρᵀ a_j`,
+    /// accumulated row-wise over `ρ`'s support so untouched columns are
+    /// never visited.
+    fn price_row(
+        &mut self,
+        r: usize,
+        rho: &mut SparseVector,
+        y: &mut SparseVector,
+        alpha: &mut SparseVector,
+    ) {
+        let m = self.lp.m;
+        rho.reset(m);
+        rho.set(r, 1.0);
+        self.ws.factor.btran(rho);
+        y.reset(m);
+        for (i, &col) in self.ws.basis.iter().enumerate() {
+            let c = self.lp.cost[col];
+            if c != 0.0 {
+                y.set(i, c);
+            }
+        }
+        self.ws.factor.btran(y);
+        alpha.reset(self.lp.n_total);
+        for &row in rho.nonzeros() {
+            let x = rho.get(row);
+            if x == 0.0 {
+                continue;
+            }
+            for &(j, a) in &self.lp.rows[row] {
+                alpha.add(j, x * a);
+            }
+        }
     }
 
     fn dual_simplex_inner(
@@ -1391,7 +1582,7 @@ impl<'a> SolverState<'a> {
             flips,
         } = lists;
         for local_iter in 0..self.options.max_iterations {
-            if self.factor.eta_count() >= REFACTOR_EVERY && !self.refresh_factorization() {
+            if self.ws.factor.eta_count() >= REFACTOR_EVERY && !self.refresh_factorization() {
                 return InnerStatus::Unstable;
             }
             let use_bland = local_iter >= self.options.bland_after;
@@ -1399,9 +1590,9 @@ impl<'a> SolverState<'a> {
             // Leaving row: the basic variable most outside its bounds.
             let mut leaving: Option<(usize, f64, LeaveTo)> = None;
             for i in 0..m {
-                let col = self.basis[i];
-                let below = self.lower[col] - self.xb[i];
-                let above = self.xb[i] - self.upper[col];
+                let col = self.ws.basis[i];
+                let below = self.ws.lower[col] - self.ws.xb[i];
+                let above = self.ws.xb[i] - self.ws.upper[col];
                 let (viol, to) = if below > above {
                     (below, LeaveTo::Lower)
                 } else {
@@ -1421,30 +1612,22 @@ impl<'a> SolverState<'a> {
                 return InnerStatus::Optimal;
             };
 
-            // Row r of B⁻¹ (hyper-sparse BTRAN of a unit vector) and the
-            // reduced-cost prices.
-            rho.reset(m);
-            rho.set(r, 1.0);
-            self.factor.btran(rho);
-            y.reset(m);
-            for (i, &col) in self.basis.iter().enumerate() {
-                let c = cost[col];
-                if c != 0.0 {
-                    y.set(i, c);
-                }
-            }
-            self.factor.btran(y);
-
-            // Pivot-row coefficients α_j = ρᵀ a_j, accumulated row-wise over
-            // ρ's support so untouched columns are never visited.
-            alpha.reset(self.lp.n_total);
-            for &row in rho.nonzeros() {
-                let x = rho.get(row);
-                if x == 0.0 {
-                    continue;
-                }
-                for &(j, a) in &self.lp.rows[row] {
-                    alpha.add(j, x * a);
+            // On an LU with an empty eta file the pricing vectors are a
+            // function of the LU and the row: the second of two siblings
+            // (same kept LU, same violated row) takes its twin's.
+            let key = (self.ws.factor.eta_count() == 0).then(|| (self.ws.factor.generation(), r));
+            if key.is_some() && key == self.ws.pricing.key {
+                rho.copy_from(&self.ws.pricing.rho);
+                y.copy_from(&self.ws.pricing.y);
+                alpha.copy_from(&self.ws.pricing.alpha);
+                self.ws.factor.stats.solve_reuses += 2;
+            } else {
+                self.price_row(r, rho, y, alpha);
+                if key.is_some() {
+                    self.ws.pricing.key = key;
+                    self.ws.pricing.rho.copy_from(rho);
+                    self.ws.pricing.y.copy_from(y);
+                    self.ws.pricing.alpha.copy_from(alpha);
                 }
             }
 
@@ -1462,17 +1645,17 @@ impl<'a> SolverState<'a> {
                 alpha.nonzeros()
             };
             for &j in columns {
-                if self.status[j] == ColStatus::Basic {
+                if self.ws.status[j] == ColStatus::Basic {
                     continue;
                 }
-                if self.lower[j] == self.upper[j] && self.status[j] != ColStatus::Free {
+                if self.ws.lower[j] == self.ws.upper[j] && self.ws.status[j] != ColStatus::Free {
                     continue; // fixed columns cannot absorb the change
                 }
                 let alpha_j = alpha.get(j);
                 if alpha_j.abs() <= DUAL_ALPHA_TOL {
                     continue;
                 }
-                let ok = match (to, self.status[j]) {
+                let ok = match (to, self.ws.status[j]) {
                     // x_B(r) must increase back to its lower bound.
                     (LeaveTo::Lower, ColStatus::AtLower) => alpha_j < 0.0,
                     (LeaveTo::Lower, ColStatus::AtUpper) => alpha_j > 0.0,
@@ -1516,10 +1699,10 @@ impl<'a> SolverState<'a> {
             // bound; the entering variable's step is the remaining residual
             // over its pivot coefficient.
             let target = match to {
-                LeaveTo::Lower => self.lower[self.basis[r]],
-                LeaveTo::Upper => self.upper[self.basis[r]],
+                LeaveTo::Lower => self.ws.lower[self.ws.basis[r]],
+                LeaveTo::Upper => self.ws.upper[self.ws.basis[r]],
             };
-            let mut residual = self.xb[r] - target;
+            let mut residual = self.ws.xb[r] - target;
 
             // Bound-flipping ratio test: when the min-ratio column's own step
             // would overshoot its opposite bound, flip it there (no pivot, no
@@ -1531,7 +1714,7 @@ impl<'a> SolverState<'a> {
             // bounds. Disabled under Bland's rule, whose anti-cycling
             // argument assumes plain min-ratio pivots.
             let fits = |state: &Self, j: usize, alpha: f64, residual: f64| -> bool {
-                let range = state.upper[j] - state.lower[j];
+                let range = state.ws.upper[j] - state.ws.lower[j];
                 !range.is_finite() || residual.abs() <= range * alpha.abs() + tol
             };
             flips.clear();
@@ -1550,7 +1733,7 @@ impl<'a> SolverState<'a> {
                         chosen = Some(j);
                         break;
                     }
-                    let range = self.upper[j] - self.lower[j];
+                    let range = self.ws.upper[j] - self.ws.lower[j];
                     let flip_delta = (residual / alpha_j).signum() * range;
                     flips.push((j, flip_delta));
                     residual -= alpha_j * flip_delta;
@@ -1573,13 +1756,13 @@ impl<'a> SolverState<'a> {
             for &(i, a) in &self.lp.cols[q] {
                 w.set(i, a);
             }
-            self.factor.ftran(w);
+            self.ws.factor.ftran(w);
             if w.get(r).abs() < MIN_PIVOT {
                 // With flips pending, retrying would double-apply them; a
                 // cold restart by the caller is the safe recovery. Without
                 // flips, fold the eta file and retry as before.
                 if !flips.is_empty()
-                    || self.factor.eta_count() == 0
+                    || self.ws.factor.eta_count() == 0
                     || !self.refresh_factorization()
                 {
                     return InnerStatus::Unstable;
@@ -1599,39 +1782,39 @@ impl<'a> SolverState<'a> {
                     for &(i, a) in &self.lp.cols[j] {
                         wf.add(i, a * flip_delta);
                     }
-                    self.status[j] = match self.status[j] {
+                    self.ws.status[j] = match self.ws.status[j] {
                         ColStatus::AtLower => ColStatus::AtUpper,
                         ColStatus::AtUpper => ColStatus::AtLower,
                         other => other, // free columns never flip
                     };
                     self.flips += 1;
                 }
-                self.factor.ftran(wf);
+                self.ws.factor.ftran(wf);
                 for &i in wf.nonzeros() {
                     let shift = wf.get(i);
                     if shift != 0.0 {
-                        self.xb[i] -= shift;
+                        self.ws.xb[i] -= shift;
                     }
                 }
             }
 
-            let delta_q = (self.xb[r] - target) / w.get(r);
+            let delta_q = (self.ws.xb[r] - target) / w.get(r);
             let entering_value = self.column_value(q) + delta_q;
             for &i in w.nonzeros() {
                 let g = w.get(i);
                 if g != 0.0 {
-                    self.xb[i] -= g * delta_q;
+                    self.ws.xb[i] -= g * delta_q;
                 }
             }
-            let leaving_col = self.basis[r];
-            self.status[leaving_col] = match to {
+            let leaving_col = self.ws.basis[r];
+            self.ws.status[leaving_col] = match to {
                 LeaveTo::Lower => ColStatus::AtLower,
                 LeaveTo::Upper => ColStatus::AtUpper,
             };
-            self.basis[r] = q;
-            self.status[q] = ColStatus::Basic;
-            self.xb[r] = entering_value;
-            self.factor.push_eta(r, w);
+            self.ws.basis[r] = q;
+            self.ws.status[q] = ColStatus::Basic;
+            self.ws.xb[r] = entering_value;
+            self.ws.factor.push_eta(r, w);
             self.iterations += 1;
         }
         InnerStatus::IterationLimit
@@ -1960,14 +2143,27 @@ mod tests {
     }
 
     /// Asserts two outcomes are the same bit for bit: status, values,
-    /// every counter and the basis.
+    /// every counter and the basis. The factorization counters differ by
+    /// exactly the work the reused workspace kept: each kept LU is one
+    /// refactorization fewer and each kept FTRAN or BTRAN result one solve
+    /// fewer (never a hyper-sparse one: these models have fewer rows than
+    /// the hyper-sparse threshold), and a fresh workspace keeps nothing.
     fn assert_identical(reused: &RevisedOutcome, fresh: &RevisedOutcome, solve: usize) {
         let bits = |o: &RevisedOutcome| o.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(reused.status, fresh.status, "solve {solve}: status");
         assert_eq!(bits(reused), bits(fresh), "solve {solve}: values");
         assert_eq!(reused.iterations, fresh.iterations, "solve {solve}");
         assert_eq!(reused.bound_flips, fresh.bound_flips, "solve {solve}");
-        assert_eq!(reused.factor_stats, fresh.factor_stats, "solve {solve}");
+        let (kept, all) = (reused.factor_stats, fresh.factor_stats);
+        assert!(kept.lu_reuses <= 1 && kept.solve_reuses <= 3 * kept.lu_reuses);
+        let redone = FactorStats {
+            refactorizations: kept.refactorizations + kept.lu_reuses,
+            solves: kept.solves + kept.solve_reuses,
+            lu_reuses: 0,
+            solve_reuses: 0,
+            ..kept
+        };
+        assert_eq!(redone, all, "solve {solve}: factor stats");
         assert_eq!(
             reused.stall_perturbations, fresh.stall_perturbations,
             "solve {solve}"
@@ -2018,6 +2214,24 @@ mod tests {
     /// An open branch: its bound tightenings and its parent's basis.
     type OpenNode = (Vec<(VarId, f64, f64)>, Option<Arc<BasisSnapshot>>);
 
+    /// The two children of a node whose relaxation put `var` at `value`,
+    /// down first.
+    fn children(
+        bounds: &[(VarId, f64, f64)],
+        var: VarId,
+        value: f64,
+    ) -> [Vec<(VarId, f64, f64)>; 2] {
+        [
+            (f64::NEG_INFINITY, value.floor()),
+            (value.ceil(), f64::INFINITY),
+        ]
+        .map(|(lower, upper)| {
+            let mut child = bounds.to_vec();
+            child.push((var, lower, upper));
+            child
+        })
+    }
+
     #[test]
     fn a_reused_workspace_matches_fresh_solves_bit_for_bit() {
         let mut counter = 0;
@@ -2031,29 +2245,42 @@ mod tests {
             ..base
         };
         // One workspace for every solve of every model, as branch and bound
-        // would thread it, each outcome held to a fresh `solve_node`.
+        // keeps it, each outcome held to a fresh `solve_node`.
         let mut ws = NodeWorkspace::default();
-        let mut solves = 0;
+        let (mut solves, mut kept_lu, mut kept_solves) = (0, 0, 0);
         let mut check = |lp: &RevisedLp,
                          ws: &mut NodeWorkspace,
                          tighten: &[(VarId, f64, f64)],
                          warm: Option<&BasisSnapshot>,
                          options: &SimplexOptions| {
-            let reused = lp.solve_node_in(ws, tighten, warm, options);
+            let reused = lp
+                .solve_node_in(ws, tighten, warm, options)
+                .into_outcome(ws);
             assert_identical(&reused, &lp.solve_node(tighten, warm, options), solves);
             solves += 1;
+            kept_lu += reused.factor_stats.lu_reuses;
+            kept_solves += reused.factor_stats.solve_reuses;
             reused
         };
         for _ in 0..8 {
             let model = section_vc_model(&mut draw);
             let lp = RevisedLp::new(&model).unwrap();
+            // A new model: the LU the workspace holds factors another matrix.
+            ws.forget();
             let integer = model.integer_vars();
+            let fractional = |values: &[f64]| {
+                integer
+                    .iter()
+                    .find(|v| values[v.index()].fract().abs() > 1e-6)
+                    .map(|&var| (var, values[var.index()]))
+            };
             // Depth-first branching on the first fractional variable; every
             // fifth node runs on the other factorization backend. Children
             // warm-start from their parent's basis, which is often not the
-            // outcome solved just before.
+            // outcome solved just before; a child that does not branch is
+            // followed by its sibling.
             let mut open: Vec<OpenNode> = vec![(Vec::new(), None)];
-            let mut root_basis = None;
+            let mut root = None;
             for explored in 0..12 {
                 let Some((bounds, warm)) = open.pop() else {
                     break;
@@ -2063,22 +2290,22 @@ mod tests {
                 let Some(basis) = out.basis else {
                     continue;
                 };
-                root_basis.get_or_insert_with(|| Arc::clone(&basis));
-                let Some(&var) = integer
-                    .iter()
-                    .find(|v| out.values[v.index()].fract().abs() > 1e-6)
-                else {
+                let Some((var, value)) = fractional(&out.values) else {
                     continue;
                 };
-                let value = out.values[var.index()];
-                let mut down = bounds.clone();
-                down.push((var, f64::NEG_INFINITY, value.floor()));
-                let mut up = bounds;
-                up.push((var, value.ceil(), f64::INFINITY));
+                let [down, up] = children(&bounds, var, value);
+                root.get_or_insert_with(|| (Arc::clone(&basis), down.clone(), up.clone()));
                 open.push((down, Some(Arc::clone(&basis))));
                 open.push((up, Some(basis)));
             }
-            let basis = root_basis.expect("the root relaxation is feasible");
+            let (basis, down, up) = root.expect("the root relaxation branches");
+            // The root's children back to back, twice: the second of each
+            // pair keeps its sibling's LU and x_B; then on the other backend,
+            // whose switch drops the LU.
+            for options in [&base, &base, &switched] {
+                check(&lp, &mut ws, &down, Some(&basis), options);
+                check(&lp, &mut ws, &up, Some(&basis), options);
+            }
             let rho0 = VarId(0);
             // Crossed bounds: infeasible, and crossing by less than the
             // tolerance (collapsed onto the lower bound).
@@ -2098,7 +2325,11 @@ mod tests {
             check(&lp, &mut ws, &[], Some(&singular), &switched);
             check(&lp, &mut ws, &[], Some(&singular), &base);
         }
-        assert!(solves >= 50, "only {solves} node solves");
+        assert!(solves >= 90, "only {solves} node solves");
+        assert!(
+            kept_lu > 0 && kept_solves > kept_lu,
+            "{kept_lu} kept LUs, {kept_solves} kept solves over {solves} solves"
+        );
     }
 
     #[test]

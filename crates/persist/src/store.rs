@@ -191,7 +191,9 @@ impl Store {
     }
 
     /// Writes the snapshot for `epoch` atomically (temp file + rename): a
-    /// crash mid-write leaves the previous snapshots untouched.
+    /// crash mid-write leaves the previous snapshots untouched. The file and
+    /// then the directory are synced, so once this returns the snapshot
+    /// survives a power loss under its final name.
     ///
     /// # Errors
     ///
@@ -203,7 +205,14 @@ impl Store {
             file.write_all(&frame(payload))?;
             file.sync_all()?;
         }
-        fs::rename(&tmp, self.snapshot_path(epoch))
+        fs::rename(&tmp, self.snapshot_path(epoch))?;
+        self.sync_dir()
+    }
+
+    /// Syncs the store directory: a created or renamed file's entry is
+    /// durable only once its directory is.
+    fn sync_dir(&self) -> io::Result<()> {
+        File::open(&self.dir)?.sync_all()
     }
 
     /// The payload of the snapshot of `epoch`: `None` when the file is
@@ -233,7 +242,8 @@ impl Store {
         self.journal_appender()?.append(payload)
     }
 
-    /// Opens the journal (creating it if needed) for a run's appends: one
+    /// Opens the journal (creating it if needed, and then syncing the
+    /// directory so that its entry is durable) for a run's appends: one
     /// open handle for many records. Resets and deletions of the journal
     /// file do not follow an open appender, so open it after them.
     ///
@@ -241,10 +251,12 @@ impl Store {
     ///
     /// Propagates file-system failures.
     pub fn journal_appender(&self) -> io::Result<JournalAppender> {
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.journal_path())?;
+        let path = self.journal_path();
+        let created = !path.exists();
+        let file = OpenOptions::new().create(true).append(true).open(path)?;
+        if created {
+            self.sync_dir()?;
+        }
         Ok(JournalAppender { file })
     }
 

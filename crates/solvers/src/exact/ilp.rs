@@ -17,7 +17,7 @@
 use std::time::Instant;
 
 use rental_core::{Instance, RecipeId, Throughput, ThroughputSplit};
-use rental_lp::model::{Model, Relation};
+use rental_lp::model::{Model, Relation, VarId};
 use rental_lp::{MipSolver, MipStatus, SolveLimits};
 
 use crate::heuristics::SteepestGradientSolver;
@@ -74,44 +74,47 @@ impl IlpSolver {
         limits
     }
 
-    /// Builds the §V-C MILP for an instance and a target throughput.
+    /// Builds the §V-C MILP for an instance and a target throughput. The
+    /// variables are `[ρ_1..ρ_J, x_1..x_Q]` and carry no names: the model is
+    /// built for every solve, and nothing reads them.
     pub fn build_model(instance: &Instance, target: Throughput) -> Model {
         let app = instance.application();
         let platform = instance.platform();
         let num_recipes = app.num_recipes();
         let num_types = platform.num_types();
+        let rho_var = VarId;
+        let x_var = |q: usize| VarId(num_recipes + q);
 
         let mut model = Model::minimize();
         // ρ_j variables: no objective cost, bounded by the target (WLOG an
         // optimal solution never gives one recipe more than the whole target).
-        let rho_vars: Vec<_> = (0..num_recipes)
-            .map(|j| model.add_int_var(format!("rho{j}"), 0.0, 0.0, target as f64))
-            .collect();
+        for _ in 0..num_recipes {
+            model.add_int_var(String::new(), 0.0, 0.0, target as f64);
+        }
         // x_q variables carry the rental cost.
-        let x_vars: Vec<_> = (0..num_types)
-            .map(|q| {
-                model.add_int_var(
-                    format!("x{q}"),
-                    platform.cost(rental_core::TypeId(q)) as f64,
-                    0.0,
-                    f64::INFINITY,
-                )
-            })
-            .collect();
+        for q in 0..num_types {
+            model.add_int_var(
+                String::new(),
+                platform.cost(rental_core::TypeId(q)) as f64,
+                0.0,
+                f64::INFINITY,
+            );
+        }
 
         // Coverage: Σ_j ρ_j ≥ ρ.
         model.add_constraint(
-            rho_vars.iter().map(|&v| (v, 1.0)).collect(),
+            (0..num_recipes).map(|j| (rho_var(j), 1.0)).collect(),
             Relation::GreaterEq,
             target as f64,
         );
         // Capacity per type: x_q r_q - Σ_j n_jq ρ_j ≥ 0.
-        for (q, &x_var) in x_vars.iter().enumerate().take(num_types) {
-            let mut terms = vec![(x_var, platform.throughput(rental_core::TypeId(q)) as f64)];
-            for (j, &rho_var) in rho_vars.iter().enumerate() {
+        for q in 0..num_types {
+            let mut terms = Vec::with_capacity(1 + num_recipes);
+            terms.push((x_var(q), platform.throughput(rental_core::TypeId(q)) as f64));
+            for j in 0..num_recipes {
                 let n_jq = app.demand().count(RecipeId(j), rental_core::TypeId(q));
                 if n_jq > 0 {
-                    terms.push((rho_var, -(n_jq as f64)));
+                    terms.push((rho_var(j), -(n_jq as f64)));
                 }
             }
             model.add_constraint(terms, Relation::GreaterEq, 0.0);
@@ -137,7 +140,7 @@ impl IlpSolver {
         let num_recipes = instance.num_recipes();
         for (q, &cap) in caps.iter().enumerate() {
             if cap < UNLIMITED_CAP {
-                model.tighten_upper(rental_lp::model::VarId(num_recipes + q), cap as f64);
+                model.tighten_upper(VarId(num_recipes + q), cap as f64);
             }
         }
         model
