@@ -9,7 +9,8 @@
 //! injected faults, SLO violations, degraded solves and the adoptions that
 //! repair them, in their exact serving order. `repro fleet-obs` renders the
 //! per-stage epoch breakdown and the per-epoch critical paths, both read off
-//! the report's trace trees, the top-k tenants by solver effort, the
+//! the report's trace trees, the run's phases outside its epochs (its
+//! `init` and `finish` trees), the top-k tenants by solver effort, the
 //! headline LP/solver counters, and the event tail; `--json` dumps the same
 //! data as rows of the `rental_obs::json` encoder.
 //!
@@ -21,9 +22,10 @@ use std::sync::Arc;
 
 use rental_fleet::{failure_coupled_fleet, ChaosConfig, FleetController, FleetReport};
 use rental_obs::json::JsonRow;
+use rental_obs::trace::ROOT;
 use rental_obs::{
     install_scoped, AlertPolicy, AlertRule, Event, MetricsSnapshot, Recorder, Stage, StepTotal,
-    TraceSummary,
+    TraceSummary, TraceTree,
 };
 use rental_solvers::SolveResult;
 
@@ -200,6 +202,11 @@ pub fn fleet_obs_markdown(table: &FleetObsTable) -> String {
             1e6 * seconds / epochs,
         ));
     }
+    out.push_str(&format!(
+        "\noutside the epochs: {}; {}\n",
+        render_phases(&report.init_timing),
+        render_phases(&report.finish_timing),
+    ));
 
     // Per-epoch critical path: which chain bounded each epoch, and how
     // much of it was the merge barrier (the ROADMAP's `merge_wait`
@@ -322,6 +329,21 @@ pub fn fleet_obs_markdown(table: &FleetObsTable) -> String {
     out
 }
 
+/// A run-phase tree (`init` or `finish`) as its wall, then its phases in
+/// parentheses.
+fn render_phases(tree: &TraceTree) -> String {
+    let phases: Vec<String> = (tree.children(ROOT))
+        .map(|s| format!("{} {:.2} ms", s.name, 1e3 * s.seconds))
+        .collect();
+    let root = tree.root();
+    format!(
+        "{} {:.2} ms ({})",
+        root.name,
+        1e3 * root.seconds,
+        phases.join(", ")
+    )
+}
+
 /// A summary step as `name seconds`, its sub-steps in parentheses.
 fn render_step(step: &StepTotal) -> String {
     let mut out = format!("{} {:.2} ms", step.name, 1e3 * step.seconds);
@@ -333,8 +355,8 @@ fn render_step(step: &StepTotal) -> String {
 }
 
 /// The observability lane's rows: the report's telemetry rows, one chaos
-/// row, every metric, the per-epoch critical paths with their summary, and
-/// every retained event.
+/// row, every metric, one row per phase of the run outside its epochs, the
+/// per-epoch critical paths with their summary, and every retained event.
 pub fn fleet_obs_rows(table: &FleetObsTable) -> Vec<JsonRow> {
     let mut rows = table.report.telemetry();
     rows.push(
@@ -347,6 +369,15 @@ pub fn fleet_obs_rows(table: &FleetObsTable) -> Vec<JsonRow> {
             .usize("delayed_arbitrations", table.chaos.delayed_arbitrations),
     );
     rows.extend(table.snapshot.rows());
+    for tree in [&table.report.init_timing, &table.report.finish_timing] {
+        rows.extend(tree.children(ROOT).map(|phase| {
+            JsonRow::new()
+                .str("record", "run_phase")
+                .str("tree", tree.root().name)
+                .str("phase", phase.name)
+                .f64("seconds", phase.seconds)
+        }));
+    }
     let trees = &table.report.epoch_timing;
     rows.extend(trees.iter().map(|tree| {
         let path = tree.critical_path();
@@ -435,6 +466,10 @@ mod tests {
             assert_eq!(tree.root().name, "epoch");
         }
         let markdown = fleet_obs_markdown(&table);
+        assert!(markdown.contains("outside the epochs: init "));
+        assert!(markdown.contains("solve "));
+        assert!(markdown.contains("; finish "));
+        assert!(markdown.contains("reports "));
         assert!(markdown.contains("| probe |"));
         assert!(markdown.contains("| persist |"));
         assert!(markdown.contains("critical path per epoch"));
@@ -446,6 +481,8 @@ mod tests {
         assert!(json.contains("\"record\":\"chaos\""));
         assert!(json.contains("\"record\":\"critical_path\""));
         assert!(json.contains("\"record\":\"trace_summary\""));
+        assert!(json.contains("\"record\":\"run_phase\",\"tree\":\"init\",\"phase\":\"solve\""));
+        assert!(json.contains("\"tree\":\"finish\",\"phase\":\"release\""));
         assert!(json.contains("\"metric\":\"lp.solves\""));
     }
 
@@ -478,5 +515,17 @@ mod tests {
         };
         assert_eq!(a.report.epoch_timing.len(), a.report.epochs);
         assert_eq!(shape(&a.report), shape(&b.report));
+        let phases = |tree: &TraceTree| -> Vec<&'static str> {
+            tree.children(ROOT).map(|s| s.name).collect()
+        };
+        assert_eq!(phases(&a.report.init_timing), phases(&b.report.init_timing));
+        assert_eq!(
+            phases(&a.report.init_timing),
+            ["peaks", "requests", "solve", "derive", "states", "coupling"]
+        );
+        assert_eq!(
+            phases(&a.report.finish_timing),
+            ["headroom", "reports", "release"]
+        );
     }
 }

@@ -170,6 +170,14 @@ pub(crate) fn quantize_target(rate: f64, headroom: f64, granularity: u64) -> Thr
     rho.div_ceil(g) * g
 }
 
+/// Whether target `rho` moved from the `solved` target by more than the
+/// relative `threshold`: a workload shift worth probing. The probe pass and
+/// the probe table ([`Derived::build_probe_table`]) ask through this one
+/// function, so they cannot drift apart.
+pub(crate) fn shifted(rho: Throughput, solved: Throughput, threshold: f64) -> bool {
+    (rho as f64 - solved as f64).abs() > threshold * solved.max(1) as f64
+}
+
 /// [`initial_target`] from a tenant's epoch peaks, under an explicit
 /// head-room and granularity: the coupled serving path provisions with
 /// availability-adjusted head-room, the plain path with the policy's own —
@@ -232,7 +240,8 @@ fn fleet_machines<'a>(
 /// marginal charge past the elapsed rental time applies) and the machines the
 /// rescale would rent **fresh** (scale-up — new commitments, billed from
 /// hour zero). Under linear billing the two parts sum to exactly the whole
-/// fleet's remaining-horizon bill.
+/// fleet's remaining-horizon bill. Memoized per tenant, or held in its
+/// request's probe table ([`Derived::build_probe_table`]).
 pub(crate) struct ProbeEntry {
     pub(crate) continued: HorizonCache,
     pub(crate) fresh: HorizonCache,
@@ -246,24 +255,19 @@ impl ProbeEntry {
         target: Throughput,
         billing: &(dyn SegmentedBilling + Send + Sync),
     ) -> Self {
-        let current = scaler.required_for_target(solved_target as f64);
-        let rescaled = scaler.required_for_target(target as f64);
-        let demand = scaler.demand_at(target as f64);
-        let load_each: Vec<f64> = rescaled
-            .iter()
-            .zip(&demand)
-            .map(|(&n, &d)| if n == 0 { 0.0 } else { d / n as f64 })
-            .collect();
-        let continued: Vec<u64> = rescaled
-            .iter()
-            .zip(&current)
-            .map(|(&tgt, &cur)| tgt.min(cur))
-            .collect();
-        let fresh: Vec<u64> = rescaled
-            .iter()
-            .zip(&continued)
-            .map(|(&tgt, &kept)| tgt - kept)
-            .collect();
+        // The rescaled fleet splits in place into what the current fleet
+        // continues and what is rented fresh; each of its machines carries
+        // an equal share of its type's demand.
+        let mut continued = scaler.required_for_target(solved_target as f64);
+        let mut fresh = scaler.required_for_target(target as f64);
+        let mut load_each = scaler.demand_at(target as f64);
+        for (load, &n) in load_each.iter_mut().zip(&fresh) {
+            *load = if n == 0 { 0.0 } else { *load / n as f64 };
+        }
+        for (kept, grown) in continued.iter_mut().zip(&mut fresh) {
+            *kept = (*kept).min(*grown);
+            *grown -= *kept;
+        }
         let cache = |fleet: &[u64]| {
             HorizonCache::from_machines(fleet_machines(instance, fleet, &load_each), billing)
         };
@@ -284,17 +288,20 @@ pub(crate) struct KnownPlan {
     pub(crate) cache: HorizonCache,
 }
 
-/// The derived state a tenant's state is built around: the initial plan's
-/// target and recipe mix, the scalers of the current and the initial mix,
-/// and the instance's constants. Pure functions of the instance, the plan
-/// and the run's policy, so a fresh run builds one per distinct initial
-/// request and its tenants share it; a resumed run builds one per tenant
-/// (its current mix may have moved on from the initial one).
+/// The derived state a tenant's state reaches through: the initial plan's
+/// target and recipe mix, the baseline scaler of that mix, the instance's
+/// constants, and a fresh run's initial plan and its probe table. Pure
+/// functions of the instance, the plan and the run's policy, so a fresh run
+/// builds one per distinct initial request and its tenants share it; a
+/// resumed run builds one per tenant, without a plan (the restored plan log
+/// holds it) or a probe table. The scaler of the mix a tenant serves is the
+/// tenant's own, so a tenant that moved on from the initial mix releases
+/// it.
 pub(crate) struct Derived {
     pub(crate) initial_target: Throughput,
     pub(crate) initial_fractions: Arc<[f64]>,
-    /// Scaler of the current mix under the serving policy.
-    pub(crate) scaler: FixedMixScaler,
+    /// A fresh run's initial plan, at the head of each tenant's plan log.
+    pub(crate) initial_plan: Option<(Throughput, Arc<KnownPlan>)>,
     /// Scaler of the initial mix under the baseline policy.
     pub(crate) baseline: FixedMixScaler,
     /// The availability the static-headroom baseline is sized for, under
@@ -302,26 +309,95 @@ pub(crate) struct Derived {
     pub(crate) headroom_availability: Option<f64>,
     pub(crate) granularity: u64,
     pub(crate) min_unit_cost: f64,
+    /// The initial plan's keep projections, by ascending target, at every
+    /// target its tenants would probe while they keep it (see
+    /// [`Derived::build_probe_table`]); empty unless the request has two or
+    /// more tenants.
+    probes: Box<[(Throughput, ProbeEntry)]>,
 }
 
 impl Derived {
     /// The derived state of `instance` serving under `env`, started from the
-    /// `initial` plan's `(target, recipe mix)` and now running `current`.
+    /// `initial` plan's `(target, recipe mix)`.
     pub(crate) fn new(
         instance: &Instance,
         env: &RunEnv,
         (initial_target, initial_fractions): (Throughput, Vec<f64>),
-        current: &[f64],
     ) -> Self {
         Derived {
             initial_target,
-            scaler: FixedMixScaler::new(instance, current, &env.scaling),
             baseline: FixedMixScaler::new(instance, &initial_fractions, &env.baseline_scaling),
             initial_fractions: initial_fractions.into(),
             headroom_availability: env.failures_enabled.then_some(env.availability),
             granularity: instance.throughput_granularity(),
             min_unit_cost: min_unit_cost(instance),
+            initial_plan: None,
+            probes: Box::default(),
         }
+    }
+
+    /// Fills the probe table of a fresh run's request from its tenants'
+    /// epoch `peaks`: the keep projection of the initial plan, whose mix
+    /// serves through `scaler`, at every target one of them would probe
+    /// while it keeps the plan — an epoch with horizon left whose target,
+    /// quantized under the serving head-room, is nonzero and [`shifted`]
+    /// from the initial target. These are the probe pass's own predicates,
+    /// and an entry is a pure function of the plan, the target and the
+    /// billing model, so reading the table decides exactly what a
+    /// per-tenant memo would. A mix that carries nothing is never probed
+    /// (its tenants re-solve), so it gets none.
+    pub(crate) fn build_probe_table<'p>(
+        &mut self,
+        instance: &Instance,
+        scaler: &FixedMixScaler,
+        peaks: impl IntoIterator<Item = &'p [f64]>,
+        env: &RunEnv,
+        policy: &FleetPolicy,
+        billing: &(dyn SegmentedBilling + Send + Sync),
+    ) {
+        if !self.initial_fractions.iter().any(|&f| f > 0.0) {
+            return;
+        }
+        let solved = self.initial_target;
+        // A handful of distinct targets among many probes: a list beats
+        // sorting every probe.
+        let mut targets = Vec::new();
+        for peaks in peaks {
+            // A tenant's epochs repeat a few rates (plateaus, daily cycles):
+            // its last few distinct rates are remembered, and a repeated
+            // rate, whose target is already listed, is not quantized again.
+            let mut recent = [f64::NAN; 4];
+            let mut distinct = 0;
+            // An epoch has horizon left while it is not the tenant's last.
+            for &rate in peaks.iter().take(peaks.len().saturating_sub(1)) {
+                if recent.contains(&rate) {
+                    continue;
+                }
+                recent[distinct % recent.len()] = rate;
+                distinct += 1;
+                let rho = quantize_target(rate, env.serve_headroom, self.granularity);
+                let probed = rho != 0 && shifted(rho, solved, policy.shift_threshold);
+                if probed && !targets.contains(&rho) {
+                    targets.push(rho);
+                }
+            }
+        }
+        targets.sort_unstable();
+        self.probes = (targets.into_iter())
+            .map(|rho| {
+                let entry = ProbeEntry::new(instance, scaler, solved, rho, billing);
+                (rho, entry)
+            })
+            .collect();
+    }
+
+    /// The probe table's keep projection at target `rho`, if it holds one.
+    fn probe(&self, rho: Throughput) -> Option<&ProbeEntry> {
+        let probes = &self.probes;
+        let k = probes
+            .binary_search_by_key(&rho, |&(target, _)| target)
+            .ok()?;
+        Some(&probes[k].1)
     }
 }
 
@@ -330,8 +406,9 @@ impl Derived {
 /// [`crate::persist`] checkpoints it as is.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct TenantCore {
-    /// The current recipe mix.
-    pub(crate) fractions: Vec<f64>,
+    /// The current recipe mix (the initial one is shared with the request's
+    /// other tenants).
+    pub(crate) fractions: Arc<[f64]>,
     /// The fleet rented under the current mix, with its scale-down
     /// hysteresis.
     pub(crate) mix: FixedMixState,
@@ -341,7 +418,9 @@ pub(crate) struct TenantCore {
     /// past the rental time already elapsed, so committed billing terms the
     /// current plan has already paid are sunk, not re-billed.
     pub(crate) adopted_epoch: usize,
-    pub(crate) prior: Option<SweepPrior>,
+    /// The warm-start prior of the next re-solve (the initial one is shared
+    /// with the request's other tenants).
+    pub(crate) prior: Option<Arc<SweepPrior>>,
     /// The `(target, effective caps)` of the last failure re-solve: while an
     /// outage situation is unchanged, re-solving it again cannot produce a
     /// different answer, so the violated epochs are only counted.
@@ -375,13 +454,13 @@ pub(crate) struct Tally {
 }
 
 /// The baselines a tenant's report compares against, all on the initial
-/// mix: the fixed-mix autoscaler — the frozen controller, advanced epoch by
-/// epoch inside the sharded pass, so its bill is exactly an
-/// [`Autoscaler::run`] — and the static-peak and (under failures)
-/// static-headroom fleets, closed forms of the trace. Derived state: a
-/// resumed run replays the autoscaler from the trace.
+/// mix (whose scaler is the request's [`Derived::baseline`]): the fixed-mix
+/// autoscaler — the frozen controller, advanced epoch by epoch inside the
+/// sharded pass, so its bill is exactly an [`Autoscaler::run`] — and the
+/// static-peak and (under failures) static-headroom fleets, closed forms of
+/// the trace. Derived state: a resumed run replays the autoscaler from the
+/// trace.
 pub(crate) struct Baselines {
-    scaler: FixedMixScaler,
     mix: FixedMixState,
     fixed_mix_cost: f64,
     /// The initial mix provisioned statically for `peak / availability`
@@ -391,42 +470,39 @@ pub(crate) struct Baselines {
 
 impl Baselines {
     fn new(spec: &TenantSpec, derived: &Derived) -> Self {
-        let scaler = derived.baseline.clone();
         let headroom_fleet = match derived.headroom_availability {
-            Some(availability) => scaler.required_for(spec.trace.peak_rate() / availability),
+            Some(availability) => {
+                (derived.baseline).required_for(spec.trace.peak_rate() / availability)
+            }
             None => Vec::new(),
         };
         Baselines {
-            scaler,
             mix: FixedMixState::new(spec.instance.num_types()),
             fixed_mix_cost: 0.0,
             headroom_fleet,
         }
     }
 
-    /// Advances the fixed-mix autoscaler through one epoch at demand `rate`.
-    pub(crate) fn advance(&mut self, rate: f64, policy: &AutoscalePolicy) {
-        let fleet = self
-            .mix
-            .step(&self.scaler, rate, policy.scale_down_patience);
-        self.fixed_mix_cost += self.scaler.cost_rate(fleet) * policy.epoch;
+    /// Advances the fixed-mix autoscaler, on the request's baseline
+    /// `scaler`, through one epoch at demand `rate`.
+    pub(crate) fn advance(&mut self, scaler: &FixedMixScaler, rate: f64, policy: &AutoscalePolicy) {
+        let fleet = self.mix.step(scaler, rate, policy.scale_down_patience);
+        self.fixed_mix_cost += scaler.cost_rate(fleet) * policy.epoch;
     }
 }
 
 /// Mutable per-tenant state of a run: the persisted decision state and
 /// totals plus the caches derived from them. What the tenants of one
-/// initial request have in common — the initial mix, the scalers' rates,
-/// the initial plan — is shared, not copied; what each tenant changes is
-/// its own and inline.
+/// initial request have in common is not copied: the initial mix, the
+/// baseline scaler, the initial plan and its probe table are reached
+/// through the shared [`Derived`], and the initial prior and the serving
+/// scaler's rates are shared handles until the tenant moves on. What each
+/// tenant changes is its own and inline.
 pub(crate) struct TenantState<'a> {
     pub(crate) spec: &'a TenantSpec,
-    /// The target the initial plan was solved for.
-    pub(crate) initial_target: Throughput,
-    /// The recipe mix the tenant started with (the baselines' mix).
-    pub(crate) initial_fractions: Arc<[f64]>,
+    /// What the tenant shares with its initial request's other tenants.
+    pub(crate) derived: Arc<Derived>,
     pub(crate) peaks: Vec<f64>,
-    pub(crate) granularity: u64,
-    pub(crate) min_unit_cost: f64,
     /// Scaler of the current mix.
     pub(crate) scaler: FixedMixScaler,
     pub(crate) baselines: Baselines,
@@ -434,23 +510,27 @@ pub(crate) struct TenantState<'a> {
     pub(crate) tally: Tally,
     pub(crate) epoch_costs: Vec<f64>,
     /// The probe memo: one keep projection per target probed since the
-    /// current mix was adopted — a handful, so a list beats a hash map.
+    /// current mix was adopted and missing from the probe table — a
+    /// handful, so a list beats a hash map.
     pub(crate) probe_cache: Vec<(Throughput, ProbeEntry)>,
-    /// Every plan learned, oldest first. A target re-solved under tighter
-    /// caps is learned again, and the newest plan for a target shadows the
-    /// older ones. Append-only, so a checkpoint serializes it as is and a
-    /// journal record carries exactly the plans learned since the previous
-    /// record — replacements included.
+    /// Every plan learned, oldest first, after the request's initial plan
+    /// ([`TenantState::plan_log`] is the whole log). A target re-solved
+    /// under tighter caps is learned again, and the newest plan for a target
+    /// shadows the older ones. Append-only, so a checkpoint serializes the
+    /// log as is and a journal record carries exactly the plans learned
+    /// since the previous record — replacements included.
     pub(crate) plans: Vec<(Throughput, Arc<KnownPlan>)>,
 }
 
 impl<'a> TenantState<'a> {
-    /// Builds a tenant's state around its `derived` state, its epoch peaks
-    /// and its persisted (or freshly initialised) decision state, running
-    /// totals and plan log.
+    /// Builds a tenant's state around its `derived` state, the `scaler` of
+    /// its current mix, its epoch peaks and its persisted (or freshly
+    /// initialised) decision state, running totals and plan log.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         spec: &'a TenantSpec,
-        derived: &Derived,
+        derived: Arc<Derived>,
+        scaler: FixedMixScaler,
         peaks: Vec<f64>,
         core: TenantCore,
         tally: Tally,
@@ -459,13 +539,10 @@ impl<'a> TenantState<'a> {
     ) -> Self {
         TenantState {
             spec,
-            initial_target: derived.initial_target,
-            initial_fractions: Arc::clone(&derived.initial_fractions),
             peaks,
-            granularity: derived.granularity,
-            min_unit_cost: derived.min_unit_cost,
-            scaler: derived.scaler.clone(),
-            baselines: Baselines::new(spec, derived),
+            scaler,
+            baselines: Baselines::new(spec, &derived),
+            derived,
             core,
             tally,
             epoch_costs,
@@ -478,9 +555,22 @@ impl<'a> TenantState<'a> {
         self.core.fractions.iter().any(|&f| f > 0.0)
     }
 
+    /// The plan log, oldest first: a fresh run's initial plan, shared with
+    /// the request's other tenants, then every plan the tenant learned.
+    pub(crate) fn plan_log(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = &(Throughput, Arc<KnownPlan>)> {
+        self.derived.initial_plan.iter().chain(&self.plans)
+    }
+
+    /// The length of [`TenantState::plan_log`].
+    pub(crate) fn plan_count(&self) -> usize {
+        usize::from(self.derived.initial_plan.is_some()) + self.plans.len()
+    }
+
     /// The newest plan learned for target `rho`, if any.
     pub(crate) fn known(&self, rho: Throughput) -> Option<&KnownPlan> {
-        (self.plans.iter().rev())
+        (self.plan_log().rev())
             .find(|(target, _)| *target == rho)
             .map(|(_, plan)| &**plan)
     }
@@ -490,13 +580,20 @@ impl<'a> TenantState<'a> {
         self.plans.push((rho, Arc::new(plan)));
     }
 
-    /// The memoized keep projection of the current mix at target `rho`,
-    /// built on first use.
+    /// The keep projection of the current mix at target `rho`: read off the
+    /// request's probe table while the tenant keeps its initial plan (it
+    /// has adopted nothing, so its adoption epoch is still 0), else
+    /// memoized, built on first use.
     pub(crate) fn probe_entry(
         &mut self,
         rho: Throughput,
         billing: &(dyn SegmentedBilling + Send + Sync),
     ) -> &ProbeEntry {
+        if self.core.adopted_epoch == 0 {
+            if let Some(entry) = self.derived.probe(rho) {
+                return entry;
+            }
+        }
         let k = match self
             .probe_cache
             .iter()
@@ -525,7 +622,7 @@ impl<'a> TenantState<'a> {
             instance: &self.spec.instance,
             target,
             caps,
-            prior: self.core.prior.as_ref(),
+            prior: self.core.prior.as_deref(),
         }
     }
 
@@ -582,7 +679,7 @@ impl<'a> TenantState<'a> {
     ) {
         self.tally.adoptions += 1;
         self.tally.switching_cost += charge;
-        self.core.fractions = Autoscaler::split_fractions(solution);
+        self.core.fractions = Autoscaler::split_fractions(solution).into();
         self.scaler = FixedMixScaler::new(&self.spec.instance, &self.core.fractions, scaling);
         self.core.solved_target = target;
         self.core.adopted_epoch = epoch + 1;
@@ -592,12 +689,12 @@ impl<'a> TenantState<'a> {
     /// Epochs in which the static-headroom fleet, suffering the tenant's
     /// outages, cannot carry the demand: one walk of its trace's cursor.
     pub(crate) fn headroom_violations(&self, outages: &mut TenantCoupling, epoch: f64) -> usize {
-        let b = &self.baselines;
+        let (scaler, b) = (&self.derived.baseline, &self.baselines);
         (self.peaks.iter().enumerate())
             .filter(|&(e, &rate)| {
                 let start = e as f64 * epoch;
                 let up = outages.surviving(&b.headroom_fleet, start, start + epoch);
-                b.scaler.violates(rate, up)
+                scaler.violates(rate, up)
             })
             .count()
     }
@@ -605,23 +702,24 @@ impl<'a> TenantState<'a> {
     /// The tenant's report row: the fixed-mix total accumulated epoch by
     /// epoch, the static baselines as closed forms of the initial mix and
     /// the trace, and the `headroom_violations` of the static-headroom fleet.
-    pub(crate) fn report(self, env: &RunEnv, headroom_violations: usize) -> TenantReport {
+    /// The epoch costs move into the row.
+    pub(crate) fn report(&mut self, env: &RunEnv, headroom_violations: usize) -> TenantReport {
         let (epoch, epochs) = (env.baseline_scaling.epoch, self.peaks.len() as f64);
-        let b = self.baselines;
+        let (scaler, b) = (&self.derived.baseline, &self.baselines);
         let static_peak_cost =
-            b.scaler.rescale_cost_rate(self.spec.trace.peak_rate()) * epoch * epochs;
+            scaler.rescale_cost_rate(self.spec.trace.peak_rate()) * epoch * epochs;
         let static_headroom_cost = if env.failures_enabled {
-            b.scaler.cost_rate(&b.headroom_fleet) * epoch * epochs
+            scaler.cost_rate(&b.headroom_fleet) * epoch * epochs
         } else {
             static_peak_cost
         };
-        let t = self.tally;
+        let t = &self.tally;
         TenantReport {
             name: self.spec.name.clone(),
-            initial_target: self.initial_target,
+            initial_target: self.derived.initial_target,
             rental_cost: t.rental_cost,
             switching_cost: t.switching_cost,
-            epoch_costs: self.epoch_costs,
+            epoch_costs: std::mem::take(&mut self.epoch_costs),
             probes: t.probes,
             resolves: t.resolves,
             adoptions: t.adoptions,
@@ -1227,7 +1325,9 @@ mod tests {
         let coupled = FleetController::new(FleetPolicy::default())
             .run_with_capacity(&IlpSolver::new(), &[], &CapacityConfig::unconstrained())
             .unwrap();
-        assert_eq!(coupled, report);
+        // Even an empty run times its start and finish.
+        assert!(coupled.matches_modulo_timing(&report));
+        assert!(coupled.epoch_timing.is_empty() && report.epoch_timing.is_empty());
     }
 
     #[test]

@@ -273,7 +273,7 @@ pub(crate) fn state_digest(run: &FleetRun<'_>) -> u64 {
         let core = &s.core;
         d.words(core.fractions.iter().map(|f| f.to_bits()));
         d.slice(core.mix.fleet());
-        d.words(core.mix.below_counts().iter().map(|&n| n as u64));
+        d.words(core.mix.below_counts().iter().copied());
         let (solved, adopted) = (core.solved_target, core.adopted_epoch as u64);
         d.words([
             solved,
@@ -292,7 +292,7 @@ pub(crate) fn state_digest(run: &FleetRun<'_>) -> u64 {
         let t = &s.tally;
         d.words([t.rental_cost.to_bits(), t.switching_cost.to_bits()]);
         d.words(tally_counts(t).map(|n| n as u64));
-        d.words([s.epoch_costs.len() as u64, s.plans.len() as u64]);
+        d.words([s.epoch_costs.len() as u64, s.plan_count() as u64]);
         if let Some(cs) = &run.coupled {
             d.slice(cs.pool.holdings(i));
         }

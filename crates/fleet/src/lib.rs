@@ -62,14 +62,20 @@
 //! and requests group by that storage before one instance per distinct
 //! storage is hashed by value. A fresh run derives what the tenants of one
 //! initial request — one instance at one initial target — have in common
-//! once, and shares it: the initial plan with its horizon cache, the recipe
+//! once, and each tenant's state reaches it instead of copying it: the
+//! initial plan with its horizon cache and warm-start prior, the recipe
 //! mix, the fixed-mix scalers' per-type rates and the instance's constants
-//! (granularity, the fractional unit-cost bound). What a tenant changes —
-//! its fleet, hysteresis counters, running totals, probe memo and learned
-//! plans — stays its own and inline, so tenants that share nothing pay no
-//! indirection. Sharing is invisible to decisions: the report is the same
-//! whether the instances share storage or were each rebuilt from their
-//! parts.
+//! (granularity, the fractional unit-cost bound). A request of two or more
+//! tenants also gets one immutable **probe table**: the initial plan's keep
+//! projection at every target its tenants would probe while they keep it,
+//! built in the run's parallel per-request derivation and only read by the
+//! probe pass. What a tenant changes — its fleet, hysteresis counters,
+//! running totals, learned plans and, once it switches plans (or when its
+//! request is its own, or the run resumed), its probe memo — stays its own
+//! and inline. Sharing is invisible to decisions: a table entry is a pure
+//! function of the plan, the target and the billing model, and the report
+//! is the same whether the instances share storage or were each rebuilt
+//! from their parts, and whether a tenant runs in its fleet or alone.
 //!
 //! ## Capacity- and failure-coupled serving
 //!
@@ -160,8 +166,10 @@
 //! once per epoch, and files it in [`FleetReport::epoch_timing`]. The trees
 //! are the report's only time and the **single masked field family** of
 //! [`FleetReport::matches_modulo_timing`]; no tenant row, checkpoint or
-//! journal record carries time, and the initial solves before epoch 0 are
-//! in no tree. Deterministic solver effort ([`TenantReport::effort`]) is not
+//! journal record carries time. The run's start and end have a tree each,
+//! [`FleetReport::init_timing`] (the initial solve batch among its phases)
+//! and [`FleetReport::finish_timing`], masked alike. Deterministic solver
+//! effort ([`TenantReport::effort`]) is not
 //! masked and survives resume. Counters, gauges and flight-recorder events
 //! are emitted only from sequential barrier sites,
 //! and [`FleetController::with_alerts`] evaluates an

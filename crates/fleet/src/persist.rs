@@ -89,7 +89,7 @@ use rental_core::{Throughput, ThroughputSplit};
 use rental_obs::{EventKind, SpanTimer, Stage};
 use rental_persist::{DecodeError, Decoder, Encoder, JournalAppender, Snapshot, Store};
 use rental_solvers::solver::{CapacitySolver, SolveError, SweepPrior};
-use rental_stream::FixedMixState;
+use rental_stream::{FixedMixScaler, FixedMixState};
 
 use crate::chaos::{ChaosClock, ChaosConfig, CrashPlan, CrashPoint};
 use crate::controller::{
@@ -279,7 +279,7 @@ impl Written {
         Written {
             epoch: epoch_next as u64,
             tenants: (run.states.iter())
-                .map(|s| (s.epoch_costs.len(), s.plans.len()))
+                .map(|s| (s.epoch_costs.len(), s.plan_count()))
                 .collect(),
             adoptions: run.adoptions.len(),
         }
@@ -312,7 +312,7 @@ fn get_fleets(dec: &mut Decoder<'_>) -> Result<Vec<Vec<u64>>, DecodeError> {
 fn put_core(enc: &mut Encoder, core: &TenantCore) {
     enc.put_f64s(&core.fractions);
     enc.put_u64s(core.mix.fleet());
-    enc.put_usizes(core.mix.below_counts());
+    enc.put_u64s(core.mix.below_counts());
     enc.put_u64(core.solved_target);
     enc.put_usize(core.adopted_epoch);
     enc.put_opt(core.prior.as_ref(), |e, prior| {
@@ -330,21 +330,21 @@ fn put_core(enc: &mut Encoder, core: &TenantCore) {
 
 fn get_core(dec: &mut Decoder<'_>) -> Result<TenantCore, DecodeError> {
     let fractions = dec.get_f64s()?;
-    let (fleet, below) = (dec.get_u64s()?, dec.get_usizes()?);
+    let (fleet, below) = (dec.get_u64s()?, dec.get_u64s()?);
     if fleet.len() != below.len() {
         return Err(DecodeError::BadLength(below.len() as u64));
     }
     Ok(TenantCore {
-        fractions,
+        fractions: fractions.into(),
         mix: FixedMixState::from_parts(fleet, below),
         solved_target: dec.get_u64()?,
         adopted_epoch: dec.get_usize()?,
         prior: dec.get_opt(|d| {
-            Ok(SweepPrior {
+            Ok(Arc::new(SweepPrior {
                 target: d.get_u64()?,
                 split: ThroughputSplit::new(d.get_u64s()?),
                 lower_bound: d.get_opt_f64()?,
-            })
+            }))
         })?,
         last_failure_solve: dec.get_opt(|d| Ok((d.get_u64()?, d.get_u64s()?)))?,
         deferred_until: dec.get_usize()?,
@@ -466,8 +466,8 @@ fn encode_link(run: &FleetRun<'_>, epoch_next: usize, prev: Option<&Written>) ->
         None => {
             enc.put_u8(0);
             enc.put_seq(&run.states, |e, s| {
-                e.put_f64s(&s.initial_fractions);
-                e.put_u64(s.initial_target);
+                e.put_f64s(&s.derived.initial_fractions);
+                e.put_u64(s.derived.initial_target);
             });
             let coupled = run.coupled.as_ref().map_or(&[][..], |cs| &cs.tenants);
             enc.put_seq(coupled, |e, t| e.put_u64(t.fingerprint));
@@ -483,10 +483,11 @@ fn encode_link(run: &FleetRun<'_>, epoch_next: usize, prev: Option<&Written>) ->
         put_core(&mut enc, &s.core);
         put_tally(&mut enc, &s.tally);
         enc.put_f64s(&s.epoch_costs[costs..]);
-        enc.put_seq(&s.plans[plans..], |e, (rho, plan)| {
-            e.put_u64(*rho);
-            put_outcome(e, &PersistedOutcome::of(&plan.outcome));
-        });
+        enc.put_usize(s.plan_count() - plans);
+        for (rho, plan) in s.plan_log().skip(plans) {
+            enc.put_u64(*rho);
+            put_outcome(&mut enc, &PersistedOutcome::of(&plan.outcome));
+        }
     }
     let adoptions = prev.map_or(0, |prev| prev.adoptions);
     enc.put_seq(&run.adoptions[adoptions..], put_adoption);
@@ -645,10 +646,12 @@ fn restore_tenant<'a>(
             Some((plan.rho, Arc::new(KnownPlan { outcome, cache })))
         })
         .collect::<Option<Vec<_>>>()?;
-    let derived = Derived::new(&spec.instance, env, initial, &core.fractions);
+    let derived = Derived::new(&spec.instance, env, initial);
+    let scaler = FixedMixScaler::new(&spec.instance, &core.fractions, &env.scaling);
     Some(TenantState::new(
         spec,
-        &derived,
+        Arc::new(derived),
+        scaler,
         spec.trace.epoch_peaks(env.baseline_scaling.epoch),
         snap.core,
         snap.tally,
@@ -962,15 +965,15 @@ mod tests {
 
     fn core() -> TenantCore {
         TenantCore {
-            fractions: vec![0.25, 0.25, 0.5],
+            fractions: vec![0.25, 0.25, 0.5].into(),
             mix: FixedMixState::from_parts(vec![3, 0, 2, 1], vec![0, 1, 2, 0]),
             solved_target: 60,
             adopted_epoch: 4,
-            prior: Some(SweepPrior {
+            prior: Some(Arc::new(SweepPrior {
                 target: 60,
                 split: ThroughputSplit::new(vec![10, 20, 30]),
                 lower_bound: Some(101.5),
-            }),
+            })),
             last_failure_solve: Some((50, vec![4, 5, 6, 7])),
             deferred_until: 9,
             backoff: 2,
@@ -1087,10 +1090,13 @@ mod tests {
             .with_quotas(vec![5, 4, 3, 3])
             .with_failures(FailureModel::new(12.0, 3.0, 42));
         let env = ctl.run_env(Some(&config));
-        let derived = Derived::new(&spec.instance, &env, (70, vec![0.5, 0.25, 0.25]), &[1.0; 3]);
+        let derived = Derived::new(&spec.instance, &env, (70, vec![0.5, 0.25, 0.25]));
+        let scaler = FixedMixScaler::new(&spec.instance, &[1.0; 3], &env.scaling);
         let plans = vec![(70, plan(ctl, 70, vec![10, 30, 30]))];
         let costs = vec![10.0, 12.5, -0.0];
-        let state = TenantState::new(spec, &derived, Vec::new(), core(), tally(), costs, plans);
+        let derived = Arc::new(derived);
+        let (core, tally) = (core(), tally());
+        let state = TenantState::new(spec, derived, scaler, Vec::new(), core, tally, costs, plans);
         let mut pool = CapacityPool::new(vec![5, 4, 3, 3], 1);
         pool.arbitrate_epoch([[3, 0, 2, 1]]);
         pool.arbitrate_epoch([[2, 0, 2, 0]]);

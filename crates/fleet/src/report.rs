@@ -1,5 +1,5 @@
 //! What a fleet run reports: per-tenant economics, adoption decisions, the
-//! per-epoch trace trees and solver-effort aggregates.
+//! run's trace trees and solver-effort aggregates.
 
 use rental_core::Throughput;
 use rental_obs::json::JsonRow;
@@ -70,9 +70,9 @@ pub struct AdoptionRecord {
     /// Projected remaining-horizon cost of the candidate plan (switching
     /// charge *not* included).
     pub projected_switch: f64,
-    /// The switching/migration charge the candidate had to beat. Under a
-    /// per-machine-delta policy this varies per decision (it counts the
-    /// machines that actually change between the kept and adopted fleets).
+    /// The switching/migration charge the candidate had to beat: the
+    /// policy's flat [`crate::FleetPolicy::switching_cost`], the same for
+    /// every decision of a run (paid on a forced adoption too).
     pub switching_cost: f64,
     /// Whether the candidate plan was adopted.
     pub adopted: bool,
@@ -195,13 +195,26 @@ pub struct FleetReport {
     /// Empty when the run had no finite quotas (including every uncoupled
     /// run).
     pub quota_utilization: Vec<f64>,
+    /// Where the run's start went: a [`TraceTree`] rooted at `init`, its
+    /// children back-to-back phases that partition the root — a fresh run's
+    /// `peaks`, `requests`, `solve` (the initial batch), `derive`, `states`
+    /// and `coupling`, a durable run's `restore` (a resume's, its journal
+    /// replay included) and `persist` (the chain's root link).
+    pub init_timing: TraceTree,
     /// Where each epoch's wall-clock time went: one causal [`TraceTree`]
     /// per epoch of the shared clock, its root the epoch's wall and its
-    /// root's children the stages. The report's only wall-clock field,
-    /// masked by [`FleetReport::matches_modulo_timing`]: a resumed run
-    /// re-measures only the epochs it actually executed, so
-    /// already-persisted epochs restore as untimed trees.
+    /// root's children the stages. A resumed run re-measures only the
+    /// epochs it actually executed, so already-persisted epochs restore as
+    /// untimed trees.
     pub epoch_timing: Vec<TraceTree>,
+    /// Where the run's end went: a tree rooted at `finish` whose phases
+    /// partition it — `headroom` (the static-headroom fleets against the
+    /// outage traces), `reports` (the tenant rows) and `release` (dropping
+    /// the tenant states).
+    ///
+    /// The three timing fields are the report's only wall-clock fields,
+    /// masked by [`FleetReport::matches_modulo_timing`].
+    pub finish_timing: TraceTree,
 }
 
 impl FleetReport {
@@ -213,10 +226,11 @@ impl FleetReport {
     }
 
     /// Bit-exact equality on every decision-derived field (tenants,
-    /// adoptions, quota utilization), ignoring only the one wall-clock
-    /// field, [`FleetReport::epoch_timing`], which depends on the machine
-    /// and on how the run was split across restarts. The equality pinned by
-    /// the crash/resume property tests.
+    /// adoptions, quota utilization), ignoring only the wall-clock fields —
+    /// [`FleetReport::init_timing`], [`FleetReport::epoch_timing`] and
+    /// [`FleetReport::finish_timing`] — which depend on the machine and on
+    /// how the run was split across restarts. The equality pinned by the
+    /// crash/resume property tests.
     pub fn matches_modulo_timing(&self, other: &FleetReport) -> bool {
         self.tenants == other.tenants
             && self.adoptions == other.adoptions
@@ -458,7 +472,9 @@ mod tests {
             epochs: 10,
             epoch_hours: 1.0,
             quota_utilization: vec![0.5, 1.0],
+            init_timing: TraceTree::new(0, "init"),
             epoch_timing: vec![tree; 10],
+            finish_timing: TraceTree::new(0, "finish"),
         };
         assert_eq!(report.tenant_epochs(), 20);
         assert_eq!(report.resolved_tenant_epochs(), 3);
@@ -497,7 +513,9 @@ mod tests {
             epochs: 0,
             epoch_hours: 1.0,
             quota_utilization: vec![],
+            init_timing: TraceTree::new(0, "init"),
             epoch_timing: vec![],
+            finish_timing: TraceTree::new(0, "finish"),
         };
         assert_eq!(report.resolve_fraction(), 0.0);
         assert_eq!(report.total_cost(), 0.0);
@@ -513,11 +531,18 @@ mod tests {
             epochs: 10,
             epoch_hours: 1.0,
             quota_utilization: vec![],
+            init_timing: TraceTree::new(0, "init"),
             epoch_timing: (0..10).map(|e| TraceTree::new(e, "epoch")).collect(),
+            finish_timing: TraceTree::new(0, "finish"),
         };
         // Different wall-clock, same decisions: matches.
         let mut retimed = base.clone();
         retimed.epoch_timing.clear();
+        assert_ne!(base, retimed);
+        assert!(base.matches_modulo_timing(&retimed));
+        let mut retimed = base.clone();
+        retimed.init_timing.add(ROOT, "solve", 0.5);
+        retimed.finish_timing.set_wall(0.25);
         assert_ne!(base, retimed);
         assert!(base.matches_modulo_timing(&retimed));
         // Different solver effort is a real divergence, not timing.
@@ -534,7 +559,9 @@ mod tests {
             epochs: 3,
             epoch_hours: 1.0,
             quota_utilization: vec![],
+            init_timing: TraceTree::new(0, "init"),
             epoch_timing: (0..3).map(|e| TraceTree::new(e, "epoch")).collect(),
+            finish_timing: TraceTree::new(0, "finish"),
         };
         let rows = report.telemetry();
         assert_eq!(rows.len(), 1 + 3 + 2);

@@ -35,7 +35,12 @@
 //! `violations` (the durable hook splits `persist` the same way).
 //! [`FleetRun::observe`] sets the root to the epoch's wall, emits every
 //! `fleet.span.*` sample from the tree, once per epoch, at the barrier, and
-//! files the tree in the report.
+//! files the tree in the report. The run's time outside its epochs has a
+//! tree each, timed in back-to-back laps: `init` (a fresh run's `peaks`,
+//! `requests`, `solve`, `derive`, `states` and `coupling`, a durable run's
+//! `restore` and `persist`) and `finish` (`headroom`, `reports` and
+//! `release`), kept in [`FleetReport::init_timing`] and
+//! [`FleetReport::finish_timing`].
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -50,11 +55,11 @@ use rental_obs::{
 use rental_pricing::RentalHorizon;
 use rental_solvers::batch::{solve_warm_batch, WarmBatchItem};
 use rental_solvers::solver::{CapacitySolver, SolveError, SolveResult, SweepPrior};
-use rental_stream::{Autoscaler, FixedMixState};
+use rental_stream::{Autoscaler, FixedMixScaler, FixedMixState};
 
 use crate::chaos::{ChaosClock, ChaosConfig, ChaosStats};
 use crate::controller::{
-    debug_certify, first_target, fits_caps, quantize_target, CouplingState, Derived,
+    debug_certify, first_target, fits_caps, quantize_target, shifted, CouplingState, Derived,
     FleetController, FleetPolicy, KnownPlan, RunEnv, Tally, TenantCore, TenantState,
 };
 use crate::journal::Solves;
@@ -72,15 +77,50 @@ fn untimed(epoch: usize) -> TraceTree {
     TraceTree::new(epoch as u64, "epoch")
 }
 
+/// A trace tree of the run outside its epochs, timed in back-to-back laps:
+/// each lap is a child of the root, one clock read per boundary, and the
+/// root is the wall from the start to the last lap, so the laps partition
+/// it.
+struct Laps {
+    tree: TraceTree,
+    start: Instant,
+    lap: Instant,
+}
+
+impl Laps {
+    fn start(root: &'static str) -> Self {
+        let now = Instant::now();
+        Laps {
+            tree: TraceTree::new(0, root),
+            start: now,
+            lap: now,
+        }
+    }
+
+    /// Ends the lap `name`, started at the previous lap's end.
+    fn lap(&mut self, name: &'static str) {
+        let now = Instant::now();
+        self.tree.add(ROOT, name, (now - self.lap).as_secs_f64());
+        self.lap = now;
+    }
+
+    fn stop(mut self) -> TraceTree {
+        self.tree.set_wall((self.lap - self.start).as_secs_f64());
+        self.tree
+    }
+}
+
 /// One shard of a sharded pass: its first tenant's index, and its tenants'
 /// states and lanes.
 type Shard<'s, 'a, L> = (usize, &'s mut [TenantState<'a>], &'s mut [L]);
 
 /// Runs `f` once per tenant, fanned out over `shards` contiguous shards of
-/// the state slice on the shared worker pool, returning the per-tenant
-/// results **in tenant-index order**. Each call of `f` also gets the
-/// tenant's entry of `lanes` — per-tenant data that lives outside the
-/// tenant states, sharded alongside them.
+/// the state slice on the shared worker pool, returning the results `f`
+/// gives — its `Some`s — **in tenant-index order**: a pass that hands the
+/// barrier nothing for most tenants returns `None` for them, and its shards
+/// keep nothing. Each call of `f` also gets the tenant's entry of `lanes` —
+/// per-tenant data that lives outside the tenant states, sharded alongside
+/// them.
 ///
 /// This is the deterministic backbone of the sharded epoch loop. Shards are
 /// contiguous index ranges, so concatenating their outputs in shard order
@@ -107,7 +147,7 @@ fn for_each_tenant_sharded<'a, L, R, F>(
 where
     L: Send,
     R: Send,
-    F: Fn(usize, &mut TenantState<'a>, &mut L) -> R + Sync,
+    F: Fn(usize, &mut TenantState<'a>, &mut L) -> Option<R> + Sync,
 {
     let len = states.len();
     assert_eq!(lanes.len(), len, "one lane per tenant");
@@ -115,7 +155,7 @@ where
     let run_shard = |offset: usize, slice: &mut [TenantState<'a>], lanes: &mut [L]| {
         let busy = Instant::now();
         let out: Vec<R> = (slice.iter_mut().zip(lanes).enumerate())
-            .map(|(k, (state, lane))| f(offset + k, state, lane))
+            .filter_map(|(k, (state, lane))| f(offset + k, state, lane))
             .collect();
         (out, busy.elapsed().as_secs_f64())
     };
@@ -151,9 +191,18 @@ where
         }
         tree.add(stage, BARRIER_SPAN, (wall - busiest).max(0.0));
     }
-    let mut merged = Vec::with_capacity(len);
-    for (out, _) in shard_results {
-        merged.extend(out);
+    let len = shard_results.iter().map(|(out, _)| out.len()).sum();
+    concat(shard_results.into_iter().map(|(out, _)| out), len)
+}
+
+/// The `len` items of `parts`, concatenated in order. The first part's
+/// buffer grows to hold the rest, so only the later parts are copied.
+fn concat<R>(parts: impl IntoIterator<Item = Vec<R>>, len: usize) -> Vec<R> {
+    let mut parts = parts.into_iter();
+    let mut merged = parts.next().unwrap_or_default();
+    merged.reserve_exact(len - merged.len());
+    for part in parts {
+        merged.extend(part);
     }
     merged
 }
@@ -174,14 +223,34 @@ where
 {
     let shards = shards.clamp(1, len.max(1));
     let chunk = len.div_ceil(shards);
-    rayon::parallel_map_indexed(shards, Some(shards), |s| {
+    let parts = rayon::parallel_map_indexed(shards, Some(shards), |s| {
         (s * chunk..((s + 1) * chunk).min(len))
             .map(&f)
             .collect::<Vec<R>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    });
+    concat(parts, len)
+}
+
+/// The tenants of each request, grouped by a counting sort: request `r`'s
+/// tenants are `members[starts[r]..starts[r + 1]]`, in tenant order.
+fn group_by_request(request_of: &[usize], requests: usize) -> (Vec<usize>, Vec<usize>) {
+    let mut starts = vec![0; requests + 1];
+    for &r in request_of {
+        starts[r] += 1;
+    }
+    let mut total = 0;
+    for start in &mut starts {
+        let count = *start;
+        *start = total;
+        total += count;
+    }
+    let mut next = starts.clone();
+    let mut members = vec![0; request_of.len()];
+    for (i, &r) in request_of.iter().enumerate() {
+        members[next[r]] = i;
+        next[r] += 1;
+    }
+    (starts, members)
 }
 
 /// One tenant due for a keep-vs-switch decision this epoch, as produced by
@@ -222,6 +291,8 @@ pub(crate) struct FleetRun<'a> {
     /// checkpoint-lag alert rule).
     pub(crate) checkpoint_epoch: Option<usize>,
     alerts: Option<AlertEngine>,
+    /// The run's start, timed by [`FleetController::drive`].
+    init_timing: TraceTree,
     epoch_timing: Vec<TraceTree>,
     /// The trace tree of the epoch in progress.
     pub(crate) tree: TraceTree,
@@ -248,7 +319,8 @@ impl<'a> FleetRun<'a> {
     ) -> Self {
         for state in &mut states {
             for &rate in state.peaks.iter().take(next_epoch) {
-                state.baselines.advance(rate, &env.baseline_scaling);
+                let scaler = &state.derived.baseline;
+                state.baselines.advance(scaler, rate, &env.baseline_scaling);
             }
         }
         FleetRun {
@@ -263,6 +335,7 @@ impl<'a> FleetRun<'a> {
             next_epoch,
             checkpoint_epoch: None,
             alerts: ctl.alerts.clone().map(AlertEngine::new),
+            init_timing: TraceTree::new(0, "init"),
             epoch_timing: (0..next_epoch).map(untimed).collect(),
             tree: untimed(next_epoch),
             solves: Solves::Live,
@@ -271,26 +344,31 @@ impl<'a> FleetRun<'a> {
 
     /// A fresh run: one batched cold solve per distinct initial request
     /// (instance and target; tenants asking the same share its outcome),
-    /// then the coupling state. Initial solves are never budgeted.
+    /// then the coupling state. Initial solves are never budgeted. Each
+    /// phase is a lap of `laps`.
     ///
     /// What the tenants of one request have in common is derived once per
-    /// request and shared: the plan and its horizon cache, the recipe mix,
-    /// the scalers' rates and the instance's constants. Each tenant's epoch
-    /// peaks are computed once, and the states are built in one sharded
-    /// pass, in tenant order.
+    /// request and shared: the plan and its horizon cache, its warm-start
+    /// prior, the recipe mix, the scalers' rates, the instance's constants
+    /// and — for a request of two or more tenants — the plan's probe table.
+    /// Each tenant's epoch peaks are computed once, and the states are built
+    /// in one sharded pass, in tenant order.
     fn start<S: CapacitySolver + Sync>(
         ctl: &'a FleetController,
         solver: &S,
         tenants: &'a [TenantSpec],
         config: Option<&CapacityConfig>,
         chaos: Option<&'a ChaosClock<'a>>,
+        laps: &mut Laps,
     ) -> SolveResult<Self> {
         let env = ctl.run_env(config);
-        let shards = ctl.policy.shard_count(tenants.len());
+        let policy = &ctl.policy;
+        let shards = policy.shard_count(tenants.len());
         let epoch = env.baseline_scaling.epoch;
         let peaks = map_sharded(tenants.len(), shards, |i| {
             tenants[i].trace.epoch_peaks(epoch)
         });
+        laps.lap("peaks");
         // Requests by value: tenants of equal instances (shared storage or
         // not) and equal targets ask the same.
         let mut classes = InstanceClasses::new();
@@ -311,19 +389,37 @@ impl<'a> FleetRun<'a> {
                 })
             })
             .collect();
+        // Tenants that share a request and may probe share its probe table,
+        // so the derivation needs each request's tenants.
+        let grouped = (policy.resolve && firsts.len() < tenants.len())
+            .then(|| group_by_request(&request_of, firsts.len()));
+        laps.lap("requests");
         let items: Vec<WarmBatchItem<'_>> = (firsts.iter())
             .map(|&(i, rho)| WarmBatchItem::new(&tenants[i].instance, rho, None))
             .collect();
-        let results = solve_warm_batch(solver, &items, None, ctl.policy.threads);
-        let shared = rayon::parallel_map_indexed(firsts.len(), ctl.policy.threads, |r| {
+        let results = solve_warm_batch(solver, &items, None, policy.threads);
+        laps.lap("solve");
+        let billing = ctl.billing.as_ref();
+        let shared = rayon::parallel_map_indexed(firsts.len(), policy.threads, |r| {
             let (i, rho) = firsts[r];
             let instance = &tenants[i].instance;
             let outcome = results[r].clone()?;
             debug_certify(instance, &outcome.solution, None);
             let fractions = Autoscaler::split_fractions(&outcome.solution);
-            let derived = Derived::new(instance, &env, (rho, fractions.clone()), &fractions);
+            let mut derived = Derived::new(instance, &env, (rho, fractions));
+            let scaler = FixedMixScaler::new(instance, &derived.initial_fractions, &env.scaling);
+            let sharers = (grouped.as_ref()).map_or(&[][..], |(starts, members)| {
+                &members[starts[r]..starts[r + 1]]
+            });
+            if sharers.len() > 1 {
+                let peaks = sharers.iter().map(|&k| peaks[k].as_slice());
+                derived.build_probe_table(instance, &scaler, peaks, &env, policy, billing);
+            }
+            let prior = Arc::new(SweepPrior::from_outcome(rho, &outcome));
             let cache = ctl.plan_cache(instance, &outcome.solution)?;
-            SolveResult::Ok((derived, Arc::new(KnownPlan { outcome, cache })))
+            let plan = Arc::new(KnownPlan { outcome, cache });
+            derived.initial_plan = Some((rho, Arc::clone(&plan)));
+            SolveResult::Ok((Arc::new(derived), scaler, plan, prior))
         });
         // The first tenant, in tenant order, whose request failed fails the
         // run.
@@ -331,31 +427,42 @@ impl<'a> FleetRun<'a> {
             return Err(err.clone());
         }
         let shared: Vec<_> = shared.into_iter().flatten().collect();
+        laps.lap("derive");
         let mut states = map_sharded(tenants.len(), shards, |i| {
-            let (derived, plan) = &shared[request_of[i]];
+            let (derived, scaler, plan, prior) = &shared[request_of[i]];
             let (spec, rho) = (&tenants[i], derived.initial_target);
-            let outcome = &plan.outcome;
             let core = TenantCore {
-                fractions: derived.initial_fractions.to_vec(),
+                fractions: Arc::clone(&derived.initial_fractions),
                 mix: FixedMixState::new(spec.instance.num_types()),
                 solved_target: rho,
                 adopted_epoch: 0,
-                prior: Some(SweepPrior::from_outcome(rho, outcome)),
+                prior: Some(Arc::clone(prior)),
                 last_failure_solve: None,
                 deferred_until: 0,
                 backoff: 0,
             };
             let mut tally = Tally::default();
-            tally.effort.record(outcome);
-            let epoch_costs = Vec::with_capacity(peaks[i].len());
-            let plans = vec![(rho, Arc::clone(plan))];
-            TenantState::new(spec, derived, Vec::new(), core, tally, epoch_costs, plans)
+            tally.effort.record(&plan.outcome);
+            let costs = Vec::with_capacity(peaks[i].len());
+            let (derived, scaler) = (Arc::clone(derived), scaler.clone());
+            TenantState::new(
+                spec,
+                derived,
+                scaler,
+                Vec::new(),
+                core,
+                tally,
+                costs,
+                Vec::new(),
+            )
         });
         // The shards only borrowed the peaks; each tenant's peaks move in now.
         for (state, peaks) in states.iter_mut().zip(peaks) {
             state.peaks = peaks;
         }
+        laps.lap("states");
         let coupled = ctl.init_coupling(tenants, config, &env);
+        laps.lap("coupling");
         Ok(FleetRun::new(ctl, env, chaos, states, coupled, 0))
     }
 
@@ -421,13 +528,13 @@ impl<'a> FleetRun<'a> {
         let Some(CouplingState { pool, tenants }) = coupled else {
             let mut lanes = no_lanes(states.len());
             for_each_tenant_sharded(states, &mut lanes, shards, None, |_, state, _| {
-                let Some(&rate) = state.peaks.get(epoch) else {
-                    return;
-                };
+                let &rate = state.peaks.get(epoch)?;
                 let fleet = state.core.mix.step(&state.scaler, rate, patience);
                 let cost = state.scaler.cost_rate(fleet) * policy.epoch;
                 state.rent(cost);
-                state.baselines.advance(rate, &env.baseline_scaling);
+                let scaler = &state.derived.baseline;
+                state.baselines.advance(scaler, rate, &env.baseline_scaling);
+                None::<()>
             });
             span.stop_into(tree);
             return repairs;
@@ -444,7 +551,7 @@ impl<'a> FleetRun<'a> {
         for_each_tenant_sharded(states, tenants, shards, None, |_, state, coupling| {
             let Some(&rate) = state.peaks.get(epoch) else {
                 coupling.desired.fill(0);
-                return;
+                return None::<()>;
             };
             let fleet = state.core.mix.step(&state.scaler, rate, patience);
             coupling.desired.copy_from_slice(fleet);
@@ -454,6 +561,7 @@ impl<'a> FleetRun<'a> {
                     coupling.desired[q] += coupling.down_at(q, count, window_start);
                 }
             }
+            None
         });
         span.lap_into(tree, "desired");
         // Under chaos, a delayed decision re-arbitrates on the previous
@@ -486,14 +594,16 @@ impl<'a> FleetRun<'a> {
         }
         span.lap_into(tree, "grant");
         let pool = &*pool;
-        // A violated epoch: the rate for the barrier's SloViolation event,
-        // plus the repair a re-solve should attempt, if any.
-        let violations: Vec<Option<(f64, Option<Repair>)>> =
+        // A violated epoch: the tenant, the rate for the barrier's
+        // SloViolation event, plus the repair a re-solve should attempt, if
+        // any.
+        let violations: Vec<(usize, f64, Option<Repair>)> =
             for_each_tenant_sharded(states, tenants, shards, None, |i, state, coupling| {
                 let &rate = state.peaks.get(epoch)?;
                 let granted = pool.holdings(i);
                 state.rent(state.scaler.cost_rate(granted) * policy.epoch);
-                state.baselines.advance(rate, &env.baseline_scaling);
+                let scaler = &state.derived.baseline;
+                state.baselines.advance(scaler, rate, &env.baseline_scaling);
                 // Surviving capacity: the granted machines minus the worst
                 // simultaneous outage among them this epoch.
                 let available = coupling.surviving(granted, window_start, window_end);
@@ -505,15 +615,15 @@ impl<'a> FleetRun<'a> {
                 }
                 state.tally.slo_violations += 1;
                 sink.counter("fleet.slo_violations", 1);
-                let rho = quantize_target(rate, env.serve_headroom, state.granularity);
+                let rho = quantize_target(rate, env.serve_headroom, state.derived.granularity);
                 if !policy.resolve || rho == 0 {
-                    return Some((rate, None));
+                    return Some((i, rate, None));
                 }
                 // A deferred tenant keeps its current plan until its backoff
                 // window ends; the violation is still counted above.
                 if epoch < state.core.deferred_until {
                     state.tally.deferred_resolves += 1;
-                    return Some((rate, None));
+                    return Some((i, rate, None));
                 }
                 // Effective caps for the re-solve: holdings plus residual
                 // quota, minus machines still down at the epoch's end (lost
@@ -532,14 +642,15 @@ impl<'a> FleetRun<'a> {
                     &state.core.last_failure_solve,
                     Some((r, c)) if *r == rho && *c == coupling.caps
                 );
-                Some((rate, (!unchanged).then(|| (i, rho, coupling.caps.clone()))))
+                Some((
+                    i,
+                    rate,
+                    (!unchanged).then(|| (i, rho, coupling.caps.clone())),
+                ))
             });
         // Barrier: flight-recorder events fire here, in tenant-index order,
         // never from shard workers.
-        for (i, violation) in violations.into_iter().enumerate() {
-            let Some((rate, repair)) = violation else {
-                continue;
-            };
+        for (i, rate, repair) in violations {
             if sink.enabled() {
                 sink.event(
                     EventKind::SloViolation,
@@ -768,7 +879,7 @@ impl<'a> FleetRun<'a> {
         let mut lanes = no_lanes(self.states.len());
         for_each_tenant_sharded(&mut self.states, &mut lanes, shards, tree, |i, state, _| {
             let rate = state.peaks.get(epoch).copied().unwrap_or(0.0);
-            let rho = quantize_target(rate, serve_headroom, state.granularity);
+            let rho = quantize_target(rate, serve_headroom, state.derived.granularity);
             // Each tenant projects over *its own* remaining trace —
             // savings past a tenant's last billed epoch do not exist, so
             // they must not tip a switching decision.
@@ -800,10 +911,7 @@ impl<'a> FleetRun<'a> {
                 // optional, no probe needed.
                 return Some(due(None));
             }
-            let solved = state.core.solved_target;
-            let shift =
-                (rho as f64 - solved as f64).abs() > policy.shift_threshold * solved.max(1) as f64;
-            if !shift {
+            if !shifted(rho, state.core.solved_target, policy.shift_threshold) {
                 return None;
             }
             state.tally.probes += 1;
@@ -819,7 +927,7 @@ impl<'a> FleetRun<'a> {
             ) + entry.fresh.total(RentalHorizon::hours(remaining_hours));
             let reference_rate = state
                 .known(rho)
-                .map_or(rho as f64 * state.min_unit_cost, |k| {
+                .map_or(rho as f64 * state.derived.min_unit_cost, |k| {
                     k.outcome.cost() as f64
                 });
             let reference_projected = reference_rate * remaining_hours;
@@ -827,9 +935,6 @@ impl<'a> FleetRun<'a> {
                 && keep_projected - reference_projected > policy.switching_cost;
             worth_probing.then(|| due(Some(keep_projected)))
         })
-        .into_iter()
-        .flatten()
-        .collect()
     }
 
     /// Phase 4 — the solve barrier: one batched warm-started fan-out for
@@ -889,7 +994,8 @@ impl<'a> FleetRun<'a> {
                     state.tally.resolves += 1;
                     sink.counter("fleet.resolves", 1);
                     if d.caps.is_none() {
-                        state.core.prior = Some(SweepPrior::from_outcome(d.rho, &outcome));
+                        let prior = SweepPrior::from_outcome(d.rho, &outcome);
+                        state.core.prior = Some(Arc::new(prior));
                     }
                     debug_certify(&state.spec.instance, &outcome.solution, d.caps.as_deref());
                     let cache = ctl.plan_cache(&state.spec.instance, &outcome.solution)?;
@@ -1011,11 +1117,13 @@ impl<'a> FleetRun<'a> {
         self.next_epoch += 1;
     }
 
-    /// The report: every tenant's row and the run-level ledgers. Under
-    /// failures, each tenant's static-headroom fleet is checked against its
-    /// whole outage trace in one sharded pass, each trace walked once by
-    /// its cursor.
+    /// The report: every tenant's row and the run-level ledgers, timed in
+    /// laps. Under failures, each tenant's static-headroom fleet is checked
+    /// against its whole outage trace in one sharded pass, each trace walked
+    /// once by its cursor; the rows are built in another, each tenant's
+    /// epoch costs moving into its row. Then the states are released.
     fn finish(mut self) -> FleetReport {
+        let mut laps = Laps::start("finish");
         let env = &self.env;
         let shards = self.ctl.policy.shard_count(self.states.len());
         let epoch = env.baseline_scaling.epoch;
@@ -1023,25 +1131,33 @@ impl<'a> FleetRun<'a> {
             Some(cs) => {
                 let tenants = &mut cs.tenants;
                 for_each_tenant_sharded(&mut self.states, tenants, shards, None, |_, s, c| {
-                    s.headroom_violations(c, epoch)
+                    Some(s.headroom_violations(c, epoch))
                 })
             }
-            None => vec![0; self.states.len()],
+            None => Vec::new(),
         };
+        laps.lap("headroom");
+        let mut lanes = no_lanes(self.states.len());
+        let tenants =
+            for_each_tenant_sharded(&mut self.states, &mut lanes, shards, None, |i, s, _| {
+                Some(s.report(env, headroom_violations.get(i).copied().unwrap_or(0)))
+            });
+        laps.lap("reports");
+        let quota_utilization = (self.coupled.as_ref())
+            .filter(|cs| !cs.pool.is_unlimited())
+            .map(|cs| cs.pool.utilization())
+            .unwrap_or_default();
+        drop((self.states, self.coupled));
+        laps.lap("release");
         FleetReport {
             epochs: self.num_epochs,
             epoch_hours: self.ctl.policy.epoch,
-            quota_utilization: self
-                .coupled
-                .as_ref()
-                .filter(|cs| !cs.pool.is_unlimited())
-                .map(|cs| cs.pool.utilization())
-                .unwrap_or_default(),
-            tenants: (self.states.into_iter().zip(headroom_violations))
-                .map(|(s, violations)| s.report(env, violations))
-                .collect(),
+            quota_utilization,
+            tenants,
             adoptions: self.adoptions,
+            init_timing: self.init_timing,
             epoch_timing: self.epoch_timing,
+            finish_timing: laps.stop(),
         }
     }
 }
@@ -1062,8 +1178,13 @@ impl FleetController {
         let stats = ChaosStats::default();
         let clock = chaos.map(|chaos| ChaosClock::new(chaos, &stats));
         let chaos = clock.as_ref();
+        let mut laps = Laps::start("init");
         let restored = match durable.as_deref_mut() {
-            Some(durable) => durable.restore(self, solver, tenants, config, chaos)?,
+            Some(durable) => {
+                let restored = durable.restore(self, solver, tenants, config, chaos)?;
+                laps.lap("restore");
+                restored
+            }
             None => None,
         };
         let mut run = match restored {
@@ -1071,13 +1192,15 @@ impl FleetController {
             None => {
                 // Fresh start, or the cold-restart rung: clean slate,
                 // everything re-derived deterministically from configs.
-                let mut run = FleetRun::start(self, solver, tenants, config, chaos)?;
+                let mut run = FleetRun::start(self, solver, tenants, config, chaos, &mut laps)?;
                 if let Some(durable) = durable.as_deref_mut() {
                     durable.begin(&mut run)?;
+                    laps.lap("persist");
                 }
                 run
             }
         };
+        run.init_timing = laps.stop();
         for epoch in run.next_epoch..run.num_epochs {
             let wall = Instant::now();
             run.step(solver, epoch)?;

@@ -17,6 +17,13 @@
 //! their traces' length are counted, and their difference is divided by the
 //! tenant-epochs the longer one adds, so the fleet's set-up, the initial
 //! solve and the report cancel out.
+//!
+//! What those cancel out is held apart: a tenant that repeats a request of
+//! its fleet shares the request's plan, derived state and probe table, so
+//! over a whole run — set-up, first probes and report included — it costs
+//! at most [`MARGINAL_BUDGET`] allocations: two fleets of the same requests
+//! that differ only in their number of tenants are counted, and their
+//! difference is divided by the tenants the larger one adds.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -137,15 +144,18 @@ fn a_steady_state_coupled_epoch_allocates_nothing_per_tenant() {
 /// Epochs of the short and the long uncoupled run.
 const EPOCHS: [usize; 2] = [24, 384];
 
-/// Allocations of one plain run of a scaling-style fleet — tiny instances,
-/// demand cycling over three plateaus every epoch under a prohibitive
-/// switching cost, so every tenant probes every epoch and never re-solves —
-/// whose traces last `epochs` one-hour epochs, and the run's tenant-epochs.
-fn counted_plain_run(epochs: usize) -> (u64, usize) {
+/// Allocations of one plain run of a scaling-style fleet of `tenants`
+/// tenants — tiny instances, demand cycling over three plateaus every epoch
+/// under a prohibitive switching cost, so every tenant probes every epoch
+/// and never re-solves — whose traces last `epochs` one-hour epochs, and the
+/// run's tenant-epochs. Tenant `i` runs instance `i % 8` from base rate
+/// `40 + i % 40`, so whatever its size the fleet asks at most 40 distinct
+/// initial requests.
+fn counted_plain_run(tenants: usize, epochs: usize) -> (u64, usize) {
     let instances: Vec<_> = (0..8u64)
         .map(|k| InstanceGenerator::new(scaling_instance_config(), 0x5CA1E ^ k).generate_instance())
         .collect();
-    let tenants: Vec<TenantSpec> = (0..TENANTS)
+    let tenants: Vec<TenantSpec> = (0..tenants)
         .map(|i| {
             let base = 40.0 + (i % 40) as f64;
             let plateaus = [base, base * 1.5, base * 2.0];
@@ -179,5 +189,32 @@ fn counted_plain_run(epochs: usize) -> (u64, usize) {
 #[test]
 fn a_steady_state_uncoupled_epoch_allocates_nothing_per_tenant() {
     let _counting = COUNTING.lock().unwrap_or_else(PoisonError::into_inner);
-    assert_within_budget(counted_plain_run(EPOCHS[0]), counted_plain_run(EPOCHS[1]));
+    assert_within_budget(
+        counted_plain_run(TENANTS, EPOCHS[0]),
+        counted_plain_run(TENANTS, EPOCHS[1]),
+    );
+}
+
+/// Allocations allowed per tenant that repeats a request of its fleet, over
+/// a whole run.
+const MARGINAL_BUDGET: f64 = 12.0;
+
+/// Tenants of the smaller and the larger fleet of the marginal-tenant
+/// budget: both ask the same (at most 40) requests.
+const FLEETS: [usize; 2] = [TENANTS, 4 * TENANTS];
+
+#[test]
+fn a_tenant_of_a_shared_request_costs_a_few_allocations_per_run() {
+    let _counting = COUNTING.lock().unwrap_or_else(PoisonError::into_inner);
+    let (small, _) = counted_plain_run(FLEETS[0], EPOCHS[0]);
+    let (large, _) = counted_plain_run(FLEETS[1], EPOCHS[0]);
+    let per_tenant = large.saturating_sub(small) as f64 / (FLEETS[1] - FLEETS[0]) as f64;
+    assert!(
+        per_tenant <= MARGINAL_BUDGET,
+        "{per_tenant:.2} allocations per added tenant over a {}-epoch run \
+         ({small} for {} tenants, {large} for {})",
+        EPOCHS[0],
+        FLEETS[0],
+        FLEETS[1]
+    );
 }

@@ -7,9 +7,11 @@ use proptest::prelude::*;
 
 use rental_core::examples::illustrating_example;
 use rental_core::{Instance, Platform, Throughput};
+use rental_fleet::scenario::scaling_instance_config;
 use rental_fleet::{
     initial_target, scaling_fleet, AdoptionRecord, FleetController, FleetPolicy, TenantSpec,
 };
+use rental_simgen::InstanceGenerator;
 use rental_solvers::exact::IlpSolver;
 use rental_solvers::{
     CapacitySolver, MinCostSolver, SolveResult, SolverOutcome, SweepPrior, WarmStartSolver,
@@ -301,5 +303,97 @@ proptest! {
             rebuilt_calls.calls.into_inner(),
             shared_calls.calls.into_inner()
         );
+    }
+}
+
+/// A plain fleet of `tenants` tenants on 8 tiny instances whose demand
+/// cycles over three plateaus every epoch for 24 epochs: tenant `i` runs
+/// instance `i % 8` from base rate `40 + i % 16`, so the fleet asks at most
+/// 16 distinct initial requests and most of them have several tenants.
+fn shared_request_fleet(tenants: usize) -> Vec<TenantSpec> {
+    let instances: Vec<_> = (0..8u64)
+        .map(|k| InstanceGenerator::new(scaling_instance_config(), 0x5CA1E ^ k).generate_instance())
+        .collect();
+    (0..tenants)
+        .map(|i| {
+            let base = 40.0 + (i % 16) as f64;
+            let plateaus = [base, base * 1.5, base * 2.0];
+            let segments = (0..24)
+                .map(|h| TraceSegment {
+                    duration: 1.0,
+                    rate: plateaus[h % plateaus.len()],
+                })
+                .collect();
+            TenantSpec::new(
+                format!("shared-{i}"),
+                instances[i % instances.len()].clone(),
+                WorkloadTrace::new(segments),
+            )
+        })
+        .collect()
+}
+
+/// Independent oracle for the probe table: tenants of one initial request
+/// that keep its plan read one shared table of keep projections, a tenant
+/// that switched plans (or whose request it asks alone) memoizes its own,
+/// and a solo run shares nothing. So every tenant of a fleet whose requests
+/// have several tenants each must report exactly what it reports run alone
+/// — at free switching (most tenants switch and memoize), at a moderate
+/// charge (some switch) and at a prohibitive one (every tenant keeps its
+/// plan and probes through the table every epoch).
+#[test]
+fn tenants_sharing_requests_match_their_solo_runs() {
+    let tenants = shared_request_fleet(96);
+    let mut requests: Vec<(Instance, Throughput)> = Vec::new();
+    let policy = FleetPolicy {
+        epoch: 1.0,
+        ..FleetPolicy::default()
+    };
+    for t in &tenants {
+        let request = (
+            t.instance.clone(),
+            initial_target(&policy, &t.instance, &t.trace),
+        );
+        if !requests.contains(&request) {
+            requests.push(request);
+        }
+    }
+    assert!(requests.len() <= 16, "{} requests", requests.len());
+    for switching_cost in [0.0, 1000.0, 1e12] {
+        let controller = FleetController::new(FleetPolicy {
+            switching_cost,
+            ..policy
+        });
+        let fleet = controller.run(&IlpSolver::new(), &tenants).unwrap();
+        assert!(fleet.tenants.iter().all(|t| t.probes > 0));
+        let switched = fleet.tenants.iter().filter(|t| t.adoptions > 0).count();
+        match switching_cost {
+            0.0 => assert!(switched > tenants.len() / 2, "{switched} switched"),
+            1e12 => assert_eq!(switched, 0),
+            _ => assert!(
+                0 < switched && switched < tenants.len(),
+                "{switched} switched"
+            ),
+        }
+        for (i, tenant) in tenants.iter().enumerate() {
+            let solo = controller
+                .run(&IlpSolver::new(), std::slice::from_ref(tenant))
+                .unwrap();
+            assert!(
+                fleet.tenants[i] == solo.tenants[0],
+                "tenant {i} at switching cost {switching_cost}"
+            );
+            let own: Vec<_> = (fleet.adoptions.iter())
+                .filter(|record| record.tenant == i)
+                .map(|record| AdoptionRecord {
+                    tenant: 0,
+                    ..record.clone()
+                })
+                .collect();
+            assert_eq!(
+                own, solo.adoptions,
+                "tenant {i} at switching cost {switching_cost}"
+            );
+        }
     }
 }

@@ -103,7 +103,42 @@ pub trait SegmentedBilling: BillingModel {
     /// through the profile (a zero-length rental is handled by
     /// [`BillingModel::charge`] directly, so discontinuities at 0 — minimum
     /// charges, committed terms — are expressible).
-    fn segments(&self, hourly_rate: Cost, utilisation: f64) -> Vec<BillingSegment>;
+    fn segments(&self, hourly_rate: Cost, utilisation: f64) -> ChargeProfile;
+}
+
+/// The one or two [`BillingSegment`]s of a machine's charge profile, held
+/// inline, so a profile allocates nothing: every model here is affine, or
+/// flat up to one breakpoint and affine after it. Reads as a slice.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ChargeProfile {
+    segments: [BillingSegment; 2],
+    len: usize,
+}
+
+impl ChargeProfile {
+    /// A profile of one affine segment.
+    pub fn affine(segment: BillingSegment) -> Self {
+        ChargeProfile {
+            segments: [segment; 2],
+            len: 1,
+        }
+    }
+
+    /// A profile of two segments, `first` up to `second`'s start.
+    pub fn broken(first: BillingSegment, second: BillingSegment) -> Self {
+        ChargeProfile {
+            segments: [first, second],
+            len: 2,
+        }
+    }
+}
+
+impl std::ops::Deref for ChargeProfile {
+    type Target = [BillingSegment];
+
+    fn deref(&self) -> &[BillingSegment] {
+        &self.segments[..self.len]
+    }
 }
 
 impl SegmentedBilling for OnDemand {
@@ -111,28 +146,28 @@ impl SegmentedBilling for OnDemand {
         HoursRounding::UpToIncrement(self.increment_hours)
     }
 
-    fn segments(&self, hourly_rate: Cost, _utilisation: f64) -> Vec<BillingSegment> {
+    fn segments(&self, hourly_rate: Cost, _utilisation: f64) -> ChargeProfile {
         // After rounding up to the increment the charge is exactly linear.
-        vec![BillingSegment {
+        ChargeProfile::affine(BillingSegment {
             start_hours: 0.0,
             base: 0.0,
             slope: hourly_rate as f64,
-        }]
+        })
     }
 }
 
 impl SegmentedBilling for PerSecond {
-    fn segments(&self, hourly_rate: Cost, _utilisation: f64) -> Vec<BillingSegment> {
+    fn segments(&self, hourly_rate: Cost, _utilisation: f64) -> ChargeProfile {
         let rate = hourly_rate as f64;
         let minimum_hours = self.minimum_seconds / 3600.0;
         if minimum_hours <= 0.0 {
-            return vec![BillingSegment {
+            return ChargeProfile::affine(BillingSegment {
                 start_hours: 0.0,
                 base: 0.0,
                 slope: rate,
-            }];
+            });
         }
-        vec![
+        ChargeProfile::broken(
             // Flat at the minimum charge until the minimum duration…
             BillingSegment {
                 start_hours: 0.0,
@@ -145,21 +180,21 @@ impl SegmentedBilling for PerSecond {
                 base: minimum_hours * rate,
                 slope: rate,
             },
-        ]
+        )
     }
 }
 
 impl SegmentedBilling for Reserved {
-    fn segments(&self, hourly_rate: Cost, _utilisation: f64) -> Vec<BillingSegment> {
+    fn segments(&self, hourly_rate: Cost, _utilisation: f64) -> ChargeProfile {
         let effective = self.effective_rate(hourly_rate);
         if self.term_hours <= 0.0 {
-            return vec![BillingSegment {
+            return ChargeProfile::affine(BillingSegment {
                 start_hours: 0.0,
                 base: 0.0,
                 slope: effective,
-            }];
+            });
         }
-        vec![
+        ChargeProfile::broken(
             // The committed term is paid in full regardless of usage…
             BillingSegment {
                 start_hours: 0.0,
@@ -172,19 +207,19 @@ impl SegmentedBilling for Reserved {
                 base: self.term_hours * effective,
                 slope: effective,
             },
-        ]
+        )
     }
 }
 
 impl SegmentedBilling for Spot {
-    fn segments(&self, hourly_rate: Cost, utilisation: f64) -> Vec<BillingSegment> {
+    fn segments(&self, hourly_rate: Cost, utilisation: f64) -> ChargeProfile {
         let overhead =
             1.0 + self.interruptions_per_hour * self.restart_overhead_hours * utilisation;
-        vec![BillingSegment {
+        ChargeProfile::affine(BillingSegment {
             start_hours: 0.0,
             base: 0.0,
             slope: overhead * hourly_rate as f64 * (1.0 - self.discount),
-        }]
+        })
     }
 }
 

@@ -162,7 +162,9 @@ impl HorizonCache {
         // Gather every machine's segments, then sweep the merged breakpoints
         // accumulating total base and slope. `(slope_delta, jump)` events at
         // each start express both kinks and discontinuities.
-        let mut events: Vec<(f64, f64, f64)> = Vec::new(); // (start, slope_delta, base_jump)
+        let machines = machines.into_iter();
+        // (start, slope_delta, base_jump)
+        let mut events: Vec<(f64, f64, f64)> = Vec::with_capacity(machines.size_hint().0);
         let mut at_zero = 0.0;
         for (hourly_cost, utilisation) in machines {
             at_zero += model.charge(hourly_cost, &UsageWindow::full(0.0));
@@ -172,7 +174,7 @@ impl HorizonCache {
             let segments = model.segments(hourly_cost, utilisation);
             debug_assert!(!segments.is_empty(), "profiles are non-empty");
             let mut previous: Option<crate::billing::BillingSegment> = None;
-            for segment in segments {
+            for &segment in segments.iter() {
                 let (prev_slope, prev_value) = match previous {
                     Some(p) => (
                         p.slope,
@@ -188,9 +190,16 @@ impl HorizonCache {
                 previous = Some(segment);
             }
         }
-        events.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("segment starts are finite"));
+        // A stable sort leaves sorted events as they are, so events already
+        // in start order (every machine's profile one segment from hour 0)
+        // skip it.
+        if !events.is_sorted_by(|a, b| a.0 <= b.0) {
+            events.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("segment starts are finite"));
+        }
 
-        let mut segments: Vec<Merged> = Vec::new();
+        // One merged segment per distinct start.
+        let distinct = 1 + events.windows(2).filter(|w| w[1].0 > w[0].0).count();
+        let mut segments: Vec<Merged> = Vec::with_capacity(distinct);
         let mut total_slope = 0.0;
         let mut total_base = 0.0;
         let mut cursor = 0.0;

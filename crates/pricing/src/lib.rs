@@ -48,8 +48,8 @@ pub mod horizon;
 pub mod optimizer;
 
 pub use billing::{
-    BillingModel, BillingSegment, HoursRounding, OnDemand, PerSecond, Reserved, SegmentedBilling,
-    Spot, UsageWindow,
+    BillingModel, BillingSegment, ChargeProfile, HoursRounding, OnDemand, PerSecond, Reserved,
+    SegmentedBilling, Spot, UsageWindow,
 };
 pub use catalogue::{Catalogue, CatalogueEntry};
 pub use horizon::{

@@ -249,9 +249,13 @@ impl FixedMixScaler {
     }
 
     /// Hourly rental cost of the fleet required for `rate` — the fixed-mix
-    /// rescale cost a what-if probe compares against.
+    /// rescale cost a what-if probe compares against. The same sum as
+    /// [`FixedMixScaler::cost_rate`] of [`FixedMixScaler::required_for`],
+    /// without the fleet's vector.
     pub fn rescale_cost_rate(&self, rate: f64) -> f64 {
-        self.cost_rate(&self.required_for(rate))
+        (self.types.iter())
+            .map(|t| self.required(t, rate) as f64 * t.cost)
+            .sum()
     }
 
     /// True when the surviving machines (`available` per type) cannot carry
@@ -267,34 +271,38 @@ impl FixedMixScaler {
 }
 
 /// The mutable scaling state carried across epochs: the current fleet and the
-/// per-type scale-down hysteresis counters.
+/// per-type scale-down hysteresis counters, held in one buffer (the fleet,
+/// then the counters), so a state is one allocation.
 ///
 /// Deliberately separate from [`FixedMixScaler`] so a controller can swap the
 /// recipe mix (a new scaler) while the rented fleet carries over.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FixedMixState {
-    fleet: Vec<u64>,
-    below_count: Vec<usize>,
+    counts: Vec<u64>,
 }
 
 impl FixedMixState {
     /// An empty state (nothing rented) for `num_types` machine types.
     pub fn new(num_types: usize) -> Self {
         FixedMixState {
-            fleet: vec![0; num_types],
-            below_count: vec![0; num_types],
+            counts: vec![0; 2 * num_types],
         }
+    }
+
+    /// Number of machine types the state covers.
+    fn num_types(&self) -> usize {
+        self.counts.len() / 2
     }
 
     /// Machines currently rented, per type.
     pub fn fleet(&self) -> &[u64] {
-        &self.fleet
+        &self.counts[..self.num_types()]
     }
 
     /// The per-type scale-down hysteresis counters (consecutive epochs the
     /// demand has stayed below the rented fleet).
-    pub fn below_counts(&self) -> &[usize] {
-        &self.below_count
+    pub fn below_counts(&self) -> &[u64] {
+        &self.counts[self.num_types()..]
     }
 
     /// Rebuilds a state from its persisted parts — the inverse of reading
@@ -305,13 +313,15 @@ impl FixedMixState {
     /// # Panics
     ///
     /// Panics when the two vectors disagree on the number of machine types.
-    pub fn from_parts(fleet: Vec<u64>, below_count: Vec<usize>) -> Self {
+    pub fn from_parts(fleet: Vec<u64>, below_count: Vec<u64>) -> Self {
         assert_eq!(
             fleet.len(),
             below_count.len(),
             "fleet and hysteresis counters must cover the same machine types"
         );
-        FixedMixState { fleet, below_count }
+        let mut counts = fleet;
+        counts.extend(below_count);
+        FixedMixState { counts }
     }
 
     /// Advances one epoch: scales up immediately to what `rate` requires and
@@ -330,28 +340,30 @@ impl FixedMixState {
         rate: f64,
         scale_down_patience: usize,
     ) -> &[u64] {
+        let types = self.num_types();
         assert_eq!(
-            self.fleet.len(),
+            types,
             scaler.num_types(),
             "scaler and state must cover the same machine types"
         );
+        let (fleet, below) = self.counts.split_at_mut(types);
         // One type at a time, so a step allocates nothing.
         for (q, t) in scaler.types.iter().enumerate() {
             let needed = scaler.required(t, rate);
-            if needed > self.fleet[q] {
-                self.fleet[q] = needed;
-                self.below_count[q] = 0;
-            } else if needed < self.fleet[q] {
-                self.below_count[q] += 1;
-                if self.below_count[q] >= scale_down_patience {
-                    self.fleet[q] = needed;
-                    self.below_count[q] = 0;
+            if needed > fleet[q] {
+                fleet[q] = needed;
+                below[q] = 0;
+            } else if needed < fleet[q] {
+                below[q] += 1;
+                if below[q] >= scale_down_patience as u64 {
+                    fleet[q] = needed;
+                    below[q] = 0;
                 }
             } else {
-                self.below_count[q] = 0;
+                below[q] = 0;
             }
         }
-        &self.fleet
+        fleet
     }
 }
 
