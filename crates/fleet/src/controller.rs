@@ -365,7 +365,9 @@ impl Derived {
         for peaks in peaks {
             // A tenant's epochs repeat a few rates (plateaus, daily cycles):
             // its last few distinct rates are remembered, and a repeated
-            // rate, whose target is already listed, is not quantized again.
+            // rate, whose target was already classified, is not quantized
+            // again. Quantizing divides by the granularity; skipping the
+            // repeats more than halves the scan of a scale-style fleet.
             let mut recent = [f64::NAN; 4];
             let mut distinct = 0;
             // An epoch has horizon left while it is not the tenant's last.
@@ -502,7 +504,8 @@ pub(crate) struct TenantState<'a> {
     pub(crate) spec: &'a TenantSpec,
     /// What the tenant shares with its initial request's other tenants.
     pub(crate) derived: Arc<Derived>,
-    pub(crate) peaks: Vec<f64>,
+    /// The epoch peaks, in the run's one buffer of them.
+    pub(crate) peaks: &'a [f64],
     /// Scaler of the current mix.
     pub(crate) scaler: FixedMixScaler,
     pub(crate) baselines: Baselines,
@@ -531,7 +534,7 @@ impl<'a> TenantState<'a> {
         spec: &'a TenantSpec,
         derived: Arc<Derived>,
         scaler: FixedMixScaler,
-        peaks: Vec<f64>,
+        peaks: &'a [f64],
         core: TenantCore,
         tally: Tally,
         epoch_costs: Vec<f64>,

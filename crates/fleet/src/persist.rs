@@ -99,7 +99,7 @@ use crate::journal::{
     get_outcome, put_outcome, replay, state_digest, JournalRecord, PersistedOutcome, Solves,
 };
 use crate::report::{AdoptionRecord, FleetReport, SolverEffort};
-use crate::run::FleetRun;
+use crate::run::{FleetRun, Peaks};
 use crate::tenant::TenantSpec;
 
 /// Magic number of checkpoint snapshots (`"RPSF"`).
@@ -626,7 +626,7 @@ fn file_link(complete: &mut BTreeMap<u64, Link>, epoch: u64, payload: &[u8]) {
 fn restore_tenant<'a>(
     ctl: &FleetController,
     env: &RunEnv,
-    spec: &'a TenantSpec,
+    (spec, peaks): (&'a TenantSpec, &'a [f64]),
     (initial, snap): (InitialPlan, TenantSnapshot),
 ) -> Option<TenantState<'a>> {
     let (recipes, types) = (spec.instance.num_recipes(), spec.instance.num_types());
@@ -652,7 +652,7 @@ fn restore_tenant<'a>(
         spec,
         Arc::new(derived),
         scaler,
-        spec.trace.epoch_peaks(env.baseline_scaling.epoch),
+        peaks,
         snap.core,
         snap.tally,
         snap.epoch_costs,
@@ -665,6 +665,7 @@ fn restore_tenant<'a>(
 fn restore_checkpoint<'a>(
     ctl: &'a FleetController,
     tenants: &'a [TenantSpec],
+    peaks: &'a Peaks,
     config: Option<&CapacityConfig>,
     chaos: Option<&'a ChaosClock<'a>>,
     checkpoint: Checkpoint,
@@ -673,8 +674,8 @@ fn restore_checkpoint<'a>(
     if checkpoint.tenants.len() != tenants.len() {
         return None;
     }
-    let states = (tenants.iter().zip(checkpoint.tenants))
-        .map(|(spec, snapshot)| restore_tenant(ctl, &env, spec, snapshot))
+    let states = (tenants.iter().zip(checkpoint.tenants).enumerate())
+        .map(|(i, (spec, snapshot))| restore_tenant(ctl, &env, (spec, peaks.tenant(i)), snapshot))
         .collect::<Option<Vec<_>>>()?;
     // The coupling is regenerated from the config (traces are
     // deterministic, validated by fingerprint) and the checkpointed ledger
@@ -742,6 +743,7 @@ impl Durability<'_> {
         ctl: &'a FleetController,
         solver: &S,
         tenants: &'a [TenantSpec],
+        peaks: &'a Peaks,
         config: Option<&CapacityConfig>,
         chaos: Option<&'a ChaosClock<'a>>,
     ) -> io::Result<Option<FleetRun<'a>>> {
@@ -773,7 +775,8 @@ impl Durability<'_> {
         self.chain = Some(Written::at(&checkpoint));
         // A failed record ends the valid journal: replay again up to it.
         let mut run = loop {
-            let Some(mut run) = restore_checkpoint(ctl, tenants, config, chaos, checkpoint.clone())
+            let Some(mut run) =
+                restore_checkpoint(ctl, tenants, peaks, config, chaos, checkpoint.clone())
             else {
                 return Ok(None);
             };
@@ -1096,7 +1099,7 @@ mod tests {
         let costs = vec![10.0, 12.5, -0.0];
         let derived = Arc::new(derived);
         let (core, tally) = (core(), tally());
-        let state = TenantState::new(spec, derived, scaler, Vec::new(), core, tally, costs, plans);
+        let state = TenantState::new(spec, derived, scaler, &[], core, tally, costs, plans);
         let mut pool = CapacityPool::new(vec![5, 4, 3, 3], 1);
         pool.arbitrate_epoch([[3, 0, 2, 1]]);
         pool.arbitrate_epoch([[2, 0, 2, 0]]);

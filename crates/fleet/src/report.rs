@@ -196,10 +196,11 @@ pub struct FleetReport {
     /// run).
     pub quota_utilization: Vec<f64>,
     /// Where the run's start went: a [`TraceTree`] rooted at `init`, its
-    /// children back-to-back phases that partition the root — a fresh run's
-    /// `peaks`, `requests`, `solve` (the initial batch), `derive`, `states`
-    /// and `coupling`, a durable run's `restore` (a resume's, its journal
-    /// replay included) and `persist` (the chain's root link).
+    /// children back-to-back phases that partition the root — every run's
+    /// `peaks`, then a fresh run's `requests`, `solve` (the initial batch),
+    /// `derive`, `states` and `coupling`, a durable run's `restore` (a
+    /// resume's, its journal replay included) and `persist` (the chain's
+    /// root link).
     pub init_timing: TraceTree,
     /// Where each epoch's wall-clock time went: one causal [`TraceTree`]
     /// per epoch of the shared clock, its root the epoch's wall and its

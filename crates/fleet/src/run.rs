@@ -36,9 +36,9 @@
 //! [`FleetRun::observe`] sets the root to the epoch's wall, emits every
 //! `fleet.span.*` sample from the tree, once per epoch, at the barrier, and
 //! files the tree in the report. The run's time outside its epochs has a
-//! tree each, timed in back-to-back laps: `init` (a fresh run's `peaks`,
-//! `requests`, `solve`, `derive`, `states` and `coupling`, a durable run's
-//! `restore` and `persist`) and `finish` (`headroom`, `reports` and
+//! tree each, timed in back-to-back laps: `init` (`peaks`, then a fresh
+//! run's `requests`, `solve`, `derive`, `states` and `coupling`, a durable
+//! run's `restore` and `persist`) and `finish` (`headroom`, `reports` and
 //! `release`), kept in [`FleetReport::init_timing`] and
 //! [`FleetReport::finish_timing`].
 
@@ -213,36 +213,56 @@ fn no_lanes(len: usize) -> Vec<()> {
     vec![(); len]
 }
 
-/// `f(0), …, f(len - 1)`, fanned out over `shards` contiguous shards on the
-/// shared worker pool, the results in index order — the sharded pass of a
-/// run's start, where the tenant states do not exist yet.
-fn map_sharded<R, F>(len: usize, shards: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let shards = shards.clamp(1, len.max(1));
-    let chunk = len.div_ceil(shards);
-    let parts = rayon::parallel_map_indexed(shards, Some(shards), |s| {
-        (s * chunk..((s + 1) * chunk).min(len))
-            .map(&f)
-            .collect::<Vec<R>>()
-    });
-    concat(parts, len)
+/// Every tenant's epoch peaks, computed once per run into one buffer that
+/// the tenant states borrow: tenant `i`'s are `flat[bounds[i]..bounds[i + 1]]`.
+pub(crate) struct Peaks {
+    flat: Vec<f64>,
+    bounds: Vec<usize>,
 }
 
-/// The tenants of each request, grouped by a counting sort: request `r`'s
-/// tenants are `members[starts[r]..starts[r + 1]]`, in tenant order.
+impl Peaks {
+    /// The epoch peaks of `tenants` under epochs of `epoch` hours: each
+    /// tenant's epoch count, then one buffer of exactly their sum, which
+    /// `shards` contiguous shards fill in place on the shared worker pool.
+    pub(crate) fn of(tenants: &[TenantSpec], epoch: f64, shards: usize) -> Self {
+        let len = tenants.len();
+        let counts = rayon::parallel_map_chunks_mut(&mut no_lanes(len), shards, |i, _| {
+            tenants[i].trace.epoch_count(epoch)
+        });
+        let mut bounds = Vec::with_capacity(len + 1);
+        bounds.push(0);
+        for count in counts {
+            bounds.push(bounds[bounds.len() - 1] + count);
+        }
+        let mut flat = vec![0.0; bounds[len]];
+        let mut rest = flat.as_mut_slice();
+        let mut slices = Vec::with_capacity(len);
+        for pair in bounds.windows(2) {
+            let (peaks, tail) = rest.split_at_mut(pair[1] - pair[0]);
+            slices.push(peaks);
+            rest = tail;
+        }
+        rayon::parallel_map_chunks_mut(&mut slices, shards, |i, peaks| {
+            tenants[i].trace.fill_epoch_peaks(epoch, peaks);
+        });
+        Peaks { flat, bounds }
+    }
+
+    /// Tenant `i`'s epoch peaks.
+    pub(crate) fn tenant(&self, i: usize) -> &[f64] {
+        &self.flat[self.bounds[i]..self.bounds[i + 1]]
+    }
+}
+
+/// The tenants of each request, in tenant order, by a counting sort:
+/// request `r`'s are `members[starts[r]..starts[r + 1]]`.
 fn group_by_request(request_of: &[usize], requests: usize) -> (Vec<usize>, Vec<usize>) {
     let mut starts = vec![0; requests + 1];
     for &r in request_of {
-        starts[r] += 1;
+        starts[r + 1] += 1;
     }
-    let mut total = 0;
-    for start in &mut starts {
-        let count = *start;
-        *start = total;
-        total += count;
+    for r in 0..requests {
+        starts[r + 1] += starts[r];
     }
     let mut next = starts.clone();
     let mut members = vec![0; request_of.len()];
@@ -351,68 +371,59 @@ impl<'a> FleetRun<'a> {
     /// request and shared: the plan and its horizon cache, its warm-start
     /// prior, the recipe mix, the scalers' rates, the instance's constants
     /// and — for a request of two or more tenants — the plan's probe table.
-    /// Each tenant's epoch peaks are computed once, and the states are built
-    /// in one sharded pass, in tenant order.
+    /// The states borrow their epoch `peaks` and are built in one sharded
+    /// pass, in tenant order.
     fn start<S: CapacitySolver + Sync>(
         ctl: &'a FleetController,
         solver: &S,
         tenants: &'a [TenantSpec],
+        peaks: &'a Peaks,
         config: Option<&CapacityConfig>,
         chaos: Option<&'a ChaosClock<'a>>,
         laps: &mut Laps,
     ) -> SolveResult<Self> {
         let env = ctl.run_env(config);
         let policy = &ctl.policy;
-        let shards = policy.shard_count(tenants.len());
-        let epoch = env.baseline_scaling.epoch;
-        let peaks = map_sharded(tenants.len(), shards, |i| {
-            tenants[i].trace.epoch_peaks(epoch)
-        });
-        laps.lap("peaks");
         // Requests by value: tenants of equal instances (shared storage or
         // not) and equal targets ask the same.
         let mut classes = InstanceClasses::new();
         let mut granularity = Vec::new();
-        let mut requests = HashMap::new();
-        let mut firsts = Vec::new();
-        let request_of: Vec<usize> = (tenants.iter().zip(&peaks))
-            .enumerate()
-            .map(|(i, (t, peaks))| {
+        let mut numbers = HashMap::new();
+        let mut targets = Vec::new();
+        let request_of: Vec<usize> = (tenants.iter().enumerate())
+            .map(|(i, t)| {
                 let class = classes.class_of(&t.instance);
                 if class == granularity.len() {
                     granularity.push(t.instance.throughput_granularity());
                 }
-                let rho = first_target(peaks, env.serve_headroom, granularity[class]);
-                *requests.entry((class, rho)).or_insert_with(|| {
-                    firsts.push((i, rho));
-                    firsts.len() - 1
+                let rho = first_target(peaks.tenant(i), env.serve_headroom, granularity[class]);
+                *numbers.entry((class, rho)).or_insert_with(|| {
+                    targets.push(rho);
+                    targets.len() - 1
                 })
             })
             .collect();
-        // Tenants that share a request and may probe share its probe table,
-        // so the derivation needs each request's tenants.
-        let grouped = (policy.resolve && firsts.len() < tenants.len())
-            .then(|| group_by_request(&request_of, firsts.len()));
+        // Each request's tenants, the first one first: the tenants of a
+        // request that may probe share its probe table.
+        let (starts, members) = group_by_request(&request_of, targets.len());
+        let sharers = |r: usize| &members[starts[r]..starts[r + 1]];
         laps.lap("requests");
-        let items: Vec<WarmBatchItem<'_>> = (firsts.iter())
-            .map(|&(i, rho)| WarmBatchItem::new(&tenants[i].instance, rho, None))
+        let items: Vec<WarmBatchItem<'_>> = (targets.iter().enumerate())
+            .map(|(r, &rho)| WarmBatchItem::new(&tenants[sharers(r)[0]].instance, rho, None))
             .collect();
         let results = solve_warm_batch(solver, &items, None, policy.threads);
         laps.lap("solve");
         let billing = ctl.billing.as_ref();
-        let shared = rayon::parallel_map_indexed(firsts.len(), policy.threads, |r| {
-            let (i, rho) = firsts[r];
-            let instance = &tenants[i].instance;
+        let shared = rayon::parallel_map_indexed(targets.len(), policy.threads, |r| {
+            let (rho, sharers) = (targets[r], sharers(r));
+            let instance = &tenants[sharers[0]].instance;
             let outcome = results[r].clone()?;
             debug_certify(instance, &outcome.solution, None);
             let fractions = Autoscaler::split_fractions(&outcome.solution);
             let mut derived = Derived::new(instance, &env, (rho, fractions));
             let scaler = FixedMixScaler::new(instance, &derived.initial_fractions, &env.scaling);
-            let sharers = (grouped.as_ref()).map_or(&[][..], |(starts, members)| {
-                &members[starts[r]..starts[r + 1]]
-            });
-            if sharers.len() > 1 {
-                let peaks = sharers.iter().map(|&k| peaks[k].as_slice());
+            if policy.resolve && sharers.len() > 1 {
+                let peaks = sharers.iter().map(|&k| peaks.tenant(k));
                 derived.build_probe_table(instance, &scaler, peaks, &env, policy, billing);
             }
             let prior = Arc::new(SweepPrior::from_outcome(rho, &outcome));
@@ -428,38 +439,29 @@ impl<'a> FleetRun<'a> {
         }
         let shared: Vec<_> = shared.into_iter().flatten().collect();
         laps.lap("derive");
-        let mut states = map_sharded(tenants.len(), shards, |i| {
-            let (derived, scaler, plan, prior) = &shared[request_of[i]];
-            let (spec, rho) = (&tenants[i], derived.initial_target);
-            let core = TenantCore {
-                fractions: Arc::clone(&derived.initial_fractions),
-                mix: FixedMixState::new(spec.instance.num_types()),
-                solved_target: rho,
-                adopted_epoch: 0,
-                prior: Some(Arc::clone(prior)),
-                last_failure_solve: None,
-                deferred_until: 0,
-                backoff: 0,
-            };
-            let mut tally = Tally::default();
-            tally.effort.record(&plan.outcome);
-            let costs = Vec::with_capacity(peaks[i].len());
-            let (derived, scaler) = (Arc::clone(derived), scaler.clone());
-            TenantState::new(
-                spec,
-                derived,
-                scaler,
-                Vec::new(),
-                core,
-                tally,
-                costs,
-                Vec::new(),
-            )
-        });
-        // The shards only borrowed the peaks; each tenant's peaks move in now.
-        for (state, peaks) in states.iter_mut().zip(peaks) {
-            state.peaks = peaks;
-        }
+        let shards = policy.shard_count(tenants.len());
+        // The sharded pass of a run's start, where the states do not exist
+        // yet: each shard builds its tenants' states in place.
+        let states =
+            rayon::parallel_map_chunks_mut(&mut no_lanes(tenants.len()), shards, |i, _| {
+                let (derived, scaler, plan, prior) = &shared[request_of[i]];
+                let (spec, rho, peaks) = (&tenants[i], derived.initial_target, peaks.tenant(i));
+                let core = TenantCore {
+                    fractions: Arc::clone(&derived.initial_fractions),
+                    mix: FixedMixState::new(spec.instance.num_types()),
+                    solved_target: rho,
+                    adopted_epoch: 0,
+                    prior: Some(Arc::clone(prior)),
+                    last_failure_solve: None,
+                    deferred_until: 0,
+                    backoff: 0,
+                };
+                let mut tally = Tally::default();
+                tally.effort.record(&plan.outcome);
+                let costs = Vec::with_capacity(peaks.len());
+                let (derived, scaler) = (Arc::clone(derived), scaler.clone());
+                TenantState::new(spec, derived, scaler, peaks, core, tally, costs, Vec::new())
+            });
         laps.lap("states");
         let coupled = ctl.init_coupling(tenants, config, &env);
         laps.lap("coupling");
@@ -1137,11 +1139,9 @@ impl<'a> FleetRun<'a> {
             None => Vec::new(),
         };
         laps.lap("headroom");
-        let mut lanes = no_lanes(self.states.len());
-        let tenants =
-            for_each_tenant_sharded(&mut self.states, &mut lanes, shards, None, |i, s, _| {
-                Some(s.report(env, headroom_violations.get(i).copied().unwrap_or(0)))
-            });
+        let tenants = rayon::parallel_map_chunks_mut(&mut self.states, shards, |i, s| {
+            s.report(env, headroom_violations.get(i).copied().unwrap_or(0))
+        });
         laps.lap("reports");
         let quota_utilization = (self.coupled.as_ref())
             .filter(|cs| !cs.pool.is_unlimited())
@@ -1179,9 +1179,12 @@ impl FleetController {
         let clock = chaos.map(|chaos| ChaosClock::new(chaos, &stats));
         let chaos = clock.as_ref();
         let mut laps = Laps::start("init");
+        let shards = self.policy.shard_count(tenants.len());
+        let peaks = Peaks::of(tenants, self.policy.epoch, shards);
+        laps.lap("peaks");
         let restored = match durable.as_deref_mut() {
             Some(durable) => {
-                let restored = durable.restore(self, solver, tenants, config, chaos)?;
+                let restored = durable.restore(self, solver, tenants, &peaks, config, chaos)?;
                 laps.lap("restore");
                 restored
             }
@@ -1192,7 +1195,8 @@ impl FleetController {
             None => {
                 // Fresh start, or the cold-restart rung: clean slate,
                 // everything re-derived deterministically from configs.
-                let mut run = FleetRun::start(self, solver, tenants, config, chaos, &mut laps)?;
+                let mut run =
+                    FleetRun::start(self, solver, tenants, &peaks, config, chaos, &mut laps)?;
                 if let Some(durable) = durable.as_deref_mut() {
                     durable.begin(&mut run)?;
                     laps.lap("persist");

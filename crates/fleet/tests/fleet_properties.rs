@@ -9,7 +9,8 @@ use rental_core::examples::illustrating_example;
 use rental_core::{Instance, Platform, Throughput};
 use rental_fleet::scenario::scaling_instance_config;
 use rental_fleet::{
-    initial_target, scaling_fleet, AdoptionRecord, FleetController, FleetPolicy, TenantSpec,
+    initial_target, scaling_fleet, AdoptionRecord, FleetController, FleetPolicy, FleetReport,
+    TenantSpec,
 };
 use rental_simgen::InstanceGenerator;
 use rental_solvers::exact::IlpSolver;
@@ -221,32 +222,13 @@ proptest! {
         let fleet = controller.run(&counter, &scenario.tenants).unwrap();
         prop_assert!(fleet.resolved_tenant_epochs() > 0);
 
-        let mut requests: Vec<(Instance, Throughput)> = Vec::new();
-        for t in &scenario.tenants {
-            let request = (t.instance.clone(), initial_target(&policy, &t.instance, &t.trace));
-            if !requests.contains(&request) {
-                requests.push(request);
-            }
-        }
         // As many calls as requests, and every request among them: each
         // request was solved exactly once.
+        let requests = distinct_requests(&policy, &scenario.tenants);
         let cold = counter.cold.into_inner().unwrap();
         prop_assert_eq!(cold.len(), requests.len());
         prop_assert!(requests.iter().all(|request| cold.contains(request)));
-
-        for (i, tenant) in scenario.tenants.iter().enumerate() {
-            let solo = controller
-                .run(&IlpSolver::new(), std::slice::from_ref(tenant))
-                .unwrap();
-            prop_assert!(fleet.tenants[i] == solo.tenants[0], "tenant {}", i);
-            let own: Vec<_> = fleet
-                .adoptions
-                .iter()
-                .filter(|record| record.tenant == i)
-                .map(|record| AdoptionRecord { tenant: 0, ..record.clone() })
-                .collect();
-            prop_assert_eq!(&own, &solo.adoptions, "tenant {}", i);
-        }
+        prop_assert_eq!(first_solo_mismatch(&controller, &scenario.tenants, &fleet), None);
     }
 
     /// Fleet runs are deterministic: identical inputs give identical reports
@@ -306,6 +288,45 @@ proptest! {
     }
 }
 
+/// The distinct initial requests — instance and initial target — of
+/// `tenants` under `policy`, in order of first appearance.
+fn distinct_requests(policy: &FleetPolicy, tenants: &[TenantSpec]) -> Vec<(Instance, Throughput)> {
+    let mut requests = Vec::new();
+    for t in tenants {
+        let request = (
+            t.instance.clone(),
+            initial_target(policy, &t.instance, &t.trace),
+        );
+        if !requests.contains(&request) {
+            requests.push(request);
+        }
+    }
+    requests
+}
+
+/// The first of `tenants` whose report row or adoptions in `fleet`, their
+/// run under `controller`, differ from what it reports run alone, if any.
+/// A solo run shares nothing with co-tenants — no request, no probe table.
+fn first_solo_mismatch(
+    controller: &FleetController,
+    tenants: &[TenantSpec],
+    fleet: &FleetReport,
+) -> Option<usize> {
+    (0..tenants.len()).find(|&i| {
+        let solo = controller
+            .run(&IlpSolver::new(), std::slice::from_ref(&tenants[i]))
+            .unwrap();
+        let own: Vec<_> = (fleet.adoptions.iter())
+            .filter(|record| record.tenant == i)
+            .map(|record| AdoptionRecord {
+                tenant: 0,
+                ..record.clone()
+            })
+            .collect();
+        fleet.tenants[i] != solo.tenants[0] || own != solo.adoptions
+    })
+}
+
 /// A plain fleet of `tenants` tenants on 8 tiny instances whose demand
 /// cycles over three plateaus every epoch for 24 epochs: tenant `i` runs
 /// instance `i % 8` from base rate `40 + i % 16`, so the fleet asks at most
@@ -344,21 +365,12 @@ fn shared_request_fleet(tenants: usize) -> Vec<TenantSpec> {
 #[test]
 fn tenants_sharing_requests_match_their_solo_runs() {
     let tenants = shared_request_fleet(96);
-    let mut requests: Vec<(Instance, Throughput)> = Vec::new();
     let policy = FleetPolicy {
         epoch: 1.0,
         ..FleetPolicy::default()
     };
-    for t in &tenants {
-        let request = (
-            t.instance.clone(),
-            initial_target(&policy, &t.instance, &t.trace),
-        );
-        if !requests.contains(&request) {
-            requests.push(request);
-        }
-    }
-    assert!(requests.len() <= 16, "{} requests", requests.len());
+    let requests = distinct_requests(&policy, &tenants).len();
+    assert!(requests <= 16, "{requests} requests");
     for switching_cost in [0.0, 1000.0, 1e12] {
         let controller = FleetController::new(FleetPolicy {
             switching_cost,
@@ -375,25 +387,7 @@ fn tenants_sharing_requests_match_their_solo_runs() {
                 "{switched} switched"
             ),
         }
-        for (i, tenant) in tenants.iter().enumerate() {
-            let solo = controller
-                .run(&IlpSolver::new(), std::slice::from_ref(tenant))
-                .unwrap();
-            assert!(
-                fleet.tenants[i] == solo.tenants[0],
-                "tenant {i} at switching cost {switching_cost}"
-            );
-            let own: Vec<_> = (fleet.adoptions.iter())
-                .filter(|record| record.tenant == i)
-                .map(|record| AdoptionRecord {
-                    tenant: 0,
-                    ..record.clone()
-                })
-                .collect();
-            assert_eq!(
-                own, solo.adoptions,
-                "tenant {i} at switching cost {switching_cost}"
-            );
-        }
+        let mismatch = first_solo_mismatch(&controller, &tenants, &fleet);
+        assert_eq!(mismatch, None, "at switching cost {switching_cost}");
     }
 }

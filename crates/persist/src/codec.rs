@@ -162,11 +162,6 @@ impl Encoder {
         self.put_seq(items, |enc, &v| enc.put_u64(v));
     }
 
-    /// Writes a length-prefixed `&[usize]` (as u64s).
-    pub fn put_usizes(&mut self, items: &[usize]) {
-        self.put_seq(items, |enc, &v| enc.put_usize(v));
-    }
-
     /// Writes a length-prefixed `&[f64]` (raw bits per entry).
     pub fn put_f64s(&mut self, items: &[f64]) {
         self.put_seq(items, |enc, &v| enc.put_f64(v));
@@ -333,11 +328,6 @@ impl<'a> Decoder<'a> {
         self.get_seq(8, Decoder::get_u64)
     }
 
-    /// Reads a length-prefixed `Vec<usize>`.
-    pub fn get_usizes(&mut self) -> Result<Vec<usize>, DecodeError> {
-        self.get_seq(8, Decoder::get_usize)
-    }
-
     /// Reads a length-prefixed `Vec<f64>`.
     pub fn get_f64s(&mut self) -> Result<Vec<f64>, DecodeError> {
         self.get_seq(8, Decoder::get_f64)
@@ -369,7 +359,6 @@ mod tests {
         enc.put_opt_f64(Some(1.5));
         enc.put_opt_u64(Some(9));
         enc.put_u64s(&[1, 2, 3]);
-        enc.put_usizes(&[4, 5]);
         enc.put_f64s(&[0.1, 0.2]);
         enc.put_str("tenant-α");
         let bytes = enc.finish();
@@ -387,7 +376,6 @@ mod tests {
         assert_eq!(dec.get_opt_f64().unwrap(), Some(1.5));
         assert_eq!(dec.get_opt_u64().unwrap(), Some(9));
         assert_eq!(dec.get_u64s().unwrap(), vec![1, 2, 3]);
-        assert_eq!(dec.get_usizes().unwrap(), vec![4, 5]);
         assert_eq!(dec.get_f64s().unwrap(), vec![0.1, 0.2]);
         assert_eq!(dec.get_str().unwrap(), "tenant-α");
         dec.expect_end().unwrap();

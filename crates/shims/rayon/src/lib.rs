@@ -9,7 +9,10 @@
 //!   `Vec`s and `usize` ranges ([`iter::IntoParallelIterator`]);
 //! * [`parallel_map_indexed`], the lower-level primitive every combinator
 //!   compiles down to, with an explicit thread cap for callers that manage
-//!   their own parallelism budget (the batch solver);
+//!   their own parallelism budget (the batch solver), and
+//!   [`parallel_map_chunks_mut`], its statically partitioned sibling that
+//!   hands each participant one contiguous range of a mutable slice and
+//!   writes the range's results in place;
 //! * [`join`] and [`current_num_threads`].
 //!
 //! Work is distributed dynamically: threads pull indices from a shared atomic
@@ -99,6 +102,48 @@ where
         .collect()
 }
 
+/// Evaluates `f(i, &mut items[i])` for every index over `chunks` contiguous
+/// index ranges — the caller plus up to `chunks - 1` shared pool workers, one
+/// participant per range, each with exclusive access to its range of
+/// `items` — and returns the results in index order. Each participant writes
+/// its range's results straight into the returned vector, so no per-range
+/// vectors are built or concatenated. Panics in `f` propagate to the caller
+/// once every participant has stopped (the results already written are
+/// leaked, never dropped twice).
+pub fn parallel_map_chunks_mut<S, T, F>(items: &mut [S], chunks: usize, f: F) -> Vec<T>
+where
+    S: Send,
+    T: Send,
+    F: Fn(usize, &mut S) -> T + Sync,
+{
+    let len = items.len();
+    let chunks = chunks.clamp(1, len.max(1));
+    if chunks <= 1 {
+        return (items.iter_mut().enumerate())
+            .map(|(i, item)| f(i, item))
+            .collect();
+    }
+    let size = len.div_ceil(chunks);
+    let mut out: Vec<T> = Vec::with_capacity(len);
+    let ranges: Vec<_> = (items.chunks_mut(size))
+        .zip(out.spare_capacity_mut()[..len].chunks_mut(size))
+        .map(Mutex::new)
+        .collect();
+    let run_range = |c: usize| {
+        let mut range = ranges[c].lock().expect("result range poisoned");
+        let (items, slots) = &mut *range;
+        for (k, (item, slot)) in items.iter_mut().zip(slots.iter_mut()).enumerate() {
+            slot.write(f(c * size + k, item));
+        }
+    };
+    pool::run_job(ranges.len(), ranges.len() - 1, &run_range);
+    drop(ranges);
+    // SAFETY: `run_job` returned, so no participant panicked and every
+    // range ran to its end: each of the first `len` slots was written once.
+    unsafe { out.set_len(len) };
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,6 +159,34 @@ mod tests {
         let capped = parallel_map_indexed(100, Some(2), |i| i + 1);
         let sequential = parallel_map_indexed(100, Some(1), |i| i + 1);
         assert_eq!(capped, sequential);
+    }
+
+    #[test]
+    fn chunked_map_matches_the_sequential_map() {
+        let mut items: Vec<usize> = (0..1_001).collect();
+        let sequential: Vec<String> = (0..1_001).map(|i| (2 * i).to_string()).collect();
+        for chunks in [1, 2, 3, 7, 1_001, 5_000] {
+            let chunked = parallel_map_chunks_mut(&mut items, chunks, |i, item| {
+                assert_eq!(*item, i);
+                (2 * i).to_string()
+            });
+            assert_eq!(chunked, sequential, "{chunks} chunks");
+        }
+        let mut doubled = items.clone();
+        parallel_map_chunks_mut(&mut doubled, 3, |_, item| *item *= 2);
+        assert!(doubled.iter().zip(&items).all(|(d, i)| *d == 2 * i));
+        assert!(parallel_map_chunks_mut(&mut [0u8; 0], 4, |i, _| i).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn chunked_map_panics_propagate() {
+        parallel_map_chunks_mut(&mut [(); 64], 4, |i, _| {
+            if i == 40 {
+                panic!("boom");
+            }
+            vec![i]
+        });
     }
 
     #[test]

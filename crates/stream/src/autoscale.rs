@@ -272,37 +272,73 @@ impl FixedMixScaler {
 
 /// The mutable scaling state carried across epochs: the current fleet and the
 /// per-type scale-down hysteresis counters, held in one buffer (the fleet,
-/// then the counters), so a state is one allocation.
+/// then the counters) — inline for platforms of up to five machine types, so
+/// such a state allocates nothing.
 ///
 /// Deliberately separate from [`FixedMixScaler`] so a controller can swap the
 /// recipe mix (a new scaler) while the rented fleet carries over.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FixedMixState {
-    counts: Vec<u64>,
+    counts: Counts,
+}
+
+/// Machine types whose counts a [`FixedMixState`] holds inline.
+const INLINE_TYPES: usize = 5;
+
+/// The counts of a [`FixedMixState`]: how many there are and, inline, the
+/// counts themselves (zero past them), or a heap buffer of exactly them.
+#[derive(Debug, Clone, PartialEq)]
+enum Counts {
+    Inline(usize, [u64; 2 * INLINE_TYPES]),
+    Heap(Vec<u64>),
+}
+
+impl Counts {
+    fn zeroed(len: usize) -> Self {
+        if len <= 2 * INLINE_TYPES {
+            Counts::Inline(len, [0; 2 * INLINE_TYPES])
+        } else {
+            Counts::Heap(vec![0; len])
+        }
+    }
+
+    fn as_slice(&self) -> &[u64] {
+        match self {
+            Counts::Inline(len, counts) => &counts[..*len],
+            Counts::Heap(counts) => counts,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [u64] {
+        match self {
+            Counts::Inline(len, counts) => &mut counts[..*len],
+            Counts::Heap(counts) => counts,
+        }
+    }
 }
 
 impl FixedMixState {
     /// An empty state (nothing rented) for `num_types` machine types.
     pub fn new(num_types: usize) -> Self {
         FixedMixState {
-            counts: vec![0; 2 * num_types],
+            counts: Counts::zeroed(2 * num_types),
         }
     }
 
     /// Number of machine types the state covers.
     fn num_types(&self) -> usize {
-        self.counts.len() / 2
+        self.counts.as_slice().len() / 2
     }
 
     /// Machines currently rented, per type.
     pub fn fleet(&self) -> &[u64] {
-        &self.counts[..self.num_types()]
+        &self.counts.as_slice()[..self.num_types()]
     }
 
     /// The per-type scale-down hysteresis counters (consecutive epochs the
     /// demand has stayed below the rented fleet).
     pub fn below_counts(&self) -> &[u64] {
-        &self.counts[self.num_types()..]
+        &self.counts.as_slice()[self.num_types()..]
     }
 
     /// Rebuilds a state from its persisted parts — the inverse of reading
@@ -319,9 +355,11 @@ impl FixedMixState {
             below_count.len(),
             "fleet and hysteresis counters must cover the same machine types"
         );
-        let mut counts = fleet;
-        counts.extend(below_count);
-        FixedMixState { counts }
+        let mut state = FixedMixState::new(fleet.len());
+        let (to_fleet, to_below) = state.counts.as_mut_slice().split_at_mut(fleet.len());
+        to_fleet.copy_from_slice(&fleet);
+        to_below.copy_from_slice(&below_count);
+        state
     }
 
     /// Advances one epoch: scales up immediately to what `rate` requires and
@@ -346,7 +384,7 @@ impl FixedMixState {
             scaler.num_types(),
             "scaler and state must cover the same machine types"
         );
-        let (fleet, below) = self.counts.split_at_mut(types);
+        let (fleet, below) = self.counts.as_mut_slice().split_at_mut(types);
         // One type at a time, so a step allocates nothing.
         for (q, t) in scaler.types.iter().enumerate() {
             let needed = scaler.required(t, rate);

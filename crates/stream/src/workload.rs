@@ -233,13 +233,27 @@ impl WorkloadTrace {
     /// returns, for each epoch, the maximum demanded rate inside it. This is
     /// what a conservative autoscaler provisions against.
     pub fn epoch_peaks(&self, epoch: SimTime) -> Vec<f64> {
+        let mut peaks = vec![0.0; self.epoch_count(epoch)];
+        self.fill_epoch_peaks(epoch, &mut peaks);
+        peaks
+    }
+
+    /// Number of epochs of (at most) `epoch` time units the trace spans:
+    /// the length of [`WorkloadTrace::epoch_peaks`].
+    pub fn epoch_count(&self, epoch: SimTime) -> usize {
         assert!(epoch > 0.0, "epoch length must be positive");
         let duration = self.duration();
         if duration <= 0.0 {
-            return Vec::new();
+            return 0;
         }
-        let num_epochs = (duration / epoch).ceil() as usize;
-        let mut peaks = vec![0.0f64; num_epochs];
+        (duration / epoch).ceil() as usize
+    }
+
+    /// [`WorkloadTrace::epoch_peaks`], written into `peaks` — zeros, one per
+    /// epoch ([`WorkloadTrace::epoch_count`] of them) — so the peaks of
+    /// many traces can share one buffer.
+    pub fn fill_epoch_peaks(&self, epoch: SimTime, peaks: &mut [f64]) {
+        let num_epochs = peaks.len();
         let mut elapsed = 0.0;
         for segment in &self.segments {
             let start = elapsed;
@@ -251,7 +265,6 @@ impl WorkloadTrace {
             }
             elapsed = end;
         }
-        peaks
     }
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Alternating paired runs of two pre-built fleetbench binaries.
 #
-#   tools/fleetbench_pairs.sh [--json] PARENT_BIN CHANGE_BIN WORKLOAD N [FLEETBENCH_ARGS...]
+#   tools/fleetbench_pairs.sh PARENT_BIN CHANGE_BIN WORKLOAD N [FLEETBENCH_ARGS...]
 #
 # Runs N pairs of `fleetbench --workload WORKLOAD [FLEETBENCH_ARGS...]`, one
 # run of each binary per pair, alternating which one goes first (the parent
@@ -11,14 +11,13 @@
 # pairs the change won on each metric (lower run_s, higher
 # tenant_epochs_per_s). A run that reports a failed check stops the script.
 #
-# With --json, the script then prints one more line, a JSON object for the
-# fleetbench ledger (crates/bench/BENCH_fleetbench.json, one line per
-# workload of each perf change): record, commit, parent, nproc, workload,
-# seconds (the --seconds argument, or null), pairs, the pairs the change won
-# on each metric, and each side's p25, median and p75 of both metrics.
-# commit and parent name the two builds: $COMMIT and $PARENT when set, else
-# `git describe --always --dirty` of this checkout and, for a dirty tree, its
-# HEAD (the change is the working tree on top of it), for a clean one HEAD^.
+# Its last line is a JSON object for the fleetbench ledger
+# (crates/bench/BENCH_fleetbench.json, one line per workload of each perf
+# change): record, commit, parent, nproc, workload, seconds (the --seconds
+# argument, or null), pairs, the pairs the change won on each metric, and
+# each side's p25, median and p75 of both metrics. commit and parent name
+# the two builds; the script cannot tell which sources a binary was built
+# from, so they are $COMMIT and $PARENT, or "unknown" when unset.
 #
 # Build each checkout once into its own target directory, for example
 #   CARGO_TARGET_DIR=/tmp/parent cargo build --release --offline \
@@ -30,13 +29,8 @@
 #       /tmp/change/release/fleetbench resolve-1k 10 --seconds 8
 set -euo pipefail
 
-json=false
-if [ "${1:-}" = --json ]; then
-  json=true
-  shift
-fi
 if [ "$#" -lt 4 ]; then
-  echo "usage: $0 [--json] PARENT_BIN CHANGE_BIN WORKLOAD N [FLEETBENCH_ARGS...]" >&2
+  echo "usage: $0 PARENT_BIN CHANGE_BIN WORKLOAD N [FLEETBENCH_ARGS...]" >&2
   exit 2
 fi
 parent=$1
@@ -80,23 +74,12 @@ args=("$@")
 for ((k = 0; k + 1 < ${#args[@]}; k++)); do
   if [ "${args[k]}" = --seconds ]; then seconds=${args[k + 1]}; fi
 done
-if $json; then
-  commit=${COMMIT:-$(git describe --always --dirty)}
-  if [ -z "${PARENT:-}" ]; then
-    case $commit in
-      *-dirty) PARENT=$(git rev-parse --short HEAD) ;;
-      *) PARENT=$(git rev-parse --short HEAD^) ;;
-    esac
-  fi
-  header="{\"record\":\"fleetbench_pairs\",\"commit\":\"$commit\",\"parent\":\"$PARENT\""
-  header+=",\"nproc\":$(nproc),\"workload\":\"$workload\",\"seconds\":$seconds"
-else
-  header=
-fi
+header="{\"record\":\"fleetbench_pairs\",\"commit\":\"${COMMIT:-unknown}\""
+header+=",\"parent\":\"${PARENT:-unknown}\",\"nproc\":$(nproc)"
+header+=",\"workload\":\"$workload\",\"seconds\":$seconds"
 
 # Median and quartiles (linear interpolation between order statistics) of
-# one side's column, and the pairs the change won; with --json, the ledger
-# line after the header.
+# one side's column, the pairs the change won, and the ledger line.
 awk -v header="$header" '
 function quantile(values, n, q,    sorted, i, j, t, pos, lo) {
   for (i = 1; i <= n; i++) sorted[i] = values[i]
@@ -127,15 +110,13 @@ END {
   printf "\nthe change won %d of %d pairs on run_s and %d of %d on tenant_epochs_per_s\n", won_run, n, won_teps, n
   printf "median change: run_s %+.1f%%, tenant_epochs_per_s %+.1f%%\n", \
     100 * (quantile(cr, n, 0.5) / quantile(pr, n, 0.5) - 1), 100 * (quantile(ct, n, 0.5) / quantile(pt, n, 0.5) - 1)
-  if (header != "") {
-    printf "%s,\"pairs\":%d,\"won_run_s\":%d,\"won_tenant_epochs_per_s\":%d", header, n, won_run + 0, won_teps + 0
-    printf ",\"parent_run_s_p25\":%.6f,\"parent_run_s_median\":%.6f,\"parent_run_s_p75\":%.6f", \
-      quantile(pr, n, 0.25), quantile(pr, n, 0.5), quantile(pr, n, 0.75)
-    printf ",\"change_run_s_p25\":%.6f,\"change_run_s_median\":%.6f,\"change_run_s_p75\":%.6f", \
-      quantile(cr, n, 0.25), quantile(cr, n, 0.5), quantile(cr, n, 0.75)
-    printf ",\"parent_tenant_epochs_per_s_p25\":%.0f,\"parent_tenant_epochs_per_s_median\":%.0f,\"parent_tenant_epochs_per_s_p75\":%.0f", \
-      quantile(pt, n, 0.25), quantile(pt, n, 0.5), quantile(pt, n, 0.75)
-    printf ",\"change_tenant_epochs_per_s_p25\":%.0f,\"change_tenant_epochs_per_s_median\":%.0f,\"change_tenant_epochs_per_s_p75\":%.0f}\n", \
-      quantile(ct, n, 0.25), quantile(ct, n, 0.5), quantile(ct, n, 0.75)
-  }
+  printf "%s,\"pairs\":%d,\"won_run_s\":%d,\"won_tenant_epochs_per_s\":%d", header, n, won_run + 0, won_teps + 0
+  printf ",\"parent_run_s_p25\":%.6f,\"parent_run_s_median\":%.6f,\"parent_run_s_p75\":%.6f", \
+    quantile(pr, n, 0.25), quantile(pr, n, 0.5), quantile(pr, n, 0.75)
+  printf ",\"change_run_s_p25\":%.6f,\"change_run_s_median\":%.6f,\"change_run_s_p75\":%.6f", \
+    quantile(cr, n, 0.25), quantile(cr, n, 0.5), quantile(cr, n, 0.75)
+  printf ",\"parent_tenant_epochs_per_s_p25\":%.0f,\"parent_tenant_epochs_per_s_median\":%.0f,\"parent_tenant_epochs_per_s_p75\":%.0f", \
+    quantile(pt, n, 0.25), quantile(pt, n, 0.5), quantile(pt, n, 0.75)
+  printf ",\"change_tenant_epochs_per_s_p25\":%.0f,\"change_tenant_epochs_per_s_median\":%.0f,\"change_tenant_epochs_per_s_p75\":%.0f}\n", \
+    quantile(ct, n, 0.25), quantile(ct, n, 0.5), quantile(ct, n, 0.75)
 }' "$results"
