@@ -1,6 +1,7 @@
 #![allow(missing_docs)] // criterion_group!/criterion_main! generate undocumented items
 
-//! Ablation benchmarks for the design choices called out in DESIGN.md:
+//! Ablation benchmarks for design choices the paper leaves open (the
+//! studies of `crates/experiments/src/ablation.rs`):
 //!
 //! * the `δ` step of the local-search heuristics (the paper leaves it
 //!   unspecified; we default to the GCD of machine throughputs) — finer steps

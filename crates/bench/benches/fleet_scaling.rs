@@ -13,13 +13,13 @@
 //!   metric — from the `fleet_scale` lane (`run_fleet_scale_experiment`),
 //!   which times the sequential (`shards: Some(1)`) and sharded
 //!   (`shards: None`, auto) epoch loops directly at each fleet size,
-//!   repeating each run until its loops add up to 0.2 s and keeping the
-//!   fastest loop, so even the 1k lane gets past the host's noise. It
-//!   enforces the floors: sharded reports bit-identical (modulo timing) to
-//!   sequential at shard counts {1, 2, 4, 8}, and sharded ≥ 3× sequential
-//!   tenant-epochs/sec at 4k tenants when the host has ≥ 4 cores. It writes
-//!   the lane's rows plus one floors row to `BENCH_fleet_scaling.json`
-//!   (JSON Lines).
+//!   alternating the two until each side's loops add up to 2 s and
+//!   reporting each side's median with its quartiles, so even the 1k lane
+//!   gets past the host's noise. It enforces the floors: sharded reports
+//!   bit-identical (modulo timing) to sequential at shard counts
+//!   {1, 2, 4, 8}, and sharded ≥ 3× sequential tenant-epochs/sec at 4k
+//!   tenants when the host has ≥ 4 cores. It writes the lane's rows plus
+//!   one floors row to `BENCH_fleet_scaling.json` (JSON Lines).
 //! * Finally the harness takes the 16-tenant **acceptance scenario** from
 //!   the `fleet` lane (`run_fleet_experiment`, the same seed as the
 //!   `fleet_regression` test), asserts that re-solving beats the fixed-mix

@@ -128,7 +128,7 @@ pub fn coverage_bound(instance: &Instance, caps: &[u64]) -> SolveResult<f64> {
 /// # Panics
 ///
 /// Panics when `caps` does not have one entry per machine type.
-pub fn max_feasible_target(instance: &Instance, caps: &[u64]) -> SolveResult<Throughput> {
+fn max_feasible_target(instance: &Instance, caps: &[u64]) -> SolveResult<Throughput> {
     assert_eq!(
         caps.len(),
         instance.num_types(),
@@ -162,35 +162,8 @@ pub enum CappedOutcome {
     Unserved,
 }
 
-impl CappedOutcome {
-    /// The plan to run, if any throughput could be served.
-    pub fn outcome(&self) -> Option<&SolverOutcome> {
-        match self {
-            CappedOutcome::Full(outcome) => Some(outcome),
-            CappedOutcome::Degraded { outcome, .. } => Some(outcome),
-            CappedOutcome::Unserved => None,
-        }
-    }
-
-    /// True when the full target could not be served.
-    pub fn is_degraded(&self) -> bool {
-        !matches!(self, CappedOutcome::Full(_))
-    }
-}
-
-/// The degraded half of [`solve_or_degrade`]: serve the largest
-/// quota-feasible target without first attempting the full one. Callers use
-/// this directly when they **already know** the full target failed (e.g. a
-/// batched capped solve just returned infeasible) — re-running the identical
-/// MILP would be pure waste.
-///
-/// Infeasibility — including a limit-bound solver finding no incumbent — is
-/// never an error here: it degrades to [`CappedOutcome::Unserved`].
-///
-/// # Errors
-///
-/// Propagates solver errors other than infeasibility.
-pub fn degrade_to_feasible<S: CapacitySolver>(
+/// The degraded half of [`solve_or_degrade`], solved by `solver`.
+fn degrade_to_feasible<S: CapacitySolver>(
     solver: &S,
     instance: &Instance,
     target: Throughput,
@@ -202,9 +175,16 @@ pub fn degrade_to_feasible<S: CapacitySolver>(
     })
 }
 
-/// [`degrade_to_feasible`] with its one capped solve handed to `solve`,
-/// which receives the degraded target — for callers that record or replay
-/// their solver calls.
+/// The degraded half of [`solve_or_degrade`]: serve the largest
+/// quota-feasible target without first attempting the full one, with the
+/// one capped solve handed to `solve`, which receives the degraded target.
+/// Callers use this when they **already know** the full target failed (e.g.
+/// a batched capped solve just returned infeasible) — re-running the
+/// identical MILP would be pure waste — and record or replay their solver
+/// calls.
+///
+/// Infeasibility — including a limit-bound solver finding no incumbent — is
+/// never an error here: it degrades to [`CappedOutcome::Unserved`].
 ///
 /// # Errors
 ///
@@ -375,7 +355,5 @@ mod tests {
             }
             other => panic!("expected a degraded solve, got {other:?}"),
         }
-        assert!(outcome.is_degraded());
-        assert!(outcome.outcome().is_some());
     }
 }

@@ -28,11 +28,10 @@
 //!   quota is exhausted.
 //! * **Degraded mode** — when even the spill cannot carry the full target
 //!   (the quota is simply too small), [`solve_or_degrade`] falls back to the
-//!   **largest feasible target** under the caps ([`max_feasible_target`], a
-//!   small max-coverage MILP gated by the [`coverage_bound`] LP probe) and
-//!   returns the cheapest plan that serves it: the tenant runs degraded, and
-//!   the controller records the epochs as SLO violations until quota frees
-//!   up.
+//!   **largest feasible target** under the caps (a small max-coverage MILP
+//!   gated by the [`coverage_bound`] LP probe) and returns the cheapest plan
+//!   that serves it: the tenant runs degraded, and the controller records
+//!   the epochs as SLO violations until quota frees up.
 //! * [`CapacityConfig`] — what a capacity-coupled fleet run needs beyond the
 //!   tenant specs: the quotas, the [`rental_stream::FailureModel`] outages
 //!   are sampled from (one trace per tenant, sub-seeded from the fleet
@@ -56,9 +55,6 @@ pub mod degraded;
 pub mod pool;
 
 pub use config::CapacityConfig;
-pub use degraded::{
-    coverage_bound, degrade_to_feasible, degrade_with, max_feasible_target, solve_or_degrade,
-    CappedOutcome,
-};
+pub use degraded::{coverage_bound, degrade_with, solve_or_degrade, CappedOutcome};
 pub use pool::{CapacityPool, LedgerError, PoolLedger};
 pub use rental_solvers::UNLIMITED_CAP;

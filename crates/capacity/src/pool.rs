@@ -113,7 +113,7 @@ impl std::error::Error for LedgerError {}
 /// [`caps_for`](CapacityPool::caps_for), utilization — takes `&self`, and the
 /// pool holds no interior mutability, so it is `Sync`: the fleet controller's
 /// shard workers query caps concurrently through a shared reference. Every
-/// mutation (`arbitrate_epoch`, `request`, `release_all`, `restore_ledger`)
+/// mutation (`arbitrate_epoch`, `request`, `restore_ledger`)
 /// takes `&mut self` and therefore can only happen at the controller's
 /// per-epoch barrier — the borrow checker enforces the "one arbitration site
 /// per epoch" determinism contract rather than a lock.
@@ -141,35 +141,19 @@ impl CapacityPool {
         }
     }
 
-    /// A pool with no quota on any type — every request is granted in full,
-    /// so the ledger is a pure observer.
-    pub fn unlimited(num_types: usize, num_tenants: usize) -> Self {
-        CapacityPool::new(vec![UNLIMITED_CAP; num_types], num_tenants)
-    }
-
     /// Number of machine types the pool covers.
-    pub fn num_types(&self) -> usize {
+    fn num_types(&self) -> usize {
         self.quotas.len()
     }
 
     /// Number of tenants sharing the pool.
-    pub fn num_tenants(&self) -> usize {
+    fn num_tenants(&self) -> usize {
         self.holdings.len()
-    }
-
-    /// Quota of type `q` ([`UNLIMITED_CAP`] when unconstrained).
-    pub fn quota(&self, q: usize) -> u64 {
-        self.quotas[q]
     }
 
     /// True when no type has a finite quota.
     pub fn is_unlimited(&self) -> bool {
         self.quotas.iter().all(|&quota| quota == UNLIMITED_CAP)
-    }
-
-    /// Machines of type `q` currently handed out across all tenants.
-    pub fn in_use(&self, q: usize) -> u64 {
-        self.in_use[q]
     }
 
     /// Machines of type `q` still available (`quota − in_use`;
@@ -305,14 +289,6 @@ impl CapacityPool {
         granted
     }
 
-    /// Releases everything `tenant` holds.
-    pub fn release_all(&mut self, tenant: usize) {
-        for q in 0..self.num_types() {
-            self.in_use[q] -= self.holdings[tenant][q];
-            self.holdings[tenant][q] = 0;
-        }
-    }
-
     /// Exports the pool's mutable ledger for persistence, borrowed in place:
     /// holdings, in-use counters and the utilisation high-water mark. The
     /// quotas themselves are configuration, not state — a resumed run
@@ -400,7 +376,7 @@ mod tests {
 
     #[test]
     fn unlimited_pools_grant_everything() {
-        let mut pool = CapacityPool::unlimited(3, 2);
+        let mut pool = CapacityPool::new(vec![UNLIMITED_CAP; 3], 2);
         assert!(pool.is_unlimited());
         let grants = pool.arbitrate_epoch(&[vec![5, 0, 9], vec![1_000, 2, 3]]);
         assert_eq!(grants, vec![vec![5, 0, 9], vec![1_000, 2, 3]]);
@@ -414,7 +390,7 @@ mod tests {
         let mut pool = CapacityPool::new(vec![10, 4], 2);
         let grants = pool.arbitrate_epoch(&[vec![3, 1], vec![4, 2]]);
         assert_eq!(grants, vec![vec![3, 1], vec![4, 2]]);
-        assert_eq!(pool.in_use(0), 7);
+        assert_eq!(pool.in_use[0], 7);
         assert_eq!(pool.residual(0), 3);
         // A tenant's caps: its holding plus the residual (type 1 has quota 4
         // with 3 in use, so one machine of residual on top of each holding).
@@ -472,11 +448,11 @@ mod tests {
     }
 
     #[test]
-    fn release_all_returns_the_holding_to_the_pool() {
+    fn a_zero_request_returns_the_holding_to_the_pool() {
         let mut pool = CapacityPool::new(vec![6], 2);
         pool.request(0, &[6]);
         assert_eq!(pool.residual(0), 0);
-        pool.release_all(0);
+        pool.request(0, &[0]);
         assert_eq!(pool.residual(0), 6);
         assert_eq!(pool.holdings(0), &[0]);
         // Peak utilisation remembers the high-water mark.
@@ -515,7 +491,7 @@ mod tests {
             }
         ));
         // The failed restore left the pool untouched.
-        assert_eq!(pool.in_use(0), 0);
+        assert_eq!(pool.in_use[0], 0);
     }
 
     #[test]
@@ -553,7 +529,7 @@ mod tests {
         pool.arbitrate_epoch(&[vec![9]]);
         // The next epoch's smaller fleet releases the difference.
         pool.arbitrate_epoch(&[vec![2]]);
-        assert_eq!(pool.in_use(0), 2);
+        assert_eq!(pool.in_use[0], 2);
         assert_eq!(pool.residual(0), 8);
         assert_eq!(pool.utilization(), vec![0.9]);
     }

@@ -65,7 +65,7 @@ impl Hash for TypeDemandMatrix {
 
 impl TypeDemandMatrix {
     /// Builds the matrix from a list of recipes and the number of platform types.
-    pub fn from_recipes(recipes: &[Recipe], num_types: usize) -> Self {
+    fn from_recipes(recipes: &[Recipe], num_types: usize) -> Self {
         let mut counts = Vec::with_capacity(recipes.len() * num_types);
         for recipe in recipes {
             counts.extend(recipe.type_counts(num_types));
@@ -261,11 +261,6 @@ impl GlobalApplication {
         &self.demand
     }
 
-    /// Identifiers of all recipes, in order.
-    pub fn recipe_ids(&self) -> impl Iterator<Item = RecipeId> {
-        (0..self.recipes.len()).map(RecipeId)
-    }
-
     /// Total number of tasks over all recipes (`Σ_j I_j`), a size measure used
     /// when reporting experiments.
     pub fn total_tasks(&self) -> usize {
@@ -358,7 +353,6 @@ mod tests {
         let app = GlobalApplication::new(figure2_recipes(), &platform4()).unwrap();
         assert_eq!(app.total_tasks(), 6);
         assert_eq!(app.num_recipes(), 3);
-        assert_eq!(app.recipe_ids().count(), 3);
     }
 
     #[test]

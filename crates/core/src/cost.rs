@@ -20,8 +20,8 @@
 //!    recipe pair `(j, j')`, the list of `(type, net count change)` entries
 //!    with a non-zero change, in CSR layout. Built once per instance in
 //!    `O(J²·Q)` and reused across all descent steps, restarts and jumps —
-//!    and, via [`IncrementalEvaluator::with_table`], across the many solves
-//!    of a batch. Costing a candidate transfer then touches only
+//!    and, through the demand matrix's lazily built copy, across the many
+//!    solves of a batch. Costing a candidate transfer then touches only
 //!    `O(|diff(j, j')|)` types instead of `O(Q)`; on the paper's generator
 //!    (alternative recipes are small mutations of a common initial recipe)
 //!    `|diff|` is a small constant while `Q` grows to 50+.
@@ -56,7 +56,6 @@ use crate::allocation::{Allocation, Solution, ThroughputSplit};
 use crate::application::{GlobalApplication, TypeDemandMatrix};
 use crate::error::{ModelError, ModelResult};
 use crate::platform::Platform;
-use crate::recipe::Recipe;
 use crate::types::{Cost, RecipeId, Throughput, TypeId};
 
 /// Number of machines of throughput `r` needed to absorb `demand` units of
@@ -71,24 +70,10 @@ pub fn machines_for_demand(demand: u64, r: Throughput) -> u64 {
     demand.div_ceil(r)
 }
 
-/// Cost of supporting a throughput `rho` with a **single** recipe (§IV-A):
-/// `C(ρ) = Σ_q ⌈n_q/r_q · ρ⌉ · c_q`.
-///
-/// # Errors
-///
-/// Returns [`ModelError::CostOverflow`] on arithmetic overflow.
-pub fn single_recipe_cost(
-    recipe: &Recipe,
-    platform: &Platform,
-    rho: Throughput,
-) -> ModelResult<Cost> {
-    let counts = recipe.type_counts(platform.num_types());
-    cost_from_type_counts(&counts, platform, rho)
-}
-
-/// Same as [`single_recipe_cost`] but starting from a pre-computed type-count
-/// row (`n_jq` for a fixed `j`). This is the hot path of the heuristics'
-/// baseline (H1) and of the dynamic programs.
+/// Cost of supporting a throughput `rho` with a **single** recipe (§IV-A),
+/// `C(ρ) = Σ_q ⌈n_q/r_q · ρ⌉ · c_q`, from its type-count row (`n_jq` for a
+/// fixed `j`). This is the hot path of the heuristics' baseline (H1) and of
+/// the dynamic programs.
 pub fn cost_from_type_counts(
     counts: &[u64],
     platform: &Platform,
@@ -194,7 +179,7 @@ pub fn machines_from_demand(demand: &[u64], platform: &Platform) -> ModelResult<
 /// Exactly one of `decrease` / `increase` is non-zero in pair diffs; row
 /// supports only use `increase`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DiffEntry {
+struct DiffEntry {
     /// Index of the affected machine type.
     pub type_index: u32,
     /// Demand removed per unit of throughput moved (`max(0, n_jq - n_j'q)`).
@@ -209,7 +194,7 @@ pub struct DiffEntry {
 /// recipe's non-zero row support (for constructive increments).
 ///
 /// Built once per instance in `O(J²·Q)` and shared — via
-/// [`IncrementalEvaluator::with_table`] — across every descent step, restart,
+/// [`TypeDemandMatrix::pair_diffs`] — across every descent step, restart,
 /// jump and batched solve on that instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PairDiffTable {
@@ -221,6 +206,7 @@ pub struct PairDiffTable {
     /// CSR offsets over recipes for the non-zero row supports.
     row_offsets: Vec<usize>,
     row_entries: Vec<DiffEntry>,
+    /// Largest matrix entry, the `max_jq n_jq` of the overflow bound proof.
     max_count: u64,
 }
 
@@ -277,34 +263,28 @@ impl PairDiffTable {
 
     /// Number of recipes the table was built for.
     #[inline]
-    pub fn num_recipes(&self) -> usize {
+    fn num_recipes(&self) -> usize {
         self.num_recipes
     }
 
     /// Number of types the table was built for.
     #[inline]
-    pub fn num_types(&self) -> usize {
+    fn num_types(&self) -> usize {
         self.num_types
     }
 
     /// The diff entries of the ordered pair `(from, to)` (empty iff the two
     /// recipes have identical type-count rows, or `from == to`).
     #[inline]
-    pub fn pair_diff(&self, from: RecipeId, to: RecipeId) -> &[DiffEntry] {
+    fn pair_diff(&self, from: RecipeId, to: RecipeId) -> &[DiffEntry] {
         let pair = from.index() * self.num_recipes + to.index();
         &self.pair_entries[self.pair_offsets[pair]..self.pair_offsets[pair + 1]]
     }
 
     /// The non-zero `(type, n_jq)` entries of recipe `j`'s row.
     #[inline]
-    pub fn row_support(&self, recipe: RecipeId) -> &[DiffEntry] {
+    fn row_support(&self, recipe: RecipeId) -> &[DiffEntry] {
         &self.row_entries[self.row_offsets[recipe.index()]..self.row_offsets[recipe.index() + 1]]
-    }
-
-    /// Largest matrix entry, the `max_jq n_jq` of the overflow bound proof.
-    #[inline]
-    pub fn max_count(&self) -> u64 {
-        self.max_count
     }
 
     /// Mean number of diff entries per ordered recipe pair — the `|diff|` in
@@ -409,7 +389,7 @@ impl<'a> IncrementalEvaluator<'a> {
         if max_total > evaluator.proven_total {
             evaluator.proven_total = max_total;
             evaluator.unchecked_ok =
-                prove_unchecked_bounds(evaluator.diffs.max_count(), platform, max_total);
+                prove_unchecked_bounds(evaluator.diffs.max_count, platform, max_total);
         }
         Ok(evaluator)
     }
@@ -425,7 +405,7 @@ impl<'a> IncrementalEvaluator<'a> {
     /// # Errors
     ///
     /// Same error conditions as [`IncrementalEvaluator::new`].
-    pub fn with_table(
+    fn with_table(
         demand_matrix: &'a TypeDemandMatrix,
         platform: &'a Platform,
         split: ThroughputSplit,
@@ -443,7 +423,7 @@ impl<'a> IncrementalEvaluator<'a> {
         let per_type_cost = per_type_costs(&per_type_demand, platform)?;
         let cost = total_of(&per_type_cost)?;
         let proven_total = split.total();
-        let unchecked_ok = prove_unchecked_bounds(diffs.max_count(), platform, proven_total);
+        let unchecked_ok = prove_unchecked_bounds(diffs.max_count, platform, proven_total);
         Ok(IncrementalEvaluator {
             demand_matrix,
             platform,
@@ -470,30 +450,11 @@ impl<'a> IncrementalEvaluator<'a> {
         self.cost
     }
 
-    /// The per-type demand of the current split.
-    #[inline]
-    pub fn per_type_demand(&self) -> &[u64] {
-        &self.per_type_demand
-    }
-
-    /// The per-type cost `⌈demand_q / r_q⌉ · c_q` of the current split.
-    #[inline]
-    pub fn per_type_cost(&self) -> &[Cost] {
-        &self.per_type_cost
-    }
-
     /// The shared pair-diff table, for reuse by sibling evaluators on the
     /// same instance.
     #[inline]
     pub fn diff_table(&self) -> &Arc<PairDiffTable> {
         &self.diffs
-    }
-
-    /// True when the one-time overflow bound proof succeeded and the hot
-    /// loops run without per-operation checks.
-    #[inline]
-    pub fn runs_unchecked(&self) -> bool {
-        self.unchecked_ok
     }
 
     /// Cost of the split obtained by moving `delta` from `from` to `to`,
@@ -524,7 +485,7 @@ impl<'a> IncrementalEvaluator<'a> {
                 } else {
                     self.per_type_demand[q].wrapping_add(entry.increase.wrapping_mul(moved))
                 };
-                debug_assert!(demand <= self.diffs.max_count().saturating_mul(self.proven_total));
+                debug_assert!(demand <= self.diffs.max_count.saturating_mul(self.proven_total));
                 let type_id = TypeId(q);
                 let machines = demand.div_ceil(self.platform.throughput(type_id));
                 let new_cost = machines.wrapping_mul(self.platform.cost(type_id));
@@ -724,7 +685,7 @@ impl<'a> IncrementalEvaluator<'a> {
         if new_total > self.proven_total {
             self.proven_total = new_total;
             self.unchecked_ok =
-                prove_unchecked_bounds(self.diffs.max_count(), self.platform, new_total);
+                prove_unchecked_bounds(self.diffs.max_count, self.platform, new_total);
         }
         let entries = self.diffs.row_support(recipe);
         if self.unchecked_ok {
@@ -776,8 +737,7 @@ impl<'a> IncrementalEvaluator<'a> {
         let total = split.total();
         if total > self.proven_total {
             self.proven_total = total;
-            self.unchecked_ok =
-                prove_unchecked_bounds(self.diffs.max_count(), self.platform, total);
+            self.unchecked_ok = prove_unchecked_bounds(self.diffs.max_count, self.platform, total);
         }
         self.split = split;
         self.current_total = total;
@@ -864,6 +824,7 @@ fn total_of(per_type_cost: &[Cost]) -> ModelResult<Cost> {
 mod tests {
     use super::*;
     use crate::examples::illustrating_example;
+    use crate::recipe::Recipe;
     use crate::Instance;
 
     #[test]
@@ -887,17 +848,17 @@ mod tests {
         let (app, platform) = (instance.application(), instance.platform());
         // Recipe 3 (types 1 and 2) at rho = 10 costs 10 + 18 = 28 (Table III row 1).
         assert_eq!(
-            single_recipe_cost(app.recipe(RecipeId(2)), platform, 10).unwrap(),
+            cost_from_type_counts(&app.recipe(RecipeId(2)).type_counts(4), platform, 10).unwrap(),
             28
         );
         // Recipe 2 (types 3 and 4) at rho = 30 costs 25 + 33 = 58 (row rho=30).
         assert_eq!(
-            single_recipe_cost(app.recipe(RecipeId(1)), platform, 30).unwrap(),
+            cost_from_type_counts(&app.recipe(RecipeId(1)).type_counts(4), platform, 30).unwrap(),
             58
         );
         // Recipe 1 (types 2 and 4) at rho = 40 costs 2*18 + 33 = 69 (row rho=40).
         assert_eq!(
-            single_recipe_cost(app.recipe(RecipeId(0)), platform, 40).unwrap(),
+            cost_from_type_counts(&app.recipe(RecipeId(0)).type_counts(4), platform, 40).unwrap(),
             69
         );
     }
@@ -1019,7 +980,7 @@ mod tests {
         let table = PairDiffTable::new(matrix);
         assert_eq!(table.num_recipes(), 3);
         assert_eq!(table.num_types(), 4);
-        assert_eq!(table.max_count(), 1);
+        assert_eq!(table.max_count, 1);
         for from in 0..3 {
             for to in 0..3 {
                 let (from_id, to_id) = (RecipeId(from), RecipeId(to));
@@ -1065,7 +1026,7 @@ mod tests {
             ThroughputSplit::new(vec![40, 20, 10]),
         )
         .unwrap();
-        assert!(evaluator.runs_unchecked());
+        assert!(evaluator.unchecked_ok);
         for from in 0..3 {
             for to in 0..3 {
                 for delta in [0u64, 10, 25, 60] {
@@ -1091,7 +1052,7 @@ mod tests {
                 .unwrap();
         let before_split = evaluator.split().clone();
         let before_cost = evaluator.cost();
-        let before_demand = evaluator.per_type_demand().to_vec();
+        let before_demand = evaluator.per_type_demand.clone();
 
         let undo = evaluator
             .apply_transfer_undoable(RecipeId(0), RecipeId(1), 30)
@@ -1103,7 +1064,7 @@ mod tests {
         evaluator.undo_transfer(undo).unwrap();
         assert_eq!(evaluator.split(), &before_split);
         assert_eq!(evaluator.cost(), before_cost);
-        assert_eq!(evaluator.per_type_demand(), &before_demand[..]);
+        assert_eq!(evaluator.per_type_demand, before_demand);
     }
 
     #[test]
@@ -1198,7 +1159,7 @@ mod tests {
             ThroughputSplit::new(vec![4, 0]),
         )
         .unwrap();
-        assert!(!evaluator.runs_unchecked());
+        assert!(!evaluator.unchecked_ok);
         let (moved, cost) = evaluator
             .cost_after_transfer(RecipeId(0), RecipeId(1), 2)
             .unwrap();
@@ -1231,12 +1192,12 @@ mod tests {
         .unwrap();
         // Table III rho = 70 machine counts: (3, 2, 1, 1) at costs
         // (10, 18, 25, 33) per machine.
-        assert_eq!(evaluator.per_type_cost(), &[30, 36, 25, 33]);
+        assert_eq!(evaluator.per_type_cost, [30, 36, 25, 33]);
         assert_eq!(evaluator.cost(), 124);
         evaluator
             .apply_transfer(RecipeId(1), RecipeId(0), 30)
             .unwrap();
-        let expected: u64 = evaluator.per_type_cost().iter().sum();
+        let expected: u64 = evaluator.per_type_cost.iter().sum();
         assert_eq!(evaluator.cost(), expected);
     }
 

@@ -1,33 +1,11 @@
-//! Graphviz DOT export of recipes and applications, for documentation and
+//! Graphviz DOT export of applications, for documentation and
 //! debugging of generated instances (the paper's Figures 1 and 2 are exactly
 //! such drawings).
 
 use std::fmt::Write as _;
 
 use crate::application::GlobalApplication;
-use crate::recipe::Recipe;
 use crate::types::{RecipeId, TaskId};
-
-/// Renders a single recipe as a Graphviz `digraph`. Node labels show the task
-/// index and its type (1-based, as in the paper's figures).
-pub fn recipe_to_dot(recipe: &Recipe, id: RecipeId) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "digraph {id} {{");
-    let _ = writeln!(out, "  rankdir=TB;");
-    let _ = writeln!(out, "  node [shape=circle];");
-    for (i, task) in recipe.tasks().iter().enumerate() {
-        let label = match &task.label {
-            Some(name) => format!("{name}\\n{}", task.type_id),
-            None => format!("{}{}\\n{}", id, TaskId(i), task.type_id),
-        };
-        let _ = writeln!(out, "  {id}_t{i} [label=\"{label}\"];");
-    }
-    for edge in recipe.edges() {
-        let _ = writeln!(out, "  {id}_t{} -> {id}_t{};", edge.from, edge.to);
-    }
-    let _ = writeln!(out, "}}");
-    out
-}
 
 /// Renders every recipe of an application as one DOT document with a cluster
 /// per recipe, mirroring the side-by-side layout of Figure 1 / Figure 2.
@@ -64,11 +42,10 @@ mod tests {
     use crate::examples::{figure1_example, illustrating_example};
 
     #[test]
-    fn recipe_dot_lists_every_task_and_edge() {
+    fn application_dot_lists_every_task_and_edge() {
         let instance = illustrating_example();
-        let recipe = instance.application().recipe(RecipeId(0));
-        let dot = recipe_to_dot(recipe, RecipeId(0));
-        assert!(dot.starts_with("digraph phi1 {"));
+        let dot = application_to_dot(instance.application());
+        assert!(dot.starts_with("digraph application {"));
         assert!(dot.contains("phi1_t0"));
         assert!(dot.contains("phi1_t1"));
         assert!(dot.contains("phi1_t0 -> phi1_t1;"));
@@ -91,20 +68,6 @@ mod tests {
             .map(|r| r.edges().len())
             .sum();
         assert_eq!(dot.matches(" -> ").count(), total_edges);
-    }
-
-    #[test]
-    fn labelled_tasks_use_their_label() {
-        use crate::recipe::{Recipe, Task};
-        use crate::types::TypeId;
-        let recipe = Recipe::new(
-            RecipeId(0),
-            vec![Task::labelled(TypeId(1), "decode")],
-            vec![],
-        )
-        .unwrap();
-        let dot = recipe_to_dot(&recipe, RecipeId(0));
-        assert!(dot.contains("decode"));
     }
 
     #[test]

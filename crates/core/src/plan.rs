@@ -56,7 +56,7 @@ pub struct TypeSummary {
 
 impl TypeSummary {
     /// Fraction of the rented capacity of this type that is actually used.
-    pub fn utilisation(&self) -> f64 {
+    fn utilisation(&self) -> f64 {
         if self.capacity == 0 {
             0.0
         } else {

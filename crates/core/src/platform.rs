@@ -26,18 +26,6 @@ impl MachineType {
     pub fn new(throughput: Throughput, cost: Cost) -> Self {
         MachineType { throughput, cost }
     }
-
-    /// Cost efficiency of the machine expressed as cost per unit of
-    /// throughput (`c_q / r_q`), useful for ordering machine types.
-    ///
-    /// Returns `f64::INFINITY` when the throughput is zero.
-    pub fn cost_per_throughput(&self) -> f64 {
-        if self.throughput == 0 {
-            f64::INFINITY
-        } else {
-            self.cost as f64 / self.throughput as f64
-        }
-    }
 }
 
 /// The set of machine types available for rent (`P_1 .. P_Q`).
@@ -107,12 +95,6 @@ impl Platform {
         self.machines.len()
     }
 
-    /// Returns the machine type `q`, if it exists.
-    #[inline]
-    pub fn machine(&self, type_id: TypeId) -> Option<&MachineType> {
-        self.machines.get(type_id.index())
-    }
-
     /// Throughput `r_q` of machine type `q`.
     ///
     /// # Panics
@@ -160,16 +142,6 @@ impl Platform {
             .map(|machine| machine.throughput)
             .fold(0, gcd)
     }
-
-    /// The largest machine throughput, i.e. an upper bound on how much
-    /// throughput one single rented machine can deliver.
-    pub fn max_throughput(&self) -> Throughput {
-        self.machines
-            .iter()
-            .map(|machine| machine.throughput)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 fn gcd(a: u64, b: u64) -> u64 {
@@ -211,35 +183,11 @@ mod tests {
         assert_eq!(platform.cost(TypeId(0)), 10);
         assert_eq!(platform.throughput(TypeId(3)), 40);
         assert_eq!(platform.cost(TypeId(3)), 33);
-        assert_eq!(platform.machine(TypeId(4)), None);
     }
 
     #[test]
     fn gcd_of_table2_is_ten() {
         assert_eq!(table2_platform().throughput_gcd(), 10);
-    }
-
-    #[test]
-    fn max_throughput_of_table2_is_forty() {
-        assert_eq!(table2_platform().max_throughput(), 40);
-    }
-
-    #[test]
-    fn cost_per_throughput_orders_machines() {
-        let platform = table2_platform();
-        // P4 (33/40) is the most cost-efficient of Table II, P1 (10/10) the least.
-        let efficiencies: Vec<f64> = platform
-            .iter()
-            .map(|(_, machine)| machine.cost_per_throughput())
-            .collect();
-        assert!(efficiencies[3] < efficiencies[2]);
-        assert!(efficiencies[2] < efficiencies[1]);
-        assert!(efficiencies[1] < efficiencies[0]);
-    }
-
-    #[test]
-    fn zero_throughput_machine_has_infinite_efficiency() {
-        assert!(MachineType::new(0, 5).cost_per_throughput().is_infinite());
     }
 
     #[test]

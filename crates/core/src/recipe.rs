@@ -27,14 +27,6 @@ impl Task {
             label: None,
         }
     }
-
-    /// Creates a labelled task of the given type.
-    pub fn labelled(type_id: TypeId, label: impl Into<String>) -> Self {
-        Task {
-            type_id,
-            label: Some(label.into()),
-        }
-    }
 }
 
 /// A dependency edge between two tasks of the same recipe: `from` must
@@ -132,12 +124,6 @@ impl Recipe {
         &self.tasks
     }
 
-    /// The task with the given index, if any.
-    #[inline]
-    pub fn task(&self, task: TaskId) -> Option<&Task> {
-        self.tasks.get(task.index())
-    }
-
     /// Type of task `i` (`t(i, j)` in the paper).
     ///
     /// # Panics
@@ -166,12 +152,6 @@ impl Recipe {
         &self.predecessors[task.index()]
     }
 
-    /// A topological order of the task indices.
-    #[inline]
-    pub fn topological_order(&self) -> &[usize] {
-        &self.topo_order
-    }
-
     /// Tasks with no predecessor (entry points of the DAG).
     pub fn sources(&self) -> Vec<usize> {
         (0..self.num_tasks())
@@ -186,15 +166,6 @@ impl Recipe {
             .collect()
     }
 
-    /// Number of tasks of type `q` in this recipe (`n_jq`), computed by
-    /// scanning the task list.
-    pub fn count_of_type(&self, type_id: TypeId) -> u64 {
-        self.tasks
-            .iter()
-            .filter(|task| task.type_id == type_id)
-            .count() as u64
-    }
-
     /// Histogram of task types: entry `q` is `n_jq`. The vector has
     /// `num_types` entries even for types unused by this recipe.
     pub fn type_counts(&self, num_types: usize) -> Vec<u64> {
@@ -205,14 +176,6 @@ impl Recipe {
             }
         }
         counts
-    }
-
-    /// The set of distinct types used by this recipe, sorted by index.
-    pub fn used_types(&self) -> Vec<TypeId> {
-        let mut indices: Vec<usize> = self.tasks.iter().map(|task| task.type_id.index()).collect();
-        indices.sort_unstable();
-        indices.dedup();
-        indices.into_iter().map(TypeId).collect()
     }
 
     /// Validates that every task type exists on a platform with `num_types`
@@ -358,7 +321,7 @@ mod tests {
     #[test]
     fn diamond_topological_order_is_consistent() {
         let recipe = diamond();
-        let order = recipe.topological_order();
+        let order = &recipe.topo_order;
         let position: Vec<usize> = {
             let mut pos = vec![0; order.len()];
             for (rank, &node) in order.iter().enumerate() {
@@ -376,9 +339,6 @@ mod tests {
     fn type_counts_match_task_multiset() {
         let recipe = diamond();
         assert_eq!(recipe.type_counts(4), vec![1, 2, 1, 0]);
-        assert_eq!(recipe.count_of_type(TypeId(1)), 2);
-        assert_eq!(recipe.count_of_type(TypeId(3)), 0);
-        assert_eq!(recipe.used_types(), vec![TypeId(0), TypeId(1), TypeId(2)]);
     }
 
     #[test]
@@ -396,12 +356,5 @@ mod tests {
         assert_eq!(recipe.critical_path_len(), 1);
         assert_eq!(recipe.sources().len(), 3);
         assert_eq!(recipe.sinks().len(), 3);
-    }
-
-    #[test]
-    fn labelled_tasks_keep_their_label() {
-        let task = Task::labelled(TypeId(2), "matmul-gpu");
-        assert_eq!(task.label.as_deref(), Some("matmul-gpu"));
-        assert_eq!(task.type_id, TypeId(2));
     }
 }

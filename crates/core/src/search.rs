@@ -26,7 +26,7 @@ use crate::types::{Cost, RecipeId, Throughput};
 /// engine's pool — the rayon shim runs every fan-out on one process-wide
 /// worker set, with the calling thread always participating — so nested
 /// parallelism is bounded by the core count instead of multiplying.
-pub const PARALLEL_SCAN_MIN_RECIPES: usize = 64;
+const PARALLEL_SCAN_MIN_RECIPES: usize = 64;
 
 /// Estimated per-row scan work (candidate count × mean pair-diff length)
 /// from which [`best_transfer`] splits a **single** `from`-row's candidate
@@ -38,7 +38,7 @@ pub const PARALLEL_SCAN_MIN_RECIPES: usize = 64;
 /// on. With few recipes but a huge type count Q, a row has only `J − 1`
 /// candidates yet each one is expensive — the regime where splitting the row
 /// (not the row *set*) is the only parallelism available.
-pub const PARALLEL_SCAN_MIN_ROW_WORK: usize = 4096;
+const PARALLEL_SCAN_MIN_ROW_WORK: usize = 4096;
 
 /// The best admissible `δ`-transfer, over all ordered recipe pairs.
 ///

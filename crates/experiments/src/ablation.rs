@@ -1,4 +1,5 @@
-//! Ablation studies on the design choices called out in DESIGN.md.
+//! Ablation studies on design choices the paper leaves open (the `repro
+//! ablation-*` lanes).
 //!
 //! Three questions the paper leaves open are answered empirically here:
 //!
@@ -58,16 +59,6 @@ impl Default for AblationSpec {
 }
 
 impl AblationSpec {
-    /// A spec small enough for unit tests and CI runs.
-    pub fn tiny() -> Self {
-        AblationSpec {
-            generator: GeneratorConfig::tiny(),
-            num_configs: 3,
-            targets: vec![40, 80],
-            seed: 11,
-        }
-    }
-
     fn generate_instances(&self, generator: &GeneratorConfig) -> Vec<Instance> {
         (0..self.num_configs)
             .map(|i| {
@@ -101,25 +92,6 @@ pub struct AblationResults {
 }
 
 impl AblationResults {
-    /// The rows for one parameter value, in solver order.
-    pub fn rows_for(&self, parameter: &str) -> Vec<&AblationRow> {
-        self.rows
-            .iter()
-            .filter(|row| row.parameter == parameter)
-            .collect()
-    }
-
-    /// The distinct parameter values, in first-appearance order.
-    pub fn parameters(&self) -> Vec<String> {
-        let mut seen = Vec::new();
-        for row in &self.rows {
-            if !seen.contains(&row.parameter) {
-                seen.push(row.parameter.clone());
-            }
-        }
-        seen
-    }
-
     /// The row with the best (highest) mean normalised cost.
     pub fn best_row(&self) -> Option<&AblationRow> {
         self.rows.iter().max_by(|a, b| {
@@ -359,12 +331,24 @@ mod tests {
     use super::*;
     use crate::report::{rows_csv, rows_markdown};
 
+    /// A spec small enough for unit tests.
+    fn tiny() -> AblationSpec {
+        AblationSpec {
+            generator: GeneratorConfig::tiny(),
+            num_configs: 3,
+            targets: vec![40, 80],
+            seed: 11,
+        }
+    }
+
     #[test]
     fn delta_sweep_produces_one_row_per_solver_and_parameter() {
-        let results = delta_sweep(&AblationSpec::tiny(), &[1, 5]);
+        let results = delta_sweep(&tiny(), &[1, 5]);
         // 3 parameter values (gcd, 1, 5) × 3 solvers.
         assert_eq!(results.rows.len(), 9);
-        assert_eq!(results.parameters().len(), 3);
+        let mut parameters: Vec<&str> = results.rows.iter().map(|r| r.parameter.as_str()).collect();
+        parameters.dedup();
+        assert_eq!(parameters.len(), 3);
         for row in &results.rows {
             assert!(row.mean_normalised > 0.0 && row.mean_normalised <= 1.0 + 1e-12);
             assert!(row.mean_seconds >= 0.0);
@@ -373,7 +357,7 @@ mod tests {
 
     #[test]
     fn escape_mechanism_study_includes_all_four_mechanisms() {
-        let results = escape_mechanisms(&AblationSpec::tiny());
+        let results = escape_mechanisms(&tiny());
         assert_eq!(results.rows.len(), 4);
         let solvers: Vec<&str> = results.rows.iter().map(|r| r.solver.as_str()).collect();
         assert!(solvers.contains(&"none (H32)"));
@@ -397,12 +381,17 @@ mod tests {
 
     #[test]
     fn mutation_sweep_shows_h32jump_at_least_matching_h1() {
-        let results = mutation_sweep(&AblationSpec::tiny(), &[10, 50]);
+        let results = mutation_sweep(&tiny(), &[10, 50]);
         assert_eq!(results.rows.len(), 4);
         for percent in ["mutation=10%", "mutation=50%"] {
-            let rows = results.rows_for(percent);
-            let h1 = rows.iter().find(|r| r.solver == "H1").unwrap();
-            let jump = rows.iter().find(|r| r.solver == "H32Jump").unwrap();
+            let row = |solver: &str| {
+                results
+                    .rows
+                    .iter()
+                    .find(|r| r.parameter == percent && r.solver == solver)
+                    .unwrap()
+            };
+            let (h1, jump) = (row("H1"), row("H32Jump"));
             assert!(
                 jump.mean_normalised >= h1.mean_normalised - 1e-9,
                 "{percent}"
@@ -412,7 +401,7 @@ mod tests {
 
     #[test]
     fn renderings_contain_every_row() {
-        let results = escape_mechanisms(&AblationSpec::tiny());
+        let results = escape_mechanisms(&tiny());
         let rows = ablation_rows(&results);
         let markdown = rows_markdown(&rows);
         let csv = rows_csv(&rows);
@@ -426,7 +415,7 @@ mod tests {
 
     #[test]
     fn best_row_has_the_highest_normalisation() {
-        let results = delta_sweep(&AblationSpec::tiny(), &[1]);
+        let results = delta_sweep(&tiny(), &[1]);
         let best = results.best_row().unwrap();
         for row in &results.rows {
             assert!(best.mean_normalised >= row.mean_normalised);
@@ -435,8 +424,8 @@ mod tests {
 
     #[test]
     fn ablation_results_are_reproducible() {
-        let a = escape_mechanisms(&AblationSpec::tiny());
-        let b = escape_mechanisms(&AblationSpec::tiny());
+        let a = escape_mechanisms(&tiny());
+        let b = escape_mechanisms(&tiny());
         for (ra, rb) in a.rows.iter().zip(b.rows.iter()) {
             assert_eq!(ra.parameter, rb.parameter);
             assert_eq!(ra.solver, rb.solver);

@@ -20,7 +20,7 @@
 //! repro fleet-obs [--tenants N]        # observability lane: telemetry-on chaotic run, stage/effort/events
 //! repro fleet-scale [--tenants N]      # scaling lane: sharded-vs-sequential tenant-epochs/sec sweep
 //! repro lp-large                       # dense-LU vs sparse-LU scaling table (LP substrate)
-//! repro ablation-delta                 # δ-step sweep (extension, DESIGN.md)
+//! repro ablation-delta                 # δ-step sweep (extension)
 //! repro ablation-escape                # escape-mechanism comparison (extension)
 //! repro ablation-mutation              # recipe-similarity sweep (extension)
 //! ```

@@ -72,7 +72,7 @@ pub struct FleetDeadlineTable {
 impl FleetDeadlineTable {
     /// Total cost of the unlimited tier, the denominator of every cost
     /// ratio (`None` when the spec swept no unlimited row).
-    pub fn unlimited_cost(&self) -> Option<f64> {
+    fn unlimited_cost(&self) -> Option<f64> {
         self.rows
             .iter()
             .find(|row| row.node_budget.is_none())

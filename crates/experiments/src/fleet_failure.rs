@@ -68,7 +68,7 @@ pub struct FleetFailureRow {
 
 impl FleetFailureRow {
     /// The pool's peak quota utilization over every machine type.
-    pub fn peak_quota_utilization(&self) -> f64 {
+    fn peak_quota_utilization(&self) -> f64 {
         let quota = &self.report.quota_utilization;
         quota.iter().copied().fold(0.0, f64::max)
     }

@@ -106,7 +106,7 @@ pub struct FleetRecoveryTable {
 impl FleetRecoveryTable {
     /// Persistence overhead of a row relative to the plain run, as a
     /// fraction (`0.03` = 3% slower than in-memory serving).
-    pub fn overhead(&self, row: &FleetRecoveryRow) -> f64 {
+    fn overhead(&self, row: &FleetRecoveryRow) -> f64 {
         if self.plain_seconds > 0.0 {
             (row.resumable_seconds - self.plain_seconds) / self.plain_seconds
         } else {

@@ -11,12 +11,15 @@
 //! first `fleet.epochs` increment (the first epoch starts) to the last
 //! `fleet.epoch_watermark` gauge (the last epoch ends), so neither the
 //! initial solve fan-out nor the report's baselines count. A measurement
-//! repeats its run until the loops add up to `MIN_LOOP_SECS` (0.2 s) and keeps
-//! the fastest loop: a 1k-tenant loop lasts a few tens of milliseconds,
-//! shorter than the host's noise, so two runs are not enough to find an
-//! undisturbed one. Every row also re-checks
-//! the determinism contract: the sharded report must be bit-identical
-//! (modulo the wall-clock timing family) to the sequential one.
+//! alternates sequential and sharded runs, switching which goes first, until
+//! each side's loops add up to `MIN_LOOP_SECS`, spread over rounds that
+//! visit every fleet size in turn, and reports each side's median with its
+//! quartiles: a 1k-tenant loop lasts a few milliseconds, shorter than the
+//! host's noise, and a shared host's speed drifts between runs, so neither
+//! one run nor the fastest of many repeats from sweep to sweep. Every row
+//! also re-checks the determinism contract: the sharded report must be
+//! bit-identical (modulo the wall-clock timing family) to the sequential
+//! one.
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -39,13 +42,16 @@ pub struct FleetScaleSpec {
     /// Shard count of the sharded run; `None` auto-sizes from the fleet
     /// and worker count (the production default).
     pub shards: Option<usize>,
-    /// Fewest timed runs per measurement.
+    /// Fewest timed runs per side of a measurement.
     pub trials: usize,
 }
 
-/// A measurement repeats its run until the runs' epoch loops add up to at
+/// A measurement repeats its runs until each side's epoch loops add up to at
 /// least this many seconds.
-const MIN_LOOP_SECS: f64 = 0.2;
+const MIN_LOOP_SECS: f64 = 2.0;
+
+/// Rounds the repeats of a sweep are spread over.
+const ROUNDS: usize = 8;
 
 impl Default for FleetScaleSpec {
     fn default() -> Self {
@@ -58,26 +64,50 @@ impl Default for FleetScaleSpec {
     }
 }
 
-/// The timed runs of one measurement: how many there were, and the run
-/// with the fastest epoch loop — its loop as the stamping sink saw it, and
-/// the whole run around it.
+/// One side's timed runs: how many there were, and their medians and
+/// quartiles.
 #[derive(Debug, Clone, Copy)]
 pub struct LoopTiming {
     /// Runs timed.
     pub runs: usize,
     /// Epochs the loop served (`fleet.epochs` increments).
     pub epochs: usize,
-    /// Seconds from the first epoch's start to the last epoch's end.
+    /// Median seconds from the first epoch's start to the last epoch's end.
     pub loop_secs: f64,
-    /// Wall seconds of the whole run: init fan-out, epoch loop and report.
+    /// Median wall seconds of the whole run: init fan-out, epoch loop and
+    /// report.
     pub run_secs: f64,
+    /// Tenant-epochs per second of loop time: p25, median and p75.
+    pub teps: [f64; 3],
 }
 
 impl LoopTiming {
-    /// Tenant-epochs per second of loop time.
-    pub fn teps(&self, tenants: usize) -> f64 {
-        (tenants * self.epochs) as f64 / self.loop_secs.max(1e-9)
+    fn new(tenants: usize, epochs: usize, loops: &[f64], runs: &[f64]) -> Self {
+        let [p25, loop_secs, p75] = quartiles(loops);
+        let teps = |secs: f64| (tenants * epochs) as f64 / secs.max(1e-9);
+        LoopTiming {
+            runs: loops.len(),
+            epochs,
+            loop_secs,
+            run_secs: quartiles(runs)[1],
+            // The slowest quarter of the loops is the lowest quarter of the
+            // rates.
+            teps: [teps(p75), teps(loop_secs), teps(p25)],
+        }
     }
+}
+
+/// p25, median and p75 of `samples`, interpolated between order
+/// statistics.
+fn quartiles(samples: &[f64]) -> [f64; 3] {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let at = |q: f64| {
+        let pos = q * (sorted.len() - 1) as f64;
+        let (low, high) = (pos.floor() as usize, pos.ceil() as usize);
+        sorted[low] + (sorted[high] - sorted[low]) * (pos - low as f64)
+    };
+    [at(0.25), at(0.5), at(0.75)]
 }
 
 /// One fleet-size row of the sweep.
@@ -89,9 +119,9 @@ pub struct FleetScaleRow {
     pub tenants: usize,
     /// Shard count the sharded run actually used.
     pub shards_used: usize,
-    /// The sequential runs, by the fastest loop.
+    /// The sequential runs.
     pub sequential: LoopTiming,
-    /// The sharded runs, by the fastest loop.
+    /// The sharded runs.
     pub sharded: LoopTiming,
     /// Whether the sharded report was bit-identical (modulo timing) to the
     /// sequential one.
@@ -99,19 +129,9 @@ pub struct FleetScaleRow {
 }
 
 impl FleetScaleRow {
-    /// Sequential tenant-epochs/sec.
-    pub fn sequential_teps(&self) -> f64 {
-        self.sequential.teps(self.tenants)
-    }
-
-    /// Sharded tenant-epochs/sec — the headline metric.
-    pub fn sharded_teps(&self) -> f64 {
-        self.sharded.teps(self.tenants)
-    }
-
-    /// Sharded-over-sequential speedup.
+    /// Sharded-over-sequential speedup of the median tenant-epochs/sec.
     pub fn speedup(&self) -> f64 {
-        self.sharded_teps() / self.sequential_teps()
+        self.sharded.teps[1] / self.sequential.teps[1]
     }
 }
 
@@ -154,52 +174,99 @@ impl TelemetrySink for LoopClock {
     }
 }
 
-/// Runs `scenario` under `policy` at least `trials` times, and until the
-/// runs' epoch loops add up to [`MIN_LOOP_SECS`]; returns the timing of the
-/// run with the fastest loop and the last run's report. Every run must
-/// report the same.
-fn timed_runs(
-    scenario: &FleetScenario,
-    policy: FleetPolicy,
-    trials: usize,
-) -> SolveResult<(LoopTiming, FleetReport)> {
-    let (mut runs, mut loop_total) = (0, 0.0);
-    let mut fastest: Option<LoopTiming> = None;
-    let mut last: Option<FleetReport> = None;
-    while runs < trials.max(1) || (loop_total < MIN_LOOP_SECS && loop_total > 0.0) {
-        let clock = Arc::new(LoopClock::default());
-        let controller = FleetController::new(policy).with_telemetry(clock.clone());
-        let start = Instant::now();
-        let report = controller.run(&IlpSolver::new(), &scenario.tenants)?;
-        let run_secs = start.elapsed().as_secs_f64();
-        let (epochs, first, end) = *clock.0.lock().expect("loop clock");
-        let loop_secs = match (first, end) {
-            (Some(first), Some(end)) => end.duration_since(first).as_secs_f64(),
-            _ => 0.0,
-        };
-        if let Some(previous) = &last {
-            assert!(
-                report.matches_modulo_timing(previous),
-                "repeated runs of one scenario diverged"
-            );
-        }
-        last = Some(report);
-        runs += 1;
-        loop_total += loop_secs;
-        if fastest.is_none_or(|f| loop_secs < f.loop_secs) {
-            fastest = Some(LoopTiming {
-                runs,
-                epochs,
-                loop_secs,
-                run_secs,
-            });
+/// One fleet size's measurement in progress: per side (sequential,
+/// sharded), the epochs its loop served, every run's loop and wall seconds,
+/// and the last report, which every repeat must reproduce.
+struct Measurement {
+    scenario: FleetScenario,
+    policies: [FleetPolicy; 2],
+    epochs: [usize; 2],
+    loops: [Vec<f64>; 2],
+    runs: [Vec<f64>; 2],
+    reports: [Option<FleetReport>; 2],
+}
+
+impl Measurement {
+    fn new(spec: &FleetScaleSpec, tenants: usize) -> Self {
+        let scenario = scaling_fleet(tenants, spec.seed);
+        let policies = [Some(1), spec.shards].map(|shards| FleetPolicy {
+            shards,
+            ..scenario.policy
+        });
+        Measurement {
+            scenario,
+            policies,
+            epochs: [0; 2],
+            loops: Default::default(),
+            runs: Default::default(),
+            reports: Default::default(),
         }
     }
-    let timing = LoopTiming {
-        runs,
-        ..fastest.expect("at least one run")
-    };
-    Ok((timing, last.expect("at least one run")))
+
+    /// The epoch-loop seconds a side has collected.
+    fn loop_total(&self, side: usize) -> f64 {
+        self.loops[side].iter().sum()
+    }
+
+    /// Whether a side still lacks `trials` runs or `min_loop_secs` of loop.
+    fn pending(&self, trials: usize, min_loop_secs: f64) -> bool {
+        (0..2).any(|side| {
+            let total = self.loop_total(side);
+            self.loops[side].len() < trials.max(1) || (total < min_loop_secs && total > 0.0)
+        })
+    }
+
+    /// One timed run of each side. The side that goes first alternates, so
+    /// a host whose speed drifts favours neither.
+    fn run_pair(&mut self) -> SolveResult<()> {
+        let first = self.loops[0].len() % 2;
+        for side in [first, 1 - first] {
+            let clock = Arc::new(LoopClock::default());
+            let controller =
+                FleetController::new(self.policies[side]).with_telemetry(clock.clone());
+            let start = Instant::now();
+            let report = controller.run(&IlpSolver::new(), &self.scenario.tenants)?;
+            let run_secs = start.elapsed().as_secs_f64();
+            let (epochs, open, close) = *clock.0.lock().expect("loop clock");
+            let loop_secs = match (open, close) {
+                (Some(open), Some(close)) => close.duration_since(open).as_secs_f64(),
+                _ => 0.0,
+            };
+            if let Some(previous) = &self.reports[side] {
+                assert!(
+                    report.matches_modulo_timing(previous),
+                    "repeated runs of one scenario diverged"
+                );
+            }
+            self.epochs[side] = epochs;
+            self.loops[side].push(loop_secs);
+            self.runs[side].push(run_secs);
+            self.reports[side] = Some(report);
+        }
+        Ok(())
+    }
+
+    fn finish(self) -> FleetScaleRow {
+        let tenants = self.scenario.tenants.len();
+        let [sequential, sharded] = [0, 1].map(|side| {
+            LoopTiming::new(
+                tenants,
+                self.epochs[side],
+                &self.loops[side],
+                &self.runs[side],
+            )
+        });
+        let [sequential_report, sharded_report] =
+            self.reports.map(|report| report.expect("at least one run"));
+        FleetScaleRow {
+            scenario: self.scenario.name,
+            tenants,
+            shards_used: self.policies[1].shard_count(tenants),
+            sequential,
+            sharded,
+            deterministic: sequential_report.matches_modulo_timing(&sharded_report),
+        }
+    }
 }
 
 /// Runs the sequential-vs-sharded scaling sweep.
@@ -208,32 +275,36 @@ fn timed_runs(
 ///
 /// Propagates solver failures from the controller.
 pub fn run_fleet_scale_experiment(spec: &FleetScaleSpec) -> SolveResult<FleetScaleTable> {
-    let mut rows = Vec::with_capacity(spec.sizes.len());
-    for &tenants in &spec.sizes {
-        let scenario = scaling_fleet(tenants, spec.seed);
-        let sharded_policy = FleetPolicy {
-            shards: spec.shards,
-            ..scenario.policy
-        };
-        let sequential_policy = FleetPolicy {
-            shards: Some(1),
-            ..scenario.policy
-        };
-        let (sequential, sequential_report) =
-            timed_runs(&scenario, sequential_policy, spec.trials)?;
-        let (sharded, sharded_report) = timed_runs(&scenario, sharded_policy, spec.trials)?;
-        rows.push(FleetScaleRow {
-            scenario: scenario.name,
-            tenants,
-            shards_used: sharded_policy.shard_count(tenants),
-            sequential,
-            sharded,
-            deterministic: sequential_report.matches_modulo_timing(&sharded_report),
-        });
+    sweep(spec, MIN_LOOP_SECS)
+}
+
+/// The sweep, each side of a row repeating until its loops add up to
+/// `min_loop_secs`. The repeats are spread over `ROUNDS` rounds, each of
+/// which gives every unfinished row its share of loop time in turn, so a
+/// row's runs span the whole sweep and a host whose speed drifts weighs on
+/// every row alike.
+fn sweep(spec: &FleetScaleSpec, min_loop_secs: f64) -> SolveResult<FleetScaleTable> {
+    let mut rows: Vec<Measurement> = (spec.sizes.iter())
+        .map(|&tenants| Measurement::new(spec, tenants))
+        .collect();
+    let slice = min_loop_secs / ROUNDS as f64;
+    while rows
+        .iter()
+        .any(|row| row.pending(spec.trials, min_loop_secs))
+    {
+        for row in rows.iter_mut() {
+            let goal = [0, 1].map(|side| row.loop_total(side) + slice);
+            while row.pending(spec.trials, min_loop_secs) {
+                row.run_pair()?;
+                if (0..2).all(|side| row.loop_total(side) >= goal[side]) {
+                    break;
+                }
+            }
+        }
     }
     Ok(FleetScaleTable {
         cores: rayon::current_num_threads(),
-        rows,
+        rows: rows.into_iter().map(Measurement::finish).collect(),
     })
 }
 
@@ -257,8 +328,12 @@ pub fn fleet_scale_rows(table: &FleetScaleTable) -> Vec<JsonRow> {
                 .f64("sharded_secs", row.sharded.loop_secs)
                 .f64("sequential_run_secs", row.sequential.run_secs)
                 .f64("sharded_run_secs", row.sharded.run_secs)
-                .f64("sequential_teps", row.sequential_teps())
-                .f64("sharded_teps", row.sharded_teps())
+                .f64("sequential_teps", row.sequential.teps[1])
+                .f64("sequential_teps_p25", row.sequential.teps[0])
+                .f64("sequential_teps_p75", row.sequential.teps[2])
+                .f64("sharded_teps", row.sharded.teps[1])
+                .f64("sharded_teps_p25", row.sharded.teps[0])
+                .f64("sharded_teps_p75", row.sharded.teps[2])
                 .f64("speedup", row.speedup())
                 .bool("deterministic", row.deterministic)
         })
@@ -276,19 +351,21 @@ mod tests {
             sizes: vec![96],
             seed: 7,
             shards: Some(4),
-            trials: 1,
+            trials: 3,
         };
-        let table = run_fleet_scale_experiment(&spec).unwrap();
+        let table = sweep(&spec, 0.0).unwrap();
         assert_eq!(table.rows.len(), 1);
         let row = &table.rows[0];
         assert_eq!(row.shards_used, 4);
-        assert!(row.sequential_teps() > 0.0);
-        assert!(row.sharded_teps() > 0.0);
-        // Each timed loop spans every epoch and sits inside its run.
+        // Each timed loop spans every epoch and sits inside its run, and
+        // the sides alternate, so they ran equally often.
+        assert_eq!((row.sequential.runs, row.sharded.runs), (3, 3));
         for timing in [row.sequential, row.sharded] {
             assert_eq!(timing.epochs, SCALING_EPOCHS);
             assert!(timing.loop_secs > 0.0);
             assert!(timing.loop_secs < timing.run_secs);
+            assert!(0.0 < timing.teps[0] && timing.teps[0] <= timing.teps[1]);
+            assert!(timing.teps[1] <= timing.teps[2]);
         }
         assert!(table.all_deterministic());
         let rows = fleet_scale_rows(&table);
@@ -308,9 +385,7 @@ mod tests {
             shards: Some(2),
             trials: 1,
         };
-        let json = rows_jsonl(&fleet_scale_rows(
-            &run_fleet_scale_experiment(&spec).unwrap(),
-        ));
+        let json = rows_jsonl(&fleet_scale_rows(&sweep(&spec, 0.0).unwrap()));
         assert_eq!(json.lines().count(), 2);
         for (line, name) in json.lines().zip(["scaling-8", "scaling-16"]) {
             assert!(line.contains(&format!("\"scenario\":\"{name}\"")), "{line}");

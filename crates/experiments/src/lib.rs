@@ -16,7 +16,8 @@
 //!   III's Markdown and the figure pivots keep the paper's own layouts);
 //! * [`stats`] — the aggregation helpers;
 //! * [`ablation`] — the δ-step, escape-mechanism and recipe-similarity
-//!   ablation studies described in DESIGN.md (extensions beyond the paper);
+//!   ablation studies (extensions beyond the paper; the `repro ablation-*`
+//!   lanes);
 //! * [`fleet`] — the multi-tenant streaming re-optimization lane: the
 //!   `rental-fleet` probe/solve/adopt controller on the diurnal+spike
 //!   scenario, versus the static-peak and fixed-mix baselines;

@@ -43,12 +43,12 @@ pub struct ExperimentSpec {
 
 impl ExperimentSpec {
     /// The target throughputs used throughout §VIII: ρ = 20, 30, …, 200.
-    pub fn paper_targets() -> Vec<Throughput> {
+    fn paper_targets() -> Vec<Throughput> {
         (2..=20).map(|k| k * 10).collect()
     }
 
     /// Builds a spec with the paper's targets and a default seed.
-    pub fn new(name: impl Into<String>, generator: GeneratorConfig, num_configs: usize) -> Self {
+    fn new(name: impl Into<String>, generator: GeneratorConfig, num_configs: usize) -> Self {
         ExperimentSpec {
             name: name.into(),
             generator,
@@ -63,7 +63,7 @@ impl ExperimentSpec {
 
 /// Raw measurements of one solver on one instance at one target.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Observation {
+struct Observation {
     /// Cost of the solution found (u64 cost as f64 for aggregation).
     pub cost: f64,
     /// Wall-clock seconds spent in the solver.

@@ -10,7 +10,7 @@ pub fn mean(values: &[f64]) -> f64 {
 }
 
 /// Sample standard deviation (n-1 denominator); 0.0 for fewer than two values.
-pub fn std_dev(values: &[f64]) -> f64 {
+fn std_dev(values: &[f64]) -> f64 {
     if values.len() < 2 {
         return 0.0;
     }
@@ -20,12 +20,12 @@ pub fn std_dev(values: &[f64]) -> f64 {
 }
 
 /// Minimum of a slice; `None` when empty.
-pub fn min(values: &[f64]) -> Option<f64> {
+fn min(values: &[f64]) -> Option<f64> {
     values.iter().copied().reduce(f64::min)
 }
 
 /// Maximum of a slice; `None` when empty.
-pub fn max(values: &[f64]) -> Option<f64> {
+fn max(values: &[f64]) -> Option<f64> {
     values.iter().copied().reduce(f64::max)
 }
 

@@ -119,7 +119,7 @@ impl ChaosConfig {
 
     /// Total probability that a re-solve errors outright (timeout, spurious
     /// infeasible or singular — the poisoned prior still solves).
-    pub fn failure_rate(&self) -> f64 {
+    fn failure_rate(&self) -> f64 {
         self.timeout_rate + self.infeasible_rate + self.singular_rate
     }
 }

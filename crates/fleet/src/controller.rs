@@ -16,7 +16,7 @@ use std::sync::Arc;
 use rental_capacity::{CapacityConfig, CapacityPool, UNLIMITED_CAP};
 use rental_core::{Instance, ProvisioningPlan, RecipeId, Solution, Throughput, TypeId};
 use rental_obs::{AlertPolicy, NoopSink, TelemetrySink};
-use rental_pricing::{HorizonCache, OnDemand, SegmentedBilling};
+use rental_pricing::{HorizonCache, OnDemand};
 use rental_solvers::batch::WarmBatchItem;
 use rental_solvers::solver::{
     CapacitySolver, SolveBudget, SolveError, SolveResult, SolverOutcome, SweepPrior,
@@ -30,6 +30,10 @@ use crate::chaos::{ChaosConfig, ChaosStats};
 use crate::persist::{PersistError, RunOutcome};
 use crate::report::{FleetReport, SolverEffort, TenantReport};
 use crate::tenant::TenantSpec;
+
+/// How the controller bills remaining-horizon projections: the paper's one
+/// hourly rate `c_q` per machine type, on demand, by the hour.
+const BILLING: OnDemand = OnDemand::hourly();
 
 /// Parameters of the fleet controller.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -253,7 +257,6 @@ impl ProbeEntry {
         scaler: &FixedMixScaler,
         solved_target: Throughput,
         target: Throughput,
-        billing: &(dyn SegmentedBilling + Send + Sync),
     ) -> Self {
         // The rescaled fleet splits in place into what the current fleet
         // continues and what is rented fresh; each of its machines carries
@@ -269,7 +272,7 @@ impl ProbeEntry {
             *grown -= *kept;
         }
         let cache = |fleet: &[u64]| {
-            HorizonCache::from_machines(fleet_machines(instance, fleet, &load_each), billing)
+            HorizonCache::from_machines(fleet_machines(instance, fleet, &load_each), &BILLING)
         };
         ProbeEntry {
             continued: cache(&continued),
@@ -353,7 +356,6 @@ impl Derived {
         peaks: impl IntoIterator<Item = &'p [f64]>,
         env: &RunEnv,
         policy: &FleetPolicy,
-        billing: &(dyn SegmentedBilling + Send + Sync),
     ) {
         if !self.initial_fractions.iter().any(|&f| f > 0.0) {
             return;
@@ -387,7 +389,7 @@ impl Derived {
         targets.sort_unstable();
         self.probes = (targets.into_iter())
             .map(|rho| {
-                let entry = ProbeEntry::new(instance, scaler, solved, rho, billing);
+                let entry = ProbeEntry::new(instance, scaler, solved, rho);
                 (rho, entry)
             })
             .collect();
@@ -587,11 +589,7 @@ impl<'a> TenantState<'a> {
     /// request's probe table while the tenant keeps its initial plan (it
     /// has adopted nothing, so its adoption epoch is still 0), else
     /// memoized, built on first use.
-    pub(crate) fn probe_entry(
-        &mut self,
-        rho: Throughput,
-        billing: &(dyn SegmentedBilling + Send + Sync),
-    ) -> &ProbeEntry {
+    pub(crate) fn probe_entry(&mut self, rho: Throughput) -> &ProbeEntry {
         if self.core.adopted_epoch == 0 {
             if let Some(entry) = self.derived.probe(rho) {
                 return entry;
@@ -605,8 +603,7 @@ impl<'a> TenantState<'a> {
             Some(k) => k,
             None => {
                 let solved = self.core.solved_target;
-                let entry =
-                    ProbeEntry::new(&self.spec.instance, &self.scaler, solved, rho, billing);
+                let entry = ProbeEntry::new(&self.spec.instance, &self.scaler, solved, rho);
                 self.probe_cache.push((rho, entry));
                 self.probe_cache.len() - 1
             }
@@ -862,7 +859,6 @@ fn failure_slots(
 pub struct FleetController {
     /// Controller parameters.
     pub policy: FleetPolicy,
-    pub(crate) billing: Arc<dyn SegmentedBilling + Send + Sync>,
     /// Telemetry receiver for spans, per-epoch metrics and flight-recorder
     /// events. Defaults to [`NoopSink`] (zero-cost); all events are emitted
     /// from the sequential controller sites only, so an instrumented run's
@@ -879,16 +875,9 @@ impl FleetController {
     pub fn new(policy: FleetPolicy) -> Self {
         FleetController {
             policy,
-            billing: Arc::new(OnDemand::hourly()),
             telemetry: Arc::new(NoopSink),
             alerts: None,
         }
-    }
-
-    /// Replaces the billing model used for remaining-horizon projections.
-    pub fn with_billing(mut self, billing: Arc<dyn SegmentedBilling + Send + Sync>) -> Self {
-        self.billing = billing;
-        self
     }
 
     /// Attaches a telemetry sink (e.g. [`rental_obs::Recorder`]). Telemetry
@@ -1049,7 +1038,7 @@ impl FleetController {
         solution: &Solution,
     ) -> SolveResult<HorizonCache> {
         let plan = ProvisioningPlan::build(instance, solution)?;
-        Ok(HorizonCache::new(&plan, self.billing.as_ref()))
+        Ok(HorizonCache::new(&plan, &BILLING))
     }
 }
 
@@ -1133,14 +1122,13 @@ mod tests {
             .unwrap();
         let fractions = Autoscaler::split_fractions(&solution);
         let scaler = FixedMixScaler::new(&instance, &fractions, &AutoscalePolicy::default());
-        let billing = rental_pricing::OnDemand::hourly();
-        let same = ProbeEntry::new(&instance, &scaler, 70, 70, &billing);
+        let same = ProbeEntry::new(&instance, &scaler, 70, 70);
         let hour = RentalHorizon::hours(1.0);
         assert!((same.continued.total(hour) - 124.0).abs() < 1e-9);
         assert_eq!(same.fresh.total(hour), 0.0);
         // Doubling the target: continued stays the old fleet, fresh carries
         // the growth, and together they bill the whole rescaled fleet.
-        let grown = ProbeEntry::new(&instance, &scaler, 70, 140, &billing);
+        let grown = ProbeEntry::new(&instance, &scaler, 70, 140);
         assert!((grown.continued.total(hour) - 124.0).abs() < 1e-9);
         assert!(grown.fresh.total(hour) > 0.0);
         let whole = scaler.required_for_target(140.0);
@@ -1215,53 +1203,6 @@ mod tests {
         // The prohibitive hysteresis is also an effective probe filter: the
         // switching-cost term of the probe suppresses futile re-solves.
         assert_eq!(report.tenants[0].resolves, 0);
-    }
-
-    #[test]
-    fn committed_terms_are_sunk_on_scale_down_keep_projections() {
-        // The trace starts at its peak, so every later shift only *shrinks*
-        // the fleet. Under a reserved term longer than the whole horizon the
-        // already-committed machines cost nothing at the margin, so keeping
-        // is free and the controller must never probe a re-solve.
-        let trace = rental_stream::WorkloadTrace::diurnal(160.0, 20.0, 12.0, 3);
-        let tenants = vec![TenantSpec::new("peak-first", illustrating_example(), trace)];
-        let policy = FleetPolicy {
-            switching_cost: 1.0,
-            ..FleetPolicy::default()
-        };
-        let report = FleetController::new(policy)
-            .with_billing(Arc::new(rental_pricing::Reserved::with_term(10_000.0, 0.4)))
-            .run(&IlpSolver::new(), &tenants)
-            .unwrap();
-        assert_eq!(report.tenants[0].resolves, 0);
-        assert_eq!(report.tenants[0].adoptions, 0);
-        assert!(report.adoptions.is_empty());
-    }
-
-    #[test]
-    fn scale_up_machines_bill_fresh_commitments_in_keep_projections() {
-        // Growth is not sunk: when the demand rises past the solved target,
-        // the keep side must charge new commitments for the added machines,
-        // so the probe fires — and every decision still respects the
-        // hysteresis invariant.
-        let tenants = vec![diurnal_tenant()]; // starts low, shifts up to 160
-        let policy = FleetPolicy {
-            switching_cost: 1.0,
-            ..FleetPolicy::default()
-        };
-        let report = FleetController::new(policy)
-            .with_billing(Arc::new(rental_pricing::Reserved::with_term(10_000.0, 0.4)))
-            .run(&IlpSolver::new(), &tenants)
-            .unwrap();
-        assert!(report.tenants[0].resolves >= 1);
-        for record in &report.adoptions {
-            let keep = record.projected_keep.expect("no forced switches here");
-            assert!(keep > 0.0);
-            assert_eq!(
-                record.adopted,
-                record.projected_switch + record.switching_cost < keep
-            );
-        }
     }
 
     #[test]

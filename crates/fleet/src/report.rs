@@ -36,7 +36,7 @@ impl SolverEffort {
     }
 
     /// Adds another aggregate into this one.
-    pub fn merge(&mut self, other: &SolverEffort) {
+    fn merge(&mut self, other: &SolverEffort) {
         self.solves += other.solves;
         self.nodes += other.nodes;
         self.lp_iterations += other.lp_iterations;
@@ -161,21 +161,6 @@ impl TenantReport {
     /// Total cost of serving this tenant (rental plus switching charges).
     pub fn total_cost(&self) -> f64 {
         self.rental_cost + self.switching_cost
-    }
-
-    /// Savings against the fixed-mix autoscale baseline.
-    pub fn savings_vs_fixed_mix(&self) -> f64 {
-        self.fixed_mix_cost - self.total_cost()
-    }
-
-    /// Savings against static peak provisioning.
-    pub fn savings_vs_static_peak(&self) -> f64 {
-        self.static_peak_cost - self.total_cost()
-    }
-
-    /// Savings against the static availability-adjusted-peak baseline.
-    pub fn savings_vs_static_headroom(&self) -> f64 {
-        self.static_headroom_cost - self.total_cost()
     }
 }
 

@@ -413,7 +413,6 @@ impl<'a> FleetRun<'a> {
             .collect();
         let results = solve_warm_batch(solver, &items, None, policy.threads);
         laps.lap("solve");
-        let billing = ctl.billing.as_ref();
         let shared = rayon::parallel_map_indexed(targets.len(), policy.threads, |r| {
             let (rho, sharers) = (targets[r], sharers(r));
             let instance = &tenants[sharers[0]].instance;
@@ -424,7 +423,7 @@ impl<'a> FleetRun<'a> {
             let scaler = FixedMixScaler::new(instance, &derived.initial_fractions, &env.scaling);
             if policy.resolve && sharers.len() > 1 {
                 let peaks = sharers.iter().map(|&k| peaks.tenant(k));
-                derived.build_probe_table(instance, &scaler, peaks, &env, policy, billing);
+                derived.build_probe_table(instance, &scaler, peaks, &env, policy);
             }
             let prior = Arc::new(SweepPrior::from_outcome(rho, &outcome));
             let cache = ctl.plan_cache(instance, &outcome.solution)?;
@@ -876,7 +875,6 @@ impl<'a> FleetRun<'a> {
             .map(|cs| &cs.pool)
             .filter(|pool| !pool.is_unlimited());
         let serve_headroom = self.env.serve_headroom;
-        let billing = ctl.billing.as_ref();
         let tree = Some(&mut self.tree);
         let mut lanes = no_lanes(self.states.len());
         for_each_tenant_sharded(&mut self.states, &mut lanes, shards, tree, |i, state, _| {
@@ -922,7 +920,7 @@ impl<'a> FleetRun<'a> {
             // (committed terms already paid are sunk), scale-up machines
             // bill fresh.
             let elapsed_hours = (epoch + 1 - state.core.adopted_epoch) as f64 * policy.epoch;
-            let entry = state.probe_entry(rho, billing);
+            let entry = state.probe_entry(rho);
             let keep_projected = entry.continued.total_over(
                 RentalHorizon::hours(elapsed_hours),
                 RentalHorizon::hours(elapsed_hours + remaining_hours),

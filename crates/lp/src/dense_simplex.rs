@@ -39,15 +39,6 @@ struct StdRow {
     rhs: f64,
 }
 
-/// Solves a linear program (ignoring any integrality flags) with default options.
-///
-/// # Errors
-///
-/// Returns a model-validation error if the model is structurally invalid.
-pub fn solve(model: &Model) -> LpResult<LpSolution> {
-    solve_with(model, &SimplexOptions::default())
-}
-
 /// Solves a linear program (ignoring integrality flags) with explicit options.
 ///
 /// # Errors
@@ -481,6 +472,10 @@ fn pivot(
 mod tests {
     use super::*;
     use crate::model::{Model, Relation};
+
+    fn solve(model: &Model) -> LpResult<LpSolution> {
+        solve_with(model, &SimplexOptions::default())
+    }
 
     #[test]
     fn dense_oracle_solves_the_reference_fixtures() {

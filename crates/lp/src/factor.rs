@@ -97,7 +97,7 @@ impl SparseVector {
     }
 
     /// Clears the support in O(nnz).
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         for &i in &self.nz {
             self.values[i] = 0.0;
             self.marked[i] = false;
@@ -110,11 +110,6 @@ impl SparseVector {
         &self.nz
     }
 
-    /// The dense value array (zeros off-support).
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
     /// Value at `i` (0.0 off-support).
     #[inline]
     pub fn get(&self, i: usize) -> f64 {
@@ -123,7 +118,7 @@ impl SparseVector {
 
     /// Whether `i` is in the support.
     #[inline]
-    pub fn contains(&self, i: usize) -> bool {
+    fn contains(&self, i: usize) -> bool {
         self.marked[i]
     }
 
@@ -904,7 +899,7 @@ impl DenseLu {
     }
 
     /// FTRAN on a dense slice: overwrites `v` with `B⁻¹ v`.
-    pub fn ftran_dense(&mut self, v: &mut [f64]) {
+    fn ftran_dense(&mut self, v: &mut [f64]) {
         let m = self.m;
         if m == 0 {
             return;
@@ -944,7 +939,7 @@ impl DenseLu {
     }
 
     /// BTRAN on a dense slice: overwrites `v` with `B⁻ᵀ v`.
-    pub fn btran_dense(&mut self, v: &mut [f64]) {
+    fn btran_dense(&mut self, v: &mut [f64]) {
         let m = self.m;
         if m == 0 {
             return;

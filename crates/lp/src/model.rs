@@ -75,7 +75,7 @@ pub struct Model {
 
 impl Model {
     /// Creates an empty model with the given optimization sense.
-    pub fn new(sense: Sense) -> Self {
+    fn new(sense: Sense) -> Self {
         Model {
             sense,
             variables: Vec::new(),
@@ -119,15 +119,6 @@ impl Model {
         let id = self.add_var(name, cost, lower, upper);
         self.variables[id.index()].integer = true;
         id
-    }
-
-    /// Flags an existing variable as integer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the variable does not exist.
-    pub fn mark_integer(&mut self, var: VarId) {
-        self.variables[var.index()].integer = true;
     }
 
     /// Adds a non-negative continuous variable (`x ≥ 0`).
@@ -285,17 +276,6 @@ impl Model {
         let v = &mut self.variables[var.index()];
         v.upper = v.upper.min(upper);
     }
-
-    /// Returns a copy of the model with variable `var`'s bounds tightened to
-    /// `[lower, upper]` (intersected with the existing bounds). Used by the
-    /// branch-and-bound solver to create child nodes.
-    pub fn with_tightened_bounds(&self, var: VarId, lower: f64, upper: f64) -> Model {
-        let mut clone = self.clone();
-        let v = &mut clone.variables[var.index()];
-        v.lower = v.lower.max(lower);
-        v.upper = v.upper.min(upper);
-        clone
-    }
 }
 
 #[cfg(test)]
@@ -383,20 +363,6 @@ mod tests {
             Model::minimize().validate().unwrap_err(),
             LpError::EmptyModel
         );
-    }
-
-    #[test]
-    fn tightened_bounds_intersect() {
-        let mut model = Model::minimize();
-        let x = model.add_int_var("x", 1.0, 0.0, 10.0);
-        let child = model.with_tightened_bounds(x, 3.0, 7.0);
-        assert_eq!(child.variables()[0].lower, 3.0);
-        assert_eq!(child.variables()[0].upper, 7.0);
-        let grandchild = child.with_tightened_bounds(x, 1.0, 5.0);
-        assert_eq!(grandchild.variables()[0].lower, 3.0);
-        assert_eq!(grandchild.variables()[0].upper, 5.0);
-        // Original untouched.
-        assert_eq!(model.variables()[0].upper, 10.0);
     }
 
     #[test]

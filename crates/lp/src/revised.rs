@@ -167,7 +167,7 @@ fn clear_lists(lists: &mut Vec<Vec<(usize, f64)>>, len: usize) {
 
 /// Nonbasic / basic status of one column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ColStatus {
+enum ColStatus {
     /// The column is basic (its row is recorded in the basis vector).
     Basic,
     /// Nonbasic at its (finite) lower bound.

@@ -167,8 +167,6 @@ pub struct AlertEngine {
     has_last: bool,
     degraded_streak: usize,
     firing: [bool; AlertRule::ALL.len()],
-    fired_total: u64,
-    resolved_total: u64,
 }
 
 impl AlertEngine {
@@ -184,29 +182,12 @@ impl AlertEngine {
             has_last: false,
             degraded_streak: 0,
             firing: [false; AlertRule::ALL.len()],
-            fired_total: 0,
-            resolved_total: 0,
         }
     }
 
-    /// The policy the engine evaluates.
-    pub fn policy(&self) -> &AlertPolicy {
-        &self.policy
-    }
-
-    /// Whether `rule` is currently firing.
-    pub fn is_firing(&self, rule: AlertRule) -> bool {
-        self.firing[rule.index()]
-    }
-
     /// Number of rules currently firing.
-    pub fn active(&self) -> usize {
+    fn active(&self) -> usize {
         self.firing.iter().filter(|f| **f).count()
-    }
-
-    /// Total fire / resolve transitions so far.
-    pub fn totals(&self) -> (u64, u64) {
-        (self.fired_total, self.resolved_total)
     }
 
     /// Evaluates every rule against `obs`, records transitions through
@@ -263,10 +244,8 @@ impl AlertEngine {
                     fired: should_fire,
                 });
                 let (kind, counter) = if should_fire {
-                    self.fired_total += 1;
                     (EventKind::AlertFired, "obs.alerts_fired")
                 } else {
-                    self.resolved_total += 1;
                     (EventKind::AlertResolved, "obs.alerts_resolved")
                 };
                 sink.counter(counter, 1);
@@ -330,6 +309,11 @@ mod tests {
     use super::*;
     use crate::NoopSink;
 
+    /// Whether `rule` is currently firing.
+    fn firing(engine: &AlertEngine, rule: AlertRule) -> bool {
+        engine.firing[rule.index()]
+    }
+
     fn obs(epoch: usize, violations: u64) -> EpochObservation {
         EpochObservation {
             epoch,
@@ -354,16 +338,20 @@ mod tests {
         // epoch over 4 tenants = 0.5, well past it.
         let mut total = 0;
         let mut fired_at = None;
+        // Transitions of every rule: (fired, resolved).
+        let mut transitions = (0, 0);
         for epoch in 0..6 {
             total += 2;
             for t in engine.observe(obs(epoch, total), &sink) {
                 if t.rule == AlertRule::SloBurnRate && t.fired {
                     fired_at = Some(epoch);
                 }
+                transitions.0 += usize::from(t.fired);
+                transitions.1 += usize::from(!t.fired);
             }
         }
         assert!(fired_at.is_some(), "sustained burn must fire");
-        assert!(engine.is_firing(AlertRule::SloBurnRate));
+        assert!(firing(&engine, AlertRule::SloBurnRate));
         // Burn stops: the short window clears first and resolves the alert.
         let mut resolved = false;
         for epoch in 6..12 {
@@ -371,13 +359,13 @@ mod tests {
                 if t.rule == AlertRule::SloBurnRate && !t.fired {
                     resolved = true;
                 }
+                transitions.0 += usize::from(t.fired);
+                transitions.1 += usize::from(!t.fired);
             }
         }
         assert!(resolved, "alert must resolve once the burn stops");
-        assert!(!engine.is_firing(AlertRule::SloBurnRate));
-        let (fired, resolved_n) = engine.totals();
-        assert_eq!(fired, 1);
-        assert_eq!(resolved_n, 1);
+        assert!(!firing(&engine, AlertRule::SloBurnRate));
+        assert_eq!(transitions, (1, 1));
     }
 
     #[test]
@@ -398,7 +386,7 @@ mod tests {
             };
             engine.observe(o, &sink);
         }
-        assert!(!engine.is_firing(AlertRule::DegradedStreak));
+        assert!(!firing(&engine, AlertRule::DegradedStreak));
         // A clean epoch resets the streak.
         engine.observe(
             EpochObservation {
@@ -421,7 +409,7 @@ mod tests {
                 &sink,
             );
         }
-        assert!(engine.is_firing(AlertRule::DegradedStreak));
+        assert!(firing(&engine, AlertRule::DegradedStreak));
     }
 
     #[test]
@@ -441,7 +429,7 @@ mod tests {
                 &sink,
             );
         }
-        assert!(!engine.is_firing(AlertRule::CheckpointLag));
+        assert!(!firing(&engine, AlertRule::CheckpointLag));
         // With a stale checkpoint it fires, and resolves on a fresh one.
         engine.observe(
             EpochObservation {
@@ -452,7 +440,7 @@ mod tests {
             },
             &sink,
         );
-        assert!(engine.is_firing(AlertRule::CheckpointLag));
+        assert!(firing(&engine, AlertRule::CheckpointLag));
         engine.observe(
             EpochObservation {
                 epoch: 11,
@@ -462,7 +450,7 @@ mod tests {
             },
             &sink,
         );
-        assert!(!engine.is_firing(AlertRule::CheckpointLag));
+        assert!(!firing(&engine, AlertRule::CheckpointLag));
     }
 
     #[test]

@@ -262,8 +262,8 @@ pub fn render_prometheus(snapshot: &MetricsSnapshot) -> String {
     out
 }
 
-/// Renders the `/health` JSON object. Public for tests and non-HTTP use.
-pub fn render_health(recorder: &Recorder) -> String {
+/// Renders the `/health` JSON object.
+fn render_health(recorder: &Recorder) -> String {
     let snapshot = recorder.snapshot();
     let gauge = |name: &str| snapshot.gauges.get(name).copied();
     let counter = |name: &str| snapshot.counters.get(name).copied().unwrap_or(0);

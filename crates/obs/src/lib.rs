@@ -42,7 +42,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 
 pub use alert::{AlertEngine, AlertPolicy, AlertRule, AlertTransition, EpochObservation};
-pub use export::{render_health, render_prometheus, Exporter};
+pub use export::{render_prometheus, Exporter};
 pub use flight::{Event, EventKind, FlightRecorder};
 pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
 pub use recorder::Recorder;
@@ -113,14 +113,14 @@ static GLOBAL_SINK: RwLock<Option<Arc<dyn TelemetrySink>>> = RwLock::new(None);
 /// The LP and solver layers emit through this (their public traits predate
 /// telemetry and stay signature-stable); the fleet controller additionally
 /// accepts an explicit sink for deterministic event capture.
-pub fn install(sink: Arc<dyn TelemetrySink>) {
+fn install(sink: Arc<dyn TelemetrySink>) {
     let mut slot = GLOBAL_SINK.write().unwrap_or_else(|e| e.into_inner());
     *slot = Some(sink);
     GLOBAL_ENABLED.store(true, Ordering::SeqCst);
 }
 
 /// Removes the global sink (subsequent [`with_sink`] calls are no-ops).
-pub fn uninstall() {
+fn uninstall() {
     let mut slot = GLOBAL_SINK.write().unwrap_or_else(|e| e.into_inner());
     GLOBAL_ENABLED.store(false, Ordering::SeqCst);
     *slot = None;

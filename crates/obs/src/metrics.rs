@@ -2,7 +2,7 @@
 //! sharding.
 //!
 //! Hot-path emissions (counters, histogram samples) land in a per-thread
-//! [`MetricsShard`] — found through a thread-local cache, so the common case
+//! `MetricsShard` — found through a thread-local cache, so the common case
 //! is one uncontended `Mutex` lock on memory only this thread touches. A
 //! shard keys its metrics by the address of the name's `'static` text,
 //! which is cheaper to hash and compare than the text; the snapshot merges
@@ -23,7 +23,7 @@ use crate::json::JsonRow;
 /// Number of power-of-two buckets: bucket 0 holds the value 0, bucket
 /// `i >= 1` holds values in `[2^(i-1), 2^i)`, up to bucket 64 for values
 /// with the top bit set.
-pub const NUM_BUCKETS: usize = 65;
+const NUM_BUCKETS: usize = 65;
 
 /// An HDR-style log-bucketed histogram over `u64` samples: power-of-two
 /// buckets, exact count/sum/min/max. Merging two histograms is associative
@@ -109,7 +109,7 @@ impl Histogram {
     }
 
     /// Smallest recorded sample (0 when empty).
-    pub fn min(&self) -> u64 {
+    fn min(&self) -> u64 {
         if self.count == 0 {
             0
         } else {
@@ -118,12 +118,12 @@ impl Histogram {
     }
 
     /// Largest recorded sample.
-    pub fn max(&self) -> u64 {
+    fn max(&self) -> u64 {
         self.max
     }
 
     /// Mean sample (0 when empty).
-    pub fn mean(&self) -> f64 {
+    fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -139,7 +139,7 @@ impl Histogram {
     /// An upper bound on the `q`-quantile (`q` in `[0, 1]`): the exclusive
     /// upper edge of the bucket where the cumulative count crosses
     /// `ceil(q * count)`. Resolution is the power-of-two bucket width.
-    pub fn quantile_upper_bound(&self, q: f64) -> u64 {
+    fn quantile_upper_bound(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -237,7 +237,7 @@ type ByName<V> = HashMap<Name, V, BuildHasherDefault<AddressHasher>>;
 /// One thread's private slice of a registry: counters and histograms only
 /// (gauges are registry-global).
 #[derive(Default, Debug)]
-pub struct MetricsShard {
+struct MetricsShard {
     counters: ByName<u64>,
     histograms: ByName<Histogram>,
 }

@@ -7,7 +7,7 @@ use crate::TelemetrySink;
 
 /// Default flight-recorder capacity: enough to hold the tail of a degraded
 /// episode across a few hundred epochs without unbounded memory.
-pub const DEFAULT_EVENT_CAPACITY: usize = 512;
+const DEFAULT_EVENT_CAPACITY: usize = 512;
 
 /// A recording [`TelemetrySink`]: counters/gauges/histograms into a
 /// [`MetricsRegistry`], spans into microsecond histograms, events into a
@@ -26,22 +26,17 @@ impl Default for Recorder {
 }
 
 impl Recorder {
-    /// A recorder with the [`DEFAULT_EVENT_CAPACITY`].
+    /// A recorder with the default flight-recorder capacity.
     pub fn new() -> Self {
         Recorder::with_event_capacity(DEFAULT_EVENT_CAPACITY)
     }
 
     /// A recorder retaining the last `capacity` events.
-    pub fn with_event_capacity(capacity: usize) -> Self {
+    fn with_event_capacity(capacity: usize) -> Self {
         Recorder {
             registry: MetricsRegistry::new(),
             flight: FlightRecorder::new(capacity),
         }
-    }
-
-    /// The underlying metrics registry.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
     }
 
     /// The underlying flight recorder.

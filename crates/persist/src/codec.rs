@@ -69,7 +69,7 @@ pub struct Encoder {
 
 impl Encoder {
     /// An empty encoder.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Encoder::default()
     }
 
@@ -87,16 +87,6 @@ impl Encoder {
         self.buf
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been written yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Writes one byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -108,7 +98,7 @@ impl Encoder {
     }
 
     /// Writes a `u32` little-endian.
-    pub fn put_u32(&mut self, v: u32) {
+    fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -183,7 +173,7 @@ pub struct Decoder<'a> {
 
 impl<'a> Decoder<'a> {
     /// A decoder over `buf`, positioned at the start.
-    pub fn new(buf: &'a [u8]) -> Self {
+    fn new(buf: &'a [u8]) -> Self {
         Decoder { buf, pos: 0 }
     }
 
@@ -211,7 +201,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -252,7 +242,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads a little-endian `u32`.
-    pub fn get_u32(&mut self) -> Result<u32, DecodeError> {
+    fn get_u32(&mut self) -> Result<u32, DecodeError> {
         let bytes = self.take(4)?;
         Ok(u32::from_le_bytes(bytes.try_into().expect("4 bytes")))
     }
@@ -300,7 +290,7 @@ impl<'a> Decoder<'a> {
     /// The length prefix of a sequence, sanity-checked against the remaining
     /// payload (`bytes_each` is a lower bound on one item's encoding) so a
     /// corrupted length cannot trigger a huge allocation.
-    pub fn get_len(&mut self, bytes_each: usize) -> Result<usize, DecodeError> {
+    fn get_len(&mut self, bytes_each: usize) -> Result<usize, DecodeError> {
         let len = self.get_u64()?;
         let lower_bound = len.saturating_mul(bytes_each.max(1) as u64);
         if lower_bound > self.remaining() as u64 {

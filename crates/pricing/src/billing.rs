@@ -117,7 +117,7 @@ pub struct ChargeProfile {
 
 impl ChargeProfile {
     /// A profile of one affine segment.
-    pub fn affine(segment: BillingSegment) -> Self {
+    fn affine(segment: BillingSegment) -> Self {
         ChargeProfile {
             segments: [segment; 2],
             len: 1,
@@ -125,7 +125,7 @@ impl ChargeProfile {
     }
 
     /// A profile of two segments, `first` up to `second`'s start.
-    pub fn broken(first: BillingSegment, second: BillingSegment) -> Self {
+    fn broken(first: BillingSegment, second: BillingSegment) -> Self {
         ChargeProfile {
             segments: [first, second],
             len: 2,
@@ -234,7 +234,7 @@ pub struct OnDemand {
 
 impl OnDemand {
     /// Per-hour billing, the model implicitly used by the paper.
-    pub fn hourly() -> Self {
+    pub const fn hourly() -> Self {
         OnDemand {
             increment_hours: 1.0,
         }
@@ -323,7 +323,7 @@ impl Reserved {
     }
 
     /// Effective hourly rate after the discount.
-    pub fn effective_rate(&self, hourly_rate: Cost) -> f64 {
+    fn effective_rate(&self, hourly_rate: Cost) -> f64 {
         hourly_rate as f64 * (1.0 - self.discount)
     }
 }
@@ -367,12 +367,6 @@ impl Spot {
             interruptions_per_hour: 0.02,
             restart_overhead_hours: 0.25,
         }
-    }
-
-    /// Expected overhead factor applied to the billed hours
-    /// (`1 + interruptions_per_hour × restart_overhead_hours`).
-    pub fn overhead_factor(&self) -> f64 {
-        1.0 + self.interruptions_per_hour * self.restart_overhead_hours
     }
 }
 
@@ -483,7 +477,6 @@ mod tests {
         };
         let usage = UsageWindow::full(100.0);
         assert!(stormy.charge(10, &usage) > calm.charge(10, &usage));
-        assert!(stormy.overhead_factor() > calm.overhead_factor());
     }
 
     #[test]

@@ -64,26 +64,6 @@ pub struct HorizonBill {
     pub total: f64,
 }
 
-impl HorizonBill {
-    /// Mean hourly spend implied by the bill (total divided by the horizon).
-    pub fn mean_hourly_cost(&self) -> f64 {
-        if self.horizon.hours <= 0.0 {
-            0.0
-        } else {
-            self.total / self.horizon.hours
-        }
-    }
-
-    /// Total charge for machines of one type.
-    pub fn cost_of_type(&self, type_id: TypeId) -> f64 {
-        self.machines
-            .iter()
-            .filter(|m| m.type_id == type_id)
-            .map(|m| m.charge)
-            .sum()
-    }
-}
-
 /// Bills every machine of the plan over the horizon with a single billing
 /// model.
 pub fn bill_plan(
@@ -125,7 +105,6 @@ pub fn bill_plan(
 #[derive(Debug, Clone, PartialEq)]
 pub struct HorizonCache {
     rounding: HoursRounding,
-    model_name: &'static str,
     /// Total charge at a zero-length horizon (committed terms bill even
     /// without usage; usage-priced models bill nothing).
     at_zero: f64,
@@ -229,20 +208,9 @@ impl HorizonCache {
         }
         HorizonCache {
             rounding: model.rounding(),
-            model_name: model.name(),
             at_zero,
             segments: segments.into_boxed_slice(),
         }
-    }
-
-    /// Name of the billing model the cache was built for.
-    pub fn model_name(&self) -> &str {
-        self.model_name
-    }
-
-    /// Number of merged billing segments.
-    pub fn num_segments(&self) -> usize {
-        self.segments.len()
     }
 
     /// Total charge of the whole plan over the horizon, in `O(log segments)`.
@@ -306,15 +274,6 @@ impl HorizonCache {
         );
         self.total_over(from, to) / availability
     }
-
-    /// Mean hourly spend over a horizon (total divided by the horizon).
-    pub fn mean_hourly_cost(&self, horizon: RentalHorizon) -> f64 {
-        if horizon.hours <= 0.0 {
-            0.0
-        } else {
-            self.total(horizon) / horizon.hours
-        }
-    }
 }
 
 /// Horizon length (in hours) beyond which a reserved commitment becomes
@@ -360,7 +319,6 @@ mod tests {
         let (plan, hourly) = table3_plan();
         let bill = bill_plan(&plan, RentalHorizon::hours(1.0), &OnDemand::hourly());
         assert!((bill.total - hourly as f64).abs() < 1e-9);
-        assert!((bill.mean_hourly_cost() - hourly as f64).abs() < 1e-9);
     }
 
     #[test]
@@ -379,14 +337,6 @@ mod tests {
         let sum: f64 = bill.machines.iter().map(|m| m.charge).sum();
         assert!((sum - bill.total).abs() < 1e-9);
         assert_eq!(bill.machines.len(), plan.total_machines());
-    }
-
-    #[test]
-    fn cost_of_type_partitions_the_total() {
-        let (plan, _) = table3_plan();
-        let bill = bill_plan(&plan, RentalHorizon::days(1.0), &OnDemand::hourly());
-        let sum: f64 = (0..4).map(|q| bill.cost_of_type(TypeId(q))).sum();
-        assert!((sum - bill.total).abs() < 1e-9);
     }
 
     #[test]
@@ -427,7 +377,6 @@ mod tests {
         let (plan, _) = table3_plan();
         let bill = bill_plan(&plan, RentalHorizon::hours(0.0), &OnDemand::hourly());
         assert_eq!(bill.total, 0.0);
-        assert_eq!(bill.mean_hourly_cost(), 0.0);
     }
 
     // ------------------------------------------------------------------
@@ -466,7 +415,6 @@ mod tests {
 
     fn assert_cache_matches(plan: &ProvisioningPlan, model: &(impl SegmentedBilling + 'static)) {
         let cache = HorizonCache::new(plan, model);
-        assert_eq!(cache.model_name(), model.name());
         for horizon in probe_horizons() {
             let reference = bill_plan(plan, horizon, model);
             let total = cache.total(horizon);
@@ -477,10 +425,6 @@ mod tests {
                 horizon.hours,
                 total,
                 reference.total
-            );
-            assert!(
-                (cache.mean_hourly_cost(horizon) - reference.mean_hourly_cost()).abs()
-                    <= 1e-9 * (1.0 + reference.mean_hourly_cost().abs())
             );
         }
     }
@@ -511,9 +455,9 @@ mod tests {
         let (plan, _) = table3_plan();
         assert!(plan.total_machines() >= 5);
         let cache = HorizonCache::new(&plan, &Reserved::with_term(1000.0, 0.4));
-        assert_eq!(cache.num_segments(), 2); // flat term, then rolling renewal
+        assert_eq!(cache.segments.len(), 2); // flat term, then rolling renewal
         let cache = HorizonCache::new(&plan, &Spot::typical());
-        assert_eq!(cache.num_segments(), 1);
+        assert_eq!(cache.segments.len(), 1);
     }
 
     #[test]

@@ -15,14 +15,11 @@
 //! * [`horizon`] — project a [`ProvisioningPlan`](rental_core::ProvisioningPlan)
 //!   over a rental horizon and compute break-even points between models;
 //! * [`optimizer`] — assign the cheapest admissible billing model to every
-//!   machine of a plan, with a cap on the interruptible fraction;
-//! * [`catalogue`] — a named, EC2-like machine catalogue that maps onto the
-//!   paper's abstract [`Platform`](rental_core::Platform).
+//!   machine of a plan, with a cap on the interruptible fraction.
 //!
-//! Everything in this crate is an extension beyond the paper (documented as
-//! such in DESIGN.md); the paper's own experiments only ever use the plain
-//! hourly rate, which corresponds to [`billing::OnDemand`] with a one-hour
-//! increment and 100 % utilisation.
+//! Everything in this crate is an extension beyond the paper; the paper's
+//! own experiments only ever use the plain hourly rate, which corresponds
+//! to [`billing::OnDemand`] with a one-hour increment and 100 % utilisation.
 //!
 //! ```
 //! use rental_core::examples::illustrating_example;
@@ -43,7 +40,6 @@
 //! ```
 
 pub mod billing;
-pub mod catalogue;
 pub mod horizon;
 pub mod optimizer;
 
@@ -51,7 +47,6 @@ pub use billing::{
     BillingModel, BillingSegment, ChargeProfile, HoursRounding, OnDemand, PerSecond, Reserved,
     SegmentedBilling, Spot, UsageWindow,
 };
-pub use catalogue::{Catalogue, CatalogueEntry};
 pub use horizon::{
     bill_plan, break_even_hours, HorizonBill, HorizonCache, MachineBill, RentalHorizon,
 };
@@ -62,7 +57,6 @@ pub use optimizer::{
 /// Commonly used items, for glob import in examples and downstream crates.
 pub mod prelude {
     pub use crate::billing::{BillingModel, OnDemand, PerSecond, Reserved, Spot, UsageWindow};
-    pub use crate::catalogue::{Catalogue, CatalogueEntry};
     pub use crate::horizon::{bill_plan, break_even_hours, HorizonBill, RentalHorizon};
     pub use crate::optimizer::{
         optimize_billing, BillingAssignment, BillingChoice, BillingOptions,

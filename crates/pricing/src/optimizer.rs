@@ -38,18 +38,6 @@ impl Default for BillingOptions {
     }
 }
 
-impl BillingOptions {
-    /// Only on-demand billing: the paper's implicit model.
-    pub fn on_demand_only() -> Self {
-        BillingOptions {
-            on_demand: OnDemand::hourly(),
-            reserved: None,
-            spot: None,
-            max_spot_fraction: 0.0,
-        }
-    }
-}
-
 /// Which billing mechanism a machine ends up on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BillingChoice {
@@ -87,13 +75,6 @@ pub struct MachineBillingDecision {
     pub on_demand_charge: f64,
 }
 
-impl MachineBillingDecision {
-    /// Savings of the chosen mechanism relative to on-demand.
-    pub fn savings(&self) -> f64 {
-        self.on_demand_charge - self.charge
-    }
-}
-
 /// A complete billing assignment for a plan over a horizon.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BillingAssignment {
@@ -109,7 +90,7 @@ pub struct BillingAssignment {
 
 impl BillingAssignment {
     /// Total savings relative to plain on-demand billing.
-    pub fn savings(&self) -> f64 {
+    fn savings(&self) -> f64 {
         self.on_demand_total - self.total
     }
 
@@ -249,7 +230,14 @@ mod tests {
     fn on_demand_only_matches_the_plain_bill() {
         let plan = table3_plan();
         let horizon = RentalHorizon::days(7.0);
-        let assignment = optimize_billing(&plan, horizon, &BillingOptions::on_demand_only());
+        // Only on-demand billing: the paper's implicit model.
+        let options = BillingOptions {
+            reserved: None,
+            spot: None,
+            max_spot_fraction: 0.0,
+            ..BillingOptions::default()
+        };
+        let assignment = optimize_billing(&plan, horizon, &options);
         assert!((assignment.total - 124.0 * 168.0).abs() < 1e-6);
         assert_eq!(assignment.savings(), 0.0);
         assert_eq!(
@@ -346,7 +334,7 @@ mod tests {
         assert!((sum - assignment.total).abs() < 1e-9);
         for (index, decision) in assignment.decisions.iter().enumerate() {
             assert_eq!(decision.machine_index, index);
-            assert!(decision.savings() >= -1e-9);
+            assert!(decision.on_demand_charge - decision.charge >= -1e-9);
         }
     }
 }

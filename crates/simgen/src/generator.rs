@@ -39,14 +39,9 @@ impl InstanceGenerator {
         }
     }
 
-    /// The configuration driving this generator.
-    pub fn config(&self) -> &GeneratorConfig {
-        &self.config
-    }
-
     /// Generates a random platform: one machine type per available task type,
     /// with uniformly drawn throughput and cost.
-    pub fn generate_platform(&mut self) -> Platform {
+    fn generate_platform(&mut self) -> Platform {
         let machines = (0..self.config.num_types)
             .map(|_| {
                 let throughput = self.rng.random_range(self.config.throughput_range.clone());
@@ -126,12 +121,6 @@ impl InstanceGenerator {
             recipes.push(self.wire_dag(RecipeId(j), &alt_types));
         }
         Instance::new(recipes, platform).expect("generated instances are valid by construction")
-    }
-
-    /// Generates a batch of independent instances (the paper generates one
-    /// hundred `(application, cloud)` configurations per setting).
-    pub fn generate_batch(&mut self, count: usize) -> Vec<Instance> {
-        (0..count).map(|_| self.generate_instance()).collect()
     }
 }
 
@@ -231,7 +220,7 @@ mod tests {
     #[test]
     fn batch_generation_yields_distinct_instances() {
         let mut generator = InstanceGenerator::new(GeneratorConfig::tiny(), 11);
-        let batch = generator.generate_batch(5);
+        let batch: Vec<Instance> = (0..5).map(|_| generator.generate_instance()).collect();
         assert_eq!(batch.len(), 5);
         assert!(batch.windows(2).any(|w| w[0] != w[1]));
     }

@@ -14,10 +14,8 @@
 //! once the per-recipe cost tables (`O(ρ J Q)`) are precomputed.
 //!
 //! On instances **with** shared types the DP is still well defined but only
-//! provides an upper bound (pooling can only reduce the cost); the solver
-//! refuses such instances by default and offers
-//! [`DpNoSharedSolver::allow_shared_types`] for callers that explicitly want
-//! the bound.
+//! provides an upper bound (pooling can only reduce the cost), so the solver
+//! refuses them.
 
 use std::time::Instant;
 
@@ -28,25 +26,13 @@ use crate::solver::{MinCostSolver, SolveError, SolveResult, SolverOutcome};
 
 /// Exact solver for instances whose recipes do not share any task type (§V-B).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct DpNoSharedSolver {
-    allow_shared: bool,
-}
+pub struct DpNoSharedSolver;
 
 impl DpNoSharedSolver {
-    /// Creates the solver in strict mode: instances with shared task types are
-    /// rejected with [`SolveError::UnsupportedInstance`].
+    /// Creates the solver: instances with shared task types are rejected
+    /// with [`SolveError::UnsupportedInstance`].
     pub fn new() -> Self {
-        DpNoSharedSolver {
-            allow_shared: false,
-        }
-    }
-
-    /// Allows running the DP on instances with shared task types. The result
-    /// is then only an upper bound on the optimal cost (machines are not
-    /// pooled across recipes in the DP's cost model).
-    pub fn allow_shared_types(mut self) -> Self {
-        self.allow_shared = true;
-        self
+        DpNoSharedSolver
     }
 }
 
@@ -59,11 +45,10 @@ impl MinCostSolver for DpNoSharedSolver {
         let start = Instant::now();
         let app = instance.application();
         let platform = instance.platform();
-        if !self.allow_shared && app.has_shared_types() {
+        if app.has_shared_types() {
             return Err(SolveError::UnsupportedInstance {
                 solver: self.name().to_string(),
-                reason: "recipes share task types; use the ILP solver or allow_shared_types()"
-                    .to_string(),
+                reason: "recipes share task types; use the ILP solver".to_string(),
             });
         }
 
@@ -118,14 +103,8 @@ impl MinCostSolver for DpNoSharedSolver {
 
         let solution = instance.solution(target, ThroughputSplit::new(shares))?;
         // Without shared types the evaluated cost must equal the DP value.
-        debug_assert!(self.allow_shared || solution.cost() == dp[t_max]);
-        let mut outcome = SolverOutcome::exact(solution, start.elapsed());
-        if self.allow_shared {
-            // Only an upper bound in the shared case.
-            outcome.proven_optimal = !instance.application().has_shared_types();
-            outcome.lower_bound = None;
-        }
-        Ok(outcome)
+        debug_assert_eq!(solution.cost(), dp[t_max]);
+        Ok(SolverOutcome::exact(solution, start.elapsed()))
     }
 }
 
@@ -152,19 +131,6 @@ mod tests {
             .solve(&illustrating_example(), 50)
             .unwrap_err();
         assert!(matches!(err, SolveError::UnsupportedInstance { .. }));
-    }
-
-    #[test]
-    fn allows_shared_types_as_upper_bound() {
-        let instance = illustrating_example();
-        let outcome = DpNoSharedSolver::new()
-            .allow_shared_types()
-            .solve(&instance, 70)
-            .unwrap();
-        // The bound cannot beat the true optimum (124 per Table III).
-        assert!(outcome.cost() >= 124);
-        assert!(!outcome.proven_optimal);
-        assert!(outcome.solution.is_feasible());
     }
 
     #[test]

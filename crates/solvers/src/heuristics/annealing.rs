@@ -5,8 +5,9 @@
 //! degrading moves are accepted with a probability that decays with a
 //! temperature schedule, which lets the search escape local minima without
 //! the explicit "jump" mechanism of H32Jump. It is included to support the
-//! ablation study of DESIGN.md (how much does the escape mechanism matter?)
-//! and is not part of the paper's reported suite.
+//! escape-mechanism ablation of `rental_experiments::ablation` (`repro
+//! ablation-escape`: how much does the escape mechanism matter?) and is not
+//! part of the paper's reported suite.
 
 use std::time::Instant;
 

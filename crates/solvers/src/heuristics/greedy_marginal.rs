@@ -30,13 +30,6 @@ pub struct GreedyMarginalSolver {
     pub delta: Option<Throughput>,
 }
 
-impl GreedyMarginalSolver {
-    /// Creates a greedy solver with an explicit step size.
-    pub fn with_delta(delta: Throughput) -> Self {
-        GreedyMarginalSolver { delta: Some(delta) }
-    }
-}
-
 impl MinCostSolver for GreedyMarginalSolver {
     fn name(&self) -> &str {
         "Greedy"
@@ -145,7 +138,7 @@ mod tests {
         let instance = illustrating_example();
         // A step of 7 does not divide 30: the final step must be clamped so
         // the split still totals exactly the target.
-        let outcome = GreedyMarginalSolver::with_delta(7)
+        let outcome = GreedyMarginalSolver { delta: Some(7) }
             .solve(&instance, 30)
             .unwrap();
         assert_eq!(outcome.solution.split.total(), 30);

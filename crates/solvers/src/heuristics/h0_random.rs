@@ -43,7 +43,7 @@ impl RandomSplitSolver {
     }
 
     /// Draws a random split summing exactly to `target`.
-    pub fn random_split(
+    fn random_split(
         &self,
         instance: &Instance,
         target: Throughput,

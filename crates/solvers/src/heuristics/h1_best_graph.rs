@@ -22,10 +22,7 @@ pub struct BestGraphSolver;
 /// # Errors
 ///
 /// Propagates overflow errors from the cost evaluation.
-pub fn best_single_recipe(
-    instance: &Instance,
-    target: Throughput,
-) -> SolveResult<(RecipeId, Cost)> {
+fn best_single_recipe(instance: &Instance, target: Throughput) -> SolveResult<(RecipeId, Cost)> {
     let platform = instance.platform();
     let demand = instance.application().demand();
     let mut best: Option<(RecipeId, Cost)> = None;

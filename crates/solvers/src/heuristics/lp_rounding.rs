@@ -27,33 +27,11 @@ use crate::heuristics::h1_best_graph::best_graph_split;
 use crate::solver::{MinCostSolver, SolveError, SolveResult, SolverOutcome};
 
 /// Heuristic based on rounding the LP relaxation of the §V-C MILP.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct LpRoundingSolver {
     /// Grid used for the rounding and repair steps; `None` uses the
     /// platform's throughput granularity.
     pub delta: Option<Throughput>,
-    /// Whether to run a steepest-descent polish after the repair step.
-    pub polish: bool,
-}
-
-impl Default for LpRoundingSolver {
-    fn default() -> Self {
-        LpRoundingSolver {
-            delta: None,
-            polish: true,
-        }
-    }
-}
-
-impl LpRoundingSolver {
-    /// An LP-rounding solver without the final local-search polish, useful to
-    /// measure how much the rounding alone achieves.
-    pub fn without_polish() -> Self {
-        LpRoundingSolver {
-            delta: None,
-            polish: false,
-        }
-    }
 }
 
 impl MinCostSolver for LpRoundingSolver {
@@ -115,9 +93,9 @@ impl MinCostSolver for LpRoundingSolver {
             remaining -= step;
         }
 
-        // 4. Optional steepest-descent polish (the H32 neighbourhood, on the
+        // 4. Steepest-descent polish (the H32 neighbourhood, on the
         //    kernel's parallel candidate scan).
-        if self.polish && num_recipes > 1 {
+        if num_recipes > 1 {
             loop {
                 let current = evaluator.cost();
                 match best_transfer(&evaluator, delta, &|_, _, cost| cost < current)? {
@@ -211,18 +189,6 @@ mod tests {
             let h1 = BestGraphSolver.solve(&instance, rho).unwrap();
             let rounded = LpRoundingSolver::default().solve(&instance, rho).unwrap();
             assert!(rounded.cost() <= h1.cost(), "rho = {rho}");
-        }
-    }
-
-    #[test]
-    fn polish_never_hurts() {
-        let instance = illustrating_example();
-        for rho in (10u64..=200).step_by(10) {
-            let raw = LpRoundingSolver::without_polish()
-                .solve(&instance, rho)
-                .unwrap();
-            let polished = LpRoundingSolver::default().solve(&instance, rho).unwrap();
-            assert!(polished.cost() <= raw.cost(), "rho = {rho}");
         }
     }
 

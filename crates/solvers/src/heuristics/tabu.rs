@@ -10,9 +10,9 @@
 //! on the best solution found so far (the classical aspiration criterion).
 //!
 //! This solver is not part of the paper's suite; it supports the
-//! escape-mechanism ablation described in DESIGN.md (tabu memory vs. the
-//! random jumps of H32Jump vs. the temperature schedule of simulated
-//! annealing).
+//! escape-mechanism ablation of `rental_experiments::ablation` (`repro
+//! ablation-escape`): tabu memory vs. the random jumps of H32Jump vs. the
+//! temperature schedule of simulated annealing.
 
 use std::time::Instant;
 
@@ -40,17 +40,6 @@ impl Default for TabuSearchSolver {
         TabuSearchSolver {
             iterations: 500,
             tenure: 7,
-            delta: None,
-        }
-    }
-}
-
-impl TabuSearchSolver {
-    /// Creates a tabu search with the given iteration budget and tenure.
-    pub fn new(iterations: usize, tenure: usize) -> Self {
-        TabuSearchSolver {
-            iterations,
-            tenure,
             delta: None,
         }
     }
@@ -208,7 +197,13 @@ mod tests {
     fn zero_iterations_return_the_h1_split() {
         let instance = illustrating_example();
         let h1 = BestGraphSolver.solve(&instance, 70).unwrap();
-        let tabu = TabuSearchSolver::new(0, 5).solve(&instance, 70).unwrap();
+        let tabu = TabuSearchSolver {
+            iterations: 0,
+            tenure: 5,
+            delta: None,
+        }
+        .solve(&instance, 70)
+        .unwrap();
         assert_eq!(tabu.cost(), h1.cost());
     }
 }

@@ -19,8 +19,8 @@
 //! | §VI-e | [`heuristics::SteepestGradientJumpSolver`] (H32Jump) | heuristic |
 //!
 //! Beyond the paper's suite, the crate ships four extension heuristics used
-//! by the ablation studies in DESIGN.md: simulated annealing
-//! ([`heuristics::SimulatedAnnealingSolver`]), tabu search
+//! by the ablation studies of `rental_experiments::ablation`: simulated
+//! annealing ([`heuristics::SimulatedAnnealingSolver`]), tabu search
 //! ([`heuristics::TabuSearchSolver`]), a greedy marginal-cost construction
 //! ([`heuristics::GreedyMarginalSolver`]) and LP-relaxation rounding
 //! ([`heuristics::LpRoundingSolver`]).

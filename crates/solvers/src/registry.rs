@@ -93,7 +93,8 @@ pub fn standard_suite_names(config: &SuiteConfig) -> Vec<String> {
 /// Builds the extended suite: the standard suite plus the heuristics that go
 /// beyond the paper (simulated annealing, tabu search, greedy marginal-cost
 /// construction and LP-relaxation rounding). Used by the ablation experiments
-/// and benches described in DESIGN.md.
+/// (`rental_experiments::ablation`, the `repro ablation-*` lanes) and
+/// benches.
 pub fn extended_suite(config: &SuiteConfig) -> Vec<Box<dyn MinCostSolver + Send + Sync>> {
     let mut suite = standard_suite(config);
     suite.push(Box::new(SimulatedAnnealingSolver::with_seed(

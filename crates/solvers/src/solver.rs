@@ -175,12 +175,9 @@ impl SweepPrior {
 /// deadline, a branch-and-bound node cap, and a total-simplex-iteration cap,
 /// any subset of which may be set. `None` components are unlimited.
 ///
-/// Budgets compose in two ways:
-/// * [`intersect`](Self::intersect) takes the componentwise minimum of two
-///   budgets (e.g. a solver's own standing limits and a caller's deadline);
-/// * [`split`](Self::split) divides a budget's countable components across
-///   `n` concurrent solves, which is how the fleet's batch scheduler shares
-///   one per-epoch budget among the pending re-solves.
+/// [`split`](Self::split) divides a budget's countable components across
+/// `n` concurrent solves, which is how the fleet's batch scheduler shares
+/// one per-epoch budget among the pending re-solves.
 ///
 /// The deadline is the real-time guardrail; the node and iteration caps are
 /// **deterministic** (identical runs stop at the identical node), so tests
@@ -215,27 +212,6 @@ impl SolveBudget {
         SolveBudget {
             iteration_cap: Some(iterations),
             ..SolveBudget::default()
-        }
-    }
-
-    /// True when no component is set (the solve may run to completion).
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.node_cap.is_none() && self.iteration_cap.is_none()
-    }
-
-    /// Componentwise minimum of two budgets: the result is at least as tight
-    /// as both.
-    pub fn intersect(&self, other: &SolveBudget) -> SolveBudget {
-        fn tighter<T: Ord>(a: Option<T>, b: Option<T>) -> Option<T> {
-            match (a, b) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            }
-        }
-        SolveBudget {
-            deadline: tighter(self.deadline, other.deadline),
-            node_cap: tighter(self.node_cap, other.node_cap),
-            iteration_cap: tighter(self.iteration_cap, other.iteration_cap),
         }
     }
 

@@ -185,7 +185,7 @@ impl FixedMixScaler {
     }
 
     /// Number of machine types the scaler manages.
-    pub fn num_types(&self) -> usize {
+    fn num_types(&self) -> usize {
         self.types.len()
     }
 

@@ -131,7 +131,7 @@ pub struct Outage {
 
 impl Outage {
     /// Duration of the outage.
-    pub fn duration(&self) -> SimTime {
+    fn duration(&self) -> SimTime {
         (self.end - self.start).max(0.0)
     }
 }
@@ -332,11 +332,6 @@ impl FailureTrace {
         &self.outages
     }
 
-    /// The horizon the trace covers.
-    pub fn horizon(&self) -> SimTime {
-        self.horizon
-    }
-
     /// Number of machines of type `q` that are down at time `t`.
     pub fn machines_down(&self, type_id: TypeId, t: SimTime) -> u64 {
         self.machines_down_among(type_id, u64::MAX, t)
@@ -440,14 +435,6 @@ impl FailureTrace {
         self.outages.len()
     }
 
-    /// The trace's position at time `t` in its start-ordered outage list:
-    /// the number of outages that have already started.
-    pub fn cursor_at(&self, t: SimTime) -> usize {
-        // Outages are sorted by start time: binary search for the first
-        // outage starting after `t`.
-        self.outages.partition_point(|o| o.start <= t)
-    }
-
     /// A deterministic 64-bit fingerprint of the whole trace (horizon plus
     /// every outage's type, slot and interval, bit-exact). Snapshots store
     /// it so a resume can verify that the regenerated outage trace is
@@ -516,20 +503,6 @@ mod tests {
         assert_eq!(small.fingerprint(), 0x0b77_a0de_86b0_c38b);
         let large = FailureModel::new(96.0, 4.0, 0xF00D).generate(&[7, 3, 5, 2], 2304.0);
         assert_eq!(large.fingerprint(), 0xd0c9_96d2_db3f_58bf);
-    }
-
-    #[test]
-    fn cursors_walk_the_outage_stream_monotonically() {
-        let trace = FailureModel::new(20.0, 4.0, 3).generate(&[3], 300.0);
-        assert!(trace.num_outages() > 0);
-        assert_eq!(trace.cursor_at(-1.0), 0);
-        assert_eq!(trace.cursor_at(trace.horizon() + 1.0), trace.num_outages());
-        let mut last = 0;
-        for step in 0..30 {
-            let cursor = trace.cursor_at(step as f64 * 10.0);
-            assert!(cursor >= last, "cursor went backwards");
-            last = cursor;
-        }
     }
 
     #[test]
@@ -703,7 +676,7 @@ mod tests {
     #[test]
     fn empty_trace_constructor() {
         let trace = FailureTrace::empty(50.0);
-        assert_eq!(trace.horizon(), 50.0);
+        assert_eq!(trace.horizon, 50.0);
         assert_eq!(trace.num_outages(), 0);
         assert_eq!(trace.peak_down_in_window(TypeId(0), 0.0, 50.0), 0);
     }

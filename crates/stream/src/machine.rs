@@ -28,8 +28,6 @@ pub struct MachinePool {
     queue: VecDeque<WorkItem>,
     /// Accumulated busy machine-time, for utilisation reporting.
     busy_time: f64,
-    /// Total number of tasks that finished service in this pool.
-    completed: u64,
     /// Peak length of the waiting queue.
     peak_queue: usize,
 }
@@ -45,39 +43,13 @@ impl MachinePool {
             service_time: 1.0 / throughput as f64,
             queue: VecDeque::new(),
             busy_time: 0.0,
-            completed: 0,
             peak_queue: 0,
         }
-    }
-
-    /// Deterministic service time of one task on one machine of this pool.
-    pub fn service_time(&self) -> SimTime {
-        self.service_time
-    }
-
-    /// Number of rented machines in the pool.
-    pub fn servers(&self) -> u64 {
-        self.servers
-    }
-
-    /// Number of machines currently serving a task.
-    pub fn busy(&self) -> u64 {
-        self.busy
-    }
-
-    /// Number of tasks waiting in the queue (not yet being served).
-    pub fn queued(&self) -> usize {
-        self.queue.len()
     }
 
     /// Peak number of queued tasks observed so far.
     pub fn peak_queue(&self) -> usize {
         self.peak_queue
-    }
-
-    /// Total number of tasks completed by the pool.
-    pub fn completed(&self) -> u64 {
-        self.completed
     }
 
     /// Offers a task to the pool. Returns `Some(completion_time)` if a free
@@ -99,7 +71,6 @@ impl MachinePool {
     /// machine goes idle.
     pub fn complete(&mut self, now: SimTime) -> Option<(WorkItem, SimTime)> {
         debug_assert!(self.busy > 0, "completion on an idle pool");
-        self.completed += 1;
         match self.queue.pop_front() {
             Some(work) => {
                 // The machine immediately starts the next queued task.
@@ -111,11 +82,6 @@ impl MachinePool {
                 None
             }
         }
-    }
-
-    /// Machine-time spent serving tasks so far.
-    pub fn busy_time(&self) -> f64 {
-        self.busy_time
     }
 
     /// Utilisation of the pool over a horizon: busy machine-time divided by
@@ -138,8 +104,8 @@ mod tests {
         let mut pool = MachinePool::new(2, 10);
         let done = pool.offer(WorkItem { item: 0, task: 0 }, 5.0);
         assert_eq!(done, Some(5.1));
-        assert_eq!(pool.busy(), 1);
-        assert_eq!(pool.queued(), 0);
+        assert_eq!(pool.busy, 1);
+        assert_eq!(pool.queue.len(), 0);
     }
 
     #[test]
@@ -147,17 +113,16 @@ mod tests {
         let mut pool = MachinePool::new(1, 10);
         assert!(pool.offer(WorkItem { item: 0, task: 0 }, 0.0).is_some());
         assert!(pool.offer(WorkItem { item: 1, task: 0 }, 0.0).is_none());
-        assert_eq!(pool.queued(), 1);
+        assert_eq!(pool.queue.len(), 1);
         assert_eq!(pool.peak_queue(), 1);
         // Completion hands the queued task to the freed machine.
         let next = pool.complete(0.1);
         assert_eq!(next, Some((WorkItem { item: 1, task: 0 }, 0.2)));
-        assert_eq!(pool.queued(), 0);
-        assert_eq!(pool.busy(), 1);
+        assert_eq!(pool.queue.len(), 0);
+        assert_eq!(pool.busy, 1);
         // Final completion leaves the pool idle.
         assert_eq!(pool.complete(0.2), None);
-        assert_eq!(pool.busy(), 0);
-        assert_eq!(pool.completed(), 2);
+        assert_eq!(pool.busy, 0);
     }
 
     #[test]

@@ -66,11 +66,6 @@ impl ReorderBuffer {
     pub fn released(&self) -> usize {
         self.released
     }
-
-    /// Index of the next item the output is waiting for.
-    pub fn next_expected(&self) -> usize {
-        self.next_expected
-    }
 }
 
 #[cfg(test)]
@@ -97,7 +92,7 @@ mod tests {
         assert_eq!(buffer.complete(0), vec![0, 1, 2]);
         assert_eq!(buffer.occupancy(), 0);
         assert_eq!(buffer.peak_occupancy(), 3);
-        assert_eq!(buffer.next_expected(), 3);
+        assert_eq!(buffer.next_expected, 3);
     }
 
     #[test]

@@ -75,37 +75,11 @@ impl WorkloadTrace {
         WorkloadTrace::new(segments)
     }
 
-    /// A bursty trace: a `base` rate with periodic bursts at `burst` rate.
-    /// Each period lasts `period` time units of which the final
-    /// `burst_duration` are at the burst rate.
-    pub fn bursty(
-        base: f64,
-        burst: f64,
-        period: SimTime,
-        burst_duration: SimTime,
-        periods: usize,
-    ) -> Self {
-        let calm = (period - burst_duration).max(0.0);
-        let mut segments = Vec::with_capacity(periods * 2);
-        for _ in 0..periods {
-            segments.push(TraceSegment {
-                duration: calm,
-                rate: base,
-            });
-            segments.push(TraceSegment {
-                duration: burst_duration,
-                rate: burst,
-            });
-        }
-        WorkloadTrace::new(segments)
-    }
-
     /// A spiky trace: a `base` rate with `num_spikes` randomly placed bursts
     /// at `spike_rate`, each lasting `spike_duration`, over `duration` time
     /// units. Spike start times are drawn uniformly (deterministic per
-    /// `seed`); overlapping spikes simply merge. This is the irregular-burst
-    /// complement to the strictly periodic [`WorkloadTrace::bursty`], used by
-    /// the fleet scenario generators so multi-tenant workloads are not all
+    /// `seed`); overlapping spikes simply merge. The fleet scenario
+    /// generators use it so multi-tenant workloads are not all
     /// phase-aligned.
     pub fn spike(
         base: f64,
@@ -179,11 +153,6 @@ impl WorkloadTrace {
             })
             .collect();
         WorkloadTrace::new(segments)
-    }
-
-    /// The trace segments, in order.
-    pub fn segments(&self) -> &[TraceSegment] {
-        &self.segments
     }
 
     /// Total duration of the trace.
@@ -296,20 +265,9 @@ mod tests {
     }
 
     #[test]
-    fn bursty_trace_spends_most_time_at_the_base_rate() {
-        let trace = WorkloadTrace::bursty(10.0, 100.0, 10.0, 1.0, 3);
-        assert_eq!(trace.duration(), 30.0);
-        assert_eq!(trace.peak_rate(), 100.0);
-        assert!(trace.mean_rate() < 20.0);
-        // Inside the first burst window.
-        assert_eq!(trace.rate_at(9.5), 100.0);
-        assert_eq!(trace.rate_at(5.0), 10.0);
-    }
-
-    #[test]
     fn ramp_interpolates_between_endpoints() {
         let trace = WorkloadTrace::ramp(10.0, 50.0, 40.0, 5);
-        assert_eq!(trace.segments().len(), 5);
+        assert_eq!(trace.segments.len(), 5);
         assert_eq!(trace.rate_at(0.0), 10.0);
         assert_eq!(trace.rate_at(39.9), 50.0);
         assert!(trace.rate_at(20.0) > 10.0 && trace.rate_at(20.0) < 50.0);
@@ -328,7 +286,7 @@ mod tests {
                 rate: -3.0,
             },
         ]);
-        assert_eq!(trace.segments().len(), 1);
+        assert_eq!(trace.segments.len(), 1);
         assert_eq!(trace.rate_at(1.0), 0.0);
         assert_eq!(trace.total_items(), 0.0);
     }
@@ -358,7 +316,7 @@ mod tests {
             },
         ]);
         // 10-rate pair merges; the dropped segment joins the 20-rate pair.
-        assert_eq!(trace.segments().len(), 2);
+        assert_eq!(trace.segments.len(), 2);
         assert_eq!(trace.duration(), 10.0);
         assert_eq!(trace.rate_at(4.9), 10.0);
         assert_eq!(trace.rate_at(5.1), 20.0);
@@ -375,7 +333,7 @@ mod tests {
         assert_eq!(a.peak_rate(), 90.0);
         // Spikes cover at most num_spikes x spike_duration of the trace.
         let spike_time: f64 = a
-            .segments()
+            .segments
             .iter()
             .filter(|s| s.rate == 90.0)
             .map(|s| s.duration)
@@ -389,10 +347,10 @@ mod tests {
     #[test]
     fn spike_with_zero_duration_or_no_spikes_is_flat() {
         assert!(WorkloadTrace::spike(10.0, 90.0, 0.0, 3, 1.0, 1)
-            .segments()
+            .segments
             .is_empty());
         let flat = WorkloadTrace::spike(10.0, 90.0, 50.0, 0, 1.0, 1);
-        assert_eq!(flat.segments().len(), 1);
+        assert_eq!(flat.segments.len(), 1);
         assert_eq!(flat.peak_rate(), 10.0);
     }
 

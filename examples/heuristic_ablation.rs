@@ -1,7 +1,8 @@
 //! Heuristic ablation (extension): compare the paper's suite against the
 //! extension heuristics (simulated annealing, tabu search, greedy
 //! construction, LP rounding) on randomly generated instances, and print the
-//! δ-step and escape-mechanism ablation tables from DESIGN.md.
+//! δ-step and escape-mechanism ablation tables of
+//! `crates/experiments/src/ablation.rs`.
 //!
 //! ```text
 //! cargo run --release --example heuristic_ablation
